@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 
 from . import solver_a, solver_b, validation
 from .errors import NumericsError, UsageError
-from .model import spec_digest
+from .model import (
+    CurvePoint,
+    DistortionFn,
+    ModelSpecA,
+    ModelSpecB,
+    SmoothPdf,
+    TradeoffCurve,
+    spec_digest,
+)
 from .simulate import PolicySpec, SimConfig, simulate as run_simulation
 
 SCHEMA_VERSION = "1"
@@ -94,24 +102,26 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--distortion", choices=("abs", "quad"), default=None)
 
 
+def _spec_a(p: float | None, beta: float, a: float = 1.0,
+            distortion: str | None = None) -> ModelSpecA:
+    """Birth-death Model-A spec, with the checks every subcommand shares."""
+    if p is None:
+        raise UsageError("--p is required for model A")
+    if not 0.0 < p < 1.0 / 3.0:
+        raise UsageError(f"--p must lie in (0, 1/3), got {p}")
+    if a != int(a):
+        raise UsageError("--a must be an integer for model A")
+    spec = solver_a.bd_spec(p, beta, a=int(a))
+    if distortion == "quad":
+        spec = ModelSpecA(a=spec.a, pmf=spec.pmf,
+                          distortion=DistortionFn.quadratic(), beta=beta)
+    return spec
+
+
 def _spec_from_args(args) -> object:
     if args.model == "A":
-        if args.p is None:
-            raise UsageError("--p is required for model A")
-        if not 0.0 < args.p < 1.0 / 3.0:
-            raise UsageError(f"--p must lie in (0, 1/3), got {args.p}")
-        if args.a != int(args.a):
-            raise UsageError("--a must be an integer for model A")
-        spec = solver_a.bd_spec(args.p, args.beta, a=int(args.a))
-        if args.distortion == "quad":
-            from .model import DistortionFn, ModelSpecA
-
-            spec = ModelSpecA(a=spec.a, pmf=spec.pmf,
-                              distortion=DistortionFn.quadratic(), beta=args.beta)
-        return spec
+        return _spec_a(args.p, args.beta, args.a, args.distortion)
     if args.distortion == "abs":
-        from .model import DistortionFn, ModelSpecB, SmoothPdf
-
         return ModelSpecB(a=args.a, pdf=SmoothPdf.gaussian(args.sigma),
                           distortion=DistortionFn.absolute(), beta=args.beta)
     return solver_b.gauss_markov_spec(args.sigma, a=args.a, beta=args.beta)
@@ -172,8 +182,7 @@ def build_parser() -> _Parser:
     _add_output_flags(p_sim)
 
     p_val = sub.add_parser("validate", help="run a cross-check suite")
-    p_val.add_argument("--suite", default="all", choices=(
-        "tableI", "closed_forms", "scaling", "renewal", "dp", "baselines", "all"))
+    p_val.add_argument("--suite", default="all", choices=(*validation.SUITES, "all"))
     _add_output_flags(p_val)
 
     return parser
@@ -181,13 +190,11 @@ def build_parser() -> _Parser:
 
 def cmd_table(args) -> OutputRecord:
     betas = _parse_floats(args.betas)
-    if not 0.0 < args.p < 1.0 / 3.0:
-        raise UsageError(f"--p must lie in (0, 1/3), got {args.p}")
+    specs = [_spec_a(args.p, beta) for beta in betas]
     if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
     rows = []
-    for beta in betas:
-        spec = solver_a.bd_spec(args.p, beta)
+    for beta, spec in zip(betas, specs):
         corners = dict(solver_a.corner_lambdas(spec, args.k_max))
         for k in range(args.k_max + 1):
             perf = solver_a.performance(spec, k)
@@ -213,8 +220,6 @@ def cmd_curve(args) -> OutputRecord:
         grid_text = args.alphas if args.kind == "constrained" else args.lambdas
         if grid_text is None:
             raise UsageError("model B curves need --alphas or --lambdas")
-        from .model import CurvePoint, TradeoffCurve
-
         pts = []
         for x in sorted(_parse_floats(grid_text)):
             if args.kind == "constrained":

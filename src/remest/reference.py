@@ -57,6 +57,11 @@ BD_REFERENCE: dict[float, list[tuple[int, float, float, float | None]]] = {
     ],
 }
 
+#: lambda -> optimal threshold of the costly problem at beta = 0.9.  The
+#: printed corner prices place each lambda inside one threshold's interval;
+#: lambda = 40 lies strictly inside the k = 7 interval (33.4121, 42.8289].
+BD_COSTLY_THRESHOLDS: dict[float, int] = {2.0: 2, 10.0: 4, 20.0: 5, 40.0: 7}
+
 #: Worked-example targets for the p = 0.3, beta = 0.9 instance.
 WORKED_COSTLY_PRICE = 20.0
 WORKED_COSTLY_K = 5

@@ -189,9 +189,7 @@ def performance_b(
     """Exact-to-quadrature (D, N, C) of the real threshold-k policy."""
     if k <= 0.0:
         raise UsageError(f"threshold must be positive, got {k}")
-    kern = _spec_kernel(spec)
-    L0 = fredholm_solve(kern, spec.distortion, k, spec.beta, tolerance).at_zero()
-    M0 = fredholm_solve(kern, 1.0, k, spec.beta, tolerance).at_zero()
+    L0, M0 = lm_at_zero(spec, k, tolerance)
     D = L0 / M0
     N = 1.0 / M0 - (1.0 - spec.beta)
     cost = None if lam is None else D + lam * N

@@ -6,12 +6,6 @@ from remest import dp, solver_a
 
 
 class TestValueIterate:
-    def test_thresholds_match_corner_lookup(self, bd_09):
-        for lam in (2.0, 10.0, 20.0, 40.0):
-            result = dp.value_iterate(bd_09, lam)
-            k_solver, _ = solver_a.optimal_costly(bd_09, lam)
-            assert result.threshold == k_solver
-
     def test_worked_example_threshold(self, bd_09):
         assert dp.value_iterate(bd_09, 20.0).threshold == 5
 
@@ -51,15 +45,6 @@ class TestValueIterate:
 
 
 class TestPolicyEvaluateFixedPoint:
-    def test_matches_renewal_solver(self):
-        for beta in (0.9, 0.95):
-            spec = solver_a.bd_spec(0.3, beta)
-            for k in range(1, 7):
-                d_fp, n_fp = dp.policy_evaluate_fixed_point(spec, k, tol=1e-10)
-                ana = solver_a.performance(spec, k)
-                assert abs(d_fp - ana.distortion) <= 1e-6
-                assert abs(n_fp - ana.transmission_rate) <= 1e-6
-
     def test_table_values(self, bd_09):
         d_fp, n_fp = dp.policy_evaluate_fixed_point(bd_09, 2)
         assert d_fp == pytest.approx(0.4576, abs=5e-4)

@@ -100,13 +100,6 @@ class TestStateBlindBaselines:
         assert abs(res.d_hat - 1.0) <= 3.0 * res.d_se
         assert abs(res.n_hat - 0.5) <= 3.0 * res.n_se
 
-    def test_periodic_families(self, gm_unit):
-        cfg = SimConfig(horizon=20_000, replications=60, seed=38)
-        res = simulate(gm_unit, PolicySpec.periodic_one_in(2), cfg)
-        assert abs(res.d_hat - periodic_distortion(0.5, 1.0, "one_in_T")) <= 3.0 * res.d_se
-        res = simulate(gm_unit, PolicySpec.periodic_all_but_one(4), cfg)
-        assert abs(res.d_hat - periodic_distortion(0.75, 1.0, "all_but_one")) <= 3.0 * res.d_se
-
     def test_periodic_formula_values(self):
         assert periodic_distortion(0.5, 1.0, "one_in_T") == pytest.approx(0.5)
         assert periodic_distortion(0.5, 1.0, "all_but_one") == pytest.approx(0.5)
@@ -125,15 +118,6 @@ class TestStateBlindBaselines:
         assert stationary_stopping_distortion(4.0, 16.0, 1.0) == pytest.approx(1.5)
         # transmit every step
         assert stationary_stopping_distortion(1.0, 1.0, 3.0) == 0.0
-
-    def test_ordering_at_matched_rate(self, gm_unit):
-        cfg = SimConfig(horizon=20_000, replications=60, seed=41)
-        for alpha in (0.2, 0.5):
-            k_opt, _ = solver_b.algorithm2_constrained(gm_unit, alpha, 1e-5)
-            d_th = simulate(gm_unit, PolicySpec.threshold(k_opt), cfg)
-            d_per = periodic_distortion(alpha, 1.0, "one_in_T")
-            d_rand = 1.0 / alpha - 1.0
-            assert d_th.d_hat + 3.0 * d_th.d_se < d_per < d_rand
 
 
 class TestSteering:

@@ -247,16 +247,6 @@ class TestTradeoffCurve:
 
 
 class TestBirthDeathClosedForms:
-    def test_matches_linear_solver(self):
-        for p in (0.1, 0.2, 0.3):
-            for beta in (0.9, 0.95, 1.0):
-                spec = solver_a.bd_spec(p, beta)
-                for k in range(1, 11):
-                    ana = solver_a.performance(spec, k)
-                    cf = solver_a.bd_closed_form(p, beta, k)
-                    assert abs(ana.distortion - cf.distortion) <= 1e-9
-                    assert abs(ana.transmission_rate - cf.transmission_rate) <= 1e-9
-
     def test_table_spot_values(self):
         cf = solver_a.bd_closed_form(0.3, 1.0, 4)
         assert cf.distortion == pytest.approx(1.25, abs=1e-12)

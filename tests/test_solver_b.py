@@ -118,17 +118,6 @@ class TestPerformanceB:
         assert pp.distortion == pytest.approx(pn.distortion, rel=1e-10)
         assert pp.transmission_rate == pytest.approx(pn.transmission_rate, rel=1e-10)
 
-    def test_monotonicity_on_grid(self, gm_unit):
-        ks = np.geomspace(0.25, 6.0, 12)
-        L_prev, M_prev, N_prev = -1.0, 0.0, 2.0
-        for k in ks:
-            L0, M0 = solver_b.lm_at_zero(gm_unit, float(k))
-            N = 1.0 / M0
-            assert L0 > L_prev
-            assert M0 > M_prev
-            assert N < N_prev
-            L_prev, M_prev, N_prev = L0, M0, N
-
     def test_invalid_threshold(self, gm_unit):
         with pytest.raises(UsageError):
             solver_b.performance_b(gm_unit, 0.0)
@@ -227,12 +216,6 @@ class TestAlgorithm2:
         _, d_tight = solver_b.algorithm2_constrained(gm_unit, 0.3, 1e-5)
         _, d_loose = solver_b.algorithm2_constrained(gm_unit, 0.5, 1e-5)
         assert d_tight >= d_loose
-
-    def test_budget_recovered(self, gm_unit):
-        for alpha in (0.2, 0.5):
-            k, _ = solver_b.algorithm2_constrained(gm_unit, alpha, epsilon=1e-4)
-            n = solver_b.performance_b(gm_unit, k).transmission_rate
-            assert abs(n - alpha) <= 1e-4
 
 
 class TestGaussMarkovRescale:

@@ -1,17 +1,76 @@
+import dataclasses
+
 import pytest
 
-from remest import validation
+from remest import dp, solver_a, solver_b, validation
+from remest.simulate import SimConfig
+
+SMALL = SimConfig(horizon=2_000, replications=20, seed=5, burn_in=100)
 
 
-def test_suite_dp_all_pass():
-    checks = validation.run_suite("dp")
-    assert checks and all(c.passed for c in checks)
+def _nudged(fn, field, amount):
+    """``fn`` with ``amount(result)`` added to ``result.field``."""
+    def nudged(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return dataclasses.replace(result, **{field: getattr(result, field) + amount(result)})
+    return nudged
 
 
-def test_suite_table_covers_all_cells():
-    checks = validation.run_suite("tableI")
-    assert len(checks) == 99
-    assert all(c.passed for c in checks)
+def _scale_equivariant_solve(spec, x, eps):
+    """Stand-in for Algorithms 1 and 2 that obeys the scale laws except for a
+    relative nudge of 10 tolerances on the scaled instances' thresholds."""
+    sigma = spec.pdf.sigma
+    nudge = 1.0 if sigma == 1.0 else 1.0 + 10.0 * validation.SCALE_TOL
+    return sigma * nudge, sigma * sigma
+
+
+def _break_table(mp):
+    mp.setattr(solver_a, "performance", _nudged(
+        solver_a.performance, "distortion", lambda r: 2.0 * validation.TABLE_TOL))
+
+
+def _break_closed_forms(mp):
+    mp.setattr(solver_a, "bd_closed_form", _nudged(
+        solver_a.bd_closed_form, "distortion", lambda r: 10.0 * validation.CLOSED_FORM_TOL))
+
+
+def _break_scaling(mp):
+    mp.setattr(solver_b, "algorithm1_costly", _scale_equivariant_solve)
+    mp.setattr(solver_b, "algorithm2_constrained", _scale_equivariant_solve)
+    mp.setattr(solver_b, "lambda_of_k", lambda spec, k: k)
+
+
+def _break_simulation(mp):
+    mp.setattr(validation, "run_simulation", _nudged(
+        validation.run_simulation, "d_hat", lambda r: 10.0 * r.d_se))
+
+
+def _break_dp(mp):
+    real = dp.policy_evaluate_fixed_point
+
+    def nudged(spec, k, **kwargs):
+        d, n = real(spec, k, **kwargs)
+        return d + 10.0 * validation.DP_TOL, n
+
+    mp.setattr(dp, "policy_evaluate_fixed_point", nudged)
+
+
+_BREAKERS = {
+    "tableI": _break_table,
+    "closed_forms": _break_closed_forms,
+    "scaling": _break_scaling,
+    "renewal": _break_simulation,
+    "dp": _break_dp,
+    "baselines": _break_simulation,
+}
+
+
+@pytest.mark.parametrize("suite", list(validation.SUITES))
+def test_suite_detects_shifted_route(suite, monkeypatch):
+    _BREAKERS[suite](monkeypatch)
+    run = validation.SUITES[suite]
+    checks = run(SMALL) if suite in ("renewal", "baselines") else run()
+    assert any(not c.passed for c in checks), [c.detail for c in checks]
 
 
 def test_unknown_suite_rejected():
