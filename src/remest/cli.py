@@ -178,7 +178,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--reps", type=int, default=200)
     p_sim.add_argument("--horizon", type=int, default=100_000)
     p_sim.add_argument("--burn-in", type=int, default=1000)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility, must be >= 1; results "
+                            "and execution do not depend on it")
     _add_output_flags(p_sim)
 
     p_val = sub.add_parser("validate", help="run a cross-check suite")
@@ -309,8 +311,10 @@ def _policy_from_args(args) -> PolicySpec:
 def cmd_simulate(args) -> OutputRecord:
     spec = _spec_from_args(args)
     policy = _policy_from_args(args)
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     config = SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed,
-                       burn_in=args.burn_in, workers=args.workers)
+                       burn_in=args.burn_in)
     result = run_simulation(spec, policy, config)
     meta = {
         "spec": spec_digest(spec),

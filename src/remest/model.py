@@ -99,9 +99,6 @@ class IntegerPmf:
     def p0(self) -> float:
         return dict(self.items).get(0, 0.0)
 
-    def mass_at(self, n: int) -> float:
-        return dict(self.items).get(int(n), 0.0)
-
     def violations(self) -> list[str]:
         probs = self.probs
         out: list[str] = []

@@ -5,24 +5,31 @@ innovation, silence evolves it as ``E' = a E + W``.  This is step-for-step
 identical to simulating the source and estimator and avoids state blow-up
 for |a| > 1 between transmissions.
 
-Replication r draws everything from the stream seeded by ``[seed, r]``
-(innovations first, then any policy randomness), so results are bit-identical
-no matter how replications are partitioned across workers.  Replication
-aggregates are stored by index and reduced in index order.
+Every policy is one transmit rule ``rule(t, |e|) -> U``, and the time loop
+is the same for all of them.  All replications advance together as one
+vectorized block.  Replication r draws everything from the stream seeded by
+``[seed, r]``: its innovations first, then its policy randomness (the
+per-step coins of ``iid_random`` or the one mixture draw of
+``randomized_threshold``), so a fixed seed gives bit-identical results.
+The per-step draws are held in memory at once, so runs above
+``MAX_SIM_CELLS`` float64 cells are refused.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import NumericsError, UsageError
+from .errors import DivergenceError, NumericsError, UsageError
 from .model import ModelSpecA, ModelSpecB
+
+# cap on the float64 cells of per-step draws (innovations, iid coins) held by
+# one run: 800 MB
+MAX_SIM_CELLS = 10**8
 
 PolicyKind = Literal[
     "threshold",
@@ -117,11 +124,10 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication layout and stopping rules.
+    """Replication count, seed and stopping rules.
 
     ``horizon`` and ``burn_in`` govern average-cost runs; discounted runs
     stop once the discount weight falls below ``discount_truncation_tol``.
-    ``workers`` only partitions replications; it never changes results.
     """
 
     horizon: int = 100_000
@@ -129,7 +135,6 @@ class SimConfig:
     seed: int = 0
     burn_in: int = 1000
     discount_truncation_tol: float = 1e-10
-    workers: int = 1
 
     def __post_init__(self):
         if self.horizon < 1 or self.replications < 1:
@@ -138,8 +143,6 @@ class SimConfig:
             raise UsageError("burn-in must satisfy 0 <= burn_in < horizon")
         if not 0.0 < self.discount_truncation_tol < 1.0:
             raise UsageError("discount truncation tolerance must lie in (0, 1)")
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,99 +158,85 @@ class SimResult:
     steps_per_replication: int
 
 
-def _innovation_matrix(spec, config: SimConfig, reps: np.ndarray, T: int,
-                       policy: PolicySpec) -> tuple[np.ndarray, dict]:
-    """Per-replication innovation rows plus any policy randomness.
+def _transmit_rule(policy: PolicySpec, n: int, T: int, draws: np.ndarray):
+    """Transmit decisions ``rule(t, abs_e) -> U`` of ``n`` replications run
+    for ``T`` steps.
 
-    Draw order within each stream is fixed: innovations, then policy draws.
+    ``draws`` is the policy randomness: per-step uniforms (n, T) for
+    ``iid_random``, one uniform per replication for ``randomized_threshold``.
+    Steering counters and the time-sharing cycle position live in the
+    closure, so a rule serves one run.
     """
-    n = len(reps)
-    W = np.empty((n, T))
-    extras: dict = {}
-    if policy.kind == "iid_random":
-        extras["unif"] = np.empty((n, T))
-    if policy.kind == "randomized_threshold":
-        extras["mix"] = np.empty(n)
+    kind = policy.kind
+    k = policy.k
+    if kind == "threshold":
+        return lambda t, abs_e: abs_e >= k
+    if kind == "randomized_threshold":
+        k_rep = np.where(draws < policy.theta, k, k + 1.0)
+        return lambda t, abs_e: abs_e >= k_rep
+    if kind == "periodic":
+        pattern = policy.pattern
+        return lambda t, abs_e: np.full(n, bool(pattern[t % len(pattern)]))
+    if kind == "iid_random":
+        return lambda t, abs_e: draws[:, t] < policy.alpha
+    if kind == "steering":
+        theta = policy.theta
+        counts = np.zeros((2, n))  # boundary visits kept silent / transmitted
+
+        def steer(t, abs_e):
+            # vector form of steering_policy_step
+            boundary = abs_e == k
+            tot = counts[0] + counts[1] + 1.0
+            pick_tx = theta - (counts[1] + 1.0) / tot >= (1.0 - theta) - (counts[0] + 1.0) / tot
+            counts[0] += boundary & ~pick_tx
+            counts[1] += boundary & pick_tx
+            return (abs_e > k) | (boundary & pick_tx)
+
+        return steer
+    # time_sharing: one threshold per transmission-delimited cycle, k for a_m
+    # cycles then k + 1 for b_m cycles; each transmission ends a cycle.  At
+    # most T cycles fit in T steps, so longer phases are cut there.
+    cycle_k = np.repeat([k, k + 1.0] * len(policy.schedule),
+                        np.minimum(np.ravel(policy.schedule), T))
+    pos = np.zeros(n, dtype=np.int64)
+
+    def share(t, abs_e):
+        nonlocal pos
+        U = abs_e >= cycle_k[pos]
+        pos = (pos + U) % len(cycle_k)
+        return U
+
+    return share
+
+
+def _run_block(spec, policy: PolicySpec, config: SimConfig, T: int, burn: int,
+               weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate all replications as one block; returns per-replication (d, n)."""
+    n = config.replications
+    a = spec.a
+    distortion = spec.distortion
     model_a = isinstance(spec, ModelSpecA)
     if model_a:
         offsets = spec.pmf.offsets
         values = spec.pmf.values
-    for i, r in enumerate(reps):
-        rng = np.random.default_rng([config.seed, int(r)])
+    W = np.empty((n, T))
+    # policy randomness, drawn after each replication's innovations
+    draws = np.empty({"iid_random": (n, T), "randomized_threshold": (n,)}.get(policy.kind, 0))
+    for r in range(n):
+        rng = np.random.default_rng([config.seed, r])
         if model_a:
-            W[i] = rng.choice(offsets, size=T, p=values)
+            W[r] = rng.choice(offsets, size=T, p=values)
         else:
-            W[i] = spec.pdf.sampler(rng, T)
-        if policy.kind == "iid_random":
-            extras["unif"][i] = rng.random(T)
-        elif policy.kind == "randomized_threshold":
-            extras["mix"][i] = rng.random()
-    return W, extras
-
-
-def _run_block(spec, policy: PolicySpec, config: SimConfig, reps: np.ndarray,
-               T: int, burn: int, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one block of replications; returns per-replication (d, n)."""
-    n = len(reps)
-    a = spec.a
-    distortion = spec.distortion
-    W, extras = _innovation_matrix(spec, config, reps, T, policy)
+            W[r] = spec.pdf.sampler(rng, T)
+        if draws.size:
+            draws[r] = rng.random(draws.shape[1:])
+    rule = _transmit_rule(policy, n, T, draws)
 
     E = np.zeros(n)
     d_acc = np.zeros(n)
     u_acc = np.zeros(n)
-
-    kind = policy.kind
-    if kind == "threshold":
-        k_arr = np.full(n, policy.k)
-    elif kind == "randomized_threshold":
-        k_arr = np.where(extras["mix"] < policy.theta, policy.k, policy.k + 1.0)
-    elif kind == "steering":
-        k_arr = np.full(n, policy.k)
-        cnt0 = np.zeros(n)
-        cnt1 = np.zeros(n)
-        theta = policy.theta
-    elif kind == "time_sharing":
-        sched = policy.schedule
-        a_cnt = np.array([s[0] for s in sched], dtype=np.int64)
-        b_cnt = np.array([s[1] for s in sched], dtype=np.int64)
-        n_sched = len(sched)
-        phase = np.zeros(n, dtype=np.int64)
-        idx = np.zeros(n, dtype=np.int64)
-        remain = np.full(n, a_cnt[0], dtype=np.int64)
-        # skip any leading zero-length phases
-        need = remain <= 0
-        while need.any():
-            phase = np.where(need, 1 - phase, phase)
-            idx = np.where(need & (phase == 0), (idx + 1) % n_sched, idx)
-            remain = np.where(need, np.where(phase == 0, a_cnt[idx], b_cnt[idx]), remain)
-            need = remain <= 0
-    elif kind == "periodic":
-        pattern = policy.pattern
-        period = len(pattern)
-    elif kind == "iid_random":
-        unif = extras["unif"]
-
     for t in range(T):
-        absE = np.abs(E)
-        if kind in ("threshold", "randomized_threshold"):
-            U = absE >= k_arr
-        elif kind == "periodic":
-            U = np.full(n, bool(pattern[t % period]))
-        elif kind == "iid_random":
-            U = unif[:, t] < policy.alpha
-        elif kind == "steering":
-            boundary = absE == k_arr
-            tot = cnt0 + cnt1 + 1.0
-            deficit_silent = (1.0 - theta) - (cnt0 + 1.0) / tot
-            deficit_transmit = theta - (cnt1 + 1.0) / tot
-            pick_tx = deficit_transmit >= deficit_silent
-            U = (absE > k_arr) | (boundary & pick_tx)
-            cnt0 += boundary & ~pick_tx
-            cnt1 += boundary & pick_tx
-        else:  # time_sharing
-            U = absE >= np.where(phase == 0, policy.k, policy.k + 1.0)
-
+        U = rule(t, np.abs(E))
         if weights is not None:
             w = weights[t]
             d_acc += w * np.where(U, 0.0, distortion(E))
@@ -255,18 +244,7 @@ def _run_block(spec, policy: PolicySpec, config: SimConfig, reps: np.ndarray,
         elif t >= burn:
             d_acc += np.where(U, 0.0, distortion(E))
             u_acc += U
-
         E = np.where(U, W[:, t], a * E + W[:, t])
-
-        if kind == "time_sharing":
-            remain = remain - U
-            need = remain <= 0
-            while need.any():
-                phase = np.where(need, 1 - phase, phase)
-                idx = np.where(need & (phase == 0), (idx + 1) % n_sched, idx)
-                remain = np.where(need, np.where(phase == 0, a_cnt[idx], b_cnt[idx]),
-                                  remain)
-                need = remain <= 0
 
     if weights is not None:
         return d_acc, u_acc
@@ -280,43 +258,36 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
 
     Discounted runs return normalized discounted sums truncated where the
     discount weight drops below the configured tolerance; average-cost runs
-    return time averages after the burn-in.
+    return time averages after the burn-in.  A never-transmit policy (k = inf
+    or an all-zero pattern) raises ``DivergenceError`` in the average-cost
+    regime with |a| >= 1, where its distortion is infinite.
     """
-    if policy.kind in ("threshold", "steering", "time_sharing") and policy.k is not None:
-        if math.isinf(policy.k) and abs(spec.a) >= 2:
-            raise NumericsError(
-                "never-transmit simulation with |a| >= 2 overflows the state"
-            )
-    if isinstance(spec, ModelSpecA) and policy.k is not None and not math.isinf(policy.k):
-        if policy.kind in ("threshold", "randomized_threshold", "steering",
-                           "time_sharing") and policy.k != int(policy.k):
-            raise UsageError("integer-state thresholds must be integers")
+    never = ((policy.k is not None and math.isinf(policy.k))
+             or (policy.pattern is not None and not any(policy.pattern)))
+    if never and spec.beta.is_average and abs(spec.a) >= 1:
+        raise DivergenceError("never-transmit average distortion diverges for |a| >= 1")
+    if never and abs(spec.a) >= 2:
+        raise NumericsError("never-transmit simulation with |a| >= 2 overflows the state")
+    if (isinstance(spec, ModelSpecA) and policy.k is not None
+            and not math.isinf(policy.k) and policy.k != int(policy.k)):
+        raise UsageError("integer-state thresholds must be integers")
 
     beta = spec.beta
     if beta.is_average:
-        T, burn, weights = config.horizon, config.burn_in, None
+        T, burn = config.horizon, config.burn_in
     else:
         T = max(1, math.ceil(math.log(config.discount_truncation_tol) / math.log(beta)))
         burn = 0
-        weights = (1.0 - beta) * beta ** np.arange(T)
-
     R = config.replications
-    d_rep = np.empty(R)
-    n_rep = np.empty(R)
-    blocks = [b for b in np.array_split(np.arange(R), config.workers) if len(b)]
+    cells = R * T * (2 if policy.kind == "iid_random" else 1)
+    if cells > MAX_SIM_CELLS:
+        raise UsageError(
+            f"{R} replications x {T} steps need {cells:.3g} float64 cells of draws, "
+            f"above the cap of {MAX_SIM_CELLS:.0e}; lower the replications or the horizon"
+        )
+    weights = None if beta.is_average else (1.0 - beta) * beta ** np.arange(T)
 
-    def run(block):
-        d, u = _run_block(spec, policy, config, block, T, burn, weights)
-        d_rep[block] = d
-        n_rep[block] = u
-
-    if config.workers == 1 or len(blocks) == 1:
-        for block in blocks:
-            run(block)
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
-
+    d_rep, n_rep = _run_block(spec, policy, config, T, burn, weights)
     d_hat = float(np.mean(d_rep))
     n_hat = float(np.mean(n_rep))
     if R > 1:
@@ -440,7 +411,8 @@ def stationary_threshold_distribution(
     b = np.zeros(dim + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
+    if pi.min() < -1e-12:
+        raise NumericsError(f"stationary distribution has negative mass {pi.min():.3g}")
     pi /= pi.sum()
     return states, pi
 
