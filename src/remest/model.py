@@ -229,6 +229,12 @@ class DistortionFn:
             return e * e
         return np.asarray(self.fn(e), dtype=float)
 
+    @property
+    def smooth_at_zero(self) -> bool:
+        """Whether d is smooth at the origin: |e| has a kink there, and a
+        custom d is not known to be smooth."""
+        return self.kind == "quadratic"
+
     def violations(self, probe_halfwidth: float = 8.0) -> list[str]:
         out: list[str] = []
         probes = np.linspace(0.0, probe_halfwidth, 129)

@@ -260,7 +260,9 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
     discount weight drops below the configured tolerance; average-cost runs
     return time averages after the burn-in.  A never-transmit policy (k = inf
     or an all-zero pattern) raises ``DivergenceError`` in the average-cost
-    regime with |a| >= 1, where its distortion is infinite.
+    regime with |a| >= 1, where its distortion is infinite.  Estimates that
+    come out non-finite, as when the state of an unstable source overflows
+    below a huge threshold, raise ``NumericsError``.
     """
     never = ((policy.k is not None and math.isinf(policy.k))
              or (policy.pattern is not None and not any(policy.pattern)))
@@ -295,6 +297,11 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
         n_se = float(np.std(n_rep, ddof=1) / math.sqrt(R))
     else:
         d_se = n_se = 0.0
+    if not all(math.isfinite(x) for x in (d_hat, d_se, n_hat, n_se)):
+        raise NumericsError(
+            f"simulated estimates are not finite (d_hat={d_hat:.3g}, d_se={d_se:.3g}, "
+            f"n_hat={n_hat:.3g}, n_se={n_se:.3g}); the simulated distortion overflowed"
+        )
     return SimResult(
         d_hat=d_hat,
         n_hat=n_hat,

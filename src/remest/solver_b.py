@@ -1,12 +1,19 @@
 """Continuous-state solver built on quadrature discretization.
 
-The pre-transmission functionals of a real threshold k solve second-kind
-integral equations on (-k, k) with kernel density(n - a e).  They are
-discretized with Gauss-Legendre nodes and solved as dense linear systems;
-node counts double until the value at the origin stabilizes (the kernel is
-smooth, so convergence is spectral).  Off-node values come from the same
-identity evaluated at the query point, which also yields an independent
-residual estimate against a finer quadrature.
+The pre-transmission functionals of a real threshold k, the distortion L
+and the time M until the next transmission, solve second-kind integral
+equations on (-k, k) with one kernel, density(n - a e), and two right-hand
+sides, d(e) and 1.  They are discretized with Gauss-Legendre nodes (the
+Nystrom method) and solved together: each rung of the node-order ladder
+assembles the kernel matrix once, factorizes it once and back-solves both
+right-hand sides from that one LU.  The order doubles until the value at
+the origin of every right-hand side stabilizes.  The kernel is smooth, so
+convergence is spectral; a distortion with a kink at the origin, such as
+|e|, splits the interval into the panels (-k, 0) and (0, k) so that each
+panel integrand stays smooth.  Unit nodes are computed once per order and
+shared.  Off-node values come from the same identity evaluated at the query
+point, which also yields an independent residual estimate against a finer
+quadrature with the same panel layout.
 
 Optimal thresholds follow from the stationarity condition
 lambda = -dD/dk / dN/dk (costly) or from inverting the strictly decreasing
@@ -15,8 +22,9 @@ rate map N(k) (constrained); both are located by bisection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -41,23 +49,43 @@ from .model import (
 _DEFAULT_TOL = 1e-10
 _START_ORDER = 65
 _MAX_DOUBLINGS = 12
-_MAX_ORDER = 16385
+_MAX_ORDER = 4097  # a dense system of this order is 134 MB and factors in seconds
 _MAX_BRACKET_EXPANSIONS = 60
 _MAX_BISECTIONS = 200
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only.
+
+    Filled on first use.  The solver asks only for its ladder orders
+    65, 129, ..., _MAX_ORDER (33, 65, ... per panel when split) and the
+    residual grids' 2n + 1 per panel: 16 orders, about 0.4 MB in all, so
+    the 32-entry bound is never reached by the solver itself.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Gauss-Legendre nodes and weights scaled to (-k, k)."""
+    """Gauss-Legendre nodes and weights on equal panels of (-k, k)."""
 
     halfwidth: float
     nodes: np.ndarray
     weights: np.ndarray
+    panels: int = 1
 
     @classmethod
-    def gauss_legendre(cls, k: float, order: int) -> "QuadratureGrid":
-        x, w = np.polynomial.legendre.leggauss(order)
-        return cls(halfwidth=float(k), nodes=k * x, weights=k * w)
+    def gauss_legendre(cls, k: float, order: int, panels: int = 1) -> "QuadratureGrid":
+        """``order`` nodes on each of ``panels`` equal panels of (-k, k)."""
+        x, w = _unit_nodes(order)
+        h = k / panels
+        centers = -k + h * (2 * np.arange(panels) + 1)
+        return cls(halfwidth=float(k), nodes=np.concatenate([c + h * x for c in centers]),
+                   weights=np.tile(h * w, panels), panels=panels)
 
     @property
     def order(self) -> int:
@@ -81,6 +109,27 @@ Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Rhs = Callable[[np.ndarray], np.ndarray]
 
 
+def _extend(kernel: Kernel, grid: QuadratureGrid, values: np.ndarray,
+            rhs: Sequence[Rhs], beta: float, e: np.ndarray) -> np.ndarray:
+    """Nystrom extension rhs(e) + beta * sum_j w_j kernel(e, x_j) v(x_j),
+    one column per right-hand side (``values`` is nodes x columns)."""
+    quad = (kernel(e[:, None], grid.nodes[None, :]) * grid.weights[None, :]) @ values
+    return np.column_stack([f(e) for f in rhs]) + beta * quad
+
+
+def _defect(kernel: Kernel, grid: QuadratureGrid, values: np.ndarray,
+            rhs: Sequence[Rhs], beta: float, e: np.ndarray,
+            refinement: int = 2) -> np.ndarray:
+    """Defect of the integral equations at ``e`` per column, against a grid
+    with the same panels and refinement * n + 1 nodes per panel."""
+    fine = QuadratureGrid.gauss_legendre(
+        grid.halfwidth, refinement * (grid.order // grid.panels) + 1, grid.panels)
+    v_fine = _extend(kernel, grid, values, rhs, beta, fine.nodes)
+    quad = (kernel(e[:, None], fine.nodes[None, :]) * fine.weights[None, :]) @ v_fine
+    return (_extend(kernel, grid, values, rhs, beta, e)
+            - np.column_stack([f(e) for f in rhs]) - beta * quad)
+
+
 @dataclass(frozen=True)
 class FredholmSolution:
     """Discrete solution of v = rhs + beta * integral(kernel * v) on (-k, k)."""
@@ -95,9 +144,8 @@ class FredholmSolution:
     def evaluate(self, e) -> np.ndarray:
         """Value at arbitrary points inside (-k, k)."""
         e = np.atleast_1d(np.asarray(e, dtype=float))
-        quad = (self.kernel(e[:, None], self.grid.nodes[None, :]) *
-                self.grid.weights[None, :]) @ self.values
-        return self.rhs(e) + self.beta * quad
+        return _extend(self.kernel, self.grid, self.values[:, None], [self.rhs],
+                       self.beta, e)[:, 0]
 
     def at_zero(self) -> float:
         return float(self.evaluate(0.0)[0])
@@ -105,11 +153,16 @@ class FredholmSolution:
     def residual(self, e, refinement: int = 2) -> np.ndarray:
         """Defect of the integral equation at ``e``, measured against a finer grid."""
         e = np.atleast_1d(np.asarray(e, dtype=float))
-        fine = QuadratureGrid.gauss_legendre(self.k, refinement * self.grid.order + 1)
-        v_fine = self.evaluate(fine.nodes)
-        quad = (self.kernel(e[:, None], fine.nodes[None, :]) *
-                fine.weights[None, :]) @ v_fine
-        return self.evaluate(e) - self.rhs(e) - self.beta * quad
+        return _defect(self.kernel, self.grid, self.values[:, None], [self.rhs],
+                       self.beta, e, refinement)[:, 0]
+
+
+class FredholmSolutions(tuple):
+    """One ``FredholmSolution`` per right-hand side, all on one grid."""
+
+    @property
+    def grid(self) -> QuadratureGrid:
+        return self[0].grid
 
 
 def _as_rhs(rhs) -> Rhs:
@@ -121,48 +174,67 @@ def _as_rhs(rhs) -> Rhs:
 
 def fredholm_solve(
     kernel: Kernel,
-    rhs,
+    rhs: Sequence,
     k: float,
     beta: float,
     tolerance: float = _DEFAULT_TOL,
     start_order: int = _START_ORDER,
     max_doublings: int = _MAX_DOUBLINGS,
-) -> FredholmSolution:
-    """Solve the second-kind integral equation on (-k, k).
+) -> FredholmSolutions:
+    """Solve v = rhs + beta * integral(kernel * v) on (-k, k) for each entry of ``rhs``.
 
-    Doubles the node count until successive values at 0 agree to
-    ``tolerance`` (relative above magnitude 1), then verifies the off-node
-    residual at 64 probe points against a refined quadrature.
+    Each entry is a callable or a constant.  All of them share one ladder:
+    at each order the kernel matrix is assembled, factorized and checked
+    once, and one back-solve has one column per right-hand side.  The order
+    doubles until every column's value at 0 agrees with the previous
+    order's to ``tolerance`` (relative above magnitude 1); then every
+    column's off-node residual at 64 probe points, against a refined
+    quadrature, must be below 100 x ``tolerance`` too.  If any entry has
+    ``smooth_at_zero`` False (the absolute and custom distortions), the
+    grid is split at 0 into two panels of about half the order each.
     """
     if k <= 0.0:
         raise UsageError(f"interval half-width must be positive, got {k}")
+    if len(rhs) == 0:
+        raise UsageError("at least one right-hand side is required")
     beta = DiscountFactor(beta)
-    rhs_fn = _as_rhs(rhs)
+    rhs_fns = [_as_rhs(f) for f in rhs]
+    panels = 1 if all(getattr(f, "smooth_at_zero", True) for f in rhs) else 2
     probes = np.linspace(-k, k, 66)[1:-1]
+    zero = np.zeros(1)
     order = start_order
     prev = None
     last_err = None
     for _ in range(max_doublings + 1):
-        grid = QuadratureGrid.gauss_legendre(k, order)
-        K = kernel(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
-        A = np.eye(order) - beta * K
+        grid = QuadratureGrid.gauss_legendre(k, (order - 1) // panels + 1, panels)
+        # I - beta * K W, built in place: at _MAX_ORDER each n x n copy is 134 MB
+        A = kernel(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
+        A *= -beta
+        A[np.diag_indices_from(A)] += 1.0
+        anorm = np.linalg.norm(A, 1)
         lu, piv = scipy.linalg.lu_factor(A)
-        rcond, info = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(A, 1), norm="1")
+        rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
         if info != 0 or rcond < 1e-13:
             raise SingularSystemError(
                 f"discretized silent-set system is singular (rcond={rcond:.2e}); "
                 "escape mass vanishes"
             )
-        values = scipy.linalg.lu_solve((lu, piv), rhs_fn(grid.nodes))
-        sol = FredholmSolution(k=float(k), beta=float(beta), grid=grid,
-                               values=values, kernel=kernel, rhs=rhs_fn)
-        v0 = sol.at_zero()
+        values = scipy.linalg.lu_solve((lu, piv),
+                                       np.column_stack([f(grid.nodes) for f in rhs_fns]))
+        v0 = _extend(kernel, grid, values, rhs_fns, beta, zero)[0]
         if prev is not None:
-            last_err = abs(v0 - prev)
-            if last_err <= tolerance * max(1.0, abs(v0)):
-                resid = float(np.max(np.abs(sol.residual(probes))))
-                if resid <= 100.0 * tolerance * max(1.0, abs(v0)):
-                    return sol
+            change = np.abs(v0 - prev)
+            last_err = float(change.max())
+            scale = np.maximum(1.0, np.abs(v0))
+            if np.all(change <= tolerance * scale):
+                resid = np.max(np.abs(_defect(kernel, grid, values, rhs_fns, beta, probes)),
+                               axis=0)
+                if np.all(resid <= 100.0 * tolerance * scale):
+                    return FredholmSolutions(
+                        FredholmSolution(k=float(k), beta=float(beta), grid=grid,
+                                         values=values[:, j], kernel=kernel, rhs=f)
+                        for j, f in enumerate(rhs_fns)
+                    )
         prev = v0
         order = 2 * order - 1
         if order > _MAX_ORDER:
@@ -192,16 +264,20 @@ def performance_b(
     L0, M0 = lm_at_zero(spec, k, tolerance)
     D = L0 / M0
     N = 1.0 / M0 - (1.0 - spec.beta)
+    if N < -1e-12:
+        raise NumericsError(
+            f"transmission rate {N:.3e} is negative at k={k} (M0={M0!r}); "
+            "the discretized system is inaccurate"
+        )
     cost = None if lam is None else D + lam * N
-    return PerfPoint(distortion=D, transmission_rate=max(N, 0.0), cost=cost, lam=lam)
+    return PerfPoint(distortion=D, transmission_rate=N, cost=cost, lam=lam)
 
 
 def lm_at_zero(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> tuple[float, float]:
     """Pre-transmission distortion and time at the origin."""
-    kern = _spec_kernel(spec)
-    L0 = fredholm_solve(kern, spec.distortion, k, spec.beta, tolerance).at_zero()
-    M0 = fredholm_solve(kern, 1.0, k, spec.beta, tolerance).at_zero()
-    return L0, M0
+    L, M = fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta,
+                          tolerance)
+    return L.at_zero(), M.at_zero()
 
 
 def default_step(k: float) -> float:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from remest import solver_b
 from remest.cli import main
 
 
@@ -105,6 +106,22 @@ class TestSolve:
         assert float(row["k"]) < 0.01
         assert float(row["D"]) < 1e-4
 
+    def test_model_b_abs_distortion_converges(self, capsys):
+        code, out, _ = run_cli(["solve", "--model", "B", "--problem", "constrained",
+                                "--distortion", "abs", "--sigma", "1", "--alpha", "0.3",
+                                "--epsilon", "1e-6"], capsys)
+        assert code == 0
+        assert 0.0 < float(parse_csv(out)[0]["D"]) < 1.0
+
+    def test_negative_rate_exits_two(self, capsys, monkeypatch):
+        # 1/M0 - (1 - beta) = -1e-9 at beta = 0.9
+        monkeypatch.setattr(solver_b, "lm_at_zero",
+                            lambda spec, k, tol: (0.5, 1.0 / (0.1 - 1e-9)))
+        code, _, err = run_cli(["solve", "--model", "B", "--problem", "constrained",
+                                "--sigma", "1", "--beta", "0.9", "--alpha", "0.3"], capsys)
+        assert code == 2
+        assert "negative" in err and "k=" in err and "M0=" in err
+
     def test_missing_value_is_usage_error(self, capsys):
         code, _, err = run_cli(["solve", "--model", "A", "--problem", "costly",
                                 "--p", "0.3"], capsys)
@@ -128,6 +145,13 @@ class TestSimulateCommand:
                                 "--burn-in", "10"], capsys)
         assert code == 2
         assert "numerical failure" in err
+
+    def test_overflow_below_threshold_exits_two(self, capsys):
+        code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.2", "--a", "2",
+                                "--policy", "threshold", "--k", "1e200",
+                                "--reps", "2", "--horizon", "3000"], capsys)
+        assert code == 2
+        assert "not finite" in err
 
     def test_never_transmit_average_exits_two(self, capsys):
         code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.3",

@@ -82,6 +82,12 @@ class TestThresholdPolicies:
             simulate(solver_a.bd_spec(0.3, 0.9, a=2), PolicySpec.threshold(math.inf),
                      SimConfig(horizon=100, replications=2, burn_in=10))
 
+    def test_overflow_below_finite_threshold_raises(self):
+        # the state outgrows float64 long before |e| reaches k
+        with pytest.raises(NumericsError, match="not finite"):
+            simulate(solver_a.bd_spec(0.2, 1.0, a=2), PolicySpec.threshold(1e200),
+                     SimConfig(horizon=3000, replications=2, seed=1))
+
     @pytest.mark.parametrize("policy", [PolicySpec.threshold(math.inf),
                                         PolicySpec.periodic([0, 0])],
                              ids=["k_inf", "silent_pattern"])

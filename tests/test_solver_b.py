@@ -3,18 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from remest import NumericsError, UsageError
+from remest import ConvergenceError, NumericsError, UsageError
 from remest import solver_b
-from remest.model import CurvePoint, TradeoffCurve
+from remest.model import CurvePoint, DistortionFn, ModelSpecB, SmoothPdf, TradeoffCurve
 from remest.solver_b import QuadratureGrid
+from remest.validation import MC_SIGMAS
+
+
+def _abs_spec():
+    return ModelSpecB(a=1.0, pdf=SmoothPdf.gaussian(1.0), distortion=DistortionFn.absolute(),
+                      beta=1.0)
 
 
 class TestQuadratureGrid:
     def test_invariants(self):
-        for k, order in [(1.0, 65), (3.5, 129), (0.01, 65)]:
-            grid = QuadratureGrid.gauss_legendre(k, order)
-            assert grid.check() == []
-            assert grid.order == order
+        # each grid is built twice, so the second one comes from cached unit nodes
+        for k, order, panels in [(1.0, 65, 1), (3.5, 129, 1), (0.01, 65, 1),
+                                 (1.0, 33, 2), (3.5, 129, 2), (0.01, 65, 2)]:
+            for _ in range(2):
+                grid = QuadratureGrid.gauss_legendre(k, order, panels)
+                assert grid.check() == []
+                assert grid.order == panels * order
+
+    def test_cached_unit_nodes_are_read_only(self):
+        x, w = solver_b._unit_nodes(65)
+        assert solver_b._unit_nodes(65)[0] is x
+        for arr in (x, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_panels_split_at_zero(self):
+        grid = QuadratureGrid.gauss_legendre(2.0, 33, 2)
+        left, right = grid.nodes[:33], grid.nodes[33:]
+        assert np.all(left < 0.0) and np.all(right > 0.0)
+        assert np.sum(grid.weights[:33]) == pytest.approx(2.0, abs=1e-13)
 
     def test_weight_sum(self):
         grid = QuadratureGrid.gauss_legendre(2.5, 65)
@@ -23,20 +46,20 @@ class TestQuadratureGrid:
 
 class TestFredholmSolve:
     def test_zero_kernel_returns_rhs(self):
-        sol = solver_b.fredholm_solve(lambda e, n: np.zeros(np.broadcast(e, n).shape),
-                                      lambda e: np.cos(e), 1.0, 0.9)
+        [sol] = solver_b.fredholm_solve(lambda e, n: np.zeros(np.broadcast(e, n).shape),
+                                        [lambda e: np.cos(e)], 1.0, 0.9)
         probes = np.linspace(-0.9, 0.9, 11)
         assert np.allclose(sol.evaluate(probes), np.cos(probes), atol=1e-14)
 
     def test_tiny_beta_near_identity(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
-        sol = solver_b.fredholm_solve(kern, lambda e: e * e, 1.0, 1e-12)
+        [sol] = solver_b.fredholm_solve(kern, [lambda e: e * e], 1.0, 1e-12)
         probes = np.linspace(-0.9, 0.9, 11)
         assert np.max(np.abs(sol.evaluate(probes) - probes ** 2)) <= 1e-10
 
     def test_residual_small_off_nodes(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
-        sol = solver_b.fredholm_solve(kern, 1.0, 2.0, 1.0)
+        [sol] = solver_b.fredholm_solve(kern, [1.0], 2.0, 1.0)
         probes = np.linspace(-1.99, 1.99, 64)
         assert np.max(np.abs(sol.residual(probes))) <= 1e-8 * max(1.0, sol.at_zero())
 
@@ -62,10 +85,41 @@ class TestFredholmSolve:
         assert abs(L0 - L0_mc) <= 3.0 * L0_se
         assert abs(M0 - M0_mc) <= 3.0 * M0_se
 
+    @pytest.mark.parametrize("distortion", [DistortionFn.quadratic(), DistortionFn.absolute()],
+                             ids=["quadratic", "abs"])
+    def test_joint_solve_matches_single_columns(self, distortion):
+        spec = ModelSpecB(a=0.8, pdf=SmoothPdf.gaussian(1.0), distortion=distortion,
+                          beta=0.95)
+        kern = solver_b._spec_kernel(spec)
+        L, M = solver_b.fredholm_solve(kern, [distortion, 1.0], 1.3, spec.beta)
+        [L1] = solver_b.fredholm_solve(kern, [distortion], 1.3, spec.beta)
+        [M1] = solver_b.fredholm_solve(kern, [1.0], 1.3, spec.beta)
+        tol = solver_b._DEFAULT_TOL
+        assert L.grid is M.grid
+        assert abs(L.at_zero() - L1.at_zero()) <= tol * max(1.0, L1.at_zero())
+        assert abs(M.at_zero() - M1.at_zero()) <= tol * max(1.0, M1.at_zero())
+
+    def test_stopping_order_is_max_over_columns(self, gm_unit):
+        # the oscillating right-hand side needs more nodes than the constant one
+        kern = lambda e, n: gm_unit.pdf.density(n - e)
+        wavy = lambda e: np.cos(40.0 * e)
+        [flat] = solver_b.fredholm_solve(kern, [1.0], 3.0, 1.0)
+        [osc] = solver_b.fredholm_solve(kern, [wavy], 3.0, 1.0)
+        assert flat.grid.order < osc.grid.order
+        both = solver_b.fredholm_solve(kern, [1.0, wavy], 3.0, 1.0)
+        assert both.grid.order == osc.grid.order
+        assert both[1].at_zero() == pytest.approx(osc.at_zero(), abs=1e-10)
+
+    def test_kernel_with_jump_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(solver_b, "_MAX_ORDER", 257)
+        box = lambda e, n: 0.5 * (np.abs(n - e) < 0.5)
+        with pytest.raises(ConvergenceError):
+            solver_b.fredholm_solve(box, [1.0], 1.0, 1.0)
+
     def test_contraction_on_grid(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
         for beta in (0.9, 1.0):
-            sol = solver_b.fredholm_solve(kern, 1.0, 1.5, beta)
+            [sol] = solver_b.fredholm_solve(kern, [1.0], 1.5, beta)
             K = kern(sol.grid.nodes[:, None], sol.grid.nodes[None, :])
             row_norm = float(np.max(np.sum(beta * K * sol.grid.weights[None, :], axis=1)))
             assert row_norm <= beta + 1e-9
@@ -106,7 +160,7 @@ class TestPerformanceB:
 
     def test_evenness_of_solutions(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
-        sol = solver_b.fredholm_solve(kern, lambda e: e * e, 1.5, 1.0)
+        [sol] = solver_b.fredholm_solve(kern, [lambda e: e * e], 1.5, 1.0)
         probes = np.array([0.3, 0.9, 1.2])
         assert np.allclose(sol.evaluate(probes), sol.evaluate(-probes), atol=1e-10)
 
@@ -118,12 +172,21 @@ class TestPerformanceB:
         assert pp.distortion == pytest.approx(pn.distortion, rel=1e-10)
         assert pp.transmission_rate == pytest.approx(pn.transmission_rate, rel=1e-10)
 
+    def test_abs_distortion_matches_simulation(self):
+        from remest.simulate import PolicySpec, SimConfig, simulate
+
+        spec = _abs_spec()
+        p = solver_b.performance_b(spec, 1.0)
+        res = simulate(spec, PolicySpec.threshold(1.0),
+                       SimConfig(horizon=20_000, replications=50, seed=31))
+        assert abs(res.d_hat - p.distortion) <= MC_SIGMAS * res.d_se
+        assert abs(res.n_hat - p.transmission_rate) <= MC_SIGMAS * res.n_se
+
     def test_invalid_threshold(self, gm_unit):
         with pytest.raises(UsageError):
             solver_b.performance_b(gm_unit, 0.0)
 
     def test_tabulated_density_end_to_end(self):
-        from remest.model import DistortionFn, ModelSpecB, SmoothPdf
         from remest.simulate import PolicySpec, SimConfig, simulate
 
         cosine = SmoothPdf.tabulated(
@@ -211,6 +274,14 @@ class TestAlgorithm2:
         k1, _ = solver_b.algorithm2_constrained(solver_b.gauss_markov_spec(1.0), 0.3, eps)
         ks, _ = solver_b.algorithm2_constrained(solver_b.gauss_markov_spec(2.0), 0.3, eps)
         assert abs(ks - 2.0 * k1) <= 2.0 * eps
+
+    def test_abs_threshold_matches_quadratic(self, gm_unit):
+        # N(k) does not depend on the distortion, so neither does k*
+        eps = 1e-6
+        k_quad, d_quad = solver_b.algorithm2_constrained(gm_unit, 0.3, eps)
+        k_abs, d_abs = solver_b.algorithm2_constrained(_abs_spec(), 0.3, eps)
+        assert abs(k_abs - k_quad) <= eps
+        assert d_abs != d_quad
 
     def test_distortion_decreases_with_budget(self, gm_unit):
         _, d_tight = solver_b.algorithm2_constrained(gm_unit, 0.3, 1e-5)

@@ -16,14 +16,6 @@ def _nudged(fn, field, amount):
     return nudged
 
 
-def _scale_equivariant_solve(spec, x, eps):
-    """Stand-in for Algorithms 1 and 2 that obeys the scale laws except for a
-    relative nudge of 10 tolerances on the scaled instances' thresholds."""
-    sigma = spec.pdf.sigma
-    nudge = 1.0 if sigma == 1.0 else 1.0 + 10.0 * validation.SCALE_TOL
-    return sigma * nudge, sigma * sigma
-
-
 def _break_table(mp):
     mp.setattr(solver_a, "performance", _nudged(
         solver_a.performance, "distortion", lambda r: 2.0 * validation.TABLE_TOL))
@@ -35,9 +27,18 @@ def _break_closed_forms(mp):
 
 
 def _break_scaling(mp):
-    mp.setattr(solver_b, "algorithm1_costly", _scale_equivariant_solve)
-    mp.setattr(solver_b, "algorithm2_constrained", _scale_equivariant_solve)
-    mp.setattr(solver_b, "lambda_of_k", lambda spec, k: k)
+    # the real Algorithms 1 and 2, with the scaled instances' thresholds
+    # moved by a relative 10 tolerances
+    for name in ("algorithm1_costly", "algorithm2_constrained"):
+        real = getattr(solver_b, name)
+
+        def nudged(spec, x, eps, real=real):
+            k, value = real(spec, x, eps)
+            if spec.pdf.sigma != 1.0:
+                k *= 1.0 + 10.0 * validation.SCALE_TOL
+            return k, value
+
+        mp.setattr(solver_b, name, nudged)
 
 
 def _break_simulation(mp):
