@@ -173,7 +173,7 @@ class SmoothPdf:
             return self.sigma
         return self.support_halfwidth / 3.0
 
-    def sampler(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sampler(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, size)
         # inverse-CDF on a dense grid; adequate for smooth declared-support laws

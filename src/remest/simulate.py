@@ -7,12 +7,15 @@ for |a| > 1 between transmissions.
 
 Every policy is one transmit rule ``rule(t, |e|) -> U``, and the time loop
 is the same for all of them.  All replications advance together as one
-vectorized block.  Replication r draws everything from the stream seeded by
-``[seed, r]``: its innovations first, then its policy randomness (the
-per-step coins of ``iid_random`` or the one mixture draw of
-``randomized_threshold``), so a fixed seed gives bit-identical results.
-The per-step draws are held in memory at once, so runs above
-``MAX_SIM_CELLS`` float64 cells are refused.
+vectorized block.  A run draws from two streams spawned from
+``SeedSequence([seed, _STREAM_LAYOUT])``: the innovations, and the policy
+randomness (the per-replication mixture uniforms of
+``randomized_threshold`` or the per-step coins of ``iid_random``).  Both
+are drawn time-major, a chunk of ``(rows, replications)`` at a time with
+``rows * replications`` about ``CHUNK_CELLS``; each stream is consumed in
+order, so the values drawn do not depend on the chunk size and a fixed seed
+gives bit-identical results.  Resident memory is bounded by the chunk, and
+``MAX_SIM_CELLS`` bounds the total draws of a run, that is its length.
 """
 
 from __future__ import annotations
@@ -27,9 +30,14 @@ import numpy as np
 from .errors import DivergenceError, NumericsError, UsageError
 from .model import ModelSpecA, ModelSpecB
 
-# cap on the float64 cells of per-step draws (innovations, iid coins) held by
-# one run: 800 MB
+# cap on the per-step draws (innovations, iid coins) of one run: it bounds the
+# run's length, not its memory, since only one chunk of draws is held at a time
 MAX_SIM_CELLS = 10**8
+# float64 cells per time-major chunk of draws: a few such buffers (2 MB each)
+# are all the memory a run holds beyond its per-replication state
+CHUNK_CELLS = 2**18
+# mixed into the seed; names the stream layout that ``stream_id`` reports
+_STREAM_LAYOUT = 2
 
 PolicyKind = Literal[
     "threshold",
@@ -128,6 +136,9 @@ class SimConfig:
 
     ``horizon`` and ``burn_in`` govern average-cost runs; discounted runs
     stop once the discount weight falls below ``discount_truncation_tol``.
+    ``seed`` seeds one innovation stream and one policy stream for the whole
+    run; each is drawn in time-major chunks of about ``CHUNK_CELLS`` draws,
+    so the results do not depend on the chunk size.
     """
 
     horizon: int = 100_000
@@ -158,27 +169,57 @@ class SimResult:
     steps_per_replication: int
 
 
-def _transmit_rule(policy: PolicySpec, n: int, T: int, draws: np.ndarray):
-    """Transmit decisions ``rule(t, abs_e) -> U`` of ``n`` replications run
-    for ``T`` steps.
+def _chunk_rows(n: int, T: int) -> int:
+    """Time steps per chunk of a run of ``n`` replications and ``T`` steps."""
+    return max(1, min(T, CHUNK_CELLS // n))
 
-    ``draws`` is the policy randomness: per-step uniforms (n, T) for
-    ``iid_random``, one uniform per replication for ``randomized_threshold``.
-    Steering counters and the time-sharing cycle position live in the
-    closure, so a rule serves one run.
+
+def _pmf_sampler(offsets: np.ndarray, values: np.ndarray):
+    """Inverse-CDF draws ``draw(rng, shape)`` from the pmf ``values`` on
+    ``offsets``: one uniform per draw, located by ``searchsorted``."""
+    points = offsets.astype(float)
+    cdf = np.cumsum(values)
+    # rounding can leave the total a few ulps below 1; every uniform in [0, 1)
+    # must still land on an offset
+    cdf[-1] = 1.0
+    return lambda rng, shape: points[np.searchsorted(cdf, rng.random(shape), side="right")]
+
+
+def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator | None):
+    """Transmit decisions ``rule(t, abs_e) -> U`` of ``n`` replications run
+    for ``T`` steps, called once per step in time order.
+
+    ``rng`` is the policy stream: ``randomized_threshold`` draws one mixture
+    uniform per replication from it up front, ``iid_random`` its per-step
+    coins in chunks of the run's time-major layout.  Other kinds do not use it.
+    Steering counters, the time-sharing cycle position and the coin buffer
+    live in the closure, so a rule serves one run.
     """
     kind = policy.kind
     k = policy.k
     if kind == "threshold":
         return lambda t, abs_e: abs_e >= k
     if kind == "randomized_threshold":
-        k_rep = np.where(draws < policy.theta, k, k + 1.0)
+        k_rep = np.where(rng.random(n) < policy.theta, k, k + 1.0)
         return lambda t, abs_e: abs_e >= k_rep
     if kind == "periodic":
         pattern = policy.pattern
-        return lambda t, abs_e: np.full(n, bool(pattern[t % len(pattern)]))
+        flags = (np.zeros(n, dtype=bool), np.ones(n, dtype=bool))
+        return lambda t, abs_e: flags[pattern[t % len(pattern)]]
     if kind == "iid_random":
-        return lambda t, abs_e: draws[:, t] < policy.alpha
+        alpha = policy.alpha
+        rows = _chunk_rows(n, T)
+        coins = np.empty((0, n))
+        start = 0
+
+        def coin(t, abs_e):
+            nonlocal coins, start
+            if t - start >= len(coins):
+                start = t
+                coins = rng.random((min(rows, T - t), n))
+            return coins[t - start] < alpha
+
+        return coin
     if kind == "steering":
         theta = policy.theta
         counts = np.zeros((2, n))  # boundary visits kept silent / transmitted
@@ -211,40 +252,61 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, draws: np.ndarray):
 
 def _run_block(spec, policy: PolicySpec, config: SimConfig, T: int, burn: int,
                weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate all replications as one block; returns per-replication (d, n)."""
+    """Simulate all replications as one block; returns per-replication (d, n).
+
+    Raises ``NumericsError`` as soon as a chunk leaves a non-finite
+    distortion sum.
+    """
     n = config.replications
     a = spec.a
     distortion = spec.distortion
-    model_a = isinstance(spec, ModelSpecA)
-    if model_a:
-        offsets = spec.pmf.offsets
-        values = spec.pmf.values
-    W = np.empty((n, T))
-    # policy randomness, drawn after each replication's innovations
-    draws = np.empty({"iid_random": (n, T), "randomized_threshold": (n,)}.get(policy.kind, 0))
-    for r in range(n):
-        rng = np.random.default_rng([config.seed, r])
-        if model_a:
-            W[r] = rng.choice(offsets, size=T, p=values)
-        else:
-            W[r] = spec.pdf.sampler(rng, T)
-        if draws.size:
-            draws[r] = rng.random(draws.shape[1:])
-    rule = _transmit_rule(policy, n, T, draws)
+    inn_seq, pol_seq = np.random.SeedSequence([config.seed, _STREAM_LAYOUT]).spawn(2)
+    inn_rng = np.random.default_rng(inn_seq)
+    if isinstance(spec, ModelSpecA):
+        draw = _pmf_sampler(spec.pmf.offsets, spec.pmf.values)
+    else:
+        draw = spec.pdf.sampler
+    rule = _transmit_rule(policy, n, T, np.random.default_rng(pol_seq))
 
+    rows = _chunk_rows(n, T)
+    abs_err = np.empty((rows, n))  # |e| before each step; d is even, so d(|e|) = d(e)
+    sent = np.empty((rows, n), dtype=bool)
     E = np.zeros(n)
     d_acc = np.zeros(n)
     u_acc = np.zeros(n)
-    for t in range(T):
-        U = rule(t, np.abs(E))
-        if weights is not None:
-            w = weights[t]
-            d_acc += w * np.where(U, 0.0, distortion(E))
-            u_acc += w * U
-        elif t >= burn:
-            d_acc += np.where(U, 0.0, distortion(E))
-            u_acc += U
-        E = np.where(U, W[:, t], a * E + W[:, t])
+    # an overflowing state is either transmitted (|inf| >= k) or leaves an
+    # infinite distortion sum, which the per-chunk check below reports
+    with np.errstate(over="ignore"):
+        for c0 in range(0, T, rows):
+            m = min(rows, T - c0)
+            W = draw(inn_rng, (m, n))
+            for j in range(m):
+                e_abs = abs_err[j]
+                innov = W[j]
+                np.abs(E, out=e_abs)
+                U = rule(c0 + j, e_abs)
+                sent[j] = U
+                if a != 1:
+                    E *= a
+                E += innov
+                np.copyto(E, innov, where=U)
+            d = np.where(sent[:m], 0.0, distortion(abs_err[:m]))
+            # sums over time run row by row in step order, never through BLAS,
+            # so the bits do not depend on the machine's BLAS kernels
+            if weights is not None:
+                w = weights[c0:c0 + m, None]
+                d_acc += (w * d).sum(axis=0)
+                u_acc += (w * sent[:m]).sum(axis=0)
+            else:
+                lo = min(max(burn - c0, 0), m)
+                d_acc += d[lo:].sum(axis=0)
+                u_acc += sent[lo:m].sum(axis=0)
+            # u_acc sums flags times weights <= 1, so only d_acc can overflow
+            if not np.isfinite(d_acc).all():
+                raise NumericsError(
+                    f"simulated sums are not finite after step {c0 + m} of {T}; "
+                    "the simulated distortion overflowed"
+                )
 
     if weights is not None:
         return d_acc, u_acc
@@ -284,19 +346,23 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
     cells = R * T * (2 if policy.kind == "iid_random" else 1)
     if cells > MAX_SIM_CELLS:
         raise UsageError(
-            f"{R} replications x {T} steps need {cells:.3g} float64 cells of draws, "
+            f"{R} replications x {T} steps need {cells:.3g} draws, "
             f"above the cap of {MAX_SIM_CELLS:.0e}; lower the replications or the horizon"
         )
     weights = None if beta.is_average else (1.0 - beta) * beta ** np.arange(T)
 
     d_rep, n_rep = _run_block(spec, policy, config, T, burn, weights)
-    d_hat = float(np.mean(d_rep))
-    n_hat = float(np.mean(n_rep))
-    if R > 1:
-        d_se = float(np.std(d_rep, ddof=1) / math.sqrt(R))
-        n_se = float(np.std(n_rep, ddof=1) / math.sqrt(R))
-    else:
-        d_se = n_se = 0.0
+    # finite per-replication estimates can still overflow the mean or the
+    # variance (near 1e200 when a = 2 runs below a threshold of 1e200); the
+    # check below turns that into a NumericsError
+    with np.errstate(over="ignore"):
+        d_hat = float(np.mean(d_rep))
+        n_hat = float(np.mean(n_rep))
+        if R > 1:
+            d_se = float(np.std(d_rep, ddof=1) / math.sqrt(R))
+            n_se = float(np.std(n_rep, ddof=1) / math.sqrt(R))
+        else:
+            d_se = n_se = 0.0
     if not all(math.isfinite(x) for x in (d_hat, d_se, n_hat, n_se)):
         raise NumericsError(
             f"simulated estimates are not finite (d_hat={d_hat:.3g}, d_se={d_se:.3g}, "
@@ -308,7 +374,7 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
         d_se=d_se,
         n_se=n_se,
         replications_used=R,
-        stream_id=f"pcg64[{config.seed},r]",
+        stream_id=f"pcg64[{config.seed},{_STREAM_LAYOUT}]:innov|policy,time-major",
         steps_per_replication=T,
     )
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -147,11 +148,14 @@ class TestSimulateCommand:
         assert "numerical failure" in err
 
     def test_overflow_below_threshold_exits_two(self, capsys):
-        code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.2", "--a", "2",
-                                "--policy", "threshold", "--k", "1e200",
-                                "--reps", "2", "--horizon", "3000"], capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.2", "--a", "2",
+                                    "--policy", "threshold", "--k", "1e200",
+                                    "--reps", "2", "--horizon", "3000"], capsys)
         assert code == 2
         assert "not finite" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_never_transmit_average_exits_two(self, capsys):
         code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.3",

@@ -1,10 +1,12 @@
 import importlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from remest import DivergenceError, NumericsError, UsageError
+from remest import DivergenceError, IntegerPmf, NumericsError, UsageError
 from remest import solver_a, solver_b
 from remest.simulate import (
     PolicySpec,
@@ -84,9 +86,21 @@ class TestThresholdPolicies:
 
     def test_overflow_below_finite_threshold_raises(self):
         # the state outgrows float64 long before |e| reaches k
-        with pytest.raises(NumericsError, match="not finite"):
-            simulate(solver_a.bd_spec(0.2, 1.0, a=2), PolicySpec.threshold(1e200),
-                     SimConfig(horizon=3000, replications=2, seed=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericsError, match="not finite"):
+                simulate(solver_a.bd_spec(0.2, 1.0, a=2), PolicySpec.threshold(1e200),
+                         SimConfig(horizon=3000, replications=2, seed=1))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_distortion_overflow_raises_at_chunk(self):
+        # e^2 overflows below k, so a chunk's quadratic distortion sum does
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericsError, match="sums are not finite after step"):
+                simulate(solver_b.gauss_markov_spec(1.0, a=2.0), PolicySpec.threshold(1e200),
+                         SimConfig(horizon=3000, replications=2, seed=1))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("policy", [PolicySpec.threshold(math.inf),
                                         PolicySpec.periodic([0, 0])],
@@ -177,8 +191,7 @@ class TestSteering:
         # |e| in {0, ..., 4} hits the boundary |e| = k on a fifth of the steps
         k, theta, n, T = 2.0, 0.37, 5, 400
         abs_e = np.random.default_rng(9).integers(0, 5, size=(T, n)).astype(float)
-        rule = simulate_module._transmit_rule(PolicySpec.steering(k, theta), n, T,
-                                             np.empty(0))
+        rule = simulate_module._transmit_rule(PolicySpec.steering(k, theta), n, T, None)
         counters = [(0.0, 0.0)] * n
         for t in range(T):
             U = rule(t, abs_e[t])
@@ -296,7 +309,8 @@ class TestDeterminism:
         assert a.d_hat != b.d_hat
 
 
-# Recorded from the thread-pool simulator that the transmit-rule loop replaced:
+# Recorded from the two-stream, time-major simulator (stream layout 2, chunks
+# of CHUNK_CELLS = 2**18 draws) by running each case below once:
 # (d_hat, n_hat, d_se, n_se, steps_per_replication) at 7 reps x 3000 steps,
 # burn-in 200, seed 11.  The Model-A schedule has a zero-length phase.
 GOLDEN_POLICIES = {
@@ -318,28 +332,92 @@ GOLDEN_POLICIES = {
     },
 }
 GOLDEN = {
-    ("A", "threshold"): (0.4962244897959183, 0.1473469387755102, 0.0025419908221701384, 0.0013872798305804837, 3000),
-    ("A", "randomized_threshold"): (0.6724489795918366, 0.11352040816326532, 0.08270355180767562, 0.0161685329061618, 3000),
-    ("A", "periodic"): (0.4775, 0.33321428571428574, 0.003949388261298703, 0.0, 3000),
-    ("A", "iid_random"): (0.7367857142857144, 0.2951530612244898, 0.01104781330464915, 0.002322222709348637, 3000),
-    ("A", "steering"): (0.714642857142857, 0.10091836734693879, 0.0034300237853583993, 0.0016289285748909764, 3000),
-    ("A", "time_sharing"): (0.7297448979591836, 0.09897959183673469, 0.0059535956000728845, 0.002214544327980685, 3000),
-    ("B", "threshold"): (0.2449807389384063, 0.29664389778413064, 0.014513620996466707, 0.025253621172849117, 449),
-    ("B", "randomized_threshold"): (0.3713965213141052, 0.2965771678073677, 0.12718463657147205, 0.04335825638630529, 449),
-    ("B", "periodic"): (0.2352176255636644, 0.6494303242105767, 0.03201653129058803, 4.5324665183683945e-17, 449),
-    ("B", "iid_random"): (1.652801501870746, 0.4017769883943957, 0.3424383770370813, 0.04459265748136282, 449),
-    ("B", "steering"): (0.17679622230302822, 0.36687488937233714, 0.011883899750735278, 0.01351971038809718, 449),
-    ("B", "time_sharing"): (0.522746752426999, 0.21354807247739488, 0.03905974682830461, 0.018102210451835785, 449),
+    ("A", "threshold"): (0.5006632653061224, 0.15239795918367346, 0.00394356182348086, 0.002367368930228607, 3000),
+    ("A", "randomized_threshold"): (0.6103571428571428, 0.1297959183673469, 0.07220853917128986, 0.015557711212635363, 3000),
+    ("A", "periodic"): (0.4779591836734694, 0.33321428571428574, 0.0020820661146670554, 0.0, 3000),
+    ("A", "iid_random"): (0.7334183673469388, 0.29494897959183675, 0.00603322169219958, 0.0026063722785233836, 3000),
+    ("A", "steering"): (0.7261224489795918, 0.1060204081632653, 0.005247997310782752, 0.0011143025340735492, 3000),
+    ("A", "time_sharing"): (0.7241326530612245, 0.10168367346938775, 0.0038456438752458447, 0.0030241519361081945, 3000),
+    ("B", "threshold"): (0.2880702818486046, 0.2971515517377757, 0.030018521797470842, 0.014641727085132948, 449),
+    ("B", "randomized_threshold"): (0.286625507200824, 0.315664237827181, 0.10398720974507501, 0.037449442693519144, 449),
+    ("B", "periodic"): (0.35797936939423297, 0.6494303242105767, 0.054310286646739384, 4.5324665183683945e-17, 449),
+    ("B", "iid_random"): (1.6564776643970942, 0.4100448023854509, 0.33034270237364405, 0.03155488663840608, 449),
+    ("B", "steering"): (0.18424595359232646, 0.34770923726775543, 0.010667517318476014, 0.017211184367100098, 449),
+    ("B", "time_sharing"): (0.6514225626999696, 0.2209370266199357, 0.05598153841332326, 0.018691059558131426, 449),
 }
+
+
+def golden_spec(model):
+    return (solver_a.bd_spec(0.3, 1.0) if model == "A"
+            else solver_b.gauss_markov_spec(1.0, beta=0.95))
 
 
 @pytest.mark.parametrize("model, kind", sorted(GOLDEN))
 def test_golden_results(model, kind):
-    spec = (solver_a.bd_spec(0.3, 1.0) if model == "A"
-            else solver_b.gauss_markov_spec(1.0, beta=0.95))
-    res = simulate(spec, GOLDEN_POLICIES[model][kind],
+    res = simulate(golden_spec(model), GOLDEN_POLICIES[model][kind],
                    SimConfig(horizon=3000, replications=7, burn_in=200, seed=11))
     d_hat, n_hat, d_se, n_se, steps = GOLDEN[(model, kind)]
     assert res == SimResult(d_hat=d_hat, n_hat=n_hat, d_se=d_se, n_se=n_se,
-                            replications_used=7, stream_id="pcg64[11,r]",
+                            replications_used=7, stream_id="pcg64[11,2]:innov|policy,time-major",
                             steps_per_replication=steps)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("model, kind", sorted(GOLDEN))
+    def test_chunk_size_invariance(self, model, kind, monkeypatch):
+        # 1-row chunks, 37-row chunks that straddle the burn-in, one chunk:
+        # each stream is drawn in order, so only the summation order moves
+        cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+        runs = []
+        for cells in (1, 37 * cfg.replications, 10**9):
+            monkeypatch.setattr(simulate_module, "CHUNK_CELLS", cells)
+            runs.append(simulate(golden_spec(model), GOLDEN_POLICIES[model][kind], cfg))
+        one_chunk = runs[-1]
+        for res in runs[:-1]:
+            assert res.stream_id == one_chunk.stream_id
+            assert res.steps_per_replication == one_chunk.steps_per_replication
+            for field in ("d_hat", "n_hat", "d_se", "n_se"):
+                assert getattr(res, field) == pytest.approx(getattr(one_chunk, field),
+                                                            rel=1e-12), field
+
+    def test_memory_bounded_by_chunk(self, bd_avg):
+        # the whole 50 x 2e5 innovation matrix would take 80 MB
+        cfg = SimConfig(horizon=200_000, replications=50, burn_in=1000, seed=5)
+        tracemalloc.start()
+        try:
+            simulate(bd_avg, PolicySpec.threshold(2), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * simulate_module.CHUNK_CELLS * 8
+
+
+class TestPmfSampler:
+    @staticmethod
+    def assert_frequencies(draws, offsets, values):
+        # each offset's share within 6 standard errors of its probability
+        freq = np.array([np.mean(draws == o) for o in offsets])
+        se = np.sqrt(values * (1.0 - values) / draws.size)
+        assert np.all(np.abs(freq - values) <= 6.0 * se), (freq, values)
+        assert np.isin(draws, offsets).all()
+
+    def test_random_symmetric_pmf(self):
+        half = np.sort(np.random.default_rng(17).random(5))[::-1]  # p_0 >= ... >= p_4
+        pmf = IntegerPmf({n: half[abs(n)] for n in range(-4, 5)})
+        draw = simulate_module._pmf_sampler(pmf.offsets, pmf.values)
+        draws = draw(np.random.default_rng(3), (400, 500))
+        assert draws.shape == (400, 500)
+        self.assert_frequencies(draws, pmf.offsets, pmf.values)
+
+    def test_mass_short_of_one_reaches_last_offset(self):
+        offsets = np.array([-1, 0, 1])
+        values = np.array([0.25, 0.5, 0.25 - 1e-16])
+        assert np.cumsum(values)[-1] < 1.0
+        draw = simulate_module._pmf_sampler(offsets, values)
+
+        class LargestUniform:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+        assert np.all(draw(LargestUniform(), (3, 2)) == 1.0)
+        self.assert_frequencies(draw(np.random.default_rng(5), (1000, 200)), offsets, values)
