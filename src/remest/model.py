@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import UsageError
 
-#: Largest allowed dimension for dense silent-set systems (2k-1 <= cap).
-MAX_SILENT_DIM = 20001
+#: Largest allowed dimension k of the folded dense silent-set system (states 0..k-1).
+MAX_SILENT_DIM = 10001
 
 #: Stored pmf mass below this deficit is renormalized away silently.
 PMF_MASS_DEFICIT = 1e-10
@@ -228,12 +228,6 @@ class DistortionFn:
         if self.kind == "quadratic":
             return e * e
         return np.asarray(self.fn(e), dtype=float)
-
-    @property
-    def smooth_at_zero(self) -> bool:
-        """Whether d is smooth at the origin: |e| has a kink there, and a
-        custom d is not known to be smooth."""
-        return self.kind == "quadratic"
 
     def violations(self, probe_halfwidth: float = 8.0) -> list[str]:
         out: list[str] = []

@@ -14,8 +14,8 @@ randomness (the per-replication mixture uniforms of
 are drawn time-major, a chunk of ``(rows, replications)`` at a time with
 ``rows * replications`` about ``CHUNK_CELLS``; each stream is consumed in
 order, so the values drawn do not depend on the chunk size and a fixed seed
-gives bit-identical results.  Resident memory is bounded by the chunk, and
-``MAX_SIM_CELLS`` bounds the total draws of a run, that is its length.
+gives bit-identical results.  Resident memory is bounded by the chunk,
+``MAX_SIM_CELLS`` bounds the draws of a run and ``MAX_SIM_STEPS`` its steps.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .model import ModelSpecA, ModelSpecB
 # cap on the per-step draws (innovations, iid coins) of one run: it bounds the
 # run's length, not its memory, since only one chunk of draws is held at a time
 MAX_SIM_CELLS = 10**8
+# a step costs about 6 us of dispatch even at one replication: 1e7 steps take a minute
+MAX_SIM_STEPS = 10**7
 # float64 cells per time-major chunk of draws: a few such buffers (2 MB each)
 # are all the memory a run holds beyond its per-replication state
 CHUNK_CELLS = 2**18
@@ -342,6 +344,9 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
     else:
         T = max(1, math.ceil(math.log(config.discount_truncation_tol) / math.log(beta)))
         burn = 0
+    if T > MAX_SIM_STEPS:
+        raise UsageError(f"{T} steps are above the cap of {MAX_SIM_STEPS:.0e}; "
+                         "lower the horizon or the discount factor")
     R = config.replications
     cells = R * T * (2 if policy.kind == "iid_random" else 1)
     if cells > MAX_SIM_CELLS:

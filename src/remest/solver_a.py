@@ -2,9 +2,10 @@
 
 Performance of a threshold policy follows from two pre-transmission
 functionals: the expected accumulated distortion L and the expected elapsed
-time M before the error first leaves the silent set.  Both solve dense
-linear systems over the silent states; distortion, transmission rate and
-total cost then follow from the regenerative structure of the error process:
+time M before the error first leaves the silent set.  Both are even in the
+error, so they solve one dense k x k system over the folded silent states
+0..k-1, where the mass sent to -j joins the mass sent to j.  Distortion,
+transmission rate and total cost follow from the regenerative structure:
 
     D = L(0) / M(0),   N = 1 / M(0) - (1 - beta),
     C = (L(0) + lambda) / M(0) - lambda (1 - beta).
@@ -53,55 +54,38 @@ _RCOND_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class SilentSystem:
-    """Dense substochastic transition over the silent states of one threshold.
+    """Substochastic step law on the folded silent states 0..k-1: ``transition[i, j]``
+    is the probability of a step from ``i`` to ``j`` or ``-j``; the rest escapes."""
 
-    ``transition[i, j]`` is the one-step probability from silent state
-    ``states[i]`` to silent state ``states[j]``; the missing row mass is the
-    per-step escape probability.
-    """
-
-    k: int
     states: np.ndarray
     transition: np.ndarray
     distortion_vec: np.ndarray
 
 
-@dataclass(frozen=True)
-class LMVectors:
-    """Pre-transmission distortion and time, indexed by silent state."""
-
-    states: np.ndarray
-    L: np.ndarray
-    M: np.ndarray
-
-    def at_zero(self) -> tuple[float, float]:
-        i0 = int(np.nonzero(self.states == 0)[0][0])
-        return float(self.L[i0]), float(self.M[i0])
-
-
 def build_silent_system(spec: ModelSpecA, k: int) -> SilentSystem:
-    """Assemble the silent-set transition matrix and distortion vector."""
+    """Assemble the folded transition ``p(j - a i) + [j > 0] p(-j - a i)``
+    and the distortion vector over the states 0..k-1."""
     if k < 1:
         raise UsageError(f"silent system needs k >= 1, got {k}")
-    dim = 2 * k - 1
-    if dim > MAX_SILENT_DIM:
-        raise CapacityError(f"silent system dimension {dim} exceeds cap {MAX_SILENT_DIM}")
-    states = np.arange(-(k - 1), k)
-    probs = spec.pmf.probs
-    transition = np.zeros((dim, dim))
-    for i, e in enumerate(states):
-        origin = spec.a * int(e)
-        for j, n in enumerate(states):
-            transition[i, j] = probs.get(int(n) - origin, 0.0)
+    if k > MAX_SILENT_DIM:
+        raise CapacityError(f"silent system dimension {k} exceeds cap {MAX_SILENT_DIM}")
+    # dense pmf over every offset +-j - a i the matrix can ask for
+    half = spec.pmf.radius + (abs(spec.a) + 1) * (k - 1)
+    pmf = np.zeros(2 * half + 1)
+    pmf[spec.pmf.offsets + half] = spec.pmf.values
+    states = np.arange(k)
+    origin = half - spec.a * states[:, None]
+    transition = pmf[origin + states]
+    transition[:, 1:] += pmf[origin - states[1:]]
     dvec = np.asarray(spec.distortion(states), dtype=float)
-    return SilentSystem(k=k, states=states, transition=transition, distortion_vec=dvec)
+    return SilentSystem(states=states, transition=transition, distortion_vec=dvec)
 
 
-def solve_lm(system: SilentSystem, beta: float) -> LMVectors:
-    """Solve L = d + beta T L and M = 1 + beta T M by dense factorization.
+def solve_lm(system: SilentSystem, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L, M) by folded state, from L = d + beta T L and M = 1 + beta T M.
 
-    One step of iterative refinement follows the direct solve; the refined
-    residual must satisfy ||r|| <= 1e-10 (1 + ||x||).
+    One factorization back-solves both with one step of iterative
+    refinement; each refined residual must satisfy ||r|| <= 1e-10 (1 + ||x||).
     """
     beta = DiscountFactor(beta)
     dim = len(system.states)
@@ -117,25 +101,20 @@ def solve_lm(system: SilentSystem, beta: float) -> LMVectors:
             f"silent system singular at beta={float(beta)} (rcond={rcond:.2e}); "
             "the chain cannot escape the silent set"
         )
-
-    def refined_solve(b: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.lu_solve((lu, piv), b)
-        x = x + scipy.linalg.lu_solve((lu, piv), b - A @ x)
-        resid = np.linalg.norm(b - A @ x)
-        if resid > 1e-10 * (1.0 + np.linalg.norm(x)):
-            raise NumericsError(f"linear solve residual {resid:.2e} too large")
-        return x
-
-    L = refined_solve(system.distortion_vec.astype(float))
-    M = refined_solve(np.ones(dim))
-    return LMVectors(states=system.states, L=L, M=M)
+    b = np.column_stack([system.distortion_vec, np.ones(dim)])
+    x = scipy.linalg.lu_solve((lu, piv), b)
+    x += scipy.linalg.lu_solve((lu, piv), b - A @ x)
+    resid = np.linalg.norm(b - A @ x, axis=0)
+    if np.any(resid > 1e-10 * (1.0 + np.linalg.norm(x, axis=0))):
+        raise NumericsError(f"linear solve residual {resid.max():.2e} too large")
+    return x[:, 0], x[:, 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def _dn_at(spec: ModelSpecA, k: int) -> tuple[float, float]:
     """(D, N) for threshold k >= 1; cached per instance."""
-    lm = solve_lm(build_silent_system(spec, k), spec.beta)
-    L0, M0 = lm.at_zero()
+    L, M = solve_lm(build_silent_system(spec, k), spec.beta)
+    L0, M0 = float(L[0]), float(M[0])
     return L0 / M0, 1.0 / M0 - (1.0 - spec.beta)
 
 
@@ -245,7 +224,7 @@ def optimal_costly(spec: ModelSpecA, lam: float) -> tuple[int, float]:
         corners = corner_lambdas(spec, k_max)
         if lam <= corners[-1][1]:
             break
-        if 2 * (2 * k_max) - 1 > MAX_SILENT_DIM:
+        if 2 * k_max > MAX_SILENT_DIM:
             raise CapacityError(f"price {lam} needs thresholds beyond the dimension cap")
         k_max *= 2
     # corner prices increase, so the first corner covering lam owns its interval
@@ -272,7 +251,7 @@ def optimal_constrained(
         if N_k < alpha:
             break
         N_prev = N_k
-        if 2 * k + 1 > MAX_SILENT_DIM:
+        if k + 1 > MAX_SILENT_DIM:
             raise CapacityError("rate budget needs thresholds beyond the dimension cap")
     k_star = k - 1
     D_lo = 0.0 if k_star == 0 else _dn_at(spec, k_star)[0]

@@ -2,18 +2,17 @@
 
 The pre-transmission functionals of a real threshold k, the distortion L
 and the time M until the next transmission, solve second-kind integral
-equations on (-k, k) with one kernel, density(n - a e), and two right-hand
-sides, d(e) and 1.  They are discretized with Gauss-Legendre nodes (the
-Nystrom method) and solved together: each rung of the node-order ladder
-assembles the kernel matrix once, factorizes it once and back-solves both
-right-hand sides from that one LU.  The order doubles until the value at
-the origin of every right-hand side stabilizes.  The kernel is smooth, so
-convergence is spectral; a distortion with a kink at the origin, such as
-|e|, splits the interval into the panels (-k, 0) and (0, k) so that each
-panel integrand stays smooth.  Unit nodes are computed once per order and
-shared.  Off-node values come from the same identity evaluated at the query
-point, which also yields an independent residual estimate against a finer
-quadrature with the same panel layout.
+equations on (-k, k) with kernel density(n - a e) and right-hand sides d(e)
+and 1.  Both are even in e, so they are posed on (0, k) with the folded
+kernel density(n - a e) + density(-n - a e), discretized with one
+Gauss-Legendre panel (the Nystrom method) and solved together: each rung of
+the node-order ladder assembles, factorizes and checks one matrix and
+back-solves both right-hand sides.  The order doubles until the value at
+the origin stabilizes; the folded kernel, and |e| on [0, k], are smooth, so
+convergence is spectral.  Unit nodes are computed once per order and
+shared.  Off-node values, anywhere in (-k, k), come from the same identity
+evaluated at the query point, which also yields an independent residual
+estimate against a finer quadrature.
 
 Optimal thresholds follow from the stationarity condition
 lambda = -dD/dk / dN/dk (costly) or from inverting the strictly decreasing
@@ -47,8 +46,7 @@ from .model import (
 )
 
 _DEFAULT_TOL = 1e-10
-_START_ORDER = 65
-_MAX_DOUBLINGS = 12
+_START_ORDER = 33
 _MAX_ORDER = 4097  # a dense system of this order is 134 MB and factors in seconds
 _MAX_BRACKET_EXPANSIONS = 60
 _MAX_BISECTIONS = 200
@@ -59,9 +57,9 @@ def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only.
 
     Filled on first use.  The solver asks only for its ladder orders
-    65, 129, ..., _MAX_ORDER (33, 65, ... per panel when split) and the
-    residual grids' 2n + 1 per panel: 16 orders, about 0.4 MB in all, so
-    the 32-entry bound is never reached by the solver itself.
+    33, 65, ..., _MAX_ORDER = 4097 and the residual grids' 2n + 1: 16
+    orders, about 0.4 MB in all, so the 32-entry bound is never reached by
+    the solver itself.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     x.flags.writeable = False
@@ -71,21 +69,18 @@ def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Gauss-Legendre nodes and weights on equal panels of (-k, k)."""
+    """Gauss-Legendre nodes and weights on (0, k)."""
 
-    halfwidth: float
+    k: float
     nodes: np.ndarray
     weights: np.ndarray
-    panels: int = 1
 
     @classmethod
-    def gauss_legendre(cls, k: float, order: int, panels: int = 1) -> "QuadratureGrid":
-        """``order`` nodes on each of ``panels`` equal panels of (-k, k)."""
+    def gauss_legendre(cls, k: float, order: int) -> "QuadratureGrid":
+        """``order`` nodes on one panel of (0, k)."""
         x, w = _unit_nodes(order)
-        h = k / panels
-        centers = -k + h * (2 * np.arange(panels) + 1)
-        return cls(halfwidth=float(k), nodes=np.concatenate([c + h * x for c in centers]),
-                   weights=np.tile(h * w, panels), panels=panels)
+        h = 0.5 * k
+        return cls(k=float(k), nodes=h + h * x, weights=h * w)
 
     @property
     def order(self) -> int:
@@ -93,11 +88,9 @@ class QuadratureGrid:
 
     def check(self) -> list[str]:
         out = []
-        k = self.halfwidth
-        if abs(np.sum(self.weights) - 2 * k) > 1e-12 * max(1.0, 2 * k):
+        k = self.k
+        if abs(np.sum(self.weights) - k) > 1e-12 * max(1.0, k):
             out.append("weights must sum to the interval length")
-        if np.max(np.abs(self.nodes + self.nodes[::-1])) > 1e-12 * max(1.0, k):
-            out.append("nodes must be symmetric about 0")
         if np.any(np.diff(self.nodes) <= 0):
             out.append("nodes must be strictly increasing")
         if np.any(self.weights <= 0):
@@ -121,9 +114,8 @@ def _defect(kernel: Kernel, grid: QuadratureGrid, values: np.ndarray,
             rhs: Sequence[Rhs], beta: float, e: np.ndarray,
             refinement: int = 2) -> np.ndarray:
     """Defect of the integral equations at ``e`` per column, against a grid
-    with the same panels and refinement * n + 1 nodes per panel."""
-    fine = QuadratureGrid.gauss_legendre(
-        grid.halfwidth, refinement * (grid.order // grid.panels) + 1, grid.panels)
+    with refinement * n + 1 nodes."""
+    fine = QuadratureGrid.gauss_legendre(grid.k, refinement * grid.order + 1)
     v_fine = _extend(kernel, grid, values, rhs, beta, fine.nodes)
     quad = (kernel(e[:, None], fine.nodes[None, :]) * fine.weights[None, :]) @ v_fine
     return (_extend(kernel, grid, values, rhs, beta, e)
@@ -132,7 +124,7 @@ def _defect(kernel: Kernel, grid: QuadratureGrid, values: np.ndarray,
 
 @dataclass(frozen=True)
 class FredholmSolution:
-    """Discrete solution of v = rhs + beta * integral(kernel * v) on (-k, k)."""
+    """Discrete solution of v = rhs + beta * integral(kernel * v) on (0, k)."""
 
     k: float
     beta: float
@@ -142,7 +134,8 @@ class FredholmSolution:
     rhs: Rhs
 
     def evaluate(self, e) -> np.ndarray:
-        """Value at arbitrary points inside (-k, k)."""
+        """Value at arbitrary points: inside (0, k), or anywhere in (-k, k)
+        for the folded spec kernel, whose solution is even."""
         e = np.atleast_1d(np.asarray(e, dtype=float))
         return _extend(self.kernel, self.grid, self.values[:, None], [self.rhs],
                        self.beta, e)[:, 0]
@@ -178,35 +171,30 @@ def fredholm_solve(
     k: float,
     beta: float,
     tolerance: float = _DEFAULT_TOL,
-    start_order: int = _START_ORDER,
-    max_doublings: int = _MAX_DOUBLINGS,
 ) -> FredholmSolutions:
-    """Solve v = rhs + beta * integral(kernel * v) on (-k, k) for each entry of ``rhs``.
+    """Solve v = rhs + beta * integral(kernel * v) on (0, k) for each entry of ``rhs``.
 
     Each entry is a callable or a constant.  All of them share one ladder:
     at each order the kernel matrix is assembled, factorized and checked
     once, and one back-solve has one column per right-hand side.  The order
-    doubles until every column's value at 0 agrees with the previous
-    order's to ``tolerance`` (relative above magnitude 1); then every
-    column's off-node residual at 64 probe points, against a refined
-    quadrature, must be below 100 x ``tolerance`` too.  If any entry has
-    ``smooth_at_zero`` False (the absolute and custom distortions), the
-    grid is split at 0 into two panels of about half the order each.
+    doubles from 33 up to _MAX_ORDER until every column's value at 0 agrees
+    with the previous order's to ``tolerance`` (relative above magnitude
+    1); then every column's off-node residual at 64 probe points, against a
+    refined quadrature, must be below 100 x ``tolerance`` too.
     """
     if k <= 0.0:
-        raise UsageError(f"interval half-width must be positive, got {k}")
+        raise UsageError(f"interval width k must be positive, got {k}")
     if len(rhs) == 0:
         raise UsageError("at least one right-hand side is required")
     beta = DiscountFactor(beta)
     rhs_fns = [_as_rhs(f) for f in rhs]
-    panels = 1 if all(getattr(f, "smooth_at_zero", True) for f in rhs) else 2
-    probes = np.linspace(-k, k, 66)[1:-1]
+    probes = np.linspace(0.0, k, 66)[1:-1]
     zero = np.zeros(1)
-    order = start_order
+    order = _START_ORDER
     prev = None
     last_err = None
-    for _ in range(max_doublings + 1):
-        grid = QuadratureGrid.gauss_legendre(k, (order - 1) // panels + 1, panels)
+    while order <= _MAX_ORDER:
+        grid = QuadratureGrid.gauss_legendre(k, order)
         # I - beta * K W, built in place: at _MAX_ORDER each n x n copy is 134 MB
         A = kernel(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
         A *= -beta
@@ -237,19 +225,18 @@ def fredholm_solve(
                     )
         prev = v0
         order = 2 * order - 1
-        if order > _MAX_ORDER:
-            break
     raise ConvergenceError(
         f"integral equation did not stabilize below {tolerance} by order "
-        f"{min(order, _MAX_ORDER)} (last change {last_err}); "
+        f"{(order + 1) // 2} (last change {last_err}); "
         "is the kernel smooth?"
     )
 
 
 def _spec_kernel(spec: ModelSpecB) -> Kernel:
+    """Folded kernel on (0, k): the mass sent to -n joins the mass sent to n."""
     a = spec.a
     pdf = spec.pdf
-    return lambda e, n: pdf.density(n - a * e)
+    return lambda e, n: pdf.density(n - a * e) + pdf.density(-n - a * e)
 
 
 def performance_b(

@@ -10,11 +10,14 @@ constants, one value per check.  The Monte-Carlo suites take a
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dp, solver_a, solver_b
+from .model import DistortionFn, ModelSpecB, SmoothPdf
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
 from .simulate import (
     PolicySpec,
@@ -88,8 +91,22 @@ def suite_table() -> list[CheckResult]:
     return out
 
 
+def _gauss_reset_lm(sigma: float, beta: float, z: float, kind: str) -> tuple[float, float]:
+    """L(0) and M(0) at a = 0 for N(0, sigma^2) innovations and k = z sigma: the error
+    resets to W every step, so M(0) = 1 / (1 - beta P) and L(0) = beta E[d(W); |W| < k] M(0)
+    with P = P(|W| < k)."""
+    P = math.erf(z / math.sqrt(2.0))
+    phi = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)  # noqa: E731
+    if kind == "quadratic":
+        moment = sigma * sigma * (P - 2.0 * z * phi(z))
+    else:
+        moment = 2.0 * sigma * (phi(0.0) - phi(z))
+    M0 = 1.0 / (1.0 - beta * P)
+    return beta * moment * M0, M0
+
+
 def suite_closed_forms() -> list[CheckResult]:
-    """Birth-death closed forms vs the generic linear-system route."""
+    """Closed forms vs the solvers: birth-death (model A), Gaussian at a = 0 (model B)."""
     out: list[CheckResult] = []
     for p in (0.1, 0.2, 0.3):
         for beta in (0.9, 0.95, 1.0):
@@ -106,16 +123,31 @@ def suite_closed_forms() -> list[CheckResult]:
             ))
             k = 5
             system = solver_a.build_silent_system(spec, k)
-            Q = np.linalg.inv(np.eye(2 * k - 1) - beta * system.transition)
+            # the folded state j collects the visits to j and to -j
+            Q = np.linalg.inv(np.eye(k) - beta * system.transition)
             worst_q = max(
-                abs(Q[i + k - 1, j + k - 1] - solver_a.bd_q_entry(p, beta, k, i, j))
-                for i in range(-(k - 1), k)
-                for j in range(-(k - 1), k)
+                abs(Q[i, j] - solver_a.bd_q_entry(p, beta, k, i, j)
+                    - (j > 0) * solver_a.bd_q_entry(p, beta, k, i, -j))
+                for i in range(k)
+                for j in range(k)
             )
             out.append(_check(
                 "closed_forms", f"p={p} beta={beta} inverse entries",
                 worst_q <= CLOSED_FORM_TOL, f"worst |err| = {worst_q:.2e}",
             ))
+    for kind, sigma, beta in itertools.product(("quadratic", "absolute"), (0.5, 1.0, 2.0),
+                                               (0.9, 1.0)):
+        spec = ModelSpecB(a=0.0, pdf=SmoothPdf.gaussian(sigma),
+                          distortion=getattr(DistortionFn, kind)(), beta=beta)
+        worst = 0.0
+        for z in (0.6, 2.0):
+            got = solver_b.lm_at_zero(spec, z * sigma)
+            want = _gauss_reset_lm(sigma, beta, z, kind)
+            worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
+        out.append(_check(
+            "closed_forms", f"a=0 {kind} sigma={sigma} beta={beta} L(0),M(0)",
+            worst <= CLOSED_FORM_TOL, f"worst |err| = {worst:.2e}",
+        ))
     return out
 
 

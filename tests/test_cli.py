@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 import warnings
 
 import pytest
@@ -171,6 +172,16 @@ class TestSimulateCommand:
                                 "--reps", "200", "--horizon", "1000000000"], capsys)
         assert code == 1
         assert "cap" in err
+
+    def test_step_cap_exits_one(self, capsys):
+        # one replication is within the draw cap but above the step cap
+        start = time.perf_counter()
+        code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.3",
+                                "--policy", "threshold", "--k", "2",
+                                "--reps", "1", "--horizon", "20000000"], capsys)
+        assert code == 1
+        assert "cap" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_workers_below_one_exits_one(self, capsys):
         code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.3",

@@ -14,20 +14,21 @@ from remest import (
     SingularSystemError,
     UsageError,
 )
-from remest import solver_a
+from remest import dp, solver_a
+from remest.validation import DP_TOL
 from conftest import random_valid_pmf
 
 
 class TestBuildSilentSystem:
     def test_birth_death_k2(self, bd_avg):
-        # transition[e][n] = p_{n - e} over states (-1, 0, 1), enumerated by hand
+        # folded transition over states (0, 1): p_{n - e} + p_{-n - e} for n > 0,
+        # enumerated by hand
         sys2 = solver_a.build_silent_system(bd_avg, 2)
-        expected = np.array([[0.4, 0.3, 0.0],
-                             [0.3, 0.4, 0.3],
-                             [0.0, 0.3, 0.4]])
+        expected = np.array([[0.4, 0.6],
+                             [0.3, 0.4]])
         assert np.allclose(sys2.transition, expected, atol=1e-15)
-        assert np.array_equal(sys2.states, [-1, 0, 1])
-        assert np.allclose(sys2.distortion_vec, [1.0, 0.0, 1.0])
+        assert np.array_equal(sys2.states, [0, 1])
+        assert np.allclose(sys2.distortion_vec, [0.0, 1.0])
 
     def test_k1_single_state(self, bd_avg):
         sys1 = solver_a.build_silent_system(bd_avg, 1)
@@ -36,10 +37,25 @@ class TestBuildSilentSystem:
         assert sys1.distortion_vec[0] == 0.0
 
     def test_a2_row_shifts(self):
-        # row for e=1 reads p_{n-2} over n in (-1, 0, 1): (p_-3, p_-2, p_-1)
+        # row for e=1 reads p_{n-2} + p_{-n-2} over n in (0, 1): (p_-2, p_-1 + p_-3)
         spec = solver_a.bd_spec(0.3, 1.0, a=2)
         sys2 = solver_a.build_silent_system(spec, 2)
-        assert np.allclose(sys2.transition[2], [0.0, 0.0, 0.3])
+        assert np.allclose(sys2.transition[1], [0.0, 0.3])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-2, -1, 0, 1, 2, 3]),
+           st.integers(1, 9))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_folded_loop(self, seed, a, k):
+        # reference: the full-line transition entry by entry, folded column by column
+        pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
+        spec = ModelSpecA(a=a, pmf=pmf, distortion=DistortionFn.absolute(), beta=0.9)
+        probs = pmf.probs
+        full = np.array([[probs.get(n - a * e, 0.0) for n in range(-(k - 1), k)]
+                         for e in range(k)])
+        folded = full[:, k - 1:].copy()
+        folded[:, 1:] += full[:, :k - 1][:, ::-1]
+        assert np.allclose(solver_a.build_silent_system(spec, k).transition, folded,
+                           rtol=0.0, atol=1e-15)
 
     def test_substochastic_rows(self, bd_avg):
         sys5 = solver_a.build_silent_system(bd_avg, 5)
@@ -51,23 +67,32 @@ class TestBuildSilentSystem:
         with pytest.raises(CapacityError):
             solver_a.build_silent_system(bd_avg, 20_000)
 
+    def test_search_caps_count_folded_states(self, bd_avg, monkeypatch):
+        # the cap bounds the threshold itself: k = cap is the largest one solved
+        monkeypatch.setattr(solver_a, "MAX_SILENT_DIM", 12)
+        assert solver_a.build_silent_system(bd_avg, 12).transition.shape == (12, 12)
+        with pytest.raises(CapacityError):
+            solver_a.build_silent_system(bd_avg, 13)
+        with pytest.raises(CapacityError):
+            solver_a.optimal_constrained(bd_avg, 1e-4)  # needs k near 77
+        with pytest.raises(CapacityError):
+            solver_a.optimal_costly(bd_avg, 1e4)  # needs k near 33
+
 
 class TestSolveLM:
     def test_average_cost_closed_values(self, bd_avg):
         # M(0) = k^2/(2p), L(0) = k(k^2-1)/(6p) on the birth-death chain
         for k, m0, l0 in [(2, 4 / 0.6, 2 * 3 / 1.8), (3, 9 / 0.6, 3 * 8 / 1.8)]:
-            lm = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, k), 1.0)
-            L0, M0 = lm.at_zero()
-            assert L0 == pytest.approx(l0, abs=1e-10)
-            assert M0 == pytest.approx(m0, abs=1e-10)
+            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, k), 1.0)
+            assert L[0] == pytest.approx(l0, abs=1e-10)
+            assert M[0] == pytest.approx(m0, abs=1e-10)
 
     def test_k1_geometric_escape(self, bd_avg):
         # the 1x1 system gives M(0) = 1/(1 - beta p_0) and L(0) = 0 exactly
         for beta in (0.5, 0.9, 1.0):
-            lm = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, 1), beta)
-            L0, M0 = lm.at_zero()
-            assert L0 == 0.0
-            assert M0 == pytest.approx(1.0 / (1.0 - beta * 0.4), abs=1e-14)
+            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, 1), beta)
+            assert L[0] == 0.0
+            assert M[0] == pytest.approx(1.0 / (1.0 - beta * 0.4), abs=1e-14)
 
     def test_absorbing_chain_raises(self):
         # a = 0 keeps the error inside the support, so k = 3 never escapes
@@ -78,19 +103,17 @@ class TestSolveLM:
     def test_monotone_in_k(self, bd_09):
         prev_l, prev_m = -1.0, 0.0
         for k in range(1, 9):
-            lm = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
-            L0, M0 = lm.at_zero()
-            assert L0 > prev_l or k == 1
-            assert M0 > prev_m
-            prev_l, prev_m = L0, M0
+            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
+            assert L[0] > prev_l or k == 1
+            assert M[0] > prev_m
+            prev_l, prev_m = L[0], M[0]
 
     def test_vector_invariants(self, bd_09):
         for k in (2, 4, 6):
-            lm = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
-            assert np.all(lm.M >= 1.0 - 1e-12)
-            assert np.all(lm.L >= 0.0)
-            assert np.allclose(lm.L, lm.L[::-1], atol=1e-12)
-            assert np.allclose(lm.M, lm.M[::-1], atol=1e-12)
+            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
+            assert L.shape == M.shape == (k,)
+            assert np.all(M >= 1.0 - 1e-12)
+            assert np.all(L >= 0.0)
 
 
 class TestPerformance:
@@ -276,14 +299,17 @@ class TestBdQEntry:
                 solver_a.bd_q_entry(0.25, 0.9, 3, j, i), abs=1e-12)
 
     def test_matches_direct_inverse(self):
+        # the folded state j collects the visits to j and to -j
         for p, beta, k in [(0.3, 1.0, 2), (0.3, 0.9, 3), (0.2, 0.95, 4), (0.1, 0.5, 5)]:
             spec = solver_a.bd_spec(p, beta)
             system = solver_a.build_silent_system(spec, k)
-            Q = np.linalg.inv(np.eye(2 * k - 1) - beta * system.transition)
-            for i in range(-(k - 1), k):
-                for j in range(-(k - 1), k):
-                    assert abs(Q[i + k - 1, j + k - 1]
-                               - solver_a.bd_q_entry(p, beta, k, i, j)) <= 1e-9
+            Q = np.linalg.inv(np.eye(k) - beta * system.transition)
+            for i in range(k):
+                for j in range(k):
+                    want = solver_a.bd_q_entry(p, beta, k, i, j)
+                    if j > 0:
+                        want += solver_a.bd_q_entry(p, beta, k, i, -j)
+                    assert abs(Q[i, j] - want) <= 1e-9
 
 
 class TestStructuralProperties:
@@ -315,6 +341,19 @@ class TestStructuralProperties:
             pn = solver_a.performance(neg, k)
             assert pp.distortion == pytest.approx(pn.distortion, abs=1e-12)
             assert pp.transmission_rate == pytest.approx(pn.transmission_rate, abs=1e-12)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-2, -1, 1, 2, 3]),
+           st.sampled_from([0.9, 0.95]), st.integers(1, 12), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_folded_solve_matches_fixed_point(self, seed, a, beta, k, quadratic):
+        # the fixed-point oracle iterates the policy on the full state line
+        pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
+        d = DistortionFn.quadratic() if quadratic else DistortionFn.absolute()
+        spec = ModelSpecA(a=a, pmf=pmf, distortion=d, beta=beta)
+        p = solver_a.performance(spec, k)
+        d_fp, n_fp = dp.policy_evaluate_fixed_point(spec, k, tol=1e-10)
+        assert abs(p.distortion - d_fp) <= DP_TOL
+        assert abs(p.transmission_rate - n_fp) <= DP_TOL
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 0.9, 1.0]))
     @settings(max_examples=20, deadline=None)

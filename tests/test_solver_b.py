@@ -18,12 +18,12 @@ def _abs_spec():
 class TestQuadratureGrid:
     def test_invariants(self):
         # each grid is built twice, so the second one comes from cached unit nodes
-        for k, order, panels in [(1.0, 65, 1), (3.5, 129, 1), (0.01, 65, 1),
-                                 (1.0, 33, 2), (3.5, 129, 2), (0.01, 65, 2)]:
+        for k, order in [(1.0, 33), (1.0, 65), (3.5, 129), (0.01, 65)]:
             for _ in range(2):
-                grid = QuadratureGrid.gauss_legendre(k, order, panels)
+                grid = QuadratureGrid.gauss_legendre(k, order)
                 assert grid.check() == []
-                assert grid.order == panels * order
+                assert grid.order == order
+                assert 0.0 < grid.nodes[0] and grid.nodes[-1] < k
 
     def test_cached_unit_nodes_are_read_only(self):
         x, w = solver_b._unit_nodes(65)
@@ -33,34 +33,28 @@ class TestQuadratureGrid:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_panels_split_at_zero(self):
-        grid = QuadratureGrid.gauss_legendre(2.0, 33, 2)
-        left, right = grid.nodes[:33], grid.nodes[33:]
-        assert np.all(left < 0.0) and np.all(right > 0.0)
-        assert np.sum(grid.weights[:33]) == pytest.approx(2.0, abs=1e-13)
-
     def test_weight_sum(self):
         grid = QuadratureGrid.gauss_legendre(2.5, 65)
-        assert np.sum(grid.weights) == pytest.approx(5.0, abs=1e-12)
+        assert np.sum(grid.weights) == pytest.approx(2.5, abs=1e-12)
 
 
 class TestFredholmSolve:
     def test_zero_kernel_returns_rhs(self):
         [sol] = solver_b.fredholm_solve(lambda e, n: np.zeros(np.broadcast(e, n).shape),
                                         [lambda e: np.cos(e)], 1.0, 0.9)
-        probes = np.linspace(-0.9, 0.9, 11)
+        probes = np.linspace(0.05, 0.95, 11)
         assert np.allclose(sol.evaluate(probes), np.cos(probes), atol=1e-14)
 
     def test_tiny_beta_near_identity(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
         [sol] = solver_b.fredholm_solve(kern, [lambda e: e * e], 1.0, 1e-12)
-        probes = np.linspace(-0.9, 0.9, 11)
+        probes = np.linspace(0.05, 0.95, 11)
         assert np.max(np.abs(sol.evaluate(probes) - probes ** 2)) <= 1e-10
 
     def test_residual_small_off_nodes(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
         [sol] = solver_b.fredholm_solve(kern, [1.0], 2.0, 1.0)
-        probes = np.linspace(-1.99, 1.99, 64)
+        probes = np.linspace(0.01, 1.99, 64)
         assert np.max(np.abs(sol.residual(probes))) <= 1e-8 * max(1.0, sol.at_zero())
 
     def test_monte_carlo_oracle(self, gm_unit):
@@ -125,10 +119,11 @@ class TestFredholmSolve:
             assert row_norm <= beta + 1e-9
 
     def test_node_doubling_contracts_error(self, gm_unit):
-        # solve at fixed orders directly to watch the Nystrom error collapse
-        kern = lambda e, n: gm_unit.pdf.density(n - e)
+        # solve the folded equation on (0, 1) at fixed orders directly to
+        # watch the Nystrom error collapse
+        kern = solver_b._spec_kernel(gm_unit)
         vals = []
-        for order in (9, 17, 33):
+        for order in (5, 9, 17):
             grid = QuadratureGrid.gauss_legendre(1.0, order)
             K = kern(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
             v = np.linalg.solve(np.eye(order) - K, np.ones(order))
@@ -158,11 +153,26 @@ class TestPerformanceB:
             assert ps.distortion == pytest.approx(sigma ** 2 * p1.distortion, rel=1e-9)
             assert ps.transmission_rate == pytest.approx(p1.transmission_rate, rel=1e-9)
 
-    def test_evenness_of_solutions(self, gm_unit):
-        kern = lambda e, n: gm_unit.pdf.density(n - e)
-        [sol] = solver_b.fredholm_solve(kern, [lambda e: e * e], 1.5, 1.0)
-        probes = np.array([0.3, 0.9, 1.2])
-        assert np.allclose(sol.evaluate(probes), sol.evaluate(-probes), atol=1e-10)
+    @pytest.mark.parametrize("distortion", [DistortionFn.quadratic(), DistortionFn.absolute()],
+                             ids=["quadratic", "abs"])
+    @pytest.mark.parametrize("a", [-0.7, 0.5, 1.3])
+    def test_matches_unfolded_reference(self, distortion, a):
+        # reference: the unfolded equation on (-k, k) with kernel f(n - a e),
+        # Gauss-Legendre on (-k, 0) and (0, k) at a fixed order, so the kink
+        # of |e| sits on a panel edge
+        spec = ModelSpecB(a=a, pdf=SmoothPdf.gaussian(1.0), distortion=distortion,
+                          beta=0.95)
+        k = 1.5
+        x, w = np.polynomial.legendre.leggauss(65)
+        nodes = np.concatenate([0.5 * k * (x - 1.0), 0.5 * k * (x + 1.0)])
+        weights = np.concatenate([0.5 * k * w, 0.5 * k * w])
+        K = spec.pdf.density(nodes[None, :] - a * nodes[:, None]) * weights[None, :]
+        v = np.linalg.solve(np.eye(len(nodes)) - spec.beta * K,
+                            np.column_stack([distortion(nodes), np.ones(len(nodes))]))
+        ref = [0.0, 1.0] + spec.beta * (spec.pdf.density(nodes) * weights) @ v
+        got = solver_b.lm_at_zero(spec, k)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-9 * max(1.0, abs(r))
 
     def test_sign_flip_symmetry(self):
         pos = solver_b.gauss_markov_spec(1.0, a=0.8)
