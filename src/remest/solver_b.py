@@ -57,7 +57,7 @@ def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only.
 
     Filled on first use.  The solver asks only for its ladder orders
-    33, 65, ..., _MAX_ORDER = 4097 and the residual grids' 2n + 1: 16
+    33, 65, ..., _MAX_ORDER = 4097 and the residual grids' 2n + 1: 15
     orders, about 0.4 MB in all, so the 32-entry bound is never reached by
     the solver itself.
     """
