@@ -9,6 +9,13 @@ symmetric threshold rule; its threshold is compared against the renewal-based
 solver.  A second, independent route evaluates a fixed threshold policy by
 iterating its own pair of fixed-point maps.
 
+Both routes apply one step operator per call, built once: every state has
+exactly ``len(pmf)`` successors, so the one-step law on the states
+-bound..bound plus the exterior is an ``(n + 1, m)`` array of successor
+indices sharing the ``m`` pmf weights.  Each iteration is one gather and one
+weighted sum; the fixed point stacks D and N into one vector and iterates
+both with the same gather.  Neither route makes a linear solve.
+
 Both routes are discounted-only; the average-cost regime is covered by the
 vanishing-discount checks in the validation suites.
 """
@@ -49,17 +56,19 @@ def _compactification_radius(spec: ModelSpecA, lam: float) -> int:
     return e
 
 
-def _silent_continuation(V: np.ndarray, v_exterior: float, spec: ModelSpecA,
-                         states: np.ndarray, bound: int) -> np.ndarray:
-    """E[V(a e + W)] for every state, exterior mass going to the aggregate."""
-    out = np.zeros(len(states))
-    scaled = spec.a * states
-    for w, pw in spec.pmf.items:
-        nxt = scaled + w
-        inside = np.abs(nxt) <= bound
-        idx = np.clip(nxt + bound, 0, 2 * bound)
-        out += pw * np.where(inside, V[idx], v_exterior)
-    return out
+def step_operator(spec: ModelSpecA, bound: int, reset: np.ndarray) -> np.ndarray:
+    """Successor indices of the one-step law over -bound..bound and the exterior.
+
+    Row i lists the successors of state ``i - bound`` (the last row is the
+    exterior state, index ``2 bound + 1``), column j the one reached by the
+    pmf item j, weighted by ``spec.pmf.values[j]``.  A silent row sends e to
+    a e + W; a reset row (``reset`` true, and the exterior row) sends 0 to W.
+    Successors beyond +-bound go to the exterior index.
+    """
+    states = np.arange(-bound, bound + 1)
+    origin = np.append(np.where(reset, 0, spec.a * states), 0)
+    nxt = origin[:, None] + spec.pmf.offsets
+    return np.where(np.abs(nxt) <= bound, nxt + bound, 2 * bound + 1)
 
 
 def default_bound(spec: ModelSpecA, lam: float) -> int:
@@ -90,31 +99,31 @@ def value_iterate(
         raise UsageError("bound must cover the innovation support")
     states = np.arange(-B, B + 1)
     dvals = np.asarray(spec.distortion(states), dtype=float)
-    V = np.zeros(2 * B + 1)
+    # every state silent; the exterior row resets, so its row is E V(W)
+    succ = step_operator(spec, B, np.zeros(len(states), dtype=bool))
+    w = spec.pmf.values
+    # V on -B..B, then the exterior value: the transmit value of the same V
+    X = np.zeros(2 * B + 2)
     stop = tol * (1.0 - beta) / (2.0 * beta)
     i0 = B
 
-    def sweep(V):
-        v_tx = (1.0 - beta) * lam + beta * float(
-            np.dot(spec.pmf.values, V[i0 + spec.pmf.offsets])
-        )
-        v_sil = (1.0 - beta) * dvals + beta * _silent_continuation(
-            V, v_tx, spec, states, B
-        )
-        return v_tx, v_sil
+    def sweep(X):
+        X[-1] = (1.0 - beta) * lam + beta * float(X[succ[-1]] @ w)
+        return X[-1], (1.0 - beta) * dvals + beta * (X[succ[:-1]] @ w)
 
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        v_tx, v_sil = sweep(V)
+        v_tx, v_sil = sweep(X)
         V_new = np.minimum(v_tx, v_sil)
-        delta = float(np.max(np.abs(V_new - V)))
-        V = V_new
+        delta = float(np.max(np.abs(V_new - X[:-1])))
+        X[:-1] = V_new
         if delta <= stop:
             break
     else:
         raise NumericsError(f"value iteration failed to converge in {max_iterations}")
 
-    v_tx, v_sil = sweep(V)
+    V = X[:-1].copy()
+    v_tx, v_sil = sweep(X)
     transmit = v_tx < v_sil  # tie keeps the silent action
     if not transmit[0] or not transmit[-1]:
         raise CapacityError(
@@ -171,31 +180,21 @@ def policy_evaluate_fixed_point(
     if B < k - 1:
         raise UsageError("bound must cover the silent set")
     states = np.arange(-B, B + 1)
-    interior = np.abs(states) < k
-    dvals = np.asarray(spec.distortion(states), dtype=float)
-    D = np.zeros(2 * B + 1)
-    N = np.zeros(2 * B + 1)
-    d_ext = 0.0
-    n_ext = 0.0
+    transmit = np.append(np.abs(states) >= k, True)  # the exterior transmits too
+    succ = step_operator(spec, B, transmit[:-1])
+    n = len(transmit)
+    # X stacks D (first n entries) over N (last n); one gather serves both
+    stacked = np.vstack([succ, succ + n])
+    w = spec.pmf.values
+    dvals = np.append(np.asarray(spec.distortion(states), dtype=float), 0.0)
+    c = (1.0 - beta) * np.concatenate([np.where(transmit, 0.0, dvals), transmit])
+    X = np.zeros(2 * n)
     stop = tol * (1.0 - beta) / (2.0 * beta)
-    i0 = B
 
     for _ in range(max_iterations):
-        BD = _silent_continuation(D, d_ext, spec, states, B)
-        BN = _silent_continuation(N, n_ext, spec, states, B)
-        d_ext_new = beta * float(np.dot(spec.pmf.values, D[i0 + spec.pmf.offsets]))
-        n_ext_new = (1.0 - beta) + beta * float(
-            np.dot(spec.pmf.values, N[i0 + spec.pmf.offsets])
-        )
-        D_new = np.where(interior, (1.0 - beta) * dvals + beta * BD, d_ext_new)
-        N_new = np.where(interior, beta * BN, n_ext_new)
-        delta = max(
-            float(np.max(np.abs(D_new - D))),
-            float(np.max(np.abs(N_new - N))),
-            abs(d_ext_new - d_ext),
-            abs(n_ext_new - n_ext),
-        )
-        D, N, d_ext, n_ext = D_new, N_new, d_ext_new, n_ext_new
+        X_new = c + beta * (X[stacked] @ w)
+        delta = float(np.max(np.abs(X_new - X)))
+        X = X_new
         if delta <= stop:
-            return float(D[i0]), float(N[i0])
+            return float(X[B]), float(X[n + B])
     raise NumericsError(f"fixed-point evaluation failed to converge in {max_iterations}")

@@ -4,11 +4,16 @@ Performance of a threshold policy follows from two pre-transmission
 functionals: the expected accumulated distortion L and the expected elapsed
 time M before the error first leaves the silent set.  Both are even in the
 error, so they solve one dense k x k system over the folded silent states
-0..k-1, where the mass sent to -j joins the mass sent to j.  Distortion,
-transmission rate and total cost follow from the regenerative structure:
+0..k-1, where the mass sent to -j joins the mass sent to j.  The same
+factorization gives U, the expected discount beta^tau at the first escape
+tau.  Distortion, transmission rate and total cost follow from the
+regenerative structure:
 
-    D = L(0) / M(0),   N = 1 / M(0) - (1 - beta),
-    C = (L(0) + lambda) / M(0) - lambda (1 - beta).
+    D = L(0) / M(0),   N = U(0) / M(0)  (= 1 / M(0) - (1 - beta)),
+    C = D + lambda N.
+
+N is computed from U, never by the cancelling difference, so a small rate
+keeps its relative accuracy.
 
 The optimal-policy maps for both the costly and the rate-constrained
 problems are lookups along the enumerated corner points, and the
@@ -55,16 +60,18 @@ _RCOND_FLOOR = 1e-13
 @dataclass(frozen=True)
 class SilentSystem:
     """Substochastic step law on the folded silent states 0..k-1: ``transition[i, j]``
-    is the probability of a step from ``i`` to ``j`` or ``-j``; the rest escapes."""
+    is the probability of a step from ``i`` to ``j`` or ``-j``; the rest,
+    ``escape_vec[i]``, leaves the silent set."""
 
     states: np.ndarray
     transition: np.ndarray
     distortion_vec: np.ndarray
+    escape_vec: np.ndarray
 
 
 def build_silent_system(spec: ModelSpecA, k: int) -> SilentSystem:
-    """Assemble the folded transition ``p(j - a i) + [j > 0] p(-j - a i)``
-    and the distortion vector over the states 0..k-1."""
+    """Assemble the folded transition ``p(j - a i) + [j > 0] p(-j - a i)``,
+    the distortion vector and the escape probabilities over the states 0..k-1."""
     if k < 1:
         raise UsageError(f"silent system needs k >= 1, got {k}")
     if k > MAX_SILENT_DIM:
@@ -78,13 +85,21 @@ def build_silent_system(spec: ModelSpecA, k: int) -> SilentSystem:
     transition = pmf[origin + states]
     transition[:, 1:] += pmf[origin - states[1:]]
     dvec = np.asarray(spec.distortion(states), dtype=float)
-    return SilentSystem(states=states, transition=transition, distortion_vec=dvec)
+    # summed from the escaping pmf mass itself, not as 1 - row sum, so that a
+    # tiny escape probability keeps its relative accuracy
+    nxt = spec.a * states[:, None] + spec.pmf.offsets
+    escape = np.where(np.abs(nxt) >= k, spec.pmf.values, 0.0).sum(axis=1)
+    return SilentSystem(states=states, transition=transition, distortion_vec=dvec,
+                        escape_vec=escape)
 
 
-def solve_lm(system: SilentSystem, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L, M) by folded state, from L = d + beta T L and M = 1 + beta T M.
+def solve_lm(
+    system: SilentSystem, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, M, U) by folded state, from L = d + beta T L, M = 1 + beta T M and
+    U = beta esc + beta T U (U is the expected discount at the first escape).
 
-    One factorization back-solves both with one step of iterative
+    One factorization back-solves all three with one step of iterative
     refinement; each refined residual must satisfy ||r|| <= 1e-10 (1 + ||x||).
     """
     beta = DiscountFactor(beta)
@@ -101,21 +116,21 @@ def solve_lm(system: SilentSystem, beta: float) -> tuple[np.ndarray, np.ndarray]
             f"silent system singular at beta={float(beta)} (rcond={rcond:.2e}); "
             "the chain cannot escape the silent set"
         )
-    b = np.column_stack([system.distortion_vec, np.ones(dim)])
+    b = np.column_stack([system.distortion_vec, np.ones(dim), beta * system.escape_vec])
     x = scipy.linalg.lu_solve((lu, piv), b)
     x += scipy.linalg.lu_solve((lu, piv), b - A @ x)
     resid = np.linalg.norm(b - A @ x, axis=0)
     if np.any(resid > 1e-10 * (1.0 + np.linalg.norm(x, axis=0))):
         raise NumericsError(f"linear solve residual {resid.max():.2e} too large")
-    return x[:, 0], x[:, 1]
+    return x[:, 0], x[:, 1], x[:, 2]
 
 
 @lru_cache(maxsize=2**14)
 def _dn_at(spec: ModelSpecA, k: int) -> tuple[float, float]:
     """(D, N) for threshold k >= 1; cached per instance."""
-    L, M = solve_lm(build_silent_system(spec, k), spec.beta)
+    L, M, U = solve_lm(build_silent_system(spec, k), spec.beta)
     L0, M0 = float(L[0]), float(M[0])
-    return L0 / M0, 1.0 / M0 - (1.0 - spec.beta)
+    return L0 / M0, float(U[0]) / M0
 
 
 def _never_transmit_distortion(spec: ModelSpecA) -> float:
@@ -215,18 +230,27 @@ def corner_lambdas(spec: ModelSpecA, k_max: int) -> list[tuple[int, float]]:
 def optimal_costly(spec: ModelSpecA, lam: float) -> tuple[int, float]:
     """Optimal threshold and cost when each transmission costs ``lam``.
 
-    The corner list is extended by doubling until it covers ``lam``.
+    The corner list is extended by doubling until it covers ``lam``.  A
+    doubling that adds no corner means the distortion has stopped increasing
+    (beta < 1), so no larger price can be resolved.
     """
     if lam < 0.0:
         raise UsageError(f"transmission price must be nonnegative, got {lam}")
     k_max = 8
-    while True:
-        corners = corner_lambdas(spec, k_max)
-        if lam <= corners[-1][1]:
-            break
+    corners = corner_lambdas(spec, k_max)
+    while lam > corners[-1][1]:
         if 2 * k_max > MAX_SILENT_DIM:
             raise CapacityError(f"price {lam} needs thresholds beyond the dimension cap")
         k_max *= 2
+        wider = corner_lambdas(spec, k_max)
+        if len(wider) == len(corners):
+            kn, lam_last = corners[-1]
+            raise CapacityError(
+                f"price {lam} lies above the last resolvable corner price {lam_last!r} "
+                f"(threshold {kn}): no threshold up to {k_max} raises the distortion "
+                f"by more than {_FLAT_D_TOL}"
+            )
+        corners = wider
     # corner prices increase, so the first corner covering lam owns its interval
     k_star = next(kn for kn, lam_k in corners if lam <= lam_k)
     p = performance(spec, k_star, lam)

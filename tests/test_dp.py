@@ -1,8 +1,52 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from remest import CapacityError, UsageError
+from remest import CapacityError, DistortionFn, IntegerPmf, ModelSpecA, UsageError
 from remest import dp, solver_a
+from conftest import random_valid_pmf
+
+
+def _random_spec(seed: int, a: int, beta: float) -> ModelSpecA:
+    pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
+    return ModelSpecA(a=a, pmf=pmf, distortion=DistortionFn.absolute(), beta=beta)
+
+
+class TestStepOperator:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-2, 3), st.integers(4, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_the_pmf_law(self, seed, a, bound):
+        spec = _random_spec(seed, a, 0.9)
+        rng = np.random.default_rng(seed)
+        reset = rng.random(2 * bound + 1) < 0.3
+        succ = dp.step_operator(spec, bound, reset)
+        n = 2 * bound + 1
+        w = spec.pmf.values
+        assert succ.shape == (n + 1, len(w))
+        assert succ.min() >= 0 and succ.max() <= n
+        # dense matrix of the operator: every row carries the whole pmf mass
+        P = np.zeros((n + 1, n + 1))
+        np.add.at(P, (np.repeat(np.arange(n + 1), len(w)), succ.ravel()), np.tile(w, n + 1))
+        assert np.allclose(P.sum(axis=1), w.sum(), rtol=0.0, atol=1e-15)
+        # silent rows follow a e + W, reset rows (and the exterior) restart at W
+        origin = np.append(np.where(reset, 0, a * np.arange(-bound, bound + 1)), 0)
+        nxt = origin[:, None] + spec.pmf.offsets
+        inside = np.abs(nxt) <= bound
+        assert np.array_equal(succ[inside], nxt[inside] + bound)
+        assert np.all(succ[~inside] == n)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-2, -1, 1, 2]),
+       st.sampled_from([0.9, 0.95]), st.floats(1.0, 40.0))
+@settings(max_examples=25, deadline=None)
+def test_value_iteration_matches_corner_lookup(seed, a, beta, lam):
+    spec = _random_spec(seed, a, beta)
+    k_solver, _ = solver_a.optimal_costly(spec, lam)
+    # at a corner price both thresholds are optimal and the tie rules differ
+    corners = solver_a.corner_lambdas(spec, k_solver)
+    assume(all(abs(lam - lam_k) > 1e-6 * lam_k for _, lam_k in corners))
+    assert dp.value_iterate(spec, lam).threshold == k_solver
 
 
 class TestValueIterate:
@@ -31,6 +75,11 @@ class TestValueIterate:
         assert np.max(np.abs(V - V[::-1])) <= 1e-8
         assert np.all(np.diff(V[result.bound:]) >= -1e-8)
 
+    def test_iteration_counts_pinned(self, bd_09):
+        # pins the stopping rule tol (1 - beta) / (2 beta) in sup norm
+        counts = {lam: dp.value_iterate(bd_09, lam).iterations for lam in (4.0, 10.0, 20.0)}
+        assert counts == {4.0: 205, 10.0: 209, 20.0: 211}
+
     def test_bound_too_small(self, bd_09):
         with pytest.raises(CapacityError):
             dp.value_iterate(bd_09, 20.0, bound=3)
@@ -53,6 +102,15 @@ class TestPolicyEvaluateFixedPoint:
         d_fp, n_fp = dp.policy_evaluate_fixed_point(spec, 4)
         assert d_fp == pytest.approx(1.1218, abs=5e-4)
         assert n_fp == pytest.approx(0.0288, abs=5e-4)
+
+    def test_bound_beyond_default(self):
+        # at a = 2 silent successors leave the bound; the exterior is exact
+        spec = _random_spec(7, 2, 0.95)
+        for k in (1, 3, 6):
+            default = k + spec.pmf.radius
+            ref = dp.policy_evaluate_fixed_point(spec, k)
+            wide = dp.policy_evaluate_fixed_point(spec, k, bound=default + 5)
+            assert np.max(np.abs(np.subtract(ref, wide))) <= 1e-12
 
     def test_always_transmit_analytic(self, bd_09):
         assert dp.policy_evaluate_fixed_point(bd_09, 0) == (0.0, 1.0)

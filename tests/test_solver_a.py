@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,14 +85,14 @@ class TestSolveLM:
     def test_average_cost_closed_values(self, bd_avg):
         # M(0) = k^2/(2p), L(0) = k(k^2-1)/(6p) on the birth-death chain
         for k, m0, l0 in [(2, 4 / 0.6, 2 * 3 / 1.8), (3, 9 / 0.6, 3 * 8 / 1.8)]:
-            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, k), 1.0)
+            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, k), 1.0)
             assert L[0] == pytest.approx(l0, abs=1e-10)
             assert M[0] == pytest.approx(m0, abs=1e-10)
 
     def test_k1_geometric_escape(self, bd_avg):
         # the 1x1 system gives M(0) = 1/(1 - beta p_0) and L(0) = 0 exactly
         for beta in (0.5, 0.9, 1.0):
-            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, 1), beta)
+            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, 1), beta)
             assert L[0] == 0.0
             assert M[0] == pytest.approx(1.0 / (1.0 - beta * 0.4), abs=1e-14)
 
@@ -103,14 +105,14 @@ class TestSolveLM:
     def test_monotone_in_k(self, bd_09):
         prev_l, prev_m = -1.0, 0.0
         for k in range(1, 9):
-            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
+            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
             assert L[0] > prev_l or k == 1
             assert M[0] > prev_m
             prev_l, prev_m = L[0], M[0]
 
     def test_vector_invariants(self, bd_09):
         for k in (2, 4, 6):
-            L, M = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
+            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
             assert L.shape == M.shape == (k,)
             assert np.all(M >= 1.0 - 1e-12)
             assert np.all(L >= 0.0)
@@ -158,6 +160,38 @@ class TestPerformance:
             solver_a.performance(bd_avg, 1.5)
 
 
+def _bd_rate_exact(p: Fraction, beta: Fraction, k: int) -> Fraction:
+    """N = 1/M(0) - (1 - beta) of the folded birth-death chain (a = +-1), in
+    exact arithmetic: Thomas elimination of the tridiagonal M = 1 + beta T M."""
+    sub = [-beta * p] * k
+    diag = [1 - beta * (1 - 2 * p)] * k
+    sup = [-beta * (2 * p if i == 0 else p) for i in range(k)]  # 0 folds onto +-1
+    c, d = [Fraction(0)] * k, [Fraction(0)] * k
+    for i in range(k):
+        den = diag[i] - (sub[i] * c[i - 1] if i else 0)
+        c[i] = sup[i] / den
+        d[i] = (1 - (sub[i] * d[i - 1] if i else 0)) / den
+    m = d[k - 1]
+    for i in reversed(range(k - 1)):
+        m = d[i] - c[i] * m
+    return 1 / m - (1 - beta)
+
+
+class TestRateWithoutCancellation:
+    @pytest.mark.parametrize("k", [40, 100])
+    def test_tiny_rate_matches_exact(self, k):
+        # N(100) is about 9e-24, far below the rounding of 1/M(0) - (1 - beta)
+        exact = _bd_rate_exact(Fraction(1, 5), Fraction(19, 20), k)
+        n = solver_a.performance(solver_a.bd_spec(0.2, 0.95, a=-1), k).transmission_rate
+        assert n > 0.0
+        assert abs(n - float(exact)) <= 1e-9 * float(exact)
+
+    def test_escape_vector_summed_directly(self):
+        # the escape mass of the folded birth-death chain sits on the edge state
+        system = solver_a.build_silent_system(solver_a.bd_spec(0.2, 0.95, a=-1), 6)
+        assert np.array_equal(system.escape_vec, [0.0] * 5 + [0.2])
+
+
 class TestCornerLambdas:
     def test_average_cost_values(self, bd_avg):
         corners = dict(solver_a.corner_lambdas(bd_avg, 5))
@@ -203,6 +237,14 @@ class TestOptimalCostly:
         ks = [solver_a.optimal_costly(bd_09, lam)[0]
               for lam in (0.5, 2.0, 5.0, 12.0, 20.0, 35.0, 50.0)]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
+
+    def test_price_past_last_corner_raises(self):
+        # at beta < 1 the distortion increments vanish from k = 53 on, so the
+        # corner list ends near price 492 and a doubling adds no corner
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="last resolvable corner"):
+            solver_a.optimal_costly(solver_a.bd_spec(0.3, 0.9), 500.0)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestOptimalConstrained:
