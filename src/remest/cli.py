@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -250,34 +249,27 @@ def cmd_solve(args) -> OutputRecord:
             raise UsageError("--lambda is required for the costly problem")
         if args.model == "A":
             k, cost = solver_a.optimal_costly(spec, args.lam)
+            perf = solver_a.performance(spec, k, args.lam)
         else:
             k, cost = solver_b.algorithm1_costly(spec, args.lam, args.epsilon)
-            meta["epsilon"] = args.epsilon
-        perf = (solver_a.performance(spec, k, args.lam) if args.model == "A"
-                else solver_b.performance_b(spec, k, args.lam))
-        rows = [{
-            "k": k, "theta": None, "D": perf.distortion,
-            "N": perf.transmission_rate, "C": cost, "lambda": args.lam,
-        }]
+            perf = solver_b.performance_b(spec, k, args.lam)
+        row = {"k": k, "theta": None, "D": perf.distortion,
+               "N": perf.transmission_rate, "C": cost, "lambda": args.lam}
     else:
         if args.alpha is None:
             raise UsageError("--alpha is required for the constrained problem")
         if args.model == "A":
             policy, d_star = solver_a.optimal_constrained(spec, args.alpha)
-            rows = [{
-                "k": policy.k_star, "theta": policy.theta_star, "D": d_star,
-                "N": args.alpha, "C": None, "lambda": None,
-            }]
+            k, theta = policy.k_star, policy.theta_star
         else:
             k, d_star = solver_b.algorithm2_constrained(spec, args.alpha, args.epsilon)
-            meta["epsilon"] = args.epsilon
-            rows = [{
-                "k": k, "theta": None, "D": d_star,
-                "N": args.alpha, "C": None, "lambda": None,
-            }]
+            theta = None
+        row = {"k": k, "theta": theta, "D": d_star, "N": args.alpha, "C": None, "lambda": None}
+    if args.model == "B":
+        meta["epsilon"] = args.epsilon
     return OutputRecord(command="solve",
                         columns=["k", "theta", "D", "N", "C", "lambda"],
-                        rows=rows, metadata=meta)
+                        rows=[row], metadata=meta)
 
 
 def _policy_from_args(args) -> PolicySpec:
@@ -286,26 +278,33 @@ def _policy_from_args(args) -> PolicySpec:
             raise UsageError(f"{flag} is required for policy {args.policy!r}")
         return value
 
-    if args.policy == "threshold":
-        raw = need(args.k, "--k")
-        k = math.inf if raw in ("inf", "infinity") else float(raw)
-        return PolicySpec.threshold(k)
-    if args.policy == "randomized":
-        k = float(need(args.k, "--k"))
-        return PolicySpec.randomized_threshold(int(k), need(args.theta, "--theta"))
-    if args.policy == "periodic":
-        pattern = [int(x) for x in need(args.pattern, "--pattern").split(",")]
-        return PolicySpec.periodic(pattern)
+    def number(text, flag, kind=float):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise UsageError(f"bad {flag} entry {text!r}") from exc
+
     if args.policy == "iid":
         return PolicySpec.iid_random(need(args.alpha, "--alpha"))
+    if args.policy == "periodic":
+        return PolicySpec.periodic([number(x, "--pattern", int)
+                                    for x in need(args.pattern, "--pattern").split(",")])
+    k = number(need(args.k, "--k"), "--k")  # "inf" parses as infinity
+    if args.policy == "threshold":
+        return PolicySpec.threshold(k)
+    if args.policy == "randomized":
+        if not k.is_integer():
+            raise UsageError(f"--k must be an integer for policy 'randomized', got {args.k!r}")
+        return PolicySpec.randomized_threshold(int(k), need(args.theta, "--theta"))
     if args.policy == "steering":
-        return PolicySpec.steering(float(need(args.k, "--k")),
-                                   need(args.theta, "--theta"))
+        return PolicySpec.steering(k, need(args.theta, "--theta"))
     sched = []
     for entry in need(args.schedule, "--schedule").split(","):
-        a_txt, b_txt = entry.split(":")
-        sched.append((int(a_txt), int(b_txt)))
-    return PolicySpec.time_sharing(float(need(args.k, "--k")), sched)
+        counts = entry.split(":")
+        if len(counts) != 2:
+            raise UsageError(f"--schedule entries are cycle counts a:b, got {entry!r}")
+        sched.append(tuple(number(x, "--schedule", int) for x in counts))
+    return PolicySpec.time_sharing(k, sched)
 
 
 def cmd_simulate(args) -> OutputRecord:

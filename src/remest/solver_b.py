@@ -16,7 +16,10 @@ estimate against a finer quadrature.
 
 Optimal thresholds follow from the stationarity condition
 lambda = -dD/dk / dN/dk (costly) or from inverting the strictly decreasing
-rate map N(k) (constrained); both are located by bisection.
+rate map N(k) (constrained); both are located by one bracket-and-bisect
+routine.  Differentiating the folded equations in k gives dL/dk = L(k) phi
+and dM/dk = M(k) phi with the same phi, so the price needs no derivative
+solve: lambda(k) = M(0) L(k) / M(k) - L(0), from the one solve for L and M.
 """
 
 from __future__ import annotations
@@ -134,8 +137,8 @@ class FredholmSolution:
     rhs: Rhs
 
     def evaluate(self, e) -> np.ndarray:
-        """Value at arbitrary points: inside (0, k), or anywhere in (-k, k)
-        for the folded spec kernel, whose solution is even."""
+        """Value at arbitrary points of [0, k], or of [-k, k] for the folded
+        spec kernel (whose solution is even), boundary points included."""
         e = np.atleast_1d(np.asarray(e, dtype=float))
         return _extend(self.kernel, self.grid, self.values[:, None], [self.rhs],
                        self.beta, e)[:, 0]
@@ -260,89 +263,78 @@ def performance_b(
     return PerfPoint(distortion=D, transmission_rate=N, cost=cost, lam=lam)
 
 
+def _lm_solutions(spec: ModelSpecB, k: float, tolerance: float) -> FredholmSolutions:
+    """The distortion and time functionals L and M on one grid."""
+    return fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta, tolerance)
+
+
 def lm_at_zero(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> tuple[float, float]:
     """Pre-transmission distortion and time at the origin."""
-    L, M = fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta,
-                          tolerance)
+    L, M = _lm_solutions(spec, k, tolerance)
     return L.at_zero(), M.at_zero()
 
 
-def default_step(k: float) -> float:
-    return min(max(1e-3, 1e-2 * k), 0.5 * k)
+def lambda_of_k(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> float:
+    """Price that makes the threshold-k policy optimal for costly communication.
 
-
-def dk_derivatives(
-    spec: ModelSpecB,
-    k: float,
-    step: float | None = None,
-    tolerance: float = _DEFAULT_TOL,
-) -> tuple[float, float]:
-    """d/dk of (D, N) by central differences with one Richardson level.
-
-    The rate derivative must come out strictly negative; the distortion
-    derivative is clipped at zero when it is below the difference noise.
+    Both functionals solve v = r + beta * int_0^k K(., s) v(s) ds, so
+    d/dk v = beta K(., k) v(k) + beta * int_0^k K d/dk v: that is v(k) phi,
+    with phi the solution for the right-hand side beta K(., k), the same
+    for L and M.  With D = L(0)/M(0) and N = 1/M(0) - (1 - beta), phi(0)
+    cancels from -D'/N' = M(0) L(k) / M(k) - L(0).
     """
-    h = default_step(k) if step is None else float(step)
-    if h <= 0.0:
-        raise UsageError(f"step must be positive, got {h}")
-    if k - h <= 0.0:
-        raise UsageError(f"k - step must stay positive (k={k}, step={h})")
-    if h <= 100.0 * tolerance:
+    L, M = _lm_solutions(spec, k, tolerance)
+    L0, Lk = L.evaluate([0.0, k])
+    M0, Mk = M.evaluate([0.0, k])
+    lam = float(M0 * Lk / Mk - L0)
+    if lam < 0.0:
         raise NumericsError(
-            f"step {h} is below the quadrature noise floor {100.0 * tolerance}"
+            f"price {lam:.3e} is negative at k={k} (L(0)={L0!r}, L(k)={Lk!r}, "
+            f"M(0)={M0!r}, M(k)={Mk!r}); the discretized system is inaccurate"
         )
-
-    def dn(kk: float) -> tuple[float, float]:
-        p = performance_b(spec, kk, tolerance=tolerance)
-        return p.distortion, p.transmission_rate
-
-    Dp, Np = dn(k + h)
-    Dm, Nm = dn(k - h)
-    Dp2, Np2 = dn(k + h / 2.0)
-    Dm2, Nm2 = dn(k - h / 2.0)
-    dD = (4.0 * (Dp2 - Dm2) / h - (Dp - Dm) / (2.0 * h)) / 3.0
-    dN = (4.0 * (Np2 - Nm2) / h - (Np - Nm) / (2.0 * h)) / 3.0
-    noise = tolerance * max(1.0, abs(Dp), abs(Dm)) / h
-    if dN >= 0.0:
-        raise NumericsError(f"rate derivative {dN} is not negative; decrease step")
-    if dD < -noise:
-        raise NumericsError(f"distortion derivative {dD} below noise floor -{noise}")
-    return max(dD, 0.0), dN
+    return lam
 
 
-def lambda_of_k(
-    spec: ModelSpecB,
-    k: float,
-    step: float | None = None,
-    tolerance: float = _DEFAULT_TOL,
-) -> float:
-    """Price that makes the threshold-k policy optimal for costly communication."""
-    dD, dN = dk_derivatives(spec, k, step=step, tolerance=tolerance)
-    return -dD / dN
-
-
-def _bracket(
+def _bracket_and_bisect(
     fn: Callable[[float], float],
     target: float,
-    seed: float,
-    increasing: bool,
-) -> tuple[float, float]:
-    """Find k_lo < k_hi with fn straddling target; fn monotone in the search sense."""
-    lo = hi = seed
-    f_seed = fn(seed)
-    below = f_seed < target if increasing else f_seed > target
+    epsilon: float,
+    spec: ModelSpecB,
+    what: str,
+) -> float:
+    """k with |fn(k) - target| <= epsilon, for fn increasing in k.
+
+    From a seed at the spec's noise scale, k doubles or halves until fn
+    straddles the target; then the bracket is bisected.  Bracket ends are
+    never accepted themselves.
+    """
+    if epsilon <= 0.0:
+        raise UsageError(f"epsilon must be positive, got {epsilon}")
+    lo = hi = seed = spec.pdf.scale * max(1.0, abs(spec.a))
+    below = fn(seed) < target
     for _ in range(_MAX_BRACKET_EXPANSIONS):
         if below:
             hi *= 2.0
-            f = fn(hi)
-            if (f >= target) if increasing else (f <= target):
-                return hi / 2.0, hi
+            if fn(hi) >= target:
+                lo = hi / 2.0
+                break
         else:
             lo /= 2.0
-            f = fn(lo)
-            if (f < target) if increasing else (f > target):
-                return lo, 2.0 * lo
-    raise BracketError(f"could not bracket target {target} from seed {seed}")
+            if fn(lo) < target:
+                hi = 2.0 * lo
+                break
+    else:
+        raise BracketError(f"could not bracket target {target} from seed {seed}")
+    for _ in range(_MAX_BISECTIONS):
+        k = 0.5 * (lo + hi)
+        val = fn(k)
+        if abs(val - target) <= epsilon:
+            return k
+        if val < target:
+            lo = k
+        else:
+            hi = k
+    raise ConvergenceError(f"{what} bisection exhausted {_MAX_BISECTIONS} iterations")
 
 
 def algorithm1_costly(
@@ -354,22 +346,9 @@ def algorithm1_costly(
     """Bisect the price map until |lambda(k) - lam| <= epsilon; return (k, cost)."""
     if lam <= 0.0:
         raise UsageError(f"price must be positive, got {lam}")
-    if epsilon <= 0.0:
-        raise UsageError(f"epsilon must be positive, got {epsilon}")
-    lam_of = lambda kk: lambda_of_k(spec, kk, tolerance=tolerance)
-    seed = spec.pdf.scale * max(1.0, abs(spec.a))
-    k_lo, k_hi = _bracket(lam_of, lam, seed, increasing=True)
-    for _ in range(_MAX_BISECTIONS):
-        k = 0.5 * (k_lo + k_hi)
-        val = lam_of(k)
-        if abs(val - lam) <= epsilon:
-            p = performance_b(spec, k, lam=lam, tolerance=tolerance)
-            return k, p.cost
-        if val < lam:
-            k_lo = k
-        else:
-            k_hi = k
-    raise ConvergenceError(f"price bisection exhausted {_MAX_BISECTIONS} iterations")
+    k = _bracket_and_bisect(lambda kk: lambda_of_k(spec, kk, tolerance=tolerance),
+                            lam, epsilon, spec, "price")
+    return k, performance_b(spec, k, lam=lam, tolerance=tolerance).cost
 
 
 def algorithm2_constrained(
@@ -381,22 +360,15 @@ def algorithm2_constrained(
     """Bisect the rate map until |N(k) - alpha| <= epsilon; return (k, distortion)."""
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"rate budget must lie in (0, 1), got {alpha}")
-    if epsilon <= 0.0:
-        raise UsageError(f"epsilon must be positive, got {epsilon}")
-    rate = lambda kk: performance_b(spec, kk, tolerance=tolerance).transmission_rate
-    seed = spec.pdf.scale * max(1.0, abs(spec.a))
-    # N decreases in k, so search on -N to reuse the increasing bracket
-    k_lo, k_hi = _bracket(lambda kk: -rate(kk), -alpha, seed, increasing=True)
-    for _ in range(_MAX_BISECTIONS):
-        k = 0.5 * (k_lo + k_hi)
-        p = performance_b(spec, k, tolerance=tolerance)
-        if abs(p.transmission_rate - alpha) <= epsilon:
-            return k, p.distortion
-        if p.transmission_rate > alpha:
-            k_lo = k
-        else:
-            k_hi = k
-    raise ConvergenceError(f"rate bisection exhausted {_MAX_BISECTIONS} iterations")
+    perf: dict[float, PerfPoint] = {}
+
+    def neg_rate(kk: float) -> float:
+        # N decreases in k, so the search runs on -N
+        perf[kk] = performance_b(spec, kk, tolerance=tolerance)
+        return -perf[kk].transmission_rate
+
+    k = _bracket_and_bisect(neg_rate, -alpha, epsilon, spec, "rate")
+    return k, perf[k].distortion
 
 
 def gauss_markov_spec(sigma: float, a: float = 1.0, beta: float = 1.0) -> ModelSpecB:
@@ -428,18 +400,12 @@ def gauss_markov_rescale(base: TradeoffCurve, sigma: float, kind: str) -> Tradeo
     if kind != base.kind:
         raise UsageError(f"kind {kind!r} does not match the base curve {base.kind!r}")
     s2 = sigma * sigma
-    if kind == "costly":
-        points = tuple(
-            CurvePoint(abscissa=s2 * p.abscissa, ordinate=s2 * p.ordinate,
-                       threshold=sigma * p.threshold)
-            for p in base.points
-        )
-    else:
-        points = tuple(
-            CurvePoint(abscissa=p.abscissa, ordinate=s2 * p.ordinate,
-                       threshold=sigma * p.threshold)
-            for p in base.points
-        )
+    x_scale = s2 if kind == "costly" else 1.0
+    points = tuple(
+        CurvePoint(abscissa=x_scale * p.abscissa, ordinate=s2 * p.ordinate,
+                   threshold=sigma * p.threshold)
+        for p in base.points
+    )
     tag = dict(inst)
     tag["sigma"] = float(sigma)
     return TradeoffCurve(kind=base.kind, points=points, shape=base.shape, instance=tag)

@@ -30,6 +30,7 @@ TABLE_TOL = 5e-4  # the published table's four-decimal rounding
 CLOSED_FORM_TOL = 1e-9
 SCALE_TOL = 2e-10  # relative to max(1, |expected|)
 SCALE_EPS = 1e-6  # bracket width handed to Algorithms 1 and 2
+PRICE_FD_TOL = 1e-6  # price map vs Richardson finite differences, relative
 DP_TOL = 1e-6
 MC_SIGMAS = 3.0  # Monte-Carlo agreement, in standard errors
 
@@ -139,20 +140,44 @@ def suite_closed_forms() -> list[CheckResult]:
                                                (0.9, 1.0)):
         spec = ModelSpecB(a=0.0, pdf=SmoothPdf.gaussian(sigma),
                           distortion=getattr(DistortionFn, kind)(), beta=beta)
-        worst = 0.0
+        worst = worst_price = 0.0
         for z in (0.6, 2.0):
             got = solver_b.lm_at_zero(spec, z * sigma)
             want = _gauss_reset_lm(sigma, beta, z, kind)
             worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
+            # the kernel ignores e, so L = d + const and M = const: lambda(k) = d(k)
+            worst_price = max(worst_price, abs(solver_b.lambda_of_k(spec, z * sigma)
+                                               - float(spec.distortion(z * sigma))))
         out.append(_check(
             "closed_forms", f"a=0 {kind} sigma={sigma} beta={beta} L(0),M(0)",
             worst <= CLOSED_FORM_TOL, f"worst |err| = {worst:.2e}",
         ))
+        out.append(_check(
+            "closed_forms", f"a=0 {kind} sigma={sigma} beta={beta} lambda(k) = d(k)",
+            worst_price <= CLOSED_FORM_TOL, f"worst |err| = {worst_price:.2e}",
+        ))
     return out
 
 
+def price_fd_error(spec: ModelSpecB, k: float) -> float:
+    """Relative gap between ``solver_b.lambda_of_k`` and its independent route:
+    -dD/dk / dN/dk from central differences of performance_b with one
+    Richardson level (error O(h^4))."""
+    h = min(max(1e-3, 1e-2 * k), 0.5 * k)
+
+    def dn(kk: float) -> np.ndarray:
+        p = solver_b.performance_b(spec, kk)
+        return np.array([p.distortion, p.transmission_rate])
+
+    dD, dN = (4.0 * (dn(k + h / 2.0) - dn(k - h / 2.0)) / h
+              - (dn(k + h) - dn(k - h)) / (2.0 * h)) / 3.0
+    want = -dD / dN
+    return float(abs(solver_b.lambda_of_k(spec, k) - want) / abs(want))
+
+
 def suite_scaling() -> list[CheckResult]:
-    """Gaussian-instance scale identities, plus the price-map monotonicity probe."""
+    """Gaussian-instance scale identities, plus the price map's monotonicity and
+    its agreement with finite differences on a probe grid."""
     out: list[CheckResult] = []
     base = solver_b.gauss_markov_spec(1.0)
     for sigma in (0.5, 2.0):
@@ -174,12 +199,21 @@ def suite_scaling() -> list[CheckResult]:
                 _scaled_close(ks, sigma * k1) and _scaled_close(cs, s2 * c1),
                 f"k: {ks:.12g} vs {sigma * k1:.12g}; C: {cs:.12g} vs {s2 * c1:.12g}",
             ))
-    lams = [solver_b.lambda_of_k(base, k) for k in (0.5, 1.0, 2.0, 4.0)]
+    probes = (0.5, 1.0, 2.0, 4.0)
+    lams = [solver_b.lambda_of_k(base, k) for k in probes]
     out.append(_check(
         "scaling", "price map increasing on probe grid",
         all(b > a for a, b in zip(lams, lams[1:])),
         " < ".join(f"{x:.4f}" for x in lams),
     ))
+    abs_discounted = ModelSpecB(a=-0.7, pdf=SmoothPdf.gaussian(1.0),
+                                distortion=DistortionFn.absolute(), beta=0.95)
+    for name, spec in (("unit gaussian", base), ("a=-0.7 beta=0.95 abs", abs_discounted)):
+        worst = max(price_fd_error(spec, k) for k in probes)
+        out.append(_check(
+            "scaling", f"{name} price map vs finite differences on probe grid",
+            worst <= PRICE_FD_TOL, f"worst relative |err| = {worst:.2e}",
+        ))
     return out
 
 

@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import shlex
 import time
+import types
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from remest import solver_b
-from remest.cli import main
+from remest.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -124,6 +128,27 @@ class TestSolve:
         assert code == 2
         assert "negative" in err and "k=" in err and "M0=" in err
 
+    def test_model_b_costly(self, capsys):
+        lam, eps = 1.0, 1e-6
+        code, out, _ = run_cli(["solve", "--model", "B", "--problem", "costly",
+                                "--sigma", "1", "--beta", "0.9", "--lambda", str(lam),
+                                "--epsilon", str(eps)], capsys)
+        assert code == 0
+        row = {key: float(v) for key, v in parse_csv(out)[0].items() if v != "—"}
+        spec = solver_b.gauss_markov_spec(1.0, beta=0.9)
+        assert abs(solver_b.lambda_of_k(spec, row["k"]) - lam) <= eps
+        assert abs(row["C"] - (row["D"] + lam * row["N"])) <= 1e-12
+
+    def test_negative_price_exits_two(self, capsys, monkeypatch):
+        # L(0) = 2 above M(0) L(k) / M(k) = 1 makes the price -1
+        fixed = lambda v0, vk: types.SimpleNamespace(evaluate=lambda e: np.array([v0, vk]))
+        monkeypatch.setattr(solver_b, "_lm_solutions",
+                            lambda spec, k, tol: (fixed(2.0, 1.0), fixed(1.0, 1.0)))
+        code, _, err = run_cli(["solve", "--model", "B", "--problem", "costly",
+                                "--sigma", "1", "--lambda", "1"], capsys)
+        assert code == 2
+        assert "price" in err and "negative at k=" in err
+
     def test_missing_value_is_usage_error(self, capsys):
         code, _, err = run_cli(["solve", "--model", "A", "--problem", "costly",
                                 "--p", "0.3"], capsys)
@@ -190,6 +215,18 @@ class TestSimulateCommand:
                                 "--workers", "0"], capsys)
         assert code == 1
         assert "--workers" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--policy", "threshold", "--k", "abc"],
+        ["--policy", "timesharing", "--k", "1", "--schedule", "3"],
+        ["--policy", "periodic", "--pattern", "1,x"],
+        ["--policy", "randomized", "--k", "2.5", "--theta", "0.5"],
+    ], ids=["threshold-k", "timesharing-schedule", "periodic-pattern", "randomized-k"])
+    def test_malformed_policy_input_exits_one(self, capsys, flags):
+        code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.3", "--reps", "2",
+                                "--horizon", "100", "--burn-in", "10", *flags], capsys)
+        assert code == 1
+        assert err.startswith("usage error:")
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(["simulate", "--model", "A", "--p", "0.3",
@@ -260,3 +297,14 @@ class TestFlagsFromFile:
         code, out, _ = run_cli([f"@{flags}"], capsys)
         assert code == 0
         assert parse_csv(out)[0]["k"] == "0"
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("remest ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

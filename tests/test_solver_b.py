@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from remest import ConvergenceError, NumericsError, UsageError
+from remest import ConvergenceError, UsageError
 from remest import solver_b
 from remest.model import CurvePoint, DistortionFn, ModelSpecB, SmoothPdf, TradeoffCurve
 from remest.solver_b import QuadratureGrid
-from remest.validation import MC_SIGMAS
+from remest.validation import MC_SIGMAS, PRICE_FD_TOL, price_fd_error
 
 
 def _abs_spec():
@@ -216,24 +216,22 @@ class TestPerformanceB:
 
 
 class TestDerivatives:
-    def test_signs(self, gm_unit):
-        dD, dN = solver_b.dk_derivatives(gm_unit, 1.0)
-        assert dN < 0.0
-        assert dD > 0.0
-
     def test_quadratic_fit_consistency(self, gm_unit):
-        # slope of the parabola through N(k - 2h), N(k), N(k + 2h)
+        # -dD/dN from the slopes of the parabolas through D and N at k - 2h, k, k + 2h
         k, h = 1.0, 0.02
-        n = lambda kk: solver_b.performance_b(gm_unit, kk).transmission_rate
-        fit_slope = (n(k + 2 * h) - n(k - 2 * h)) / (4 * h)
-        _, dN = solver_b.dk_derivatives(gm_unit, k)
-        assert dN == pytest.approx(fit_slope, rel=0.05)
+        lo, hi = (solver_b.performance_b(gm_unit, kk) for kk in (k - 2 * h, k + 2 * h))
+        fit_price = -(hi.distortion - lo.distortion) / (hi.transmission_rate
+                                                        - lo.transmission_rate)
+        assert solver_b.lambda_of_k(gm_unit, k) == pytest.approx(fit_price, rel=0.05)
 
-    def test_step_guards(self, gm_unit):
-        with pytest.raises(UsageError):
-            solver_b.dk_derivatives(gm_unit, 0.5, step=0.6)
-        with pytest.raises(NumericsError):
-            solver_b.dk_derivatives(gm_unit, 1.0, step=1e-9)
+    @pytest.mark.parametrize("k", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("distortion", ["quadratic", "absolute"])
+    @pytest.mark.parametrize("beta", [0.9, 0.95, 1.0])
+    @pytest.mark.parametrize("a", [-0.7, 0.0, 0.5, 1.0, 1.3])
+    def test_price_map_matches_finite_differences(self, a, beta, distortion, k):
+        spec = ModelSpecB(a=a, pdf=SmoothPdf.gaussian(1.0),
+                          distortion=getattr(DistortionFn, distortion)(), beta=beta)
+        assert price_fd_error(spec, k) <= PRICE_FD_TOL
 
 
 class TestLambdaOfK:

@@ -77,3 +77,11 @@ def test_suite_detects_shifted_route(suite, monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         validation.run_suite("nope")
+
+
+def test_price_map_check_detects_nudged_price(monkeypatch):
+    real = solver_b.lambda_of_k
+    monkeypatch.setattr(solver_b, "lambda_of_k", lambda spec, k, **kw: (
+        real(spec, k, **kw) * (1.0 + 10.0 * validation.PRICE_FD_TOL)))
+    checks = [c for c in validation.suite_scaling() if "finite differences" in c.name]
+    assert checks and not any(c.passed for c in checks), [c.detail for c in checks]
