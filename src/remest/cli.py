@@ -251,8 +251,8 @@ def cmd_solve(args) -> OutputRecord:
             k, cost = solver_a.optimal_costly(spec, args.lam)
             perf = solver_a.performance(spec, k, args.lam)
         else:
-            k, cost = solver_b.algorithm1_costly(spec, args.lam, args.epsilon)
-            perf = solver_b.performance_b(spec, k, args.lam)
+            k, cost = result = solver_b.algorithm1_costly(spec, args.lam, args.epsilon)
+            perf = result.perf
         row = {"k": k, "theta": None, "D": perf.distortion,
                "N": perf.transmission_rate, "C": cost, "lambda": args.lam}
     else:

@@ -29,7 +29,7 @@ class DivergenceError(NumericsError):
 
 
 class BracketError(NumericsError):
-    """Bisection could not bracket the target value."""
+    """The threshold search could not bracket the target value."""
 
 
 class ConvergenceError(NumericsError):

@@ -16,10 +16,12 @@ estimate against a finer quadrature.
 
 Optimal thresholds follow from the stationarity condition
 lambda = -dD/dk / dN/dk (costly) or from inverting the strictly decreasing
-rate map N(k) (constrained); both are located by one bracket-and-bisect
-routine.  Differentiating the folded equations in k gives dL/dk = L(k) phi
+rate map N(k) (constrained); both are located by one bracket-and-search
+routine, Illinois false position inside a bracket, with one solve per
+step.  Differentiating the folded equations in k gives dL/dk = L(k) phi
 and dM/dk = M(k) phi with the same phi, so the price needs no derivative
 solve: lambda(k) = M(0) L(k) / M(k) - L(0), from the one solve for L and M.
+Each search keeps (D, N) from its last step, so no solve follows it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _DEFAULT_TOL = 1e-10
 _START_ORDER = 33
 _MAX_ORDER = 4097  # a dense system of this order is 134 MB and factors in seconds
 _MAX_BRACKET_EXPANSIONS = 60
-_MAX_BISECTIONS = 200
+_MAX_SEARCH_STEPS = 200
 
 
 @functools.lru_cache(maxsize=32)
@@ -230,8 +232,8 @@ def fredholm_solve(
         order = 2 * order - 1
     raise ConvergenceError(
         f"integral equation did not stabilize below {tolerance} by order "
-        f"{(order + 1) // 2} (last change {last_err}); "
-        "is the kernel smooth?"
+        f"{(order + 1) // 2} (last change {last_err}, rcond={rcond:.2e}, "
+        f"|v(0)|={float(np.max(np.abs(v0))):.3e})"
     )
 
 
@@ -251,7 +253,12 @@ def performance_b(
     """Exact-to-quadrature (D, N, C) of the real threshold-k policy."""
     if k <= 0.0:
         raise UsageError(f"threshold must be positive, got {k}")
-    L0, M0 = lm_at_zero(spec, k, tolerance)
+    return _perf_point(spec, k, *lm_at_zero(spec, k, tolerance), lam)
+
+
+def _perf_point(spec: ModelSpecB, k: float, L0: float, M0: float,
+                lam: float | None = None) -> PerfPoint:
+    """(D, N, C) from the functionals' values at the origin."""
     D = L0 / M0
     N = 1.0 / M0 - (1.0 - spec.beta)
     if N < -1e-12:
@@ -283,19 +290,36 @@ def lambda_of_k(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> 
     for L and M.  With D = L(0)/M(0) and N = 1/M(0) - (1 - beta), phi(0)
     cancels from -D'/N' = M(0) L(k) / M(k) - L(0).
     """
+    return _price_point(spec, k, tolerance)[0]
+
+
+def _price_point(spec: ModelSpecB, k: float, tolerance: float) -> tuple[float, float, float]:
+    """lambda(k), L(0) and M(0) from one solve for L and M."""
     L, M = _lm_solutions(spec, k, tolerance)
-    L0, Lk = L.evaluate([0.0, k])
-    M0, Mk = M.evaluate([0.0, k])
-    lam = float(M0 * Lk / Mk - L0)
+    L0, Lk = map(float, L.evaluate([0.0, k]))
+    M0, Mk = map(float, M.evaluate([0.0, k]))
+    lam = M0 * Lk / Mk - L0
     if lam < 0.0:
         raise NumericsError(
             f"price {lam:.3e} is negative at k={k} (L(0)={L0!r}, L(k)={Lk!r}, "
             f"M(0)={M0!r}, M(k)={Mk!r}); the discretized system is inaccurate"
         )
-    return lam
+    return lam, L0, M0
 
 
-def _bracket_and_bisect(
+class CostlyResult(tuple):
+    """``(k, cost)`` from Algorithm 1; ``perf`` is (D, N, C) at k, read off
+    the search's last solve."""
+
+    perf: PerfPoint
+
+    def __new__(cls, k: float, cost: float, perf: PerfPoint) -> "CostlyResult":
+        self = super().__new__(cls, (k, cost))
+        self.perf = perf
+        return self
+
+
+def _bracket_and_search(
     fn: Callable[[float], float],
     target: float,
     epsilon: float,
@@ -305,36 +329,46 @@ def _bracket_and_bisect(
     """k with |fn(k) - target| <= epsilon, for fn increasing in k.
 
     From a seed at the spec's noise scale, k doubles or halves until fn
-    straddles the target; then the bracket is bisected.  Bracket ends are
-    never accepted themselves.
+    straddles the target.  Inside the bracket, Illinois false position
+    (Dowell & Jarratt, BIT 11, 1971) steps to the secant root of the two
+    ends; an end kept for two steps in a row has its value halved, so the
+    bracket closes from both sides, and a secant point outside the open
+    bracket is replaced by the midpoint.  The ends' values come from the
+    bracket phase; the ends are never accepted themselves.
     """
     if epsilon <= 0.0:
         raise UsageError(f"epsilon must be positive, got {epsilon}")
-    lo = hi = seed = spec.pdf.scale * max(1.0, abs(spec.a))
-    below = fn(seed) < target
+    k = seed = spec.pdf.scale * max(1.0, abs(spec.a))
+    f = fn(seed) - target
+    factor = 2.0 if f < 0.0 else 0.5
     for _ in range(_MAX_BRACKET_EXPANSIONS):
-        if below:
-            hi *= 2.0
-            if fn(hi) >= target:
-                lo = hi / 2.0
-                break
-        else:
-            lo /= 2.0
-            if fn(lo) < target:
-                hi = 2.0 * lo
-                break
+        k_next = factor * k
+        f_next = fn(k_next) - target
+        if (f_next < 0.0) != (f < 0.0):
+            break
+        k, f = k_next, f_next
     else:
         raise BracketError(f"could not bracket target {target} from seed {seed}")
-    for _ in range(_MAX_BISECTIONS):
-        k = 0.5 * (lo + hi)
-        val = fn(k)
-        if abs(val - target) <= epsilon:
+    (lo, f_lo), (hi, f_hi) = sorted([(k, f), (k_next, f_next)])
+    kept = 0  # +1 (-1): the low (high) end survived the last step
+    for _ in range(_MAX_SEARCH_STEPS):
+        k = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < k < hi:
+            k = 0.5 * (lo + hi)
+        f = fn(k) - target
+        if abs(f) <= epsilon:
             return k
-        if val < target:
-            lo = k
+        if f < 0.0:
+            lo, f_lo = k, f
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
         else:
-            hi = k
-    raise ConvergenceError(f"{what} bisection exhausted {_MAX_BISECTIONS} iterations")
+            hi, f_hi = k, f
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
+    raise ConvergenceError(f"{what} search exhausted {_MAX_SEARCH_STEPS} steps")
 
 
 def algorithm1_costly(
@@ -342,13 +376,19 @@ def algorithm1_costly(
     lam: float,
     epsilon: float,
     tolerance: float = _DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Bisect the price map until |lambda(k) - lam| <= epsilon; return (k, cost)."""
+) -> CostlyResult:
+    """Search the price map until |lambda(k) - lam| <= epsilon; return (k, cost)."""
     if lam <= 0.0:
         raise UsageError(f"price must be positive, got {lam}")
-    k = _bracket_and_bisect(lambda kk: lambda_of_k(spec, kk, tolerance=tolerance),
-                            lam, epsilon, spec, "price")
-    return k, performance_b(spec, k, lam=lam, tolerance=tolerance).cost
+    seen: dict[float, tuple[float, float, float]] = {}
+
+    def price(kk: float) -> float:
+        seen[kk] = _price_point(spec, kk, tolerance)
+        return seen[kk][0]
+
+    k = _bracket_and_search(price, lam, epsilon, spec, "price")
+    perf = _perf_point(spec, k, *seen[k][1:], lam)
+    return CostlyResult(k, perf.cost, perf)
 
 
 def algorithm2_constrained(
@@ -357,7 +397,7 @@ def algorithm2_constrained(
     epsilon: float,
     tolerance: float = _DEFAULT_TOL,
 ) -> tuple[float, float]:
-    """Bisect the rate map until |N(k) - alpha| <= epsilon; return (k, distortion)."""
+    """Search the rate map until |N(k) - alpha| <= epsilon; return (k, distortion)."""
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"rate budget must lie in (0, 1), got {alpha}")
     perf: dict[float, PerfPoint] = {}
@@ -367,7 +407,7 @@ def algorithm2_constrained(
         perf[kk] = performance_b(spec, kk, tolerance=tolerance)
         return -perf[kk].transmission_rate
 
-    k = _bracket_and_bisect(neg_rate, -alpha, epsilon, spec, "rate")
+    k = _bracket_and_search(neg_rate, -alpha, epsilon, spec, "rate")
     return k, perf[k].distortion
 
 

@@ -21,6 +21,20 @@ def gm_unit():
     return solver_b.gauss_markov_spec(1.0)
 
 
+@pytest.fixture
+def solve_log(monkeypatch):
+    """Thresholds of the ``solver_b.fredholm_solve`` calls made during the test."""
+    log = []
+    real = solver_b.fredholm_solve
+
+    def logged(kernel, rhs, k, *args, **kwargs):
+        log.append(k)
+        return real(kernel, rhs, k, *args, **kwargs)
+
+    monkeypatch.setattr(solver_b, "fredholm_solve", logged)
+    return log
+
+
 def random_valid_pmf(rng: np.random.Generator, max_halfwidth: int = 3) -> dict[int, float]:
     """Symmetric unimodal pmf with p_0 < 1, as a raw offset->mass map."""
     half = int(rng.integers(1, max_halfwidth + 1))

@@ -82,6 +82,13 @@ class TestCurve:
         ds = [float(r["D"]) for r in parse_csv(out)]
         assert ds == sorted(ds, reverse=True)
 
+    def test_model_b_constrained_solve_count(self, capsys, solve_log):
+        # the two searches make 14 solves; bisecting them takes 35
+        code, _, _ = run_cli(["curve", "--model", "B", "--kind", "constrained",
+                              "--alphas", "0.25,0.45"], capsys)
+        assert code == 0
+        assert len(solve_log) <= 16
+
 
 class TestSolve:
     def test_costly_worked_example(self, capsys):
@@ -138,6 +145,22 @@ class TestSolve:
         spec = solver_b.gauss_markov_spec(1.0, beta=0.9)
         assert abs(solver_b.lambda_of_k(spec, row["k"]) - lam) <= eps
         assert abs(row["C"] - (row["D"] + lam * row["N"])) <= 1e-12
+
+    def test_model_b_costly_solves_once_per_search_step(self, capsys, solve_log,
+                                                       monkeypatch):
+        # one solve per search step, 7 in all; bisecting takes 21
+        steps = []
+        real = solver_b._price_point
+        monkeypatch.setattr(solver_b, "_price_point",
+                            lambda spec, k, tol: steps.append(k) or real(spec, k, tol))
+        code, out, _ = run_cli(["solve", "--model", "B", "--problem", "costly",
+                                "--lambda", "1"], capsys)
+        assert code == 0
+        assert solve_log == steps
+        assert len(solve_log) <= 9
+        row = {key: float(v) for key, v in parse_csv(out)[0].items() if v != "—"}
+        assert solve_log[-1] == row["k"]
+        assert abs(row["C"] - (row["D"] + row["N"])) <= 1e-12
 
     def test_negative_price_exits_two(self, capsys, monkeypatch):
         # L(0) = 2 above M(0) L(k) / M(k) = 1 makes the price -1

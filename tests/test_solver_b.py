@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from remest import ConvergenceError, UsageError
+from remest import BracketError, ConvergenceError, UsageError
 from remest import solver_b
 from remest.model import CurvePoint, DistortionFn, ModelSpecB, SmoothPdf, TradeoffCurve
 from remest.solver_b import QuadratureGrid
@@ -133,6 +134,18 @@ class TestFredholmSolve:
         errs = [abs(v - ref) for v in vals]
         assert errs[1] <= 0.1 * errs[0] or errs[1] < 1e-12
         assert errs[2] <= 0.1 * errs[1] or errs[2] < 1e-12
+
+    def test_convergence_error_reports_conditioning(self, monkeypatch):
+        # at a = 0 the kernel is smooth but rank one, and I - K is nearly
+        # singular: M(0) = 1 / P(|W| >= 5) = 1.7e6
+        monkeypatch.setattr(solver_b, "_MAX_ORDER", 257)
+        with pytest.raises(ConvergenceError) as info:
+            solver_b.performance_b(solver_b.gauss_markov_spec(1.0, a=0.0), 5.0)
+        msg = str(info.value)
+        rcond = float(re.search(r"rcond=([^,]+),", msg).group(1))
+        v0 = float(re.search(r"\|v\(0\)\|=([^)]+)\)", msg).group(1))
+        assert 0.0 < rcond < 1e-6
+        assert v0 == pytest.approx(1.0 / math.erfc(5.0 / math.sqrt(2.0)), rel=1e-2)
 
 
 class TestPerformanceB:
@@ -295,6 +308,51 @@ class TestAlgorithm2:
         _, d_tight = solver_b.algorithm2_constrained(gm_unit, 0.3, 1e-5)
         _, d_loose = solver_b.algorithm2_constrained(gm_unit, 0.5, 1e-5)
         assert d_tight >= d_loose
+
+
+class TestSearch:
+    # 7 solves each; bisecting takes 20 and 21
+    @pytest.mark.parametrize("algorithm, x", [
+        (solver_b.algorithm2_constrained, 0.3),
+        (solver_b.algorithm1_costly, 1.0),
+    ], ids=["rate", "price"])
+    def test_solves_per_search(self, gm_unit, solve_log, algorithm, x):
+        k, _ = algorithm(gm_unit, x, 1e-6)
+        assert len(solve_log) <= 9
+        assert solve_log[-1] == k  # nothing is solved after the search
+
+    def test_costly_result_carries_the_last_solve(self, gm_unit):
+        lam = 1.0
+        k, cost = result = solver_b.algorithm1_costly(gm_unit, lam, 1e-6)
+        perf = solver_b.performance_b(gm_unit, k, lam=lam)
+        assert result.perf.distortion == pytest.approx(perf.distortion, rel=1e-14)
+        assert result.perf.transmission_rate == pytest.approx(perf.transmission_rate,
+                                                              rel=1e-14)
+        assert cost == result.perf.cost == (result.perf.distortion
+                                            + lam * result.perf.transmission_rate)
+
+    def test_steep_map_reaches_epsilon(self, gm_unit):
+        # logistic of slope 250 at its centre, target in the lower tail: plain
+        # false position keeps the upper end and needs about 1200 steps
+        steep = lambda k: 0.5 * (1.0 + math.tanh(500.0 * (k - 1.7)))
+        k = solver_b._bracket_and_search(steep, 1e-3, 1e-6, gm_unit, "steep")
+        assert abs(steep(k) - 1e-3) <= 1e-6
+
+    def test_jump_across_target_exhausts_the_cap(self, gm_unit):
+        calls = []
+
+        def step(k):
+            calls.append(k)
+            return float(k >= 1.7)
+
+        with pytest.raises(ConvergenceError, match="exhausted"):
+            solver_b._bracket_and_search(step, 0.5, 1e-6, gm_unit, "step")
+        assert len(calls) == 2 + solver_b._MAX_SEARCH_STEPS
+
+    @pytest.mark.parametrize("target", [2.0, -1.0], ids=["above", "below"])
+    def test_unbracketable_target(self, gm_unit, target):
+        with pytest.raises(BracketError):
+            solver_b._bracket_and_search(math.tanh, target, 1e-6, gm_unit, "tanh")
 
 
 class TestGaussMarkovRescale:
