@@ -189,24 +189,34 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _diagnostics(stats: solver_a.SolveStats, search: bool = False) -> dict:
+    """Model-A work counters for ``metadata.diagnostics``; deterministic, so
+    reruns stay byte-identical."""
+    out = {"factorizations": stats.factorizations, "table_dim": stats.table_dim}
+    if search:
+        out["doublings"] = stats.doublings
+    return out
+
+
 def cmd_table(args) -> OutputRecord:
     betas = _parse_floats(args.betas)
     specs = [_spec_a(args.p, beta) for beta in betas]
     if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
     rows = []
+    stats = solver_a.SolveStats()
     for beta, spec in zip(betas, specs):
-        corners = dict(solver_a.corner_lambdas(spec, args.k_max))
+        table = solver_a.threshold_table(spec, args.k_max + 1, stats)
+        corners = dict(solver_a.table_corners(table))
         for k in range(args.k_max + 1):
-            perf = solver_a.performance(spec, k)
             rows.append({
                 "beta": beta,
                 "k": k,
-                "D": perf.distortion,
-                "N": perf.transmission_rate,
+                "D": float(table.D[k]),
+                "N": float(table.N[k]),
                 "lambda": corners.get(k),
             })
-    meta = {"p": args.p, "k_max": args.k_max}
+    meta = {"p": args.p, "k_max": args.k_max, "diagnostics": _diagnostics(stats)}
     return OutputRecord(command="table", columns=["beta", "k", "D", "N", "lambda"],
                         rows=rows, metadata=meta)
 
@@ -215,8 +225,10 @@ def cmd_curve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "kind": args.kind}
     if args.model == "A":
-        curve = solver_a.tradeoff_curve(spec, args.kind, args.k_max)
+        stats = solver_a.SolveStats()
+        curve = solver_a.tradeoff_curve(spec, args.kind, args.k_max, stats)
         meta["k_max"] = args.k_max
+        meta["diagnostics"] = _diagnostics(stats)
     else:
         grid_text = args.alphas if args.kind == "constrained" else args.lambdas
         if grid_text is None:
@@ -244,28 +256,31 @@ def cmd_curve(args) -> OutputRecord:
 def cmd_solve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "problem": args.problem}
+    stats = solver_a.SolveStats()
     if args.problem == "costly":
         if args.lam is None:
             raise UsageError("--lambda is required for the costly problem")
         if args.model == "A":
-            k, cost = solver_a.optimal_costly(spec, args.lam)
-            perf = solver_a.performance(spec, k, args.lam)
+            result = solver_a.optimal_costly(spec, args.lam, stats)
         else:
-            k, cost = result = solver_b.algorithm1_costly(spec, args.lam, args.epsilon)
-            perf = result.perf
+            result = solver_b.algorithm1_costly(spec, args.lam, args.epsilon)
+        k, cost = result
+        perf = result.perf
         row = {"k": k, "theta": None, "D": perf.distortion,
                "N": perf.transmission_rate, "C": cost, "lambda": args.lam}
     else:
         if args.alpha is None:
             raise UsageError("--alpha is required for the constrained problem")
         if args.model == "A":
-            policy, d_star = solver_a.optimal_constrained(spec, args.alpha)
+            policy, d_star = solver_a.optimal_constrained(spec, args.alpha, stats)
             k, theta = policy.k_star, policy.theta_star
         else:
             k, d_star = solver_b.algorithm2_constrained(spec, args.alpha, args.epsilon)
             theta = None
         row = {"k": k, "theta": theta, "D": d_star, "N": args.alpha, "C": None, "lambda": None}
-    if args.model == "B":
+    if args.model == "A":
+        meta["diagnostics"] = _diagnostics(stats, search=True)
+    else:
         meta["epsilon"] = args.epsilon
     return OutputRecord(command="solve",
                         columns=["k", "theta", "D", "N", "C", "lambda"],

@@ -3,17 +3,35 @@
 Performance of a threshold policy follows from two pre-transmission
 functionals: the expected accumulated distortion L and the expected elapsed
 time M before the error first leaves the silent set.  Both are even in the
-error, so they solve one dense k x k system over the folded silent states
-0..k-1, where the mass sent to -j joins the mass sent to j.  The same
-factorization gives U, the expected discount beta^tau at the first escape
-tau.  Distortion, transmission rate and total cost follow from the
-regenerative structure:
+error, so they live on the folded silent states 0..k-1, where the mass sent
+to -j joins the mass sent to j, and U, the expected discount beta^tau at the
+first escape tau, solves the same system.  Distortion, transmission rate and
+total cost follow from the regenerative structure:
 
     D = L(0) / M(0),   N = U(0) / M(0)  (= 1 / M(0) - (1 - beta)),
     C = D + lambda N.
 
-N is computed from U, never by the cancelling difference, so a small rate
-keeps its relative accuracy.
+The folded matrix A = I - beta T does not depend on k: the system of
+threshold k is its leading k x k block.  A is row diagonally dominant (T is
+substochastic), so elimination on A^T needs no row swaps and its growth
+factor is at most 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 9).  The dominance is tight where no mass escapes (every row but the
+edge at beta = 1), and rounding can then tip LAPACK's partial pivoting into
+a swap; scaling column j of A by (1 - 1e-6)^j breaks those ties towards the
+diagonal.  The leading blocks of one unpivoted factorization A = Lo Up are
+the factorizations of every threshold's system, so one factorization for
+all thresholds <= K gives, with z = Up^-T e_0,
+
+    L_k(0) = sum_{i<k} z_i (Lo^-1 d)_i,    M_k(0) = sum_{i<k} z_i (Lo^-1 1)_i,
+    U_k(0) = beta sum_{i<k} z_i (Lo^-1 R)[i, k],
+
+with R[i, k] the mass from state i that lands at |.| >= k.  Every term is
+nonnegative, so N keeps its relative accuracy however small it is, and the
+distortion increment comes from one term of each sum,
+
+    D(k+1) - D(k) = z_k ((Lo^-1 d)_k M_k(0) - (Lo^-1 1)_k L_k(0)) / (M_k(0) M_{k+1}(0)),
+
+rather than from subtracting two nearly equal D values.
 
 The optimal-policy maps for both the costly and the rate-constrained
 problems are lookups along the enumerated corner points, and the
@@ -26,10 +44,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     CapacityError,
@@ -40,6 +58,7 @@ from .errors import (
 )
 from .model import (
     MAX_SILENT_DIM,
+    CostlyResult,
     CurvePoint,
     DiscountFactor,
     DistortionFn,
@@ -56,81 +75,147 @@ _FLAT_D_TOL = 1e-12
 #: Reciprocal condition number below which the silent system counts as singular.
 _RCOND_FLOOR = 1e-13
 
+#: Ratio of successive column weights of the factored matrix; 1 - 1e-6 is far
+#: above the rounding (about K eps) that could tip a tied pivot choice.
+_TIE_BREAK = 1.0 - 1e-6
+
+
+@dataclass
+class SolveStats:
+    """Deterministic work counters of one request: table factorizations,
+    the largest table dimension, and the doublings of a threshold search."""
+
+    factorizations: int = 0
+    table_dim: int = 0
+    doublings: int = 0
+
 
 @dataclass(frozen=True)
-class SilentSystem:
-    """Substochastic step law on the folded silent states 0..k-1: ``transition[i, j]``
-    is the probability of a step from ``i`` to ``j`` or ``-j``; the rest,
-    ``escape_vec[i]``, leaves the silent set."""
+class ThresholdTable:
+    """Renewal quantities of every threshold k = 0..K, indexed by k.
 
-    states: np.ndarray
-    transition: np.ndarray
-    distortion_vec: np.ndarray
-    escape_vec: np.ndarray
-
-
-def build_silent_system(spec: ModelSpecA, k: int) -> SilentSystem:
-    """Assemble the folded transition ``p(j - a i) + [j > 0] p(-j - a i)``,
-    the distortion vector and the escape probabilities over the states 0..k-1."""
-    if k < 1:
-        raise UsageError(f"silent system needs k >= 1, got {k}")
-    if k > MAX_SILENT_DIM:
-        raise CapacityError(f"silent system dimension {k} exceeds cap {MAX_SILENT_DIM}")
-    # dense pmf over every offset +-j - a i the matrix can ask for
-    half = spec.pmf.radius + (abs(spec.a) + 1) * (k - 1)
-    pmf = np.zeros(2 * half + 1)
-    pmf[spec.pmf.offsets + half] = spec.pmf.values
-    states = np.arange(k)
-    origin = half - spec.a * states[:, None]
-    transition = pmf[origin + states]
-    transition[:, 1:] += pmf[origin - states[1:]]
-    dvec = np.asarray(spec.distortion(states), dtype=float)
-    # summed from the escaping pmf mass itself, not as 1 - row sum, so that a
-    # tiny escape probability keeps its relative accuracy
-    nxt = spec.a * states[:, None] + spec.pmf.offsets
-    escape = np.where(np.abs(nxt) >= k, spec.pmf.values, 0.0).sum(axis=1)
-    return SilentSystem(states=states, transition=transition, distortion_vec=dvec,
-                        escape_vec=escape)
-
-
-def solve_lm(
-    system: SilentSystem, beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, M, U) by folded state, from L = d + beta T L, M = 1 + beta T M and
-    U = beta esc + beta T U (U is the expected discount at the first escape).
-
-    One factorization back-solves all three with one step of iterative
-    refinement; each refined residual must satisfy ||r|| <= 1e-10 (1 + ||x||).
+    ``L[k]``, ``M[k]`` are L(0), M(0) of threshold k (empty sums at k = 0);
+    ``D[k]``, ``N[k]`` its distortion and rate (0 and 1 at k = 0, which
+    always transmits); ``dD[k]`` = D(k+1) - D(k) for k < K.
     """
-    beta = DiscountFactor(beta)
-    dim = len(system.states)
-    A = np.eye(dim) - beta * system.transition
+
+    L: np.ndarray
+    M: np.ndarray
+    D: np.ndarray
+    N: np.ndarray
+    dD: np.ndarray
+
+
+def _landings(spec: ModelSpecA, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(state, |a state + w|, p(w)) for every folded state below ``dim`` and
+    every offset w of the pmf, flattened."""
+    if dim < 1:
+        raise UsageError(f"silent system needs k >= 1, got {dim}")
+    if dim > MAX_SILENT_DIM:
+        raise CapacityError(f"silent system dimension {dim} exceeds cap {MAX_SILENT_DIM}")
+    states = np.arange(dim)
+    land = np.abs(spec.a * states[:, None] + spec.pmf.offsets)
+    mass = np.broadcast_to(spec.pmf.values, land.shape)
+    return np.repeat(states, land.shape[1]), land.ravel(), mass.ravel()
+
+
+def folded_transition(spec: ModelSpecA, dim: int) -> np.ndarray:
+    """Folded silent-set transition ``T[i, j] = p(j - a i) + [j > 0] p(-j - a i)``
+    over the states 0..dim-1; row i is missing the mass that escapes."""
+    rows, land, mass = _landings(spec, dim)
+    inside = land < dim
+    T = np.zeros((dim, dim))
+    np.add.at(T, (rows[inside], land[inside]), mass[inside])
+    return T
+
+
+def threshold_table(spec: ModelSpecA, K: int, stats: SolveStats | None = None) -> ThresholdTable:
+    """(L, M, D, N, dD) of every threshold k <= K from one factorization.
+
+    (A W)^T, with W a tie-breaking column scaling, is factored once by LAPACK
+    with partial pivoting.  A row swap raises ``NumericsError``; a
+    non-positive pivot or rcond below the floor ``SingularSystemError``; a
+    refined residual of the K system above 1e-10 (1 + ||x||)
+    ``NumericsError``.  Past ``MAX_SILENT_DIM`` it raises ``CapacityError``
+    before allocating anything.
+    """
+    beta = spec.beta
+    rows, land, mass = _landings(spec, K)
+    # right-hand sides [d, 1, R]: column 2 + c holds the mass that lands
+    # beyond c, summed from the tail (rows below c are never read)
+    B = np.zeros((K, K + 2), order="F")
+    B[:, 0] = spec.distortion(np.arange(K))
+    B[:, 1] = 1.0
+    out = land >= 1
+    np.add.at(B, (rows[out], 1 + np.minimum(land[out], K)), mass[out])
+    R = B[:, :1:-1]
+    np.add.accumulate(R, axis=1, out=R)
+    b = B[:, [0, 1, K + 1]] * [1.0, 1.0, beta]
+
+    inside = land < K
+    rows, land, mass = rows[inside], land[inside], mass[inside]
+    # A W with W = diag(w): at beta = 1 the dominance is tight, and a rounding
+    # tie would let partial pivoting swap rows; w decreasing breaks every tie
+    # towards the diagonal, and w_0 = 1 leaves z unchanged
+    w = _TIE_BREAK ** np.arange(K)
+    A = np.zeros((K, K))
+    np.add.at(A, (rows, land), -beta * mass * w[land])
+    A.flat[:: K + 1] += w
+    # ||(A W)^T||_1: the off-diagonal entries of A W are <= 0
+    anorm = float(np.max(2.0 * A.diagonal() - A.sum(axis=1)))
     with warnings.catch_warnings():
         # the rcond guard below turns exact singularity into a typed error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
-    anorm = np.linalg.norm(A, 1)
-    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+        lu, piv = scipy.linalg.lu_factor(A.T, overwrite_a=True)
+    del A
+    rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or rcond < _RCOND_FLOOR:
         raise SingularSystemError(
             f"silent system singular at beta={float(beta)} (rcond={rcond:.2e}); "
             "the chain cannot escape the silent set"
         )
-    b = np.column_stack([system.distortion_vec, np.ones(dim), beta * system.escape_vec])
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    x += scipy.linalg.lu_solve((lu, piv), b - A @ x)
-    resid = np.linalg.norm(b - A @ x, axis=0)
+    if np.any(piv != np.arange(K)):
+        raise NumericsError(f"elimination on the silent system swapped rows (K={K})")
+    pivots = lu.diagonal()
+    if not np.all(np.isfinite(pivots) & (pivots > 0.0)):
+        raise SingularSystemError(f"silent system has a non-positive pivot (K={K})")
+
+    cells = (3 * rows[:, None] + np.arange(3)).ravel()
+
+    def residual(x):
+        # b - A x, with A x = x - beta T x and T applied through the landings
+        Tx = np.bincount(cells, (mass[:, None] * x[land]).ravel(), minlength=3 * K)
+        return b - x + beta * Tx.reshape(K, 3)
+
+    def solve(rhs):
+        return w[:, None] * lapack.dgetrs(lu, piv, rhs, trans=1)[0]
+
+    x = solve(b)
+    x += solve(residual(x))
+    resid = np.linalg.norm(residual(x), axis=0)
     if np.any(resid > 1e-10 * (1.0 + np.linalg.norm(x, axis=0))):
         raise NumericsError(f"linear solve residual {resid.max():.2e} too large")
-    return x[:, 0], x[:, 1], x[:, 2]
 
-
-@lru_cache(maxsize=2**14)
-def _dn_at(spec: ModelSpecA, k: int) -> tuple[float, float]:
-    """(D, N) for threshold k >= 1; cached per instance."""
-    L, M, U = solve_lm(build_silent_system(spec, k), spec.beta)
-    L0, M0 = float(L[0]), float(M[0])
-    return L0 / M0, float(U[0]) / M0
+    # A = Up^T Lo^T W^-1 for W A^T = Lo Up: z = Lo^-1 W e_0 = Lo^-1 e_0, and
+    # B becomes Up^-T B
+    e0 = np.zeros(K)
+    e0[0] = 1.0
+    z = lapack.dtrtrs(lu, e0, lower=1, unitdiag=1)[0]
+    B = lapack.dtrtrs(lu, B, trans=1, overwrite_b=1)[0]
+    del lu
+    zg, zh = z * B[:, 0], z * B[:, 1]
+    L = np.concatenate(([0.0], np.cumsum(zg)))
+    M = np.concatenate(([0.0], np.cumsum(zh)))
+    Y = B[:, 2:]
+    Y *= z[:, None]
+    np.add.accumulate(Y, axis=0, out=Y)
+    D = np.concatenate(([0.0], L[1:] / M[1:]))
+    N = np.concatenate(([1.0], beta * Y.diagonal() / M[1:]))
+    dD = np.concatenate((D[1:2], (zg[1:] * M[1:K] - zh[1:] * L[1:K]) / (M[1:K] * M[2:])))
+    if stats is not None:
+        stats.factorizations += 1
+        stats.table_dim = max(stats.table_dim, K)
+    return ThresholdTable(L=L, M=M, D=D, N=N, dD=dD)
 
 
 def _never_transmit_distortion(spec: ModelSpecA) -> float:
@@ -187,35 +272,26 @@ def performance(spec: ModelSpecA, k: float, lam: float | None = None) -> PerfPoi
     else:
         if k != int(k) or k < 0:
             raise UsageError(f"integer-state thresholds must be integers, got {k}")
-        D, N = _dn_at(spec, int(k))
+        table = threshold_table(spec, int(k))
+        D, N = float(table.D[-1]), float(table.N[-1])
     cost = None if lam is None else D + lam * N
     return PerfPoint(distortion=D, transmission_rate=N, cost=cost, lam=lam)
 
 
-def _dn_table(spec: ModelSpecA, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of D and N for k = 0 .. k_max."""
-    D = np.zeros(k_max + 1)
-    N = np.zeros(k_max + 1)
-    N[0] = 1.0
-    for k in range(1, k_max + 1):
-        D[k], N[k] = _dn_at(spec, k)
-    return D, N
+def table_corners(table: ThresholdTable) -> list[tuple[int, float]]:
+    """Corner prices of a table of K thresholds: for each usable threshold
+    k_n < K, the price at which optimality passes from k_n to the next usable
+    threshold (k_n + 1 for the last one).
 
-
-def corner_lambdas(spec: ModelSpecA, k_max: int) -> list[tuple[int, float]]:
-    """Enumerate the corner prices: for each usable threshold k_n, the price
-    at which optimality passes from k_n to the next usable threshold.
-
-    Thresholds whose distortion does not strictly increase are skipped.
+    Thresholds whose distortion increment does not exceed ``_FLAT_D_TOL`` are
+    skipped.
     """
-    if k_max < 1:
-        raise UsageError(f"k_max must be >= 1, got {k_max}")
-    D, N = _dn_table(spec, k_max + 1)
-    usable = [k for k in range(k_max + 1) if D[k + 1] > D[k] + _FLAT_D_TOL]
+    D, N, dD = table.D, table.N, table.dD
+    usable = [int(k) for k in np.flatnonzero(dD > _FLAT_D_TOL)]
     out: list[tuple[int, float]] = []
     for kn, kn_next in zip(usable, usable[1:] + [None]):
         nxt = kn_next if kn_next is not None else kn + 1
-        dn, dd = N[kn] - N[nxt], D[nxt] - D[kn]
+        dn, dd = N[kn] - N[nxt], math.fsum(dD[kn:nxt])
         if dn <= 0.0:
             raise NumericsError(
                 f"transmission rate failed to decrease between k={kn} and k={nxt}"
@@ -227,22 +303,35 @@ def corner_lambdas(spec: ModelSpecA, k_max: int) -> list[tuple[int, float]]:
     return out
 
 
-def optimal_costly(spec: ModelSpecA, lam: float) -> tuple[int, float]:
+def corner_lambdas(spec: ModelSpecA, k_max: int) -> list[tuple[int, float]]:
+    """Enumerate the corner prices of the thresholds 0..k_max (see
+    :func:`table_corners`), from one table of k_max + 1 thresholds."""
+    if k_max < 1:
+        raise UsageError(f"k_max must be >= 1, got {k_max}")
+    return table_corners(threshold_table(spec, k_max + 1))
+
+
+def optimal_costly(spec: ModelSpecA, lam: float,
+                   stats: SolveStats | None = None) -> CostlyResult:
     """Optimal threshold and cost when each transmission costs ``lam``.
 
-    The corner list is extended by doubling until it covers ``lam``.  A
-    doubling that adds no corner means the distortion has stopped increasing
-    (beta < 1), so no larger price can be resolved.
+    The table doubles, one factorization each, until its corners cover
+    ``lam``.  A doubling that adds no corner means the distortion has
+    stopped increasing (beta < 1), so no larger price can be resolved.
     """
     if lam < 0.0:
         raise UsageError(f"transmission price must be nonnegative, got {lam}")
     k_max = 8
-    corners = corner_lambdas(spec, k_max)
+    table = threshold_table(spec, k_max + 1, stats)
+    corners = table_corners(table)
     while lam > corners[-1][1]:
-        if 2 * k_max > MAX_SILENT_DIM:
+        if k_max + 1 >= MAX_SILENT_DIM:
             raise CapacityError(f"price {lam} needs thresholds beyond the dimension cap")
-        k_max *= 2
-        wider = corner_lambdas(spec, k_max)
+        k_max = min(2 * k_max, MAX_SILENT_DIM - 1)
+        if stats is not None:
+            stats.doublings += 1
+        table = threshold_table(spec, k_max + 1, stats)
+        wider = table_corners(table)
         if len(wider) == len(corners):
             kn, lam_last = corners[-1]
             raise CapacityError(
@@ -253,61 +342,65 @@ def optimal_costly(spec: ModelSpecA, lam: float) -> tuple[int, float]:
         corners = wider
     # corner prices increase, so the first corner covering lam owns its interval
     k_star = next(kn for kn, lam_k in corners if lam <= lam_k)
-    p = performance(spec, k_star, lam)
-    return k_star, p.cost
+    D, N = float(table.D[k_star]), float(table.N[k_star])
+    perf = PerfPoint(distortion=D, transmission_rate=N, cost=D + lam * N, lam=lam)
+    return CostlyResult(k_star, perf.cost, perf)
 
 
 def optimal_constrained(
-    spec: ModelSpecA, alpha: float
+    spec: ModelSpecA, alpha: float, stats: SolveStats | None = None
 ) -> tuple[RandomizedThresholdPolicy, float]:
     """Optimal mixture policy and distortion under rate budget ``alpha``.
 
-    Picks the largest threshold whose rate still meets the budget and mixes
-    it with the next one so the mixed rate equals ``alpha`` exactly.
+    The table doubles, one factorization each, until its last rate is below
+    the budget.  The largest threshold whose rate still meets the budget is
+    mixed with the next one so the mixed rate equals ``alpha`` exactly.
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"rate budget must lie in (0, 1), got {alpha}")
-    k = 0
-    N_prev = 1.0
-    while True:
-        k += 1
-        _, N_k = _dn_at(spec, k)
-        if N_k < alpha:
-            break
-        N_prev = N_k
-        if k + 1 > MAX_SILENT_DIM:
+    K = min(8, MAX_SILENT_DIM)
+    table = threshold_table(spec, K, stats)
+    while not table.N[K] < alpha:
+        if K >= MAX_SILENT_DIM:
             raise CapacityError("rate budget needs thresholds beyond the dimension cap")
+        K = min(2 * K, MAX_SILENT_DIM)
+        if stats is not None:
+            stats.doublings += 1
+        table = threshold_table(spec, K, stats)
+    D, N = table.D, table.N
+    if np.any(np.diff(N) > 0.0):
+        raise NumericsError(f"transmission rate is not monotone in the threshold (K={K})")
+    k = int(np.searchsorted(-N, -alpha, side="right"))  # first k with N[k] < alpha
     k_star = k - 1
-    D_lo = 0.0 if k_star == 0 else _dn_at(spec, k_star)[0]
-    D_hi, N_hi = _dn_at(spec, k)
-    theta = (alpha - N_hi) / (N_prev - N_hi)
-    mixed_rate = theta * N_prev + (1.0 - theta) * N_hi
+    theta = (alpha - N[k]) / (N[k_star] - N[k])
+    mixed_rate = theta * N[k_star] + (1.0 - theta) * N[k]
     if abs(mixed_rate - alpha) > 1e-10:
         raise NumericsError(f"mixed rate {mixed_rate} missed budget {alpha}")
-    d_star = theta * D_lo + (1.0 - theta) * D_hi
-    return RandomizedThresholdPolicy(k_star=k_star, theta_star=theta), d_star
+    d_star = float(theta * D[k_star] + (1.0 - theta) * D[k])
+    return RandomizedThresholdPolicy(k_star=k_star, theta_star=float(theta)), d_star
 
 
-def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int) -> TradeoffCurve:
-    """Corner points of the optimal trade-off curve up to threshold k_max."""
+def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int,
+                   stats: SolveStats | None = None) -> TradeoffCurve:
+    """Corner points of the optimal trade-off curve up to threshold k_max,
+    from one table of k_max + 1 thresholds."""
     if kind not in ("costly", "constrained"):
         raise UsageError(f"unknown curve kind {kind!r}")
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1, got {k_max}")
+    table = threshold_table(spec, k_max + 1, stats)
+    D, N = table.D, table.N
     if kind == "costly":
-        D, N = _dn_table(spec, k_max + 1)
         points = tuple(
-            CurvePoint(abscissa=lam, ordinate=D[kn] + lam * N[kn], threshold=kn)
-            for kn, lam in corner_lambdas(spec, k_max)
+            CurvePoint(abscissa=lam, ordinate=float(D[kn] + lam * N[kn]), threshold=kn)
+            for kn, lam in table_corners(table)
         )
-        curve = TradeoffCurve(kind="costly", points=points, shape="piecewise_linear")
     else:
-        D, N = _dn_table(spec, k_max)
         points = tuple(
-            CurvePoint(abscissa=N[k], ordinate=D[k], threshold=k)
+            CurvePoint(abscissa=float(N[k]), ordinate=float(D[k]), threshold=k)
             for k in range(k_max, 0, -1)
         )
-        curve = TradeoffCurve(kind="constrained", points=points, shape="piecewise_linear")
+    curve = TradeoffCurve(kind=kind, points=points, shape="piecewise_linear")
     bad = curve.check()
     if bad:
         raise NumericsError("; ".join(bad))
@@ -341,12 +434,17 @@ def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
         D = (k * k - 1.0) / (3.0 * k)
         N = 2.0 * p / (k * k)
     else:
+        # with q = exp(-k m):  N = (1 - beta) / (cosh km - 1) = 2 (1 - beta) q / (1 - q)^2,
+        # D = (sinh km - k sinh m) / ((cosh km - 1) sinh m)
+        #   = (1 - q^2 - k (q e^m - q e^-m)) / ((1 - q)^2 sinh m),
+        # each 1 - e^-x taken as -expm1(-x): nothing overflows, N has no
+        # cancelling difference, and D(1) = 0 exactly
         m = _m_param(p, beta)
-        skm2 = math.sinh(k * m / 2.0) ** 2
-        D = (math.sinh(k * m) - k * math.sinh(m)) / (2.0 * skm2 * math.sinh(m))
-        N = 2.0 * beta * p * math.sinh(m / 2.0) ** 2 * math.cosh(k * m) / skm2 - (
-            1.0 - beta
-        )
+        one_q = -math.expm1(-k * m)
+        num = -math.expm1(-2.0 * k * m) + k * (
+            math.expm1(-(k + 1) * m) - math.expm1(-(k - 1) * m))
+        D = num / (one_q * one_q * math.sinh(m))
+        N = 2.0 * (1.0 - beta) * math.exp(-k * m) / (one_q * one_q)
     return PerfPoint(distortion=D, transmission_rate=N, provenance="closed_form")
 
 

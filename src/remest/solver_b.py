@@ -41,6 +41,7 @@ from .errors import (
     UsageError,
 )
 from .model import (
+    CostlyResult,
     CurvePoint,
     DiscountFactor,
     DistortionFn,
@@ -305,18 +306,6 @@ def _price_point(spec: ModelSpecB, k: float, tolerance: float) -> tuple[float, f
             f"M(0)={M0!r}, M(k)={Mk!r}); the discretized system is inaccurate"
         )
     return lam, L0, M0
-
-
-class CostlyResult(tuple):
-    """``(k, cost)`` from Algorithm 1; ``perf`` is (D, N, C) at k, read off
-    the search's last solve."""
-
-    perf: PerfPoint
-
-    def __new__(cls, k: float, cost: float, perf: PerfPoint) -> "CostlyResult":
-        self = super().__new__(cls, (k, cost))
-        self.perf = perf
-        return self
 
 
 def _bracket_and_search(

@@ -112,20 +112,19 @@ def suite_closed_forms() -> list[CheckResult]:
     for p in (0.1, 0.2, 0.3):
         for beta in (0.9, 0.95, 1.0):
             spec = solver_a.bd_spec(p, beta)
+            table = solver_a.threshold_table(spec, 10)
             worst = 0.0
             for k in range(1, 11):
-                a = solver_a.performance(spec, k)
                 c = solver_a.bd_closed_form(p, beta, k)
-                worst = max(worst, abs(a.distortion - c.distortion),
-                            abs(a.transmission_rate - c.transmission_rate))
+                worst = max(worst, abs(table.D[k] - c.distortion),
+                            abs(table.N[k] - c.transmission_rate))
             out.append(_check(
                 "closed_forms", f"p={p} beta={beta} D,N",
                 worst <= CLOSED_FORM_TOL, f"worst |err| = {worst:.2e}",
             ))
             k = 5
-            system = solver_a.build_silent_system(spec, k)
             # the folded state j collects the visits to j and to -j
-            Q = np.linalg.inv(np.eye(k) - beta * system.transition)
+            Q = np.linalg.inv(np.eye(k) - beta * solver_a.folded_transition(spec, k))
             worst_q = max(
                 abs(Q[i, j] - solver_a.bd_q_entry(p, beta, k, i, j)
                     - (j > 0) * solver_a.bd_q_entry(p, beta, k, i, -j))
@@ -253,12 +252,11 @@ def suite_dp() -> list[CheckResult]:
     for beta in (0.9, 0.95):
         spec = solver_a.bd_spec(BD_REFERENCE_P, beta)
         rows = {k: (d, n) for k, d, n, _ in BD_REFERENCE[beta]}
+        table = solver_a.threshold_table(spec, 6)
         worst = worst_table = 0.0
         for k in range(1, 7):
             d_fp, n_fp = dp.policy_evaluate_fixed_point(spec, k, tol=1e-10)
-            ana = solver_a.performance(spec, k)
-            worst = max(worst, abs(d_fp - ana.distortion),
-                        abs(n_fp - ana.transmission_rate))
+            worst = max(worst, abs(d_fp - table.D[k]), abs(n_fp - table.N[k]))
             d_ref, n_ref = rows[k]
             worst_table = max(worst_table, abs(d_fp - d_ref), abs(n_fp - n_ref))
         out.append(_check(

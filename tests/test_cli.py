@@ -90,6 +90,38 @@ class TestCurve:
         assert len(solve_log) <= 16
 
 
+class TestModelADiagnostics:
+    """Deterministic work counters in JSON ``metadata.diagnostics``."""
+
+    def _diagnostics(self, args, capsys):
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert code == 0
+        again = run_cli(args + ["--format", "json"], capsys)[1]
+        assert again == out  # reruns are byte-identical
+        return json.loads(out)["metadata"]["diagnostics"]
+
+    def test_table_one_factorization_per_beta(self, capsys):
+        diag = self._diagnostics(["table", "--p", "0.3", "--k-max", "10"], capsys)
+        assert diag == {"factorizations": 3, "table_dim": 11}
+
+    def test_curve_one_factorization(self, capsys):
+        diag = self._diagnostics(["curve", "--model", "A", "--kind", "costly", "--p", "0.3",
+                                  "--beta", "1.0", "--k-max", "120"], capsys)
+        assert diag == {"factorizations": 1, "table_dim": 121}
+
+    def test_costly_search_doublings(self, capsys):
+        # the price 2000 falls to threshold 19: tables of 9, 17 and 33 thresholds
+        diag = self._diagnostics(["solve", "--model", "A", "--problem", "costly", "--p", "0.3",
+                                  "--beta", "1.0", "--lambda", "2000"], capsys)
+        assert diag == {"factorizations": 3, "table_dim": 33, "doublings": 2}
+
+    def test_constrained_search_doublings(self, capsys):
+        # N(16) = 2.3e-3 still meets the budget 1e-3, N(32) does not
+        diag = self._diagnostics(["solve", "--model", "A", "--problem", "constrained",
+                                  "--p", "0.3", "--beta", "1.0", "--alpha", "1e-3"], capsys)
+        assert diag == {"factorizations": 3, "table_dim": 32, "doublings": 2}
+
+
 class TestSolve:
     def test_costly_worked_example(self, capsys):
         code, out, _ = run_cli(["solve", "--model", "A", "--problem", "costly",

@@ -1,9 +1,12 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from remest import (
     DivergenceError,
     IntegerPmf,
     ModelSpecA,
+    NumericsError,
     SingularSystemError,
     UsageError,
 )
@@ -21,28 +25,42 @@ from remest.validation import DP_TOL
 from conftest import random_valid_pmf
 
 
+def _per_k_reference(spec: ModelSpecA, k: int) -> tuple[float, float]:
+    """(D, N) of threshold k from its own dense k x k build and solve: the
+    per-threshold route that one table factorization replaces."""
+    half = spec.pmf.radius + (abs(spec.a) + 1) * (k - 1)
+    pmf = np.zeros(2 * half + 1)
+    pmf[spec.pmf.offsets + half] = spec.pmf.values
+    states = np.arange(k)
+    origin = half - spec.a * states[:, None]
+    T = pmf[origin + states]
+    T[:, 1:] += pmf[origin - states[1:]]
+    nxt = spec.a * states[:, None] + spec.pmf.offsets
+    escape = np.where(np.abs(nxt) >= k, spec.pmf.values, 0.0).sum(axis=1)
+    rhs = np.column_stack([spec.distortion(states), np.ones(k), spec.beta * escape])
+    L, M, U = np.linalg.solve(np.eye(k) - spec.beta * T, rhs)[0]
+    return L / M, U / M
+
+
 class TestBuildSilentSystem:
+    """The folded assembly ``folded_transition`` and the table's dimension cap."""
+
     def test_birth_death_k2(self, bd_avg):
         # folded transition over states (0, 1): p_{n - e} + p_{-n - e} for n > 0,
         # enumerated by hand
-        sys2 = solver_a.build_silent_system(bd_avg, 2)
         expected = np.array([[0.4, 0.6],
                              [0.3, 0.4]])
-        assert np.allclose(sys2.transition, expected, atol=1e-15)
-        assert np.array_equal(sys2.states, [0, 1])
-        assert np.allclose(sys2.distortion_vec, [0.0, 1.0])
+        assert np.allclose(solver_a.folded_transition(bd_avg, 2), expected, atol=1e-15)
 
     def test_k1_single_state(self, bd_avg):
-        sys1 = solver_a.build_silent_system(bd_avg, 1)
-        assert sys1.transition.shape == (1, 1)
-        assert sys1.transition[0, 0] == pytest.approx(0.4)
-        assert sys1.distortion_vec[0] == 0.0
+        T = solver_a.folded_transition(bd_avg, 1)
+        assert T.shape == (1, 1)
+        assert T[0, 0] == pytest.approx(0.4)
 
     def test_a2_row_shifts(self):
         # row for e=1 reads p_{n-2} + p_{-n-2} over n in (0, 1): (p_-2, p_-1 + p_-3)
         spec = solver_a.bd_spec(0.3, 1.0, a=2)
-        sys2 = solver_a.build_silent_system(spec, 2)
-        assert np.allclose(sys2.transition[1], [0.0, 0.3])
+        assert np.allclose(solver_a.folded_transition(spec, 2)[1], [0.0, 0.3])
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-2, -1, 0, 1, 2, 3]),
            st.integers(1, 9))
@@ -56,66 +74,125 @@ class TestBuildSilentSystem:
                          for e in range(k)])
         folded = full[:, k - 1:].copy()
         folded[:, 1:] += full[:, :k - 1][:, ::-1]
-        assert np.allclose(solver_a.build_silent_system(spec, k).transition, folded,
+        assert np.allclose(solver_a.folded_transition(spec, k), folded,
                            rtol=0.0, atol=1e-15)
 
     def test_substochastic_rows(self, bd_avg):
-        sys5 = solver_a.build_silent_system(bd_avg, 5)
-        sums = sys5.transition.sum(axis=1)
-        assert np.all(sums <= 1.0 + 1e-15)
-        assert np.all(sys5.transition >= 0.0)
+        T = solver_a.folded_transition(bd_avg, 5)
+        assert np.all(T.sum(axis=1) <= 1.0 + 1e-15)
+        assert np.all(T >= 0.0)
 
     def test_capacity_cap(self, bd_avg):
         with pytest.raises(CapacityError):
-            solver_a.build_silent_system(bd_avg, 20_000)
+            solver_a.threshold_table(bd_avg, 20_000)
+        with pytest.raises(CapacityError):
+            solver_a.folded_transition(bd_avg, 20_000)
 
     def test_search_caps_count_folded_states(self, bd_avg, monkeypatch):
-        # the cap bounds the threshold itself: k = cap is the largest one solved
+        # the cap bounds the table itself: K = cap is the largest one built
         monkeypatch.setattr(solver_a, "MAX_SILENT_DIM", 12)
-        assert solver_a.build_silent_system(bd_avg, 12).transition.shape == (12, 12)
+        assert len(solver_a.threshold_table(bd_avg, 12).D) == 13
         with pytest.raises(CapacityError):
-            solver_a.build_silent_system(bd_avg, 13)
+            solver_a.threshold_table(bd_avg, 13)
         with pytest.raises(CapacityError):
             solver_a.optimal_constrained(bd_avg, 1e-4)  # needs k near 77
         with pytest.raises(CapacityError):
             solver_a.optimal_costly(bd_avg, 1e4)  # needs k near 33
 
+    def test_cap_raises_before_allocating(self, bd_avg, monkeypatch):
+        # a 10^7 x 10^7 table would need 1.6 PB; the refusal allocates nothing
+        monkeypatch.setattr(solver_a, "MAX_SILENT_DIM", 12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                solver_a.threshold_table(bd_avg, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 class TestSolveLM:
+    """The renewal functionals L(0), M(0) of every threshold in one table."""
+
     def test_average_cost_closed_values(self, bd_avg):
         # M(0) = k^2/(2p), L(0) = k(k^2-1)/(6p) on the birth-death chain
+        table = solver_a.threshold_table(bd_avg, 3)
         for k, m0, l0 in [(2, 4 / 0.6, 2 * 3 / 1.8), (3, 9 / 0.6, 3 * 8 / 1.8)]:
-            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, k), 1.0)
-            assert L[0] == pytest.approx(l0, abs=1e-10)
-            assert M[0] == pytest.approx(m0, abs=1e-10)
+            assert table.L[k] == pytest.approx(l0, abs=1e-10)
+            assert table.M[k] == pytest.approx(m0, abs=1e-10)
 
-    def test_k1_geometric_escape(self, bd_avg):
+    def test_k1_geometric_escape(self):
         # the 1x1 system gives M(0) = 1/(1 - beta p_0) and L(0) = 0 exactly
         for beta in (0.5, 0.9, 1.0):
-            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_avg, 1), beta)
-            assert L[0] == 0.0
-            assert M[0] == pytest.approx(1.0 / (1.0 - beta * 0.4), abs=1e-14)
+            table = solver_a.threshold_table(solver_a.bd_spec(0.3, beta), 1)
+            assert table.L[1] == 0.0
+            assert table.M[1] == pytest.approx(1.0 / (1.0 - beta * 0.4), abs=1e-14)
 
     def test_absorbing_chain_raises(self):
         # a = 0 keeps the error inside the support, so k = 3 never escapes
         spec = solver_a.bd_spec(0.3, 1.0, a=0)
         with pytest.raises(SingularSystemError):
-            solver_a.solve_lm(solver_a.build_silent_system(spec, 3), 1.0)
+            solver_a.threshold_table(spec, 3)
 
     def test_monotone_in_k(self, bd_09):
-        prev_l, prev_m = -1.0, 0.0
-        for k in range(1, 9):
-            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
-            assert L[0] > prev_l or k == 1
-            assert M[0] > prev_m
-            prev_l, prev_m = L[0], M[0]
+        table = solver_a.threshold_table(bd_09, 8)
+        assert np.all(np.diff(table.L[1:]) > 0.0)
+        assert np.all(np.diff(table.M) > 0.0)
 
     def test_vector_invariants(self, bd_09):
-        for k in (2, 4, 6):
-            L, M, _ = solver_a.solve_lm(solver_a.build_silent_system(bd_09, k), 0.9)
-            assert L.shape == M.shape == (k,)
-            assert np.all(M >= 1.0 - 1e-12)
-            assert np.all(L >= 0.0)
+        for K in (2, 4, 6):
+            table = solver_a.threshold_table(bd_09, K)
+            assert table.L.shape == table.M.shape == table.D.shape == (K + 1,)
+            assert table.dD.shape == (K,)
+            assert np.all(table.M[1:] >= 1.0 - 1e-12)
+            assert np.all(table.L >= 0.0)
+
+    def test_row_swap_raises(self, bd_09, monkeypatch):
+        real = scipy.linalg.lu_factor
+
+        def swapped(a, **kwargs):
+            lu, piv = real(a, **kwargs)
+            piv[[0, 1]] = 1
+            return lu, piv
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", swapped)
+        with pytest.raises(NumericsError, match="swapped rows"):
+            solver_a.threshold_table(bd_09, 4)
+
+
+class TestTableMatchesPerThresholdSolves:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(-2, 2),
+           st.sampled_from([0.9, 0.95, 1.0]), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_reference(self, seed, radius, a, beta, quadratic):
+        rng = np.random.default_rng(seed)
+        raw = np.sort(rng.uniform(0.05, 1.0, size=radius + 1))[::-1]
+        raw /= raw[0] + 2.0 * raw[1:].sum()
+        pmf = IntegerPmf({n: raw[abs(n)] for n in range(-radius, radius + 1)})
+        d = DistortionFn.quadratic() if quadratic else DistortionFn.absolute()
+        spec = ModelSpecA(a=a, pmf=pmf, distortion=d, beta=beta)
+        # at a = 0, beta = 1 only thresholds up to the radius can escape
+        K = radius if a == 0 and beta == 1.0 else 40
+        pivots = []
+        real = scipy.linalg.lu_factor
+
+        def recorded(a, **kwargs):
+            lu, piv = real(a, **kwargs)
+            pivots.append(piv.copy())
+            return lu, piv
+
+        with mock.patch.object(scipy.linalg, "lu_factor", recorded):
+            table = solver_a.threshold_table(spec, K)
+        assert len(pivots) == 1 and np.array_equal(pivots[0], np.arange(K))
+        for k in range(1, K + 1):
+            d_ref, n_ref = _per_k_reference(spec, k)
+            assert abs(table.D[k] - d_ref) <= 1e-12 * d_ref
+            assert abs(table.N[k] - n_ref) <= 1e-12 * n_ref
+
+    def test_increments_match_differences(self, bd_09):
+        table = solver_a.threshold_table(bd_09, 12)
+        assert np.allclose(table.dD, np.diff(table.D), rtol=1e-12, atol=1e-15)
 
 
 class TestPerformance:
@@ -160,21 +237,30 @@ class TestPerformance:
             solver_a.performance(bd_avg, 1.5)
 
 
-def _bd_rate_exact(p: Fraction, beta: Fraction, k: int) -> Fraction:
-    """N = 1/M(0) - (1 - beta) of the folded birth-death chain (a = +-1), in
-    exact arithmetic: Thomas elimination of the tridiagonal M = 1 + beta T M."""
+def _bd_lmu_exact(p: Fraction, beta: Fraction, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(L(0), M(0), U(0)) of the folded birth-death chain (a = +-1) with
+    d(e) = |e|, in exact arithmetic: Thomas elimination of the tridiagonal
+    system x = b + beta T x for b = d, 1 and the escape beta esc."""
     sub = [-beta * p] * k
     diag = [1 - beta * (1 - 2 * p)] * k
     sup = [-beta * (2 * p if i == 0 else p) for i in range(k)]  # 0 folds onto +-1
-    c, d = [Fraction(0)] * k, [Fraction(0)] * k
+    rhs = [(Fraction(i), Fraction(1), beta * p * (i == k - 1)) for i in range(k)]
+    c, d = [Fraction(0)] * k, [None] * k
     for i in range(k):
         den = diag[i] - (sub[i] * c[i - 1] if i else 0)
         c[i] = sup[i] / den
-        d[i] = (1 - (sub[i] * d[i - 1] if i else 0)) / den
-    m = d[k - 1]
+        d[i] = tuple((r - (sub[i] * d[i - 1][j] if i else 0)) / den
+                     for j, r in enumerate(rhs[i]))
+    x = d[k - 1]
     for i in reversed(range(k - 1)):
-        m = d[i] - c[i] * m
-    return 1 / m - (1 - beta)
+        x = tuple(d[i][j] - c[i] * x[j] for j in range(3))
+    return x
+
+
+def _bd_rate_exact(p: Fraction, beta: Fraction, k: int) -> Fraction:
+    """N = U(0)/M(0) of the folded birth-death chain, in exact arithmetic."""
+    _, m, u = _bd_lmu_exact(p, beta, k)
+    return u / m
 
 
 class TestRateWithoutCancellation:
@@ -187,9 +273,22 @@ class TestRateWithoutCancellation:
         assert abs(n - float(exact)) <= 1e-9 * float(exact)
 
     def test_escape_vector_summed_directly(self):
-        # the escape mass of the folded birth-death chain sits on the edge state
-        system = solver_a.build_silent_system(solver_a.bd_spec(0.2, 0.95, a=-1), 6)
-        assert np.array_equal(system.escape_vec, [0.0] * 5 + [0.2])
+        # the escape mass p of the folded birth-death chain sits on the edge
+        # state, so U(0) = beta p Q[0, k-1] with Q the inverse silent matrix
+        spec, k = solver_a.bd_spec(0.2, 0.95, a=-1), 6
+        Q = np.linalg.inv(np.eye(k) - 0.95 * solver_a.folded_transition(spec, k))
+        table = solver_a.threshold_table(spec, k)
+        assert table.N[k] * table.M[k] == pytest.approx(0.95 * 0.2 * Q[0, k - 1], rel=1e-12)
+
+    def test_corner_price_from_exact_increment(self):
+        # the k = 52 corner of bd_spec(0.3, 0.9) has a distortion increment just
+        # above _FLAT_D_TOL; differencing two D values leaves about three digits
+        p, beta = Fraction(3, 10), Fraction(9, 10)
+        (l52, m52, u52), (l53, m53, u53) = (_bd_lmu_exact(p, beta, k) for k in (52, 53))
+        exact = (l53 / m53 - l52 / m52) / (u52 / m52 - u53 / m53)
+        corners = dict(solver_a.corner_lambdas(solver_a.bd_spec(0.3, 0.9), 52))
+        assert corners[52] == pytest.approx(float(exact), rel=1e-9)
+        assert corners[52] == pytest.approx(492.104428199715, rel=1e-9)
 
 
 class TestCornerLambdas:
@@ -328,6 +427,29 @@ class TestBirthDeathClosedForms:
         with pytest.raises(UsageError):
             solver_a.bd_closed_form(0.4, 1.0, 2)
 
+    def test_scaled_form_deep_thresholds(self):
+        # the cosh/sinh form overflowed from k ~ 5000 and read N(1000) as
+        # 1.39e-17 rounding noise
+        assert solver_a.bd_closed_form(0.3, 0.9, 1000).transmission_rate == pytest.approx(
+            8.2308414035e-262, rel=1e-10)
+        deep = solver_a.bd_closed_form(0.3, 0.9, 10_000)
+        assert deep.distortion == pytest.approx(solver_a.bd_closed_form(0.3, 0.9, 1000).distortion,
+                                                rel=1e-15)
+
+    def test_rate_matches_exact(self):
+        # N(30) is 3.09e-9; the cancelling form kept only about 9 digits
+        exact = _bd_rate_exact(Fraction(3, 10), Fraction(9, 10), 30)
+        n = solver_a.bd_closed_form(0.3, 0.9, 30).transmission_rate
+        assert n == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.9, 0.95, 1.0])
+    def test_table_agrees_to_k1000(self, beta):
+        table = solver_a.threshold_table(solver_a.bd_spec(0.3, beta), 1000)
+        for k in range(1, 1001):
+            cf = solver_a.bd_closed_form(0.3, beta, k)
+            assert table.D[k] == pytest.approx(cf.distortion, rel=1e-12, abs=1e-300)
+            assert table.N[k] == pytest.approx(cf.transmission_rate, rel=1e-12, abs=1e-300)
+
 
 class TestBdQEntry:
     def test_average_row_form(self):
@@ -344,8 +466,7 @@ class TestBdQEntry:
         # the folded state j collects the visits to j and to -j
         for p, beta, k in [(0.3, 1.0, 2), (0.3, 0.9, 3), (0.2, 0.95, 4), (0.1, 0.5, 5)]:
             spec = solver_a.bd_spec(p, beta)
-            system = solver_a.build_silent_system(spec, k)
-            Q = np.linalg.inv(np.eye(k) - beta * system.transition)
+            Q = np.linalg.inv(np.eye(k) - beta * solver_a.folded_transition(spec, k))
             for i in range(k):
                 for j in range(k):
                     want = solver_a.bd_q_entry(p, beta, k, i, j)
