@@ -108,9 +108,7 @@ def _spec_a(p: float | None, beta: float, a: float = 1.0,
         raise UsageError("--p is required for model A")
     if not 0.0 < p < 1.0 / 3.0:
         raise UsageError(f"--p must lie in (0, 1/3), got {p}")
-    if a != int(a):
-        raise UsageError("--a must be an integer for model A")
-    spec = solver_a.bd_spec(p, beta, a=int(a))
+    spec = solver_a.bd_spec(p, beta, a=a)
     if distortion == "quad":
         spec = ModelSpecA(a=spec.a, pmf=spec.pmf,
                           distortion=DistortionFn.quadratic(), beta=beta)
@@ -241,7 +239,7 @@ def cmd_curve(args) -> OutputRecord:
             else:
                 k, c = solver_b.algorithm1_costly(spec, x, args.epsilon)
                 pts.append(CurvePoint(abscissa=x, ordinate=c, threshold=k))
-        curve = TradeoffCurve(kind=args.kind, points=tuple(pts), shape="sampled")
+        curve = TradeoffCurve(kind=args.kind, points=tuple(pts))
         meta["epsilon"] = args.epsilon
     abscissa = "lambda" if args.kind == "costly" else "alpha"
     ordinate = "C" if args.kind == "costly" else "D"

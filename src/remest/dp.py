@@ -29,6 +29,9 @@ import numpy as np
 from .errors import CapacityError, NumericsError, UsageError
 from .model import ModelSpecA
 
+_MAX_VALUE_ITERATIONS = 1_000_000
+_MAX_FIXED_POINT_ITERATIONS = 10_000_000
+
 
 @dataclass(frozen=True)
 class TruncatedDP:
@@ -81,7 +84,6 @@ def value_iterate(
     lam: float,
     tol: float = 1e-9,
     bound: int | None = None,
-    max_iterations: int = 1_000_000,
 ) -> TruncatedDP:
     """Solve the costly-communication dynamic program on a truncated state space.
 
@@ -112,7 +114,7 @@ def value_iterate(
         return X[-1], (1.0 - beta) * dvals + beta * (X[succ[:-1]] @ w)
 
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_VALUE_ITERATIONS + 1):
         v_tx, v_sil = sweep(X)
         V_new = np.minimum(v_tx, v_sil)
         delta = float(np.max(np.abs(V_new - X[:-1])))
@@ -120,7 +122,7 @@ def value_iterate(
         if delta <= stop:
             break
     else:
-        raise NumericsError(f"value iteration failed to converge in {max_iterations}")
+        raise NumericsError(f"value iteration failed to converge in {_MAX_VALUE_ITERATIONS}")
 
     V = X[:-1].copy()
     v_tx, v_sil = sweep(X)
@@ -160,7 +162,6 @@ def policy_evaluate_fixed_point(
     k: int,
     bound: int | None = None,
     tol: float = 1e-10,
-    max_iterations: int = 10_000_000,
 ) -> tuple[float, float]:
     """(D, N) of the threshold-k policy by iterating its fixed-point maps.
 
@@ -191,10 +192,11 @@ def policy_evaluate_fixed_point(
     X = np.zeros(2 * n)
     stop = tol * (1.0 - beta) / (2.0 * beta)
 
-    for _ in range(max_iterations):
+    for _ in range(_MAX_FIXED_POINT_ITERATIONS):
         X_new = c + beta * (X[stacked] @ w)
         delta = float(np.max(np.abs(X_new - X)))
         X = X_new
         if delta <= stop:
             return float(X[B]), float(X[n + B])
-    raise NumericsError(f"fixed-point evaluation failed to converge in {max_iterations}")
+    raise NumericsError(
+        f"fixed-point evaluation failed to converge in {_MAX_FIXED_POINT_ITERATIONS}")

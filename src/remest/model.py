@@ -30,6 +30,12 @@ MAX_SILENT_DIM = 5760
 #: Stored pmf mass below this deficit is renormalized away silently.
 PMF_MASS_DEFICIT = 1e-10
 
+#: A density whose trapezoid mass is off 1 by more than this is reported.
+PDF_MASS_TOL = 1e-6
+
+#: A distortion is checked for evenness and monotonicity on [-8, 8].
+DISTORTION_PROBE_HALFWIDTH = 8.0
+
 
 class DiscountFactor(float):
     """Discount factor in (0, 1]; the value 1 selects the average-cost regime."""
@@ -143,8 +149,8 @@ class SmoothPdf:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "SmoothPdf":
-        if sigma <= 0.0:
-            raise UsageError(f"sigma must be positive, got {sigma}")
+        if not 0.0 < sigma < math.inf:
+            raise UsageError(f"sigma must be positive and finite, got {sigma}")
         return cls(kind="gaussian", sigma=float(sigma))
 
     @classmethod
@@ -186,7 +192,7 @@ class SmoothPdf:
         cdf /= cdf[-1]
         return np.interp(rng.random(size), cdf, grid)
 
-    def violations(self, quad_tol: float = 1e-6) -> list[str]:
+    def violations(self) -> list[str]:
         out: list[str] = []
         half = 8.0 * self.sigma if self.kind == "gaussian" else self.support_halfwidth
         probes = np.linspace(0.0, half, 257)
@@ -200,7 +206,7 @@ class SmoothPdf:
             out.append("density must be nonnegative")
         total = float(np.trapezoid(self.density(np.linspace(-half, half, 8193)),
                                    np.linspace(-half, half, 8193)))
-        if abs(total - 1.0) > quad_tol:
+        if abs(total - 1.0) > PDF_MASS_TOL:
             out.append(f"density integrates to {total:.8f}, not 1")
         return out
 
@@ -232,9 +238,9 @@ class DistortionFn:
             return e * e
         return np.asarray(self.fn(e), dtype=float)
 
-    def violations(self, probe_halfwidth: float = 8.0) -> list[str]:
+    def violations(self) -> list[str]:
         out: list[str] = []
-        probes = np.linspace(0.0, probe_halfwidth, 129)
+        probes = np.linspace(0.0, DISTORTION_PROBE_HALFWIDTH, 129)
         vals = self(probes)
         if abs(float(self(0.0))) > 0.0:
             out.append("d(0) = 0 required")
@@ -257,7 +263,7 @@ class ModelSpecA:
     beta: DiscountFactor
 
     def __init__(self, a: int, pmf: IntegerPmf, distortion: DistortionFn, beta: float):
-        if a != int(a):
+        if not math.isfinite(a) or a != int(a):
             raise UsageError(f"dynamics coefficient must be an integer, got {a}")
         object.__setattr__(self, "a", int(a))
         object.__setattr__(self, "pmf", pmf)
@@ -284,6 +290,8 @@ class ModelSpecB:
     beta: DiscountFactor
 
     def __init__(self, a: float, pdf: SmoothPdf, distortion: DistortionFn, beta: float):
+        if not math.isfinite(a):
+            raise UsageError(f"dynamics coefficient must be finite, got {a}")
         object.__setattr__(self, "a", float(a))
         object.__setattr__(self, "pdf", pdf)
         object.__setattr__(self, "distortion", distortion)
@@ -360,9 +368,6 @@ class RandomizedThresholdPolicy:
             raise UsageError(f"k_star must be nonnegative, got {self.k_star}")
 
 
-Provenance = Literal["analytic", "closed_form", "simulated"]
-
-
 @dataclass(frozen=True)
 class PerfPoint:
     """Performance triple (D, N, C) of one policy on one instance."""
@@ -370,8 +375,6 @@ class PerfPoint:
     distortion: float
     transmission_rate: float
     cost: float | None = None
-    lam: float | None = None
-    provenance: Provenance = "analytic"
 
     def __post_init__(self):
         if self.distortion < 0.0 and not math.isinf(self.distortion):
@@ -409,8 +412,6 @@ class TradeoffCurve:
 
     kind: Literal["costly", "constrained"]
     points: tuple[CurvePoint, ...]
-    shape: Literal["piecewise_linear", "sampled"]
-    instance: Mapping[str, object] | None = None
 
     def check(self) -> list[str]:
         """Return violated curve invariants, judged on the stored points."""

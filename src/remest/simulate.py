@@ -40,6 +40,8 @@ MAX_SIM_STEPS = 10**7
 CHUNK_CELLS = 2**18
 # mixed into the seed; names the stream layout that ``stream_id`` reports
 _STREAM_LAYOUT = 2
+# a discounted run stops once the discount weight beta^t falls below this
+DISCOUNT_TRUNCATION_TOL = 1e-10
 
 PolicyKind = Literal[
     "threshold",
@@ -137,7 +139,7 @@ class SimConfig:
     """Replication count, seed and stopping rules.
 
     ``horizon`` and ``burn_in`` govern average-cost runs; discounted runs
-    stop once the discount weight falls below ``discount_truncation_tol``.
+    stop once the discount weight falls below ``DISCOUNT_TRUNCATION_TOL``.
     ``seed`` seeds one innovation stream and one policy stream for the whole
     run; each is drawn in time-major chunks of about ``CHUNK_CELLS`` draws,
     so the results do not depend on the chunk size.
@@ -147,15 +149,12 @@ class SimConfig:
     replications: int = 200
     seed: int = 0
     burn_in: int = 1000
-    discount_truncation_tol: float = 1e-10
 
     def __post_init__(self):
         if self.horizon < 1 or self.replications < 1:
             raise UsageError("horizon and replications must be >= 1")
         if self.burn_in < 0 or self.burn_in >= self.horizon:
             raise UsageError("burn-in must satisfy 0 <= burn_in < horizon")
-        if not 0.0 < self.discount_truncation_tol < 1.0:
-            raise UsageError("discount truncation tolerance must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
     if beta.is_average:
         T, burn = config.horizon, config.burn_in
     else:
-        T = max(1, math.ceil(math.log(config.discount_truncation_tol) / math.log(beta)))
+        T = max(1, math.ceil(math.log(DISCOUNT_TRUNCATION_TOL) / math.log(beta)))
         burn = 0
     if T > MAX_SIM_STEPS:
         raise UsageError(f"{T} steps are above the cap of {MAX_SIM_STEPS:.0e}; "

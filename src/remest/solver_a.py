@@ -275,7 +275,7 @@ def performance(spec: ModelSpecA, k: float, lam: float | None = None) -> PerfPoi
         table = threshold_table(spec, int(k))
         D, N = float(table.D[-1]), float(table.N[-1])
     cost = None if lam is None else D + lam * N
-    return PerfPoint(distortion=D, transmission_rate=N, cost=cost, lam=lam)
+    return PerfPoint(distortion=D, transmission_rate=N, cost=cost)
 
 
 def table_corners(table: ThresholdTable) -> list[tuple[int, float]]:
@@ -319,8 +319,8 @@ def optimal_costly(spec: ModelSpecA, lam: float,
     ``lam``.  A doubling that adds no corner means the distortion has
     stopped increasing (beta < 1), so no larger price can be resolved.
     """
-    if lam < 0.0:
-        raise UsageError(f"transmission price must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise UsageError(f"transmission price must be nonnegative and finite, got {lam}")
     k_max = 8
     table = threshold_table(spec, k_max + 1, stats)
     corners = table_corners(table)
@@ -343,7 +343,7 @@ def optimal_costly(spec: ModelSpecA, lam: float,
     # corner prices increase, so the first corner covering lam owns its interval
     k_star = next(kn for kn, lam_k in corners if lam <= lam_k)
     D, N = float(table.D[k_star]), float(table.N[k_star])
-    perf = PerfPoint(distortion=D, transmission_rate=N, cost=D + lam * N, lam=lam)
+    perf = PerfPoint(distortion=D, transmission_rate=N, cost=D + lam * N)
     return CostlyResult(k_star, perf.cost, perf)
 
 
@@ -400,7 +400,7 @@ def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int,
             CurvePoint(abscissa=float(N[k]), ordinate=float(D[k]), threshold=k)
             for k in range(k_max, 0, -1)
         )
-    curve = TradeoffCurve(kind=kind, points=points, shape="piecewise_linear")
+    curve = TradeoffCurve(kind=kind, points=points)
     bad = curve.check()
     if bad:
         raise NumericsError("; ".join(bad))
@@ -445,7 +445,7 @@ def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
             math.expm1(-(k + 1) * m) - math.expm1(-(k - 1) * m))
         D = num / (one_q * one_q * math.sinh(m))
         N = 2.0 * (1.0 - beta) * math.exp(-k * m) / (one_q * one_q)
-    return PerfPoint(distortion=D, transmission_rate=N, provenance="closed_form")
+    return PerfPoint(distortion=D, transmission_rate=N)
 
 
 def bd_corner_lambda_avg(p: float, k: int) -> float:

@@ -10,9 +10,11 @@ the node-order ladder assembles, factorizes and checks one matrix and
 back-solves both right-hand sides.  The order doubles until the value at
 the origin stabilizes; the folded kernel, and |e| on [0, k], are smooth, so
 convergence is spectral.  Unit nodes are computed once per order and
-shared.  Off-node values, anywhere in (-k, k), come from the same identity
-evaluated at the query point, which also yields an independent residual
-estimate against a finer quadrature.
+shared.  A solve returns one ``FredholmSolution`` whose columns are L and
+M.  Its ``evaluate`` gives both at any points of (-k, k) from the same
+identity that defines the Nystrom extension, and its ``residual`` checks
+that identity against a finer quadrature; the ladder's stopping tests use
+the same two methods.
 
 Optimal thresholds follow from the stationarity condition
 lambda = -dD/dk / dN/dk (costly) or from inverting the strictly decreasing
@@ -27,6 +29,7 @@ Each search keeps (D, N) from its last step, so no solve follows it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,13 +45,11 @@ from .errors import (
 )
 from .model import (
     CostlyResult,
-    CurvePoint,
     DiscountFactor,
     DistortionFn,
     ModelSpecB,
     PerfPoint,
     SmoothPdf,
-    TradeoffCurve,
 )
 
 _DEFAULT_TOL = 1e-10
@@ -108,60 +109,37 @@ Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Rhs = Callable[[np.ndarray], np.ndarray]
 
 
-def _extend(kernel: Kernel, grid: QuadratureGrid, values: np.ndarray,
-            rhs: Sequence[Rhs], beta: float, e: np.ndarray) -> np.ndarray:
-    """Nystrom extension rhs(e) + beta * sum_j w_j kernel(e, x_j) v(x_j),
-    one column per right-hand side (``values`` is nodes x columns)."""
-    quad = (kernel(e[:, None], grid.nodes[None, :]) * grid.weights[None, :]) @ values
-    return np.column_stack([f(e) for f in rhs]) + beta * quad
-
-
-def _defect(kernel: Kernel, grid: QuadratureGrid, values: np.ndarray,
-            rhs: Sequence[Rhs], beta: float, e: np.ndarray,
-            refinement: int = 2) -> np.ndarray:
-    """Defect of the integral equations at ``e`` per column, against a grid
-    with refinement * n + 1 nodes."""
-    fine = QuadratureGrid.gauss_legendre(grid.k, refinement * grid.order + 1)
-    v_fine = _extend(kernel, grid, values, rhs, beta, fine.nodes)
-    quad = (kernel(e[:, None], fine.nodes[None, :]) * fine.weights[None, :]) @ v_fine
-    return (_extend(kernel, grid, values, rhs, beta, e)
-            - np.column_stack([f(e) for f in rhs]) - beta * quad)
-
-
 @dataclass(frozen=True)
 class FredholmSolution:
-    """Discrete solution of v = rhs + beta * integral(kernel * v) on (0, k)."""
+    """Discrete solution of v = rhs + beta * integral(kernel * v) on (0, k)
+    for several right-hand sides on one grid: ``values`` is nodes x
+    right-hand sides."""
 
-    k: float
-    beta: float
     grid: QuadratureGrid
     values: np.ndarray
     kernel: Kernel
-    rhs: Rhs
+    rhs: Sequence[Rhs]
+    beta: float
 
     def evaluate(self, e) -> np.ndarray:
-        """Value at arbitrary points of [0, k], or of [-k, k] for the folded
-        spec kernel (whose solution is even), boundary points included."""
+        """Values at arbitrary points of [0, k], or of [-k, k] for the folded
+        spec kernel (whose solution is even), boundary points included: the
+        Nystrom extension rhs(e) + beta * sum_j w_j kernel(e, x_j) v(x_j),
+        one row per point and one column per right-hand side."""
         e = np.atleast_1d(np.asarray(e, dtype=float))
-        return _extend(self.kernel, self.grid, self.values[:, None], [self.rhs],
-                       self.beta, e)[:, 0]
+        grid = self.grid
+        quad = (self.kernel(e[:, None], grid.nodes[None, :]) * grid.weights[None, :]) @ self.values
+        return np.column_stack([f(e) for f in self.rhs]) + self.beta * quad
 
-    def at_zero(self) -> float:
-        return float(self.evaluate(0.0)[0])
-
-    def residual(self, e, refinement: int = 2) -> np.ndarray:
-        """Defect of the integral equation at ``e``, measured against a finer grid."""
+    def residual(self, e) -> np.ndarray:
+        """Defect of the integral equations at ``e``, one column per
+        right-hand side, measured against a grid with 2n + 1 nodes."""
         e = np.atleast_1d(np.asarray(e, dtype=float))
-        return _defect(self.kernel, self.grid, self.values[:, None], [self.rhs],
-                       self.beta, e, refinement)[:, 0]
-
-
-class FredholmSolutions(tuple):
-    """One ``FredholmSolution`` per right-hand side, all on one grid."""
-
-    @property
-    def grid(self) -> QuadratureGrid:
-        return self[0].grid
+        fine = QuadratureGrid.gauss_legendre(self.grid.k, 2 * self.grid.order + 1)
+        v_fine = self.evaluate(fine.nodes)
+        quad = (self.kernel(e[:, None], fine.nodes[None, :]) * fine.weights[None, :]) @ v_fine
+        return (self.evaluate(e) - np.column_stack([f(e) for f in self.rhs])
+                - self.beta * quad)
 
 
 def _as_rhs(rhs) -> Rhs:
@@ -177,12 +155,13 @@ def fredholm_solve(
     k: float,
     beta: float,
     tolerance: float = _DEFAULT_TOL,
-) -> FredholmSolutions:
+) -> FredholmSolution:
     """Solve v = rhs + beta * integral(kernel * v) on (0, k) for each entry of ``rhs``.
 
     Each entry is a callable or a constant.  All of them share one ladder:
     at each order the kernel matrix is assembled, factorized and checked
-    once, and one back-solve has one column per right-hand side.  The order
+    once, and one back-solve has one column per right-hand side; the
+    returned solution keeps them as the columns of ``values``.  The order
     doubles from 33 up to _MAX_ORDER until every column's value at 0 agrees
     with the previous order's to ``tolerance`` (relative above magnitude
     1); then every column's off-node residual at 64 probe points, against a
@@ -195,7 +174,6 @@ def fredholm_solve(
     beta = DiscountFactor(beta)
     rhs_fns = [_as_rhs(f) for f in rhs]
     probes = np.linspace(0.0, k, 66)[1:-1]
-    zero = np.zeros(1)
     order = _START_ORDER
     prev = None
     last_err = None
@@ -215,20 +193,17 @@ def fredholm_solve(
             )
         values = scipy.linalg.lu_solve((lu, piv),
                                        np.column_stack([f(grid.nodes) for f in rhs_fns]))
-        v0 = _extend(kernel, grid, values, rhs_fns, beta, zero)[0]
+        sol = FredholmSolution(grid=grid, values=values, kernel=kernel, rhs=rhs_fns,
+                               beta=float(beta))
+        v0 = sol.evaluate(0.0)[0]
         if prev is not None:
             change = np.abs(v0 - prev)
             last_err = float(change.max())
             scale = np.maximum(1.0, np.abs(v0))
             if np.all(change <= tolerance * scale):
-                resid = np.max(np.abs(_defect(kernel, grid, values, rhs_fns, beta, probes)),
-                               axis=0)
+                resid = np.max(np.abs(sol.residual(probes)), axis=0)
                 if np.all(resid <= 100.0 * tolerance * scale):
-                    return FredholmSolutions(
-                        FredholmSolution(k=float(k), beta=float(beta), grid=grid,
-                                         values=values[:, j], kernel=kernel, rhs=f)
-                        for j, f in enumerate(rhs_fns)
-                    )
+                    return sol
         prev = v0
         order = 2 * order - 1
     raise ConvergenceError(
@@ -268,18 +243,18 @@ def _perf_point(spec: ModelSpecB, k: float, L0: float, M0: float,
             "the discretized system is inaccurate"
         )
     cost = None if lam is None else D + lam * N
-    return PerfPoint(distortion=D, transmission_rate=N, cost=cost, lam=lam)
+    return PerfPoint(distortion=D, transmission_rate=N, cost=cost)
 
 
-def _lm_solutions(spec: ModelSpecB, k: float, tolerance: float) -> FredholmSolutions:
-    """The distortion and time functionals L and M on one grid."""
+def _lm_solution(spec: ModelSpecB, k: float, tolerance: float) -> FredholmSolution:
+    """The distortion and time functionals L and M, as two columns of one solve."""
     return fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta, tolerance)
 
 
 def lm_at_zero(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> tuple[float, float]:
     """Pre-transmission distortion and time at the origin."""
-    L, M = _lm_solutions(spec, k, tolerance)
-    return L.at_zero(), M.at_zero()
+    L0, M0 = _lm_solution(spec, k, tolerance).evaluate(0.0)[0].tolist()
+    return L0, M0
 
 
 def lambda_of_k(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> float:
@@ -296,9 +271,7 @@ def lambda_of_k(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> 
 
 def _price_point(spec: ModelSpecB, k: float, tolerance: float) -> tuple[float, float, float]:
     """lambda(k), L(0) and M(0) from one solve for L and M."""
-    L, M = _lm_solutions(spec, k, tolerance)
-    L0, Lk = map(float, L.evaluate([0.0, k]))
-    M0, Mk = map(float, M.evaluate([0.0, k]))
+    (L0, M0), (Lk, Mk) = _lm_solution(spec, k, tolerance).evaluate([0.0, k]).tolist()
     lam = M0 * Lk / Mk - L0
     if lam < 0.0:
         raise NumericsError(
@@ -367,8 +340,8 @@ def algorithm1_costly(
     tolerance: float = _DEFAULT_TOL,
 ) -> CostlyResult:
     """Search the price map until |lambda(k) - lam| <= epsilon; return (k, cost)."""
-    if lam <= 0.0:
-        raise UsageError(f"price must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise UsageError(f"price must be positive and finite, got {lam}")
     seen: dict[float, tuple[float, float, float]] = {}
 
     def price(kk: float) -> float:
@@ -408,33 +381,3 @@ def gauss_markov_spec(sigma: float, a: float = 1.0, beta: float = 1.0) -> ModelS
         distortion=DistortionFn.quadratic(),
         beta=beta,
     )
-
-
-def gauss_markov_instance_tag(sigma: float, a: float = 1.0, beta: float = 1.0) -> dict:
-    return {"family": "gauss_markov", "sigma": float(sigma), "a": float(a), "beta": float(beta)}
-
-
-def gauss_markov_rescale(base: TradeoffCurve, sigma: float, kind: str) -> TradeoffCurve:
-    """Map a unit-variance Gaussian trade-off curve to noise scale ``sigma``.
-
-    Costly points (lam, c) map to (sigma^2 lam, sigma^2 c) with thresholds
-    scaled by sigma; constrained points (alpha, d) map to (alpha, sigma^2 d)
-    with thresholds scaled by sigma.
-    """
-    if sigma <= 0.0:
-        raise UsageError(f"sigma must be positive, got {sigma}")
-    inst = base.instance or {}
-    if inst.get("family") != "gauss_markov" or inst.get("sigma") != 1.0:
-        raise UsageError("base curve must come from the unit-variance Gaussian instance")
-    if kind != base.kind:
-        raise UsageError(f"kind {kind!r} does not match the base curve {base.kind!r}")
-    s2 = sigma * sigma
-    x_scale = s2 if kind == "costly" else 1.0
-    points = tuple(
-        CurvePoint(abscissa=x_scale * p.abscissa, ordinate=s2 * p.ordinate,
-                   threshold=sigma * p.threshold)
-        for p in base.points
-    )
-    tag = dict(inst)
-    tag["sigma"] = float(sigma)
-    return TradeoffCurve(kind=base.kind, points=points, shape=base.shape, instance=tag)

@@ -195,14 +195,30 @@ class TestSolve:
         assert abs(row["C"] - (row["D"] + row["N"])) <= 1e-12
 
     def test_negative_price_exits_two(self, capsys, monkeypatch):
-        # L(0) = 2 above M(0) L(k) / M(k) = 1 makes the price -1
-        fixed = lambda v0, vk: types.SimpleNamespace(evaluate=lambda e: np.array([v0, vk]))
-        monkeypatch.setattr(solver_b, "_lm_solutions",
-                            lambda spec, k, tol: (fixed(2.0, 1.0), fixed(1.0, 1.0)))
+        # L(0) = 2 above M(0) L(k) / M(k) = 1 makes the price -1; rows are
+        # e = 0 and e = k, columns L and M
+        fixed = types.SimpleNamespace(evaluate=lambda e: np.array([[2.0, 1.0], [1.0, 1.0]]))
+        monkeypatch.setattr(solver_b, "_lm_solution", lambda spec, k, tol: fixed)
         code, _, err = run_cli(["solve", "--model", "B", "--problem", "costly",
                                 "--sigma", "1", "--lambda", "1"], capsys)
         assert code == 2
         assert "price" in err and "negative at k=" in err
+
+    @pytest.mark.parametrize("argv", [
+        "solve --model A --p 0.3 --beta 0.9 --problem costly --lambda nan",
+        "solve --model A --p 0.3 --problem costly --lambda 1 --a inf",
+        "solve --model A --p 0.3 --problem costly --lambda 1 --a nan",
+        "solve --model B --problem constrained --alpha 0.3 --sigma nan",
+        "solve --model B --problem constrained --alpha 0.3 --sigma inf",
+        "solve --model B --problem constrained --alpha 0.3 --a inf",
+        "solve --model B --problem costly --lambda nan",
+        "curve --model B --kind costly --lambdas nan",
+    ], ids=["A-lambda-nan", "A-a-inf", "A-a-nan", "B-sigma-nan", "B-sigma-inf",
+            "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan"])
+    def test_non_finite_input_exits_one(self, capsys, argv):
+        code, _, err = run_cli(argv.split(), capsys)
+        assert code == 1
+        assert err.startswith("usage error")
 
     def test_missing_value_is_usage_error(self, capsys):
         code, _, err = run_cli(["solve", "--model", "A", "--problem", "costly",

@@ -147,14 +147,12 @@ class TestTradeoffCurve:
             kind="costly",
             points=(CurvePoint(0.0, 0.0, 1), CurvePoint(1.0, 0.5, 2),
                     CurvePoint(2.0, 2.0, 3)),
-            shape="piecewise_linear",
         )
         assert any("concave" in v for v in increasing_convex.check())
         decreasing_convex = TradeoffCurve(
             kind="constrained",
             points=(CurvePoint(0.1, 1.0, 3), CurvePoint(0.2, 0.5, 2),
                     CurvePoint(0.5, 0.1, 1)),
-            shape="piecewise_linear",
         )
         assert decreasing_convex.check() == []
 
@@ -162,7 +160,6 @@ class TestTradeoffCurve:
         bad = TradeoffCurve(
             kind="costly",
             points=(CurvePoint(1.0, 1.0, 1), CurvePoint(0.5, 2.0, 2)),
-            shape="sampled",
         )
         assert any("increasing" in v for v in bad.check())
 

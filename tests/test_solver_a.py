@@ -345,6 +345,10 @@ class TestOptimalCostly:
             solver_a.optimal_costly(solver_a.bd_spec(0.3, 0.9), 500.0)
         assert time.perf_counter() - start < 5.0
 
+    def test_nan_price_rejected(self):
+        with pytest.raises(UsageError):
+            solver_a.optimal_costly(solver_a.bd_spec(0.3, 0.9), math.nan)
+
 
 class TestOptimalConstrained:
     def test_worked_example(self, bd_09):

@@ -6,7 +6,7 @@ import pytest
 
 from remest import BracketError, ConvergenceError, UsageError
 from remest import solver_b
-from remest.model import CurvePoint, DistortionFn, ModelSpecB, SmoothPdf, TradeoffCurve
+from remest.model import DistortionFn, ModelSpecB, SmoothPdf
 from remest.solver_b import QuadratureGrid
 from remest.validation import MC_SIGMAS, PRICE_FD_TOL, price_fd_error
 
@@ -41,22 +41,22 @@ class TestQuadratureGrid:
 
 class TestFredholmSolve:
     def test_zero_kernel_returns_rhs(self):
-        [sol] = solver_b.fredholm_solve(lambda e, n: np.zeros(np.broadcast(e, n).shape),
-                                        [lambda e: np.cos(e)], 1.0, 0.9)
+        sol = solver_b.fredholm_solve(lambda e, n: np.zeros(np.broadcast(e, n).shape),
+                                      [lambda e: np.cos(e)], 1.0, 0.9)
         probes = np.linspace(0.05, 0.95, 11)
-        assert np.allclose(sol.evaluate(probes), np.cos(probes), atol=1e-14)
+        assert np.allclose(sol.evaluate(probes)[:, 0], np.cos(probes), atol=1e-14)
 
     def test_tiny_beta_near_identity(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
-        [sol] = solver_b.fredholm_solve(kern, [lambda e: e * e], 1.0, 1e-12)
+        sol = solver_b.fredholm_solve(kern, [lambda e: e * e], 1.0, 1e-12)
         probes = np.linspace(0.05, 0.95, 11)
-        assert np.max(np.abs(sol.evaluate(probes) - probes ** 2)) <= 1e-10
+        assert np.max(np.abs(sol.evaluate(probes)[:, 0] - probes ** 2)) <= 1e-10
 
     def test_residual_small_off_nodes(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
-        [sol] = solver_b.fredholm_solve(kern, [1.0], 2.0, 1.0)
+        sol = solver_b.fredholm_solve(kern, [1.0], 2.0, 1.0)
         probes = np.linspace(0.01, 1.99, 64)
-        assert np.max(np.abs(sol.residual(probes))) <= 1e-8 * max(1.0, sol.at_zero())
+        assert np.max(np.abs(sol.residual(probes))) <= 1e-8 * max(1.0, sol.evaluate(0.0)[0, 0])
 
     def test_monte_carlo_oracle(self, gm_unit):
         # stopped random walk: accumulate e^2 and steps until |E| >= 1
@@ -86,24 +86,30 @@ class TestFredholmSolve:
         spec = ModelSpecB(a=0.8, pdf=SmoothPdf.gaussian(1.0), distortion=distortion,
                           beta=0.95)
         kern = solver_b._spec_kernel(spec)
-        L, M = solver_b.fredholm_solve(kern, [distortion, 1.0], 1.3, spec.beta)
-        [L1] = solver_b.fredholm_solve(kern, [distortion], 1.3, spec.beta)
-        [M1] = solver_b.fredholm_solve(kern, [1.0], 1.3, spec.beta)
+        k = 1.3
+        both = solver_b.fredholm_solve(kern, [distortion, 1.0], k, spec.beta)
+        L1 = solver_b.fredholm_solve(kern, [distortion], k, spec.beta)
+        M1 = solver_b.fredholm_solve(kern, [1.0], k, spec.beta)
         tol = solver_b._DEFAULT_TOL
-        assert L.grid is M.grid
-        assert abs(L.at_zero() - L1.at_zero()) <= tol * max(1.0, L1.at_zero())
-        assert abs(M.at_zero() - M1.at_zero()) <= tol * max(1.0, M1.at_zero())
+        assert both.values.shape == (both.grid.order, 2)
+        # the origin, then off-node points on both sides of it
+        e = np.concatenate([[0.0], np.linspace(-k, k, 27)[1:-1] + 0.013])
+        got = both.evaluate(e)
+        assert got.shape == (len(e), 2)
+        for col, single in enumerate((L1, M1)):
+            want = single.evaluate(e)[:, 0]
+            assert np.all(np.abs(got[:, col] - want) <= tol * np.maximum(1.0, np.abs(want)))
 
     def test_stopping_order_is_max_over_columns(self, gm_unit):
         # the oscillating right-hand side needs more nodes than the constant one
         kern = lambda e, n: gm_unit.pdf.density(n - e)
         wavy = lambda e: np.cos(40.0 * e)
-        [flat] = solver_b.fredholm_solve(kern, [1.0], 3.0, 1.0)
-        [osc] = solver_b.fredholm_solve(kern, [wavy], 3.0, 1.0)
+        flat = solver_b.fredholm_solve(kern, [1.0], 3.0, 1.0)
+        osc = solver_b.fredholm_solve(kern, [wavy], 3.0, 1.0)
         assert flat.grid.order < osc.grid.order
         both = solver_b.fredholm_solve(kern, [1.0, wavy], 3.0, 1.0)
         assert both.grid.order == osc.grid.order
-        assert both[1].at_zero() == pytest.approx(osc.at_zero(), abs=1e-10)
+        assert both.evaluate(0.0)[0, 1] == pytest.approx(osc.evaluate(0.0)[0, 0], abs=1e-10)
 
     def test_kernel_with_jump_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(solver_b, "_MAX_ORDER", 257)
@@ -114,7 +120,7 @@ class TestFredholmSolve:
     def test_contraction_on_grid(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
         for beta in (0.9, 1.0):
-            [sol] = solver_b.fredholm_solve(kern, [1.0], 1.5, beta)
+            sol = solver_b.fredholm_solve(kern, [1.0], 1.5, beta)
             K = kern(sol.grid.nodes[:, None], sol.grid.nodes[None, :])
             row_norm = float(np.max(np.sum(beta * K * sol.grid.weights[None, :], axis=1)))
             assert row_norm <= beta + 1e-9
@@ -353,37 +359,3 @@ class TestSearch:
     def test_unbracketable_target(self, gm_unit, target):
         with pytest.raises(BracketError):
             solver_b._bracket_and_search(math.tanh, target, 1e-6, gm_unit, "tanh")
-
-
-class TestGaussMarkovRescale:
-    def _base_curve(self, kind):
-        if kind == "constrained":
-            pts = (CurvePoint(0.3, 0.5466, 1.6), CurvePoint(0.5, 0.2239, 0.67))
-        else:
-            pts = (CurvePoint(1.0, 0.55, 0.93), CurvePoint(2.0, 0.8, 1.3))
-        return TradeoffCurve(kind=kind, points=pts, shape="sampled",
-                             instance=solver_b.gauss_markov_instance_tag(1.0))
-
-    def test_identity_at_sigma_one(self):
-        base = self._base_curve("constrained")
-        out = solver_b.gauss_markov_rescale(base, 1.0, "constrained")
-        assert out.points == base.points
-
-    def test_constrained_scaling(self):
-        base = self._base_curve("constrained")
-        out = solver_b.gauss_markov_rescale(base, 2.0, "constrained")
-        assert out.points[0].abscissa == pytest.approx(0.3)
-        assert out.points[0].ordinate == pytest.approx(4 * 0.5466)
-        assert out.points[0].threshold == pytest.approx(2 * 1.6)
-
-    def test_costly_scaling(self):
-        base = self._base_curve("costly")
-        out = solver_b.gauss_markov_rescale(base, 2.0, "costly")
-        assert out.points[0].abscissa == pytest.approx(4.0)
-        assert out.points[0].ordinate == pytest.approx(4 * 0.55)
-
-    def test_rejects_foreign_curve(self):
-        plain = TradeoffCurve(kind="costly", points=(CurvePoint(1.0, 1.0, 1.0),),
-                              shape="sampled")
-        with pytest.raises(UsageError):
-            solver_b.gauss_markov_rescale(plain, 2.0, "costly")
