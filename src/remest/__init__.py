@@ -27,7 +27,6 @@ from .model import (
     PerfPoint,
     RandomizedThresholdPolicy,
     SmoothPdf,
-    ThresholdPolicy,
     TradeoffCurve,
     estimator_step,
     validate_spec,
@@ -54,7 +53,6 @@ __all__ = [
     "SimResult",
     "SingularSystemError",
     "SmoothPdf",
-    "ThresholdPolicy",
     "TradeoffCurve",
     "UsageError",
     "estimator_step",

@@ -337,20 +337,6 @@ def estimator_step(prev_estimate: float, received: float | None, a: float) -> fl
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
-    """Transmit exactly when |error| >= k.
-
-    ``k = 0`` always transmits; ``k = math.inf`` never transmits.
-    """
-
-    k: float
-
-    def __post_init__(self):
-        if not (self.k >= 0.0):
-            raise UsageError(f"threshold must be nonnegative, got {self.k}")
-
-
-@dataclass(frozen=True)
 class RandomizedThresholdPolicy:
     """Mixture of the two thresholds k_star and k_star + 1.
 

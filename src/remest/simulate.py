@@ -16,6 +16,8 @@ are drawn time-major, a chunk of ``(rows, replications)`` at a time with
 order, so the values drawn do not depend on the chunk size and a fixed seed
 gives bit-identical results.  Resident memory is bounded by the chunk,
 ``MAX_SIM_CELLS`` bounds the draws of a run and ``MAX_SIM_STEPS`` its steps.
+``steering_visit_probability`` reads the steering rule's boundary masses
+off the folded silent chains of ``solver_a``, one solve per threshold.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .errors import DivergenceError, NumericsError, UsageError
+from . import solver_a
+from .errors import DivergenceError, NumericsError, SingularSystemError, UsageError
 from .model import ModelSpecA, ModelSpecB
 
 # cap on the per-step draws (innovations, iid coins) of one run: it bounds the
@@ -75,26 +79,33 @@ class PolicySpec:
     alpha: float | None = None
     schedule: tuple[tuple[int, int], ...] | None = None
 
+    def __post_init__(self):
+        if self.k is not None and not self.k >= 0.0:
+            raise UsageError(f"threshold must be nonnegative, got {self.k}")
+        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
+            raise UsageError(f"theta must lie in [0, 1], got {self.theta}")
+        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
+            raise UsageError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if self.pattern is not None and (not self.pattern
+                                         or any(u not in (0, 1) for u in self.pattern)):
+            raise UsageError("pattern must be a nonempty sequence of 0/1 flags")
+        if self.schedule is not None:
+            if not self.schedule:
+                raise UsageError("schedule must be nonempty")
+            if any(a < 0 or b < 0 or a + b < 1 for a, b in self.schedule):
+                raise UsageError("schedule entries must be nonnegative with a + b >= 1")
+
     @classmethod
     def threshold(cls, k: float) -> "PolicySpec":
-        if not (k >= 0.0):
-            raise UsageError(f"threshold must be nonnegative, got {k}")
         return cls(kind="threshold", k=float(k))
 
     @classmethod
     def randomized_threshold(cls, k: int, theta: float) -> "PolicySpec":
-        if k < 0:
-            raise UsageError(f"threshold must be nonnegative, got {k}")
-        if not 0.0 <= theta <= 1.0:
-            raise UsageError(f"theta must lie in [0, 1], got {theta}")
         return cls(kind="randomized_threshold", k=float(k), theta=float(theta))
 
     @classmethod
     def periodic(cls, pattern: Sequence[int]) -> "PolicySpec":
-        pattern = tuple(int(u) for u in pattern)
-        if not pattern or any(u not in (0, 1) for u in pattern):
-            raise UsageError("pattern must be a nonempty sequence of 0/1 flags")
-        return cls(kind="periodic", pattern=pattern)
+        return cls(kind="periodic", pattern=tuple(int(u) for u in pattern))
 
     @classmethod
     def periodic_one_in(cls, period: int) -> "PolicySpec":
@@ -112,26 +123,18 @@ class PolicySpec:
 
     @classmethod
     def iid_random(cls, alpha: float) -> "PolicySpec":
-        if not 0.0 < alpha <= 1.0:
-            raise UsageError(f"alpha must lie in (0, 1], got {alpha}")
         return cls(kind="iid_random", alpha=float(alpha))
 
     @classmethod
     def steering(cls, k: float, theta: float) -> "PolicySpec":
-        if not 0.0 <= theta <= 1.0:
-            raise UsageError(f"theta must lie in [0, 1], got {theta}")
         return cls(kind="steering", k=float(k), theta=float(theta))
 
     @classmethod
     def time_sharing(
         cls, k: float, schedule: Sequence[tuple[int, int]]
     ) -> "PolicySpec":
-        sched = tuple((int(a), int(b)) for a, b in schedule)
-        if not sched:
-            raise UsageError("schedule must be nonempty")
-        if any(a < 0 or b < 0 or a + b < 1 for a, b in sched):
-            raise UsageError("schedule entries must be nonnegative with a + b >= 1")
-        return cls(kind="time_sharing", k=float(k), schedule=sched)
+        return cls(kind="time_sharing", k=float(k),
+                   schedule=tuple((int(a), int(b)) for a, b in schedule))
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,8 @@ class SimConfig:
             raise UsageError("horizon and replications must be >= 1")
         if self.burn_in < 0 or self.burn_in >= self.horizon:
             raise UsageError("burn-in must satisfy 0 <= burn_in < horizon")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -462,36 +467,23 @@ def time_sharing_schedule(
     return [(a, b)]
 
 
-def stationary_threshold_distribution(
-    spec: ModelSpecA, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary law of the error process under the threshold-k policy
-    (average-cost regime).  Returns (states, probabilities)."""
-    if not spec.beta.is_average:
-        raise UsageError("stationary distributions require beta = 1")
-    if k < 0:
-        raise UsageError(f"threshold must be nonnegative, got {k}")
-    r = spec.pmf.radius
-    m = max(abs(spec.a) * max(k - 1, 0) + r, r)
-    states = np.arange(-m, m + 1)
-    dim = len(states)
-    probs = spec.pmf.probs
-    P = np.zeros((dim, dim))
-    for i, e in enumerate(states):
-        origin = spec.a * int(e) if abs(e) < k else 0
-        for w, pw in probs.items():
-            nxt = origin + w
-            if abs(nxt) > m:
-                raise NumericsError("stationary support bound violated")
-            P[i, nxt + m] += pw
-    A = np.vstack([P.T - np.eye(dim), np.ones(dim)])
-    b = np.zeros(dim + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if pi.min() < -1e-12:
-        raise NumericsError(f"stationary distribution has negative mass {pi.min():.3g}")
-    pi /= pi.sum()
-    return states, pi
+def _cycle_visits(T: np.ndarray) -> np.ndarray:
+    """Visits per transmission cycle to the folded silent states of ``T``:
+    x (I - T) = e_0, state 0 also standing for the transmission step."""
+    n = len(T)
+    A = -T.T
+    A[np.diag_indices_from(A)] += 1.0
+    anorm = np.linalg.norm(A, 1)
+    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
+    rcond = lapack.dgecon(lu, anorm, norm="1")[0]
+    if info != 0 or rcond < 1e-13:
+        raise SingularSystemError(
+            f"silent chain of {n} states is singular (rcond={rcond:.2e}); "
+            "the chain cannot escape the silent set"
+        )
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    return lapack.dgetrs(lu, piv, e0)[0]
 
 
 def steering_visit_probability(
@@ -501,18 +493,30 @@ def steering_visit_probability(
     the k_star and k_star + 1 threshold policies with weight theta_star.
 
     The mixture weight applies to whole strategies; conditioning on being at
-    the boundary reweights it by each strategy's stationary boundary mass.
+    the boundary reweights it by each strategy's stationary boundary mass,
+    read off the cycle visits of the folded silent chains.  At a = 0 or
+    k_star = 0 the error at each decision is a fresh innovation under either
+    threshold, so both masses are P(|W| = k_star).
     """
     if not 0.0 <= theta_star <= 1.0:
         raise UsageError(f"theta_star must lie in [0, 1], got {theta_star}")
     if theta_star in (0.0, 1.0):
         return theta_star
-    states_lo, pi_lo = stationary_threshold_distribution(spec, k_star)
-    states_hi, pi_hi = stationary_threshold_distribution(spec, k_star + 1)
-    w_lo = float(np.sum(pi_lo[np.abs(states_lo) == k_star]))
-    w_hi = float(np.sum(pi_hi[np.abs(states_hi) == k_star]))
+    if not spec.beta.is_average:
+        raise UsageError("steering visit probabilities require beta = 1")
+    if not (k_star >= 0 and float(k_star).is_integer()):
+        raise UsageError(f"threshold must be a nonnegative integer, got {k_star}")
+    k = int(k_star)
+    T = solver_a.folded_transition(spec, k + 1)
+    if spec.a == 0 or k == 0:
+        w_lo = w_hi = T[0, k]
+    else:
+        x_lo = _cycle_visits(T[:k, :k])
+        x_hi = _cycle_visits(T)
+        w_lo = x_lo @ T[:k, k] / x_lo.sum()
+        w_hi = x_hi[k] / x_hi.sum()
     num = theta_star * w_lo
     den = num + (1.0 - theta_star) * w_hi
     if den <= 0.0:
         raise NumericsError("boundary state has zero stationary mass")
-    return num / den
+    return float(num / den)

@@ -259,8 +259,8 @@ def _never_transmit_distortion(spec: ModelSpecA) -> float:
     return total
 
 
-def performance(spec: ModelSpecA, k: float, lam: float | None = None) -> PerfPoint:
-    """Exact (D, N, C) of the threshold-k policy.
+def performance(spec: ModelSpecA, k: float) -> PerfPoint:
+    """Exact (D, N) of the threshold-k policy.
 
     ``k = 0`` always transmits, ``k = math.inf`` never does.
     """
@@ -274,8 +274,7 @@ def performance(spec: ModelSpecA, k: float, lam: float | None = None) -> PerfPoi
             raise UsageError(f"integer-state thresholds must be integers, got {k}")
         table = threshold_table(spec, int(k))
         D, N = float(table.D[-1]), float(table.N[-1])
-    cost = None if lam is None else D + lam * N
-    return PerfPoint(distortion=D, transmission_rate=N, cost=cost)
+    return PerfPoint(distortion=D, transmission_rate=N)
 
 
 def table_corners(table: ThresholdTable) -> list[tuple[int, float]]:

@@ -16,14 +16,14 @@ identity that defines the Nystrom extension, and its ``residual`` checks
 that identity against a finer quadrature; the ladder's stopping tests use
 the same two methods.
 
-Optimal thresholds follow from the stationarity condition
-lambda = -dD/dk / dN/dk (costly) or from inverting the strictly decreasing
-rate map N(k) (constrained); both are located by one bracket-and-search
-routine, Illinois false position inside a bracket, with one solve per
-step.  Differentiating the folded equations in k gives dL/dk = L(k) phi
-and dM/dk = M(k) phi with the same phi, so the price needs no derivative
-solve: lambda(k) = M(0) L(k) / M(k) - L(0), from the one solve for L and M.
-Each search keeps (D, N) from its last step, so no solve follows it.
+Differentiating the folded equations in k gives dL/dk = L(k) phi and
+dM/dk = M(k) phi with the same phi, so lambda(k) = M(0) L(k) / M(k) - L(0)
+needs no derivative solve: L(0), M(0), D, N and lambda(k) of a threshold all
+come from one solve (``_renewal``), which ``performance_b``, ``lm_at_zero``
+and ``lambda_of_k`` read.  Algorithms 1 and 2 search the same map, for
+lambda(k) = lambda (costly) or the strictly decreasing N(k) = alpha
+(constrained), with Illinois false position inside a bracket, one solve per
+step, and keep the accepted step's D and N, so no solve follows a search.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -167,8 +167,8 @@ def fredholm_solve(
     1); then every column's off-node residual at 64 probe points, against a
     refined quadrature, must be below 100 x ``tolerance`` too.
     """
-    if k <= 0.0:
-        raise UsageError(f"interval width k must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise UsageError(f"interval width k must be positive and finite, got {k}")
     if len(rhs) == 0:
         raise UsageError("at least one right-hand side is required")
     beta = DiscountFactor(beta)
@@ -220,44 +220,48 @@ def _spec_kernel(spec: ModelSpecB) -> Kernel:
     return lambda e, n: pdf.density(n - a * e) + pdf.density(-n - a * e)
 
 
-def performance_b(
-    spec: ModelSpecB,
-    k: float,
-    lam: float | None = None,
-    tolerance: float = _DEFAULT_TOL,
-) -> PerfPoint:
-    """Exact-to-quadrature (D, N, C) of the real threshold-k policy."""
-    if k <= 0.0:
-        raise UsageError(f"threshold must be positive, got {k}")
-    return _perf_point(spec, k, *lm_at_zero(spec, k, tolerance), lam)
+class _Renewal(NamedTuple):
+    """Everything read at a threshold k: L(0), M(0), D, N and lambda(k)."""
+
+    L0: float
+    M0: float
+    D: float
+    N: float
+    price: float
 
 
-def _perf_point(spec: ModelSpecB, k: float, L0: float, M0: float,
-                lam: float | None = None) -> PerfPoint:
-    """(D, N, C) from the functionals' values at the origin."""
-    D = L0 / M0
+def _renewal(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> _Renewal:
+    """The numbers of threshold k, from one solve for L and M."""
+    sol = fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta, tolerance)
+    (L0, M0), (Lk, Mk) = sol.evaluate([0.0, k]).tolist()
     N = 1.0 / M0 - (1.0 - spec.beta)
     if N < -1e-12:
         raise NumericsError(
             f"transmission rate {N:.3e} is negative at k={k} (M0={M0!r}); "
             "the discretized system is inaccurate"
         )
-    cost = None if lam is None else D + lam * N
-    return PerfPoint(distortion=D, transmission_rate=N, cost=cost)
+    price = M0 * Lk / Mk - L0
+    if price < 0.0:
+        raise NumericsError(
+            f"price {price:.3e} is negative at k={k} (L(0)={L0!r}, L(k)={Lk!r}, "
+            f"M(0)={M0!r}, M(k)={Mk!r}); the discretized system is inaccurate"
+        )
+    return _Renewal(L0, M0, L0 / M0, N, price)
 
 
-def _lm_solution(spec: ModelSpecB, k: float, tolerance: float) -> FredholmSolution:
-    """The distortion and time functionals L and M, as two columns of one solve."""
-    return fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta, tolerance)
+def performance_b(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> PerfPoint:
+    """Exact-to-quadrature (D, N) of the real threshold-k policy."""
+    at = _renewal(spec, k, tolerance)
+    return PerfPoint(distortion=at.D, transmission_rate=at.N)
 
 
 def lm_at_zero(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> tuple[float, float]:
     """Pre-transmission distortion and time at the origin."""
-    L0, M0 = _lm_solution(spec, k, tolerance).evaluate(0.0)[0].tolist()
-    return L0, M0
+    at = _renewal(spec, k, tolerance)
+    return at.L0, at.M0
 
 
-def lambda_of_k(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> float:
+def lambda_of_k(spec: ModelSpecB, k: float) -> float:
     """Price that makes the threshold-k policy optimal for costly communication.
 
     Both functionals solve v = r + beta * int_0^k K(., s) v(s) ds, so
@@ -266,31 +270,20 @@ def lambda_of_k(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> 
     for L and M.  With D = L(0)/M(0) and N = 1/M(0) - (1 - beta), phi(0)
     cancels from -D'/N' = M(0) L(k) / M(k) - L(0).
     """
-    return _price_point(spec, k, tolerance)[0]
-
-
-def _price_point(spec: ModelSpecB, k: float, tolerance: float) -> tuple[float, float, float]:
-    """lambda(k), L(0) and M(0) from one solve for L and M."""
-    (L0, M0), (Lk, Mk) = _lm_solution(spec, k, tolerance).evaluate([0.0, k]).tolist()
-    lam = M0 * Lk / Mk - L0
-    if lam < 0.0:
-        raise NumericsError(
-            f"price {lam:.3e} is negative at k={k} (L(0)={L0!r}, L(k)={Lk!r}, "
-            f"M(0)={M0!r}, M(k)={Mk!r}); the discretized system is inaccurate"
-        )
-    return lam, L0, M0
+    return _renewal(spec, k).price
 
 
 def _bracket_and_search(
-    fn: Callable[[float], float],
+    key: Callable[[_Renewal], float],
     target: float,
     epsilon: float,
     spec: ModelSpecB,
     what: str,
-) -> float:
-    """k with |fn(k) - target| <= epsilon, for fn increasing in k.
+) -> tuple[float, _Renewal]:
+    """(k, r) with r = _renewal(spec, k) and |key(r) - target| <= epsilon,
+    for key(r) increasing in k.
 
-    From a seed at the spec's noise scale, k doubles or halves until fn
+    From a seed at the spec's noise scale, k doubles or halves until the map
     straddles the target.  Inside the bracket, Illinois false position
     (Dowell & Jarratt, BIT 11, 1971) steps to the secant root of the two
     ends; an end kept for two steps in a row has its value halved, so the
@@ -298,14 +291,14 @@ def _bracket_and_search(
     bracket is replaced by the midpoint.  The ends' values come from the
     bracket phase; the ends are never accepted themselves.
     """
-    if epsilon <= 0.0:
-        raise UsageError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
     k = seed = spec.pdf.scale * max(1.0, abs(spec.a))
-    f = fn(seed) - target
+    f = key(_renewal(spec, seed)) - target
     factor = 2.0 if f < 0.0 else 0.5
     for _ in range(_MAX_BRACKET_EXPANSIONS):
         k_next = factor * k
-        f_next = fn(k_next) - target
+        f_next = key(_renewal(spec, k_next)) - target
         if (f_next < 0.0) != (f < 0.0):
             break
         k, f = k_next, f_next
@@ -317,9 +310,10 @@ def _bracket_and_search(
         k = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         if not lo < k < hi:
             k = 0.5 * (lo + hi)
-        f = fn(k) - target
+        at = _renewal(spec, k)
+        f = key(at) - target
         if abs(f) <= epsilon:
-            return k
+            return k, at
         if f < 0.0:
             lo, f_lo = k, f
             if kept < 0:
@@ -333,44 +327,22 @@ def _bracket_and_search(
     raise ConvergenceError(f"{what} search exhausted {_MAX_SEARCH_STEPS} steps")
 
 
-def algorithm1_costly(
-    spec: ModelSpecB,
-    lam: float,
-    epsilon: float,
-    tolerance: float = _DEFAULT_TOL,
-) -> CostlyResult:
+def algorithm1_costly(spec: ModelSpecB, lam: float, epsilon: float) -> CostlyResult:
     """Search the price map until |lambda(k) - lam| <= epsilon; return (k, cost)."""
     if not 0.0 < lam < math.inf:
         raise UsageError(f"price must be positive and finite, got {lam}")
-    seen: dict[float, tuple[float, float, float]] = {}
-
-    def price(kk: float) -> float:
-        seen[kk] = _price_point(spec, kk, tolerance)
-        return seen[kk][0]
-
-    k = _bracket_and_search(price, lam, epsilon, spec, "price")
-    perf = _perf_point(spec, k, *seen[k][1:], lam)
-    return CostlyResult(k, perf.cost, perf)
+    k, at = _bracket_and_search(lambda r: r.price, lam, epsilon, spec, "price")
+    cost = at.D + lam * at.N
+    return CostlyResult(k, cost, PerfPoint(distortion=at.D, transmission_rate=at.N, cost=cost))
 
 
-def algorithm2_constrained(
-    spec: ModelSpecB,
-    alpha: float,
-    epsilon: float,
-    tolerance: float = _DEFAULT_TOL,
-) -> tuple[float, float]:
+def algorithm2_constrained(spec: ModelSpecB, alpha: float, epsilon: float) -> tuple[float, float]:
     """Search the rate map until |N(k) - alpha| <= epsilon; return (k, distortion)."""
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"rate budget must lie in (0, 1), got {alpha}")
-    perf: dict[float, PerfPoint] = {}
-
-    def neg_rate(kk: float) -> float:
-        # N decreases in k, so the search runs on -N
-        perf[kk] = performance_b(spec, kk, tolerance=tolerance)
-        return -perf[kk].transmission_rate
-
-    k = _bracket_and_search(neg_rate, -alpha, epsilon, spec, "rate")
-    return k, perf[k].distortion
+    # N decreases in k, so the search runs on -N
+    k, at = _bracket_and_search(lambda r: -r.N, -alpha, epsilon, spec, "rate")
+    return k, at.D
 
 
 def gauss_markov_spec(sigma: float, a: float = 1.0, beta: float = 1.0) -> ModelSpecB:

@@ -159,9 +159,11 @@ class TestSolve:
         assert 0.0 < float(parse_csv(out)[0]["D"]) < 1.0
 
     def test_negative_rate_exits_two(self, capsys, monkeypatch):
-        # 1/M0 - (1 - beta) = -1e-9 at beta = 0.9
-        monkeypatch.setattr(solver_b, "lm_at_zero",
-                            lambda spec, k, tol: (0.5, 1.0 / (0.1 - 1e-9)))
+        # 1/M0 - (1 - beta) = -1e-9 at beta = 0.9; rows are e = 0 and e = k,
+        # columns L and M
+        M0 = 1.0 / (0.1 - 1e-9)
+        fixed = types.SimpleNamespace(evaluate=lambda e: np.array([[0.5, M0], [1.0, M0]]))
+        monkeypatch.setattr(solver_b, "fredholm_solve", lambda *args: fixed)
         code, _, err = run_cli(["solve", "--model", "B", "--problem", "constrained",
                                 "--sigma", "1", "--beta", "0.9", "--alpha", "0.3"], capsys)
         assert code == 2
@@ -182,9 +184,9 @@ class TestSolve:
                                                        monkeypatch):
         # one solve per search step, 7 in all; bisecting takes 21
         steps = []
-        real = solver_b._price_point
-        monkeypatch.setattr(solver_b, "_price_point",
-                            lambda spec, k, tol: steps.append(k) or real(spec, k, tol))
+        real = solver_b._renewal
+        monkeypatch.setattr(solver_b, "_renewal",
+                            lambda spec, k: steps.append(k) or real(spec, k))
         code, out, _ = run_cli(["solve", "--model", "B", "--problem", "costly",
                                 "--lambda", "1"], capsys)
         assert code == 0
@@ -198,7 +200,7 @@ class TestSolve:
         # L(0) = 2 above M(0) L(k) / M(k) = 1 makes the price -1; rows are
         # e = 0 and e = k, columns L and M
         fixed = types.SimpleNamespace(evaluate=lambda e: np.array([[2.0, 1.0], [1.0, 1.0]]))
-        monkeypatch.setattr(solver_b, "_lm_solution", lambda spec, k, tol: fixed)
+        monkeypatch.setattr(solver_b, "fredholm_solve", lambda *args: fixed)
         code, _, err = run_cli(["solve", "--model", "B", "--problem", "costly",
                                 "--sigma", "1", "--lambda", "1"], capsys)
         assert code == 2
@@ -213,8 +215,23 @@ class TestSolve:
         "solve --model B --problem constrained --alpha 0.3 --a inf",
         "solve --model B --problem costly --lambda nan",
         "curve --model B --kind costly --lambdas nan",
+        "solve --model B --problem costly --lambda 1 --epsilon nan",
+        "solve --model B --problem costly --lambda 1 --epsilon inf",
+        "curve --model B --kind constrained --alphas 0.3 --epsilon inf",
+        "simulate --model B --policy steering --k nan --theta 0.5 --reps 2 --horizon 100"
+        " --burn-in 10",
+        "simulate --model B --policy steering --k -1 --theta 0.5 --reps 2 --horizon 100"
+        " --burn-in 10",
+        "simulate --model B --policy timesharing --k nan --schedule 1:1 --reps 2"
+        " --horizon 100 --burn-in 10",
+        "simulate --model B --policy timesharing --k -1 --schedule 1:1 --reps 2"
+        " --horizon 100 --burn-in 10",
+        "simulate --model A --p 0.3 --policy threshold --k 2 --seed -1 --reps 2"
+        " --horizon 100 --burn-in 10",
     ], ids=["A-lambda-nan", "A-a-inf", "A-a-nan", "B-sigma-nan", "B-sigma-inf",
-            "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan"])
+            "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan", "B-epsilon-nan",
+            "B-epsilon-inf", "B-curve-epsilon-inf", "steering-k-nan", "steering-k-negative",
+            "timesharing-k-nan", "timesharing-k-negative", "seed-negative"])
     def test_non_finite_input_exits_one(self, capsys, argv):
         code, _, err = run_cli(argv.split(), capsys)
         assert code == 1

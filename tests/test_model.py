@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,6 @@ from remest import (
     ModelSpecB,
     RandomizedThresholdPolicy,
     SmoothPdf,
-    ThresholdPolicy,
     TradeoffCurve,
     UsageError,
     estimator_step,
@@ -129,12 +126,6 @@ class TestEstimatorStep:
 
 
 class TestPolicies:
-    def test_threshold_sentinels(self):
-        assert ThresholdPolicy(0.0).k == 0.0
-        assert math.isinf(ThresholdPolicy(math.inf).k)
-        with pytest.raises(UsageError):
-            ThresholdPolicy(-1.0)
-
     def test_randomized_range(self):
         RandomizedThresholdPolicy(2, 0.5)
         with pytest.raises(UsageError):

@@ -5,8 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from remest import DivergenceError, IntegerPmf, NumericsError, UsageError
+from remest import (
+    DistortionFn,
+    DivergenceError,
+    IntegerPmf,
+    ModelSpecA,
+    NumericsError,
+    SingularSystemError,
+    UsageError,
+)
 from remest import solver_a, solver_b
 from remest.simulate import (
     PolicySpec,
@@ -15,11 +25,11 @@ from remest.simulate import (
     periodic_distortion,
     simulate,
     stationary_stopping_distortion,
-    stationary_threshold_distribution,
     steering_policy_step,
     steering_visit_probability,
     time_sharing_schedule,
 )
+from conftest import random_valid_pmf
 
 # the package re-exports the function under the module's name
 simulate_module = importlib.import_module("remest.simulate")
@@ -219,10 +229,30 @@ class TestSteering:
         assert abs(res.d_hat - d_star) <= 3.0 * res.d_se
 
 
+def _stationary_reference(spec, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(states, probabilities) of the error before each decision under the
+    threshold-k policy at beta = 1, from the dense chain on the full line:
+    the route the folded cycle visits of ``steering_visit_probability``
+    replace."""
+    r = spec.pmf.radius
+    m = max(abs(spec.a) * max(k - 1, 0) + r, r)
+    states = np.arange(-m, m + 1)
+    P = np.zeros((len(states), len(states)))
+    for i, e in enumerate(states):
+        origin = spec.a * int(e) if abs(e) < k else 0
+        for w, pw in spec.pmf.items:
+            P[i, origin + w + m] += pw
+    A = np.vstack([P.T - np.eye(len(states)), np.ones(len(states))])
+    b = np.zeros(len(states) + 1)
+    b[-1] = 1.0
+    pi = np.linalg.lstsq(A, b, rcond=None)[0]
+    return states, pi / pi.sum()
+
+
 class TestStationaryDistribution:
     def test_transmit_mass_equals_rate(self, bd_avg):
         for k in (1, 2, 3):
-            states, pi = stationary_threshold_distribution(bd_avg, k)
+            states, pi = _stationary_reference(bd_avg, k)
             rate = float(pi[np.abs(states) >= k].sum())
             ana = solver_a.performance(bd_avg, k).transmission_rate
             assert rate == pytest.approx(ana, abs=1e-10)
@@ -234,23 +264,49 @@ class TestStationaryDistribution:
         expect = 0.4 * 0.15 / (0.4 * 0.15 + 0.6 * (2.0 / 9.0))
         assert tv == pytest.approx(expect, abs=1e-10)
 
-    def test_negative_mass_raises(self, bd_avg, monkeypatch):
-        solve = np.linalg.lstsq
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-1, 0, 1, 2]), st.integers(0, 9),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_chain(self, seed, a, k, theta):
+        pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
+        spec = ModelSpecA(a, pmf, DistortionFn.quadratic(), 1.0)
+        w = []
+        for kk in (k, k + 1):
+            states, pi = _stationary_reference(spec, kk)
+            w.append(float(pi[np.abs(states) == k].sum()))
+        den = theta * w[0] + (1.0 - theta) * w[1]
+        if den <= 0.0:
+            with pytest.raises(NumericsError):
+                steering_visit_probability(spec, k, theta)
+        else:
+            got = steering_visit_probability(spec, k, theta)
+            assert got == pytest.approx(theta * w[0] / den, rel=1e-12)
 
-        def shifted(A, b, rcond=None):
-            pi, *rest = solve(A, b, rcond=rcond)
-            pi = pi.copy()
-            pi[1] += pi[0] + 1e-9
-            pi[0] = -1e-9
-            return (pi, *rest)
+    def test_reset_source_at_radius(self):
+        # a = 0: the silent set {0, 1} of threshold 2 has no exit, and the
+        # boundary mass is P(|W| = 1) = 0.6 under either threshold
+        spec = solver_a.bd_spec(0.3, 1.0, a=0)
+        for kk in (1, 2):
+            states, pi = _stationary_reference(spec, kk)
+            assert pi[np.abs(states) == 1].sum() == pytest.approx(0.6, rel=1e-12)
+        assert steering_visit_probability(spec, 1, 0.4) == pytest.approx(0.4, rel=1e-12)
 
-        monkeypatch.setattr(np.linalg, "lstsq", shifted)
-        with pytest.raises(NumericsError, match="negative mass"):
-            stationary_threshold_distribution(bd_avg, 2)
+    def test_singular_chain_raises(self):
+        # p_0 = 1 at a = 1: no mass ever leaves the silent set
+        spec = ModelSpecA(1, IntegerPmf({0: 1.0}), DistortionFn.quadratic(), 1.0)
+        with pytest.raises(SingularSystemError):
+            steering_visit_probability(spec, 1, 0.5)
+
+    def test_deep_threshold(self):
+        # the dense chain's value: it solves a 3999 x 3999 system
+        got = steering_visit_probability(solver_a.bd_spec(0.3, 1.0, a=2), 1000, 0.4)
+        assert got == pytest.approx(0.40001248390938643, abs=1e-10)
 
     def test_visit_probability_degenerate(self, bd_avg):
         assert steering_visit_probability(bd_avg, 2, 0.0) == 0.0
         assert steering_visit_probability(bd_avg, 2, 1.0) == 1.0
+        with pytest.raises(UsageError):
+            steering_visit_probability(bd_avg, 2.5, 0.4)
 
 
 class TestTimeSharing:

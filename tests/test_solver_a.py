@@ -197,8 +197,9 @@ class TestTableMatchesPerThresholdSolves:
 
 class TestPerformance:
     def test_always_transmit(self, bd_avg):
-        p = solver_a.performance(bd_avg, 0, lam=3.0)
-        assert (p.distortion, p.transmission_rate, p.cost) == (0.0, 1.0, 3.0)
+        p = solver_a.performance(bd_avg, 0)
+        assert (p.distortion, p.transmission_rate) == (0.0, 1.0)
+        assert p.distortion + 3.0 * p.transmission_rate == 3.0
 
     def test_table_spot_values(self, bd_avg, bd_09):
         p = solver_a.performance(bd_avg, 2)

@@ -277,8 +277,8 @@ class TestAlgorithm1:
         lam = 1.0
         k, cost = solver_b.algorithm1_costly(gm_unit, lam, epsilon=1e-6)
         for dk in (-0.1, 0.1):
-            p = solver_b.performance_b(gm_unit, k + dk, lam=lam)
-            assert cost <= p.cost + 1e-9
+            p = solver_b.performance_b(gm_unit, k + dk)
+            assert cost <= p.distortion + lam * p.transmission_rate + 1e-9
 
     def test_cost_scale_identity(self):
         k1, c1 = solver_b.algorithm1_costly(solver_b.gauss_markov_spec(1.0), 0.25, 1e-6)
@@ -330,32 +330,37 @@ class TestSearch:
     def test_costly_result_carries_the_last_solve(self, gm_unit):
         lam = 1.0
         k, cost = result = solver_b.algorithm1_costly(gm_unit, lam, 1e-6)
-        perf = solver_b.performance_b(gm_unit, k, lam=lam)
+        perf = solver_b.performance_b(gm_unit, k)
         assert result.perf.distortion == pytest.approx(perf.distortion, rel=1e-14)
         assert result.perf.transmission_rate == pytest.approx(perf.transmission_rate,
                                                               rel=1e-14)
         assert cost == result.perf.cost == (result.perf.distortion
                                             + lam * result.perf.transmission_rate)
 
-    def test_steep_map_reaches_epsilon(self, gm_unit):
+    # the maps below stand in for _renewal, with key=float reading them
+    def test_steep_map_reaches_epsilon(self, gm_unit, monkeypatch):
         # logistic of slope 250 at its centre, target in the lower tail: plain
         # false position keeps the upper end and needs about 1200 steps
         steep = lambda k: 0.5 * (1.0 + math.tanh(500.0 * (k - 1.7)))
-        k = solver_b._bracket_and_search(steep, 1e-3, 1e-6, gm_unit, "steep")
+        monkeypatch.setattr(solver_b, "_renewal", lambda spec, k: steep(k))
+        k, at = solver_b._bracket_and_search(float, 1e-3, 1e-6, gm_unit, "steep")
+        assert at == steep(k)
         assert abs(steep(k) - 1e-3) <= 1e-6
 
-    def test_jump_across_target_exhausts_the_cap(self, gm_unit):
+    def test_jump_across_target_exhausts_the_cap(self, gm_unit, monkeypatch):
         calls = []
 
-        def step(k):
+        def step(spec, k):
             calls.append(k)
             return float(k >= 1.7)
 
+        monkeypatch.setattr(solver_b, "_renewal", step)
         with pytest.raises(ConvergenceError, match="exhausted"):
-            solver_b._bracket_and_search(step, 0.5, 1e-6, gm_unit, "step")
+            solver_b._bracket_and_search(float, 0.5, 1e-6, gm_unit, "step")
         assert len(calls) == 2 + solver_b._MAX_SEARCH_STEPS
 
     @pytest.mark.parametrize("target", [2.0, -1.0], ids=["above", "below"])
-    def test_unbracketable_target(self, gm_unit, target):
+    def test_unbracketable_target(self, gm_unit, monkeypatch, target):
+        monkeypatch.setattr(solver_b, "_renewal", lambda spec, k: math.tanh(k))
         with pytest.raises(BracketError):
-            solver_b._bracket_and_search(math.tanh, target, 1e-6, gm_unit, "tanh")
+            solver_b._bracket_and_search(float, target, 1e-6, gm_unit, "tanh")
