@@ -17,7 +17,7 @@ order, so the values drawn do not depend on the chunk size and a fixed seed
 gives bit-identical results.  Resident memory is bounded by the chunk,
 ``MAX_SIM_CELLS`` bounds the draws of a run and ``MAX_SIM_STEPS`` its steps.
 ``steering_visit_probability`` reads the steering rule's boundary masses
-off the folded silent chains of ``solver_a``, one solve per threshold.
+off one ``solver_a.threshold_table``; the simulator solves no linear system.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import solver_a
-from .errors import DivergenceError, NumericsError, SingularSystemError, UsageError
+from .errors import DivergenceError, NumericsError, UsageError
 from .model import ModelSpecA, ModelSpecB
 
 # cap on the per-step draws (innovations, iid coins) of one run: it bounds the
@@ -395,15 +394,20 @@ def periodic_distortion(alpha: float, sigma: float, family: str) -> float:
     """Average distortion of the two canonical periodic patterns
     (random-walk source, quadratic distortion).
 
-    ``one_in_T``     transmit once every T = 1/alpha steps
-    ``all_but_one``  silent one step in every T = 1/(1 - alpha) steps
+    ``one_in_T``     transmit once every T = 1/alpha steps, alpha in (0, 1]
+    ``all_but_one``  silent one step in every T = 1/(1 - alpha) >= 2 steps,
+                     alpha in [1/2, 1)
     """
     if family == "one_in_T":
+        if not 0.0 < alpha <= 1.0:
+            raise UsageError(f"one_in_T needs alpha in (0, 1], got {alpha}")
         T = 1.0 / alpha
         if abs(T - round(T)) > 1e-9:
             raise UsageError(f"one_in_T needs alpha = 1/T for integer T, got {alpha}")
         return sigma * sigma / 2.0 * (1.0 / alpha - 1.0)
     if family == "all_but_one":
+        if not 0.5 <= alpha < 1.0:
+            raise UsageError(f"all_but_one needs alpha in [1/2, 1), got {alpha}")
         T = 1.0 / (1.0 - alpha)
         if abs(T - round(T)) > 1e-9:
             raise UsageError(
@@ -452,6 +456,8 @@ def time_sharing_schedule(
 ) -> list[tuple[int, int]]:
     """Constant cycle-count schedule (a, b) whose cycle fraction a/(a+b) best
     approximates theta * n_k / alpha with denominator <= 10**depth."""
+    if not 0.0 < alpha <= 1.0:
+        raise UsageError(f"rate budget must lie in (0, 1], got {alpha}")
     if n_k <= n_k1:
         raise UsageError("n_k must exceed n_k1")
     if not 0.0 <= theta <= 1.0:
@@ -467,25 +473,6 @@ def time_sharing_schedule(
     return [(a, b)]
 
 
-def _cycle_visits(T: np.ndarray) -> np.ndarray:
-    """Visits per transmission cycle to the folded silent states of ``T``:
-    x (I - T) = e_0, state 0 also standing for the transmission step."""
-    n = len(T)
-    A = -T.T
-    A[np.diag_indices_from(A)] += 1.0
-    anorm = np.linalg.norm(A, 1)
-    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
-    rcond = lapack.dgecon(lu, anorm, norm="1")[0]
-    if info != 0 or rcond < 1e-13:
-        raise SingularSystemError(
-            f"silent chain of {n} states is singular (rcond={rcond:.2e}); "
-            "the chain cannot escape the silent set"
-        )
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    return lapack.dgetrs(lu, piv, e0)[0]
-
-
 def steering_visit_probability(
     spec: ModelSpecA, k_star: int, theta_star: float
 ) -> float:
@@ -494,27 +481,27 @@ def steering_visit_probability(
 
     The mixture weight applies to whole strategies; conditioning on being at
     the boundary reweights it by each strategy's stationary boundary mass,
-    read off the cycle visits of the folded silent chains.  At a = 0 or
+    the cycle's landings on (threshold k_star) or visits to (threshold
+    k_star + 1) |e| = k_star over its mean length, all read off one
+    ``solver_a.threshold_table`` of k_star + 1 thresholds.  At a = 0 or
     k_star = 0 the error at each decision is a fresh innovation under either
     threshold, so both masses are P(|W| = k_star).
     """
     if not 0.0 <= theta_star <= 1.0:
         raise UsageError(f"theta_star must lie in [0, 1], got {theta_star}")
-    if theta_star in (0.0, 1.0):
-        return theta_star
     if not spec.beta.is_average:
         raise UsageError("steering visit probabilities require beta = 1")
     if not (k_star >= 0 and float(k_star).is_integer()):
         raise UsageError(f"threshold must be a nonnegative integer, got {k_star}")
+    if theta_star in (0.0, 1.0):
+        return theta_star
     k = int(k_star)
-    T = solver_a.folded_transition(spec, k + 1)
     if spec.a == 0 or k == 0:
-        w_lo = w_hi = T[0, k]
+        w_lo = w_hi = spec.pmf.values[np.abs(spec.pmf.offsets) == k].sum()
     else:
-        x_lo = _cycle_visits(T[:k, :k])
-        x_hi = _cycle_visits(T)
-        w_lo = x_lo @ T[:k, k] / x_lo.sum()
-        w_hi = x_hi[k] / x_hi.sum()
+        table = solver_a.threshold_table(spec, k + 1)
+        w_lo = table.land_edge[k] / table.M[k]
+        w_hi = table.visit_edge[k] / table.M[k + 1]
     num = theta_star * w_lo
     den = num + (1.0 - theta_star) * w_hi
     if den <= 0.0:

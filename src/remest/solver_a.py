@@ -75,6 +75,12 @@ _FLAT_D_TOL = 1e-12
 #: Reciprocal condition number below which the silent system counts as singular.
 _RCOND_FLOOR = 1e-13
 
+#: Cap on the multiply-adds of the never-transmit convolution, horizon x
+#: support x (kernel + 1): birth-death at beta = 0.999 (6.1e9) takes 1.4-2.2 s
+#: and radius 5 at beta = 0.996 (5.7e9) 1.8 s on a 2-core Xeon; the work grows
+#: as the squared horizon, so beta = 0.9995 would take 4x as long.
+NEVER_TRANSMIT_MAX_WORK = 6.5e9
+
 #: Ratio of successive column weights of the factored matrix; 1 - 1e-6 is far
 #: above the rounding (about K eps) that could tip a tied pivot choice.
 _TIE_BREAK = 1.0 - 1e-6
@@ -96,7 +102,12 @@ class ThresholdTable:
 
     ``L[k]``, ``M[k]`` are L(0), M(0) of threshold k (empty sums at k = 0);
     ``D[k]``, ``N[k]`` its distortion and rate (0 and 1 at k = 0, which
-    always transmits); ``dD[k]`` = D(k+1) - D(k) for k < K.
+    always transmits); ``dD[k]`` = D(k+1) - D(k) for k < K.  With x_k the
+    discounted visits per cycle of threshold k to the folded states, for
+    1 <= k < K ``land_edge[k]`` = beta x_k T[:k, k] is the discounted
+    probability that a cycle of threshold k ends by landing on |e| = k, and
+    for 0 <= k < K ``visit_edge[k]`` = x_{k+1}[k] counts the discounted
+    visits to |e| = k in a cycle of threshold k + 1 (``land_edge[0]`` = 1).
     """
 
     L: np.ndarray
@@ -104,6 +115,8 @@ class ThresholdTable:
     D: np.ndarray
     N: np.ndarray
     dD: np.ndarray
+    land_edge: np.ndarray
+    visit_edge: np.ndarray
 
 
 def _landings(spec: ModelSpecA, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,7 +143,8 @@ def folded_transition(spec: ModelSpecA, dim: int) -> np.ndarray:
 
 
 def threshold_table(spec: ModelSpecA, K: int, stats: SolveStats | None = None) -> ThresholdTable:
-    """(L, M, D, N, dD) of every threshold k <= K from one factorization.
+    """(L, M, D, N, dD) and the edge masses of every threshold k <= K from
+    one factorization.
 
     (A W)^T, with W a tie-breaking column scaling, is factored once by LAPACK
     with partial pivoting.  A row swap raises ``NumericsError``; a
@@ -215,7 +229,12 @@ def threshold_table(spec: ModelSpecA, K: int, stats: SolveStats | None = None) -
     if stats is not None:
         stats.factorizations += 1
         stats.table_dim = max(stats.table_dim, K)
-    return ThresholdTable(L=L, M=M, D=D, N=N, dD=dD)
+    # x_k^T = Up_k^-1 z[:k].  Row k of W A^T left of the diagonal is
+    # -beta w_k T[:k, k]^T = Lo[k, :k] Up_k, and (Lo z)_k = 0, so
+    # beta x_k T[:k, k] = -Lo[k, :k] z[:k] / w_k = z_k / w_k; Up^-1 is
+    # triangular, so the last entry of x_{k+1} is z_k / u_kk
+    return ThresholdTable(L=L, M=M, D=D, N=N, dD=dD,
+                          land_edge=z / w, visit_edge=z / pivots)
 
 
 def _never_transmit_distortion(spec: ModelSpecA) -> float:
@@ -241,6 +260,12 @@ def _never_transmit_distortion(spec: ModelSpecA) -> float:
     horizon = int(math.ceil(math.log(1e-12) / math.log(beta)))
     r = pmf.radius
     half = horizon * r + 1
+    work = horizon * (2 * half + 1) * (2 * r + 2)
+    if work > NEVER_TRANSMIT_MAX_WORK:
+        raise CapacityError(
+            f"never-transmit distortion at beta={float(beta)} needs {work:.1e} "
+            f"multiply-adds over {horizon} steps, above the cap {NEVER_TRANSMIT_MAX_WORK:.1e}"
+        )
     support = np.arange(-half, half + 1)
     dist = np.zeros(len(support))
     dist[half] = 1.0  # error starts at 0

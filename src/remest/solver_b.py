@@ -183,16 +183,21 @@ def fredholm_solve(
         A = kernel(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
         A *= -beta
         A[np.diag_indices_from(A)] += 1.0
+        B = np.column_stack([f(grid.nodes) for f in rhs_fns])
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise NumericsError(
+                f"Nystrom system at k={k}, order {order} has non-finite entries; "
+                "the kernel or a right-hand side overflowed or returned NaN"
+            )
         anorm = np.linalg.norm(A, 1)
-        lu, piv = scipy.linalg.lu_factor(A)
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
         rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
         if info != 0 or rcond < 1e-13:
             raise SingularSystemError(
                 f"discretized silent-set system is singular (rcond={rcond:.2e}); "
                 "escape mass vanishes"
             )
-        values = scipy.linalg.lu_solve((lu, piv),
-                                       np.column_stack([f(grid.nodes) for f in rhs_fns]))
+        values = scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
         sol = FredholmSolution(grid=grid, values=values, kernel=kernel, rhs=rhs_fns,
                                beta=float(beta))
         v0 = sol.evaluate(0.0)[0]

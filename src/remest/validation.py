@@ -62,19 +62,19 @@ def suite_table() -> list[CheckResult]:
     """Solver output vs the published table: 99 cells at the table's rounding."""
     out: list[CheckResult] = []
     for beta, rows in BD_REFERENCE.items():
-        spec = solver_a.bd_spec(BD_REFERENCE_P, beta)
-        corners = dict(solver_a.corner_lambdas(spec, k_max=10))
+        table = solver_a.threshold_table(solver_a.bd_spec(BD_REFERENCE_P, beta), 11)
+        corners = dict(solver_a.table_corners(table))
         for k, d_ref, n_ref, lam_ref in rows:
-            p = solver_a.performance(spec, k)
+            D, N = float(table.D[k]), float(table.N[k])
             out.append(_check(
                 "tableI", f"beta={beta} k={k} D",
-                abs(p.distortion - d_ref) <= TABLE_TOL,
-                f"{p.distortion:.6f} vs {d_ref}",
+                abs(D - d_ref) <= TABLE_TOL,
+                f"{D:.6f} vs {d_ref}",
             ))
             out.append(_check(
                 "tableI", f"beta={beta} k={k} N",
-                abs(p.transmission_rate - n_ref) <= TABLE_TOL,
-                f"{p.transmission_rate:.6f} vs {n_ref}",
+                abs(N - n_ref) <= TABLE_TOL,
+                f"{N:.6f} vs {n_ref}",
             ))
             if lam_ref is None:
                 out.append(_check(

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 import types
 import warnings
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import remest
 from remest import solver_b
 from remest.cli import build_parser, main
 
@@ -236,6 +240,18 @@ class TestSolve:
         code, _, err = run_cli(argv.split(), capsys)
         assert code == 1
         assert err.startswith("usage error")
+
+    def test_overflowing_kernel_exits_two(self):
+        # a subprocess: the overflow warns on the way, and that warning must
+        # not be turned into an error as it would be inside the test run
+        env = {**os.environ, "PYTHONPATH": str(Path(remest.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "remest.cli", "solve", "--model", "B",
+             "--problem", "costly", "--lambda", "1", "--sigma", "1e300"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 2
+        assert "numerical failure:" in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_missing_value_is_usage_error(self, capsys):
         code, _, err = run_cli(["solve", "--model", "A", "--problem", "costly",

@@ -170,6 +170,16 @@ class TestStateBlindBaselines:
         with pytest.raises(UsageError):
             periodic_distortion(0.3, 1.0, "one_in_T")
 
+    def test_periodic_formula_guards(self):
+        # alpha = 0 has no period T = 1/alpha; alpha = 1 no T = 1/(1 - alpha)
+        with pytest.raises(UsageError):
+            periodic_distortion(0.0, 1.0, "one_in_T")
+        with pytest.raises(UsageError):
+            periodic_distortion(1.0, 1.0, "all_but_one")
+        # T = 1 never transmits, so its alpha = 0 is outside the family
+        with pytest.raises(UsageError):
+            periodic_distortion(0.0, 1.0, "all_but_one")
+
     def test_stopping_time_formula(self):
         # geometric stopping with success probability alpha
         alpha = 0.25
@@ -307,6 +317,13 @@ class TestStationaryDistribution:
         assert steering_visit_probability(bd_avg, 2, 1.0) == 1.0
         with pytest.raises(UsageError):
             steering_visit_probability(bd_avg, 2.5, 0.4)
+        # a pure mixture weight does not skip the checks of beta and k_star
+        with pytest.raises(UsageError):
+            steering_visit_probability(solver_a.bd_spec(0.3, 0.9), 2, 1.0)
+        with pytest.raises(UsageError):
+            steering_visit_probability(bd_avg, -3, 0.0)
+        with pytest.raises(UsageError):
+            steering_visit_probability(bd_avg, 2.5, 1.0)
 
 
 class TestTimeSharing:
@@ -319,6 +336,8 @@ class TestTimeSharing:
     def test_schedule_guards(self):
         with pytest.raises(UsageError):
             time_sharing_schedule(0.1, 0.05, 0.15, 0.5)
+        with pytest.raises(UsageError):
+            time_sharing_schedule(0.0, 0.5, 0.2, 0.4)
 
     def test_long_run_rate(self, bd_avg):
         # aggregate 1e6 steps; the emitted schedule must hold the rate at 0.1

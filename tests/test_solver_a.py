@@ -195,6 +195,31 @@ class TestTableMatchesPerThresholdSolves:
         assert np.allclose(table.dD, np.diff(table.D), rtol=1e-12, atol=1e-15)
 
 
+class TestEdgeMasses:
+    """``land_edge`` and ``visit_edge`` against dense solves of the leading
+    blocks, each threshold's own silent system."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-1, 0, 1, 2]),
+           st.sampled_from([0.5, 0.9, 1.0]), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_match_dense_blocks(self, seed, a, beta, K):
+        pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
+        spec = ModelSpecA(a, pmf, DistortionFn.quadratic(), beta)
+        if a == 0 and beta == 1.0:
+            K = min(K, pmf.radius)  # only thresholds up to the radius can escape
+        table = solver_a.threshold_table(spec, K)
+        T = solver_a.folded_transition(spec, K)
+
+        def visits(k):
+            # discounted visits per cycle of threshold k: x (I - beta T_k) = e_0
+            return np.linalg.solve((np.eye(k) - beta * T[:k, :k]).T, np.eye(k)[0])
+
+        land = [1.0] + [beta * visits(k) @ T[:k, k] for k in range(1, K)]
+        visit = [visits(k + 1)[k] for k in range(K)]
+        np.testing.assert_allclose(table.land_edge, land, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(table.visit_edge, visit, rtol=1e-12, atol=0.0)
+
+
 class TestPerformance:
     def test_always_transmit(self, bd_avg):
         p = solver_a.performance(bd_avg, 0)
@@ -227,6 +252,14 @@ class TestPerformance:
         res = simulate(bd_09, PolicySpec.threshold(math.inf),
                        SimConfig(replications=3000, seed=5))
         assert abs(res.d_hat - p.distortion) <= 3.0 * res.d_se
+
+    def test_never_transmit_cap_raises_before_work(self):
+        # the convolution would run 2.8e6 steps on a support of 5.5e6 points
+        spec = solver_a.bd_spec(0.3, 0.99999)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            solver_a.performance(spec, math.inf)
+        assert time.perf_counter() - start < 1.0
 
     def test_never_transmit_a2_discounted_rejected(self):
         spec = solver_a.bd_spec(0.3, 0.9, a=2)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from remest import BracketError, ConvergenceError, UsageError
+from remest import BracketError, ConvergenceError, NumericsError, UsageError
 from remest import solver_b
 from remest.model import DistortionFn, ModelSpecB, SmoothPdf
 from remest.solver_b import QuadratureGrid
@@ -214,6 +214,12 @@ class TestPerformanceB:
     def test_invalid_threshold(self, gm_unit):
         with pytest.raises(UsageError):
             solver_b.performance_b(gm_unit, 0.0)
+
+    def test_non_finite_density_is_numerics_error(self):
+        nan_pdf = SmoothPdf.tabulated(lambda w: np.full(np.shape(w), np.nan), 1.0)
+        spec = ModelSpecB(a=1.0, pdf=nan_pdf, distortion=DistortionFn.quadratic(), beta=1.0)
+        with pytest.raises(NumericsError, match=r"k=0\.5, order 33"):
+            solver_b.performance_b(spec, 0.5)
 
     def test_tabulated_density_end_to_end(self):
         from remest.simulate import PolicySpec, SimConfig, simulate

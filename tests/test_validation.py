@@ -1,6 +1,8 @@
 import dataclasses
+from unittest import mock
 
 import pytest
+import scipy.linalg
 
 from remest import dp, solver_a, solver_b, validation
 from remest.simulate import SimConfig
@@ -17,8 +19,8 @@ def _nudged(fn, field, amount):
 
 
 def _break_table(mp):
-    mp.setattr(solver_a, "performance", _nudged(
-        solver_a.performance, "distortion", lambda r: 2.0 * validation.TABLE_TOL))
+    mp.setattr(solver_a, "threshold_table", _nudged(
+        solver_a.threshold_table, "D", lambda r: 2.0 * validation.TABLE_TOL))
 
 
 def _break_closed_forms(mp):
@@ -85,3 +87,22 @@ def test_price_map_check_detects_nudged_price(monkeypatch):
         real(spec, k, **kw) * (1.0 + 10.0 * validation.PRICE_FD_TOL)))
     checks = [c for c in validation.suite_scaling() if "finite differences" in c.name]
     assert checks and not any(c.passed for c in checks), [c.detail for c in checks]
+
+
+def test_table_suite_factors_once_per_beta():
+    tables, factorizations = [], []
+    real_table, real_lu = solver_a.threshold_table, scipy.linalg.lu_factor
+
+    def table(*args, **kwargs):
+        tables.append(args)
+        return real_table(*args, **kwargs)
+
+    def lu_factor(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return real_lu(*args, **kwargs)
+
+    with mock.patch.object(solver_a, "threshold_table", table), \
+            mock.patch.object(scipy.linalg, "lu_factor", lu_factor):
+        checks = validation.suite_table()
+    assert all(c.passed for c in checks)
+    assert len(tables) == 3 and len(factorizations) == 3
