@@ -31,7 +31,7 @@ from .model import (
     estimator_step,
     validate_spec,
 )
-from .simulate import PolicySpec, SimConfig, SimResult, simulate
+from .simulate import PolicySpec, SimConfig, SimResult, simulate, simulate_policies
 
 __all__ = [
     "BracketError",
@@ -57,6 +57,7 @@ __all__ = [
     "UsageError",
     "estimator_step",
     "simulate",
+    "simulate_policies",
     "validate_spec",
 ]
 

@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import solver_a, solver_b, validation
 from .errors import NumericsError, UsageError
@@ -34,7 +34,7 @@ from .model import (
     TradeoffCurve,
     spec_digest,
 )
-from .simulate import PolicySpec, SimConfig, simulate as run_simulation
+from .simulate import PolicySpec, SimConfig, SimStats, simulate as run_simulation
 
 SCHEMA_VERSION = "1"
 
@@ -346,7 +346,8 @@ def cmd_simulate(args) -> OutputRecord:
 
 
 def cmd_validate(args) -> tuple[OutputRecord, bool]:
-    checks = validation.run_suite(args.suite)
+    stats = SimStats()
+    checks = validation.run_suite(args.suite, stats=stats)
     rows = [{
         "suite": c.suite, "check": c.name,
         "passed": c.passed, "detail": c.detail,
@@ -355,7 +356,8 @@ def cmd_validate(args) -> tuple[OutputRecord, bool]:
                           columns=["suite", "check", "passed", "detail"],
                           rows=rows,
                           metadata={"suite": args.suite,
-                                    "failed": sum(not c.passed for c in checks)})
+                                    "failed": sum(not c.passed for c in checks),
+                                    "diagnostics": asdict(stats)})
     return record, all(c.passed for c in checks)
 
 

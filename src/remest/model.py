@@ -236,7 +236,7 @@ class DistortionFn:
             return np.abs(e)
         if self.kind == "quadratic":
             return e * e
-        return np.asarray(self.fn(e), dtype=float)
+        return np.array(self.fn(e), dtype=float)  # a new array, which callers may modify
 
     def violations(self) -> list[str]:
         out: list[str] = []

@@ -5,17 +5,26 @@ innovation, silence evolves it as ``E' = a E + W``.  This is step-for-step
 identical to simulating the source and estimator and avoids state blow-up
 for |a| > 1 between transmissions.
 
-Every policy is one transmit rule ``rule(t, |e|) -> U``, and the time loop
-is the same for all of them.  All replications advance together as one
-vectorized block.  A run draws from two streams spawned from
-``SeedSequence([seed, _STREAM_LAYOUT])``: the innovations, and the policy
-randomness (the per-replication mixture uniforms of
-``randomized_threshold`` or the per-step coins of ``iid_random``).  Both
-are drawn time-major, a chunk of ``(rows, replications)`` at a time with
-``rows * replications`` about ``CHUNK_CELLS``; each stream is consumed in
-order, so the values drawn do not depend on the chunk size and a fixed seed
-gives bit-identical results.  Resident memory is bounded by the chunk,
-``MAX_SIM_CELLS`` bounds the draws of a run and ``MAX_SIM_STEPS`` its steps.
+``simulate_policies`` runs a block of c policies on one spec: one ``(c, n)``
+state of c policies x n replications, advanced by one step loop over one
+draw of the innovations, which every policy row shares (common random
+numbers).  ``simulate`` is the block of one policy.  The rows keep the
+order of the policies.  The fixed-threshold kinds (``threshold``,
+``randomized_threshold``) are rows of one per-replication threshold array,
+compared in one call per step; every other kind has a rule
+``rule(t, |e|) -> U``, called once per step, that writes its own row.
+
+A run draws from two streams spawned from ``SeedSequence([seed,
+_STREAM_LAYOUT])``: the innovations, and the policy randomness (the
+per-replication mixture uniforms of ``randomized_threshold`` or the
+per-step coins of ``iid_random``); each policy reads its own copy of the
+policy stream, so it draws what a run of its own draws.  Both are drawn
+time-major, a chunk of ``(rows, n)`` at a time with ``rows * c * n`` about
+``CHUNK_CELLS``; each stream is consumed in order, so the values drawn do
+not depend on the chunk size and a fixed seed gives bit-identical results.
+Resident memory is that of one chunk of the whole block, as for one run of
+c x n replications; ``MAX_SIM_CELLS`` bounds the draws of each policy and
+``MAX_SIM_STEPS`` its steps.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``; the simulator solves no linear system.
 """
@@ -33,8 +42,9 @@ from . import solver_a
 from .errors import DivergenceError, NumericsError, UsageError
 from .model import ModelSpecA, ModelSpecB
 
-# cap on the per-step draws (innovations, iid coins) of one run: it bounds the
-# run's length, not its memory, since only one chunk of draws is held at a time
+# cap on the per-step draws (innovations, iid coins) of one policy's run: it
+# bounds the run's length, not its memory, since only one chunk of draws is
+# held at a time; a block of policies is held to it policy by policy
 MAX_SIM_CELLS = 10**8
 # a step costs about 6 us of dispatch even at one replication: 1e7 steps take a minute
 MAX_SIM_STEPS = 10**7
@@ -144,7 +154,8 @@ class SimConfig:
     stop once the discount weight falls below ``DISCOUNT_TRUNCATION_TOL``.
     ``seed`` seeds one innovation stream and one policy stream for the whole
     run; each is drawn in time-major chunks of about ``CHUNK_CELLS`` draws,
-    so the results do not depend on the chunk size.
+    so the results do not depend on the chunk size.  A block of policies
+    run on one config shares its innovations.
     """
 
     horizon: int = 100_000
@@ -161,6 +172,16 @@ class SimConfig:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
 
+@dataclass
+class SimStats:
+    """Deterministic work counters of the simulator: step loops run, policies
+    simulated in them, and innovations drawn (shared by a block's policies)."""
+
+    step_loops: int = 0
+    simulated_policies: int = 0
+    draws: int = 0
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Empirical distortion and transmission rate with standard errors."""
@@ -175,7 +196,8 @@ class SimResult:
 
 
 def _chunk_rows(n: int, T: int) -> int:
-    """Time steps per chunk of a run of ``n`` replications and ``T`` steps."""
+    """Time steps per chunk of a run ``n`` cells wide (policies x
+    replications) and ``T`` steps long."""
     return max(1, min(T, CHUNK_CELLS // n))
 
 
@@ -191,52 +213,53 @@ def _pmf_sampler(offsets: np.ndarray, values: np.ndarray):
 
 
 def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator | None):
-    """Transmit decisions ``rule(t, abs_e) -> U`` of ``n`` replications run
-    for ``T`` steps, called once per step in time order.
+    """Transmit decisions ``rule(t, abs_e) -> U`` of a policy with no fixed
+    threshold, over ``n`` replications run for ``T`` steps, called once per
+    step in time order.
 
-    ``rng`` is the policy stream: ``randomized_threshold`` draws one mixture
-    uniform per replication from it up front, ``iid_random`` its per-step
-    coins in chunks of the run's time-major layout.  Other kinds do not use it.
-    Steering counters, the time-sharing cycle position and the coin buffer
-    live in the closure, so a rule serves one run.
+    ``rng`` is the policy stream: ``iid_random`` draws its per-step coins
+    from it in chunks of the run's time-major layout; other kinds do not use
+    it.  The steering counters, the time-sharing cycle position and the coin
+    buffer live in the closure, so a rule serves one run.
     """
     kind = policy.kind
     k = policy.k
-    if kind == "threshold":
-        return lambda t, abs_e: abs_e >= k
-    if kind == "randomized_threshold":
-        k_rep = np.where(rng.random(n) < policy.theta, k, k + 1.0)
-        return lambda t, abs_e: abs_e >= k_rep
     if kind == "periodic":
         pattern = policy.pattern
-        flags = (np.zeros(n, dtype=bool), np.ones(n, dtype=bool))
-        return lambda t, abs_e: flags[pattern[t % len(pattern)]]
+        return lambda t, abs_e: pattern[t % len(pattern)]
     if kind == "iid_random":
         alpha = policy.alpha
         rows = _chunk_rows(n, T)
-        coins = np.empty((0, n))
+        coins = np.empty((0, n), dtype=bool)
         start = 0
 
         def coin(t, abs_e):
             nonlocal coins, start
             if t - start >= len(coins):
                 start = t
-                coins = rng.random((min(rows, T - t), n))
-            return coins[t - start] < alpha
+                coins = rng.random((min(rows, T - t), n)) < alpha
+            return coins[t - start]
 
         return coin
     if kind == "steering":
         theta = policy.theta
-        counts = np.zeros((2, n))  # boundary visits kept silent / transmitted
+        # boundary visits kept silent / transmitted, each plus the candidate
+        # decision; integer-valued, so every sum below is exact
+        silent1 = np.ones(n)
+        sent1 = np.ones(n)
 
         def steer(t, abs_e):
-            # vector form of steering_policy_step
+            nonlocal silent1, sent1
+            # vector form of steering_policy_step; the counters move only on
+            # boundary visits, which a continuous state almost never makes
             boundary = abs_e == k
-            tot = counts[0] + counts[1] + 1.0
-            pick_tx = theta - (counts[1] + 1.0) / tot >= (1.0 - theta) - (counts[0] + 1.0) / tot
-            counts[0] += boundary & ~pick_tx
-            counts[1] += boundary & pick_tx
-            return (abs_e > k) | (boundary & pick_tx)
+            if not np.count_nonzero(boundary):
+                return abs_e > k
+            tot = silent1 + sent1 - 1.0
+            tx = boundary & (theta - sent1 / tot >= (1.0 - theta) - silent1 / tot)
+            sent1 += tx
+            silent1 += boundary ^ tx
+            return (abs_e > k) | tx
 
         return steer
     # time_sharing: one threshold per transmission-delimited cycle, k for a_m
@@ -244,25 +267,30 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
     # most T cycles fit in T steps, so longer phases are cut there.
     cycle_k = np.repeat([k, k + 1.0] * len(policy.schedule),
                         np.minimum(np.ravel(policy.schedule), T))
+    cycles = len(cycle_k)
     pos = np.zeros(n, dtype=np.int64)
 
     def share(t, abs_e):
         nonlocal pos
         U = abs_e >= cycle_k[pos]
-        pos = (pos + U) % len(cycle_k)
+        pos += U
+        pos %= cycles
         return U
 
     return share
 
 
-def _run_block(spec, policy: PolicySpec, config: SimConfig, T: int, burn: int,
+def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, burn: int,
                weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate all replications as one block; returns per-replication (d, n).
+    """Simulate every policy over one draw of the innovations, as one
+    ``(c, n)`` state of c policies x n replications; returns per-replication
+    (d, n), each of shape ``(c, n)`` with one row per policy, in order.
 
-    Raises ``NumericsError`` as soon as a chunk leaves a non-finite
-    distortion sum.
+    Raises ``NumericsError``, naming the policies at fault, as soon as a
+    chunk leaves a non-finite distortion sum.
     """
     n = config.replications
+    c = len(policies)
     a = spec.a
     distortion = spec.distortion
     inn_seq, pol_seq = np.random.SeedSequence([config.seed, _STREAM_LAYOUT]).spawn(2)
@@ -271,35 +299,58 @@ def _run_block(spec, policy: PolicySpec, config: SimConfig, T: int, burn: int,
         draw = _pmf_sampler(spec.pmf.offsets, spec.pmf.values)
     else:
         draw = spec.pdf.sampler
-    rule = _transmit_rule(policy, n, T, np.random.default_rng(pol_seq))
 
-    rows = _chunk_rows(n, T)
-    abs_err = np.empty((rows, n))  # |e| before each step; d is even, so d(|e|) = d(e)
-    sent = np.empty((rows, n), dtype=bool)
-    E = np.zeros(n)
-    d_acc = np.zeros(n)
-    u_acc = np.zeros(n)
+    # a fixed-threshold policy is a row of per-replication thresholds, all
+    # rows compared in one call per step; every other policy has a rule that
+    # then writes its own row.  Each policy reads its own copy of the policy
+    # stream, as a run of its own would
+    thresholds = np.full((c, n), np.inf)
+    rules = []
+    for row, policy in enumerate(policies):
+        pol_rng = np.random.default_rng(pol_seq)
+        if policy.kind == "threshold":
+            thresholds[row] = policy.k
+        elif policy.kind == "randomized_threshold":
+            thresholds[row] = np.where(pol_rng.random(n) < policy.theta,
+                                       policy.k, policy.k + 1.0)
+        else:
+            rules.append((row, _transmit_rule(policy, n, T, pol_rng)))
+    compare = len(rules) < c  # a block of rules alone has nothing to compare
+
+    rows = _chunk_rows(c * n, T)
+    abs_err = np.empty((rows, c, n))  # |e| before each step; d is even, so d(|e|) = d(e)
+    sent = np.empty((rows, c, n), dtype=bool)
+    E = np.zeros((c, n))
+    d_acc = np.zeros((c, n))
+    u_acc = np.zeros((c, n))
     # an overflowing state is either transmitted (|inf| >= k) or leaves an
     # infinite distortion sum, which the per-chunk check below reports
     with np.errstate(over="ignore"):
         for c0 in range(0, T, rows):
             m = min(rows, T - c0)
-            W = draw(inn_rng, (m, n))
+            W = draw(inn_rng, (m, 1, n))  # one draw, broadcast over the policy rows
             for j in range(m):
                 e_abs = abs_err[j]
+                U = sent[j]
                 innov = W[j]
                 np.abs(E, out=e_abs)
-                U = rule(c0 + j, e_abs)
-                sent[j] = U
+                if compare:
+                    np.greater_equal(e_abs, thresholds, out=U)
+                for row, rule in rules:
+                    U[row] = rule(c0 + j, e_abs[row])
                 if a != 1:
                     E *= a
                 E += innov
-                np.copyto(E, innov, where=U)
-            d = np.where(sent[:m], 0.0, distortion(abs_err[:m]))
+                # a transmission resets the state to the innovation; putmask
+                # repeats innov over the c rows of E, as broadcasting would,
+                # and runs up to 3x faster than np.copyto(..., where=U)
+                np.putmask(E, U, innov)
+            d = distortion(abs_err[:m])
+            np.putmask(d, sent[:m], 0.0)
             # sums over time run row by row in step order, never through BLAS,
             # so the bits do not depend on the machine's BLAS kernels
             if weights is not None:
-                w = weights[c0:c0 + m, None]
+                w = weights[c0:c0 + m, None, None]
                 d_acc += (w * d).sum(axis=0)
                 u_acc += (w * sent[:m]).sum(axis=0)
             else:
@@ -307,59 +358,24 @@ def _run_block(spec, policy: PolicySpec, config: SimConfig, T: int, burn: int,
                 d_acc += d[lo:].sum(axis=0)
                 u_acc += sent[lo:m].sum(axis=0)
             # u_acc sums flags times weights <= 1, so only d_acc can overflow
-            if not np.isfinite(d_acc).all():
+            bad = np.flatnonzero(~np.isfinite(d_acc).all(axis=1))
+            if bad.size:
+                named = ", ".join(f"{i} ({policies[i].kind})" for i in bad)
                 raise NumericsError(
-                    f"simulated sums are not finite after step {c0 + m} of {T}; "
-                    "the simulated distortion overflowed"
+                    f"simulated sums are not finite after step {c0 + m} of {T} "
+                    f"for policy {named}; the simulated distortion overflowed"
                 )
 
-    if weights is not None:
-        return d_acc, u_acc
-    steps = T - burn
-    return d_acc / steps, u_acc / steps
+    if weights is None:
+        steps = T - burn
+        d_acc /= steps
+        u_acc /= steps
+    return d_acc, u_acc
 
 
-def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
-             config: SimConfig) -> SimResult:
-    """Estimate (D, N) of a policy by independent replications.
-
-    Discounted runs return normalized discounted sums truncated where the
-    discount weight drops below the configured tolerance; average-cost runs
-    return time averages after the burn-in.  A never-transmit policy (k = inf
-    or an all-zero pattern) raises ``DivergenceError`` in the average-cost
-    regime with |a| >= 1, where its distortion is infinite.  Estimates that
-    come out non-finite, as when the state of an unstable source overflows
-    below a huge threshold, raise ``NumericsError``.
-    """
-    never = ((policy.k is not None and math.isinf(policy.k))
-             or (policy.pattern is not None and not any(policy.pattern)))
-    if never and spec.beta.is_average and abs(spec.a) >= 1:
-        raise DivergenceError("never-transmit average distortion diverges for |a| >= 1")
-    if never and abs(spec.a) >= 2:
-        raise NumericsError("never-transmit simulation with |a| >= 2 overflows the state")
-    if (isinstance(spec, ModelSpecA) and policy.k is not None
-            and not math.isinf(policy.k) and policy.k != int(policy.k)):
-        raise UsageError("integer-state thresholds must be integers")
-
-    beta = spec.beta
-    if beta.is_average:
-        T, burn = config.horizon, config.burn_in
-    else:
-        T = max(1, math.ceil(math.log(DISCOUNT_TRUNCATION_TOL) / math.log(beta)))
-        burn = 0
-    if T > MAX_SIM_STEPS:
-        raise UsageError(f"{T} steps are above the cap of {MAX_SIM_STEPS:.0e}; "
-                         "lower the horizon or the discount factor")
+def _estimate(d_rep: np.ndarray, n_rep: np.ndarray, config: SimConfig, T: int) -> SimResult:
+    """Mean and standard error of one policy's per-replication (d, n)."""
     R = config.replications
-    cells = R * T * (2 if policy.kind == "iid_random" else 1)
-    if cells > MAX_SIM_CELLS:
-        raise UsageError(
-            f"{R} replications x {T} steps need {cells:.3g} draws, "
-            f"above the cap of {MAX_SIM_CELLS:.0e}; lower the replications or the horizon"
-        )
-    weights = None if beta.is_average else (1.0 - beta) * beta ** np.arange(T)
-
-    d_rep, n_rep = _run_block(spec, policy, config, T, burn, weights)
     # finite per-replication estimates can still overflow the mean or the
     # variance (near 1e200 when a = 2 runs below a threshold of 1e200); the
     # check below turns that into a NumericsError
@@ -385,6 +401,70 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
         stream_id=f"pcg64[{config.seed},{_STREAM_LAYOUT}]:innov|policy,time-major",
         steps_per_replication=T,
     )
+
+
+def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySpec],
+                      config: SimConfig, stats: SimStats | None = None) -> list[SimResult]:
+    """Estimate (D, N) of each policy by independent replications, all
+    policies over one draw of the innovations and one step loop.
+
+    Each result is the one a run of that policy alone gives, up to the
+    rounding of its sums over chunks (the block's chunks hold fewer steps).
+    Discounted runs return normalized discounted sums truncated where the
+    discount weight drops below the configured tolerance; average-cost runs
+    return time averages after the burn-in.  A never-transmit policy (k = inf
+    or an all-zero pattern) raises ``DivergenceError`` in the average-cost
+    regime with |a| >= 1, where its distortion is infinite.  Estimates that
+    come out non-finite, as when the state of an unstable source overflows
+    below a huge threshold, raise ``NumericsError`` for the whole block.
+    ``MAX_SIM_STEPS`` and ``MAX_SIM_CELLS`` apply to each policy, so a block
+    runs whenever its policies would run one by one.
+    """
+    if not policies:
+        raise UsageError("at least one policy is required")
+    for policy in policies:
+        never = ((policy.k is not None and math.isinf(policy.k))
+                 or (policy.pattern is not None and not any(policy.pattern)))
+        if never and spec.beta.is_average and abs(spec.a) >= 1:
+            raise DivergenceError("never-transmit average distortion diverges for |a| >= 1")
+        if never and abs(spec.a) >= 2:
+            raise NumericsError("never-transmit simulation with |a| >= 2 overflows the state")
+        if (isinstance(spec, ModelSpecA) and policy.k is not None
+                and not math.isinf(policy.k) and policy.k != int(policy.k)):
+            raise UsageError("integer-state thresholds must be integers")
+
+    beta = spec.beta
+    if beta.is_average:
+        T, burn = config.horizon, config.burn_in
+    else:
+        T = max(1, math.ceil(math.log(DISCOUNT_TRUNCATION_TOL) / math.log(beta)))
+        burn = 0
+    if T > MAX_SIM_STEPS:
+        raise UsageError(f"{T} steps are above the cap of {MAX_SIM_STEPS:.0e}; "
+                         "lower the horizon or the discount factor")
+    R = config.replications
+    for policy in policies:
+        cells = R * T * (2 if policy.kind == "iid_random" else 1)
+        if cells > MAX_SIM_CELLS:
+            raise UsageError(
+                f"{R} replications x {T} steps need {cells:.3g} draws, "
+                f"above the cap of {MAX_SIM_CELLS:.0e}; lower the replications or the horizon"
+            )
+    weights = None if beta.is_average else (1.0 - beta) * beta ** np.arange(T)
+
+    d_rep, n_rep = _run_block(spec, policies, config, T, burn, weights)
+    results = [_estimate(d, u, config, T) for d, u in zip(d_rep, n_rep)]
+    if stats is not None:
+        stats.step_loops += 1
+        stats.simulated_policies += len(policies)
+        stats.draws += R * T
+    return results
+
+
+def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
+             config: SimConfig) -> SimResult:
+    """Estimate (D, N) of one policy: ``simulate_policies`` of a block of one."""
+    return simulate_policies(spec, [policy], config)[0]
 
 
 # --- state-blind baselines ----------------------------------------------------

@@ -179,11 +179,14 @@ def fredholm_solve(
     last_err = None
     while order <= _MAX_ORDER:
         grid = QuadratureGrid.gauss_legendre(k, order)
-        # I - beta * K W, built in place: at _MAX_ORDER each n x n copy is 134 MB
-        A = kernel(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
-        A *= -beta
-        A[np.diag_indices_from(A)] += 1.0
-        B = np.column_stack([f(grid.nodes) for f in rhs_fns])
+        # I - beta * K W, built in place: at _MAX_ORDER each n x n copy is 134 MB.
+        # An extreme scale overflows the kernel or a right-hand side; the
+        # check below reports that as a NumericsError, with no warning first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            A = kernel(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
+            A *= -beta
+            A[np.diag_indices_from(A)] += 1.0
+            B = np.column_stack([f(grid.nodes) for f in rhs_fns])
         if not (np.isfinite(A).all() and np.isfinite(B).all()):
             raise NumericsError(
                 f"Nystrom system at k={k}, order {order} has non-finite entries; "

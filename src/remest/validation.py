@@ -5,7 +5,11 @@ only implementation of these cross-checks: ``remest validate`` runs them
 and exits nonzero on any failure, and the acceptance tests call the same
 functions and assert that every check passed.  Tolerances are module
 constants, one value per check.  The Monte-Carlo suites take a
-``SimConfig`` so a caller can ask for a larger sample than the CLI default.
+``SimConfig`` so a caller can ask for a larger sample than the CLI default,
+and share one simulated block per spec: ``suite_renewal`` runs its
+birth-death and its Gaussian thresholds as two blocks, ``suite_baselines``
+its eight Gaussian policies as one, so each spec's innovations are drawn
+once (common random numbers across the policies compared).
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ import numpy as np
 from . import dp, solver_a, solver_b
 from .model import DistortionFn, ModelSpecB, SmoothPdf
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
-from .simulate import (
-    PolicySpec,
-    SimConfig,
-    periodic_distortion,
-    simulate as run_simulation,
-)
+from .simulate import PolicySpec, SimConfig, SimStats, periodic_distortion, simulate_policies
 
 TABLE_TOL = 5e-4  # the published table's four-decimal rounding
 CLOSED_FORM_TOL = 1e-9
@@ -216,23 +215,24 @@ def suite_scaling() -> list[CheckResult]:
     return out
 
 
-def suite_renewal(config: SimConfig = RENEWAL_CONFIG) -> list[CheckResult]:
-    """Simulated threshold performance vs the analytic route."""
+def suite_renewal(config: SimConfig = RENEWAL_CONFIG,
+                  stats: SimStats | None = None) -> list[CheckResult]:
+    """Simulated threshold performance vs the analytic route: one block of
+    thresholds per spec."""
     out: list[CheckResult] = []
-    bd = solver_a.bd_spec(0.3, 1.0)
-    gm = solver_b.gauss_markov_spec(1.0)
-    cases = [(f"birth-death k={k}", bd, k, solver_a.performance) for k in (2, 3, 5)]
-    cases += [(f"gaussian k={k}", gm, k, solver_b.performance_b) for k in (1.0, 2.0)]
-    for name, spec, k, analytic in cases:
-        ana = analytic(spec, k)
-        res = run_simulation(spec, PolicySpec.threshold(k), config)
-        out.append(_check(
-            "renewal", name,
-            _sim_close(res.d_hat, res.d_se, ana.distortion)
-            and _sim_close(res.n_hat, res.n_se, ana.transmission_rate),
-            f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {ana.distortion:.5f}; "
-            f"n={res.n_hat:.5f}±{res.n_se:.5f} vs {ana.transmission_rate:.5f}",
-        ))
+    blocks = [("birth-death", solver_a.bd_spec(0.3, 1.0), (2, 3, 5), solver_a.performance),
+              ("gaussian", solver_b.gauss_markov_spec(1.0), (1.0, 2.0), solver_b.performance_b)]
+    for label, spec, ks, analytic in blocks:
+        results = simulate_policies(spec, [PolicySpec.threshold(k) for k in ks], config, stats)
+        for k, res in zip(ks, results):
+            ana = analytic(spec, k)
+            out.append(_check(
+                "renewal", f"{label} k={k}",
+                _sim_close(res.d_hat, res.d_se, ana.distortion)
+                and _sim_close(res.n_hat, res.n_se, ana.transmission_rate),
+                f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {ana.distortion:.5f}; "
+                f"n={res.n_hat:.5f}±{res.n_se:.5f} vs {ana.transmission_rate:.5f}",
+            ))
     return out
 
 
@@ -270,32 +270,37 @@ def suite_dp() -> list[CheckResult]:
     return out
 
 
-def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
-    """State-blind baseline formulas and the policy ordering, by simulation."""
-    out: list[CheckResult] = []
+def suite_baselines(config: SimConfig = BASELINES_CONFIG,
+                    stats: SimStats | None = None) -> list[CheckResult]:
+    """State-blind baseline formulas and the policy ordering, by simulation:
+    all eight policies in one block."""
     gm = solver_b.gauss_markov_spec(1.0)
+    # (name, policy, distortion the simulation must reproduce)
+    baselines = []
+    for alpha in (0.25, 0.5):
+        baselines.append((f"random transmissions alpha={alpha}",
+                          PolicySpec.iid_random(alpha), 1.0 / alpha - 1.0))
+        baselines.append((f"periodic one-in-T alpha={alpha}",
+                          PolicySpec.periodic_one_in(round(1.0 / alpha)),
+                          periodic_distortion(alpha, 1.0, "one_in_T")))
+    # the all-but-one family needs alpha = (T - 1) / T
+    for alpha in (0.5, 0.75):
+        baselines.append((f"periodic all-but-one alpha={alpha}",
+                          PolicySpec.periodic_all_but_one(round(1.0 / (1.0 - alpha))),
+                          periodic_distortion(alpha, 1.0, "all_but_one")))
+    order_alphas = (0.2, 0.5)
+    optimal = [PolicySpec.threshold(solver_b.algorithm2_constrained(gm, alpha, 1e-6)[0])
+               for alpha in order_alphas]
+    results = simulate_policies(gm, [policy for _, policy, _ in baselines] + optimal,
+                                config, stats)
 
-    def baseline(name: str, policy: PolicySpec, want: float) -> None:
-        res = run_simulation(gm, policy, config)
+    out: list[CheckResult] = []
+    for (name, _, want), res in zip(baselines, results):
         out.append(_check(
             "baselines", name, _sim_close(res.d_hat, res.d_se, want),
             f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {want:.5f}",
         ))
-
-    for alpha in (0.25, 0.5):
-        baseline(f"random transmissions alpha={alpha}",
-                 PolicySpec.iid_random(alpha), 1.0 / alpha - 1.0)
-        baseline(f"periodic one-in-T alpha={alpha}",
-                 PolicySpec.periodic_one_in(round(1.0 / alpha)),
-                 periodic_distortion(alpha, 1.0, "one_in_T"))
-    # the all-but-one family needs alpha = (T - 1) / T
-    for alpha in (0.5, 0.75):
-        baseline(f"periodic all-but-one alpha={alpha}",
-                 PolicySpec.periodic_all_but_one(round(1.0 / (1.0 - alpha))),
-                 periodic_distortion(alpha, 1.0, "all_but_one"))
-    for alpha in (0.2, 0.5):
-        k_opt, _ = solver_b.algorithm2_constrained(gm, alpha, 1e-6)
-        res_th = run_simulation(gm, PolicySpec.threshold(k_opt), config)
+    for alpha, res_th in zip(order_alphas, results[len(baselines):]):
         d_per = periodic_distortion(alpha, 1.0, "one_in_T")
         d_rand = 1.0 / alpha - 1.0
         out.append(_check(
@@ -306,19 +311,22 @@ def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
     return out
 
 
+# every entry takes the keyword ``stats``: the suites that simulate add
+# their simulator work to it, the others ignore it
 SUITES = {
-    "tableI": suite_table,
-    "closed_forms": suite_closed_forms,
-    "scaling": suite_scaling,
+    "tableI": lambda stats=None: suite_table(),
+    "closed_forms": lambda stats=None: suite_closed_forms(),
+    "scaling": lambda stats=None: suite_scaling(),
     "renewal": suite_renewal,
-    "dp": suite_dp,
+    "dp": lambda stats=None: suite_dp(),
     "baselines": suite_baselines,
 }
 
 
-def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        return [check for fn in SUITES.values() for check in fn()]
-    if name not in SUITES:
+def run_suite(name: str, stats: SimStats | None = None) -> list[CheckResult]:
+    """Checks of one suite, or of every suite for ``"all"``; the Monte-Carlo
+    suites add their simulator work to ``stats``."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+    return [check for suite in (SUITES if name == "all" else (name,))
+            for check in SUITES[suite](stats=stats)]

@@ -242,16 +242,17 @@ class TestSolve:
         assert err.startswith("usage error")
 
     def test_overflowing_kernel_exits_two(self):
-        # a subprocess: the overflow warns on the way, and that warning must
-        # not be turned into an error as it would be inside the test run
+        # a subprocess, so stderr shows what a user sees: the typed error and
+        # no RuntimeWarning before it, at either end of the float range
         env = {**os.environ, "PYTHONPATH": str(Path(remest.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-m", "remest.cli", "solve", "--model", "B",
-             "--problem", "costly", "--lambda", "1", "--sigma", "1e300"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert run.returncode == 2
-        assert "numerical failure:" in run.stderr
-        assert "Traceback" not in run.stderr
+        for sigma in ("1e300", "1e154", "1e-300"):
+            run = subprocess.run(
+                [sys.executable, "-m", "remest.cli", "solve", "--model", "B",
+                 "--problem", "costly", "--lambda", "1", "--sigma", sigma],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert run.returncode == 2, sigma
+            lines = run.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("numerical failure:"), run.stderr
 
     def test_missing_value_is_usage_error(self, capsys):
         code, _, err = run_cli(["solve", "--model", "A", "--problem", "costly",
@@ -378,6 +379,14 @@ class TestValidateCommand:
         code, out, _ = run_cli(["validate", "--suite", "tableI"], capsys)
         assert code == 0
         assert len(parse_csv(out)) == 99
+
+    def test_renewal_suite_simulates_one_block_per_spec(self, capsys):
+        # birth-death k = 2, 3, 5 and Gaussian k = 1, 2: two step loops, each
+        # drawing 100 replications x 50 000 innovations once
+        code, out, _ = run_cli(["validate", "--suite", "renewal", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["metadata"]["diagnostics"] == {
+            "step_loops": 2, "simulated_policies": 5, "draws": 10**7}
 
     def test_failed_check_exits_three(self, capsys, monkeypatch):
         from remest import validation

@@ -24,6 +24,7 @@ from remest.simulate import (
     SimResult,
     periodic_distortion,
     simulate,
+    simulate_policies,
     stationary_stopping_distortion,
     steering_policy_step,
     steering_visit_probability,
@@ -465,6 +466,91 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * simulate_module.CHUNK_CELLS * 8
+
+
+class TestBlock:
+    """Several policies over one draw of the innovations and one step loop."""
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_golden_results(self, model):
+        # 6 policies x 7 replications x 3000 steps fit in one chunk
+        kinds = sorted(GOLDEN_POLICIES[model])
+        results = simulate_policies(golden_spec(model),
+                                    [GOLDEN_POLICIES[model][kind] for kind in kinds],
+                                    SimConfig(horizon=3000, replications=7, burn_in=200, seed=11))
+        for kind, res in zip(kinds, results):
+            assert (res.d_hat, res.n_hat, res.d_se, res.n_se,
+                    res.steps_per_replication) == GOLDEN[(model, kind)], kind
+            assert res.stream_id == "pcg64[11,2]:innov|policy,time-major"
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_matches_separate_runs_across_chunks(self, model, monkeypatch):
+        cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+        policies = list(GOLDEN_POLICIES[model].values())
+        # stateful and threshold kinds interleaved among the block's rows
+        policies = policies[::2] + policies[1::2]
+        separate = [simulate(golden_spec(model), policy, cfg) for policy in policies]
+        width = len(policies) * cfg.replications
+        for rows in (1, 37):
+            monkeypatch.setattr(simulate_module, "CHUNK_CELLS", rows * width)
+            block = simulate_policies(golden_spec(model), policies, cfg)
+            for res, one in zip(block, separate):
+                assert res.stream_id == one.stream_id
+                assert res.steps_per_replication == one.steps_per_replication
+                for field in ("d_hat", "n_hat", "d_se", "n_se"):
+                    assert getattr(res, field) == pytest.approx(getattr(one, field),
+                                                                rel=1e-12), (rows, field)
+
+    def test_memory_bounded_by_chunk(self, bd_avg):
+        # five policies of 50 replications: the 50 x 5e4 innovation matrix alone
+        # would take 20 MB, the block's |e| history 100 MB; a quarter of the
+        # horizon of TestChunks.test_memory_bounded_by_chunk, since tracing
+        # every allocation slows the step loop about sixfold
+        cfg = SimConfig(horizon=50_000, replications=50, burn_in=1000, seed=5)
+        policies = [PolicySpec.threshold(2), PolicySpec.threshold(3),
+                    PolicySpec.randomized_threshold(2, 0.4), PolicySpec.periodic((1, 0, 0)),
+                    PolicySpec.iid_random(0.3)]
+        tracemalloc.start()
+        try:
+            simulate_policies(bd_avg, policies, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * simulate_module.CHUNK_CELLS * 8
+
+    def test_caps_apply_per_policy(self, bd_avg, monkeypatch):
+        # three policies of 1000 draws each run under a cap of 1000; iid coins
+        # double one policy's draws, and that policy alone is refused
+        monkeypatch.setattr(simulate_module, "MAX_SIM_CELLS", 1000)
+        monkeypatch.setattr(simulate_module, "MAX_SIM_STEPS", 100)
+        cfg = SimConfig(horizon=100, replications=10, burn_in=10)
+        policies = [PolicySpec.threshold(2), PolicySpec.threshold(3), PolicySpec.periodic((1, 0))]
+        assert len(simulate_policies(bd_avg, policies, cfg)) == 3
+        with pytest.raises(UsageError, match="cap"):
+            simulate_policies(bd_avg, policies + [PolicySpec.iid_random(0.5)], cfg)
+        with pytest.raises(UsageError, match="cap"):
+            simulate_policies(bd_avg, [PolicySpec.threshold(2)],
+                              SimConfig(horizon=101, replications=1, burn_in=10))
+
+    def test_overflow_names_the_policy(self):
+        # the state outgrows float64 below k = 1e200 but not below k = 1
+        spec = solver_b.gauss_markov_spec(1.0, a=2.0)
+        policies = [PolicySpec.threshold(1.0), PolicySpec.threshold(1e200)]
+        with pytest.raises(NumericsError, match=r"not finite after step \d+ of 3000 "
+                                                r"for policy 1 \(threshold\);"):
+            simulate_policies(spec, policies, SimConfig(horizon=3000, replications=2, seed=1))
+
+    def test_empty_block_rejected(self, bd_avg):
+        with pytest.raises(UsageError):
+            simulate_policies(bd_avg, [], SimConfig(horizon=100, replications=2, burn_in=10))
+
+    def test_stats_count_loops_policies_and_draws(self, bd_avg):
+        stats = simulate_module.SimStats()
+        cfg = SimConfig(horizon=300, replications=4, burn_in=10)
+        simulate_policies(bd_avg, [PolicySpec.threshold(2), PolicySpec.iid_random(0.5)],
+                          cfg, stats)
+        simulate_policies(bd_avg, [PolicySpec.threshold(3)], cfg, stats)
+        assert (stats.step_loops, stats.simulated_policies, stats.draws) == (2, 3, 2 * 4 * 300)
 
 
 class TestPmfSampler:

@@ -44,8 +44,13 @@ def _break_scaling(mp):
 
 
 def _break_simulation(mp):
-    mp.setattr(validation, "run_simulation", _nudged(
-        validation.run_simulation, "d_hat", lambda r: 10.0 * r.d_se))
+    real = validation.simulate_policies
+
+    def nudged(*args, **kwargs):
+        return [dataclasses.replace(r, d_hat=r.d_hat + 10.0 * r.d_se)
+                for r in real(*args, **kwargs)]
+
+    mp.setattr(validation, "simulate_policies", nudged)
 
 
 def _break_dp(mp):
