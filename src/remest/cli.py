@@ -7,8 +7,10 @@ cross-check suites).
 
 Output is a flat record: CSV gets only the header and rows (RFC-4180
 quoting, LF line endings); JSON additionally carries the command echo and
-metadata.  Numeric cells are written with 17 significant digits.  Flags can
-be kept in a file and pulled in with ``@file``.
+metadata.  Numeric cells are written with 17 significant digits.  Every JSON
+record carries the command's ``Diagnostics`` work counters under
+``metadata.diagnostics``.  Flags can be kept in a file and pulled in with
+``@file``.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 validation
 failure.
@@ -32,9 +34,10 @@ from .model import (
     ModelSpecB,
     SmoothPdf,
     TradeoffCurve,
+    collect,
     spec_digest,
 )
-from .simulate import PolicySpec, SimConfig, SimStats, simulate as run_simulation
+from .simulate import PolicySpec, SimConfig, simulate as run_simulation
 
 SCHEMA_VERSION = "1"
 
@@ -126,9 +129,12 @@ def _spec_from_args(args) -> object:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad numeric list {text!r}") from exc
+    if not values or len(set(values)) < len(values):
+        raise UsageError(f"numeric list {text!r} must hold at least one value and no repeats")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -187,24 +193,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _diagnostics(stats: solver_a.SolveStats, search: bool = False) -> dict:
-    """Model-A work counters for ``metadata.diagnostics``; deterministic, so
-    reruns stay byte-identical."""
-    out = {"factorizations": stats.factorizations, "table_dim": stats.table_dim}
-    if search:
-        out["doublings"] = stats.doublings
-    return out
-
-
 def cmd_table(args) -> OutputRecord:
     betas = _parse_floats(args.betas)
     specs = [_spec_a(args.p, beta) for beta in betas]
     if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
     rows = []
-    stats = solver_a.SolveStats()
     for beta, spec in zip(betas, specs):
-        table = solver_a.threshold_table(spec, args.k_max + 1, stats)
+        table = solver_a.threshold_table(spec, args.k_max + 1)
         corners = dict(solver_a.table_corners(table))
         for k in range(args.k_max + 1):
             rows.append({
@@ -214,19 +210,16 @@ def cmd_table(args) -> OutputRecord:
                 "N": float(table.N[k]),
                 "lambda": corners.get(k),
             })
-    meta = {"p": args.p, "k_max": args.k_max, "diagnostics": _diagnostics(stats)}
     return OutputRecord(command="table", columns=["beta", "k", "D", "N", "lambda"],
-                        rows=rows, metadata=meta)
+                        rows=rows, metadata={"p": args.p, "k_max": args.k_max})
 
 
 def cmd_curve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "kind": args.kind}
     if args.model == "A":
-        stats = solver_a.SolveStats()
-        curve = solver_a.tradeoff_curve(spec, args.kind, args.k_max, stats)
+        curve = solver_a.tradeoff_curve(spec, args.kind, args.k_max)
         meta["k_max"] = args.k_max
-        meta["diagnostics"] = _diagnostics(stats)
     else:
         grid_text = args.alphas if args.kind == "constrained" else args.lambdas
         if grid_text is None:
@@ -254,12 +247,11 @@ def cmd_curve(args) -> OutputRecord:
 def cmd_solve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "problem": args.problem}
-    stats = solver_a.SolveStats()
     if args.problem == "costly":
         if args.lam is None:
             raise UsageError("--lambda is required for the costly problem")
         if args.model == "A":
-            result = solver_a.optimal_costly(spec, args.lam, stats)
+            result = solver_a.optimal_costly(spec, args.lam)
         else:
             result = solver_b.algorithm1_costly(spec, args.lam, args.epsilon)
         k, cost = result
@@ -270,15 +262,13 @@ def cmd_solve(args) -> OutputRecord:
         if args.alpha is None:
             raise UsageError("--alpha is required for the constrained problem")
         if args.model == "A":
-            policy, d_star = solver_a.optimal_constrained(spec, args.alpha, stats)
+            policy, d_star = solver_a.optimal_constrained(spec, args.alpha)
             k, theta = policy.k_star, policy.theta_star
         else:
             k, d_star = solver_b.algorithm2_constrained(spec, args.alpha, args.epsilon)
             theta = None
         row = {"k": k, "theta": theta, "D": d_star, "N": args.alpha, "C": None, "lambda": None}
-    if args.model == "A":
-        meta["diagnostics"] = _diagnostics(stats, search=True)
-    else:
+    if args.model == "B":
         meta["epsilon"] = args.epsilon
     return OutputRecord(command="solve",
                         columns=["k", "theta", "D", "N", "C", "lambda"],
@@ -345,44 +335,37 @@ def cmd_simulate(args) -> OutputRecord:
                         rows=rows, metadata=meta)
 
 
-def cmd_validate(args) -> tuple[OutputRecord, bool]:
-    stats = SimStats()
-    checks = validation.run_suite(args.suite, stats=stats)
+def cmd_validate(args) -> OutputRecord:
+    checks = validation.run_suite(args.suite)
     rows = [{
         "suite": c.suite, "check": c.name,
         "passed": c.passed, "detail": c.detail,
     } for c in checks]
-    record = OutputRecord(command="validate",
-                          columns=["suite", "check", "passed", "detail"],
-                          rows=rows,
-                          metadata={"suite": args.suite,
-                                    "failed": sum(not c.passed for c in checks),
-                                    "diagnostics": asdict(stats)})
-    return record, all(c.passed for c in checks)
+    return OutputRecord(command="validate",
+                        columns=["suite", "check", "passed", "detail"],
+                        rows=rows,
+                        metadata={"suite": args.suite,
+                                  "failed": sum(not c.passed for c in checks)})
+
+
+COMMANDS = {"table": cmd_table, "curve": cmd_curve, "solve": cmd_solve,
+            "simulate": cmd_simulate, "validate": cmd_validate}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        ok = True
-        if args.cmd == "table":
-            record = cmd_table(args)
-        elif args.cmd == "curve":
-            record = cmd_curve(args)
-        elif args.cmd == "solve":
-            record = cmd_solve(args)
-        elif args.cmd == "simulate":
-            record = cmd_simulate(args)
-        else:
-            record, ok = cmd_validate(args)
+        with collect() as diagnostics:
+            record = COMMANDS[args.cmd](args)
+        record.metadata["diagnostics"] = asdict(diagnostics)
         text = record.render(args.format)
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return 0 if ok else 3
+        return 3 if record.metadata.get("failed") else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,8 +16,9 @@ indices sharing the ``m`` pmf weights.  Each iteration is one gather and one
 weighted sum; the fixed point stacks D and N into one vector and iterates
 both with the same gather.  Neither route makes a linear solve.
 
-Both routes are discounted-only; the average-cost regime is covered by the
-vanishing-discount checks in the validation suites.
+Both routes are discounted-only and beta = 1 has no DP route yet; the one
+vanishing-discount test (renewal solver at beta = 0.9999 against the
+birth-death closed forms at beta = 1) does not use this oracle.
 """
 
 from __future__ import annotations

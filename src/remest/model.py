@@ -6,7 +6,9 @@ integer-state variant uses a symmetric unimodal pmf, the continuous-state
 variant a symmetric unimodal pdf.  ``beta == 1`` selects the long-term
 average criterion.
 
-All types are immutable after construction; operations here are pure.
+All types are immutable after construction and operations here are pure,
+except the ``Diagnostics`` work counters, which the solvers and the
+simulator add to inside a ``collect()`` block and never read.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Literal, Mapping
 
@@ -422,3 +426,43 @@ class TradeoffCurve:
                 if np.any(np.diff(slopes) < -tol):
                     out.append("constrained curve must be convex")
         return out
+
+
+@dataclass
+class Diagnostics:
+    """Deterministic work counters of one command: factorizations (one per
+    threshold table or Nystrom rung) and the largest order factored, search
+    steps (table doublings, thresholds a Model-B search evaluates), and the
+    simulator's step loops, the policies run in them and the draws shared."""
+
+    factorizations: int = 0
+    largest_system: int = 0
+    search_steps: int = 0
+    step_loops: int = 0
+    simulated_policies: int = 0
+    draws: int = 0
+
+
+_OPEN_RECORD: ContextVar[Diagnostics | None] = ContextVar("remest_diagnostics", default=None)
+
+
+@contextmanager
+def collect():
+    """Open a fresh ``Diagnostics`` record for the work done inside the block;
+    a nested block counts only into its own record."""
+    record = Diagnostics()
+    token = _OPEN_RECORD.set(record)
+    try:
+        yield record
+    finally:
+        _OPEN_RECORD.reset(token)
+
+
+def count(largest_system: int = 0, **increments: int) -> None:
+    """Add ``increments`` to the open record and raise its largest system
+    to ``largest_system``; outside a ``collect()`` block, do nothing."""
+    record = _OPEN_RECORD.get()
+    if record is not None:
+        for name, n in increments.items():
+            setattr(record, name, getattr(record, name) + n)
+        record.largest_system = max(record.largest_system, largest_system)

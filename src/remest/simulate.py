@@ -40,7 +40,7 @@ import numpy as np
 
 from . import solver_a
 from .errors import DivergenceError, NumericsError, UsageError
-from .model import ModelSpecA, ModelSpecB
+from .model import ModelSpecA, ModelSpecB, count
 
 # cap on the per-step draws (innovations, iid coins) of one policy's run: it
 # bounds the run's length, not its memory, since only one chunk of draws is
@@ -170,16 +170,6 @@ class SimConfig:
             raise UsageError("burn-in must satisfy 0 <= burn_in < horizon")
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass
-class SimStats:
-    """Deterministic work counters of the simulator: step loops run, policies
-    simulated in them, and innovations drawn (shared by a block's policies)."""
-
-    step_loops: int = 0
-    simulated_policies: int = 0
-    draws: int = 0
 
 
 @dataclass(frozen=True)
@@ -404,7 +394,7 @@ def _estimate(d_rep: np.ndarray, n_rep: np.ndarray, config: SimConfig, T: int) -
 
 
 def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySpec],
-                      config: SimConfig, stats: SimStats | None = None) -> list[SimResult]:
+                      config: SimConfig) -> list[SimResult]:
     """Estimate (D, N) of each policy by independent replications, all
     policies over one draw of the innovations and one step loop.
 
@@ -453,12 +443,8 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
     weights = None if beta.is_average else (1.0 - beta) * beta ** np.arange(T)
 
     d_rep, n_rep = _run_block(spec, policies, config, T, burn, weights)
-    results = [_estimate(d, u, config, T) for d, u in zip(d_rep, n_rep)]
-    if stats is not None:
-        stats.step_loops += 1
-        stats.simulated_policies += len(policies)
-        stats.draws += R * T
-    return results
+    count(step_loops=1, simulated_policies=len(policies), draws=R * T)
+    return [_estimate(d, u, config, T) for d, u in zip(d_rep, n_rep)]
 
 
 def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,

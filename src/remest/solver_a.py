@@ -67,6 +67,7 @@ from .model import (
     PerfPoint,
     RandomizedThresholdPolicy,
     TradeoffCurve,
+    count,
 )
 
 #: Corners with distortion increments below this are skipped as duplicates.
@@ -84,16 +85,6 @@ NEVER_TRANSMIT_MAX_WORK = 6.5e9
 #: Ratio of successive column weights of the factored matrix; 1 - 1e-6 is far
 #: above the rounding (about K eps) that could tip a tied pivot choice.
 _TIE_BREAK = 1.0 - 1e-6
-
-
-@dataclass
-class SolveStats:
-    """Deterministic work counters of one request: table factorizations,
-    the largest table dimension, and the doublings of a threshold search."""
-
-    factorizations: int = 0
-    table_dim: int = 0
-    doublings: int = 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +133,7 @@ def folded_transition(spec: ModelSpecA, dim: int) -> np.ndarray:
     return T
 
 
-def threshold_table(spec: ModelSpecA, K: int, stats: SolveStats | None = None) -> ThresholdTable:
+def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     """(L, M, D, N, dD) and the edge masses of every threshold k <= K from
     one factorization.
 
@@ -226,9 +217,7 @@ def threshold_table(spec: ModelSpecA, K: int, stats: SolveStats | None = None) -
     D = np.concatenate(([0.0], L[1:] / M[1:]))
     N = np.concatenate(([1.0], beta * Y.diagonal() / M[1:]))
     dD = np.concatenate((D[1:2], (zg[1:] * M[1:K] - zh[1:] * L[1:K]) / (M[1:K] * M[2:])))
-    if stats is not None:
-        stats.factorizations += 1
-        stats.table_dim = max(stats.table_dim, K)
+    count(factorizations=1, largest_system=K)
     # x_k^T = Up_k^-1 z[:k].  Row k of W A^T left of the diagonal is
     # -beta w_k T[:k, k]^T = Lo[k, :k] Up_k, and (Lo z)_k = 0, so
     # beta x_k T[:k, k] = -Lo[k, :k] z[:k] / w_k = z_k / w_k; Up^-1 is
@@ -335,8 +324,7 @@ def corner_lambdas(spec: ModelSpecA, k_max: int) -> list[tuple[int, float]]:
     return table_corners(threshold_table(spec, k_max + 1))
 
 
-def optimal_costly(spec: ModelSpecA, lam: float,
-                   stats: SolveStats | None = None) -> CostlyResult:
+def optimal_costly(spec: ModelSpecA, lam: float) -> CostlyResult:
     """Optimal threshold and cost when each transmission costs ``lam``.
 
     The table doubles, one factorization each, until its corners cover
@@ -346,15 +334,14 @@ def optimal_costly(spec: ModelSpecA, lam: float,
     if not 0.0 <= lam < math.inf:
         raise UsageError(f"transmission price must be nonnegative and finite, got {lam}")
     k_max = 8
-    table = threshold_table(spec, k_max + 1, stats)
+    table = threshold_table(spec, k_max + 1)
     corners = table_corners(table)
     while lam > corners[-1][1]:
         if k_max + 1 >= MAX_SILENT_DIM:
             raise CapacityError(f"price {lam} needs thresholds beyond the dimension cap")
         k_max = min(2 * k_max, MAX_SILENT_DIM - 1)
-        if stats is not None:
-            stats.doublings += 1
-        table = threshold_table(spec, k_max + 1, stats)
+        count(search_steps=1)
+        table = threshold_table(spec, k_max + 1)
         wider = table_corners(table)
         if len(wider) == len(corners):
             kn, lam_last = corners[-1]
@@ -371,9 +358,7 @@ def optimal_costly(spec: ModelSpecA, lam: float,
     return CostlyResult(k_star, perf.cost, perf)
 
 
-def optimal_constrained(
-    spec: ModelSpecA, alpha: float, stats: SolveStats | None = None
-) -> tuple[RandomizedThresholdPolicy, float]:
+def optimal_constrained(spec: ModelSpecA, alpha: float) -> tuple[RandomizedThresholdPolicy, float]:
     """Optimal mixture policy and distortion under rate budget ``alpha``.
 
     The table doubles, one factorization each, until its last rate is below
@@ -383,14 +368,13 @@ def optimal_constrained(
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"rate budget must lie in (0, 1), got {alpha}")
     K = min(8, MAX_SILENT_DIM)
-    table = threshold_table(spec, K, stats)
+    table = threshold_table(spec, K)
     while not table.N[K] < alpha:
         if K >= MAX_SILENT_DIM:
             raise CapacityError("rate budget needs thresholds beyond the dimension cap")
         K = min(2 * K, MAX_SILENT_DIM)
-        if stats is not None:
-            stats.doublings += 1
-        table = threshold_table(spec, K, stats)
+        count(search_steps=1)
+        table = threshold_table(spec, K)
     D, N = table.D, table.N
     if np.any(np.diff(N) > 0.0):
         raise NumericsError(f"transmission rate is not monotone in the threshold (K={K})")
@@ -404,15 +388,14 @@ def optimal_constrained(
     return RandomizedThresholdPolicy(k_star=k_star, theta_star=float(theta)), d_star
 
 
-def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int,
-                   stats: SolveStats | None = None) -> TradeoffCurve:
+def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int) -> TradeoffCurve:
     """Corner points of the optimal trade-off curve up to threshold k_max,
     from one table of k_max + 1 thresholds."""
     if kind not in ("costly", "constrained"):
         raise UsageError(f"unknown curve kind {kind!r}")
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1, got {k_max}")
-    table = threshold_table(spec, k_max + 1, stats)
+    table = threshold_table(spec, k_max + 1)
     D, N = table.D, table.N
     if kind == "costly":
         points = tuple(

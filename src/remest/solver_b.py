@@ -50,6 +50,7 @@ from .model import (
     ModelSpecB,
     PerfPoint,
     SmoothPdf,
+    count,
 )
 
 _DEFAULT_TOL = 1e-10
@@ -194,6 +195,7 @@ def fredholm_solve(
             )
         anorm = np.linalg.norm(A, 1)
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        count(factorizations=1, largest_system=order)
         rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
         if info != 0 or rcond < 1e-13:
             raise SingularSystemError(
@@ -301,12 +303,17 @@ def _bracket_and_search(
     """
     if not 0.0 < epsilon < math.inf:
         raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
+
+    def renewal(k):
+        count(search_steps=1)
+        return _renewal(spec, k)
+
     k = seed = spec.pdf.scale * max(1.0, abs(spec.a))
-    f = key(_renewal(spec, seed)) - target
+    f = key(renewal(seed)) - target
     factor = 2.0 if f < 0.0 else 0.5
     for _ in range(_MAX_BRACKET_EXPANSIONS):
         k_next = factor * k
-        f_next = key(_renewal(spec, k_next)) - target
+        f_next = key(renewal(k_next)) - target
         if (f_next < 0.0) != (f < 0.0):
             break
         k, f = k_next, f_next
@@ -318,7 +325,7 @@ def _bracket_and_search(
         k = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         if not lo < k < hi:
             k = 0.5 * (lo + hi)
-        at = _renewal(spec, k)
+        at = renewal(k)
         f = key(at) - target
         if abs(f) <= epsilon:
             return k, at

@@ -23,7 +23,7 @@ import numpy as np
 from . import dp, solver_a, solver_b
 from .model import DistortionFn, ModelSpecB, SmoothPdf
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
-from .simulate import PolicySpec, SimConfig, SimStats, periodic_distortion, simulate_policies
+from .simulate import PolicySpec, SimConfig, periodic_distortion, simulate_policies
 
 TABLE_TOL = 5e-4  # the published table's four-decimal rounding
 CLOSED_FORM_TOL = 1e-9
@@ -215,15 +215,14 @@ def suite_scaling() -> list[CheckResult]:
     return out
 
 
-def suite_renewal(config: SimConfig = RENEWAL_CONFIG,
-                  stats: SimStats | None = None) -> list[CheckResult]:
+def suite_renewal(config: SimConfig = RENEWAL_CONFIG) -> list[CheckResult]:
     """Simulated threshold performance vs the analytic route: one block of
     thresholds per spec."""
     out: list[CheckResult] = []
     blocks = [("birth-death", solver_a.bd_spec(0.3, 1.0), (2, 3, 5), solver_a.performance),
               ("gaussian", solver_b.gauss_markov_spec(1.0), (1.0, 2.0), solver_b.performance_b)]
     for label, spec, ks, analytic in blocks:
-        results = simulate_policies(spec, [PolicySpec.threshold(k) for k in ks], config, stats)
+        results = simulate_policies(spec, [PolicySpec.threshold(k) for k in ks], config)
         for k, res in zip(ks, results):
             ana = analytic(spec, k)
             out.append(_check(
@@ -270,8 +269,7 @@ def suite_dp() -> list[CheckResult]:
     return out
 
 
-def suite_baselines(config: SimConfig = BASELINES_CONFIG,
-                    stats: SimStats | None = None) -> list[CheckResult]:
+def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
     """State-blind baseline formulas and the policy ordering, by simulation:
     all eight policies in one block."""
     gm = solver_b.gauss_markov_spec(1.0)
@@ -291,8 +289,7 @@ def suite_baselines(config: SimConfig = BASELINES_CONFIG,
     order_alphas = (0.2, 0.5)
     optimal = [PolicySpec.threshold(solver_b.algorithm2_constrained(gm, alpha, 1e-6)[0])
                for alpha in order_alphas]
-    results = simulate_policies(gm, [policy for _, policy, _ in baselines] + optimal,
-                                config, stats)
+    results = simulate_policies(gm, [policy for _, policy, _ in baselines] + optimal, config)
 
     out: list[CheckResult] = []
     for (name, _, want), res in zip(baselines, results):
@@ -311,22 +308,19 @@ def suite_baselines(config: SimConfig = BASELINES_CONFIG,
     return out
 
 
-# every entry takes the keyword ``stats``: the suites that simulate add
-# their simulator work to it, the others ignore it
 SUITES = {
-    "tableI": lambda stats=None: suite_table(),
-    "closed_forms": lambda stats=None: suite_closed_forms(),
-    "scaling": lambda stats=None: suite_scaling(),
+    "tableI": suite_table,
+    "closed_forms": suite_closed_forms,
+    "scaling": suite_scaling,
     "renewal": suite_renewal,
-    "dp": lambda stats=None: suite_dp(),
+    "dp": suite_dp,
     "baselines": suite_baselines,
 }
 
 
-def run_suite(name: str, stats: SimStats | None = None) -> list[CheckResult]:
-    """Checks of one suite, or of every suite for ``"all"``; the Monte-Carlo
-    suites add their simulator work to ``stats``."""
+def run_suite(name: str) -> list[CheckResult]:
+    """Checks of one suite, or of every suite for ``"all"``."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return [check for suite in (SUITES if name == "all" else (name,))
-            for check in SUITES[suite](stats=stats)]
+            for check in SUITES[suite]()]

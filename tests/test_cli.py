@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import remest
-from remest import solver_b
+from remest import solver_b, validation
 from remest.cli import build_parser, main
+from remest.simulate import SimConfig
 
 
 def run_cli(args, capsys):
@@ -94,7 +96,36 @@ class TestCurve:
         assert len(solve_log) <= 16
 
 
-class TestModelADiagnostics:
+def _record(factorizations=0, largest_system=0, search_steps=0,
+            step_loops=0, simulated_policies=0, draws=0):
+    """A full ``metadata.diagnostics`` record: every command writes all six keys."""
+    return {"factorizations": factorizations, "largest_system": largest_system,
+            "search_steps": search_steps, "step_loops": step_loops,
+            "simulated_policies": simulated_policies, "draws": draws}
+
+
+# the Monte-Carlo suites on a short config, so that every suite and "all"
+# run once for the whole class
+_SHORT_MC = SimConfig(horizon=2_000, replications=20, seed=5, burn_in=100)
+
+
+@pytest.fixture(scope="module")
+def suite_records(tmp_path_factory):
+    """``validate --format json`` diagnostics of each suite and of "all"."""
+    out = tmp_path_factory.mktemp("validate") / "record.json"
+    records = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("renewal", "baselines"):
+            mp.setitem(validation.SUITES, name,
+                       functools.partial(validation.SUITES[name], _SHORT_MC))
+        for suite in (*validation.SUITES, "all"):
+            assert main(["validate", "--suite", suite, "--format", "json",
+                         "--out", str(out)]) == 0
+            records[suite] = json.loads(out.read_text())["metadata"]["diagnostics"]
+    return records
+
+
+class TestDiagnostics:
     """Deterministic work counters in JSON ``metadata.diagnostics``."""
 
     def _diagnostics(self, args, capsys):
@@ -106,24 +137,62 @@ class TestModelADiagnostics:
 
     def test_table_one_factorization_per_beta(self, capsys):
         diag = self._diagnostics(["table", "--p", "0.3", "--k-max", "10"], capsys)
-        assert diag == {"factorizations": 3, "table_dim": 11}
+        assert diag == _record(factorizations=3, largest_system=11)
 
     def test_curve_one_factorization(self, capsys):
         diag = self._diagnostics(["curve", "--model", "A", "--kind", "costly", "--p", "0.3",
                                   "--beta", "1.0", "--k-max", "120"], capsys)
-        assert diag == {"factorizations": 1, "table_dim": 121}
+        assert diag == _record(factorizations=1, largest_system=121)
 
     def test_costly_search_doublings(self, capsys):
         # the price 2000 falls to threshold 19: tables of 9, 17 and 33 thresholds
         diag = self._diagnostics(["solve", "--model", "A", "--problem", "costly", "--p", "0.3",
                                   "--beta", "1.0", "--lambda", "2000"], capsys)
-        assert diag == {"factorizations": 3, "table_dim": 33, "doublings": 2}
+        assert diag == _record(factorizations=3, largest_system=33, search_steps=2)
 
     def test_constrained_search_doublings(self, capsys):
         # N(16) = 2.3e-3 still meets the budget 1e-3, N(32) does not
         diag = self._diagnostics(["solve", "--model", "A", "--problem", "constrained",
                                   "--p", "0.3", "--beta", "1.0", "--alpha", "1e-3"], capsys)
-        assert diag == {"factorizations": 3, "table_dim": 32, "doublings": 2}
+        assert diag == _record(factorizations=3, largest_system=32, search_steps=2)
+
+    def test_model_b_solve_counts_search_steps_and_rungs(self, capsys):
+        # 7 thresholds searched, bracket included; each solve stops at the
+        # second rung, orders 33 and 65
+        diag = self._diagnostics(["solve", "--model", "B", "--problem", "costly",
+                                  "--sigma", "1", "--lambda", "1"], capsys)
+        assert diag == _record(factorizations=14, largest_system=65, search_steps=7)
+
+    def test_model_b_curve_adds_both_searches(self, capsys):
+        diag = self._diagnostics(["curve", "--model", "B", "--kind", "constrained",
+                                  "--alphas", "0.25,0.45"], capsys)
+        assert diag == _record(factorizations=28, largest_system=65, search_steps=14)
+
+    def test_simulate_one_step_loop(self, capsys):
+        diag = self._diagnostics(["simulate", "--model", "A", "--p", "0.3", "--policy",
+                                  "threshold", "--k", "2", "--reps", "20", "--horizon", "1000",
+                                  "--burn-in", "10"], capsys)
+        assert diag == _record(step_loops=1, simulated_policies=1, draws=20_000)
+
+    @pytest.mark.parametrize("suite, want", [
+        ("tableI", _record(factorizations=3, largest_system=11)),
+        ("closed_forms", _record(factorizations=105, largest_system=65)),
+        ("scaling", _record(factorizations=332, largest_system=65, search_steps=122)),
+        # two blocks of 20 replications x 2000 steps
+        ("renewal", _record(factorizations=7, largest_system=65, step_loops=2,
+                            simulated_policies=5, draws=2 * 20 * 2_000)),
+        ("dp", _record(factorizations=6, largest_system=9)),
+        ("baselines", _record(factorizations=28, largest_system=65, search_steps=14,
+                              step_loops=1, simulated_policies=8, draws=20 * 2_000)),
+    ])
+    def test_validate_suite(self, suite_records, suite, want):
+        assert suite_records[suite] == want
+
+    def test_validate_all_sums_the_suites(self, suite_records):
+        singles = [suite_records[suite] for suite in validation.SUITES]
+        want = {key: sum(record[key] for record in singles) for key in _record()}
+        want["largest_system"] = max(record["largest_system"] for record in singles)
+        assert suite_records["all"] == want
 
 
 class TestSolve:
@@ -232,10 +301,17 @@ class TestSolve:
         " --horizon 100 --burn-in 10",
         "simulate --model A --p 0.3 --policy threshold --k 2 --seed -1 --reps 2"
         " --horizon 100 --burn-in 10",
+        "table --p 0.3 --betas ,",
+        "table --p 0.3 --betas 0.9,0.90",
+        "curve --model B --kind costly --lambdas 0.5,0.5",
+        "curve --model B --kind constrained --alphas ,",
+        "curve --model B --kind constrained --alphas 0.3,0.2,0.3",
     ], ids=["A-lambda-nan", "A-a-inf", "A-a-nan", "B-sigma-nan", "B-sigma-inf",
             "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan", "B-epsilon-nan",
             "B-epsilon-inf", "B-curve-epsilon-inf", "steering-k-nan", "steering-k-negative",
-            "timesharing-k-nan", "timesharing-k-negative", "seed-negative"])
+            "timesharing-k-nan", "timesharing-k-negative", "seed-negative",
+            "table-betas-empty", "table-betas-repeated", "B-curve-lambdas-repeated",
+            "B-curve-alphas-empty", "B-curve-alphas-repeated"])
     def test_non_finite_input_exits_one(self, capsys, argv):
         code, _, err = run_cli(argv.split(), capsys)
         assert code == 1
@@ -382,11 +458,14 @@ class TestValidateCommand:
 
     def test_renewal_suite_simulates_one_block_per_spec(self, capsys):
         # birth-death k = 2, 3, 5 and Gaussian k = 1, 2: two step loops, each
-        # drawing 100 replications x 50 000 innovations once
+        # drawing 100 replications x 50 000 innovations once; the analytic side
+        # factors one table per birth-death threshold and two Nystrom rungs
+        # per Gaussian one
         code, out, _ = run_cli(["validate", "--suite", "renewal", "--format", "json"], capsys)
         assert code == 0
-        assert json.loads(out)["metadata"]["diagnostics"] == {
-            "step_loops": 2, "simulated_policies": 5, "draws": 10**7}
+        assert json.loads(out)["metadata"]["diagnostics"] == _record(
+            factorizations=7, largest_system=65, step_loops=2, simulated_policies=5,
+            draws=10**7)
 
     def test_failed_check_exits_three(self, capsys, monkeypatch):
         from remest import validation

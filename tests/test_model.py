@@ -17,6 +17,8 @@ from remest import (
     estimator_step,
     validate_spec,
 )
+from remest import model
+from remest.model import Diagnostics, collect, count
 from conftest import random_valid_pmf
 
 
@@ -130,6 +132,32 @@ class TestPolicies:
         RandomizedThresholdPolicy(2, 0.5)
         with pytest.raises(UsageError):
             RandomizedThresholdPolicy(2, 1.5)
+
+
+class TestDiagnostics:
+    def test_count_outside_a_block_leaves_no_trace(self):
+        with collect() as closed:
+            count(factorizations=1)
+        count(factorizations=5, largest_system=7, draws=3)
+        assert closed == Diagnostics(factorizations=1)
+        assert model._OPEN_RECORD.get() is None
+
+    def test_nested_block_counts_only_into_its_own_record(self):
+        with collect() as outer:
+            count(factorizations=1, largest_system=4)
+            with collect() as inner:
+                count(search_steps=2, largest_system=9)
+            count(draws=10, largest_system=2)
+        assert outer == Diagnostics(factorizations=1, largest_system=4, draws=10)
+        assert inner == Diagnostics(search_steps=2, largest_system=9)
+
+    def test_block_closes_on_error(self):
+        with pytest.raises(UsageError):
+            with collect() as record:
+                raise UsageError("inside")
+        count(factorizations=1)
+        assert record == Diagnostics()
+        assert model._OPEN_RECORD.get() is None
 
 
 class TestTradeoffCurve:

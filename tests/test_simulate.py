@@ -18,6 +18,7 @@ from remest import (
     UsageError,
 )
 from remest import solver_a, solver_b
+from remest.model import Diagnostics, collect
 from remest.simulate import (
     PolicySpec,
     SimConfig,
@@ -457,8 +458,9 @@ class TestChunks:
                                                             rel=1e-12), field
 
     def test_memory_bounded_by_chunk(self, bd_avg):
-        # the whole 50 x 2e5 innovation matrix would take 80 MB
-        cfg = SimConfig(horizon=200_000, replications=50, burn_in=1000, seed=5)
+        # in one chunk, the 50 x 3e4 run holds the innovations, |e| and transmit
+        # flags of every step at once: 37.6 MB at peak
+        cfg = SimConfig(horizon=30_000, replications=50, burn_in=1000, seed=5)
         tracemalloc.start()
         try:
             simulate(bd_avg, PolicySpec.threshold(2), cfg)
@@ -503,9 +505,8 @@ class TestBlock:
 
     def test_memory_bounded_by_chunk(self, bd_avg):
         # five policies of 50 replications: the 50 x 5e4 innovation matrix alone
-        # would take 20 MB, the block's |e| history 100 MB; a quarter of the
-        # horizon of TestChunks.test_memory_bounded_by_chunk, since tracing
-        # every allocation slows the step loop about sixfold
+        # would take 20 MB, the block's |e| history 100 MB; the horizon is
+        # short, since tracing every allocation slows the step loop about sixfold
         cfg = SimConfig(horizon=50_000, replications=50, burn_in=1000, seed=5)
         policies = [PolicySpec.threshold(2), PolicySpec.threshold(3),
                     PolicySpec.randomized_threshold(2, 0.4), PolicySpec.periodic((1, 0, 0)),
@@ -545,12 +546,21 @@ class TestBlock:
             simulate_policies(bd_avg, [], SimConfig(horizon=100, replications=2, burn_in=10))
 
     def test_stats_count_loops_policies_and_draws(self, bd_avg):
-        stats = simulate_module.SimStats()
         cfg = SimConfig(horizon=300, replications=4, burn_in=10)
-        simulate_policies(bd_avg, [PolicySpec.threshold(2), PolicySpec.iid_random(0.5)],
-                          cfg, stats)
-        simulate_policies(bd_avg, [PolicySpec.threshold(3)], cfg, stats)
-        assert (stats.step_loops, stats.simulated_policies, stats.draws) == (2, 3, 2 * 4 * 300)
+        with collect() as record:
+            simulate_policies(bd_avg, [PolicySpec.threshold(2), PolicySpec.iid_random(0.5)],
+                              cfg)
+            simulate_policies(bd_avg, [PolicySpec.threshold(3)], cfg)
+        assert record == Diagnostics(step_loops=2, simulated_policies=3, draws=2 * 4 * 300)
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_counting_leaves_results_unchanged(self, model):
+        cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+        policies = list(GOLDEN_POLICIES[model].values())
+        outside = simulate_policies(golden_spec(model), policies, cfg)
+        with collect():
+            inside = simulate_policies(golden_spec(model), policies, cfg)
+        assert inside == outside
 
 
 class TestPmfSampler:

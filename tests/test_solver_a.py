@@ -21,6 +21,7 @@ from remest import (
     UsageError,
 )
 from remest import dp, solver_a
+from remest.model import Diagnostics, collect
 from remest.validation import DP_TOL
 from conftest import random_valid_pmf
 
@@ -147,6 +148,16 @@ class TestSolveLM:
             assert table.dD.shape == (K,)
             assert np.all(table.M[1:] >= 1.0 - 1e-12)
             assert np.all(table.L >= 0.0)
+
+    @pytest.mark.parametrize("beta", [0.9, 1.0])
+    def test_counting_leaves_table_unchanged(self, beta):
+        spec = solver_a.bd_spec(0.3, beta, a=2)
+        outside = solver_a.threshold_table(spec, 40)
+        with collect() as record:
+            inside = solver_a.threshold_table(spec, 40)
+        assert record == Diagnostics(factorizations=1, largest_system=40)
+        for name in ("L", "M", "D", "N", "dD", "land_edge", "visit_edge"):
+            assert getattr(inside, name).tobytes() == getattr(outside, name).tobytes(), name
 
     def test_row_swap_raises(self, bd_09, monkeypatch):
         real = scipy.linalg.lu_factor
