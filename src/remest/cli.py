@@ -182,8 +182,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--horizon", type=int, default=100_000)
     p_sim.add_argument("--burn-in", type=int, default=1000)
     p_sim.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility, must be >= 1; results "
-                            "and execution do not depend on it")
+                       help="accepted for compatibility, must be >= 1; a run "
+                            "draws its innovations on one draw-ahead thread "
+                            "whatever the value, and results do not depend on it")
     _add_output_flags(p_sim)
 
     p_val = sub.add_parser("validate", help="run a cross-check suite")

@@ -186,15 +186,34 @@ class SmoothPdf:
             return self.sigma
         return self.support_halfwidth / 3.0
 
-    def sampler(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    def sampler(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """``size`` draws from the density, or as many as fill the float64
+        array ``out``, which is written in place and returned."""
         if self.kind == "gaussian":
-            return rng.normal(0.0, self.sigma, size)
+            w = rng.standard_normal(size, out=out)
+            w *= self.sigma
+            return w
+        return self.prepared_sampler()(rng, size, out)
+
+    def prepared_sampler(self) -> Callable[..., np.ndarray]:
+        """``draw(rng, size=None, out=None)`` with the same draws as
+        ``sampler``, for a caller that draws many times: a tabulated
+        density's inverse-CDF table is built here, once, not on every draw."""
+        if self.kind == "gaussian":
+            return self.sampler
         # inverse-CDF on a dense grid; adequate for smooth declared-support laws
         grid = np.linspace(-self.support_halfwidth, self.support_halfwidth, 4097)
         dens = self.density(grid)
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
         cdf /= cdf[-1]
-        return np.interp(rng.random(size), cdf, grid)
+
+        def draw(rng, size=None, out=None):
+            u = rng.random(size, out=out)
+            u[...] = np.interp(u, cdf, grid)
+            return u
+
+        return draw
 
     def violations(self) -> list[str]:
         out: list[str] = []

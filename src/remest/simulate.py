@@ -22,9 +22,13 @@ policy stream, so it draws what a run of its own draws.  Both are drawn
 time-major, a chunk of ``(rows, n)`` at a time with ``rows * c * n`` about
 ``CHUNK_CELLS``; each stream is consumed in order, so the values drawn do
 not depend on the chunk size and a fixed seed gives bit-identical results.
-Resident memory is that of one chunk of the whole block, as for one run of
-c x n replications; ``MAX_SIM_CELLS`` bounds the draws of each policy and
-``MAX_SIM_STEPS`` its steps.
+One producer thread draws the innovations one chunk ahead, while the
+calling thread steps the chunk before; it alone reads the innovation
+stream, in chunk order, and the policy stream stays on the calling thread,
+so the results are those of a serial run.  Resident memory is that of one
+chunk of the whole block, as for one run of c x n replications, plus one
+chunk of innovations drawn ahead; ``MAX_SIM_CELLS`` bounds the draws of
+each policy and ``MAX_SIM_STEPS`` its steps.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``; the simulator solves no linear system.
 """
@@ -32,6 +36,7 @@ off one ``solver_a.threshold_table``; the simulator solves no linear system.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -43,14 +48,18 @@ from .errors import DivergenceError, NumericsError, UsageError
 from .model import ModelSpecA, ModelSpecB, count
 
 # cap on the per-step draws (innovations, iid coins) of one policy's run: it
-# bounds the run's length, not its memory, since only one chunk of draws is
-# held at a time; a block of policies is held to it policy by policy
+# bounds the run's length, not its memory, since only the chunk being stepped
+# and the one drawn ahead are held; a block of policies is held to it policy
+# by policy
 MAX_SIM_CELLS = 10**8
 # a step costs about 6 us of dispatch even at one replication: 1e7 steps take a minute
 MAX_SIM_STEPS = 10**7
 # float64 cells per time-major chunk of draws: a few such buffers (2 MB each)
 # are all the memory a run holds beyond its per-replication state
 CHUNK_CELLS = 2**18
+# uniforms a pmf draw locates per searchsorted call: its index and value
+# temporaries take 128 KB each, whatever the size of the draw
+_SEARCH_BLOCK = 2**14
 # mixed into the seed; names the stream layout that ``stream_id`` reports
 _STREAM_LAYOUT = 2
 # a discounted run stops once the discount weight beta^t falls below this
@@ -192,14 +201,25 @@ def _chunk_rows(n: int, T: int) -> int:
 
 
 def _pmf_sampler(offsets: np.ndarray, values: np.ndarray):
-    """Inverse-CDF draws ``draw(rng, shape)`` from the pmf ``values`` on
-    ``offsets``: one uniform per draw, located by ``searchsorted``."""
+    """Inverse-CDF draws ``draw(rng, size=None, out=None)`` from the pmf
+    ``values`` on ``offsets``, in ``out`` (C-contiguous float64) if given:
+    one uniform per draw, located by ``searchsorted`` and overwritten by its
+    offset a block at a time, so a draw allocates one block of indices."""
     points = offsets.astype(float)
     cdf = np.cumsum(values)
     # rounding can leave the total a few ulps below 1; every uniform in [0, 1)
     # must still land on an offset
     cdf[-1] = 1.0
-    return lambda rng, shape: points[np.searchsorted(cdf, rng.random(shape), side="right")]
+
+    def draw(rng, size=None, out=None):
+        u = rng.random(size, out=out)
+        flat = u.reshape(-1)
+        for start in range(0, flat.size, _SEARCH_BLOCK):
+            block = flat[start:start + _SEARCH_BLOCK]
+            block[...] = points[np.searchsorted(cdf, block, side="right")]
+        return u
+
+    return draw
 
 
 def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator | None):
@@ -288,7 +308,7 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     if isinstance(spec, ModelSpecA):
         draw = _pmf_sampler(spec.pmf.offsets, spec.pmf.values)
     else:
-        draw = spec.pdf.sampler
+        draw = spec.pdf.prepared_sampler()
 
     # a fixed-threshold policy is a row of per-replication thresholds, all
     # rows compared in one call per step; every other policy has a rule that
@@ -313,12 +333,22 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     E = np.zeros((c, n))
     d_acc = np.zeros((c, n))
     u_acc = np.zeros((c, n))
-    # an overflowing state is either transmitted (|inf| >= k) or leaves an
-    # infinite distortion sum, which the per-chunk check below reports
-    with np.errstate(over="ignore"):
+    # the producer thread draws chunk i + 1 while this thread steps chunk i;
+    # it alone reads inn_rng, one chunk at a time in chunk order, so the
+    # draws are those of a serial run.  It fills buffers allocated here:
+    # freed memory goes back to the allocator arena of the thread that
+    # allocated it, so a stepped chunk's buffer can then serve this thread's
+    # sums (+4 MB of peak RSS when the producer allocated).  An overflowing
+    # state is either transmitted (|inf| >= k) or leaves an infinite
+    # distortion sum, which the per-chunk check below reports
+    with ThreadPoolExecutor(max_workers=1) as producer, np.errstate(over="ignore"):
+        ahead = producer.submit(draw, inn_rng, out=np.empty((rows, 1, n)))
         for c0 in range(0, T, rows):
             m = min(rows, T - c0)
-            W = draw(inn_rng, (m, 1, n))  # one draw, broadcast over the policy rows
+            W = ahead.result()  # one draw, broadcast over the policy rows
+            if c0 + m < T:
+                ahead = producer.submit(draw, inn_rng,
+                                        out=np.empty((min(rows, T - c0 - m), 1, n)))
             for j in range(m):
                 e_abs = abs_err[j]
                 U = sent[j]
@@ -335,14 +365,19 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
                 # repeats innov over the c rows of E, as broadcasting would,
                 # and runs up to 3x faster than np.copyto(..., where=U)
                 np.putmask(E, U, innov)
+            # with the next chunk in flight, two chunks of draws are held
+            # while stepping, one while summing
+            del W, innov
             d = distortion(abs_err[:m])
             np.putmask(d, sent[:m], 0.0)
             # sums over time run row by row in step order, never through BLAS,
             # so the bits do not depend on the machine's BLAS kernels
             if weights is not None:
                 w = weights[c0:c0 + m, None, None]
-                d_acc += (w * d).sum(axis=0)
-                u_acc += (w * sent[:m]).sum(axis=0)
+                d *= w
+                d_acc += d.sum(axis=0)
+                np.multiply(w, sent[:m], out=d)
+                u_acc += d.sum(axis=0)
             else:
                 lo = min(max(burn - c0, 0), m)
                 d_acc += d[lo:].sum(axis=0)

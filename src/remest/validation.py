@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp, solver_a, solver_b
-from .model import DistortionFn, ModelSpecB, SmoothPdf
+from .model import DistortionFn, ModelSpecB, PerfPoint, SmoothPdf
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
 from .simulate import PolicySpec, SimConfig, periodic_distortion, simulate_policies
 
@@ -219,12 +219,15 @@ def suite_renewal(config: SimConfig = RENEWAL_CONFIG) -> list[CheckResult]:
     """Simulated threshold performance vs the analytic route: one block of
     thresholds per spec."""
     out: list[CheckResult] = []
-    blocks = [("birth-death", solver_a.bd_spec(0.3, 1.0), (2, 3, 5), solver_a.performance),
-              ("gaussian", solver_b.gauss_markov_spec(1.0), (1.0, 2.0), solver_b.performance_b)]
-    for label, spec, ks, analytic in blocks:
-        results = simulate_policies(spec, [PolicySpec.threshold(k) for k in ks], config)
-        for k, res in zip(ks, results):
-            ana = analytic(spec, k)
+    bd = solver_a.bd_spec(0.3, 1.0)
+    gm = solver_b.gauss_markov_spec(1.0)
+    table = solver_a.threshold_table(bd, 5)  # k = 2, 3, 5 from one factorization
+    blocks = [("birth-death", bd, {k: PerfPoint(float(table.D[k]), float(table.N[k]))
+                                   for k in (2, 3, 5)}),
+              ("gaussian", gm, {k: solver_b.performance_b(gm, k) for k in (1.0, 2.0)})]
+    for label, spec, analytic in blocks:
+        results = simulate_policies(spec, [PolicySpec.threshold(k) for k in analytic], config)
+        for (k, ana), res in zip(analytic.items(), results):
             out.append(_check(
                 "renewal", f"{label} k={k}",
                 _sim_close(res.d_hat, res.d_se, ana.distortion)

@@ -178,8 +178,9 @@ class TestDiagnostics:
         ("tableI", _record(factorizations=3, largest_system=11)),
         ("closed_forms", _record(factorizations=105, largest_system=65)),
         ("scaling", _record(factorizations=332, largest_system=65, search_steps=122)),
-        # two blocks of 20 replications x 2000 steps
-        ("renewal", _record(factorizations=7, largest_system=65, step_loops=2,
+        # two blocks of 20 replications x 2000 steps; one birth-death table
+        # and two Nystrom rungs per Gaussian threshold
+        ("renewal", _record(factorizations=5, largest_system=65, step_loops=2,
                             simulated_policies=5, draws=2 * 20 * 2_000)),
         ("dp", _record(factorizations=6, largest_system=9)),
         ("baselines", _record(factorizations=28, largest_system=65, search_steps=14,
@@ -459,12 +460,12 @@ class TestValidateCommand:
     def test_renewal_suite_simulates_one_block_per_spec(self, capsys):
         # birth-death k = 2, 3, 5 and Gaussian k = 1, 2: two step loops, each
         # drawing 100 replications x 50 000 innovations once; the analytic side
-        # factors one table per birth-death threshold and two Nystrom rungs
-        # per Gaussian one
+        # factors one table for all three birth-death thresholds and two
+        # Nystrom rungs per Gaussian one
         code, out, _ = run_cli(["validate", "--suite", "renewal", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["metadata"]["diagnostics"] == _record(
-            factorizations=7, largest_system=65, step_loops=2, simulated_policies=5,
+            factorizations=5, largest_system=65, step_loops=2, simulated_policies=5,
             draws=10**7)
 
     def test_failed_check_exits_three(self, capsys, monkeypatch):

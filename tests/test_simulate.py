@@ -1,7 +1,13 @@
+import hashlib
 import importlib
+import itertools
 import math
+import re
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,12 +19,13 @@ from remest import (
     DivergenceError,
     IntegerPmf,
     ModelSpecA,
+    ModelSpecB,
     NumericsError,
     SingularSystemError,
     UsageError,
 )
-from remest import solver_a, solver_b
-from remest.model import Diagnostics, collect
+from remest import cli, solver_a, solver_b
+from remest.model import Diagnostics, SmoothPdf, collect
 from remest.simulate import (
     PolicySpec,
     SimConfig,
@@ -439,6 +446,133 @@ def test_golden_results(model, kind):
                             steps_per_replication=steps)
 
 
+def triangle_pdf(pdf_class=SmoothPdf, fn=lambda w: np.clip(1.0 - np.abs(w), 0.0, None)):
+    return pdf_class.tabulated(fn, 1.0)
+
+
+# Recorded from the serial-draw simulator (stream layout 2, chunks of
+# CHUNK_CELLS = 2**18 draws) by running each case below once: discounted
+# runs of 2e4 replications x 219 steps (beta = 0.9, seed 17), 17 chunks of 13
+# steps, so every chunk but the first is drawn while another is stepped.
+# The digest covers the per-replication (d, n) sums, whose last bits the
+# means can hide.
+GOLDEN_WIDE = {
+    "A": (solver_a.bd_spec(0.3, 0.9), PolicySpec.randomized_threshold(2, 0.4),
+          (0.6439024260205765, 0.07768535103290258, 0.0015057482049140739,
+           0.00041776064570202834), "88fe568ec7f10dac"),
+    "B": (solver_b.gauss_markov_spec(1.0, beta=0.9), PolicySpec.threshold(1.2),
+          (0.2645037910212277, 0.25642886991869956, 0.0005442190808142052,
+           0.0006039225526150951), "d59bdc3a0981e8ea"),
+    "B-tabulated": (ModelSpecB(1.0, triangle_pdf(), DistortionFn.quadratic(), 0.9),
+                    PolicySpec.threshold(0.8),
+                    (0.12625431719950894, 0.12748941611170475, 0.0002484166888384115,
+                     0.0004282482995977218), "29f79a3a8fadb7e7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WIDE))
+def test_golden_wide_discounted(case, monkeypatch):
+    spec, policy, (d_hat, n_hat, d_se, n_se), digest = GOLDEN_WIDE[case]
+    sums = []
+    estimate = simulate_module._estimate
+    monkeypatch.setattr(simulate_module, "_estimate", lambda d, u, *args: (
+        sums.append(hashlib.sha256(d.tobytes() + u.tobytes()).hexdigest()[:16])
+        or estimate(d, u, *args)))
+    res = simulate(spec, policy, SimConfig(replications=20_000, seed=17))
+    assert res == SimResult(d_hat=d_hat, n_hat=n_hat, d_se=d_se, n_se=n_se,
+                            replications_used=20_000,
+                            stream_id="pcg64[17,2]:innov|policy,time-major",
+                            steps_per_replication=219)
+    assert sums == [digest]
+
+
+class DrawFailed(Exception):
+    """Raised by a test density's draw of its second chunk."""
+
+
+class SecondChunkFails(SmoothPdf):
+    """Tabulated density whose second draw raises; ``raised`` keeps what it
+    raised."""
+
+    def prepared_sampler(self):
+        draw = super().prepared_sampler()
+        calls = itertools.count()
+        self.raised = []
+
+        def draw_or_fail(rng, size=None, out=None):
+            if next(calls) == 1:
+                self.raised.append(DrawFailed("second chunk"))
+                raise self.raised[-1]
+            return draw(rng, size, out)
+
+        return draw_or_fail
+
+
+class TestDrawAhead:
+    """The innovations are drawn one chunk ahead on a second thread: a
+    failure on either thread reaches the caller unchanged and leaves no
+    thread running."""
+
+    def test_table_built_once_per_run(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 37 * 5)
+        calls = []
+        pdf = triangle_pdf(fn=lambda w: calls.append(1) or np.clip(1.0 - np.abs(w), 0.0, None))
+        simulate(ModelSpecB(1.0, pdf, DistortionFn.quadratic(), 1.0), PolicySpec.threshold(0.8),
+                 SimConfig(horizon=600, replications=5, burn_in=50))
+        assert len(calls) == 1
+
+    def test_overflow_mid_run(self, monkeypatch, capsys):
+        # 20-step chunks: the overflow near step 520 is found while the next
+        # chunk is being drawn
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 20 * 2)
+        threads = threading.active_count()
+        with pytest.raises(NumericsError, match=r"for policy 0 \(threshold\);") as caught:
+            simulate(solver_b.gauss_markov_spec(1.0, a=2.0), PolicySpec.threshold(1e200),
+                     SimConfig(horizon=3000, replications=2, seed=1))
+        assert int(re.search(r"after step (\d+) of 3000 ", str(caught.value))[1]) < 3000
+        assert threading.active_count() == threads
+        code = cli.main(["simulate", "--model", "B", "--a", "2", "--policy", "threshold",
+                         "--k", "1e200", "--reps", "2", "--horizon", "3000", "--seed", "1"])
+        assert code == 2
+        assert f"numerical failure: {caught.value}" in capsys.readouterr().err
+        assert threading.active_count() == threads
+
+    def test_concurrent_runs_under_fast_switching(self, monkeypatch):
+        # three runs at once, on more threads than cores, with the interpreter
+        # switching threads every microsecond: each run still gives exactly
+        # what it gives alone, over 82 chunk handoffs
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 37 * 7)
+        cfg = SimConfig(horizon=3000, replications=7, burn_in=200, seed=11)
+        cases = [(golden_spec(model), GOLDEN_POLICIES[model][kind]) for model, kind in
+                 (("A", "iid_random"), ("B", "randomized_threshold"), ("B", "steering"))]
+        alone = [simulate(spec, policy, cfg) for spec, policy in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                together = list(pool.map(lambda case: simulate(*case, cfg), cases, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == alone
+
+    def test_draw_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 37 * 5)
+        pdf = triangle_pdf(SecondChunkFails)
+        spec = ModelSpecB(1.0, pdf, DistortionFn.quadratic(), 1.0)
+        threads = threading.active_count()
+        with pytest.raises(DrawFailed) as caught:
+            simulate(spec, PolicySpec.threshold(0.8),
+                     SimConfig(horizon=600, replications=5, burn_in=50))
+        assert caught.value is pdf.raised[0]
+        assert threading.active_count() == threads
+        monkeypatch.setattr(cli, "_spec_from_args", lambda args: spec)
+        with pytest.raises(DrawFailed) as caught:
+            cli.main(["simulate", "--model", "B", "--policy", "threshold", "--k", "0.8",
+                      "--reps", "5", "--horizon", "600", "--burn-in", "50"])
+        assert caught.value is pdf.raised[0]
+        assert threading.active_count() == threads
+
+
 class TestChunks:
     @pytest.mark.parametrize("model, kind", sorted(GOLDEN))
     def test_chunk_size_invariance(self, model, kind, monkeypatch):
@@ -587,7 +721,7 @@ class TestPmfSampler:
         draw = simulate_module._pmf_sampler(offsets, values)
 
         class LargestUniform:
-            def random(self, shape):
+            def random(self, shape, out=None):
                 return np.full(shape, np.nextafter(1.0, 0.0))
 
         assert np.all(draw(LargestUniform(), (3, 2)) == 1.0)
