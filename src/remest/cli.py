@@ -109,8 +109,6 @@ def _spec_a(p: float | None, beta: float, a: float = 1.0,
     """Birth-death Model-A spec, with the checks every subcommand shares."""
     if p is None:
         raise UsageError("--p is required for model A")
-    if not 0.0 < p < 1.0 / 3.0:
-        raise UsageError(f"--p must lie in (0, 1/3), got {p}")
     spec = solver_a.bd_spec(p, beta, a=a)
     if distortion == "quad":
         spec = ModelSpecA(a=spec.a, pmf=spec.pmf,

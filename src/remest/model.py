@@ -6,9 +6,10 @@ integer-state variant uses a symmetric unimodal pmf, the continuous-state
 variant a symmetric unimodal pdf.  ``beta == 1`` selects the long-term
 average criterion.
 
-All types are immutable after construction and operations here are pure,
-except the ``Diagnostics`` work counters, which the solvers and the
-simulator add to inside a ``collect()`` block and never read.
+All types are immutable after construction (an innovation law builds the
+table its ``sampler`` reads then) and operations here are pure, except the
+``Diagnostics`` work counters, which the solvers and the simulator add to
+inside a ``collect()`` block and never read.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ PDF_MASS_TOL = 1e-6
 
 #: A distortion is checked for evenness and monotonicity on [-8, 8].
 DISTORTION_PROBE_HALFWIDTH = 8.0
+
+# uniforms a pmf draw locates per searchsorted call: its index and value
+# temporaries take 128 KB each, whatever the size of the draw
+_SEARCH_BLOCK = 2**14
 
 
 class DiscountFactor(float):
@@ -84,13 +89,32 @@ class IntegerPmf:
         items = tuple(sorted((n, p / total) for n, p in cleaned.items()))
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "truncation_deficit", max(0.0, 1.0 - total))
+        cdf = np.cumsum(self.values)
+        # rounding can leave the total a few ulps below 1; every uniform in [0, 1)
+        # must still land on an offset
+        cdf[-1] = 1.0
+        object.__setattr__(self, "_points", self.offsets.astype(float))
+        object.__setattr__(self, "_cdf", cdf)
 
     @classmethod
     def birth_death(cls, p: float) -> "IntegerPmf":
-        """Nearest-neighbour step law: +-1 with probability p each, else hold."""
-        if not 0.0 < p < 0.5:
-            raise UsageError(f"birth-death parameter must lie in (0, 1/2), got {p}")
+        """Nearest-neighbour step law: +-1 with probability p each, else hold;
+        p < 1/3 keeps it unimodal (p_0 = 1 - 2p > p)."""
+        if not 0.0 < p < 1.0 / 3.0:
+            raise UsageError(f"birth-death parameter must lie in (0, 1/3), got {p}")
         return cls({-1: p, 0: 1.0 - 2.0 * p, 1: p})
+
+    def sampler(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """``size`` draws, or as many as fill the C-contiguous float64 array
+        ``out``, written in place and returned: uniforms located by
+        ``searchsorted`` a block at a time, so a draw allocates one block."""
+        u = np.asarray(rng.random(size, out=out))
+        flat = u.reshape(-1)
+        for start in range(0, flat.size, _SEARCH_BLOCK):
+            block = flat[start:start + _SEARCH_BLOCK]
+            block[...] = self._points[np.searchsorted(self._cdf, block, side="right")]
+        return u
 
     @property
     def probs(self) -> dict[int, float]:
@@ -151,6 +175,15 @@ class SmoothPdf:
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     support_halfwidth: float | None = None
 
+    def __post_init__(self):
+        if self.kind == "tabulated":
+            # inverse-CDF on a dense grid; adequate for smooth declared-support laws
+            grid = np.linspace(-self.support_halfwidth, self.support_halfwidth, 4097)
+            dens = self.density(grid)
+            cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
+            cdf /= cdf[-1]
+            object.__setattr__(self, "_inverse_cdf", (cdf, grid))
+
     @classmethod
     def gaussian(cls, sigma: float) -> "SmoothPdf":
         if not 0.0 < sigma < math.inf:
@@ -194,26 +227,9 @@ class SmoothPdf:
             w = rng.standard_normal(size, out=out)
             w *= self.sigma
             return w
-        return self.prepared_sampler()(rng, size, out)
-
-    def prepared_sampler(self) -> Callable[..., np.ndarray]:
-        """``draw(rng, size=None, out=None)`` with the same draws as
-        ``sampler``, for a caller that draws many times: a tabulated
-        density's inverse-CDF table is built here, once, not on every draw."""
-        if self.kind == "gaussian":
-            return self.sampler
-        # inverse-CDF on a dense grid; adequate for smooth declared-support laws
-        grid = np.linspace(-self.support_halfwidth, self.support_halfwidth, 4097)
-        dens = self.density(grid)
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
-        cdf /= cdf[-1]
-
-        def draw(rng, size=None, out=None):
-            u = rng.random(size, out=out)
-            u[...] = np.interp(u, cdf, grid)
-            return u
-
-        return draw
+        u = np.asarray(rng.random(size, out=out))
+        u[...] = np.interp(u, *self._inverse_cdf)
+        return u
 
     def violations(self) -> list[str]:
         out: list[str] = []

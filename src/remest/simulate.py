@@ -28,7 +28,8 @@ stream, in chunk order, and the policy stream stays on the calling thread,
 so the results are those of a serial run.  Resident memory is that of one
 chunk of the whole block, as for one run of c x n replications, plus one
 chunk of innovations drawn ahead; ``MAX_SIM_CELLS`` bounds the draws of
-each policy and ``MAX_SIM_STEPS`` its steps.
+each policy and ``MAX_SIM_STEPS`` its steps.  The innovations come from the
+law's ``sampler``, whose table the law built, so a run builds none.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``; the simulator solves no linear system.
 """
@@ -57,9 +58,6 @@ MAX_SIM_STEPS = 10**7
 # float64 cells per time-major chunk of draws: a few such buffers (2 MB each)
 # are all the memory a run holds beyond its per-replication state
 CHUNK_CELLS = 2**18
-# uniforms a pmf draw locates per searchsorted call: its index and value
-# temporaries take 128 KB each, whatever the size of the draw
-_SEARCH_BLOCK = 2**14
 # mixed into the seed; names the stream layout that ``stream_id`` reports
 _STREAM_LAYOUT = 2
 # a discounted run stops once the discount weight beta^t falls below this
@@ -200,28 +198,6 @@ def _chunk_rows(n: int, T: int) -> int:
     return max(1, min(T, CHUNK_CELLS // n))
 
 
-def _pmf_sampler(offsets: np.ndarray, values: np.ndarray):
-    """Inverse-CDF draws ``draw(rng, size=None, out=None)`` from the pmf
-    ``values`` on ``offsets``, in ``out`` (C-contiguous float64) if given:
-    one uniform per draw, located by ``searchsorted`` and overwritten by its
-    offset a block at a time, so a draw allocates one block of indices."""
-    points = offsets.astype(float)
-    cdf = np.cumsum(values)
-    # rounding can leave the total a few ulps below 1; every uniform in [0, 1)
-    # must still land on an offset
-    cdf[-1] = 1.0
-
-    def draw(rng, size=None, out=None):
-        u = rng.random(size, out=out)
-        flat = u.reshape(-1)
-        for start in range(0, flat.size, _SEARCH_BLOCK):
-            block = flat[start:start + _SEARCH_BLOCK]
-            block[...] = points[np.searchsorted(cdf, block, side="right")]
-        return u
-
-    return draw
-
-
 def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator | None):
     """Transmit decisions ``rule(t, abs_e) -> U`` of a policy with no fixed
     threshold, over ``n`` replications run for ``T`` steps, called once per
@@ -305,10 +281,7 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     distortion = spec.distortion
     inn_seq, pol_seq = np.random.SeedSequence([config.seed, _STREAM_LAYOUT]).spawn(2)
     inn_rng = np.random.default_rng(inn_seq)
-    if isinstance(spec, ModelSpecA):
-        draw = _pmf_sampler(spec.pmf.offsets, spec.pmf.values)
-    else:
-        draw = spec.pdf.prepared_sampler()
+    draw = (spec.pmf if isinstance(spec, ModelSpecA) else spec.pdf).sampler
 
     # a fixed-threshold policy is a row of per-replication thresholds, all
     # rows compared in one call per step; every other policy has a rule that

@@ -19,11 +19,11 @@ the same two methods.
 Differentiating the folded equations in k gives dL/dk = L(k) phi and
 dM/dk = M(k) phi with the same phi, so lambda(k) = M(0) L(k) / M(k) - L(0)
 needs no derivative solve: L(0), M(0), D, N and lambda(k) of a threshold all
-come from one solve (``_renewal``), which ``performance_b``, ``lm_at_zero``
-and ``lambda_of_k`` read.  Algorithms 1 and 2 search the same map, for
-lambda(k) = lambda (costly) or the strictly decreasing N(k) = alpha
-(constrained), with Illinois false position inside a bracket, one solve per
-step, and keep the accepted step's D and N, so no solve follows a search.
+come from one solve, ``renewal``, which every caller reads once per
+threshold.  Algorithms 1 and 2 search the same map, for lambda(k) = lambda
+(costly) or the strictly decreasing N(k) = alpha (constrained), with
+Illinois false position inside a bracket, one solve per step, and keep the
+accepted step's D and N, so no solve follows a search.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _spec_kernel(spec: ModelSpecB) -> Kernel:
     return lambda e, n: pdf.density(n - a * e) + pdf.density(-n - a * e)
 
 
-class _Renewal(NamedTuple):
+class Renewal(NamedTuple):
     """Everything read at a threshold k: L(0), M(0), D, N and lambda(k)."""
 
     L0: float
@@ -240,8 +240,16 @@ class _Renewal(NamedTuple):
     price: float
 
 
-def _renewal(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> _Renewal:
-    """The numbers of threshold k, from one solve for L and M."""
+def renewal(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> Renewal:
+    """The numbers of threshold k, from one solve for L and M.
+
+    The price that makes threshold k optimal for costly communication is
+    -D'/N'.  Both functionals solve v = r + beta * int_0^k K(., s) v(s) ds,
+    so d/dk v = beta K(., k) v(k) + beta * int_0^k K d/dk v: that is v(k) phi,
+    with phi the solution for the right-hand side beta K(., k), the same for
+    L and M.  With D = L(0)/M(0) and N = 1/M(0) - (1 - beta), phi(0) cancels
+    from -D'/N' = M(0) L(k) / M(k) - L(0).
+    """
     sol = fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta, tolerance)
     (L0, M0), (Lk, Mk) = sol.evaluate([0.0, k]).tolist()
     N = 1.0 / M0 - (1.0 - spec.beta)
@@ -256,41 +264,28 @@ def _renewal(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> _Re
             f"price {price:.3e} is negative at k={k} (L(0)={L0!r}, L(k)={Lk!r}, "
             f"M(0)={M0!r}, M(k)={Mk!r}); the discretized system is inaccurate"
         )
-    return _Renewal(L0, M0, L0 / M0, N, price)
+    return Renewal(L0, M0, L0 / M0, N, price)
 
 
 def performance_b(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> PerfPoint:
     """Exact-to-quadrature (D, N) of the real threshold-k policy."""
-    at = _renewal(spec, k, tolerance)
+    at = renewal(spec, k, tolerance)
     return PerfPoint(distortion=at.D, transmission_rate=at.N)
 
 
-def lm_at_zero(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> tuple[float, float]:
-    """Pre-transmission distortion and time at the origin."""
-    at = _renewal(spec, k, tolerance)
-    return at.L0, at.M0
-
-
 def lambda_of_k(spec: ModelSpecB, k: float) -> float:
-    """Price that makes the threshold-k policy optimal for costly communication.
-
-    Both functionals solve v = r + beta * int_0^k K(., s) v(s) ds, so
-    d/dk v = beta K(., k) v(k) + beta * int_0^k K d/dk v: that is v(k) phi,
-    with phi the solution for the right-hand side beta K(., k), the same
-    for L and M.  With D = L(0)/M(0) and N = 1/M(0) - (1 - beta), phi(0)
-    cancels from -D'/N' = M(0) L(k) / M(k) - L(0).
-    """
-    return _renewal(spec, k).price
+    """Price that makes threshold k optimal for costly communication."""
+    return renewal(spec, k).price
 
 
 def _bracket_and_search(
-    key: Callable[[_Renewal], float],
+    key: Callable[[Renewal], float],
     target: float,
     epsilon: float,
     spec: ModelSpecB,
     what: str,
-) -> tuple[float, _Renewal]:
-    """(k, r) with r = _renewal(spec, k) and |key(r) - target| <= epsilon,
+) -> tuple[float, Renewal]:
+    """(k, r) with r = renewal(spec, k) and |key(r) - target| <= epsilon,
     for key(r) increasing in k.
 
     From a seed at the spec's noise scale, k doubles or halves until the map
@@ -304,16 +299,16 @@ def _bracket_and_search(
     if not 0.0 < epsilon < math.inf:
         raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
 
-    def renewal(k):
+    def step(k):
         count(search_steps=1)
-        return _renewal(spec, k)
+        return renewal(spec, k)
 
     k = seed = spec.pdf.scale * max(1.0, abs(spec.a))
-    f = key(renewal(seed)) - target
+    f = key(step(seed)) - target
     factor = 2.0 if f < 0.0 else 0.5
     for _ in range(_MAX_BRACKET_EXPANSIONS):
         k_next = factor * k
-        f_next = key(renewal(k_next)) - target
+        f_next = key(step(k_next)) - target
         if (f_next < 0.0) != (f < 0.0):
             break
         k, f = k_next, f_next
@@ -325,7 +320,7 @@ def _bracket_and_search(
         k = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         if not lo < k < hi:
             k = 0.5 * (lo + hi)
-        at = renewal(k)
+        at = step(k)
         f = key(at) - target
         if abs(f) <= epsilon:
             return k, at

@@ -134,18 +134,24 @@ def suite_closed_forms() -> list[CheckResult]:
                 "closed_forms", f"p={p} beta={beta} inverse entries",
                 worst_q <= CLOSED_FORM_TOL, f"worst |err| = {worst_q:.2e}",
             ))
+            if beta == 1.0:
+                worst_c = max(abs(lam / solver_a.bd_corner_lambda_avg(p, kn) - 1.0)
+                              for kn, lam in solver_a.table_corners(table))
+                out.append(_check(
+                    "closed_forms", f"p={p} beta={beta} corner prices k=1..9",
+                    worst_c <= CLOSED_FORM_TOL, f"worst relative |err| = {worst_c:.2e}",
+                ))
     for kind, sigma, beta in itertools.product(("quadratic", "absolute"), (0.5, 1.0, 2.0),
                                                (0.9, 1.0)):
         spec = ModelSpecB(a=0.0, pdf=SmoothPdf.gaussian(sigma),
                           distortion=getattr(DistortionFn, kind)(), beta=beta)
         worst = worst_price = 0.0
         for z in (0.6, 2.0):
-            got = solver_b.lm_at_zero(spec, z * sigma)
-            want = _gauss_reset_lm(sigma, beta, z, kind)
-            worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
+            at = solver_b.renewal(spec, z * sigma)
+            L0, M0 = _gauss_reset_lm(sigma, beta, z, kind)
+            worst = max(worst, abs(at.L0 - L0), abs(at.M0 - M0))
             # the kernel ignores e, so L = d + const and M = const: lambda(k) = d(k)
-            worst_price = max(worst_price, abs(solver_b.lambda_of_k(spec, z * sigma)
-                                               - float(spec.distortion(z * sigma))))
+            worst_price = max(worst_price, abs(at.price - float(spec.distortion(z * sigma))))
         out.append(_check(
             "closed_forms", f"a=0 {kind} sigma={sigma} beta={beta} L(0),M(0)",
             worst <= CLOSED_FORM_TOL, f"worst |err| = {worst:.2e}",
@@ -157,9 +163,9 @@ def suite_closed_forms() -> list[CheckResult]:
     return out
 
 
-def price_fd_error(spec: ModelSpecB, k: float) -> float:
-    """Relative gap between ``solver_b.lambda_of_k`` and its independent route:
-    -dD/dk / dN/dk from central differences of performance_b with one
+def _price_and_fd_error(spec: ModelSpecB, k: float) -> tuple[float, float]:
+    """``solver_b.lambda_of_k`` at k, and its relative gap to its independent
+    route: -dD/dk / dN/dk from central differences of performance_b with one
     Richardson level (error O(h^4))."""
     h = min(max(1e-3, 1e-2 * k), 0.5 * k)
 
@@ -170,7 +176,13 @@ def price_fd_error(spec: ModelSpecB, k: float) -> float:
     dD, dN = (4.0 * (dn(k + h / 2.0) - dn(k - h / 2.0)) / h
               - (dn(k + h) - dn(k - h)) / (2.0 * h)) / 3.0
     want = -dD / dN
-    return float(abs(solver_b.lambda_of_k(spec, k) - want) / abs(want))
+    price = solver_b.lambda_of_k(spec, k)
+    return price, float(abs(price - want) / abs(want))
+
+
+def price_fd_error(spec: ModelSpecB, k: float) -> float:
+    """Relative gap between ``solver_b.lambda_of_k`` and finite differences."""
+    return _price_and_fd_error(spec, k)[1]
 
 
 def suite_scaling() -> list[CheckResult]:
@@ -178,11 +190,13 @@ def suite_scaling() -> list[CheckResult]:
     its agreement with finite differences on a probe grid."""
     out: list[CheckResult] = []
     base = solver_b.gauss_markov_spec(1.0)
+    # the base spec's constrained searches do not depend on sigma
+    base_constrained = {alpha: solver_b.algorithm2_constrained(base, alpha, SCALE_EPS)
+                        for alpha in (0.2, 0.5)}
     for sigma in (0.5, 2.0):
         scaled = solver_b.gauss_markov_spec(sigma)
         s2 = sigma * sigma
-        for alpha in (0.2, 0.5):
-            k1, d1 = solver_b.algorithm2_constrained(base, alpha, SCALE_EPS)
+        for alpha, (k1, d1) in base_constrained.items():
             ks, ds = solver_b.algorithm2_constrained(scaled, alpha, SCALE_EPS)
             out.append(_check(
                 "scaling", f"sigma={sigma} alpha={alpha} threshold and distortion",
@@ -198,16 +212,19 @@ def suite_scaling() -> list[CheckResult]:
                 f"k: {ks:.12g} vs {sigma * k1:.12g}; C: {cs:.12g} vs {s2 * c1:.12g}",
             ))
     probes = (0.5, 1.0, 2.0, 4.0)
-    lams = [solver_b.lambda_of_k(base, k) for k in probes]
+    abs_discounted = ModelSpecB(a=-0.7, pdf=SmoothPdf.gaussian(1.0),
+                                distortion=DistortionFn.absolute(), beta=0.95)
+    # (price, relative gap) per probe; the base prices also serve the monotonicity check
+    fd = {name: [_price_and_fd_error(spec, k) for k in probes]
+          for name, spec in (("unit gaussian", base), ("a=-0.7 beta=0.95 abs", abs_discounted))}
+    lams = [price for price, _ in fd["unit gaussian"]]
     out.append(_check(
         "scaling", "price map increasing on probe grid",
         all(b > a for a, b in zip(lams, lams[1:])),
         " < ".join(f"{x:.4f}" for x in lams),
     ))
-    abs_discounted = ModelSpecB(a=-0.7, pdf=SmoothPdf.gaussian(1.0),
-                                distortion=DistortionFn.absolute(), beta=0.95)
-    for name, spec in (("unit gaussian", base), ("a=-0.7 beta=0.95 abs", abs_discounted)):
-        worst = max(price_fd_error(spec, k) for k in probes)
+    for name, points in fd.items():
+        worst = max(gap for _, gap in points)
         out.append(_check(
             "scaling", f"{name} price map vs finite differences on probe grid",
             worst <= PRICE_FD_TOL, f"worst relative |err| = {worst:.2e}",

@@ -112,7 +112,7 @@ def test_criterion_06_gaussian_properties(gm_unit):
     # (b) monotone rate and pre-transmission functionals on a 12-point grid
     L_prev, M_prev, N_prev = -1.0, 0.0, 2.0
     for k in np.geomspace(0.25, 6.0, 12):
-        L0, M0 = solver_b.lm_at_zero(gm_unit, float(k))
+        L0, M0 = solver_b.renewal(gm_unit, float(k))[:2]
         assert L0 > L_prev and M0 > M_prev and 1.0 / M0 < N_prev
         L_prev, M_prev, N_prev = L0, M0, 1.0 / M0
     # (c) budget round-trips at epsilon = 1e-4

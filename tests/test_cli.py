@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import remest
-from remest import solver_b, validation
+from remest import DistortionFn, IntegerPmf, ModelSpecA, solver_a, solver_b, validation
 from remest.cli import build_parser, main
-from remest.simulate import SimConfig
+from remest.model import spec_digest
+from remest.simulate import PolicySpec, SimConfig, simulate
 
 
 def run_cli(args, capsys):
@@ -55,6 +56,11 @@ class TestTable:
         assert code == 1
         assert "usage error" in err
 
+    def test_non_unimodal_p_exits_one(self, capsys):
+        code, _, err = run_cli(["table", "--p", "0.4"], capsys)
+        assert code == 1
+        assert err.startswith("usage error:")
+
     def test_avg_k10_distortion_is_consistent(self, capsys):
         # the k=10 average-cost distortion must satisfy (k^2-1)/(3k)
         code, out, _ = run_cli(["table", "--p", "0.3", "--betas", "1.0",
@@ -87,6 +93,16 @@ class TestCurve:
         assert code == 0
         ds = [float(r["D"]) for r in parse_csv(out)]
         assert ds == sorted(ds, reverse=True)
+
+    def test_model_b_costly_rows_match_algorithm1(self, capsys):
+        code, out, _ = run_cli(["curve", "--model", "B", "--kind", "costly",
+                                "--lambdas", "0.5,2", "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 2
+        for row, lam in zip(rows, (0.5, 2.0)):
+            k, cost = solver_b.algorithm1_costly(solver_b.gauss_markov_spec(1.0), lam, 1e-6)
+            assert row == {"lambda": lam, "C": cost, "k": k}
 
     def test_model_b_constrained_solve_count(self, capsys, solve_log):
         # the two searches make 14 solves; bisecting them takes 35
@@ -176,8 +192,8 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("suite, want", [
         ("tableI", _record(factorizations=3, largest_system=11)),
-        ("closed_forms", _record(factorizations=105, largest_system=65)),
-        ("scaling", _record(factorizations=332, largest_system=65, search_steps=122)),
+        ("closed_forms", _record(factorizations=57, largest_system=65)),
+        ("scaling", _record(factorizations=296, largest_system=65, search_steps=108)),
         # two blocks of 20 replications x 2000 steps; one birth-death table
         # and two Nystrom rungs per Gaussian threshold
         ("renewal", _record(factorizations=5, largest_system=65, step_loops=2,
@@ -258,8 +274,8 @@ class TestSolve:
                                                        monkeypatch):
         # one solve per search step, 7 in all; bisecting takes 21
         steps = []
-        real = solver_b._renewal
-        monkeypatch.setattr(solver_b, "_renewal",
+        real = solver_b.renewal
+        monkeypatch.setattr(solver_b, "renewal",
                             lambda spec, k: steps.append(k) or real(spec, k))
         code, out, _ = run_cli(["solve", "--model", "B", "--problem", "costly",
                                 "--lambda", "1"], capsys)
@@ -330,6 +346,17 @@ class TestSolve:
             assert run.returncode == 2, sigma
             lines = run.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("numerical failure:"), run.stderr
+
+    def test_model_a_quadratic_distortion(self, capsys):
+        code, out, _ = run_cli(["solve", "--model", "A", "--distortion", "quad", "--p", "0.3",
+                                "--beta", "0.9", "--problem", "costly", "--lambda", "20",
+                                "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        spec = ModelSpecA(a=1, pmf=IntegerPmf.birth_death(0.3),
+                          distortion=DistortionFn.quadratic(), beta=0.9)
+        assert payload["metadata"]["spec"] == spec_digest(spec)
+        assert payload["rows"][0]["D"] == solver_a.optimal_costly(spec, 20.0).perf.distortion
 
     def test_missing_value_is_usage_error(self, capsys):
         code, _, err = run_cli(["solve", "--model", "A", "--problem", "costly",
@@ -409,6 +436,22 @@ class TestSimulateCommand:
                                 "--horizon", "100", "--burn-in", "10", *flags], capsys)
         assert code == 1
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("flags, policy", [
+        (["--policy", "iid", "--alpha", "0.5"], PolicySpec.iid_random(0.5)),
+        (["--policy", "randomized", "--k", "2", "--theta", "0.4"],
+         PolicySpec.randomized_threshold(2, 0.4)),
+    ], ids=["iid", "randomized"])
+    def test_row_matches_library(self, capsys, flags, policy):
+        code, out, _ = run_cli(["simulate", "--model", "A", "--p", "0.3", "--reps", "4",
+                                "--horizon", "1000", "--burn-in", "100", "--seed", "3",
+                                "--format", "json"] + flags, capsys)
+        assert code == 0
+        res = simulate(solver_a.bd_spec(0.3, 1.0), policy,
+                       SimConfig(horizon=1000, replications=4, seed=3, burn_in=100))
+        assert json.loads(out)["rows"] == [{"d_hat": res.d_hat, "n_hat": res.n_hat,
+                                            "d_se": res.d_se, "n_se": res.n_se,
+                                            "replications": 4}]
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(["simulate", "--model", "A", "--p", "0.3",
@@ -490,6 +533,19 @@ class TestFlagsFromFile:
         code, out, _ = run_cli([f"@{flags}"], capsys)
         assert code == 0
         assert parse_csv(out)[0]["k"] == "0"
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # each would add to every command's start-up: after remest.cli,
+    # scipy.sparse costs about 16 ms, scipy.special 68 ms, scipy.optimize 276 ms
+    env = {**os.environ, "PYTHONPATH": str(Path(remest.__file__).parents[1])}
+    heavy = ("scipy.sparse", "scipy.special", "scipy.optimize")
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, remest.cli; "
+         f"print(*[m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
 
 
 def test_readme_command_lines_parse():

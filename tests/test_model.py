@@ -94,6 +94,12 @@ class TestSmoothPdf:
         assert abs(w.mean()) < 0.01
         assert abs(w.var() - 1.0 / 6.0) < 0.01
 
+    def test_single_draws(self):
+        rng = np.random.default_rng(3)
+        tri = SmoothPdf.tabulated(lambda w: np.clip(1.0 - np.abs(w), 0.0, None), 1.0)
+        assert -1.0 <= tri.sampler(rng) <= 1.0
+        assert IntegerPmf.birth_death(0.3).sampler(rng) in (-1.0, 0.0, 1.0)
+
     def test_asymmetric_flagged(self):
         skew = SmoothPdf.tabulated(lambda w: np.exp(-np.abs(w - 0.2)) / 2.0, 10.0)
         assert any("symmetry" in v for v in skew.violations())

@@ -1,6 +1,5 @@
 import hashlib
 import importlib
-import itertools
 import math
 import re
 import sys
@@ -491,21 +490,18 @@ class DrawFailed(Exception):
 
 
 class SecondChunkFails(SmoothPdf):
-    """Tabulated density whose second draw raises; ``raised`` keeps what it
-    raised."""
+    """Tabulated density whose draw of each run's second chunk raises; a run
+    draws two chunks and then stops, so every second draw fails.  ``raised``
+    keeps the last failure."""
 
-    def prepared_sampler(self):
-        draw = super().prepared_sampler()
-        calls = itertools.count()
-        self.raised = []
+    draws = 0
 
-        def draw_or_fail(rng, size=None, out=None):
-            if next(calls) == 1:
-                self.raised.append(DrawFailed("second chunk"))
-                raise self.raised[-1]
-            return draw(rng, size, out)
-
-        return draw_or_fail
+    def sampler(self, rng, size=None, out=None):
+        self.draws += 1
+        if self.draws % 2 == 0:
+            self.raised = [DrawFailed("second chunk")]
+            raise self.raised[0]
+        return super().sampler(rng, size, out)
 
 
 class TestDrawAhead:
@@ -709,20 +705,21 @@ class TestPmfSampler:
     def test_random_symmetric_pmf(self):
         half = np.sort(np.random.default_rng(17).random(5))[::-1]  # p_0 >= ... >= p_4
         pmf = IntegerPmf({n: half[abs(n)] for n in range(-4, 5)})
-        draw = simulate_module._pmf_sampler(pmf.offsets, pmf.values)
-        draws = draw(np.random.default_rng(3), (400, 500))
+        draws = pmf.sampler(np.random.default_rng(3), (400, 500))
         assert draws.shape == (400, 500)
         self.assert_frequencies(draws, pmf.offsets, pmf.values)
 
     def test_mass_short_of_one_reaches_last_offset(self):
-        offsets = np.array([-1, 0, 1])
-        values = np.array([0.25, 0.5, 0.25 - 1e-16])
+        # these weights sum to 1, but the cumulative sum of the renormalized
+        # weights ends 2.2e-16 below 1
+        pmf = IntegerPmf({-2: 0.1, -1: 0.2, 0: 0.4, 1: 0.2, 2: 0.1})
+        offsets, values = pmf.offsets, pmf.values
         assert np.cumsum(values)[-1] < 1.0
-        draw = simulate_module._pmf_sampler(offsets, values)
+        draw = pmf.sampler
 
         class LargestUniform:
             def random(self, shape, out=None):
                 return np.full(shape, np.nextafter(1.0, 0.0))
 
-        assert np.all(draw(LargestUniform(), (3, 2)) == 1.0)
+        assert np.all(draw(LargestUniform(), (3, 2)) == 2.0)
         self.assert_frequencies(draw(np.random.default_rng(5), (1000, 200)), offsets, values)

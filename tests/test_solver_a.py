@@ -476,6 +476,11 @@ class TestBirthDeathClosedForms:
         with pytest.raises(UsageError):
             solver_a.bd_closed_form(0.4, 1.0, 2)
 
+    def test_spec_domain_guard(self):
+        # p >= 1/3 leaves p_0 = 1 - 2p below p: the law is not unimodal
+        with pytest.raises(UsageError, match=r"\(0, 1/3\)"):
+            solver_a.bd_spec(0.4, 0.9)
+
     def test_scaled_form_deep_thresholds(self):
         # the cosh/sinh form overflowed from k ~ 5000 and read N(1000) as
         # 1.39e-17 rounding noise

@@ -76,7 +76,7 @@ class TestFredholmSolve:
         M0_mc = tot_t.mean()
         M0_se = tot_t.std(ddof=1) / math.sqrt(episodes)
 
-        L0, M0 = solver_b.lm_at_zero(gm_unit, 1.0)
+        L0, M0 = solver_b.renewal(gm_unit, 1.0)[:2]
         assert abs(L0 - L0_mc) <= 3.0 * L0_se
         assert abs(M0 - M0_mc) <= 3.0 * M0_se
 
@@ -136,7 +136,7 @@ class TestFredholmSolve:
             v = np.linalg.solve(np.eye(order) - K, np.ones(order))
             v0 = 1.0 + float(np.sum(grid.weights * kern(0.0, grid.nodes) * v))
             vals.append(v0)
-        ref = solver_b.lm_at_zero(gm_unit, 1.0, tolerance=1e-12)[1]
+        ref = solver_b.renewal(gm_unit, 1.0, tolerance=1e-12).M0
         errs = [abs(v - ref) for v in vals]
         assert errs[1] <= 0.1 * errs[0] or errs[1] < 1e-12
         assert errs[2] <= 0.1 * errs[1] or errs[2] < 1e-12
@@ -189,7 +189,7 @@ class TestPerformanceB:
         v = np.linalg.solve(np.eye(len(nodes)) - spec.beta * K,
                             np.column_stack([distortion(nodes), np.ones(len(nodes))]))
         ref = [0.0, 1.0] + spec.beta * (spec.pdf.density(nodes) * weights) @ v
-        got = solver_b.lm_at_zero(spec, k)
+        got = solver_b.renewal(spec, k)[:2]
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-9 * max(1.0, abs(r))
 
@@ -343,12 +343,12 @@ class TestSearch:
         assert cost == result.perf.cost == (result.perf.distortion
                                             + lam * result.perf.transmission_rate)
 
-    # the maps below stand in for _renewal, with key=float reading them
+    # the maps below stand in for renewal, with key=float reading them
     def test_steep_map_reaches_epsilon(self, gm_unit, monkeypatch):
         # logistic of slope 250 at its centre, target in the lower tail: plain
         # false position keeps the upper end and needs about 1200 steps
         steep = lambda k: 0.5 * (1.0 + math.tanh(500.0 * (k - 1.7)))
-        monkeypatch.setattr(solver_b, "_renewal", lambda spec, k: steep(k))
+        monkeypatch.setattr(solver_b, "renewal", lambda spec, k: steep(k))
         k, at = solver_b._bracket_and_search(float, 1e-3, 1e-6, gm_unit, "steep")
         assert at == steep(k)
         assert abs(steep(k) - 1e-3) <= 1e-6
@@ -360,13 +360,13 @@ class TestSearch:
             calls.append(k)
             return float(k >= 1.7)
 
-        monkeypatch.setattr(solver_b, "_renewal", step)
+        monkeypatch.setattr(solver_b, "renewal", step)
         with pytest.raises(ConvergenceError, match="exhausted"):
             solver_b._bracket_and_search(float, 0.5, 1e-6, gm_unit, "step")
         assert len(calls) == 2 + solver_b._MAX_SEARCH_STEPS
 
     @pytest.mark.parametrize("target", [2.0, -1.0], ids=["above", "below"])
     def test_unbracketable_target(self, gm_unit, monkeypatch, target):
-        monkeypatch.setattr(solver_b, "_renewal", lambda spec, k: math.tanh(k))
+        monkeypatch.setattr(solver_b, "renewal", lambda spec, k: math.tanh(k))
         with pytest.raises(BracketError):
             solver_b._bracket_and_search(float, target, 1e-6, gm_unit, "tanh")
