@@ -181,6 +181,9 @@ class SmoothPdf:
             grid = np.linspace(-self.support_halfwidth, self.support_halfwidth, 4097)
             dens = self.density(grid)
             cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
+            # a NaN total passes, for the solvers to report as a NumericsError
+            if cdf[-1] <= 0.0:
+                raise UsageError("tabulated density has no mass on its declared support")
             cdf /= cdf[-1]
             object.__setattr__(self, "_inverse_cdf", (cdf, grid))
 

@@ -62,6 +62,8 @@ CHUNK_CELLS = 2**18
 _STREAM_LAYOUT = 2
 # a discounted run stops once the discount weight beta^t falls below this
 DISCOUNT_TRUNCATION_TOL = 1e-10
+# cycles in one period of a time-sharing schedule at most
+_SCHEDULE_MAX_CYCLES = 10**3
 
 PolicyKind = Literal[
     "threshold",
@@ -464,44 +466,26 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
 # --- state-blind baselines ----------------------------------------------------
 
 
-def periodic_distortion(alpha: float, sigma: float, family: str) -> float:
-    """Average distortion of the two canonical periodic patterns
-    (random-walk source, quadratic distortion).
+def state_blind_distortion(policy: PolicySpec, sigma: float) -> float:
+    """Average distortion sigma^2 E[tau (tau - 1)] / (2 E[tau]) of a
+    state-blind policy whose inter-transmission time is tau (renewal reward;
+    random-walk source a = 1, innovations of standard deviation sigma,
+    quadratic distortion).
 
-    ``one_in_T``     transmit once every T = 1/alpha steps, alpha in (0, 1]
-    ``all_but_one``  silent one step in every T = 1/(1 - alpha) >= 2 steps,
-                     alpha in [1/2, 1)
+    ``iid_random``  tau is geometric: E[tau] = 1/alpha, E[tau^2] = (2 - alpha)/alpha^2
+    ``periodic``    tau runs over the gaps between the sends of one period
     """
-    if family == "one_in_T":
-        if not 0.0 < alpha <= 1.0:
-            raise UsageError(f"one_in_T needs alpha in (0, 1], got {alpha}")
-        T = 1.0 / alpha
-        if abs(T - round(T)) > 1e-9:
-            raise UsageError(f"one_in_T needs alpha = 1/T for integer T, got {alpha}")
-        return sigma * sigma / 2.0 * (1.0 / alpha - 1.0)
-    if family == "all_but_one":
-        if not 0.5 <= alpha < 1.0:
-            raise UsageError(f"all_but_one needs alpha in [1/2, 1), got {alpha}")
-        T = 1.0 / (1.0 - alpha)
-        if abs(T - round(T)) > 1e-9:
-            raise UsageError(
-                f"all_but_one needs alpha = (T-1)/T for integer T, got {alpha}"
-            )
-        return sigma * sigma * (1.0 - alpha)
-    raise UsageError(f"unknown periodic family {family!r}")
-
-
-def stationary_stopping_distortion(
-    tau_mean: float, tau_second_moment: float, sigma: float
-) -> float:
-    """Average distortion of any state-blind stationary policy whose
-    inter-transmission time has the given first two moments
-    (random-walk source, quadratic distortion)."""
-    if tau_mean < 1.0:
-        raise UsageError(f"mean stopping time must be >= 1, got {tau_mean}")
-    if tau_second_moment < tau_mean * tau_mean:
-        raise UsageError("second moment below the squared mean")
-    return sigma * sigma / 2.0 * (tau_second_moment / tau_mean - 1.0)
+    if policy.kind == "iid_random":
+        alpha = policy.alpha
+        tau_mean, tau_m2 = 1.0 / alpha, (2.0 - alpha) / alpha ** 2
+    elif policy.kind == "periodic" and any(policy.pattern):
+        sends = np.flatnonzero(policy.pattern)
+        gaps = np.diff(sends, append=sends[0] + len(policy.pattern))
+        tau_mean, tau_m2 = float(gaps.mean()), float(np.mean(gaps * gaps))
+    else:
+        raise UsageError("a state-blind distortion needs an iid_random policy or a "
+                         f"periodic pattern that transmits, got {policy.kind}")
+    return sigma * sigma / 2.0 * (tau_m2 / tau_mean - 1.0)
 
 
 # --- deterministic implementations of the randomized optimum -------------------
@@ -526,10 +510,10 @@ def steering_policy_step(
 
 
 def time_sharing_schedule(
-    alpha: float, n_k: float, n_k1: float, theta: float, depth: int = 3
+    alpha: float, n_k: float, n_k1: float, theta: float
 ) -> list[tuple[int, int]]:
     """Constant cycle-count schedule (a, b) whose cycle fraction a/(a+b) best
-    approximates theta * n_k / alpha with denominator <= 10**depth."""
+    approximates theta * n_k / alpha with denominator <= _SCHEDULE_MAX_CYCLES."""
     if not 0.0 < alpha <= 1.0:
         raise UsageError(f"rate budget must lie in (0, 1], got {alpha}")
     if n_k <= n_k1:
@@ -539,12 +523,8 @@ def time_sharing_schedule(
     ratio = theta * n_k / alpha
     if not 0.0 <= ratio <= 1.0 + 1e-12:
         raise UsageError(f"cycle fraction {ratio} falls outside [0, 1]")
-    frac = Fraction(min(ratio, 1.0)).limit_denominator(10 ** depth)
-    a = frac.numerator
-    b = frac.denominator - frac.numerator
-    if a + b == 0:
-        a, b = 0, 1
-    return [(a, b)]
+    frac = Fraction(min(ratio, 1.0)).limit_denominator(_SCHEDULE_MAX_CYCLES)
+    return [(frac.numerator, frac.denominator - frac.numerator)]
 
 
 def steering_visit_probability(

@@ -23,7 +23,7 @@ import numpy as np
 from . import dp, solver_a, solver_b
 from .model import DistortionFn, ModelSpecB, PerfPoint, SmoothPdf
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
-from .simulate import PolicySpec, SimConfig, periodic_distortion, simulate_policies
+from .simulate import PolicySpec, SimConfig, simulate_policies, state_blind_distortion
 
 TABLE_TOL = 5e-4  # the published table's four-decimal rounding
 CLOSED_FORM_TOL = 1e-9
@@ -293,33 +293,29 @@ def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
     """State-blind baseline formulas and the policy ordering, by simulation:
     all eight policies in one block."""
     gm = solver_b.gauss_markov_spec(1.0)
-    # (name, policy, distortion the simulation must reproduce)
     baselines = []
     for alpha in (0.25, 0.5):
-        baselines.append((f"random transmissions alpha={alpha}",
-                          PolicySpec.iid_random(alpha), 1.0 / alpha - 1.0))
+        baselines.append((f"random transmissions alpha={alpha}", PolicySpec.iid_random(alpha)))
         baselines.append((f"periodic one-in-T alpha={alpha}",
-                          PolicySpec.periodic_one_in(round(1.0 / alpha)),
-                          periodic_distortion(alpha, 1.0, "one_in_T")))
-    # the all-but-one family needs alpha = (T - 1) / T
+                          PolicySpec.periodic_one_in(round(1.0 / alpha))))
     for alpha in (0.5, 0.75):
         baselines.append((f"periodic all-but-one alpha={alpha}",
-                          PolicySpec.periodic_all_but_one(round(1.0 / (1.0 - alpha))),
-                          periodic_distortion(alpha, 1.0, "all_but_one")))
+                          PolicySpec.periodic_all_but_one(round(1.0 / (1.0 - alpha)))))
     order_alphas = (0.2, 0.5)
     optimal = [PolicySpec.threshold(solver_b.algorithm2_constrained(gm, alpha, 1e-6)[0])
                for alpha in order_alphas]
-    results = simulate_policies(gm, [policy for _, policy, _ in baselines] + optimal, config)
+    results = simulate_policies(gm, [policy for _, policy in baselines] + optimal, config)
 
     out: list[CheckResult] = []
-    for (name, _, want), res in zip(baselines, results):
+    for (name, policy), res in zip(baselines, results):
+        want = state_blind_distortion(policy, 1.0)
         out.append(_check(
             "baselines", name, _sim_close(res.d_hat, res.d_se, want),
             f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {want:.5f}",
         ))
     for alpha, res_th in zip(order_alphas, results[len(baselines):]):
-        d_per = periodic_distortion(alpha, 1.0, "one_in_T")
-        d_rand = 1.0 / alpha - 1.0
+        d_per = state_blind_distortion(PolicySpec.periodic_one_in(round(1.0 / alpha)), 1.0)
+        d_rand = state_blind_distortion(PolicySpec.iid_random(alpha), 1.0)
         out.append(_check(
             "baselines", f"ordering threshold < periodic < random at alpha={alpha}",
             res_th.d_hat + MC_SIGMAS * res_th.d_se < d_per < d_rand,

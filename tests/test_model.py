@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,15 @@ class TestSmoothPdf:
         assert -1.0 <= tri.sampler(rng) <= 1.0
         assert IntegerPmf.birth_death(0.3).sampler(rng) in (-1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("fn", [lambda w: np.zeros(np.shape(w)),
+                                    lambda w: -np.ones(np.shape(w))], ids=["zero", "negative"])
+    def test_massless_density_rejected(self, fn):
+        # the density clips a negative fn to 0, so both have no mass to sample
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="no mass"):
+                SmoothPdf.tabulated(fn, 1.0)
+
     def test_asymmetric_flagged(self):
         skew = SmoothPdf.tabulated(lambda w: np.exp(-np.abs(w - 0.2)) / 2.0, 10.0)
         assert any("symmetry" in v for v in skew.violations())
@@ -191,3 +202,12 @@ class TestTradeoffCurve:
 
 def test_model_b_spec_valid(gm_unit):
     assert validate_spec(gm_unit) == []
+
+
+def test_model_b_describe_tabulated():
+    tri = SmoothPdf.tabulated(lambda w: np.clip(1.0 - np.abs(w), 0.0, None), 2.0)
+    spec = ModelSpecB(a=0.5, pdf=tri, distortion=DistortionFn.quadratic(), beta=0.9)
+    assert spec.describe() == {
+        "model": "B", "a": 0.5, "pdf": {"kind": "tabulated", "support_halfwidth": 2.0},
+        "distortion": "quadratic", "beta": 0.9,
+    }

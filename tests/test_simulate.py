@@ -29,10 +29,9 @@ from remest.simulate import (
     PolicySpec,
     SimConfig,
     SimResult,
-    periodic_distortion,
     simulate,
     simulate_policies,
-    stationary_stopping_distortion,
+    state_blind_distortion,
     steering_policy_step,
     steering_visit_probability,
     time_sharing_schedule,
@@ -147,6 +146,12 @@ class TestThresholdPolicies:
             simulate(bd_avg, PolicySpec.threshold(2),
                      SimConfig(horizon=101, replications=10, burn_in=10))
 
+    def test_one_replication_has_no_standard_error(self, bd_avg):
+        res = simulate(bd_avg, PolicySpec.threshold(2),
+                       SimConfig(horizon=2000, replications=1, burn_in=10, seed=3))
+        assert res.d_se == res.n_se == 0.0
+        assert res.replications_used == 1 and res.d_hat > 0.0 and res.n_hat > 0.0
+
 
 class TestRandomizedMixture:
     def test_hits_budget_and_distortion(self, bd_09):
@@ -172,33 +177,39 @@ class TestStateBlindBaselines:
         assert abs(res.n_hat - 0.5) <= 3.0 * res.n_se
 
     def test_periodic_formula_values(self):
-        assert periodic_distortion(0.5, 1.0, "one_in_T") == pytest.approx(0.5)
-        assert periodic_distortion(0.5, 1.0, "all_but_one") == pytest.approx(0.5)
-        assert periodic_distortion(0.25, 2.0, "one_in_T") == pytest.approx(6.0)
-        with pytest.raises(UsageError):
-            periodic_distortion(0.3, 1.0, "one_in_T")
+        one_in_4 = PolicySpec.periodic_one_in(4)
+        assert state_blind_distortion(one_in_4, 1.0) == pytest.approx(1.5)
+        assert state_blind_distortion(one_in_4, 2.0) == pytest.approx(6.0)
+        assert state_blind_distortion(PolicySpec.periodic((0, 1)), 1.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_irregular_pattern_matches_variance_recursion(self, sigma):
+        # E e^2 over two periods: a send costs 0 and restarts the error at one
+        # innovation, a silent step costs the variance and adds one innovation;
+        # the first period holds a send, so the second is stationary
+        pattern = (1, 0, 1, 1, 0)
+        var, costs = 0.0, []
+        for u in pattern * 2:
+            costs.append(0.0 if u else var)
+            var = sigma * sigma if u else var + sigma * sigma
+        recursion = sum(costs[len(pattern):]) / len(pattern)
+        got = state_blind_distortion(PolicySpec.periodic(pattern), sigma)
+        assert got == pytest.approx(recursion, rel=1e-12)
+        assert got == pytest.approx(0.4 * sigma * sigma, rel=1e-12)
 
     def test_periodic_formula_guards(self):
-        # alpha = 0 has no period T = 1/alpha; alpha = 1 no T = 1/(1 - alpha)
-        with pytest.raises(UsageError):
-            periodic_distortion(0.0, 1.0, "one_in_T")
-        with pytest.raises(UsageError):
-            periodic_distortion(1.0, 1.0, "all_but_one")
-        # T = 1 never transmits, so its alpha = 0 is outside the family
-        with pytest.raises(UsageError):
-            periodic_distortion(0.0, 1.0, "all_but_one")
+        # a pattern that never sends has no finite average; state-aware kinds
+        # have no state-blind formula
+        for policy in (PolicySpec.periodic((0, 0, 0)), PolicySpec.threshold(1.0),
+                       PolicySpec.steering(1, 0.5)):
+            with pytest.raises(UsageError):
+                state_blind_distortion(policy, 1.0)
 
     def test_stopping_time_formula(self):
-        # geometric stopping with success probability alpha
-        alpha = 0.25
-        tau_mean = 1.0 / alpha
-        tau_m2 = 2.0 / alpha ** 2 - 1.0 / alpha
-        assert stationary_stopping_distortion(tau_mean, tau_m2, 1.0) == pytest.approx(
-            1.0 / alpha - 1.0)
-        # deterministic period T
-        assert stationary_stopping_distortion(4.0, 16.0, 1.0) == pytest.approx(1.5)
+        # geometric stopping with success probability alpha: 1/alpha - 1
+        assert state_blind_distortion(PolicySpec.iid_random(0.25), 1.0) == pytest.approx(3.0)
         # transmit every step
-        assert stationary_stopping_distortion(1.0, 1.0, 3.0) == 0.0
+        assert state_blind_distortion(PolicySpec.periodic((1,)), 3.0) == 0.0
 
 
 class TestSteering:
@@ -337,7 +348,7 @@ class TestStationaryDistribution:
 class TestTimeSharing:
     def test_schedule_arithmetic(self):
         assert time_sharing_schedule(0.15, 0.15, 0.0667, 1.0) == [(1, 0)]
-        assert time_sharing_schedule(0.1, 0.15, 0.6 / 9.0, 0.4, depth=1) == [(3, 2)]
+        assert time_sharing_schedule(0.1, 0.15, 0.6 / 9.0, 0.4) == [(3, 2)]
         # theta * n_k / alpha = 0.69 * 0.15 / 0.1035 = 1 exactly
         assert time_sharing_schedule(0.1035, 0.15, 0.0667, 0.69) == [(1, 0)]
 
@@ -634,10 +645,10 @@ class TestBlock:
                                                                 rel=1e-12), (rows, field)
 
     def test_memory_bounded_by_chunk(self, bd_avg):
-        # five policies of 50 replications: the 50 x 5e4 innovation matrix alone
-        # would take 20 MB, the block's |e| history 100 MB; the horizon is
-        # short, since tracing every allocation slows the step loop about sixfold
-        cfg = SimConfig(horizon=50_000, replications=50, burn_in=1000, seed=5)
+        # in one chunk, five policies of 50 replications hold the innovations,
+        # |e| and transmit flags of all 5000 steps at once: 18.9 MB at peak; the
+        # horizon is short, since tracing every allocation slows the step loop
+        cfg = SimConfig(horizon=4000, replications=50, burn_in=1000, seed=5)
         policies = [PolicySpec.threshold(2), PolicySpec.threshold(3),
                     PolicySpec.randomized_threshold(2, 0.4), PolicySpec.periodic((1, 0, 0)),
                     PolicySpec.iid_random(0.3)]

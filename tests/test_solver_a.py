@@ -113,7 +113,7 @@ class TestBuildSilentSystem:
         assert peak < 100_000
 
 
-class TestSolveLM:
+class TestRenewalFunctionals:
     """The renewal functionals L(0), M(0) of every threshold in one table."""
 
     def test_average_cost_closed_values(self, bd_avg):
@@ -254,6 +254,12 @@ class TestPerformance:
         p = solver_a.performance(spec, math.inf)
         assert p.transmission_rate == 0.0
         assert p.distortion == pytest.approx(0.6)  # E|W| = 2p
+
+    def test_never_transmit_a0_discounted(self):
+        # the error is a fresh innovation at every step after the first
+        p = solver_a.performance(solver_a.bd_spec(0.3, 0.9, a=0), math.inf)
+        assert p.transmission_rate == 0.0
+        assert p.distortion == pytest.approx(0.9 * 0.6)  # beta E|W|
 
     def test_never_transmit_discounted_vs_simulation(self, bd_09):
         from remest.simulate import PolicySpec, SimConfig, simulate
