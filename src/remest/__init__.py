@@ -29,7 +29,6 @@ from .model import (
     SmoothPdf,
     TradeoffCurve,
     estimator_step,
-    validate_spec,
 )
 from .simulate import PolicySpec, SimConfig, SimResult, simulate, simulate_policies
 
@@ -58,7 +57,6 @@ __all__ = [
     "estimator_step",
     "simulate",
     "simulate_policies",
-    "validate_spec",
 ]
 
 __version__ = "0.1.0"

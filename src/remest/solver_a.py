@@ -140,9 +140,9 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     (A W)^T, with W a tie-breaking column scaling, is factored once by LAPACK
     with partial pivoting.  A row swap raises ``NumericsError``; a
     non-positive pivot or rcond below the floor ``SingularSystemError``; a
-    refined residual of the K system above 1e-10 (1 + ||x||)
-    ``NumericsError``.  Past ``MAX_SILENT_DIM`` it raises ``CapacityError``
-    before allocating anything.
+    residual of the K system, solved from the same factors, above
+    1e-10 (1 + ||x||) ``NumericsError``.  Past ``MAX_SILENT_DIM`` it raises
+    ``CapacityError`` before allocating anything.
     """
     beta = spec.beta
     rows, land, mass = _landings(spec, K)
@@ -163,8 +163,9 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     # tie would let partial pivoting swap rows; w decreasing breaks every tie
     # towards the diagonal, and w_0 = 1 leaves z unchanged
     w = _TIE_BREAK ** np.arange(K)
-    A = np.zeros((K, K))
-    np.add.at(A, (rows, land), -beta * mass * w[land])
+    A = folded_transition(spec, K)
+    A *= -beta
+    A *= w
     A.flat[:: K + 1] += w
     # ||(A W)^T||_1: the off-diagonal entries of A W are <= 0
     anorm = float(np.max(2.0 * A.diagonal() - A.sum(axis=1)))
@@ -196,7 +197,6 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
         return w[:, None] * lapack.dgetrs(lu, piv, rhs, trans=1)[0]
 
     x = solve(b)
-    x += solve(residual(x))
     resid = np.linalg.norm(residual(x), axis=0)
     if np.any(resid > 1e-10 * (1.0 + np.linalg.norm(x, axis=0))):
         raise NumericsError(f"linear solve residual {resid.max():.2e} too large")

@@ -163,7 +163,7 @@ def suite_closed_forms() -> list[CheckResult]:
     return out
 
 
-def _price_and_fd_error(spec: ModelSpecB, k: float) -> tuple[float, float]:
+def price_fd_error(spec: ModelSpecB, k: float) -> tuple[float, float]:
     """``solver_b.lambda_of_k`` at k, and its relative gap to its independent
     route: -dD/dk / dN/dk from central differences of performance_b with one
     Richardson level (error O(h^4))."""
@@ -178,11 +178,6 @@ def _price_and_fd_error(spec: ModelSpecB, k: float) -> tuple[float, float]:
     want = -dD / dN
     price = solver_b.lambda_of_k(spec, k)
     return price, float(abs(price - want) / abs(want))
-
-
-def price_fd_error(spec: ModelSpecB, k: float) -> float:
-    """Relative gap between ``solver_b.lambda_of_k`` and finite differences."""
-    return _price_and_fd_error(spec, k)[1]
 
 
 def suite_scaling() -> list[CheckResult]:
@@ -215,7 +210,7 @@ def suite_scaling() -> list[CheckResult]:
     abs_discounted = ModelSpecB(a=-0.7, pdf=SmoothPdf.gaussian(1.0),
                                 distortion=DistortionFn.absolute(), beta=0.95)
     # (price, relative gap) per probe; the base prices also serve the monotonicity check
-    fd = {name: [_price_and_fd_error(spec, k) for k in probes]
+    fd = {name: [price_fd_error(spec, k) for k in probes]
           for name, spec in (("unit gaussian", base), ("a=-0.7 beta=0.95 abs", abs_discounted))}
     lams = [price for price, _ in fd["unit gaussian"]]
     out.append(_check(

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from remest import (
@@ -17,10 +17,9 @@ from remest import (
     TradeoffCurve,
     UsageError,
     estimator_step,
-    validate_spec,
 )
 from remest import model
-from remest.model import Diagnostics, collect, count
+from remest.model import Diagnostics, collect, count, spec_digest
 from conftest import random_valid_pmf
 
 
@@ -33,21 +32,31 @@ class TestDiscountFactor:
                 DiscountFactor(bad)
 
 
+def _symmetric_pmf(half) -> dict[int, float]:
+    """Offset -> mass map with p_n = p_-n = half[|n|]."""
+    return {n: float(half[abs(n)]) for n in range(1 - len(half), len(half))}
+
+
+def _laplace(w):
+    return np.exp(-np.abs(w)) / 2.0
+
+
 class TestIntegerPmf:
     def test_birth_death_valid(self):
-        spec = ModelSpecA(a=1, pmf=IntegerPmf({-1: 0.3, 0: 0.4, 1: 0.3}),
-                          distortion=DistortionFn.absolute(), beta=0.9)
-        assert validate_spec(spec) == []
+        pmf = IntegerPmf({-1: 0.3, 0: 0.4, 1: 0.3})
+        assert pmf.probs == {-1: 0.3, 0: 0.4, 1: 0.3}
 
     def test_point_mass_flagged(self):
-        spec = ModelSpecA(a=1, pmf=IntegerPmf({0: 1.0}),
-                          distortion=DistortionFn.absolute(), beta=0.9)
-        assert any("p_0 < 1" in v for v in validate_spec(spec))
+        for probs in ({0: 1.0}, {-1: 0.0, 0: 1.0, 1: 0.0}):
+            with pytest.raises(UsageError, match="point mass"):
+                IntegerPmf(probs)
 
     def test_asymmetry_flagged(self):
-        spec = ModelSpecA(a=1, pmf=IntegerPmf({-1: 0.2, 0: 0.4, 1: 0.4}),
-                          distortion=DistortionFn.absolute(), beta=0.9)
-        assert any("symmetry" in v for v in validate_spec(spec))
+        # the solvers fold the silent set onto e >= 0, so this law gave
+        # D = 0.830, N = 0.0791 at a = 1, beta = 0.9, k = 3 against simulated
+        # 0.783 +- 0.004 and 0.0608 +- 0.0008
+        with pytest.raises(UsageError, match="symmetry"):
+            IntegerPmf({-1: 0.2, 0: 0.4, 1: 0.4})
 
     def test_renormalizes_small_deficit(self):
         pmf = IntegerPmf({-1: 0.3, 0: 0.4 - 5e-11, 1: 0.3})
@@ -63,8 +72,10 @@ class TestIntegerPmf:
             IntegerPmf({-1: 0.6, 0: -0.2, 1: 0.6})
 
     def test_unimodality_gap_flagged(self):
-        pmf = IntegerPmf({-3: 0.2, 0: 0.6, 3: 0.2})
-        assert any("unimodal" in v for v in pmf.violations())
+        # a missing offset has mass 0, from n = 0 on
+        for probs in ({-3: 0.2, 0: 0.6, 3: 0.2}, {-1: 0.5, 1: 0.5}):
+            with pytest.raises(UsageError, match="unimodality"):
+                IntegerPmf(probs)
 
     def test_hashable(self):
         assert hash(IntegerPmf({0: 0.5, 1: 0.25, -1: 0.25}))
@@ -73,14 +84,53 @@ class TestIntegerPmf:
     @settings(max_examples=30, deadline=None)
     def test_random_valid_pmfs_pass(self, seed):
         rng = np.random.default_rng(seed)
-        pmf = IntegerPmf(random_valid_pmf(rng))
-        assert pmf.violations() == []
+        IntegerPmf(random_valid_pmf(rng))
+
+    @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_random_symmetric_unimodal_pmfs_build(self, raw):
+        half = sorted(raw, reverse=True)
+        pmf = IntegerPmf(_symmetric_pmf(np.array(half) / (half[0] + 2.0 * sum(half[1:]))))
+        assert pmf.radius == len(half) - 1
+
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_moved_mass_breaks_symmetry(self, seed, data):
+        probs = random_valid_pmf(np.random.default_rng(seed), 5)
+        n = data.draw(st.integers(1, max(probs)))
+        probs[n] -= 1e-9
+        probs[-n] += 1e-9
+        with pytest.raises(UsageError, match="symmetry"):
+            IntegerPmf(probs)
+
+    @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_swapped_masses_break_unimodality(self, raw, data):
+        half = sorted(raw, reverse=True)
+        n = data.draw(st.integers(0, len(half) - 2))
+        # the check forgives 1e-12 of rounding
+        assume(half[n] - half[n + 1] > 1e-9)
+        half[n], half[n + 1] = half[n + 1], half[n]
+        with pytest.raises(UsageError, match="unimodality"):
+            IntegerPmf(_symmetric_pmf(np.array(half) / (half[0] + 2.0 * sum(half[1:]))))
+
+
+def _piecewise_linear(knots, heights):
+    """Even density that falls linearly between the heights at the knots
+    0 = w_0 < w_1 < ... and is 0 past the last knot, scaled to mass 1."""
+    mass = np.sum(np.diff(knots) * (heights[1:] + heights[:-1]))
+    return lambda w: np.interp(np.abs(w), knots, heights, right=0.0) / mass
 
 
 class TestSmoothPdf:
     def test_gaussian_clean(self):
-        assert SmoothPdf.gaussian(1.0).violations() == []
-        assert SmoothPdf.gaussian(0.25).violations() == []
+        for sigma in (1.0, 0.25):
+            assert SmoothPdf.gaussian(sigma).sigma == sigma
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(UsageError, match="sigma"):
+                SmoothPdf.gaussian(bad)
+        with pytest.raises(UsageError, match="sigma"):
+            SmoothPdf(kind="gaussian", sigma=-1.0)
 
     def test_gaussian_sampling_moments(self):
         rng = np.random.default_rng(7)
@@ -90,11 +140,22 @@ class TestSmoothPdf:
 
     def test_tabulated_triangle(self):
         tri = SmoothPdf.tabulated(lambda w: np.clip(1.0 - np.abs(w), 0.0, None), 1.0)
-        assert tri.violations() == []
         rng = np.random.default_rng(11)
         w = tri.sampler(rng, 100_000)
         assert abs(w.mean()) < 0.01
         assert abs(w.var() - 1.0 / 6.0) < 0.01
+
+    @pytest.mark.parametrize("fn, halfwidth", [
+        (lambda w: np.clip(1.0 - np.abs(w), 0.0, None), 2.0),
+        (lambda w: (1.0 + np.cos(np.pi * np.clip(w, -1.0, 1.0))) / 2.0, 1.0),
+        (lambda w: np.full(np.shape(w), 0.5), 1.0),
+        (_laplace, 40.0),
+    ], ids=["triangle", "cosine", "uniform", "laplace"])
+    def test_model_class_densities_build(self, fn, halfwidth):
+        # the Laplace tail past 40 holds 4e-18; Simpson on the table's grid
+        # reads its mass as 1 + 8.1e-10, where the old 8193-point trapezoid
+        # read 1.00000795
+        assert SmoothPdf.tabulated(fn, halfwidth).support_halfwidth == halfwidth
 
     def test_single_draws(self):
         rng = np.random.default_rng(3)
@@ -108,24 +169,49 @@ class TestSmoothPdf:
         # the density clips a negative fn to 0, so both have no mass to sample
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(UsageError, match="no mass"):
+            with pytest.raises(UsageError, match="integrates to 0,"):
                 SmoothPdf.tabulated(fn, 1.0)
 
     def test_asymmetric_flagged(self):
-        skew = SmoothPdf.tabulated(lambda w: np.exp(-np.abs(w - 0.2)) / 2.0, 10.0)
-        assert any("symmetry" in v for v in skew.violations())
+        with pytest.raises(UsageError, match="symmetry"):
+            SmoothPdf.tabulated(lambda w: np.exp(-np.abs(w - 0.2)) / 2.0, 10.0)
+        with pytest.raises(UsageError, match="nonincreasing"):
+            SmoothPdf.tabulated(lambda w: 1.5 * w * w, 1.0)
+        with pytest.raises(UsageError, match="integrates to 2,"):
+            SmoothPdf.tabulated(lambda w: 2.0 * _laplace(w), 40.0)
+        for halfwidth in (0.0, -1.0, np.inf):
+            with pytest.raises(UsageError, match="support half-width"):
+                SmoothPdf(kind="tabulated", fn=_laplace, support_halfwidth=halfwidth)
+
+    @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5, unique=True),
+           st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5), st.floats(0.3, 3.0))
+    @settings(max_examples=30, deadline=None)
+    def test_random_piecewise_linear_densities(self, raw, gaps, width):
+        heights = np.array(sorted(raw, reverse=True) + [0.0])
+        knots = np.concatenate(([0.0], np.cumsum(gaps[:len(heights) - 1])))
+        knots *= width / knots[-1]
+        fn = _piecewise_linear(knots, heights)
+        SmoothPdf.tabulated(fn, 1.5 * width)
+        with pytest.raises(UsageError):
+            SmoothPdf.tabulated(lambda w: fn(w - 0.2), 1.5 * width + 0.2)
 
 
 class TestDistortionFn:
     def test_builtin_kinds_clean(self):
-        assert DistortionFn.absolute().violations() == []
-        assert DistortionFn.quadratic().violations() == []
+        e = np.array([-2.0, 0.0, 3.0])
+        assert DistortionFn.absolute()(e).tolist() == [2.0, 0.0, 3.0]
+        assert DistortionFn.quadratic()(e).tolist() == [4.0, 0.0, 9.0]
 
     def test_custom_checked(self):
-        ok = DistortionFn.custom(lambda e: np.abs(e) ** 1.5)
-        assert ok.violations() == []
-        shifted = DistortionFn.custom(lambda e: np.abs(e) + 1.0)
-        assert any("d(0)" in v for v in shifted.violations())
+        DistortionFn.custom(lambda e: np.abs(e) ** 1.5)
+        for fn, prop in ((lambda e: np.abs(e) + 1.0, r"d\(0\) = 0"),
+                         (lambda e: np.maximum(np.abs(e) - 1.0, 0.0), r"d\(e\) > 0"),
+                         (lambda e: e * np.abs(e) + 2.0 * e * e, "even"),
+                         (lambda e: np.abs(np.sin(e)), "nondecreasing")):
+            with pytest.raises(UsageError, match=prop):
+                DistortionFn.custom(fn)
+        with pytest.raises(UsageError, match=r"d\(0\) = 0"):
+            DistortionFn(kind="custom", fn=lambda e: np.abs(e) + 1.0)
 
 
 class TestEstimatorStep:
@@ -201,7 +287,10 @@ class TestTradeoffCurve:
 
 
 def test_model_b_spec_valid(gm_unit):
-    assert validate_spec(gm_unit) == []
+    # a direct dataclass call passes the same checks as the factories
+    direct = ModelSpecB(gm_unit.a, SmoothPdf(kind="gaussian", sigma=1.0),
+                        DistortionFn(kind="quadratic"), gm_unit.beta)
+    assert spec_digest(direct) == spec_digest(gm_unit)
 
 
 def test_model_b_describe_tabulated():

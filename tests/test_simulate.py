@@ -20,7 +20,6 @@ from remest import (
     ModelSpecA,
     ModelSpecB,
     NumericsError,
-    SingularSystemError,
     UsageError,
 )
 from remest import cli, solver_a, solver_b
@@ -319,12 +318,6 @@ class TestStationaryDistribution:
             states, pi = _stationary_reference(spec, kk)
             assert pi[np.abs(states) == 1].sum() == pytest.approx(0.6, rel=1e-12)
         assert steering_visit_probability(spec, 1, 0.4) == pytest.approx(0.4, rel=1e-12)
-
-    def test_singular_chain_raises(self):
-        # p_0 = 1 at a = 1: no mass ever leaves the silent set
-        spec = ModelSpecA(1, IntegerPmf({0: 1.0}), DistortionFn.quadratic(), 1.0)
-        with pytest.raises(SingularSystemError):
-            steering_visit_probability(spec, 1, 0.5)
 
     def test_deep_threshold(self):
         # the dense chain's value: it solves a 3999 x 3999 system

@@ -43,7 +43,7 @@ def _per_k_reference(spec: ModelSpecA, k: int) -> tuple[float, float]:
     return L / M, U / M
 
 
-class TestBuildSilentSystem:
+class TestFoldedTransition:
     """The folded assembly ``folded_transition`` and the table's dimension cap."""
 
     def test_birth_death_k2(self, bd_avg):
