@@ -68,7 +68,8 @@ class DiscountFactor(float):
 class IntegerPmf:
     """Finite symmetric unimodal innovation pmf over integer offsets.
 
-    Offsets outside the stored map carry zero mass.  The constructor requires
+    Offsets outside the stored map carry zero mass, and offsets given zero
+    mass are dropped after the checks.  The constructor requires
     total stored mass >= 1 - 1e-10 and renormalizes; laws with countably
     infinite support must be truncated to that accuracy by the caller.  It
     raises ``UsageError`` on asymmetry, on p_n < p_n+1 for some n >= 0 and
@@ -100,7 +101,8 @@ class IntegerPmf:
                 raise UsageError(f"pmf unimodality p_n >= p_n+1 fails at n={n - 1}")
         if probs.get(0, 0.0) >= 1.0 - 1e-15:
             raise UsageError("pmf is a point mass at 0; p_0 < 1 required")
-        items = tuple(sorted(probs.items()))
+        # a zero-mass offset would widen the radius, and with it every solve
+        items = tuple(sorted((n, p) for n, p in probs.items() if p > 0.0))
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "truncation_deficit", max(0.0, 1.0 - total))
         cdf = np.cumsum(self.values)

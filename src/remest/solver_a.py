@@ -37,6 +37,10 @@ The optimal-policy maps for both the costly and the rate-constrained
 problems are lookups along the enumerated corner points, and the
 birth-death instance additionally admits closed forms used here as an
 independent cross-check route.
+
+``scipy.linalg`` is imported by ``threshold_table``, the one factorization,
+and not when the module is: it is about half of the command line's start-up
+time, and continuous-model commands never need it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import (
     CapacityError,
@@ -169,6 +171,10 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     A.flat[:: K + 1] += w
     # ||(A W)^T||_1: the off-diagonal entries of A W are <= 0
     anorm = float(np.max(2.0 * A.diagonal() - A.sum(axis=1)))
+    # imported here, not at module top: scipy.linalg is half of the CLI's start-up
+    import scipy.linalg
+    from scipy.linalg import lapack
+
     with warnings.catch_warnings():
         # the rcond guard below turns exact singularity into a typed error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

@@ -6,8 +6,12 @@ equations on (-k, k) with kernel density(n - a e) and right-hand sides d(e)
 and 1.  Both are even in e, so they are posed on (0, k) with the folded
 kernel density(n - a e) + density(-n - a e), discretized with one
 Gauss-Legendre panel (the Nystrom method) and solved together: each rung of
-the node-order ladder assembles, factorizes and checks one matrix and
-back-solves both right-hand sides.  The order doubles until the value at
+the node-order ladder assembles one matrix A = I - beta K W and solves it,
+with one LU from ``np.linalg.solve``, for both right-hand sides and a column
+of ones.  The kernel is nonnegative, so A is a nonsingular M-matrix exactly
+when that solution h = A^-1 1 is positive, and then ||A^-1||_inf = max h:
+the rcond is read off h, with no condition estimator and no scipy, which
+keeps ``import remest`` light.  The order doubles until the value at
 the origin stabilizes; the folded kernel, and |e| on [0, k], are smooth, so
 convergence is spectral.  Unit nodes are computed once per order and
 shared.  A solve returns one ``FredholmSolution`` whose columns are L and
@@ -34,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BracketError,
@@ -94,17 +97,6 @@ class QuadratureGrid:
     def order(self) -> int:
         return len(self.nodes)
 
-    def check(self) -> list[str]:
-        out = []
-        k = self.k
-        if abs(np.sum(self.weights) - k) > 1e-12 * max(1.0, k):
-            out.append("weights must sum to the interval length")
-        if np.any(np.diff(self.nodes) <= 0):
-            out.append("nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
-            out.append("weights must be positive")
-        return out
-
 
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Rhs = Callable[[np.ndarray], np.ndarray]
@@ -114,13 +106,15 @@ Rhs = Callable[[np.ndarray], np.ndarray]
 class FredholmSolution:
     """Discrete solution of v = rhs + beta * integral(kernel * v) on (0, k)
     for several right-hand sides on one grid: ``values`` is nodes x
-    right-hand sides."""
+    right-hand sides, and ``rcond`` is the reciprocal infinity-norm condition
+    number of the grid's matrix I - beta K W."""
 
     grid: QuadratureGrid
     values: np.ndarray
     kernel: Kernel
     rhs: Sequence[Rhs]
     beta: float
+    rcond: float
 
     def evaluate(self, e) -> np.ndarray:
         """Values at arbitrary points of [0, k], or of [-k, k] for the folded
@@ -159,10 +153,13 @@ def fredholm_solve(
 ) -> FredholmSolution:
     """Solve v = rhs + beta * integral(kernel * v) on (0, k) for each entry of ``rhs``.
 
-    Each entry is a callable or a constant.  All of them share one ladder:
-    at each order the kernel matrix is assembled, factorized and checked
-    once, and one back-solve has one column per right-hand side; the
-    returned solution keeps them as the columns of ``values``.  The order
+    Each entry is a callable or a constant, and the kernel must be
+    nonnegative.  All of them share one ladder: at each order the matrix is
+    assembled and factorized once, and one back-solve has one column per
+    right-hand side plus a column of ones, whose solution gives the exact
+    rcond; below 1e-13, or if that solution is not positive, it raises
+    ``SingularSystemError``.  The returned solution keeps the right-hand
+    sides' solutions as the columns of ``values``.  The order
     doubles from 33 up to _MAX_ORDER until every column's value at 0 agrees
     with the previous order's to ``tolerance`` (relative above magnitude
     1); then every column's off-node residual at 64 probe points, against a
@@ -193,18 +190,23 @@ def fredholm_solve(
                 f"Nystrom system at k={k}, order {order} has non-finite entries; "
                 "the kernel or a right-hand side overflowed or returned NaN"
             )
-        anorm = np.linalg.norm(A, 1)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        anorm = float(np.linalg.norm(A, np.inf))
+        try:
+            X = np.linalg.solve(A, np.column_stack((B, np.ones(order))))
+        except np.linalg.LinAlgError:
+            X = np.zeros((order, B.shape[1] + 1))  # an exact zero pivot: fails the check below
         count(factorizations=1, largest_system=order)
-        rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-        if info != 0 or rcond < 1e-13:
+        # the kernel is nonnegative, so A is a nonsingular M-matrix exactly when
+        # h = A^-1 1 is positive, and then ||A^-1||_inf = max h
+        h = X[:, -1]
+        rcond = 1.0 / (anorm * float(h.max())) if np.all(np.isfinite(h) & (h > 0.0)) else 0.0
+        if rcond < 1e-13:
             raise SingularSystemError(
                 f"discretized silent-set system is singular (rcond={rcond:.2e}); "
                 "escape mass vanishes"
             )
-        values = scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
-        sol = FredholmSolution(grid=grid, values=values, kernel=kernel, rhs=rhs_fns,
-                               beta=float(beta))
+        sol = FredholmSolution(grid=grid, values=X[:, :-1], kernel=kernel, rhs=rhs_fns,
+                               beta=float(beta), rcond=rcond)
         v0 = sol.evaluate(0.0)[0]
         if prev is not None:
             change = np.abs(v0 - prev)

@@ -535,17 +535,38 @@ class TestFlagsFromFile:
         assert parse_csv(out)[0]["k"] == "0"
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # each would add to every command's start-up: after remest.cli,
-    # scipy.sparse costs about 16 ms, scipy.special 68 ms, scipy.optimize 276 ms
+def _heavy_scipy_modules_loaded_after(script: str) -> list[str]:
+    """Heavy scipy modules in ``sys.modules`` after ``script`` runs in a fresh
+    interpreter: each would add to every command's start-up.  After
+    remest.cli, scipy.linalg costs about 300 ms, scipy.sparse 16 ms,
+    scipy.special 68 ms and scipy.optimize 276 ms."""
     env = {**os.environ, "PYTHONPATH": str(Path(remest.__file__).parents[1])}
-    heavy = ("scipy.sparse", "scipy.special", "scipy.optimize")
+    heavy = ("scipy.linalg", "scipy.sparse", "scipy.special", "scipy.optimize")
     run = subprocess.run(
-        [sys.executable, "-c", "import sys, remest.cli; "
+        [sys.executable, "-c", f"{script}\nimport sys\n"
          f"print(*[m for m in {heavy!r} if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == []
+    return run.stdout.split()
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    for script in ("import remest", "import remest.cli"):
+        assert _heavy_scipy_modules_loaded_after(script) == [], script
+
+
+def test_model_b_commands_leave_scipy_linalg_unloaded():
+    # Model B never factors an integer system, so its commands never pay for
+    # scipy.linalg: the import is removed for them, not deferred
+    script = (
+        "import contextlib, io, remest.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert remest.cli.main(['solve', '--model', 'B', '--problem', 'costly',\n"
+        "                            '--sigma', '1', '--lambda', '1']) == 0\n"
+        "    assert remest.cli.main(['simulate', '--model', 'B', '--sigma', '1',\n"
+        "                            '--policy', 'threshold', '--k', '1', '--reps', '20']) == 0"
+    )
+    assert _heavy_scipy_modules_loaded_after(script) == []
 
 
 def test_readme_command_lines_parse():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from remest import (
     UsageError,
     estimator_step,
 )
-from remest import model
+from remest import model, solver_a
 from remest.model import Diagnostics, collect, count, spec_digest
 from conftest import random_valid_pmf
 
@@ -72,13 +73,28 @@ class TestIntegerPmf:
             IntegerPmf({-1: 0.6, 0: -0.2, 1: 0.6})
 
     def test_unimodality_gap_flagged(self):
-        # a missing offset has mass 0, from n = 0 on
-        for probs in ({-3: 0.2, 0: 0.6, 3: 0.2}, {-1: 0.5, 1: 0.5}):
+        # a missing offset has mass 0, from n = 0 on, and so does a zero entry
+        for probs in ({-3: 0.2, 0: 0.6, 3: 0.2}, {-1: 0.5, 1: 0.5},
+                      {-2: 0.3, -1: 0.0, 0: 0.4, 1: 0.0, 2: 0.3}):
             with pytest.raises(UsageError, match="unimodality"):
                 IntegerPmf(probs)
 
     def test_hashable(self):
         assert hash(IntegerPmf({0: 0.5, 1: 0.25, -1: 0.25}))
+
+    def test_zero_mass_offsets_dropped(self):
+        # kept, the +-200 entries made the radius 200, and the never-transmit
+        # distortion below raised CapacityError (1.1e10 multiply-adds)
+        core = {-1: 0.3, 0: 0.4, 1: 0.3}
+        padded = IntegerPmf({**core, 200: 0.0, -200: 0.0})
+        plain = IntegerPmf(core)
+        assert padded.radius == 1 and padded.items == plain.items
+        for k in (math.inf, 3):
+            got, want = (solver_a.performance(ModelSpecA(1, pmf, DistortionFn.quadratic(), 0.9), k)
+                         for pmf in (padded, plain))
+            assert got == want
+        draws = [pmf.sampler(np.random.default_rng(7), 5000) for pmf in (padded, plain)]
+        assert np.array_equal(*draws)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)

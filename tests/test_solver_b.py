@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from remest import BracketError, ConvergenceError, NumericsError, UsageError
+from remest import (BracketError, ConvergenceError, NumericsError, SingularSystemError,
+                    UsageError)
 from remest import solver_b
 from remest.model import DistortionFn, ModelSpecB, SmoothPdf
 from remest.solver_b import QuadratureGrid
@@ -22,7 +23,9 @@ class TestQuadratureGrid:
         for k, order in [(1.0, 33), (1.0, 65), (3.5, 129), (0.01, 65)]:
             for _ in range(2):
                 grid = QuadratureGrid.gauss_legendre(k, order)
-                assert grid.check() == []
+                assert abs(np.sum(grid.weights) - k) <= 1e-12 * max(1.0, k)
+                assert np.all(np.diff(grid.nodes) > 0.0)
+                assert np.all(grid.weights > 0.0)
                 assert grid.order == order
                 assert 0.0 < grid.nodes[0] and grid.nodes[-1] < k
 
@@ -140,6 +143,26 @@ class TestFredholmSolve:
         errs = [abs(v - ref) for v in vals]
         assert errs[1] <= 0.1 * errs[0] or errs[1] < 1e-12
         assert errs[2] <= 0.1 * errs[1] or errs[2] < 1e-12
+
+    @pytest.mark.parametrize("a, beta, k", [(0.8, 0.95, 1.3), (1.0, 1.0, 2.0)])
+    def test_rcond_is_exact(self, monkeypatch, a, beta, k):
+        # the kernel is nonnegative, so ||A^-1||_inf is the largest entry of
+        # A^-1 1: the rcond needs no estimate
+        monkeypatch.setattr(solver_b, "_START_ORDER", 17)
+        spec = solver_b.gauss_markov_spec(1.0, a=a, beta=beta)
+        kern = solver_b._spec_kernel(spec)
+        sol = solver_b.fredholm_solve(kern, [1.0], k, beta, tolerance=1e-6)
+        assert sol.grid.order == 33
+        nodes, weights = sol.grid.nodes, sol.grid.weights
+        A = np.eye(33) - beta * kern(nodes[:, None], nodes[None, :]) * weights[None, :]
+        want = 1.0 / (np.linalg.norm(A, np.inf) * np.linalg.norm(np.linalg.inv(A), np.inf))
+        assert sol.rcond == pytest.approx(want, rel=1e-12)
+
+    def test_no_escape_mass_is_singular(self):
+        # every row of beta K W sums to 1, so A 1 = 0
+        flat = lambda e, n: np.full(np.broadcast(e, n).shape, 0.5)
+        with pytest.raises(SingularSystemError, match="rcond="):
+            solver_b.fredholm_solve(flat, [1.0], 2.0, 1.0)
 
     def test_convergence_error_reports_conditioning(self, monkeypatch):
         # at a = 0 the kernel is smooth but rank one, and I - K is nearly
