@@ -45,6 +45,9 @@ PDF_MASS_TOL = 1e-5
 #: A custom distortion is checked for evenness and monotonicity on [-8, 8].
 DISTORTION_PROBE_HALFWIDTH = 8.0
 
+# Gauss-Legendre nodes of a tabulated density's tail integral
+_TAIL_ORDER = 64
+
 # uniforms a pmf draw locates per searchsorted call: its index and value
 # temporaries take 128 KB each, whatever the size of the draw
 _SEARCH_BLOCK = 2**14
@@ -195,6 +198,7 @@ class SmoothPdf:
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
         cdf /= cdf[-1]
         object.__setattr__(self, "_inverse_cdf", (cdf, grid))
+        object.__setattr__(self, "_tail_rule", np.polynomial.legendre.leggauss(_TAIL_ORDER))
 
     @classmethod
     def gaussian(cls, sigma: float) -> "SmoothPdf":
@@ -219,6 +223,24 @@ class SmoothPdf:
             0.0,
         )
         return out
+
+    def tail(self, x) -> np.ndarray:
+        """P(W > x), elementwise.  The Gaussian's is erfc, one ``math.erfc``
+        call per point; a tabulated density's integrates the density on
+        [|x|, half-width] with one Gauss rule, so it keeps its relative
+        accuracy far in the tail, and reflects it through 2 P(W > 0) for
+        x < 0, so no rule straddles the mode."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "gaussian":
+            z = x.ravel() / (self.sigma * math.sqrt(2.0))
+            return 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, z.size).reshape(x.shape)
+        h = self.support_halfwidth
+        nodes, weights = self._tail_rule
+        lo = np.minimum(np.abs(x), h)[..., None]
+        half = 0.5 * (h - lo)
+        right = (half * weights * self.density(lo + half * (1.0 + nodes))).sum(axis=-1)
+        mode = 0.5 * h * weights @ self.density(0.5 * h * (1.0 + nodes))
+        return np.where(x >= 0.0, right, 2.0 * mode - right)
 
     @property
     def scale(self) -> float:
@@ -448,12 +470,15 @@ class TradeoffCurve:
 @dataclass
 class Diagnostics:
     """Deterministic work counters of one command: factorizations (one per
-    threshold table or Nystrom rung) and the largest order factored, search
-    steps (table doublings, thresholds a Model-B search evaluates), and the
-    simulator's step loops, the policies run in them and the draws shared."""
+    threshold table or Nystrom rung) and the largest order factored, the
+    largest relative error bound of a Nystrom solve (None when the command
+    made none), search steps (table doublings, thresholds a Model-B search
+    evaluates), and the simulator's step loops, the policies run in them and
+    the draws shared."""
 
     factorizations: int = 0
     largest_system: int = 0
+    error_bound: float | None = None
     search_steps: int = 0
     step_loops: int = 0
     simulated_policies: int = 0
@@ -475,11 +500,15 @@ def collect():
         _OPEN_RECORD.reset(token)
 
 
-def count(largest_system: int = 0, **increments: int) -> None:
+def count(largest_system: int = 0, error_bound: float | None = None,
+          **increments: int) -> None:
     """Add ``increments`` to the open record and raise its largest system
-    to ``largest_system``; outside a ``collect()`` block, do nothing."""
+    to ``largest_system`` and its error bound to ``error_bound``; outside a
+    ``collect()`` block, do nothing."""
     record = _OPEN_RECORD.get()
     if record is not None:
         for name, n in increments.items():
             setattr(record, name, getattr(record, name) + n)
         record.largest_system = max(record.largest_system, largest_system)
+        if error_bound is not None:
+            record.error_bound = max(record.error_bound or 0.0, error_bound)

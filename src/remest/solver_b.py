@@ -1,24 +1,15 @@
 """Continuous-state solver built on quadrature discretization.
 
-The pre-transmission functionals of a real threshold k, the distortion L
-and the time M until the next transmission, solve second-kind integral
-equations on (-k, k) with kernel density(n - a e) and right-hand sides d(e)
-and 1.  Both are even in e, so they are posed on (0, k) with the folded
-kernel density(n - a e) + density(-n - a e), discretized with one
-Gauss-Legendre panel (the Nystrom method) and solved together: each rung of
-the node-order ladder assembles one matrix A = I - beta K W and solves it,
-with one LU from ``np.linalg.solve``, for both right-hand sides and a column
-of ones.  The kernel is nonnegative, so A is a nonsingular M-matrix exactly
-when that solution h = A^-1 1 is positive, and then ||A^-1||_inf = max h:
-the rcond is read off h, with no condition estimator and no scipy, which
-keeps ``import remest`` light.  The order doubles until the value at
-the origin stabilizes; the folded kernel, and |e| on [0, k], are smooth, so
-convergence is spectral.  Unit nodes are computed once per order and
-shared.  A solve returns one ``FredholmSolution`` whose columns are L and
-M.  Its ``evaluate`` gives both at any points of (-k, k) from the same
-identity that defines the Nystrom extension, and its ``residual`` checks
-that identity against a finer quadrature; the ladder's stopping tests use
-the same two methods.
+The pre-transmission functionals of a real threshold k (the distortion L,
+the time M until the next transmission and its discount U) solve
+second-kind integral equations on (-k, k) with kernel density(n - a e).
+All are even in e, so they are posed on (0, k) with the folded kernel
+density(n - a e) + density(-n - a e) and solved together by the Nystrom
+method on one Gauss-Legendre panel of order 33, 65, ...  Each order
+evaluates the kernel once and factors I - beta K W once with
+``np.linalg.solve`` (no scipy, which keeps ``import remest`` light); the
+ladder stops on the error bound sup M ||r|| of ``fredholm_solve``, which for
+the Gaussian holds at order 33.
 
 Differentiating the folded equations in k gives dL/dk = L(k) phi and
 dM/dk = M(k) phi with the same phi, so lambda(k) = M(0) L(k) / M(k) - L(0)
@@ -58,7 +49,9 @@ from .model import (
 
 _DEFAULT_TOL = 1e-10
 _START_ORDER = 33
-_MAX_ORDER = 4097  # a dense system of this order is 134 MB and factors in seconds
+_MAX_ORDER = 2049  # its (3n + 3) x (3n + 1) kernel block takes 302 MB
+_KERNEL_BLOCK = 2**20  # entries per kernel call: one call per rung below order 341
+_ROUNDING = 4.0 * np.finfo(float).eps  # relative to |v(0)|, in every error bound
 _MAX_BRACKET_EXPANSIONS = 60
 _MAX_SEARCH_STEPS = 200
 
@@ -68,9 +61,9 @@ def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only.
 
     Filled on first use.  The solver asks only for its ladder orders
-    33, 65, ..., _MAX_ORDER = 4097 and the residual grids' 2n + 1: 15
-    orders, about 0.4 MB in all, so the 32-entry bound is never reached by
-    the solver itself.
+    33, 65, ..., _MAX_ORDER = 2049 and the fine grids' 2n + 1: 14 orders,
+    about 0.2 MB in all, so the 32-entry bound is never reached by the
+    solver itself.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     x.flags.writeable = False
@@ -106,11 +99,14 @@ Rhs = Callable[[np.ndarray], np.ndarray]
 class FredholmSolution:
     """Discrete solution of v = rhs + beta * integral(kernel * v) on (0, k)
     for several right-hand sides on one grid: ``values`` is nodes x
-    right-hand sides, and ``rcond`` is the reciprocal infinity-norm condition
-    number of the grid's matrix I - beta K W."""
+    right-hand sides, ``ends`` holds the rows v(0) and v(k), ``bound`` each
+    column's bound on sup |v - v_n|, and ``rcond`` is the reciprocal
+    infinity-norm condition number of the grid's matrix I - beta K W."""
 
     grid: QuadratureGrid
     values: np.ndarray
+    ends: np.ndarray
+    bound: np.ndarray
     kernel: Kernel
     rhs: Sequence[Rhs]
     beta: float
@@ -125,16 +121,6 @@ class FredholmSolution:
         grid = self.grid
         quad = (self.kernel(e[:, None], grid.nodes[None, :]) * grid.weights[None, :]) @ self.values
         return np.column_stack([f(e) for f in self.rhs]) + self.beta * quad
-
-    def residual(self, e) -> np.ndarray:
-        """Defect of the integral equations at ``e``, one column per
-        right-hand side, measured against a grid with 2n + 1 nodes."""
-        e = np.atleast_1d(np.asarray(e, dtype=float))
-        fine = QuadratureGrid.gauss_legendre(self.grid.k, 2 * self.grid.order + 1)
-        v_fine = self.evaluate(fine.nodes)
-        quad = (self.kernel(e[:, None], fine.nodes[None, :]) * fine.weights[None, :]) @ v_fine
-        return (self.evaluate(e) - np.column_stack([f(e) for f in self.rhs])
-                - self.beta * quad)
 
 
 def _as_rhs(rhs) -> Rhs:
@@ -154,16 +140,18 @@ def fredholm_solve(
     """Solve v = rhs + beta * integral(kernel * v) on (0, k) for each entry of ``rhs``.
 
     Each entry is a callable or a constant, and the kernel must be
-    nonnegative.  All of them share one ladder: at each order the matrix is
-    assembled and factorized once, and one back-solve has one column per
-    right-hand side plus a column of ones, whose solution gives the exact
-    rcond; below 1e-13, or if that solution is not positive, it raises
-    ``SingularSystemError``.  The returned solution keeps the right-hand
-    sides' solutions as the columns of ``values``.  The order
-    doubles from 33 up to _MAX_ORDER until every column's value at 0 agrees
-    with the previous order's to ``tolerance`` (relative above magnitude
-    1); then every column's off-node residual at 64 probe points, against a
-    refined quadrature, must be below 100 x ``tolerance`` too.
+    nonnegative.  A rung of order n evaluates the kernel once, at the n
+    nodes, the 2n + 1 nodes of a finer rule, 0 and k against both rules'
+    nodes, and solves A = I - beta K W once for every right-hand side and a
+    column of ones.  A is then an M-matrix exactly when h = A^-1 1 > 0, and
+    ||A^-1||_inf = max h gives the rcond; below 1e-13, or if h is not
+    positive, it raises ``SingularSystemError``.  With ||(I - beta K)^-1||_inf
+    = sup M, the residual r of the Nystrom extension at the fine nodes, 0 and
+    k, against the fine rule, bounds each column's error by max h ||r||_inf,
+    plus a few rounding units of |v(0)| (Atkinson, 1997, ch. 4).  The order
+    doubles from 33 until every bound is within ``tolerance`` (relative above
+    |v(0)| = 1); a bound that does not fall, or a miss at _MAX_ORDER, raises
+    ``ConvergenceError``.
     """
     if not 0.0 < k < math.inf:
         raise UsageError(f"interval width k must be positive and finite, got {k}")
@@ -171,33 +159,34 @@ def fredholm_solve(
         raise UsageError("at least one right-hand side is required")
     beta = DiscountFactor(beta)
     rhs_fns = [_as_rhs(f) for f in rhs]
-    probes = np.linspace(0.0, k, 66)[1:-1]
     order = _START_ORDER
-    prev = None
-    last_err = None
-    while order <= _MAX_ORDER:
+    last = math.inf
+    while True:
         grid = QuadratureGrid.gauss_legendre(k, order)
-        # I - beta * K W, built in place: at _MAX_ORDER each n x n copy is 134 MB.
+        fine = QuadratureGrid.gauss_legendre(k, 2 * order + 1)
+        rows = np.concatenate((grid.nodes, fine.nodes, (0.0, k)))
+        cols = np.concatenate((grid.nodes, fine.nodes))
+        KW = np.empty((len(rows), len(cols)))
+        step = _KERNEL_BLOCK // len(cols)  # rows per kernel call
         # An extreme scale overflows the kernel or a right-hand side; the
         # check below reports that as a NumericsError, with no warning first
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            A = kernel(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights[None, :]
-            A *= -beta
-            A[np.diag_indices_from(A)] += 1.0
-            B = np.column_stack([f(grid.nodes) for f in rhs_fns])
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            for top in range(0, len(rows), step):
+                KW[top:top + step] = kernel(rows[top:top + step, None], cols[None, :])
+            KW *= beta * np.concatenate((grid.weights, fine.weights))
+            R = np.column_stack([f(rows) for f in rhs_fns])
+        if not (np.isfinite(KW).all() and np.isfinite(R).all()):
             raise NumericsError(
                 f"Nystrom system at k={k}, order {order} has non-finite entries; "
                 "the kernel or a right-hand side overflowed or returned NaN"
             )
+        A = np.eye(order) - KW[:order, :order]
         anorm = float(np.linalg.norm(A, np.inf))
         try:
-            X = np.linalg.solve(A, np.column_stack((B, np.ones(order))))
+            X = np.linalg.solve(A, np.column_stack((R[:order], np.ones(order))))
         except np.linalg.LinAlgError:
-            X = np.zeros((order, B.shape[1] + 1))  # an exact zero pivot: fails the check below
+            X = np.zeros((order, R.shape[1] + 1))  # an exact zero pivot: fails the check below
         count(factorizations=1, largest_system=order)
-        # the kernel is nonnegative, so A is a nonsingular M-matrix exactly when
-        # h = A^-1 1 is positive, and then ||A^-1||_inf = max h
         h = X[:, -1]
         rcond = 1.0 / (anorm * float(h.max())) if np.all(np.isfinite(h) & (h > 0.0)) else 0.0
         if rcond < 1e-13:
@@ -205,24 +194,28 @@ def fredholm_solve(
                 f"discretized silent-set system is singular (rcond={rcond:.2e}); "
                 "escape mass vanishes"
             )
-        sol = FredholmSolution(grid=grid, values=X[:, :-1], kernel=kernel, rhs=rhs_fns,
-                               beta=float(beta), rcond=rcond)
-        v0 = sol.evaluate(0.0)[0]
-        if prev is not None:
-            change = np.abs(v0 - prev)
-            last_err = float(change.max())
-            scale = np.maximum(1.0, np.abs(v0))
-            if np.all(change <= tolerance * scale):
-                resid = np.max(np.abs(sol.residual(probes)), axis=0)
-                if np.all(resid <= 100.0 * tolerance * scale):
-                    return sol
-        prev = v0
+        values = X[:, :-1]
+        # the Nystrom extension at the fine nodes, 0 and k, and its residual
+        # there: the n-node quadrature less the fine one
+        quad = KW[order:, :order] @ values
+        ext = R[order:] + quad
+        resid = quad - KW[order:, order:] @ ext[:-2]
+        v0 = np.abs(ext[-2])
+        bound = float(h.max()) * np.abs(resid).max(axis=0) + _ROUNDING * v0
+        worst = float(np.max(bound / np.maximum(1.0, v0)))
+        if worst <= tolerance:
+            count(error_bound=worst)
+            return FredholmSolution(grid=grid, values=values, ends=ext[-2:], bound=bound,
+                                    kernel=kernel, rhs=rhs_fns, beta=float(beta),
+                                    rcond=rcond)
+        if worst >= last or 2 * order - 1 > _MAX_ORDER:
+            raise ConvergenceError(
+                f"integral equation error bound {worst:.2e} did not fall below "
+                f"{tolerance} by order {order} (previous rung {last:.2e}, "
+                f"rcond={rcond:.2e}, |v(0)|={float(v0.max()):.3e})"
+            )
+        last = worst
         order = 2 * order - 1
-    raise ConvergenceError(
-        f"integral equation did not stabilize below {tolerance} by order "
-        f"{(order + 1) // 2} (last change {last_err}, rcond={rcond:.2e}, "
-        f"|v(0)|={float(np.max(np.abs(v0))):.3e})"
-    )
 
 
 def _spec_kernel(spec: ModelSpecB) -> Kernel:
@@ -243,18 +236,23 @@ class Renewal(NamedTuple):
 
 
 def renewal(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> Renewal:
-    """The numbers of threshold k, from one solve for L and M.
+    """The numbers of threshold k, from one solve for L, M and U.
 
+    U(e) = beta P(|a e + W| >= k) + beta * int_0^k K(e, s) U(s) ds is the
+    discounted probability of the next transmission, so 1 - U = (1 - beta) M
+    and the rate N = 1/M(0) - (1 - beta) is U(0)/M(0), with no cancellation.
     The price that makes threshold k optimal for costly communication is
-    -D'/N'.  Both functionals solve v = r + beta * int_0^k K(., s) v(s) ds,
-    so d/dk v = beta K(., k) v(k) + beta * int_0^k K d/dk v: that is v(k) phi,
+    -D'/N'.  L and M solve v = r + beta * int_0^k K(., s) v(s) ds, so
+    d/dk v = beta K(., k) v(k) + beta * int_0^k K d/dk v: that is v(k) phi,
     with phi the solution for the right-hand side beta K(., k), the same for
     L and M.  With D = L(0)/M(0) and N = 1/M(0) - (1 - beta), phi(0) cancels
     from -D'/N' = M(0) L(k) / M(k) - L(0).
     """
-    sol = fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0], k, spec.beta, tolerance)
-    (L0, M0), (Lk, Mk) = sol.evaluate([0.0, k]).tolist()
-    N = 1.0 / M0 - (1.0 - spec.beta)
+    a, pdf, beta = spec.a, spec.pdf, spec.beta
+    escape = lambda e: beta * (pdf.tail(k - a * e) + pdf.tail(k + a * e))  # noqa: E731
+    sol = fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0, escape], k, beta, tolerance)
+    (L0, M0, U0), (Lk, Mk, _) = sol.ends.tolist()
+    N = U0 / M0
     if N < -1e-12:
         raise NumericsError(
             f"transmission rate {N:.3e} is negative at k={k} (M0={M0!r}); "

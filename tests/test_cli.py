@@ -112,12 +112,26 @@ class TestCurve:
         assert len(solve_log) <= 16
 
 
-def _record(factorizations=0, largest_system=0, search_steps=0,
+class _Bounded:
+    """Equal to any Nystrom error bound within the default tolerance."""
+
+    def __eq__(self, other):
+        return other is not None and 0.0 < other <= solver_b._DEFAULT_TOL
+
+    def __repr__(self):
+        return f"<error bound in (0, {solver_b._DEFAULT_TOL}]>"
+
+
+BOUNDED = _Bounded()
+
+
+def _record(factorizations=0, largest_system=0, error_bound=None, search_steps=0,
             step_loops=0, simulated_policies=0, draws=0):
-    """A full ``metadata.diagnostics`` record: every command writes all six keys."""
+    """A full ``metadata.diagnostics`` record: every command writes all seven keys."""
     return {"factorizations": factorizations, "largest_system": largest_system,
-            "search_steps": search_steps, "step_loops": step_loops,
-            "simulated_policies": simulated_policies, "draws": draws}
+            "error_bound": error_bound, "search_steps": search_steps,
+            "step_loops": step_loops, "simulated_policies": simulated_policies,
+            "draws": draws}
 
 
 # the Monte-Carlo suites on a short config, so that every suite and "all"
@@ -174,15 +188,17 @@ class TestDiagnostics:
 
     def test_model_b_solve_counts_search_steps_and_rungs(self, capsys):
         # 7 thresholds searched, bracket included; each solve stops at the
-        # second rung, orders 33 and 65
+        # first rung, order 33, on its error bound
         diag = self._diagnostics(["solve", "--model", "B", "--problem", "costly",
                                   "--sigma", "1", "--lambda", "1"], capsys)
-        assert diag == _record(factorizations=14, largest_system=65, search_steps=7)
+        assert diag == _record(factorizations=7, largest_system=33, error_bound=BOUNDED,
+                               search_steps=7)
 
     def test_model_b_curve_adds_both_searches(self, capsys):
         diag = self._diagnostics(["curve", "--model", "B", "--kind", "constrained",
                                   "--alphas", "0.25,0.45"], capsys)
-        assert diag == _record(factorizations=28, largest_system=65, search_steps=14)
+        assert diag == _record(factorizations=14, largest_system=33, error_bound=BOUNDED,
+                               search_steps=14)
 
     def test_simulate_one_step_loop(self, capsys):
         diag = self._diagnostics(["simulate", "--model", "A", "--p", "0.3", "--policy",
@@ -192,23 +208,27 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("suite, want", [
         ("tableI", _record(factorizations=3, largest_system=11)),
-        ("closed_forms", _record(factorizations=57, largest_system=65)),
-        ("scaling", _record(factorizations=296, largest_system=65, search_steps=108)),
+        ("closed_forms", _record(factorizations=33, largest_system=33, error_bound=BOUNDED)),
+        ("scaling", _record(factorizations=148, largest_system=33, error_bound=BOUNDED,
+                            search_steps=108)),
         # two blocks of 20 replications x 2000 steps; one birth-death table
-        # and two Nystrom rungs per Gaussian threshold
-        ("renewal", _record(factorizations=5, largest_system=65, step_loops=2,
-                            simulated_policies=5, draws=2 * 20 * 2_000)),
+        # and one Nystrom rung per Gaussian threshold
+        ("renewal", _record(factorizations=3, largest_system=33, error_bound=BOUNDED,
+                            step_loops=2, simulated_policies=5, draws=2 * 20 * 2_000)),
         ("dp", _record(factorizations=6, largest_system=9)),
-        ("baselines", _record(factorizations=28, largest_system=65, search_steps=14,
-                              step_loops=1, simulated_policies=8, draws=20 * 2_000)),
+        ("baselines", _record(factorizations=14, largest_system=33, error_bound=BOUNDED,
+                              search_steps=14, step_loops=1, simulated_policies=8,
+                              draws=20 * 2_000)),
     ])
     def test_validate_suite(self, suite_records, suite, want):
         assert suite_records[suite] == want
 
     def test_validate_all_sums_the_suites(self, suite_records):
         singles = [suite_records[suite] for suite in validation.SUITES]
-        want = {key: sum(record[key] for record in singles) for key in _record()}
+        want = {key: sum(record[key] for record in singles)
+                for key in _record() if key != "error_bound"}
         want["largest_system"] = max(record["largest_system"] for record in singles)
+        want["error_bound"] = max(record["error_bound"] or 0.0 for record in singles)
         assert suite_records["all"] == want
 
 
@@ -249,10 +269,9 @@ class TestSolve:
         assert 0.0 < float(parse_csv(out)[0]["D"]) < 1.0
 
     def test_negative_rate_exits_two(self, capsys, monkeypatch):
-        # 1/M0 - (1 - beta) = -1e-9 at beta = 0.9; rows are e = 0 and e = k,
-        # columns L and M
-        M0 = 1.0 / (0.1 - 1e-9)
-        fixed = types.SimpleNamespace(evaluate=lambda e: np.array([[0.5, M0], [1.0, M0]]))
+        # U(0)/M(0) = -1e-9; rows are e = 0 and e = k, columns L, M and U
+        M0 = 10.0
+        fixed = types.SimpleNamespace(ends=np.array([[0.5, M0, -1e-9 * M0], [1.0, M0, 0.0]]))
         monkeypatch.setattr(solver_b, "fredholm_solve", lambda *args: fixed)
         code, _, err = run_cli(["solve", "--model", "B", "--problem", "constrained",
                                 "--sigma", "1", "--beta", "0.9", "--alpha", "0.3"], capsys)
@@ -288,8 +307,8 @@ class TestSolve:
 
     def test_negative_price_exits_two(self, capsys, monkeypatch):
         # L(0) = 2 above M(0) L(k) / M(k) = 1 makes the price -1; rows are
-        # e = 0 and e = k, columns L and M
-        fixed = types.SimpleNamespace(evaluate=lambda e: np.array([[2.0, 1.0], [1.0, 1.0]]))
+        # e = 0 and e = k, columns L, M and U
+        fixed = types.SimpleNamespace(ends=np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.5]]))
         monkeypatch.setattr(solver_b, "fredholm_solve", lambda *args: fixed)
         code, _, err = run_cli(["solve", "--model", "B", "--problem", "costly",
                                 "--sigma", "1", "--lambda", "1"], capsys)
@@ -503,13 +522,13 @@ class TestValidateCommand:
     def test_renewal_suite_simulates_one_block_per_spec(self, capsys):
         # birth-death k = 2, 3, 5 and Gaussian k = 1, 2: two step loops, each
         # drawing 100 replications x 50 000 innovations once; the analytic side
-        # factors one table for all three birth-death thresholds and two
-        # Nystrom rungs per Gaussian one
+        # factors one table for all three birth-death thresholds and one
+        # Nystrom rung per Gaussian one
         code, out, _ = run_cli(["validate", "--suite", "renewal", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["metadata"]["diagnostics"] == _record(
-            factorizations=5, largest_system=65, step_loops=2, simulated_policies=5,
-            draws=10**7)
+            factorizations=3, largest_system=33, error_bound=BOUNDED, step_loops=2,
+            simulated_policies=5, draws=10**7)
 
     def test_failed_check_exits_three(self, capsys, monkeypatch):
         from remest import validation

@@ -173,6 +173,24 @@ class TestSmoothPdf:
         # read 1.00000795
         assert SmoothPdf.tabulated(fn, halfwidth).support_halfwidth == halfwidth
 
+    def test_gaussian_tail_is_erfc(self):
+        x = np.array([[-30.0, -2.0, 0.0], [0.5, 12.0, 80.0]])
+        want = [[0.5 * math.erfc(t / (2.0 * math.sqrt(2.0))) for t in row] for row in x]
+        assert np.array_equal(SmoothPdf.gaussian(2.0).tail(x), want)
+
+    def test_tabulated_tail_keeps_relative_accuracy(self):
+        # Laplace on +-40: P(W > x) = (e^-|x| - e^-40) / 2 for x >= 0, and
+        # its reflection 2 P(W > 0) - P(W > |x|) below 0
+        lap = SmoothPdf.tabulated(_laplace, 40.0)
+        x = np.array([0.0, 0.1, 1.0, 5.0, 20.0, 30.0, 39.5])
+        want = 0.5 * (np.exp(-x) - math.exp(-40.0))
+        assert np.all(np.abs(lap.tail(x) / want - 1.0) <= 1e-12)
+        assert np.all(np.abs(lap.tail(-x) - (1.0 - math.exp(-40.0) - want)) <= 1e-13)
+        assert lap.tail(np.array([40.0, 50.0])).tolist() == [0.0, 0.0]
+        uniform = SmoothPdf.tabulated(lambda w: np.full(np.shape(w), 0.5), 1.0)
+        x = np.linspace(-1.5, 1.5, 13)
+        assert np.allclose(uniform.tail(x), np.clip((1.0 - x) / 2.0, 0.0, 1.0), atol=1e-15)
+
     def test_single_draws(self):
         rng = np.random.default_rng(3)
         tri = SmoothPdf.tabulated(lambda w: np.clip(1.0 - np.abs(w), 0.0, None), 1.0)
@@ -277,6 +295,14 @@ class TestDiagnostics:
         count(factorizations=1)
         assert record == Diagnostics()
         assert model._OPEN_RECORD.get() is None
+
+    def test_error_bound_is_the_largest_reported(self):
+        with collect() as record:
+            count(factorizations=1)
+            assert record.error_bound is None
+            for bound in (3e-12, 5e-11, 1e-13):
+                count(error_bound=bound)
+        assert record == Diagnostics(factorizations=1, error_bound=5e-11)
 
 
 class TestTradeoffCurve:

@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from remest import (BracketError, ConvergenceError, NumericsError, SingularSystemError,
                     UsageError)
 from remest import solver_b
-from remest.model import DistortionFn, ModelSpecB, SmoothPdf
+from remest.model import DistortionFn, ModelSpecB, SmoothPdf, collect
 from remest.solver_b import QuadratureGrid
 from remest.validation import MC_SIGMAS, PRICE_FD_TOL, price_fd_error
 
@@ -15,6 +17,14 @@ from remest.validation import MC_SIGMAS, PRICE_FD_TOL, price_fd_error
 def _abs_spec():
     return ModelSpecB(a=1.0, pdf=SmoothPdf.gaussian(1.0), distortion=DistortionFn.absolute(),
                       beta=1.0)
+
+
+def _residual(sol, e):
+    """Defect of the integral equations at ``e``, one column per right-hand
+    side, against a rule of 2n + 1 nodes."""
+    fine = QuadratureGrid.gauss_legendre(sol.grid.k, 2 * sol.grid.order + 1)
+    quad = (sol.kernel(e[:, None], fine.nodes[None, :]) * fine.weights) @ sol.evaluate(fine.nodes)
+    return sol.evaluate(e) - np.column_stack([f(e) for f in sol.rhs]) - sol.beta * quad
 
 
 class TestQuadratureGrid:
@@ -59,7 +69,7 @@ class TestFredholmSolve:
         kern = lambda e, n: gm_unit.pdf.density(n - e)
         sol = solver_b.fredholm_solve(kern, [1.0], 2.0, 1.0)
         probes = np.linspace(0.01, 1.99, 64)
-        assert np.max(np.abs(sol.residual(probes))) <= 1e-8 * max(1.0, sol.evaluate(0.0)[0, 0])
+        assert np.max(np.abs(_residual(sol, probes))) <= 1e-8 * max(1.0, sol.evaluate(0.0)[0, 0])
 
     def test_monte_carlo_oracle(self, gm_unit):
         # stopped random walk: accumulate e^2 and steps until |E| >= 1
@@ -145,10 +155,9 @@ class TestFredholmSolve:
         assert errs[2] <= 0.1 * errs[1] or errs[2] < 1e-12
 
     @pytest.mark.parametrize("a, beta, k", [(0.8, 0.95, 1.3), (1.0, 1.0, 2.0)])
-    def test_rcond_is_exact(self, monkeypatch, a, beta, k):
+    def test_rcond_is_exact(self, a, beta, k):
         # the kernel is nonnegative, so ||A^-1||_inf is the largest entry of
         # A^-1 1: the rcond needs no estimate
-        monkeypatch.setattr(solver_b, "_START_ORDER", 17)
         spec = solver_b.gauss_markov_spec(1.0, a=a, beta=beta)
         kern = solver_b._spec_kernel(spec)
         sol = solver_b.fredholm_solve(kern, [1.0], k, beta, tolerance=1e-6)
@@ -175,6 +184,60 @@ class TestFredholmSolve:
         v0 = float(re.search(r"\|v\(0\)\|=([^)]+)\)", msg).group(1))
         assert 0.0 < rcond < 1e-6
         assert v0 == pytest.approx(1.0 / math.erfc(5.0 / math.sqrt(2.0)), rel=1e-2)
+
+
+def _nystrom_at_zero(spec, k, order):
+    """L(0) and M(0) from the plain Nystrom solve at a fixed order."""
+    kern = solver_b._spec_kernel(spec)
+    grid = QuadratureGrid.gauss_legendre(k, order)
+    A = np.eye(order) - spec.beta * kern(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
+    v = np.linalg.solve(A, np.column_stack([spec.distortion(grid.nodes), np.ones(order)]))
+    return np.array([0.0, 1.0]) + spec.beta * (grid.weights * kern(0.0, grid.nodes)) @ v
+
+
+class TestErrorBound:
+    @given(st.floats(-2.0, 2.0), st.floats(0.5, 1.0), st.floats(0.5, 2.0), st.floats(0.1, 4.5),
+           st.sampled_from(["quadratic", "absolute"]))
+    # at order 17 L(0) = 26.3 is off by 4.9e-13 and bound by 8.6e-13; max h = 26
+    @example(1.0, 1.0, 0.5, 4.5, "quadratic")
+    @settings(max_examples=40, deadline=None)
+    def test_bound_covers_the_error_at_zero(self, a, beta, sigma, k_over_sigma, distortion):
+        # the order-129 reference is trusted only up to its own distance from
+        # order 257, which is rounding.  The ladder's own rung is checked, and
+        # an order-17 rung, whose error is still above the rounding
+        spec = ModelSpecB(a=a, pdf=SmoothPdf.gaussian(sigma),
+                          distortion=getattr(DistortionFn, distortion)(), beta=beta)
+        k = k_over_sigma * sigma
+        kern, rhs = solver_b._spec_kernel(spec), [spec.distortion, 1.0]
+        sol = solver_b.fredholm_solve(kern, rhs, k, beta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_b, "_START_ORDER", 17)
+            coarse = solver_b.fredholm_solve(kern, rhs, k, beta, tolerance=math.inf)
+        ref, finer = _nystrom_at_zero(spec, k, 129), _nystrom_at_zero(spec, k, 257)
+        for rung in (sol, coarse):
+            assert np.all(np.abs(rung.ends[0] - ref) - np.abs(ref - finer) <= rung.bound)
+        assert np.all(sol.bound <= solver_b._DEFAULT_TOL * np.maximum(1.0, np.abs(ref)))
+
+    def test_ends_are_the_extension(self, gm_unit):
+        k = 1.7
+        sol = solver_b.fredholm_solve(solver_b._spec_kernel(gm_unit), [gm_unit.distortion, 1.0],
+                                      k, 1.0)
+        assert np.allclose(sol.ends, sol.evaluate([0.0, k]), rtol=1e-14, atol=0.0)
+
+    def test_command_reports_its_largest_bound(self, gm_unit):
+        with collect() as record:
+            solver_b.renewal(gm_unit, 1.0)
+            solver_b.renewal(gm_unit, 3.0)
+        assert record.factorizations == 2 and record.largest_system == 33
+        assert 0.0 < record.error_bound <= solver_b._DEFAULT_TOL
+
+    def test_stalled_bound_fails_fast(self):
+        # at a = 0.5, beta = 1, k = 8 sigma, M(0) = 3e11: rounding keeps the
+        # bound above 1e-10 relative, and it rises from order 33 to 65
+        with collect() as record:
+            with pytest.raises(ConvergenceError, match=r"error bound .* by order 65 .*rcond="):
+                solver_b.renewal(solver_b.gauss_markov_spec(1.0, a=0.5, beta=1.0), 8.0)
+        assert record.largest_system == 65
 
 
 class TestPerformanceB:
@@ -233,6 +296,13 @@ class TestPerformanceB:
                        SimConfig(horizon=20_000, replications=50, seed=31))
         assert abs(res.d_hat - p.distortion) <= MC_SIGMAS * res.d_se
         assert abs(res.n_hat - p.transmission_rate) <= MC_SIGMAS * res.n_se
+
+    def test_rate_has_no_cancellation(self):
+        # at a = 0 every step restarts the error: N = beta P(|W| >= k), which
+        # 1/M(0) - (1 - beta) missed by 1.3e-6 relative at k = 6
+        spec = solver_b.gauss_markov_spec(1.0, a=0.0, beta=0.9)
+        want = 0.9 * math.erfc(6.0 / math.sqrt(2.0))
+        assert solver_b.renewal(spec, 6.0).N == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_invalid_threshold(self, gm_unit):
         with pytest.raises(UsageError):
