@@ -42,14 +42,17 @@ PMF_MASS_DEFICIT = 1e-10
 #: least 27 grid steps long, the worst reading was 1 - 2.3e-6.
 PDF_MASS_TOL = 1e-5
 
+#: Rounding allowance of every relative error bound, in units of |v(0)|: a
+#: residual that rounds to 0 still leaves the solve's own rounding.
+BOUND_ROUNDING = 4.0 * np.finfo(float).eps
+
 #: A custom distortion is checked for evenness and monotonicity on [-8, 8].
 DISTORTION_PROBE_HALFWIDTH = 8.0
 
 # Gauss-Legendre nodes of a tabulated density's tail integral
 _TAIL_ORDER = 64
 
-# uniforms a pmf draw locates per searchsorted call: its index and value
-# temporaries take 128 KB each, whatever the size of the draw
+# uniforms a pmf draw locates at a time, in 272 KB of buffers whatever the draw
 _SEARCH_BLOCK = 2**14
 
 
@@ -113,7 +116,14 @@ class IntegerPmf:
         # must still land on an offset
         cdf[-1] = 1.0
         object.__setattr__(self, "_points", self.offsets.astype(float))
-        object.__setattr__(self, "_cdf", cdf)
+        # guide table (Devroye, 1986, III.2.4): u lies in cell floor(u G), G a power of two;
+        # start counts CDF values <= g/G, the next, cut, places u unless the cell is crowded
+        G = 1 << (4 * len(cdf) - 1).bit_length()
+        edges = np.arange(G + 1) / G
+        start = np.searchsorted(cdf, edges[:-1], side="right")
+        crowded = np.searchsorted(cdf, edges[1:], side="left") - start >= 2
+        object.__setattr__(self, "_guide", (cdf, G, start, cdf[start],
+                                            crowded if crowded.any() else None))
 
     @classmethod
     def birth_death(cls, p: float) -> "IntegerPmf":
@@ -126,13 +136,27 @@ class IntegerPmf:
     def sampler(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
         """``size`` draws, or as many as fill the C-contiguous float64 array
-        ``out``, written in place and returned: uniforms located by
-        ``searchsorted`` a block at a time, so a draw allocates one block."""
+        ``out``, written in place and returned.  Uniform u takes the offset
+        at ``searchsorted(cdf, u, side="right")``: ``start + (cut <= u)`` of its
+        guide-table cell, or that call itself in a cell crowded with CDF values."""
+        cdf, G, start, cut, crowded = self._guide
         u = np.asarray(rng.random(size, out=out))
         flat = u.reshape(-1)
-        for start in range(0, flat.size, _SEARCH_BLOCK):
-            block = flat[start:start + _SEARCH_BLOCK]
-            block[...] = self._points[np.searchsorted(self._cdf, block, side="right")]
+        # cut values, then indices, share one buffer; "clip" and copyto never buffer
+        n = min(_SEARCH_BLOCK, flat.size)
+        value, cells, below = np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
+        for block in np.split(flat, range(_SEARCH_BLOCK, flat.size, _SEARCH_BLOCK)):
+            v, c, b = value[:block.size], cells[:block.size], below[:block.size]
+            np.copyto(c, np.multiply(block, G, out=v), casting="unsafe")
+            if crowded is not None:
+                hard = np.flatnonzero(np.take(crowded, c, out=b, mode="clip"))
+            np.less_equal(np.take(cut, c, out=v, mode="clip"), block, out=b)
+            index = np.take(start, c, out=v.view(np.intp), mode="clip")
+            np.copyto(c, b)
+            index += c
+            if crowded is not None:
+                index[hard] = np.searchsorted(cdf, block[hard], side="right")
+            np.take(self._points, index, out=block, mode="clip")
         return u
 
     @property
@@ -150,10 +174,6 @@ class IntegerPmf:
     @property
     def radius(self) -> int:
         return max(abs(n) for n, _ in self.items)
-
-    @property
-    def p0(self) -> float:
-        return dict(self.items).get(0, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,8 @@ so the results are those of a serial run.  Resident memory is that of one
 chunk of the whole block, as for one run of c x n replications, plus one
 chunk of innovations drawn ahead; ``MAX_SIM_CELLS`` bounds the draws of
 each policy and ``MAX_SIM_STEPS`` its steps.  The innovations come from the
-law's ``sampler``, whose table the law built, so a run builds none.
+law's ``sampler``: a pmf's guide table or a density's inverse-CDF table,
+built with the law, so a run builds none.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``; the simulator solves no linear system.
 """
@@ -238,8 +239,8 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
 
         def steer(t, abs_e):
             nonlocal silent1, sent1
-            # vector form of steering_policy_step; the counters move only on
-            # boundary visits, which a continuous state almost never makes
+            # at |e| = k, send if sending is the more under-served after this
+            # decision (ties send); a continuous state almost never gets there
             boundary = abs_e == k
             if not np.count_nonzero(boundary):
                 return abs_e > k
@@ -489,24 +490,6 @@ def state_blind_distortion(policy: PolicySpec, sigma: float) -> float:
 
 
 # --- deterministic implementations of the randomized optimum -------------------
-
-
-def steering_policy_step(
-    counters: tuple[float, float], e: float, k: float, theta: float
-) -> tuple[int, tuple[float, float]]:
-    """One decision of the frequency-steering rule.
-
-    At |e| = k the action whose target share is most under-served (judged
-    after counting the candidate decision) is chosen, ties transmitting;
-    elsewhere the threshold rule applies.  Counters advance only at |e| = k.
-    """
-    a0, a1 = counters
-    if abs(e) == k:
-        tot = a0 + a1 + 1.0
-        if theta - (a1 + 1.0) / tot >= (1.0 - theta) - (a0 + 1.0) / tot:
-            return 1, (a0, a1 + 1.0)
-        return 0, (a0 + 1.0, a1)
-    return (1 if abs(e) > k else 0), (a0, a1)
 
 
 def time_sharing_schedule(

@@ -59,6 +59,7 @@ from .errors import (
     UsageError,
 )
 from .model import (
+    BOUND_ROUNDING,
     MAX_SILENT_DIM,
     CostlyResult,
     CurvePoint,
@@ -144,7 +145,10 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     non-positive pivot or rcond below the floor ``SingularSystemError``; a
     residual of the K system, solved from the same factors, above
     1e-10 (1 + ||x||) ``NumericsError``.  Past ``MAX_SILENT_DIM`` it raises
-    ``CapacityError`` before allocating anything.
+    ``CapacityError`` before allocating anything.  The K system's relative
+    error bound (max M_K ||r_j||_inf + 4 ulps |x_j(0)|) / max(1, |x_j(0)|),
+    the largest over its columns (L, M, U), goes to ``error_bound`` in the
+    diagnostics record.
     """
     beta = spec.beta
     rows, land, mass = _landings(spec, K)
@@ -203,9 +207,13 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
         return w[:, None] * lapack.dgetrs(lu, piv, rhs, trans=1)[0]
 
     x = solve(b)
-    resid = np.linalg.norm(residual(x), axis=0)
+    r = residual(x)
+    resid = np.linalg.norm(r, axis=0)
     if np.any(resid > 1e-10 * (1.0 + np.linalg.norm(x, axis=0))):
         raise NumericsError(f"linear solve residual {resid.max():.2e} too large")
+    # T >= 0, so ||(I - beta T)^-1||_inf is the largest row sum, max M_K
+    x0 = np.abs(x[0])
+    bound = (x[:, 1].max() * np.abs(r).max(axis=0) + BOUND_ROUNDING * x0) / np.maximum(1.0, x0)
 
     # A = Up^T Lo^T W^-1 for W A^T = Lo Up: z = Lo^-1 W e_0 = Lo^-1 e_0, and
     # B becomes Up^-T B
@@ -223,7 +231,7 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     D = np.concatenate(([0.0], L[1:] / M[1:]))
     N = np.concatenate(([1.0], beta * Y.diagonal() / M[1:]))
     dD = np.concatenate((D[1:2], (zg[1:] * M[1:K] - zh[1:] * L[1:K]) / (M[1:K] * M[2:])))
-    count(factorizations=1, largest_system=K)
+    count(factorizations=1, largest_system=K, error_bound=float(bound.max()))
     # x_k^T = Up_k^-1 z[:k].  Row k of W A^T left of the diagonal is
     # -beta w_k T[:k, k]^T = Lo[k, :k] Up_k, and (Lo z)_k = 0, so
     # beta x_k T[:k, k] = -Lo[k, :k] z[:k] / w_k = z_k / w_k; Up^-1 is

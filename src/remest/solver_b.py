@@ -38,6 +38,7 @@ from .errors import (
     UsageError,
 )
 from .model import (
+    BOUND_ROUNDING,
     CostlyResult,
     DiscountFactor,
     DistortionFn,
@@ -51,7 +52,6 @@ _DEFAULT_TOL = 1e-10
 _START_ORDER = 33
 _MAX_ORDER = 2049  # its (3n + 3) x (3n + 1) kernel block takes 302 MB
 _KERNEL_BLOCK = 2**20  # entries per kernel call: one call per rung below order 341
-_ROUNDING = 4.0 * np.finfo(float).eps  # relative to |v(0)|, in every error bound
 _MAX_BRACKET_EXPANSIONS = 60
 _MAX_SEARCH_STEPS = 200
 
@@ -201,7 +201,7 @@ def fredholm_solve(
         ext = R[order:] + quad
         resid = quad - KW[order:, order:] @ ext[:-2]
         v0 = np.abs(ext[-2])
-        bound = float(h.max()) * np.abs(resid).max(axis=0) + _ROUNDING * v0
+        bound = float(h.max()) * np.abs(resid).max(axis=0) + BOUND_ROUNDING * v0
         worst = float(np.max(bound / np.maximum(1.0, v0)))
         if worst <= tolerance:
             count(error_bound=worst)

@@ -113,7 +113,8 @@ class TestCurve:
 
 
 class _Bounded:
-    """Equal to any Nystrom error bound within the default tolerance."""
+    """Equal to any relative error bound, of a threshold table or a Nystrom
+    solve, within the default tolerance."""
 
     def __eq__(self, other):
         return other is not None and 0.0 < other <= solver_b._DEFAULT_TOL
@@ -167,24 +168,26 @@ class TestDiagnostics:
 
     def test_table_one_factorization_per_beta(self, capsys):
         diag = self._diagnostics(["table", "--p", "0.3", "--k-max", "10"], capsys)
-        assert diag == _record(factorizations=3, largest_system=11)
+        assert diag == _record(factorizations=3, largest_system=11, error_bound=BOUNDED)
 
     def test_curve_one_factorization(self, capsys):
         diag = self._diagnostics(["curve", "--model", "A", "--kind", "costly", "--p", "0.3",
                                   "--beta", "1.0", "--k-max", "120"], capsys)
-        assert diag == _record(factorizations=1, largest_system=121)
+        assert diag == _record(factorizations=1, largest_system=121, error_bound=BOUNDED)
 
     def test_costly_search_doublings(self, capsys):
         # the price 2000 falls to threshold 19: tables of 9, 17 and 33 thresholds
         diag = self._diagnostics(["solve", "--model", "A", "--problem", "costly", "--p", "0.3",
                                   "--beta", "1.0", "--lambda", "2000"], capsys)
-        assert diag == _record(factorizations=3, largest_system=33, search_steps=2)
+        assert diag == _record(factorizations=3, largest_system=33, error_bound=BOUNDED,
+                               search_steps=2)
 
     def test_constrained_search_doublings(self, capsys):
         # N(16) = 2.3e-3 still meets the budget 1e-3, N(32) does not
         diag = self._diagnostics(["solve", "--model", "A", "--problem", "constrained",
                                   "--p", "0.3", "--beta", "1.0", "--alpha", "1e-3"], capsys)
-        assert diag == _record(factorizations=3, largest_system=32, search_steps=2)
+        assert diag == _record(factorizations=3, largest_system=32, error_bound=BOUNDED,
+                               search_steps=2)
 
     def test_model_b_solve_counts_search_steps_and_rungs(self, capsys):
         # 7 thresholds searched, bracket included; each solve stops at the
@@ -207,7 +210,7 @@ class TestDiagnostics:
         assert diag == _record(step_loops=1, simulated_policies=1, draws=20_000)
 
     @pytest.mark.parametrize("suite, want", [
-        ("tableI", _record(factorizations=3, largest_system=11)),
+        ("tableI", _record(factorizations=3, largest_system=11, error_bound=BOUNDED)),
         ("closed_forms", _record(factorizations=33, largest_system=33, error_bound=BOUNDED)),
         ("scaling", _record(factorizations=148, largest_system=33, error_bound=BOUNDED,
                             search_steps=108)),
@@ -215,7 +218,7 @@ class TestDiagnostics:
         # and one Nystrom rung per Gaussian threshold
         ("renewal", _record(factorizations=3, largest_system=33, error_bound=BOUNDED,
                             step_loops=2, simulated_policies=5, draws=2 * 20 * 2_000)),
-        ("dp", _record(factorizations=6, largest_system=9)),
+        ("dp", _record(factorizations=6, largest_system=9, error_bound=BOUNDED)),
         ("baselines", _record(factorizations=14, largest_system=33, error_bound=BOUNDED,
                               search_steps=14, step_loops=1, simulated_policies=8,
                               draws=20 * 2_000)),

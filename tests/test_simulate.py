@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from remest import (
@@ -31,7 +31,6 @@ from remest.simulate import (
     simulate,
     simulate_policies,
     state_blind_distortion,
-    steering_policy_step,
     steering_visit_probability,
     time_sharing_schedule,
 )
@@ -209,6 +208,20 @@ class TestStateBlindBaselines:
         assert state_blind_distortion(PolicySpec.iid_random(0.25), 1.0) == pytest.approx(3.0)
         # transmit every step
         assert state_blind_distortion(PolicySpec.periodic((1,)), 3.0) == 0.0
+
+
+def steering_policy_step(counters, e, k, theta):
+    """Scalar reference of the steering rule, one decision: at |e| = k the
+    action whose target share is most under-served (judged after counting
+    the candidate decision) is chosen, ties transmitting; elsewhere the
+    threshold rule applies.  Counters (silent, sent) advance only at |e| = k."""
+    a0, a1 = counters
+    if abs(e) == k:
+        tot = a0 + a1 + 1.0
+        if theta - (a1 + 1.0) / tot >= (1.0 - theta) - (a0 + 1.0) / tot:
+            return 1, (a0, a1 + 1.0)
+        return 0, (a0 + 1.0, a1)
+    return (1 if abs(e) > k else 0), (a0, a1)
 
 
 class TestSteering:
@@ -697,7 +710,92 @@ class TestBlock:
         assert inside == outside
 
 
+def _log_gaussian_half(sigma, radius):
+    """log10 of a discretized Gaussian's unnormalized masses at 0..radius."""
+    return [-n * n / (2.0 * sigma * sigma) / math.log(10.0) for n in range(radius + 1)]
+
+
+def _pmf_from_log_half(log_half):
+    """The symmetric unimodal pmf with masses 10^h, sorted, at 0, +-1, ..."""
+    half = 10.0 ** np.sort(log_half)[::-1]
+    mass = {n: half[abs(n)] for n in range(1 - len(half), len(half))}
+    total = sum(mass.values())
+    return IntegerPmf({n: p / total for n, p in mass.items()})
+
+
+class FixedUniforms:
+    """A generator whose ``random`` returns the given uniforms, in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.u.reshape(size).copy()
+        out[...] = self.u.reshape(out.shape)
+        return out
+
+
 class TestPmfSampler:
+    @staticmethod
+    def located(pmf, u):
+        """The offsets ``searchsorted`` locates for ``u`` in the law's CDF."""
+        cdf = np.cumsum(pmf.values)
+        cdf[-1] = 1.0
+        return pmf.offsets[np.searchsorted(cdf, u, side="right")].astype(float)
+
+    @staticmethod
+    def hard_uniforms(pmf):
+        """Every CDF value, its two neighbouring floats, every guide-table cell
+        edge g/G and the largest uniform below 1, with a few random ones."""
+        cdf = np.cumsum(pmf.values)
+        G = pmf._guide[1]
+        u = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                            np.arange(G) / G, [np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(1).random(1000)))
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-15.0, 0.0), min_size=2, max_size=151))
+    @example(_log_gaussian_half(3.0, 20))
+    @example(_log_gaussian_half(20.0, 130))
+    def test_guide_table_is_searchsorted(self, log_half):
+        # radius 1-150, tail masses down to 1e-15 of p_0, so several CDF values
+        # can share a cell of the guide table
+        pmf = _pmf_from_log_half(log_half)
+        u = self.hard_uniforms(pmf)
+        assert np.array_equal(pmf.sampler(FixedUniforms(u), u.size), self.located(pmf, u))
+
+    @pytest.mark.parametrize("pmf, crowded", [
+        # CDF values 1/4 and 3/4 are cell edges of its 16 cells
+        (IntegerPmf.birth_death(0.25), False),
+        (_pmf_from_log_half(_log_gaussian_half(3.0, 20)), True),
+    ])
+    def test_with_and_without_crowded_cells(self, pmf, crowded):
+        _, G, _, _, cells = pmf._guide
+        u = self.hard_uniforms(pmf)
+        # the sigma = 3 Gaussian's tails crowd two CDF values into a cell, and
+        # the uniforms in those cells are located by searchsorted
+        assert (cells is not None) == crowded
+        if crowded:
+            assert cells[(u * G).astype(np.intp)].any()
+        # an odd shape: blocks of 2^14 and a partial last one
+        u = np.resize(u, (3, 7001))
+        assert np.array_equal(pmf.sampler(FixedUniforms(u), u.shape), self.located(pmf, u))
+
+    def test_draw_allocates_three_blocks_at_most(self):
+        pmf = _pmf_from_log_half(_log_gaussian_half(20.0, 130))
+        out = np.empty(2**18)
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            pmf.sampler(rng, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3 * 2**14 * 8
+
     @staticmethod
     def assert_frequencies(draws, offsets, values):
         # each offset's share within 6 standard errors of its probability

@@ -155,7 +155,9 @@ class TestRenewalFunctionals:
         outside = solver_a.threshold_table(spec, 40)
         with collect() as record:
             inside = solver_a.threshold_table(spec, 40)
-        assert record == Diagnostics(factorizations=1, largest_system=40)
+        assert record == Diagnostics(factorizations=1, largest_system=40,
+                                     error_bound=record.error_bound)
+        assert 0.0 < record.error_bound <= 1e-10
         for name in ("L", "M", "D", "N", "dD", "land_edge", "visit_edge"):
             assert getattr(inside, name).tobytes() == getattr(outside, name).tobytes(), name
 
@@ -170,6 +172,25 @@ class TestRenewalFunctionals:
         monkeypatch.setattr(scipy.linalg, "lu_factor", swapped)
         with pytest.raises(NumericsError, match="swapped rows"):
             solver_a.threshold_table(bd_09, 4)
+
+
+class TestErrorBound:
+    """The table's relative error bound (max M_K ||r||_inf + 4 ulps |x(0)|) /
+    max(1, |x(0)|) against the closed form M_K(0) = 1 / (N + 1 - beta)."""
+
+    @pytest.mark.parametrize("p, beta, K", [
+        (0.1, 0.5, 1), (0.3, 0.9, 3), (0.1, 0.99, 2), (0.3, 0.99, 20), (0.2, 1.0, 1),
+        (0.05, 1.0, 100), (0.2, 1.0, 400), (0.05, 1.0, 1000), (0.3, 1.0, 1000),
+    ])
+    def test_bounds_the_closed_form_gap(self, p, beta, K):
+        with collect() as record:
+            table = solver_a.threshold_table(solver_a.bd_spec(p, beta), K)
+        m0 = 1.0 / (solver_a.bd_closed_form(p, beta, K).transmission_rate + 1.0 - beta)
+        # the closed form rounds too: up to 2.7 ulps past the bound at K <= 2
+        slack = 8.0 * np.finfo(float).eps
+        assert abs(table.M[K] - m0) / max(1.0, m0) <= record.error_bound + slack
+        # at beta = 1 the bound grows like K^2 eps, and stays far below the tolerance
+        assert 0.0 < record.error_bound <= 1e-8
 
 
 class TestTableMatchesPerThresholdSolves:
@@ -585,4 +606,4 @@ class TestStructuralProperties:
         pmf = IntegerPmf(random_valid_pmf(rng))
         spec = ModelSpecA(a=1, pmf=pmf, distortion=DistortionFn.absolute(), beta=beta)
         n1 = solver_a.performance(spec, 1).transmission_rate
-        assert abs(n1 - beta * (1.0 - pmf.p0)) <= 1e-12
+        assert abs(n1 - beta * (1.0 - pmf.probs.get(0, 0.0))) <= 1e-12
