@@ -7,18 +7,19 @@ into one aggregated exterior state with a
 forced transmit action.  The greedy policy of the converged values must be a
 symmetric threshold rule; its threshold is compared against the renewal-based
 solver.  A second, independent route evaluates a fixed threshold policy by
-iterating its own pair of fixed-point maps.
+summing its own discounted series.
 
-Both routes apply one step operator per call, built once: every state has
-exactly ``len(pmf)`` successors, so the one-step law on the states
--bound..bound plus the exterior is an ``(n + 1, m)`` array of successor
-indices sharing the ``m`` pmf weights.  Each iteration is one gather and one
-weighted sum; the fixed point stacks D and N into one vector and iterates
-both with the same gather.  Neither route makes a linear solve.
+Both routes build one step operator per call: every state has exactly
+``len(pmf)`` successors, so the one-step law on the states -bound..bound
+plus the exterior is an ``(n + 1, m)`` array of successor indices sharing the
+``m`` pmf weights.  Value iteration applies it as one gather and one weighted
+sum per iteration.  The fixed-threshold route scatters it into a dense
+matrix P and sums sum_t beta^t P^t c for the two-column cost c (D and N) by
+repeated squaring; the number of squarings follows in advance from the
+remainder bound beta^(2^j) max|c| / (1 - beta).  Neither route makes a
+linear solve.
 
-Both routes are discounted-only and beta = 1 has no DP route yet; the one
-vanishing-discount test (renewal solver at beta = 0.9999 against the
-birth-death closed forms at beta = 1) does not use this oracle.
+Both routes are discounted-only and beta = 1 has no DP route yet.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from .errors import CapacityError, NumericsError, UsageError
 from .model import ModelSpecA
 
 _MAX_VALUE_ITERATIONS = 1_000_000
-_MAX_FIXED_POINT_ITERATIONS = 10_000_000
+
+#: Largest state count (2 bound + 2) that ``policy_evaluate_fixed_point``
+#: squares as one dense matrix, at O(n^3) per squaring.  On a 2-core Xeon with
+#: one BLAS thread, 512 states (bound 255, birth-death law) take 29-117 ms at
+#: p = 0.3 for beta in [0.5, 0.9999], and up to 0.27 s at p = 0.01,
+#: beta = 0.999 (0.31-0.42 s at 0.9999), where the products reach subnormal
+#: entries; 1024 states take 0.4-0.7 s at p = 0.3 and 2.0-2.4 s at p = 0.01.
+MAX_FIXED_POINT_STATES = 512
 
 
 @dataclass(frozen=True)
@@ -164,40 +172,47 @@ def policy_evaluate_fixed_point(
     bound: int | None = None,
     tol: float = 1e-10,
 ) -> tuple[float, float]:
-    """(D, N) of the threshold-k policy by iterating its fixed-point maps.
+    """(D, N) of the threshold-k policy by summing its discounted series.
 
     Independent of the renewal route: no pre-transmission functionals and no
-    linear solves, only repeated application of the policy's own expectation
-    operator.  Every state at or beyond the threshold shares one value, so
-    the truncation at ``bound`` is exact once bound >= k - 1.
+    linear solves, only the policy's own one-step matrix P.  With Q = beta P
+    and S = c, each step S <- S + Q S, Q <- Q Q doubles the number of terms
+    of sum_t beta^t P^t c that S holds; after j steps the rest is at most
+    beta^(2^j) max|c| / (1 - beta), and the steps stop at the first j where
+    that is <= tol / 2.  Every state at or beyond the threshold shares one
+    value, so the truncation at ``bound`` is exact once bound >= k - 1.
     """
     beta = spec.beta
     if beta.is_average:
         raise UsageError("fixed-point evaluation requires beta < 1")
     if k < 0:
         raise UsageError(f"threshold must be nonnegative, got {k}")
+    if not tol > 0.0:
+        raise UsageError(f"tolerance must be positive, got {tol}")
     if k == 0:
         return 0.0, 1.0
     B = k + spec.pmf.radius if bound is None else int(bound)
     if B < k - 1:
         raise UsageError("bound must cover the silent set")
+    n = 2 * B + 2
+    if n > MAX_FIXED_POINT_STATES:
+        raise CapacityError(
+            f"threshold {k} at bound {B} needs {n} states, past the cap {MAX_FIXED_POINT_STATES}")
     states = np.arange(-B, B + 1)
     transmit = np.append(np.abs(states) >= k, True)  # the exterior transmits too
     succ = step_operator(spec, B, transmit[:-1])
-    n = len(transmit)
-    # X stacks D (first n entries) over N (last n); one gather serves both
-    stacked = np.vstack([succ, succ + n])
     w = spec.pmf.values
+    cells = (n * np.arange(n)[:, None] + succ).ravel()
+    Q = beta * np.bincount(cells, np.tile(w, n), minlength=n * n).reshape(n, n)
     dvals = np.append(np.asarray(spec.distortion(states), dtype=float), 0.0)
-    c = (1.0 - beta) * np.concatenate([np.where(transmit, 0.0, dvals), transmit])
-    X = np.zeros(2 * n)
-    stop = tol * (1.0 - beta) / (2.0 * beta)
-
-    for _ in range(_MAX_FIXED_POINT_ITERATIONS):
-        X_new = c + beta * (X[stacked] @ w)
-        delta = float(np.max(np.abs(X_new - X)))
-        X = X_new
-        if delta <= stop:
-            return float(X[B]), float(X[n + B])
-    raise NumericsError(
-        f"fixed-point evaluation failed to converge in {_MAX_FIXED_POINT_ITERATIONS}")
+    # the two columns are D and N; each product serves both
+    S = (1.0 - beta) * np.column_stack([np.where(transmit, 0.0, dvals), transmit])
+    scale = float(np.max(np.abs(S))) / (1.0 - beta)
+    steps = 0
+    while beta ** 2 ** steps * scale > tol / 2.0:
+        steps += 1
+    for j in range(steps):
+        if j:
+            Q = Q @ Q
+        S += Q @ S
+    return float(S[B, 0]), float(S[B, 1])

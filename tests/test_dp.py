@@ -13,6 +13,14 @@ def _random_spec(seed: int, a: int, beta: float) -> ModelSpecA:
     return ModelSpecA(a=a, pmf=pmf, distortion=DistortionFn.absolute(), beta=beta)
 
 
+def _dense(succ: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The step operator as a dense matrix, P[i, succ[i, j]] += w[j]."""
+    n = len(succ)
+    P = np.zeros((n, n))
+    np.add.at(P, (np.repeat(np.arange(n), len(w)), succ.ravel()), np.tile(w, n))
+    return P
+
+
 class TestStepOperator:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(-2, 3), st.integers(4, 12))
     @settings(max_examples=30, deadline=None)
@@ -26,8 +34,7 @@ class TestStepOperator:
         assert succ.shape == (n + 1, len(w))
         assert succ.min() >= 0 and succ.max() <= n
         # dense matrix of the operator: every row carries the whole pmf mass
-        P = np.zeros((n + 1, n + 1))
-        np.add.at(P, (np.repeat(np.arange(n + 1), len(w)), succ.ravel()), np.tile(w, n + 1))
+        P = _dense(succ, w)
         assert np.allclose(P.sum(axis=1), w.sum(), rtol=0.0, atol=1e-15)
         # silent rows follow a e + W, reset rows (and the exterior) restart at W
         origin = np.append(np.where(reset, 0, a * np.arange(-bound, bound + 1)), 0)
@@ -118,3 +125,50 @@ class TestPolicyEvaluateFixedPoint:
     def test_average_cost_rejected(self, bd_avg):
         with pytest.raises(UsageError):
             dp.policy_evaluate_fixed_point(bd_avg, 2)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10])
+    @pytest.mark.parametrize("beta", [0.5, 0.95, 0.999])
+    def test_within_tol_of_the_exact_fixed_point(self, beta, tol):
+        # the squarings stop on the a-priori remainder; the reference solves
+        # (I - beta P) X = c for the same truncated chain
+        spec = _random_spec(11, 2, beta)
+        k = 4
+        B = k + spec.pmf.radius
+        states = np.arange(-B, B + 1)
+        transmit = np.append(np.abs(states) >= k, True)
+        P = _dense(dp.step_operator(spec, B, transmit[:-1]), spec.pmf.values)
+        n = len(transmit)
+        dvals = np.append(spec.distortion(states), 0.0)
+        c = (1.0 - beta) * np.column_stack([np.where(transmit, 0.0, dvals), transmit])
+        exact = np.linalg.solve(np.eye(n) - beta * P, c)[B]
+        got = dp.policy_evaluate_fixed_point(spec, k, tol=tol)
+        assert np.max(np.abs(got - exact)) <= tol / 2 + 1e-12 * max(1.0, exact[0])
+
+    def test_nonpositive_tol_rejected(self, bd_09):
+        with pytest.raises(UsageError):
+            dp.policy_evaluate_fixed_point(bd_09, 2, tol=0.0)
+
+    def test_cap_counts_states(self, bd_09, monkeypatch):
+        # 2 bound + 2 states; the default bound is k + 1 for the birth-death law
+        monkeypatch.setattr(dp, "MAX_FIXED_POINT_STATES", 20)
+        d_fp, n_fp = dp.policy_evaluate_fixed_point(bd_09, 8)
+        p = solver_a.performance(bd_09, 8)
+        assert abs(d_fp - p.distortion) <= 1e-10 and abs(n_fp - p.transmission_rate) <= 1e-10
+        with pytest.raises(CapacityError, match="threshold 9.*cap 20"):
+            dp.policy_evaluate_fixed_point(bd_09, 9)
+        dp.policy_evaluate_fixed_point(bd_09, 2, bound=9)
+        with pytest.raises(CapacityError, match="cap 20"):
+            dp.policy_evaluate_fixed_point(bd_09, 2, bound=10)
+
+
+def test_no_linear_solve(bd_09, monkeypatch):
+    # the oracle stays independent of the renewal solver's linear systems
+    def refuse(*args, **kwargs):
+        raise AssertionError("the DP oracle made a linear solve")
+
+    for name in ("solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert dp.value_iterate(bd_09, 20.0).threshold == 5
+    d_fp, n_fp = dp.policy_evaluate_fixed_point(bd_09, 2)
+    assert d_fp == pytest.approx(0.4576, abs=5e-4)
+    assert n_fp == pytest.approx(0.1236, abs=5e-4)
