@@ -28,7 +28,6 @@ from .model import (
     RandomizedThresholdPolicy,
     SmoothPdf,
     TradeoffCurve,
-    estimator_step,
 )
 from .simulate import PolicySpec, SimConfig, SimResult, simulate, simulate_policies
 
@@ -54,7 +53,6 @@ __all__ = [
     "SmoothPdf",
     "TradeoffCurve",
     "UsageError",
-    "estimator_step",
     "simulate",
     "simulate_policies",
 ]

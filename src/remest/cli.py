@@ -48,7 +48,6 @@ class OutputRecord:
     columns: list[str]
     rows: list[dict]
     metadata: dict = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
 
     def _cell(self, value) -> str:
         if value is None:
@@ -69,7 +68,7 @@ class OutputRecord:
 
     def to_json_text(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "metadata": self.metadata,
             "rows": [

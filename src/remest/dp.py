@@ -47,14 +47,10 @@ class TruncatedDP:
     """Converged values and greedy policy on states -bound..bound."""
 
     bound: int
-    lam: float
-    beta: float
-    states: np.ndarray
     values: np.ndarray
     transmit: np.ndarray
     threshold: int
     iterations: int
-    truncation_error_bound: float
 
 
 def _compactification_radius(spec: ModelSpecA, lam: float) -> int:
@@ -153,17 +149,7 @@ def value_iterate(
     if not np.array_equal(transmit, transmit[::-1]):
         raise NumericsError("greedy policy is not symmetric")
 
-    return TruncatedDP(
-        bound=B,
-        lam=lam,
-        beta=float(beta),
-        states=states,
-        values=V,
-        transmit=transmit,
-        threshold=k,
-        iterations=iterations,
-        truncation_error_bound=spec.pmf.truncation_deficit * lam,
-    )
+    return TruncatedDP(bound=B, values=V, transmit=transmit, threshold=k, iterations=iterations)
 
 
 def policy_evaluate_fixed_point(

@@ -83,7 +83,6 @@ class IntegerPmf:
     """
 
     items: tuple[tuple[int, float], ...]
-    truncation_deficit: float = 0.0
 
     def __init__(self, probs: Mapping[int, float]):
         cleaned = {int(n): float(p) for n, p in probs.items()}
@@ -110,7 +109,6 @@ class IntegerPmf:
         # a zero-mass offset would widen the radius, and with it every solve
         items = tuple(sorted((n, p) for n, p in probs.items() if p > 0.0))
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "truncation_deficit", max(0.0, 1.0 - total))
         cdf = np.cumsum(self.values)
         # rounding can leave the total a few ulps below 1; every uniform in [0, 1)
         # must still land on an offset
@@ -158,10 +156,6 @@ class IntegerPmf:
                 index[hard] = np.searchsorted(cdf, block[hard], side="right")
             np.take(self._points, index, out=block, mode="clip")
         return u
-
-    @property
-    def probs(self) -> dict[int, float]:
-        return dict(self.items)
 
     @property
     def offsets(self) -> np.ndarray:
@@ -392,13 +386,6 @@ def spec_digest(spec: ModelSpecA | ModelSpecB) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def estimator_step(prev_estimate: float, received: float | None, a: float) -> float:
-    """One step of the optimal estimator: adopt a received value, else predict."""
-    if received is not None:
-        return float(received)
-    return a * prev_estimate
-
-
 @dataclass(frozen=True)
 class RandomizedThresholdPolicy:
     """Mixture of the two thresholds k_star and k_star + 1.
@@ -419,11 +406,10 @@ class RandomizedThresholdPolicy:
 
 @dataclass(frozen=True)
 class PerfPoint:
-    """Performance triple (D, N, C) of one policy on one instance."""
+    """Distortion D and transmission rate N of one policy on one instance."""
 
     distortion: float
     transmission_rate: float
-    cost: float | None = None
 
     def __post_init__(self):
         if self.distortion < 0.0 and not math.isinf(self.distortion):
@@ -433,7 +419,7 @@ class PerfPoint:
 
 
 class CostlyResult(tuple):
-    """``(k, cost)`` of an optimal costly threshold; ``perf`` is (D, N, C) at
+    """``(k, cost)`` of an optimal costly threshold; ``perf`` is (D, N) at
     k, read off the solve that found it."""
 
     perf: PerfPoint

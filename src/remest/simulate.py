@@ -314,9 +314,9 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     # draws are those of a serial run.  It fills buffers allocated here:
     # freed memory goes back to the allocator arena of the thread that
     # allocated it, so a stepped chunk's buffer can then serve this thread's
-    # sums (+4 MB of peak RSS when the producer allocated).  An overflowing
-    # state is either transmitted (|inf| >= k) or leaves an infinite
-    # distortion sum, which the per-chunk check below reports
+    # sums (+4 MB of peak RSS when the producer allocated).  A state that
+    # overflows below a finite threshold leaves an infinite distortion sum,
+    # which the per-chunk check below reports
     with ThreadPoolExecutor(max_workers=1) as producer, np.errstate(over="ignore"):
         ahead = producer.submit(draw, inn_rng, out=np.empty((rows, 1, n)))
         for c0 in range(0, T, rows):
@@ -415,9 +415,11 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
     discount weight drops below the configured tolerance; average-cost runs
     return time averages after the burn-in.  A never-transmit policy (k = inf
     or an all-zero pattern) raises ``DivergenceError`` in the average-cost
-    regime with |a| >= 1, where its distortion is infinite.  Estimates that
-    come out non-finite, as when the state of an unstable source overflows
-    below a huge threshold, raise ``NumericsError`` for the whole block.
+    regime with |a| >= 1, where its distortion is infinite, and
+    ``NumericsError`` at |a| > 1 in either regime, where its state grows
+    geometrically.  Estimates that come out non-finite, as when the state of
+    an unstable source overflows below a huge threshold, raise
+    ``NumericsError`` for the whole block.
     ``MAX_SIM_STEPS`` and ``MAX_SIM_CELLS`` apply to each policy, so a block
     runs whenever its policies would run one by one.
     """
@@ -428,8 +430,9 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
                  or (policy.pattern is not None and not any(policy.pattern)))
         if never and spec.beta.is_average and abs(spec.a) >= 1:
             raise DivergenceError("never-transmit average distortion diverges for |a| >= 1")
-        if never and abs(spec.a) >= 2:
-            raise NumericsError("never-transmit simulation with |a| >= 2 overflows the state")
+        if never and abs(spec.a) > 1:
+            raise NumericsError("never-transmit simulation with |a| > 1: the state grows "
+                                "geometrically")
         if (isinstance(spec, ModelSpecA) and policy.k is not None
                 and not math.isinf(policy.k) and policy.k != int(policy.k)):
             raise UsageError("integer-state thresholds must be integers")

@@ -246,14 +246,10 @@ def _never_transmit_distortion(spec: ModelSpecA) -> float:
     pmf = spec.pmf
     d = spec.distortion
     mean_d_w = float(np.dot(pmf.values, d(pmf.offsets)))
-    if beta.is_average:
-        if abs(spec.a) >= 1:
-            raise DivergenceError(
-                "never-transmit average distortion diverges for |a| >= 1"
-            )
-        return mean_d_w
     if spec.a == 0:
-        return beta * mean_d_w
+        return beta * mean_d_w  # exact at beta = 1
+    if beta.is_average:
+        raise DivergenceError("never-transmit average distortion diverges for |a| >= 1")
     if abs(spec.a) >= 2:
         # error support doubles per step; the convolution below cannot be carried
         # to the discount horizon within the dimension cap
@@ -368,8 +364,7 @@ def optimal_costly(spec: ModelSpecA, lam: float) -> CostlyResult:
     # corner prices increase, so the first corner covering lam owns its interval
     k_star = next(kn for kn, lam_k in corners if lam <= lam_k)
     D, N = float(table.D[k_star]), float(table.N[k_star])
-    perf = PerfPoint(distortion=D, transmission_rate=N, cost=D + lam * N)
-    return CostlyResult(k_star, perf.cost, perf)
+    return CostlyResult(k_star, D + lam * N, PerfPoint(distortion=D, transmission_rate=N))
 
 
 def optimal_constrained(spec: ModelSpecA, alpha: float) -> tuple[RandomizedThresholdPolicy, float]:

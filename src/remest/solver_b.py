@@ -9,7 +9,8 @@ method on one Gauss-Legendre panel of order 33, 65, ...  Each order
 evaluates the kernel once and factors I - beta K W once with
 ``np.linalg.solve`` (no scipy, which keeps ``import remest`` light); the
 ladder stops on the error bound sup M ||r|| of ``fredholm_solve``, which for
-the Gaussian holds at order 33.
+the Gaussian holds at order 33.  A solve keeps v at the nodes and its Nystrom
+extension at 0 and k, the only points a caller reads.
 
 Differentiating the folded equations in k gives dL/dk = L(k) phi and
 dM/dk = M(k) phi with the same phi, so lambda(k) = M(0) L(k) / M(k) - L(0)
@@ -99,28 +100,15 @@ Rhs = Callable[[np.ndarray], np.ndarray]
 class FredholmSolution:
     """Discrete solution of v = rhs + beta * integral(kernel * v) on (0, k)
     for several right-hand sides on one grid: ``values`` is nodes x
-    right-hand sides, ``ends`` holds the rows v(0) and v(k), ``bound`` each
-    column's bound on sup |v - v_n|, and ``rcond`` is the reciprocal
-    infinity-norm condition number of the grid's matrix I - beta K W."""
+    right-hand sides, ``ends`` holds the Nystrom extension's rows v(0) and
+    v(k), ``bound`` each column's bound on sup |v - v_n|, and ``rcond`` is
+    the reciprocal infinity-norm condition number of I - beta K W."""
 
     grid: QuadratureGrid
     values: np.ndarray
     ends: np.ndarray
     bound: np.ndarray
-    kernel: Kernel
-    rhs: Sequence[Rhs]
-    beta: float
     rcond: float
-
-    def evaluate(self, e) -> np.ndarray:
-        """Values at arbitrary points of [0, k], or of [-k, k] for the folded
-        spec kernel (whose solution is even), boundary points included: the
-        Nystrom extension rhs(e) + beta * sum_j w_j kernel(e, x_j) v(x_j),
-        one row per point and one column per right-hand side."""
-        e = np.atleast_1d(np.asarray(e, dtype=float))
-        grid = self.grid
-        quad = (self.kernel(e[:, None], grid.nodes[None, :]) * grid.weights[None, :]) @ self.values
-        return np.column_stack([f(e) for f in self.rhs]) + self.beta * quad
 
 
 def _as_rhs(rhs) -> Rhs:
@@ -206,7 +194,6 @@ def fredholm_solve(
         if worst <= tolerance:
             count(error_bound=worst)
             return FredholmSolution(grid=grid, values=values, ends=ext[-2:], bound=bound,
-                                    kernel=kernel, rhs=rhs_fns, beta=float(beta),
                                     rcond=rcond)
         if worst >= last or 2 * order - 1 > _MAX_ORDER:
             raise ConvergenceError(
@@ -342,8 +329,7 @@ def algorithm1_costly(spec: ModelSpecB, lam: float, epsilon: float) -> CostlyRes
     if not 0.0 < lam < math.inf:
         raise UsageError(f"price must be positive and finite, got {lam}")
     k, at = _bracket_and_search(lambda r: r.price, lam, epsilon, spec, "price")
-    cost = at.D + lam * at.N
-    return CostlyResult(k, cost, PerfPoint(distortion=at.D, transmission_rate=at.N, cost=cost))
+    return CostlyResult(k, at.D + lam * at.N, PerfPoint(distortion=at.D, transmission_rate=at.N))
 
 
 def algorithm2_constrained(spec: ModelSpecB, alpha: float, epsilon: float) -> tuple[float, float]:

@@ -86,7 +86,7 @@ def test_criterion_04_k1_rate_identity():
             spec = ModelSpecA(a=1, pmf=pmf, distortion=DistortionFn.absolute(),
                               beta=beta)
             n1 = solver_a.performance(spec, 1).transmission_rate
-            assert abs(n1 - beta * (1.0 - pmf.probs.get(0, 0.0))) <= 1e-12
+            assert abs(n1 - beta * (1.0 - dict(pmf.items).get(0, 0.0))) <= 1e-12
     _report(4, "always-useful threshold rate", started, 5.0)
 
 

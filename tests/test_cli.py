@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import remest
-from remest import DistortionFn, IntegerPmf, ModelSpecA, solver_a, solver_b, validation
+from remest import (DistortionFn, IntegerPmf, ModelSpecA, NumericsError, solver_a, solver_b,
+                    validation)
 from remest.cli import build_parser, main
 from remest.model import spec_digest
 from remest.simulate import PolicySpec, SimConfig, simulate
@@ -404,6 +405,26 @@ class TestSimulateCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("policy, flags", [
+        (PolicySpec.threshold(float("inf")), ["threshold", "--k", "inf"]),
+        (PolicySpec.steering(float("inf"), 0.5), ["steering", "--k", "inf", "--theta", "0.5"]),
+        (PolicySpec.time_sharing(float("inf"), [(1, 1)]),
+         ["timesharing", "--k", "inf", "--schedule", "1:1"]),
+        (PolicySpec.periodic([0]), ["periodic", "--pattern", "0"]),
+    ], ids=["threshold", "steering", "time_sharing", "periodic"])
+    def test_never_transmit_unstable_state_exits_two(self, capsys, policy, flags):
+        # at 1 < |a| < 2 and beta = 0.9999 the state reaches inf, where |inf| >= inf
+        # would count as a transmission (d_hat = 2.4e305, n_hat = 5e-4 without the guard)
+        for beta in (0.9, 0.99, 0.9999):
+            spec = solver_b.gauss_markov_spec(1.0, a=1.5, beta=beta)
+            with pytest.raises(NumericsError, match="grows geometrically"):
+                simulate(spec, policy, SimConfig(replications=1))
+            code, _, err = run_cli(["simulate", "--model", "B", "--a", "1.5", "--beta", str(beta),
+                                    "--distortion", "abs", "--reps", "1", "--policy", *flags],
+                                   capsys)
+            assert code == 2
+            assert "grows geometrically" in err
+
     def test_overflow_below_threshold_exits_two(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -570,6 +591,12 @@ def _heavy_scipy_modules_loaded_after(script: str) -> list[str]:
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     return run.stdout.split()
+
+
+def test_public_names_resolve_once():
+    assert len(set(remest.__all__)) == len(remest.__all__)
+    for name in remest.__all__:
+        assert getattr(remest, name, None) is not None, name
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

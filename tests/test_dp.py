@@ -95,10 +95,6 @@ class TestValueIterate:
         with pytest.raises(UsageError):
             dp.value_iterate(bd_avg, 5.0)
 
-    def test_truncation_error_recorded(self, bd_09):
-        result = dp.value_iterate(bd_09, 5.0)
-        assert result.truncation_error_bound == 0.0  # exact pmf, no truncation
-
 
 class TestPolicyEvaluateFixedPoint:
     def test_table_values(self, bd_09):

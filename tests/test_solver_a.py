@@ -78,7 +78,7 @@ class TestFoldedTransition:
         # reference: the full-line transition entry by entry, folded column by column
         pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
         spec = ModelSpecA(a=a, pmf=pmf, distortion=DistortionFn.absolute(), beta=0.9)
-        probs = pmf.probs
+        probs = dict(pmf.items)
         full = np.array([[probs.get(n - a * e, 0.0) for n in range(-(k - 1), k)]
                          for e in range(k)])
         folded = full[:, k - 1:].copy()
@@ -618,4 +618,4 @@ class TestStructuralProperties:
         pmf = IntegerPmf(random_valid_pmf(rng))
         spec = ModelSpecA(a=1, pmf=pmf, distortion=DistortionFn.absolute(), beta=beta)
         n1 = solver_a.performance(spec, 1).transmission_rate
-        assert abs(n1 - beta * (1.0 - pmf.probs.get(0, 0.0))) <= 1e-12
+        assert abs(n1 - beta * (1.0 - dict(pmf.items).get(0, 0.0))) <= 1e-12
