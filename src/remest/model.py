@@ -46,6 +46,9 @@ PDF_MASS_TOL = 1e-5
 #: residual that rounds to 0 still leaves the solve's own rounding.
 BOUND_ROUNDING = 4.0 * np.finfo(float).eps
 
+#: Reciprocal condition number below which a silent-set system counts as singular.
+RCOND_FLOOR = 1e-13
+
 #: A custom distortion is checked for evenness and monotonicity on [-8, 8].
 DISTORTION_PROBE_HALFWIDTH = 8.0
 

@@ -61,6 +61,7 @@ from .errors import (
 from .model import (
     BOUND_ROUNDING,
     MAX_SILENT_DIM,
+    RCOND_FLOOR,
     CostlyResult,
     CurvePoint,
     DiscountFactor,
@@ -75,9 +76,6 @@ from .model import (
 
 #: Corners with distortion increments below this are skipped as duplicates.
 _FLAT_D_TOL = 1e-12
-
-#: Reciprocal condition number below which the silent system counts as singular.
-_RCOND_FLOOR = 1e-13
 
 #: Cap on the multiply-adds of the never-transmit convolution, horizon x
 #: support x (kernel + 1): birth-death at beta = 0.999 (6.1e9) takes 1.4-2.2 s
@@ -185,7 +183,7 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
         lu, piv = scipy.linalg.lu_factor(A.T, overwrite_a=True)
     del A
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or rcond < _RCOND_FLOOR:
+    if info != 0 or rcond < RCOND_FLOOR:
         raise SingularSystemError(
             f"silent system singular at beta={float(beta)} (rcond={rcond:.2e}); "
             "the chain cannot escape the silent set"

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .model import (
     BOUND_ROUNDING,
+    RCOND_FLOOR,
     CostlyResult,
     DiscountFactor,
     DistortionFn,
@@ -132,7 +133,7 @@ def fredholm_solve(
     nodes, the 2n + 1 nodes of a finer rule, 0 and k against both rules'
     nodes, and solves A = I - beta K W once for every right-hand side and a
     column of ones.  A is then an M-matrix exactly when h = A^-1 1 > 0, and
-    ||A^-1||_inf = max h gives the rcond; below 1e-13, or if h is not
+    ||A^-1||_inf = max h gives the rcond; below RCOND_FLOOR, or if h is not
     positive, it raises ``SingularSystemError``.  With ||(I - beta K)^-1||_inf
     = sup M, the residual r of the Nystrom extension at the fine nodes, 0 and
     k, against the fine rule, bounds each column's error by max h ||r||_inf,
@@ -177,7 +178,7 @@ def fredholm_solve(
         count(factorizations=1, largest_system=order)
         h = X[:, -1]
         rcond = 1.0 / (anorm * float(h.max())) if np.all(np.isfinite(h) & (h > 0.0)) else 0.0
-        if rcond < 1e-13:
+        if rcond < RCOND_FLOOR:
             raise SingularSystemError(
                 f"discretized silent-set system is singular (rcond={rcond:.2e}); "
                 "escape mass vanishes"

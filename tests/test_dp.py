@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,14 +24,33 @@ def _dense(succ: np.ndarray, w: np.ndarray) -> np.ndarray:
     return P
 
 
+def _wide_chain_values(spec: ModelSpecA, k: int) -> np.ndarray:
+    """(D, N) of the threshold-k policy by a linear solve on the wide chain.
+
+    States -W..W with W = k + r + 3, each transmitting at |e| >= k, plus one
+    exterior state that transmits; successors are built here, not by
+    ``dp.step_operator``.
+    """
+    W = k + spec.pmf.radius + 3
+    states = np.arange(-W, W + 1)
+    transmit = np.append(np.abs(states) >= k, True)
+    n = len(transmit)
+    P = np.zeros((n, n))
+    for i, e in enumerate(np.append(states, 0)):
+        for off, mass in zip(spec.pmf.offsets, spec.pmf.values):
+            nxt = off if transmit[i] else spec.a * e + off
+            P[i, nxt + W if abs(nxt) <= W else n - 1] += mass
+    dvals = np.append(spec.distortion(states), 0.0)
+    c = (1.0 - spec.beta) * np.column_stack([np.where(transmit, 0.0, dvals), transmit])
+    return np.linalg.solve(np.eye(n) - spec.beta * P, c)[W]
+
+
 class TestStepOperator:
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(-2, 3), st.integers(4, 12))
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-2, 3), st.integers(0, 12))
     @settings(max_examples=30, deadline=None)
     def test_rows_are_the_pmf_law(self, seed, a, bound):
         spec = _random_spec(seed, a, 0.9)
-        rng = np.random.default_rng(seed)
-        reset = rng.random(2 * bound + 1) < 0.3
-        succ = dp.step_operator(spec, bound, reset)
+        succ = dp.step_operator(spec, bound)
         n = 2 * bound + 1
         w = spec.pmf.values
         assert succ.shape == (n + 1, len(w))
@@ -36,8 +58,8 @@ class TestStepOperator:
         # dense matrix of the operator: every row carries the whole pmf mass
         P = _dense(succ, w)
         assert np.allclose(P.sum(axis=1), w.sum(), rtol=0.0, atol=1e-15)
-        # silent rows follow a e + W, reset rows (and the exterior) restart at W
-        origin = np.append(np.where(reset, 0, a * np.arange(-bound, bound + 1)), 0)
+        # silent rows follow a e + W, the transmit row (index n) restarts at W
+        origin = np.append(a * np.arange(-bound, bound + 1), 0)
         nxt = origin[:, None] + spec.pmf.offsets
         inside = np.abs(nxt) <= bound
         assert np.array_equal(succ[inside], nxt[inside] + bound)
@@ -77,7 +99,7 @@ class TestValueIterate:
         assert pos[k:].all() and not pos[:k].any()
 
     def test_value_even_and_monotone(self, bd_09):
-        result = dp.value_iterate(bd_09, 10.0, tol=1e-10)
+        result = dp.value_iterate(bd_09, 10.0)
         V = result.values
         assert np.max(np.abs(V - V[::-1])) <= 1e-8
         assert np.all(np.diff(V[result.bound:]) >= -1e-8)
@@ -87,9 +109,30 @@ class TestValueIterate:
         counts = {lam: dp.value_iterate(bd_09, lam).iterations for lam in (4.0, 10.0, 20.0)}
         assert counts == {4.0: 205, 10.0: 209, 20.0: 211}
 
-    def test_bound_too_small(self, bd_09):
-        with pytest.raises(CapacityError):
-            dp.value_iterate(bd_09, 20.0, bound=3)
+    def test_state_cap_counts_states(self, monkeypatch):
+        # at beta = 0.5, lambda = 10 gives R = 20, the smallest e with |e| >= 20,
+        # so B = 21 and 2 R + 4 = 44 states
+        spec = solver_a.bd_spec(0.3, 0.5)
+        monkeypatch.setattr(dp, "MAX_VALUE_ITERATION_STATES", 44)
+        result = dp.value_iterate(spec, 10.0)
+        assert result.bound == 21 and len(result.values) == 43
+        monkeypatch.setattr(dp, "MAX_VALUE_ITERATION_STATES", 43)
+        with pytest.raises(CapacityError, match="price 10.0 .* R at 20 .*cap 43"):
+            dp.value_iterate(spec, 10.0)
+
+    def test_state_cap_raises_before_allocating(self, bd_09, monkeypatch):
+        # R would be 10^9; the radius search stops at the cap
+        monkeypatch.setattr(dp, "MAX_VALUE_ITERATION_STATES", 1000)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapacityError, match="price 100000000.0 .*cap 1000"):
+                dp.value_iterate(bd_09, 1e8)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 100_000
 
     def test_average_cost_rejected(self, bd_avg):
         with pytest.raises(UsageError):
@@ -106,15 +149,6 @@ class TestPolicyEvaluateFixedPoint:
         assert d_fp == pytest.approx(1.1218, abs=5e-4)
         assert n_fp == pytest.approx(0.0288, abs=5e-4)
 
-    def test_bound_beyond_default(self):
-        # at a = 2 silent successors leave the bound; the exterior is exact
-        spec = _random_spec(7, 2, 0.95)
-        for k in (1, 3, 6):
-            default = k + spec.pmf.radius
-            ref = dp.policy_evaluate_fixed_point(spec, k)
-            wide = dp.policy_evaluate_fixed_point(spec, k, bound=default + 5)
-            assert np.max(np.abs(np.subtract(ref, wide))) <= 1e-12
-
     def test_always_transmit_analytic(self, bd_09):
         assert dp.policy_evaluate_fixed_point(bd_09, 0) == (0.0, 1.0)
 
@@ -126,35 +160,41 @@ class TestPolicyEvaluateFixedPoint:
     @pytest.mark.parametrize("beta", [0.5, 0.95, 0.999])
     def test_within_tol_of_the_exact_fixed_point(self, beta, tol):
         # the squarings stop on the a-priori remainder; the reference solves
-        # (I - beta P) X = c for the same truncated chain
+        # (I - beta P) X = c on the wide chain
         spec = _random_spec(11, 2, beta)
-        k = 4
-        B = k + spec.pmf.radius
-        states = np.arange(-B, B + 1)
-        transmit = np.append(np.abs(states) >= k, True)
-        P = _dense(dp.step_operator(spec, B, transmit[:-1]), spec.pmf.values)
-        n = len(transmit)
-        dvals = np.append(spec.distortion(states), 0.0)
-        c = (1.0 - beta) * np.column_stack([np.where(transmit, 0.0, dvals), transmit])
-        exact = np.linalg.solve(np.eye(n) - beta * P, c)[B]
+        exact = _wide_chain_values(spec, 4)
+        got = dp.policy_evaluate_fixed_point(spec, 4, tol=tol)
+        assert np.max(np.abs(got - exact)) <= tol / 2 + 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-3, 3),
+           st.sampled_from([0.5, 0.9, 0.99, 0.999]), st.integers(1, 29),
+           st.sampled_from([1e-4, 1e-10]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_wide_chain(self, seed, a, beta, k, tol):
+        # the 2 k-state chain against the wide one: the transmit rows and the
+        # states beyond the silent set collapse into the one transmit state
+        spec = _random_spec(seed, a, beta)
+        exact = _wide_chain_values(spec, k)
         got = dp.policy_evaluate_fixed_point(spec, k, tol=tol)
-        assert np.max(np.abs(got - exact)) <= tol / 2 + 1e-12 * max(1.0, exact[0])
+        assert np.max(np.abs(got - exact)) <= tol / 2 + 1e-12
 
     def test_nonpositive_tol_rejected(self, bd_09):
         with pytest.raises(UsageError):
             dp.policy_evaluate_fixed_point(bd_09, 2, tol=0.0)
 
     def test_cap_counts_states(self, bd_09, monkeypatch):
-        # 2 bound + 2 states; the default bound is k + 1 for the birth-death law
+        # 2 k states, whatever the pmf radius
+        spec = _random_spec(3, 2, 0.9)
+        assert spec.pmf.radius == 4
+        d_fp, n_fp = dp.policy_evaluate_fixed_point(spec, 256)
+        p = solver_a.performance(spec, 256)
+        assert abs(d_fp - p.distortion) <= 1e-9 and abs(n_fp - p.transmission_rate) <= 1e-10
         monkeypatch.setattr(dp, "MAX_FIXED_POINT_STATES", 20)
-        d_fp, n_fp = dp.policy_evaluate_fixed_point(bd_09, 8)
-        p = solver_a.performance(bd_09, 8)
+        d_fp, n_fp = dp.policy_evaluate_fixed_point(bd_09, 10)
+        p = solver_a.performance(bd_09, 10)
         assert abs(d_fp - p.distortion) <= 1e-10 and abs(n_fp - p.transmission_rate) <= 1e-10
-        with pytest.raises(CapacityError, match="threshold 9.*cap 20"):
-            dp.policy_evaluate_fixed_point(bd_09, 9)
-        dp.policy_evaluate_fixed_point(bd_09, 2, bound=9)
-        with pytest.raises(CapacityError, match="cap 20"):
-            dp.policy_evaluate_fixed_point(bd_09, 2, bound=10)
+        with pytest.raises(CapacityError, match="threshold 11: 22 states.*cap 20"):
+            dp.policy_evaluate_fixed_point(bd_09, 11)
 
 
 def test_no_linear_solve(bd_09, monkeypatch):
