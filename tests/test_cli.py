@@ -1,8 +1,11 @@
 import csv
 import functools
+import importlib
 import io
 import json
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -627,3 +630,17 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_names_resolve():
+    # every constant and every remest.<module>.<name> that README names exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = [importlib.import_module(f"remest.{info.name}")
+               for info in pkgutil.iter_modules(remest.__path__) if not info.name.startswith("_")]
+    constants = set(re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`", readme))
+    assert "MAX_SILENT_DIM" in constants
+    assert [c for c in sorted(constants) if not any(hasattr(m, c) for m in modules)] == []
+    dotted = set(re.findall(r"\bremest\.(\w+)\.(\w+)", readme))
+    assert ("simulate", "DISCOUNT_TRUNCATION_TOL") in dotted
+    assert [f"remest.{m}.{name}" for m, name in sorted(dotted)
+            if not hasattr(importlib.import_module(f"remest.{m}"), name)] == []

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -11,9 +12,10 @@ from remest import dp, solver_a
 from conftest import random_valid_pmf
 
 
-def _random_spec(seed: int, a: int, beta: float) -> ModelSpecA:
+def _random_spec(seed: int, a: int, beta: float,
+                 distortion: DistortionFn = DistortionFn.absolute()) -> ModelSpecA:
     pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
-    return ModelSpecA(a=a, pmf=pmf, distortion=DistortionFn.absolute(), beta=beta)
+    return ModelSpecA(a=a, pmf=pmf, distortion=distortion, beta=beta)
 
 
 def _dense(succ: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -66,8 +68,8 @@ class TestStepOperator:
         assert np.all(succ[~inside] == n)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-2, -1, 1, 2]),
-       st.sampled_from([0.9, 0.95]), st.floats(1.0, 40.0))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       st.sampled_from([0.9, 0.95, 0.99, 0.999]), st.floats(1.0, 40.0))
 @settings(max_examples=25, deadline=None)
 def test_value_iteration_matches_corner_lookup(seed, a, beta, lam):
     spec = _random_spec(seed, a, beta)
@@ -76,6 +78,32 @@ def test_value_iteration_matches_corner_lookup(seed, a, beta, lam):
     corners = solver_a.corner_lambdas(spec, k_solver)
     assume(all(abs(lam - lam_k) > 1e-6 * lam_k for _, lam_k in corners))
     assert dp.value_iterate(spec, lam).threshold == k_solver
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(-3, 3), st.sampled_from([0.5, 0.9, 0.99]),
+       st.floats(0.0, 200.0), st.sampled_from([DistortionFn.absolute(), DistortionFn.quadratic()]))
+@settings(max_examples=25, deadline=None)
+def test_greedy_policy_is_the_threshold_far_beyond_the_window(seed, a, beta, lam, distortion):
+    # the values extended to |e| <= 4 W with the transmit value, successors
+    # built here: both actions' one-step costs pick the threshold rule throughout
+    spec = _random_spec(seed, a, beta, distortion)
+    result = dp.value_iterate(spec, lam)
+    W, k = result.bound, result.threshold
+    v_tx = result.values[0]
+    wide = np.arange(-4 * W, 4 * W + 1)
+    V = np.where(np.abs(wide) <= W, result.values[np.clip(wide + W, 0, 2 * W)], v_tx)
+
+    def expected(nxt):
+        inside = np.abs(nxt) <= 4 * W
+        return np.where(inside, V[np.clip(nxt + 4 * W, 0, 8 * W)], v_tx) @ spec.pmf.values
+
+    transmit_cost = (1.0 - beta) * lam + beta * expected(spec.pmf.offsets)
+    silent_cost = ((1.0 - beta) * spec.distortion(wide)
+                   + beta * expected(spec.a * wide[:, None] + spec.pmf.offsets))
+    assert np.array_equal(transmit_cost < silent_cost, np.abs(wide) >= k)
+    # and the values are the fixed point of the one-step costs
+    bellman = np.minimum(transmit_cost, silent_cost)
+    assert np.max(np.abs(bellman - V)) <= 1e-9 * (1.0 + np.max(V))
 
 
 class TestValueIterate:
@@ -105,34 +133,43 @@ class TestValueIterate:
         assert np.all(np.diff(V[result.bound:]) >= -1e-8)
 
     def test_iteration_counts_pinned(self, bd_09):
-        # pins the stopping rule tol (1 - beta) / (2 beta) in sup norm
+        # pins the policy-iteration path: thresholds evaluated from k = 1
         counts = {lam: dp.value_iterate(bd_09, lam).iterations for lam in (4.0, 10.0, 20.0)}
-        assert counts == {4.0: 205, 10.0: 209, 20.0: 211}
+        assert counts == {4.0: 2, 10.0: 4, 20.0: 4}
 
-    def test_state_cap_counts_states(self, monkeypatch):
-        # at beta = 0.5, lambda = 10 gives R = 20, the smallest e with |e| >= 20,
-        # so B = 21 and 2 R + 4 = 44 states
-        spec = solver_a.bd_spec(0.3, 0.5)
-        monkeypatch.setattr(dp, "MAX_VALUE_ITERATION_STATES", 44)
-        result = dp.value_iterate(spec, 10.0)
-        assert result.bound == 21 and len(result.values) == 43
-        monkeypatch.setattr(dp, "MAX_VALUE_ITERATION_STATES", 43)
-        with pytest.raises(CapacityError, match="price 10.0 .* R at 20 .*cap 43"):
-            dp.value_iterate(spec, 10.0)
+    def test_deep_discount_within_reach(self):
+        # lambda / (1 - beta) = 10^5, yet the threshold chain has 14 states
+        spec = solver_a.bd_spec(0.3, 0.999)
+        assert dp.value_iterate(spec, 100.0).threshold == 7
+        assert solver_a.optimal_costly(spec, 100.0)[0] == 7
 
-    def test_state_cap_raises_before_allocating(self, bd_09, monkeypatch):
-        # R would be 10^9; the radius search stops at the cap
-        monkeypatch.setattr(dp, "MAX_VALUE_ITERATION_STATES", 1000)
+    def test_state_cap_counts_states(self, bd_09, monkeypatch):
+        # lambda = 20 has k* = 5, 10 states; the window is |e| <= 10 // 2 + r = 6
+        monkeypatch.setattr(dp, "MAX_FIXED_POINT_STATES", 10)
+        result = dp.value_iterate(bd_09, 20.0)
+        assert result.threshold == 5 and result.bound == 6 and len(result.values) == 13
+        monkeypatch.setattr(dp, "MAX_FIXED_POINT_STATES", 8)
+        with pytest.raises(CapacityError, match="price 20.0: .*past threshold 4, .*cap 8 states"):
+            dp.value_iterate(bd_09, 20.0)
+
+    def test_state_cap_raises_before_allocating(self, bd_09):
+        # k* would be about 10^9; the thresholds double up to the cap, whose
+        # 512-state matrices are the largest allocation
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(CapacityError, match="price 100000000.0 .*cap 1000"):
+            with pytest.raises(CapacityError, match="price 100000000.0: .*cap 512"):
                 dp.value_iterate(bd_09, 1e8)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert elapsed < 1.0 and peak < 100_000
+        assert elapsed < 1.0 and peak < 10_000_000
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_invalid_price_rejected(self, bd_09, lam):
+        with pytest.raises(UsageError, match="price must be nonnegative and finite"):
+            dp.value_iterate(bd_09, lam)
 
     def test_average_cost_rejected(self, bd_avg):
         with pytest.raises(UsageError):
@@ -181,6 +218,20 @@ class TestPolicyEvaluateFixedPoint:
     def test_nonpositive_tol_rejected(self, bd_09):
         with pytest.raises(UsageError):
             dp.policy_evaluate_fixed_point(bd_09, 2, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_nonfinite_tol_rejected(self, bd_09, tol):
+        with pytest.raises(UsageError, match="tolerance must be positive and finite"):
+            dp.policy_evaluate_fixed_point(bd_09, 2, tol=tol)
+
+    @pytest.mark.parametrize("k", [2.5, math.inf, math.nan])
+    def test_nonintegral_threshold_rejected(self, bd_09, k):
+        with pytest.raises(UsageError, match="threshold must be a nonnegative integer"):
+            dp.policy_evaluate_fixed_point(bd_09, k)
+
+    def test_integral_float_threshold_accepted(self, bd_09):
+        assert (dp.policy_evaluate_fixed_point(bd_09, 3.0)
+                == dp.policy_evaluate_fixed_point(bd_09, 3))
 
     def test_cap_counts_states(self, bd_09, monkeypatch):
         # 2 k states, whatever the pmf radius
