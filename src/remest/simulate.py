@@ -13,6 +13,11 @@ order of the policies.  The fixed-threshold kinds (``threshold``,
 ``randomized_threshold``) are rows of one per-replication threshold array,
 compared in one call per step; every other kind has a rule
 ``rule(t, |e|) -> U``, called once per step, that writes its own row.
+The steering rule is a per-replication threshold too: the v-th boundary
+visit of every replication takes the same decision, so it reads each
+replication's next threshold off one shared table of decisions by visit
+count; a step compares against those thresholds and tests for the
+boundary, and only a step with a replication at |e| = k reads the table.
 
 A run draws from two streams spawned from ``SeedSequence([seed,
 _STREAM_LAYOUT])``: the innovations, and the policy randomness (the
@@ -208,8 +213,9 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
 
     ``rng`` is the policy stream: ``iid_random`` draws its per-step coins
     from it in chunks of the run's time-major layout; other kinds do not use
-    it.  The steering counters, the time-sharing cycle position and the coin
-    buffer live in the closure, so a rule serves one run.
+    it.  The steering visit counts and decision table, the time-sharing
+    cycle position and the coin buffer live in the closure, so a rule serves
+    one run.
     """
     kind = policy.kind
     k = policy.k
@@ -231,24 +237,59 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
 
         return coin
     if kind == "steering":
-        theta = policy.theta
-        # boundary visits kept silent / transmitted, each plus the candidate
-        # decision; integer-valued, so every sum below is exact
-        silent1 = np.ones(n)
-        sent1 = np.ones(n)
+        # a replication's counters (silent, sent) change only at its own
+        # boundary visits, so its v-th visit takes the v-th decision of one
+        # sequence.  The table holds the threshold of each visit: k when it
+        # sends, the next float above k when it stays silent, so |e| >= thr
+        # is the whole rule.  It grows lazily, to a chunk of visits past the
+        # furthest replication, and then drops the visits every replication
+        # has passed (the counts are kept relative to the table's first
+        # visit), so it spans the replications' visit counts plus a chunk
+        # however long the run
+        theta, rest = policy.theta, 1.0 - policy.theta
+        silent_thr = np.nextafter(k, np.inf)
+        grow = _chunk_rows(n, T)
+        silent = sent = 0.0  # the decisions made so far in the table
+
+        def extend(table, stop):
+            # at |e| = k, send if sending is the more under-served after this
+            # decision (ties send); the counts are integers, so every sum is
+            # exact, and each float operation is the one a per-replication
+            # update would make
+            nonlocal silent, sent
+            sends = []
+            for _ in range(stop - len(table)):
+                silent1 = silent + 1.0
+                sent1 = sent + 1.0
+                tot = silent1 + sent1 - 1.0
+                if theta - sent1 / tot >= rest - silent1 / tot:
+                    sent = sent1
+                    sends.append(True)
+                else:
+                    silent = silent1
+                    sends.append(False)
+            return np.concatenate((table, np.where(sends, k, silent_thr)))
+
+        table = extend(np.empty(0), 1)
+        visits = np.zeros(n, dtype=np.int64)  # boundary visits, from the table's first
+        room = 0  # boundary steps left before a count can pass the table
+        thr = np.full(n, table[0])
 
         def steer(t, abs_e):
-            nonlocal silent1, sent1
-            # at |e| = k, send if sending is the more under-served after this
-            # decision (ties send); a continuous state almost never gets there
+            nonlocal table, room
+            U = abs_e >= thr
             boundary = abs_e == k
-            if not np.count_nonzero(boundary):
-                return abs_e > k
-            tot = silent1 + sent1 - 1.0
-            tx = boundary & (theta - sent1 / tot >= (1.0 - theta) - silent1 / tot)
-            sent1 += tx
-            silent1 += boundary ^ tx
-            return (abs_e > k) | tx
+            # a continuous state almost never reaches the boundary
+            if np.count_nonzero(boundary):
+                np.add(visits, boundary, visits)
+                room -= 1
+                if room < 0:
+                    lo = visits.min()
+                    np.subtract(visits, lo, visits)
+                    table = extend(table[lo:], int(visits.max()) + grow + 1)
+                    room = grow
+                table.take(visits, None, thr)
+            return U
 
         return steer
     # time_sharing: one threshold per transmission-delimited cycle, k for a_m
@@ -309,6 +350,10 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     E = np.zeros((c, n))
     d_acc = np.zeros((c, n))
     u_acc = np.zeros((c, n))
+    # the step loop's ufuncs, bound once; each writes its output in place
+    absolute, greater_equal, multiply, add, putmask = (
+        np.absolute, np.greater_equal, np.multiply, np.add, np.putmask)
+    scale = a != 1
     # the producer thread draws chunk i + 1 while this thread steps chunk i;
     # it alone reads inn_rng, one chunk at a time in chunk order, so the
     # draws are those of a serial run.  It fills buffers allocated here:
@@ -325,27 +370,27 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
             if c0 + m < T:
                 ahead = producer.submit(draw, inn_rng,
                                         out=np.empty((min(rows, T - c0 - m), 1, n)))
-            for j in range(m):
-                e_abs = abs_err[j]
-                U = sent[j]
-                innov = W[j]
-                np.abs(E, out=e_abs)
+            for t, e_abs, U, innov in zip(range(c0, c0 + m), abs_err[:m], sent[:m], W):
+                absolute(E, e_abs)
                 if compare:
-                    np.greater_equal(e_abs, thresholds, out=U)
+                    greater_equal(e_abs, thresholds, U)
                 for row, rule in rules:
-                    U[row] = rule(c0 + j, e_abs[row])
-                if a != 1:
-                    E *= a
-                E += innov
+                    U[row] = rule(t, e_abs[row])
+                if scale:
+                    multiply(E, a, E)
+                add(E, innov, E)
                 # a transmission resets the state to the innovation; putmask
                 # repeats innov over the c rows of E, as broadcasting would,
                 # and runs up to 3x faster than np.copyto(..., where=U)
-                np.putmask(E, U, innov)
+                putmask(E, U, innov)
             # with the next chunk in flight, two chunks of draws are held
             # while stepping, one while summing
             del W, innov
             d = distortion(abs_err[:m])
-            np.putmask(d, sent[:m], 0.0)
+            # zero the transmit steps; an infinite |e| there leaves inf * 0 =
+            # NaN, which the check below reports as it does an infinite sum
+            with np.errstate(invalid="ignore"):
+                np.multiply(d, ~sent[:m], out=d)
             # sums over time run row by row in step order, never through BLAS,
             # so the bits do not depend on the machine's BLAS kernels
             if weights is not None:

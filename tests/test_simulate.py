@@ -251,6 +251,44 @@ class TestSteering:
                 assert bool(U[i]) == bool(u), (t, i)
         assert sum(c[1] for c in counters) > 0 and sum(c[0] for c in counters) > 0
 
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.35, 0.5, 0.6899, 1.0])
+    def test_rule_matches_scalar_step_over_many_visits(self, theta, monkeypatch):
+        # one replication at |e| = k on every step: 1e5 boundary visits,
+        # read off a decision table regrown every 997 visits
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 997)
+        k, T = 3.0, 100_000
+        abs_e = np.full(1, k)
+        rule = simulate_module._transmit_rule(PolicySpec.steering(k, theta), 1, T, None)
+        got = np.array([rule(t, abs_e)[0] for t in range(T)])
+        counters, want = (0.0, 0.0), np.empty(T, dtype=bool)
+        for t in range(T):
+            want[t], counters = steering_policy_step(counters, k, k, theta)
+        assert np.array_equal(got, want)
+
+    def test_decision_table_spans_visit_counts_plus_a_chunk(self, monkeypatch):
+        # replications visit |e| = k at rates 0.3-0.5, so their visit counts
+        # drift apart; the table holds at most the widest span of the counts
+        # so far plus one chunk (8 visits), not the visits all have made
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 5 * 8)
+        k, theta, n, T = 2.0, 0.37, 5, 3000
+        rng = np.random.default_rng(4)
+        rates = np.array([0.3, 0.35, 0.4, 0.45, 0.5])
+        rule = simulate_module._transmit_rule(PolicySpec.steering(k, theta), n, T, None)
+        cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+        counters = [(0.0, 0.0)] * n
+        visits = np.zeros(n, dtype=np.int64)
+        span = 0
+        for t in range(T):
+            abs_e = np.where(rng.random(n) < rates, k, rng.choice([0.0, 1.0, 3.0], n))
+            U = rule(t, abs_e)
+            for i in range(n):
+                u, counters[i] = steering_policy_step(counters[i], abs_e[i], k, theta)
+                assert bool(U[i]) == bool(u), (t, i)
+            visits += abs_e == k
+            span = max(span, int(visits.max() - visits.min()))
+            assert len(cells["table"].cell_contents) <= span + 8 + 1, t
+        assert len(cells["table"].cell_contents) < visits.min()
+
     def test_long_run_boundary_frequency(self):
         for theta in (0.31, 0.6899):
             counters = (0.0, 0.0)
