@@ -13,11 +13,10 @@ order of the policies.  The fixed-threshold kinds (``threshold``,
 ``randomized_threshold``) are rows of one per-replication threshold array,
 compared in one call per step; every other kind has a rule
 ``rule(t, |e|) -> U``, called once per step, that writes its own row.
-The steering rule is a per-replication threshold too: the v-th boundary
-visit of every replication takes the same decision, so it reads each
-replication's next threshold off one shared table of decisions by visit
-count; a step compares against those thresholds and tests for the
-boundary, and only a step with a replication at |e| = k reads the table.
+Steering and time-sharing are per-replication thresholds too, one counted
+rule: a replication's v-th event (boundary visit, transmission) moves it to
+the v-th entry of one shared sequence (the visit's decision, the cycle's
+threshold), and only a step with an event reads that sequence's table.
 
 A run draws from two streams spawned from ``SeedSequence([seed,
 _STREAM_LAYOUT])``: the innovations, and the policy randomness (the
@@ -206,6 +205,42 @@ def _chunk_rows(n: int, T: int) -> int:
     return max(1, min(T, CHUNK_CELLS // n))
 
 
+def _counted_rule(decide, advances, n: int, T: int):
+    """Rule ``rule(t, abs_e) -> U`` over ``n`` replications run for ``T``
+    steps, in which a replication's v-th event moves it to the v-th
+    threshold of one sequence: ``decide(m)`` returns the sequence's next m
+    thresholds and ``advances(abs_e, U)`` flags the events of a step.
+
+    The table grows lazily, to a chunk of events past the furthest
+    replication, then drops the events all have passed (the counts are kept
+    relative to its first event): it spans the counts plus a chunk.
+    """
+    grow = _chunk_rows(n, T)
+    table = decide(1)
+    counts = np.zeros(n, dtype=np.int64)  # events, from the table's first
+    room = 0  # event steps left before a count can pass the table
+    thr = np.full(n, table[0])
+
+    def rule(t, abs_e):
+        nonlocal table, room
+        U = abs_e >= thr
+        event = advances(abs_e, U)
+        # a continuous state almost never reaches a steering boundary
+        if np.count_nonzero(event):
+            np.add(counts, event, counts)
+            room -= 1
+            if room < 0:
+                lo = counts.min()
+                np.subtract(counts, lo, counts)
+                table = table[lo:]
+                table = np.append(table, decide(int(counts.max()) + grow + 1 - len(table)))
+                room = grow
+            table.take(counts, None, thr)
+        return U
+
+    return rule
+
+
 def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator | None):
     """Transmit decisions ``rule(t, abs_e) -> U`` of a policy with no fixed
     threshold, over ``n`` replications run for ``T`` steps, called once per
@@ -213,9 +248,10 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
 
     ``rng`` is the policy stream: ``iid_random`` draws its per-step coins
     from it in chunks of the run's time-major layout; other kinds do not use
-    it.  The steering visit counts and decision table, the time-sharing
-    cycle position and the coin buffer live in the closure, so a rule serves
-    one run.
+    it.  Steering and time-sharing are one ``_counted_rule``: a replication's
+    v-th boundary visit or transmission moves it to the v-th visit decision
+    or cycle threshold of one shared sequence.  The counts, the tables and
+    the coin buffer live in the closures, so a rule serves one run.
     """
     kind = policy.kind
     k = policy.k
@@ -238,76 +274,40 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
         return coin
     if kind == "steering":
         # a replication's counters (silent, sent) change only at its own
-        # boundary visits, so its v-th visit takes the v-th decision of one
-        # sequence.  The table holds the threshold of each visit: k when it
-        # sends, the next float above k when it stays silent, so |e| >= thr
-        # is the whole rule.  It grows lazily, to a chunk of visits past the
-        # furthest replication, and then drops the visits every replication
-        # has passed (the counts are kept relative to the table's first
-        # visit), so it spans the replications' visit counts plus a chunk
-        # however long the run
+        # boundary visits; its v-th visit's threshold is k when it sends, the
+        # next float above k when it stays silent, so |e| >= thr is the rule
         theta, rest = policy.theta, 1.0 - policy.theta
         silent_thr = np.nextafter(k, np.inf)
-        grow = _chunk_rows(n, T)
-        silent = sent = 0.0  # the decisions made so far in the table
+        silent = sent = 0.0  # the decisions made so far
 
-        def extend(table, stop):
+        def steer(m):
             # at |e| = k, send if sending is the more under-served after this
             # decision (ties send); the counts are integers, so every sum is
             # exact, and each float operation is the one a per-replication
             # update would make
             nonlocal silent, sent
             sends = []
-            for _ in range(stop - len(table)):
-                silent1 = silent + 1.0
-                sent1 = sent + 1.0
+            for _ in range(m):
+                silent1, sent1 = silent + 1.0, sent + 1.0
                 tot = silent1 + sent1 - 1.0
-                if theta - sent1 / tot >= rest - silent1 / tot:
-                    sent = sent1
-                    sends.append(True)
-                else:
-                    silent = silent1
-                    sends.append(False)
-            return np.concatenate((table, np.where(sends, k, silent_thr)))
+                sends.append(theta - sent1 / tot >= rest - silent1 / tot)
+                silent, sent = (silent, sent1) if sends[-1] else (silent1, sent)
+            return np.where(sends, k, silent_thr)
 
-        table = extend(np.empty(0), 1)
-        visits = np.zeros(n, dtype=np.int64)  # boundary visits, from the table's first
-        room = 0  # boundary steps left before a count can pass the table
-        thr = np.full(n, table[0])
-
-        def steer(t, abs_e):
-            nonlocal table, room
-            U = abs_e >= thr
-            boundary = abs_e == k
-            # a continuous state almost never reaches the boundary
-            if np.count_nonzero(boundary):
-                np.add(visits, boundary, visits)
-                room -= 1
-                if room < 0:
-                    lo = visits.min()
-                    np.subtract(visits, lo, visits)
-                    table = extend(table[lo:], int(visits.max()) + grow + 1)
-                    room = grow
-                table.take(visits, None, thr)
-            return U
-
-        return steer
+        return _counted_rule(steer, lambda abs_e, U: abs_e == k, n, T)
     # time_sharing: one threshold per transmission-delimited cycle, k for a_m
     # cycles then k + 1 for b_m cycles; each transmission ends a cycle.  At
-    # most T cycles fit in T steps, so longer phases are cut there.
-    cycle_k = np.repeat([k, k + 1.0] * len(policy.schedule),
-                        np.minimum(np.ravel(policy.schedule), T))
-    cycles = len(cycle_k)
-    pos = np.zeros(n, dtype=np.int64)
+    # most T cycles fit in T steps, so longer phases are cut there, as Python ints
+    ends = np.cumsum([min(cycles, T) for phases in policy.schedule for cycles in phases])
+    made = 0  # the cycles decided so far
 
-    def share(t, abs_e):
-        nonlocal pos
-        U = abs_e >= cycle_k[pos]
-        pos += U
-        pos %= cycles
-        return U
+    def share(m):
+        nonlocal made
+        phase = np.searchsorted(ends, np.arange(made, made + m) % ends[-1], side="right")
+        made += m
+        return np.where(phase % 2, k + 1.0, k)
 
-    return share
+    return _counted_rule(share, lambda abs_e, U: U, n, T)
 
 
 def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, burn: int,

@@ -224,6 +224,18 @@ def steering_policy_step(counters, e, k, theta):
     return (1 if abs(e) > k else 0), (a0, a1)
 
 
+def time_sharing_step(cursor, e, k, phases):
+    """Scalar reference of the time-sharing rule, one step: the cursor (j,
+    used) is in phase j, whose cycles run threshold k (j even) or k + 1 (j
+    odd), after ``used`` of its ``phases[j]`` cycles; a transmission ends a
+    cycle, and a phase ends after its last cycle."""
+    j, used = cursor
+    while used == phases[j]:
+        j, used = (j + 1) % len(phases), 0
+    u = 1 if abs(e) >= k + j % 2 else 0
+    return u, (j, used + u)
+
+
 class TestSteering:
     def test_scalar_step_theta_one_always_transmits(self):
         counters = (0.0, 0.0)
@@ -426,10 +438,52 @@ class TestTimeSharing:
         assert abs(res.n_hat - ana.transmission_rate) <= 3.0 * res.n_se
 
     def test_phase_longer_than_horizon(self, bd_avg):
-        # a phase of more cycles than steps never ends within the run
+        # a phase of more cycles than steps never ends within the run, even
+        # one of more cycles than an int64 holds
         cfg = SimConfig(horizon=3000, replications=4, burn_in=100, seed=71)
-        res = simulate(bd_avg, PolicySpec.time_sharing(2, [(10**12, 1)]), cfg)
-        assert res == simulate(bd_avg, PolicySpec.threshold(2), cfg)
+        want = simulate(bd_avg, PolicySpec.threshold(2), cfg)
+        for cycles in (10**12, 10**19):
+            res = simulate(bd_avg, PolicySpec.time_sharing(2, [(cycles, 1)]), cfg)
+            assert res == want, cycles
+
+    @pytest.mark.parametrize("schedule", [
+        [(3, 2), (0, 1), (2, 0), (1, 4)],
+        [(0, 2), (1, 0), (5, 3)],
+        [(2, 1), (10**19, 3)],
+    ])
+    def test_vector_rule_matches_scalar_walk(self, schedule, monkeypatch):
+        # |e| in {0, ..., 4} transmits at k = 2 on 3/5 of the steps and at
+        # k + 1 on 2/5, so the replications' cycle counts drift apart; the
+        # cycle table is regrown and rebased every 8 transmitting steps
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 5 * 8)
+        k, n, T = 2.0, 5, 3000
+        abs_e = np.random.default_rng(11).integers(0, 5, size=(T, n)).astype(float)
+        policy = PolicySpec.time_sharing(k, schedule)
+        rule = simulate_module._transmit_rule(policy, n, T, None)
+        cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+        phases = [cycles for entry in schedule for cycles in entry]
+        cursors = [(0, 0)] * n
+        sent = np.zeros(n, dtype=np.int64)
+        for t in range(T):
+            U = rule(t, abs_e[t])
+            for i in range(n):
+                u, cursors[i] = time_sharing_step(cursors[i], abs_e[t, i], k, phases)
+                assert bool(U[i]) == bool(u), (t, i)
+            sent += U
+        assert len(cells["table"].cell_contents) < sent.min()
+
+    def test_memory_does_not_grow_with_schedule(self, bd_avg):
+        # 40 entries of 1e5 + 1e5 cycles: a table of every cycle of the
+        # schedule cut at the horizon would hold 8e6 floats (64 MB)
+        policy = PolicySpec.time_sharing(2, [(10**5, 10**5)] * 40)
+        cfg = SimConfig(horizon=10**5, replications=1, seed=3)
+        tracemalloc.start()
+        try:
+            simulate(bd_avg, policy, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDeterminism:
