@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericsError, UsageError
-from .model import ModelSpecA
+from .model import ModelSpecA, integer_at_least
 
 # the oracle's values are within half of this of the exact fixed point
 _TOL = 1e-10
@@ -165,11 +165,9 @@ def policy_evaluate_fixed_point(spec: ModelSpecA, k: int,
     """
     if spec.beta.is_average:
         raise UsageError("fixed-point evaluation requires beta < 1")
-    if not (k >= 0 and float(k).is_integer()):
-        raise UsageError(f"threshold must be a nonnegative integer, got {k}")
+    k = integer_at_least(k)
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tolerance must be positive and finite, got {tol}")
-    k = int(k)
     if k == 0:
         return 0.0, 1.0
     if 2 * k > MAX_FIXED_POINT_STATES:

@@ -25,7 +25,7 @@ from typing import Callable, Literal, Mapping
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import SingularSystemError, UsageError
 
 #: Largest K of the integer model's threshold table (one dense K x K system over
 #: the folded states 0..K-1, for every threshold k <= K).  Its two K x K arrays
@@ -59,6 +59,34 @@ _TAIL_ORDER = 64
 _SEARCH_BLOCK = 2**14
 
 
+def integer_at_least(value, least: float = 0, name: str = "threshold") -> int:
+    """``value`` as an int; raises ``UsageError`` unless it is an integer
+    >= ``least``.  Integral floats and numpy integers pass."""
+    if not (value >= least and float(value).is_integer()):
+        need = {0: "a nonnegative integer", -math.inf: "an integer"}.get(
+            least, f"an integer >= {least}")
+        raise UsageError(f"{name} must be {need}, got {value}")
+    return int(value)
+
+
+def m_matrix_certificate(anorm: float, m: np.ndarray, singular: str):
+    """rcond and column error bounds of A = I - beta T, T >= 0, from ``anorm``
+    = ||A||_inf and m = A^-1 1.  A Z-matrix with m > 0 is a nonsingular
+    M-matrix, so ||A^-1||_inf = max m (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, ch. 6) and rcond = 1 / (||A||_inf
+    max m) is exact.  Unless m is finite and positive and rcond >=
+    ``RCOND_FLOOR``, it raises ``SingularSystemError(singular.format(rcond=...))``.
+    The returned ``bound(r, v0)`` gives each column's max m ||r_j||_inf +
+    ``BOUND_ROUNDING`` |v0_j| from the residual columns r and the values v0 at
+    0; it is a separate call, so no arithmetic touches an uncertified solution."""
+    # a NaN fails m > 0, and an infinite max gives rcond 0
+    inverse_norm = float(m.max()) if np.all(m > 0.0) else math.inf
+    rcond = 1.0 / (anorm * inverse_norm)
+    if not rcond >= RCOND_FLOOR:
+        raise SingularSystemError(singular.format(rcond=rcond))
+    return rcond, lambda r, v0: inverse_norm * np.abs(r).max(axis=0) + BOUND_ROUNDING * np.abs(v0)
+
+
 class DiscountFactor(float):
     """Discount factor in (0, 1]; the value 1 selects the average-cost regime."""
 
@@ -81,18 +109,19 @@ class IntegerPmf:
     mass are dropped after the checks.  The constructor requires
     total stored mass >= 1 - 1e-10 and renormalizes; laws with countably
     infinite support must be truncated to that accuracy by the caller.  It
-    raises ``UsageError`` on asymmetry, on p_n < p_n+1 for some n >= 0 and
-    on a point mass at 0.
+    raises ``UsageError`` on a non-integer offset, a negative or non-finite
+    mass, asymmetry, p_n < p_n+1 for some n >= 0 and a point mass at 0.
     """
 
     items: tuple[tuple[int, float], ...]
 
     def __init__(self, probs: Mapping[int, float]):
-        cleaned = {int(n): float(p) for n, p in probs.items()}
+        cleaned = {integer_at_least(n, -math.inf, "pmf offset"): float(p)
+                   for n, p in probs.items()}
         if not cleaned:
             raise UsageError("pmf must have at least one offset")
-        if any(p < 0.0 for p in cleaned.values()):
-            raise UsageError("pmf probabilities must be nonnegative")
+        if not all(0.0 <= p < math.inf for p in cleaned.values()):
+            raise UsageError("pmf probabilities must be nonnegative and finite")
         total = sum(cleaned.values())
         if total < 1.0 - PMF_MASS_DEFICIT:
             raise UsageError(
@@ -334,9 +363,7 @@ class ModelSpecA:
     beta: DiscountFactor
 
     def __init__(self, a: int, pmf: IntegerPmf, distortion: DistortionFn, beta: float):
-        if not math.isfinite(a) or a != int(a):
-            raise UsageError(f"dynamics coefficient must be an integer, got {a}")
-        object.__setattr__(self, "a", int(a))
+        object.__setattr__(self, "a", integer_at_least(a, -math.inf, "dynamics coefficient"))
         object.__setattr__(self, "pmf", pmf)
         object.__setattr__(self, "distortion", distortion)
         object.__setattr__(self, "beta", DiscountFactor(beta))
@@ -403,8 +430,7 @@ class RandomizedThresholdPolicy:
     def __post_init__(self):
         if not 0.0 <= self.theta_star <= 1.0:
             raise UsageError(f"theta_star must lie in [0, 1], got {self.theta_star}")
-        if self.k_star < 0:
-            raise UsageError(f"k_star must be nonnegative, got {self.k_star}")
+        integer_at_least(self.k_star, 0, "k_star")
 
 
 @dataclass(frozen=True)

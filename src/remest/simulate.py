@@ -51,7 +51,7 @@ import numpy as np
 
 from . import solver_a
 from .errors import DivergenceError, NumericsError, UsageError
-from .model import ModelSpecA, ModelSpecB, count
+from .model import ModelSpecA, ModelSpecB, count, integer_at_least
 
 # cap on the per-step draws (innovations, iid coins) of one policy's run: it
 # bounds the run's length, not its memory, since only the chunk being stepped
@@ -133,16 +133,12 @@ class PolicySpec:
     @classmethod
     def periodic_one_in(cls, period: int) -> "PolicySpec":
         """Transmit once, then stay silent for period - 1 steps."""
-        if period < 1:
-            raise UsageError(f"period must be >= 1, got {period}")
-        return cls.periodic((1,) + (0,) * (period - 1))
+        return cls.periodic((1,) + (0,) * (integer_at_least(period, 1, "period") - 1))
 
     @classmethod
     def periodic_all_but_one(cls, period: int) -> "PolicySpec":
         """Stay silent one step, then transmit for period - 1 steps."""
-        if period < 2:
-            raise UsageError(f"period must be >= 2, got {period}")
-        return cls.periodic((0,) + (1,) * (period - 1))
+        return cls.periodic((0,) + (1,) * (integer_at_least(period, 2, "period") - 1))
 
     @classmethod
     def iid_random(cls, alpha: float) -> "PolicySpec":
@@ -169,7 +165,8 @@ class SimConfig:
     ``seed`` seeds one innovation stream and one policy stream for the whole
     run; each is drawn in time-major chunks of about ``CHUNK_CELLS`` draws,
     so the results do not depend on the chunk size.  A block of policies
-    run on one config shares its innovations.
+    run on one config shares its innovations.  A field that is not an
+    integer raises ``UsageError``; an integral float is stored as an int.
     """
 
     horizon: int = 100_000
@@ -178,12 +175,10 @@ class SimConfig:
     burn_in: int = 1000
 
     def __post_init__(self):
-        if self.horizon < 1 or self.replications < 1:
-            raise UsageError("horizon and replications must be >= 1")
-        if self.burn_in < 0 or self.burn_in >= self.horizon:
+        for name, least in (("horizon", 1), ("replications", 1), ("seed", 0), ("burn_in", 0)):
+            object.__setattr__(self, name, integer_at_least(getattr(self, name), least, name))
+        if self.burn_in >= self.horizon:
             raise UsageError("burn-in must satisfy 0 <= burn_in < horizon")
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -478,9 +473,8 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
         if never and abs(spec.a) > 1:
             raise NumericsError("never-transmit simulation with |a| > 1: the state grows "
                                 "geometrically")
-        if (isinstance(spec, ModelSpecA) and policy.k is not None
-                and not math.isinf(policy.k) and policy.k != int(policy.k)):
-            raise UsageError("integer-state thresholds must be integers")
+        if isinstance(spec, ModelSpecA) and policy.k not in (None, math.inf):
+            integer_at_least(policy.k)
 
     beta = spec.beta
     if beta.is_average:
@@ -524,6 +518,8 @@ def state_blind_distortion(policy: PolicySpec, sigma: float) -> float:
     ``iid_random``  tau is geometric: E[tau] = 1/alpha, E[tau^2] = (2 - alpha)/alpha^2
     ``periodic``    tau runs over the gaps between the sends of one period
     """
+    if not 0.0 < sigma < math.inf:
+        raise UsageError(f"sigma must be positive and finite, got {sigma}")
     if policy.kind == "iid_random":
         alpha = policy.alpha
         tau_mean, tau_m2 = 1.0 / alpha, (2.0 - alpha) / alpha ** 2
@@ -576,11 +572,9 @@ def steering_visit_probability(
         raise UsageError(f"theta_star must lie in [0, 1], got {theta_star}")
     if not spec.beta.is_average:
         raise UsageError("steering visit probabilities require beta = 1")
-    if not (k_star >= 0 and float(k_star).is_integer()):
-        raise UsageError(f"threshold must be a nonnegative integer, got {k_star}")
+    k = integer_at_least(k_star)
     if theta_star in (0.0, 1.0):
         return theta_star
-    k = int(k_star)
     if spec.a == 0 or k == 0:
         w_lo = w_hi = spec.pmf.values[np.abs(spec.pmf.offsets) == k].sum()
     else:

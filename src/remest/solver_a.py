@@ -55,13 +55,10 @@ from .errors import (
     CapacityError,
     DivergenceError,
     NumericsError,
-    SingularSystemError,
     UsageError,
 )
 from .model import (
-    BOUND_ROUNDING,
     MAX_SILENT_DIM,
-    RCOND_FLOOR,
     CostlyResult,
     CurvePoint,
     DiscountFactor,
@@ -72,6 +69,8 @@ from .model import (
     RandomizedThresholdPolicy,
     TradeoffCurve,
     count,
+    integer_at_least,
+    m_matrix_certificate,
 )
 
 #: Corners with distortion increments below this are skipped as duplicates.
@@ -114,8 +113,6 @@ class ThresholdTable:
 def _landings(spec: ModelSpecA, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(state, |a state + w|, p(w)) for every folded state below ``dim`` and
     every offset w of the pmf, flattened."""
-    if dim < 1:
-        raise UsageError(f"silent system needs k >= 1, got {dim}")
     if dim > MAX_SILENT_DIM:
         raise CapacityError(f"silent system dimension {dim} exceeds cap {MAX_SILENT_DIM}")
     states = np.arange(dim)
@@ -127,6 +124,7 @@ def _landings(spec: ModelSpecA, dim: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def folded_transition(spec: ModelSpecA, dim: int) -> np.ndarray:
     """Folded silent-set transition ``T[i, j] = p(j - a i) + [j > 0] p(-j - a i)``
     over the states 0..dim-1; row i is missing the mass that escapes."""
+    dim = integer_at_least(dim, 1, "silent system dimension")
     rows, land, mass = _landings(spec, dim)
     inside = land < dim
     T = np.zeros((dim, dim))
@@ -139,16 +137,18 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     one factorization.
 
     (A W)^T, with W a tie-breaking column scaling, is factored once by LAPACK
-    with partial pivoting.  A row swap raises ``NumericsError``; a
-    non-positive pivot or rcond below the floor ``SingularSystemError``; a
-    residual of the K system, solved from the same factors, above
-    1e-10 (1 + ||x||) ``NumericsError``.  Past ``MAX_SILENT_DIM`` it raises
-    ``CapacityError`` before allocating anything.  The K system's relative
-    error bound (max M_K ||r_j||_inf + 4 ulps |x_j(0)|) / max(1, |x_j(0)|),
-    the largest over its columns (L, M, U), goes to ``error_bound`` in the
-    diagnostics record.
+    with partial pivoting, and the K system is solved from the same factors.
+    Its M column, m = A^-1 1, goes to ``model.m_matrix_certificate``, which
+    raises ``SingularSystemError`` unless A is a nonsingular M-matrix; then
+    a row swap, or a residual above 1e-10 (1 + ||x||), raises
+    ``NumericsError``.  K not an integer >= 1 raises ``UsageError``, and K
+    past ``MAX_SILENT_DIM`` ``CapacityError`` before anything is allocated.
+    The K system's relative error bound, the certificate's column bound over
+    max(1, |x_j(0)|), the largest over its columns (L, M, U), goes to
+    ``error_bound`` in the diagnostics record.
     """
     beta = spec.beta
+    K = integer_at_least(K, 1, "silent system dimension")
     rows, land, mass = _landings(spec, K)
     # right-hand sides [d, 1, R]: column 2 + c holds the mass that lands
     # beyond c, summed from the tail (rows below c are never read)
@@ -168,31 +168,20 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     # towards the diagonal, and w_0 = 1 leaves z unchanged
     w = _TIE_BREAK ** np.arange(K)
     A = folded_transition(spec, K)
+    # ||A||_inf, A unscaled: its off-diagonal entries are <= 0
+    anorm = float(np.max(1.0 + beta * (A.sum(axis=1) - 2.0 * A.diagonal())))
     A *= -beta
     A *= w
     A.flat[:: K + 1] += w
-    # ||(A W)^T||_1: the off-diagonal entries of A W are <= 0
-    anorm = float(np.max(2.0 * A.diagonal() - A.sum(axis=1)))
     # imported here, not at module top: scipy.linalg is half of the CLI's start-up
     import scipy.linalg
     from scipy.linalg import lapack
 
     with warnings.catch_warnings():
-        # the rcond guard below turns exact singularity into a typed error
+        # the certificate below turns exact singularity into a typed error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A.T, overwrite_a=True)
     del A
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or rcond < RCOND_FLOOR:
-        raise SingularSystemError(
-            f"silent system singular at beta={float(beta)} (rcond={rcond:.2e}); "
-            "the chain cannot escape the silent set"
-        )
-    if np.any(piv != np.arange(K)):
-        raise NumericsError(f"elimination on the silent system swapped rows (K={K})")
-    pivots = lu.diagonal()
-    if not np.all(np.isfinite(pivots) & (pivots > 0.0)):
-        raise SingularSystemError(f"silent system has a non-positive pivot (K={K})")
 
     cells = (3 * rows[:, None] + np.arange(3)).ravel()
 
@@ -205,13 +194,16 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
         return w[:, None] * lapack.dgetrs(lu, piv, rhs, trans=1)[0]
 
     x = solve(b)
+    _, column_bound = m_matrix_certificate(
+        anorm, x[:, 1], f"silent system singular at beta={float(beta)} (rcond={{rcond:.2e}}); "
+        "the chain cannot escape the silent set")
+    if np.any(piv != np.arange(K)):
+        raise NumericsError(f"elimination on the silent system swapped rows (K={K})")
     r = residual(x)
     resid = np.linalg.norm(r, axis=0)
     if np.any(resid > 1e-10 * (1.0 + np.linalg.norm(x, axis=0))):
         raise NumericsError(f"linear solve residual {resid.max():.2e} too large")
-    # T >= 0, so ||(I - beta T)^-1||_inf is the largest row sum, max M_K
-    x0 = np.abs(x[0])
-    bound = (x[:, 1].max() * np.abs(r).max(axis=0) + BOUND_ROUNDING * x0) / np.maximum(1.0, x0)
+    bound = column_bound(r, x[0]) / np.maximum(1.0, np.abs(x[0]))
 
     # A = Up^T Lo^T W^-1 for W A^T = Lo Up: z = Lo^-1 W e_0 = Lo^-1 e_0, and
     # B becomes Up^-T B
@@ -219,6 +211,8 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     e0[0] = 1.0
     z = lapack.dtrtrs(lu, e0, lower=1, unitdiag=1)[0]
     B = lapack.dtrtrs(lu, B, trans=1, overwrite_b=1)[0]
+    # Up^-1 is triangular, so the last entry of x_{k+1} is z_k / u_kk
+    visit_edge = z / lu.diagonal()
     del lu
     zg, zh = z * B[:, 0], z * B[:, 1]
     L = np.concatenate(([0.0], np.cumsum(zg)))
@@ -232,10 +226,9 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     count(factorizations=1, largest_system=K, error_bound=float(bound.max()))
     # x_k^T = Up_k^-1 z[:k].  Row k of W A^T left of the diagonal is
     # -beta w_k T[:k, k]^T = Lo[k, :k] Up_k, and (Lo z)_k = 0, so
-    # beta x_k T[:k, k] = -Lo[k, :k] z[:k] / w_k = z_k / w_k; Up^-1 is
-    # triangular, so the last entry of x_{k+1} is z_k / u_kk
+    # beta x_k T[:k, k] = -Lo[k, :k] z[:k] / w_k = z_k / w_k
     return ThresholdTable(L=L, M=M, D=D, N=N, dD=dD,
-                          land_edge=z / w, visit_edge=z / pivots)
+                          land_edge=z / w, visit_edge=visit_edge)
 
 
 def _never_transmit_distortion(spec: ModelSpecA) -> float:
@@ -284,17 +277,16 @@ def _never_transmit_distortion(spec: ModelSpecA) -> float:
 def performance(spec: ModelSpecA, k: float) -> PerfPoint:
     """Exact (D, N) of the threshold-k policy.
 
-    ``k = 0`` always transmits, ``k = math.inf`` never does.
+    ``k = 0`` always transmits, ``k = math.inf`` never does; any other k
+    that is not a nonnegative integer raises ``UsageError``.
     """
-    if k == 0:
-        D, N = 0.0, 1.0
-    elif math.isinf(k):
+    if k == math.inf:
         N = 0.0
         D = _never_transmit_distortion(spec)
+    elif integer_at_least(k) == 0:
+        D, N = 0.0, 1.0
     else:
-        if k != int(k) or k < 0:
-            raise UsageError(f"integer-state thresholds must be integers, got {k}")
-        table = threshold_table(spec, int(k))
+        table = threshold_table(spec, k)
         D, N = float(table.D[-1]), float(table.N[-1])
     return PerfPoint(distortion=D, transmission_rate=N)
 
@@ -327,9 +319,7 @@ def table_corners(table: ThresholdTable) -> list[tuple[int, float]]:
 def corner_lambdas(spec: ModelSpecA, k_max: int) -> list[tuple[int, float]]:
     """Enumerate the corner prices of the thresholds 0..k_max (see
     :func:`table_corners`), from one table of k_max + 1 thresholds."""
-    if k_max < 1:
-        raise UsageError(f"k_max must be >= 1, got {k_max}")
-    return table_corners(threshold_table(spec, k_max + 1))
+    return table_corners(threshold_table(spec, integer_at_least(k_max, 1, "k_max") + 1))
 
 
 def optimal_costly(spec: ModelSpecA, lam: float) -> CostlyResult:
@@ -400,8 +390,7 @@ def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int) -> TradeoffCurve:
     from one table of k_max + 1 thresholds."""
     if kind not in ("costly", "constrained"):
         raise UsageError(f"unknown curve kind {kind!r}")
-    if k_max < 1:
-        raise UsageError(f"k_max must be >= 1, got {k_max}")
+    k_max = integer_at_least(k_max, 1, "k_max")
     table = threshold_table(spec, k_max + 1)
     D, N = table.D, table.N
     if kind == "costly":
@@ -433,16 +422,15 @@ def _m_param(p: float, beta: float) -> float:
     return math.acosh(1.0 + (1.0 - beta) / (2.0 * beta * p))
 
 
-def _check_bd_args(p: float, k: int) -> None:
+def _check_bd_args(p: float, k: int) -> int:
     if not 0.0 < p < 1.0 / 3.0:
         raise UsageError(f"birth-death closed forms need p in (0, 1/3), got {p}")
-    if k < 1:
-        raise UsageError(f"threshold must be >= 1, got {k}")
+    return integer_at_least(k, 1)
 
 
 def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
     """Closed-form (D, N) of the threshold-k policy on the birth-death instance."""
-    _check_bd_args(p, k)
+    k = _check_bd_args(p, k)
     beta = DiscountFactor(beta)
     if beta.is_average:
         D = (k * k - 1.0) / (3.0 * k)
@@ -464,14 +452,14 @@ def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
 
 def bd_corner_lambda_avg(p: float, k: int) -> float:
     """Average-cost corner price of the birth-death instance, in closed form."""
-    _check_bd_args(p, k)
+    k = _check_bd_args(p, k)
     return k * (k + 1.0) * (k * k + k + 1.0) / (6.0 * p * (2.0 * k + 1.0))
 
 
 def bd_q_entry(p: float, beta: float, k: int, i: int, j: int) -> float:
     """Entry (i, j) of the inverse silent-system matrix for the birth-death
     instance, via the closed-form inverse of the symmetric tridiagonal matrix."""
-    _check_bd_args(p, k)
+    k = _check_bd_args(p, k)
     if not (-(k - 1) <= i <= k - 1 and -(k - 1) <= j <= k - 1):
         raise UsageError(f"indices must lie in the silent set of k={k}")
     beta = DiscountFactor(beta)

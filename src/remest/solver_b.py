@@ -35,12 +35,9 @@ from .errors import (
     BracketError,
     ConvergenceError,
     NumericsError,
-    SingularSystemError,
     UsageError,
 )
 from .model import (
-    BOUND_ROUNDING,
-    RCOND_FLOOR,
     CostlyResult,
     DiscountFactor,
     DistortionFn,
@@ -48,6 +45,7 @@ from .model import (
     PerfPoint,
     SmoothPdf,
     count,
+    m_matrix_certificate,
 )
 
 _DEFAULT_TOL = 1e-10
@@ -132,14 +130,14 @@ def fredholm_solve(
     nonnegative.  A rung of order n evaluates the kernel once, at the n
     nodes, the 2n + 1 nodes of a finer rule, 0 and k against both rules'
     nodes, and solves A = I - beta K W once for every right-hand side and a
-    column of ones.  A is then an M-matrix exactly when h = A^-1 1 > 0, and
-    ||A^-1||_inf = max h gives the rcond; below RCOND_FLOOR, or if h is not
-    positive, it raises ``SingularSystemError``.  With ||(I - beta K)^-1||_inf
-    = sup M, the residual r of the Nystrom extension at the fine nodes, 0 and
-    k, against the fine rule, bounds each column's error by max h ||r||_inf,
-    plus a few rounding units of |v(0)| (Atkinson, 1997, ch. 4).  The order
-    doubles from 33 until every bound is within ``tolerance`` (relative above
-    |v(0)| = 1); a bound that does not fall, or a miss at _MAX_ORDER, raises
+    column of ones, h = A^-1 1: ``model.m_matrix_certificate`` reads the
+    rcond off h and raises ``SingularSystemError`` unless A is a nonsingular
+    M-matrix.  With ||(I - beta K)^-1||_inf = sup M, the residual r of the
+    Nystrom extension at the fine nodes, 0 and k, against the fine rule,
+    bounds each column's error by its max h ||r||_inf plus a few rounding
+    units of |v(0)| (Atkinson, 1997, ch. 4).  The order doubles from 33
+    until every bound is within ``tolerance`` (relative above |v(0)| = 1); a
+    bound that does not fall, or a miss at _MAX_ORDER, raises
     ``ConvergenceError``.
     """
     if not 0.0 < k < math.inf:
@@ -176,13 +174,9 @@ def fredholm_solve(
         except np.linalg.LinAlgError:
             X = np.zeros((order, R.shape[1] + 1))  # an exact zero pivot: fails the check below
         count(factorizations=1, largest_system=order)
-        h = X[:, -1]
-        rcond = 1.0 / (anorm * float(h.max())) if np.all(np.isfinite(h) & (h > 0.0)) else 0.0
-        if rcond < RCOND_FLOOR:
-            raise SingularSystemError(
-                f"discretized silent-set system is singular (rcond={rcond:.2e}); "
-                "escape mass vanishes"
-            )
+        rcond, column_bound = m_matrix_certificate(
+            anorm, X[:, -1],
+            "discretized silent-set system is singular (rcond={rcond:.2e}); escape mass vanishes")
         values = X[:, :-1]
         # the Nystrom extension at the fine nodes, 0 and k, and its residual
         # there: the n-node quadrature less the fine one
@@ -190,7 +184,7 @@ def fredholm_solve(
         ext = R[order:] + quad
         resid = quad - KW[order:, order:] @ ext[:-2]
         v0 = np.abs(ext[-2])
-        bound = float(h.max()) * np.abs(resid).max(axis=0) + BOUND_ROUNDING * v0
+        bound = column_bound(resid, ext[-2])
         worst = float(np.max(bound / np.maximum(1.0, v0)))
         if worst <= tolerance:
             count(error_bound=worst)

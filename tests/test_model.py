@@ -18,8 +18,9 @@ from remest import (
     TradeoffCurve,
     UsageError,
 )
-from remest import model, solver_a
+from remest import SingularSystemError, dp, model, solver_a
 from remest.model import Diagnostics, collect, count, spec_digest
+from remest.simulate import PolicySpec, SimConfig, simulate, steering_visit_probability
 from conftest import random_valid_pmf
 
 
@@ -69,6 +70,15 @@ class TestIntegerPmf:
     def test_negative_mass_rejected(self):
         with pytest.raises(UsageError):
             IntegerPmf({-1: 0.6, 0: -0.2, 1: 0.6})
+
+    @pytest.mark.parametrize("probs", [
+        {1.9: 0.25, -1.9: 0.25, 0: 0.5},  # int() made this a +-1 law
+        {-1: math.nan, 0: 0.5, 1: math.nan},
+        {-1: math.inf, 0: 0.5, 1: math.inf},
+    ])
+    def test_fractional_offset_and_nonfinite_mass_rejected(self, probs):
+        with pytest.raises(UsageError):
+            IntegerPmf(probs)
 
     def test_unimodality_gap_flagged(self):
         # a missing offset has mass 0, from n = 0 on, and so does a zero entry
@@ -324,3 +334,64 @@ def test_model_b_describe_tabulated():
         "model": "B", "a": 0.5, "pdf": {"kind": "tabulated", "support_halfwidth": 2.0},
         "distortion": "quadratic", "beta": 0.9,
     }
+
+
+# every entry point that takes an integer threshold or size; each reads it
+# through model.integer_at_least
+_DISCOUNTED, _AVERAGE = solver_a.bd_spec(0.3, 0.9), solver_a.bd_spec(0.3, 1.0)
+_INTEGER_ENTRY_POINTS = {
+    "threshold_table": lambda k: solver_a.threshold_table(_DISCOUNTED, k),
+    "performance": lambda k: solver_a.performance(_DISCOUNTED, k),
+    "corner_lambdas": lambda k: solver_a.corner_lambdas(_DISCOUNTED, k),
+    "tradeoff_curve": lambda k: solver_a.tradeoff_curve(_DISCOUNTED, "constrained", k),
+    "bd_closed_form": lambda k: solver_a.bd_closed_form(0.3, 0.9, k),
+    "policy_evaluate_fixed_point": lambda k: dp.policy_evaluate_fixed_point(_DISCOUNTED, k),
+    "steering_visit_probability": lambda k: steering_visit_probability(_AVERAGE, k, 0.5),
+    "simulate_policies": lambda k: simulate(
+        _AVERAGE, PolicySpec.threshold(k), SimConfig(horizon=50, replications=2, burn_in=5)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1, 2.5])
+def test_integer_entry_points_reject_non_integers(entry, bad):
+    with pytest.raises(UsageError):
+        _INTEGER_ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+def test_integer_entry_points_accept_integral_values(entry):
+    call = _INTEGER_ENTRY_POINTS[entry]
+    assert repr(call(3.0)) == repr(call(np.int64(3))) == repr(call(3))
+
+
+def test_only_plus_infinity_never_transmits():
+    assert solver_a.performance(_DISCOUNTED, math.inf).transmission_rate == 0.0
+
+
+class TestMMatrixCertificate:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rcond_matches_dense_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        T = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        # each row keeps a share of its mass below 1, some rows all of it
+        T /= np.maximum(T.sum(axis=1, keepdims=True), 1e-300) / rng.uniform(0.5, 1.0, (n, 1))
+        A = np.eye(n) - rng.uniform(0.5, 1.0) * T
+        anorm = np.linalg.norm(A, np.inf)
+        m = np.linalg.solve(A, np.ones(n))
+        rcond, bound = model.m_matrix_certificate(anorm, m, "singular (rcond={rcond:.2e})")
+        want = 1.0 / (anorm * np.linalg.norm(np.linalg.inv(A), np.inf))
+        assert rcond == pytest.approx(want, rel=1e-12)
+        r, v0 = rng.normal(size=(n, 3)), rng.normal(size=3)
+        assert np.array_equal(bound(r, v0), m.max() * np.abs(r).max(axis=0)
+                              + model.BOUND_ROUNDING * np.abs(v0))
+
+    @pytest.mark.parametrize("anorm, m", [
+        (1.0, [1.0, -0.5, 2.0]), (1.0, [1.0, 0.0, 2.0]), (1.0, [1.0, math.nan, 2.0]),
+        (1.0, [1.0, math.inf, 2.0]), (1.0, [1.0, 1e14, 2.0]),
+        (0.0, [0.0, 0.0]),  # A = 0: rcond 0 * inf is NaN
+    ])
+    def test_uncertified_column_raises(self, anorm, m):
+        with pytest.raises(SingularSystemError, match=r"singular \(rcond="):
+            model.m_matrix_certificate(anorm, np.array(m), "singular (rcond={rcond:.2e})")

@@ -56,6 +56,26 @@ class TestPolicySpec:
         with pytest.raises(UsageError):
             SimConfig(horizon=100, burn_in=100)
 
+    @pytest.mark.parametrize("field", [{"seed": 1.5}, {"replications": 2.5},
+                                       {"horizon": 2000.5}, {"burn_in": 10.5}])
+    def test_fractional_config_rejected(self, field):
+        # each used to die inside the run with a raw TypeError
+        with pytest.raises(UsageError):
+            SimConfig(**field)
+
+    def test_integral_config_stored_as_int(self, bd_avg):
+        config = SimConfig(horizon=200.0, replications=np.int64(2), seed=3.0, burn_in=10.0)
+        assert all(type(v) is int for v in vars(config).values())
+        assert simulate(bd_avg, PolicySpec.threshold(2), config) == simulate(
+            bd_avg, PolicySpec.threshold(2), SimConfig(horizon=200, replications=2, seed=3,
+                                                       burn_in=10))
+
+    @pytest.mark.parametrize("build", [PolicySpec.periodic_one_in,
+                                       PolicySpec.periodic_all_but_one])
+    def test_fractional_period_rejected(self, build):
+        with pytest.raises(UsageError):
+            build(2.5)
+
 
 class TestThresholdPolicies:
     def test_always_transmit_exact(self, bd_avg):
@@ -202,6 +222,12 @@ class TestStateBlindBaselines:
                        PolicySpec.steering(1, 0.5)):
             with pytest.raises(UsageError):
                 state_blind_distortion(policy, 1.0)
+
+    @pytest.mark.parametrize("sigma", [-2.0, 0.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        # -2.0 gave the distortion of sigma = 2, and NaN a NaN
+        with pytest.raises(UsageError, match="sigma"):
+            state_blind_distortion(PolicySpec.iid_random(0.5), sigma)
 
     def test_stopping_time_formula(self):
         # geometric stopping with success probability alpha: 1/alpha - 1
