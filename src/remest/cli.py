@@ -10,7 +10,8 @@ quoting, LF line endings); JSON additionally carries the command echo and
 metadata.  Numeric cells are written with 17 significant digits.  Every JSON
 record carries the command's ``Diagnostics`` work counters under
 ``metadata.diagnostics``.  Flags can be kept in a file and pulled in with
-``@file``.
+``@file``.  The parser is built on the first ``main`` call and reused after
+that, so the ``--suite`` choices are read from ``validation.SUITES`` once.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 validation
 failure.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -134,6 +136,7 @@ def _parse_floats(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="remest", fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="cmd", required=True)

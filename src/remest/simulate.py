@@ -128,7 +128,8 @@ class PolicySpec:
 
     @classmethod
     def periodic(cls, pattern: Sequence[int]) -> "PolicySpec":
-        return cls(kind="periodic", pattern=tuple(int(u) for u in pattern))
+        return cls(kind="periodic", pattern=tuple(
+            integer_at_least(u, -math.inf, "pattern entry") for u in pattern))
 
     @classmethod
     def periodic_one_in(cls, period: int) -> "PolicySpec":
@@ -152,8 +153,10 @@ class PolicySpec:
     def time_sharing(
         cls, k: float, schedule: Sequence[tuple[int, int]]
     ) -> "PolicySpec":
+        def entry(n):
+            return integer_at_least(n, -math.inf, "schedule entry")
         return cls(kind="time_sharing", k=float(k),
-                   schedule=tuple((int(a), int(b)) for a, b in schedule))
+                   schedule=tuple((entry(a), entry(b)) for a, b in schedule))
 
 
 @dataclass(frozen=True)

@@ -572,13 +572,55 @@ class TestValidateCommand:
 
 class TestFlagsFromFile:
     def test_at_file_indirection(self, tmp_path, capsys):
+        # the parser is reused across calls, but the file is read on each
         flags = tmp_path / "flags.txt"
-        flags.write_text("\n".join([
-            "table", "--p", "0.3", "--betas", "1.0", "--k-max", "2",
-        ]))
-        code, out, _ = run_cli([f"@{flags}"], capsys)
-        assert code == 0
-        assert parse_csv(out)[0]["k"] == "0"
+        row_counts = []
+        for k_max in ("2", "3"):
+            flags.write_text("\n".join([
+                "table", "--p", "0.3", "--betas", "1.0", "--k-max", k_max,
+            ]))
+            code, out, _ = run_cli([f"@{flags}"], capsys)
+            assert code == 0
+            assert parse_csv(out)[0]["k"] == "0"
+            row_counts.append(len(parse_csv(out)))
+        assert row_counts == [3, 4]
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process, so no call may see
+    what an earlier one parsed."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_defaults_do_not_leak(self, capsys):
+        line = ["simulate", "--model", "A", "--p", "0.3", "--policy", "threshold", "--k", "2",
+                "--reps", "2", "--horizon", "200", "--burn-in", "10", "--format", "json"]
+        seeds = []
+        for argv in (line + ["--seed", "7"], line):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            seeds.append(json.loads(out)["metadata"]["seed"])
+        assert seeds == [7, 0]
+
+    def test_values_do_not_leak(self, capsys):
+        spec = ["solve", "--model", "A", "--p", "0.3"]
+        assert run_cli(spec + ["--problem", "costly", "--lambda", "1"], capsys)[0] == 0
+        code, _, err = run_cli(spec + ["--problem", "constrained"], capsys)
+        assert (code, err) == (1, "usage error: --alpha is required for the constrained problem\n")
+        assert run_cli(spec + ["--problem", "constrained", "--alpha", "0.2"], capsys)[0] == 0
+        code, _, err = run_cli(spec + ["--problem", "costly"], capsys)
+        assert (code, err) == (1, "usage error: --lambda is required for the costly problem\n")
+
+    def test_usage_error_then_command_matches_fresh_process(self, capsys):
+        argv = ["table", "--p", "0.27", "--betas", "0.93", "--k-max", "3", "--format", "json"]
+        env = {**os.environ, "PYTHONPATH": str(Path(remest.__file__).parents[1])}
+        fresh = subprocess.run([sys.executable, "-m", "remest.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        code, _, err = run_cli(["table", "--p", "0.27", "--k-max", "x"], capsys)
+        assert code == 1 and err.startswith("usage error: ")
+        assert run_cli(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 0
 
 
 def _heavy_scipy_modules_loaded_after(script: str) -> list[str]:

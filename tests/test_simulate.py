@@ -76,6 +76,27 @@ class TestPolicySpec:
         with pytest.raises(UsageError):
             build(2.5)
 
+    @pytest.mark.parametrize("pattern", [[1.7, 0.2], [1, 0.5], [1, math.nan], [math.inf, 0]])
+    def test_fractional_pattern_rejected(self, pattern):
+        # [1.7, 0.2] used to be truncated to (1, 0)
+        with pytest.raises(UsageError, match="pattern entry must be an integer"):
+            PolicySpec.periodic(pattern)
+
+    @pytest.mark.parametrize("schedule", [[(2.5, 1.9)], [(2, 3), (1, 0.5)], [(math.nan, 1)],
+                                          [(1, math.inf)]])
+    def test_fractional_schedule_rejected(self, schedule):
+        # [(2.5, 1.9)] used to be truncated to ((2, 1),)
+        with pytest.raises(UsageError, match="schedule entry must be an integer"):
+            PolicySpec.time_sharing(2, schedule)
+
+    def test_integral_pattern_and_schedule_stored_as_int(self):
+        periodic = PolicySpec.periodic([1.0, np.int64(0), 0])
+        assert periodic == PolicySpec.periodic([1, 0, 0])
+        assert all(type(u) is int for u in periodic.pattern)
+        sharing = PolicySpec.time_sharing(2, [(np.int64(2), 3.0), (1, 0)])
+        assert sharing == PolicySpec.time_sharing(2, [(2, 3), (1, 0)])
+        assert all(type(n) is int for entry in sharing.schedule for n in entry)
+
 
 class TestThresholdPolicies:
     def test_always_transmit_exact(self, bd_avg):
