@@ -30,18 +30,21 @@ from dataclasses import asdict, dataclass, field
 from . import solver_a, solver_b, validation
 from .errors import NumericsError, UsageError
 from .model import (
-    CurvePoint,
     DistortionFn,
     ModelSpecA,
     ModelSpecB,
     SmoothPdf,
-    TradeoffCurve,
     collect,
     spec_digest,
 )
 from .simulate import PolicySpec, SimConfig, simulate as run_simulation
 
 SCHEMA_VERSION = "1"
+
+# the simulator's policy kind of each --policy choice
+POLICY_KINDS = {"threshold": "threshold", "randomized": "randomized_threshold",
+                "periodic": "periodic", "iid": "iid_random", "steering": "steering",
+                "timesharing": "time_sharing"}
 
 
 @dataclass
@@ -168,8 +171,7 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo policy evaluation")
     _add_spec_flags(p_sim)
-    p_sim.add_argument("--policy", required=True, choices=(
-        "threshold", "randomized", "periodic", "iid", "steering", "timesharing"))
+    p_sim.add_argument("--policy", required=True, choices=POLICY_KINDS)
     p_sim.add_argument("--k", type=str, default=None, help="threshold (inf allowed)")
     p_sim.add_argument("--theta", type=float, default=None)
     p_sim.add_argument("--pattern", type=str, default=None,
@@ -219,28 +221,21 @@ def cmd_curve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "kind": args.kind}
     if args.model == "A":
-        curve = solver_a.tradeoff_curve(spec, args.kind, args.k_max)
+        points = [(p.abscissa, p.threshold, p.ordinate)
+                  for p in solver_a.tradeoff_curve(spec, args.kind, args.k_max).points]
         meta["k_max"] = args.k_max
     else:
         grid_text = args.alphas if args.kind == "constrained" else args.lambdas
         if grid_text is None:
             raise UsageError("model B curves need --alphas or --lambdas")
-        pts = []
-        for x in sorted(_parse_floats(grid_text)):
-            if args.kind == "constrained":
-                k, d = solver_b.algorithm2_constrained(spec, x, args.epsilon)
-                pts.append(CurvePoint(abscissa=x, ordinate=d, threshold=k))
-            else:
-                k, c = solver_b.algorithm1_costly(spec, x, args.epsilon)
-                pts.append(CurvePoint(abscissa=x, ordinate=c, threshold=k))
-        curve = TradeoffCurve(kind=args.kind, points=tuple(pts))
+        search = (solver_b.algorithm2_constrained if args.kind == "constrained"
+                  else solver_b.algorithm1_costly)
+        points = [(x, *search(spec, x, args.epsilon))
+                  for x in sorted(_parse_floats(grid_text))]
         meta["epsilon"] = args.epsilon
     abscissa = "lambda" if args.kind == "costly" else "alpha"
     ordinate = "C" if args.kind == "costly" else "D"
-    rows = [
-        {abscissa: p.abscissa, ordinate: p.ordinate, "k": p.threshold}
-        for p in curve.points
-    ]
+    rows = [{abscissa: x, ordinate: y, "k": k} for x, k, y in points]
     return OutputRecord(command="curve", columns=[abscissa, ordinate, "k"],
                         rows=rows, metadata=meta)
 
@@ -277,38 +272,22 @@ def cmd_solve(args) -> OutputRecord:
 
 
 def _policy_from_args(args) -> PolicySpec:
-    def need(value, flag):
-        if value is None:
-            raise UsageError(f"{flag} is required for policy {args.policy!r}")
-        return value
-
-    def number(text, flag, kind=float):
+    def number(text, flag, kind):
         try:
             return kind(text)
         except ValueError as exc:
             raise UsageError(f"bad {flag} entry {text!r}") from exc
 
-    if args.policy == "iid":
-        return PolicySpec.iid_random(need(args.alpha, "--alpha"))
-    if args.policy == "periodic":
-        return PolicySpec.periodic([number(x, "--pattern", int)
-                                    for x in need(args.pattern, "--pattern").split(",")])
-    k = number(need(args.k, "--k"), "--k")  # "inf" parses as infinity
-    if args.policy == "threshold":
-        return PolicySpec.threshold(k)
-    if args.policy == "randomized":
-        if not k.is_integer():
-            raise UsageError(f"--k must be an integer for policy 'randomized', got {args.k!r}")
-        return PolicySpec.randomized_threshold(int(k), need(args.theta, "--theta"))
-    if args.policy == "steering":
-        return PolicySpec.steering(k, need(args.theta, "--theta"))
-    sched = []
-    for entry in need(args.schedule, "--schedule").split(","):
-        counts = entry.split(":")
-        if len(counts) != 2:
-            raise UsageError(f"--schedule entries are cycle counts a:b, got {entry!r}")
-        sched.append(tuple(number(x, "--schedule", int) for x in counts))
-    return PolicySpec.time_sharing(k, sched)
+    kind = POLICY_KINDS[args.policy]
+    fields = {name: getattr(args, name) for name in PolicySpec.FIELDS[kind]}
+    # PolicySpec converts --k ("inf" parses as infinity) and refuses a missing
+    # field; the list flags' entries are parsed here
+    if fields.get("pattern") is not None:
+        fields["pattern"] = [number(u, "--pattern", int) for u in fields["pattern"].split(",")]
+    if fields.get("schedule") is not None:
+        fields["schedule"] = [[number(n, "--schedule", int) for n in pair.split(":")]
+                              for pair in fields["schedule"].split(",")]
+    return PolicySpec(kind=kind, **fields)
 
 
 def cmd_simulate(args) -> OutputRecord:

@@ -36,10 +36,10 @@ MAX_SILENT_DIM = 5760
 #: Stored pmf mass below this deficit is renormalized away silently.
 PMF_MASS_DEFICIT = 1e-10
 
-#: A tabulated density whose Simpson mass on its table's grid is off 1 by more
-#: than this is rejected.  A kink between grid nodes costs up to |slope jump|
-#: dx^2 / 6: on 3000 random piecewise-linear densities of 2-5 pieces, each at
-#: least 27 grid steps long, the worst reading was 1 - 2.3e-6.
+#: How far a tabulated density's mass on its declared support may fall from 1
+#: (the allowance for a truncated tail).  Its Simpson sum S on the table's grid
+#: may be off by that plus its distance to the trapezoid sum T, up to 3x this:
+#: a kink between grid nodes costs Simpson's rule more than the trapezoid rule.
 PDF_MASS_TOL = 1e-5
 
 #: Rounding allowance of every relative error bound, in units of |v(0)|: a
@@ -61,8 +61,13 @@ _SEARCH_BLOCK = 2**14
 
 def integer_at_least(value, least: float = 0, name: str = "threshold") -> int:
     """``value`` as an int; raises ``UsageError`` unless it is an integer
-    >= ``least``.  Integral floats and numpy integers pass."""
-    if not (value >= least and float(value).is_integer()):
+    >= ``least``.  Integral floats and numpy integers pass; a string or
+    None does not."""
+    try:
+        valid = value >= least and float(value).is_integer()
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
         need = {0: "a nonnegative integer", -math.inf: "an integer"}.get(
             least, f"an integer >= {least}")
         raise UsageError(f"{name} must be {need}, got {value}")
@@ -209,8 +214,8 @@ class SmoothPdf:
     ``gaussian`` carries its own scale; ``tabulated`` densities must declare
     a support half-width so quadrature domains stay bounded.  A tabulated
     density is checked on the grid of its inverse-CDF table: it must be
-    symmetric, nonincreasing on w >= 0 and of Simpson mass 1 within
-    ``PDF_MASS_TOL``, or the constructor raises ``UsageError``.  NaN values
+    symmetric, nonincreasing on w >= 0 and of mass 1 within the allowance
+    ``PDF_MASS_TOL`` states, or the constructor raises ``UsageError``.  NaN values
     pass, for the solvers to report as a ``NumericsError``.
     """
 
@@ -238,10 +243,10 @@ class SmoothPdf:
         step = grid[1] - grid[0]
         mass = step / 3.0 * (dens[0] + dens[-1] + 4.0 * dens[1::2].sum()
                              + 2.0 * dens[2:-1:2].sum())
-        if abs(mass - 1.0) > PDF_MASS_TOL:
+        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
+        if abs(mass - 1.0) > PDF_MASS_TOL + min(abs(mass - cdf[-1]), 3.0 * PDF_MASS_TOL):
             raise UsageError(f"tabulated density integrates to {mass:.8g}, not 1, "
                              "on its declared support")
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
         cdf /= cdf[-1]
         object.__setattr__(self, "_inverse_cdf", (cdf, grid))
         object.__setattr__(self, "_tail_rule", np.polynomial.legendre.leggauss(_TAIL_ORDER))

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,15 +70,6 @@ DISCOUNT_TRUNCATION_TOL = 1e-10
 # cycles in one period of a time-sharing schedule at most
 _SCHEDULE_MAX_CYCLES = 10**3
 
-PolicyKind = Literal[
-    "threshold",
-    "randomized_threshold",
-    "periodic",
-    "iid_random",
-    "steering",
-    "time_sharing",
-]
-
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -93,9 +84,17 @@ class PolicySpec:
                              tracking toward split theta at |e| = k
     ``time_sharing``         alternate k and k + 1 over transmission-delimited
                              cycles per a schedule of (a_m, b_m) cycle counts
+
+    ``FIELDS`` holds the fields each kind takes, all required and no other,
+    else ``UsageError``.  ``k``, ``theta`` and ``alpha`` are stored as
+    floats, pattern and schedule entries as ints.
     """
 
-    kind: PolicyKind
+    FIELDS = {"threshold": ("k",), "randomized_threshold": ("k", "theta"),
+              "periodic": ("pattern",), "iid_random": ("alpha",),
+              "steering": ("k", "theta"), "time_sharing": ("k", "schedule")}
+
+    kind: str
     k: float | None = None
     theta: float | None = None
     pattern: tuple[int, ...] | None = None
@@ -103,6 +102,26 @@ class PolicySpec:
     schedule: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
+        taken = self.FIELDS.get(self.kind)
+        if taken is None:
+            raise UsageError(f"unknown policy kind {self.kind!r}, not one of {list(self.FIELDS)}")
+        for name in (f.name for f in fields(self) if f.name != "kind"):
+            if (getattr(self, name) is None) == (name in taken):
+                raise UsageError(f"policy kind {self.kind!r} "
+                                 f"{'needs' if name in taken else 'does not take'} {name}")
+        for name in taken:
+            value = getattr(self, name)
+            try:
+                if name == "pattern":
+                    value = tuple(integer_at_least(u, -math.inf, "pattern entry") for u in value)
+                elif name == "schedule":
+                    value = tuple(tuple(integer_at_least(n, -math.inf, "schedule entry")
+                                        for n in pair) for pair in value)
+                else:
+                    value = float(value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"malformed {name} {value!r}: {exc}") from exc
+            object.__setattr__(self, name, value)
         if self.k is not None and not self.k >= 0.0:
             raise UsageError(f"threshold must be nonnegative, got {self.k}")
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
@@ -112,24 +131,22 @@ class PolicySpec:
         if self.pattern is not None and (not self.pattern
                                          or any(u not in (0, 1) for u in self.pattern)):
             raise UsageError("pattern must be a nonempty sequence of 0/1 flags")
-        if self.schedule is not None:
-            if not self.schedule:
-                raise UsageError("schedule must be nonempty")
-            if any(a < 0 or b < 0 or a + b < 1 for a, b in self.schedule):
-                raise UsageError("schedule entries must be nonnegative with a + b >= 1")
+        if self.schedule is not None and (not self.schedule or any(
+                len(pair) != 2 or min(pair) < 0 or sum(pair) < 1 for pair in self.schedule)):
+            raise UsageError("schedule must be a nonempty sequence of pairs (a, b) of "
+                             "nonnegative cycle counts with a + b >= 1")
 
     @classmethod
     def threshold(cls, k: float) -> "PolicySpec":
-        return cls(kind="threshold", k=float(k))
+        return cls(kind="threshold", k=k)
 
     @classmethod
     def randomized_threshold(cls, k: int, theta: float) -> "PolicySpec":
-        return cls(kind="randomized_threshold", k=float(k), theta=float(theta))
+        return cls(kind="randomized_threshold", k=k, theta=theta)
 
     @classmethod
     def periodic(cls, pattern: Sequence[int]) -> "PolicySpec":
-        return cls(kind="periodic", pattern=tuple(
-            integer_at_least(u, -math.inf, "pattern entry") for u in pattern))
+        return cls(kind="periodic", pattern=pattern)
 
     @classmethod
     def periodic_one_in(cls, period: int) -> "PolicySpec":
@@ -143,20 +160,15 @@ class PolicySpec:
 
     @classmethod
     def iid_random(cls, alpha: float) -> "PolicySpec":
-        return cls(kind="iid_random", alpha=float(alpha))
+        return cls(kind="iid_random", alpha=alpha)
 
     @classmethod
     def steering(cls, k: float, theta: float) -> "PolicySpec":
-        return cls(kind="steering", k=float(k), theta=float(theta))
+        return cls(kind="steering", k=k, theta=theta)
 
     @classmethod
-    def time_sharing(
-        cls, k: float, schedule: Sequence[tuple[int, int]]
-    ) -> "PolicySpec":
-        def entry(n):
-            return integer_at_least(n, -math.inf, "schedule entry")
-        return cls(kind="time_sharing", k=float(k),
-                   schedule=tuple((entry(a), entry(b)) for a, b in schedule))
+    def time_sharing(cls, k: float, schedule: Sequence[tuple[int, int]]) -> "PolicySpec":
+        return cls(kind="time_sharing", k=k, schedule=schedule)
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,10 @@ class TestPolicySpec:
             SimConfig(horizon=100, burn_in=100)
 
     @pytest.mark.parametrize("field", [{"seed": 1.5}, {"replications": 2.5},
-                                       {"horizon": 2000.5}, {"burn_in": 10.5}])
+                                       {"horizon": 2000.5}, {"burn_in": 10.5},
+                                       {"seed": "3"}, {"horizon": None}, {"replications": [2]}])
     def test_fractional_config_rejected(self, field):
-        # each used to die inside the run with a raw TypeError
+        # each used to raise a raw TypeError, inside the run or on construction
         with pytest.raises(UsageError):
             SimConfig(**field)
 
@@ -88,6 +89,52 @@ class TestPolicySpec:
         # [(2.5, 1.9)] used to be truncated to ((2, 1),)
         with pytest.raises(UsageError, match="schedule entry must be an integer"):
             PolicySpec.time_sharing(2, schedule)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"kind": "threshold"}, "needs k"),
+        ({"kind": "steering", "k": 2.0}, "needs theta"),
+        ({"kind": "iid_random"}, "needs alpha"),
+        ({"kind": "periodic"}, "needs pattern"),
+        ({"kind": "time_sharing", "k": 2.0}, "needs schedule"),
+        ({"kind": "bogus", "k": 2.0, "schedule": ((1, 1),)}, "unknown policy kind 'bogus'"),
+        ({"kind": "iid", "alpha": 0.3}, "unknown policy kind 'iid'"),
+        ({"kind": "periodic", "pattern": (1, 0), "k": math.inf}, "does not take k"),
+        ({"kind": "threshold", "k": 2.0, "theta": 0.3}, "does not take theta"),
+    ], ids=["threshold-no-k", "steering-no-theta", "iid-no-alpha", "periodic-no-pattern",
+            "timesharing-no-schedule", "unknown-kind", "cli-name", "periodic-stray-k",
+            "threshold-stray-theta"])
+    def test_incomplete_or_unknown_policy_refused(self, fields, match):
+        # each used to be simulated: a NaN threshold row (a never-transmit
+        # run with a finite estimate), a fall-through to time-sharing, a
+        # TypeError inside the step loop, or a DivergenceError from a stray k
+        with pytest.raises(UsageError, match=match):
+            PolicySpec(**fields)
+
+    def test_fields_table_names_every_kind_once(self):
+        built = [PolicySpec.threshold(2), PolicySpec.randomized_threshold(2, 0.5),
+                 PolicySpec.periodic([1, 0]), PolicySpec.iid_random(0.5),
+                 PolicySpec.steering(2, 0.5), PolicySpec.time_sharing(2, [(1, 1)])]
+        assert [p.kind for p in built] == list(PolicySpec.FIELDS)
+        for p in built:
+            given = [n for n in ("k", "theta", "pattern", "alpha", "schedule")
+                     if getattr(p, n) is not None]
+            assert tuple(given) == PolicySpec.FIELDS[p.kind]
+        assert sorted(cli.POLICY_KINDS.values()) == sorted(PolicySpec.FIELDS)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PolicySpec.time_sharing(2, [(1,)]),
+        lambda: PolicySpec.time_sharing(2, [(1, 1), (1, 2, 3)]),
+        lambda: PolicySpec.time_sharing(2, [3]),
+        lambda: PolicySpec.time_sharing(2, [("1", 1)]),
+        lambda: PolicySpec.periodic(["1", "0"]), lambda: PolicySpec.periodic([1, None]),
+        lambda: PolicySpec.periodic(1), lambda: PolicySpec.threshold("x"),
+        lambda: PolicySpec.iid_random([0.5]),
+    ], ids=["schedule-single", "schedule-triple", "schedule-int", "schedule-str",
+            "pattern-str", "pattern-none", "pattern-int", "k-str", "alpha-list"])
+    def test_malformed_policy_fields_rejected(self, build):
+        # schedule entries must be pairs of numbers, patterns sequences of numbers
+        with pytest.raises(UsageError):
+            build()
 
     def test_integral_pattern_and_schedule_stored_as_int(self):
         periodic = PolicySpec.periodic([1.0, np.int64(0), 0])
