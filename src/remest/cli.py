@@ -31,6 +31,7 @@ from . import solver_a, solver_b, validation
 from .errors import NumericsError, UsageError
 from .model import (
     DistortionFn,
+    IntegerPmf,
     ModelSpecA,
     ModelSpecB,
     SmoothPdf,
@@ -108,25 +109,17 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--distortion", choices=("abs", "quad"), default=None)
 
 
-def _spec_a(p: float | None, beta: float, a: float = 1.0,
-            distortion: str | None = None) -> ModelSpecA:
-    """Birth-death Model-A spec, with the checks every subcommand shares."""
-    if p is None:
-        raise UsageError("--p is required for model A")
-    spec = solver_a.bd_spec(p, beta, a=a)
-    if distortion == "quad":
-        spec = ModelSpecA(a=spec.a, pmf=spec.pmf,
-                          distortion=DistortionFn.quadratic(), beta=beta)
-    return spec
-
-
 def _spec_from_args(args) -> object:
+    """The spec of the --model flags: its law, then --distortion or the
+    model's default (abs for A, quad for B)."""
     if args.model == "A":
-        return _spec_a(args.p, args.beta, args.a, args.distortion)
-    if args.distortion == "abs":
-        return ModelSpecB(a=args.a, pdf=SmoothPdf.gaussian(args.sigma),
-                          distortion=DistortionFn.absolute(), beta=args.beta)
-    return solver_b.gauss_markov_spec(args.sigma, a=args.a, beta=args.beta)
+        if args.p is None:
+            raise UsageError("--p is required for model A")
+        Spec, law, default = ModelSpecA, IntegerPmf.birth_death(args.p), "abs"
+    else:
+        Spec, law, default = ModelSpecB, SmoothPdf.gaussian(args.sigma), "quad"
+    distortion = {"abs": DistortionFn.absolute, "quad": DistortionFn.quadratic}
+    return Spec(args.a, law, distortion[args.distortion or default](), args.beta)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -148,6 +141,7 @@ def build_parser() -> _Parser:
     p_table.add_argument("--p", type=float, required=True)
     p_table.add_argument("--betas", type=str, default="0.9,0.95,1.0")
     p_table.add_argument("--k-max", type=int, default=10)
+    p_table.set_defaults(model="A", a=1, distortion=None)
     _add_output_flags(p_table)
 
     p_curve = sub.add_parser("curve", help="optimal trade-off curve")
@@ -198,7 +192,7 @@ def build_parser() -> _Parser:
 
 def cmd_table(args) -> OutputRecord:
     betas = _parse_floats(args.betas)
-    specs = [_spec_a(args.p, beta) for beta in betas]
+    specs = [_spec_from_args(argparse.Namespace(**vars(args), beta=beta)) for beta in betas]
     if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
     rows = []
@@ -341,8 +335,11 @@ def main(argv=None) -> int:
         record.metadata["diagnostics"] = asdict(diagnostics)
         text = record.render(args.format)
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(exc) from exc
         else:
             sys.stdout.write(text)
         return 3 if record.metadata.get("failed") else 0

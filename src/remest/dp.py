@@ -48,12 +48,10 @@ MAX_FIXED_POINT_STATES = 512
 
 @dataclass(frozen=True)
 class TruncatedDP:
-    """Values and greedy policy of the optimal threshold on the window
-    -bound..bound; beyond it the greedy policy provably keeps transmitting."""
+    """Values of the optimal threshold on the window -W..W, W = len(values) // 2;
+    its greedy policy is the threshold rule there and provably beyond."""
 
-    bound: int
     values: np.ndarray
-    transmit: np.ndarray
     threshold: int
     iterations: int
 
@@ -106,10 +104,11 @@ def value_iterate(spec: ModelSpecA, lam: float) -> TruncatedDP:
     """Solve the costly-communication dynamic program by policy iteration.
 
     From k = 1, evaluate the threshold-k policy to within 1e-10 / 2, take its
-    greedy policy on the window (ties keep the silent action, so the largest
-    threshold consistent with optimality), and stop when that is the
-    threshold-k rule; otherwise move k to the greedy policy's nearest
-    transmit state, at most 2 k, or to 2 k when the window holds none.
+    greedy policy on the window, and stop when that is the threshold-k rule;
+    otherwise move k to the greedy policy's nearest transmit state, at most
+    2 k, or to 2 k when the window holds none.  An action changes only where
+    the other gains more than the values' slack 1e-10 (1 + max V), so a tie
+    keeps the threshold-k rule (Puterman 1994, sec. 6.4).
     """
     beta = spec.beta
     if beta.is_average:
@@ -132,8 +131,11 @@ def value_iterate(spec: ModelSpecA, lam: float) -> TruncatedDP:
             return X[np.where(np.abs(e) < k, e + k - 1, 2 * k - 1)]
 
         v_tx = (1.0 - beta) * lam + beta * float(V(spec.pmf.offsets) @ w)
-        transmit = v_tx < d_cost + beta * (V(silent_succ) @ w)  # a tie keeps the silent action
-        if np.array_equal(transmit, np.abs(states) >= k):
+        gain = d_cost + beta * (V(silent_succ) @ w) - v_tx
+        slack = _TOL * (1.0 + float(np.max(X)))
+        rule = np.abs(states) >= k
+        transmit = np.where(np.abs(gain) <= slack, rule, gain > 0.0)
+        if np.array_equal(transmit, rule):
             break
         k_next = int(np.min(np.abs(states[transmit]), initial=2 * k))
         if k_next > cap:
@@ -146,13 +148,11 @@ def value_iterate(spec: ModelSpecA, lam: float) -> TruncatedDP:
         k = k_next
 
     values = V(states)
-    slack = _TOL * (1.0 + float(np.max(values)))
     if float(np.max(np.abs(values - values[::-1]))) > slack:
         raise NumericsError("values are not even in the state")
     if np.any(np.diff(values[W:]) < -slack):
         raise NumericsError("values are not monotone on e >= 0")
-    return TruncatedDP(bound=W, values=values, transmit=transmit, threshold=k,
-                       iterations=len(tried))
+    return TruncatedDP(values=values, threshold=k, iterations=len(tried))
 
 
 def policy_evaluate_fixed_point(spec: ModelSpecA, k: int,

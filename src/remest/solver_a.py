@@ -387,22 +387,22 @@ def optimal_constrained(spec: ModelSpecA, alpha: float) -> tuple[RandomizedThres
 
 def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int) -> TradeoffCurve:
     """Corner points of the optimal trade-off curve up to threshold k_max,
-    from one table of k_max + 1 thresholds."""
+    from one table of k_max + 1 thresholds: the costly curve at the corner
+    prices, the constrained one at the thresholds the corners keep and the
+    one the last corner passes to."""
     if kind not in ("costly", "constrained"):
         raise UsageError(f"unknown curve kind {kind!r}")
     k_max = integer_at_least(k_max, 1, "k_max")
     table = threshold_table(spec, k_max + 1)
     D, N = table.D, table.N
+    corners = table_corners(table)
     if kind == "costly":
-        points = tuple(
-            CurvePoint(abscissa=lam, ordinate=float(D[kn] + lam * N[kn]), threshold=kn)
-            for kn, lam in table_corners(table)
-        )
+        points = tuple(CurvePoint(abscissa=lam, ordinate=float(D[kn] + lam * N[kn]), threshold=kn)
+                       for kn, lam in corners)
     else:
-        points = tuple(
-            CurvePoint(abscissa=float(N[k]), ordinate=float(D[k]), threshold=k)
-            for k in range(k_max, 0, -1)
-        )
+        kept = [kn for kn, _ in corners] + [kn + 1 for kn, _ in corners[-1:]]
+        points = tuple(CurvePoint(abscissa=float(N[k]), ordinate=float(D[k]), threshold=k)
+                       for k in reversed(kept) if k <= k_max)
     curve = TradeoffCurve(kind=kind, points=points)
     bad = curve.check()
     if bad:

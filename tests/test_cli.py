@@ -354,13 +354,14 @@ class TestSolve:
         "table --p 0.3 --k-max 0",
         "curve --model B --kind costly",
         "simulate --model A --p 0.3 --policy iid --reps 2 --horizon 100 --burn-in 10",
+        "table --p 0.3 --k-max 2 --out /nonexistent/dir/x.csv",
     ], ids=["A-lambda-nan", "A-a-inf", "A-a-nan", "B-sigma-nan", "B-sigma-inf",
             "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan", "B-epsilon-nan",
             "B-epsilon-inf", "B-curve-epsilon-inf", "steering-k-nan", "steering-k-negative",
             "timesharing-k-nan", "timesharing-k-negative", "seed-negative",
             "table-betas-empty", "table-betas-repeated", "B-curve-lambdas-repeated",
             "B-curve-alphas-empty", "B-curve-alphas-repeated", "A-no-p", "table-betas-bad",
-            "table-k-max-zero", "B-curve-no-grid", "iid-no-alpha"])
+            "table-k-max-zero", "B-curve-no-grid", "iid-no-alpha", "out-unwritable"])
     def test_non_finite_input_exits_one(self, capsys, argv):
         code, _, err = run_cli(argv.split(), capsys)
         assert code == 1

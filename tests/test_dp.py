@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from remest import CapacityError, DistortionFn, IntegerPmf, ModelSpecA, UsageError
@@ -83,12 +83,15 @@ def test_value_iteration_matches_corner_lookup(seed, a, beta, lam):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(-3, 3), st.sampled_from([0.5, 0.9, 0.99]),
        st.floats(0.0, 200.0), st.sampled_from([DistortionFn.absolute(), DistortionFn.quadratic()]))
 @settings(max_examples=25, deadline=None)
+# an exact corner price: thresholds 3 and 4 are both optimal
+@example(seed=0, a=0, beta=0.9, lam=3.0, distortion=DistortionFn.absolute())
 def test_greedy_policy_is_the_threshold_far_beyond_the_window(seed, a, beta, lam, distortion):
     # the values extended to |e| <= 4 W with the transmit value, successors
-    # built here: both actions' one-step costs pick the threshold rule throughout
+    # built here: both actions' one-step costs pick the threshold rule
+    # wherever they differ by more than the Bellman tolerance below
     spec = _random_spec(seed, a, beta, distortion)
     result = dp.value_iterate(spec, lam)
-    W, k = result.bound, result.threshold
+    W, k = len(result.values) // 2, result.threshold
     v_tx = result.values[0]
     wide = np.arange(-4 * W, 4 * W + 1)
     V = np.where(np.abs(wide) <= W, result.values[np.clip(wide + W, 0, 2 * W)], v_tx)
@@ -100,10 +103,35 @@ def test_greedy_policy_is_the_threshold_far_beyond_the_window(seed, a, beta, lam
     transmit_cost = (1.0 - beta) * lam + beta * expected(spec.pmf.offsets)
     silent_cost = ((1.0 - beta) * spec.distortion(wide)
                    + beta * expected(spec.a * wide[:, None] + spec.pmf.offsets))
-    assert np.array_equal(transmit_cost < silent_cost, np.abs(wide) >= k)
+    tol = 1e-9 * (1.0 + np.max(V))
+    decided = np.abs(transmit_cost - silent_cost) > tol
+    assert np.array_equal((transmit_cost < silent_cost)[decided], (np.abs(wide) >= k)[decided])
     # and the values are the fixed point of the one-step costs
     bellman = np.minimum(transmit_cost, silent_cost)
-    assert np.max(np.abs(bellman - V)) <= 1e-9 * (1.0 + np.max(V))
+    assert np.max(np.abs(bellman - V)) <= tol
+
+
+# a corner price, the next float on each side, and small relative offsets
+_NEAR = [lambda x: x, lambda x: math.nextafter(x, 0.0), lambda x: math.nextafter(x, math.inf),
+         lambda x: x * (1.0 + 1e-9), lambda x: x * (1.0 - 1e-9), lambda x: x * (1.0 + 1e-12)]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       st.sampled_from([0.9, 0.95, 0.99, 0.999]), st.integers(0, 2 ** 16),
+       st.integers(0, len(_NEAR) - 1))
+@settings(max_examples=40, deadline=None)
+@example(seed=1489578132, a=-2, beta=0.99, pick=0, shift=0)
+def test_corner_prices_return_an_optimal_threshold(seed, a, beta, pick, shift):
+    # two thresholds are optimal at a corner price; the oracle returns one of
+    # them and does not cycle between them
+    spec = _random_spec(seed, a, beta)
+    corners = [lam for _, lam in solver_a.corner_lambdas(spec, 60) if 1.0 <= lam <= 40.0]
+    assume(corners)
+    lam = _NEAR[shift](corners[pick % len(corners)])
+    k = dp.value_iterate(spec, lam).threshold
+    _, cost = solver_a.optimal_costly(spec, lam)
+    perf = solver_a.performance(spec, k)
+    assert abs(perf.distortion + lam * perf.transmission_rate - cost) <= 1e-9 * cost
 
 
 class TestValueIterate:
@@ -119,18 +147,21 @@ class TestValueIterate:
         assert result.threshold == 1
 
     def test_policy_is_symmetric_threshold(self, bd_09):
+        # the values equal the transmit value, held at the window's edge,
+        # exactly where the threshold rule transmits
         result = dp.value_iterate(bd_09, 10.0)
-        transmit = result.transmit
+        V = result.values
+        transmit = V == V[0]
         assert np.array_equal(transmit, transmit[::-1])
         k = result.threshold
-        pos = transmit[result.bound:]
+        pos = transmit[len(V) // 2:]
         assert pos[k:].all() and not pos[:k].any()
 
     def test_value_even_and_monotone(self, bd_09):
         result = dp.value_iterate(bd_09, 10.0)
         V = result.values
         assert np.max(np.abs(V - V[::-1])) <= 1e-8
-        assert np.all(np.diff(V[result.bound:]) >= -1e-8)
+        assert np.all(np.diff(V[len(V) // 2:]) >= -1e-8)
 
     def test_iteration_counts_pinned(self, bd_09):
         # pins the policy-iteration path: thresholds evaluated from k = 1
@@ -147,7 +178,7 @@ class TestValueIterate:
         # lambda = 20 has k* = 5, 10 states; the window is |e| <= 10 // 2 + r = 6
         monkeypatch.setattr(dp, "MAX_FIXED_POINT_STATES", 10)
         result = dp.value_iterate(bd_09, 20.0)
-        assert result.threshold == 5 and result.bound == 6 and len(result.values) == 13
+        assert result.threshold == 5 and len(result.values) == 13
         monkeypatch.setattr(dp, "MAX_FIXED_POINT_STATES", 8)
         with pytest.raises(CapacityError, match="price 20.0: .*past threshold 4, .*cap 8 states"):
             dp.value_iterate(bd_09, 20.0)

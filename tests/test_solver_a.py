@@ -479,6 +479,19 @@ class TestTradeoffCurve:
         assert curve.points[0].abscissa == pytest.approx(0.9 * 0.6, abs=1e-12)
         assert curve.points[0].ordinate == 0.0
 
+    def test_constrained_stops_where_the_corners_stop(self, bd_09):
+        # from k = 54 the distortion increments are below the flat tolerance:
+        # the last corner is k = 52, which passes to 53
+        curve = solver_a.tradeoff_curve(bd_09, "constrained", 100)
+        assert [p.threshold for p in curve.points] == list(range(53, 0, -1))
+        assert solver_a.corner_lambdas(bd_09, 100)[-1][0] == 52
+
+    def test_constrained_stops_at_zero_rate(self):
+        # at a = 0 a threshold past the pmf radius never transmits: N = 0 from k = 2
+        spec = solver_a.bd_spec(0.3, 0.9, a=0)
+        points = solver_a.tradeoff_curve(spec, "constrained", 3).points
+        assert [(p.threshold, p.abscissa) for p in points] == [(2, 0.0), (1, pytest.approx(0.54))]
+
     def test_shape_invariants(self, bd_avg, bd_09):
         for spec in (bd_avg, bd_09):
             for kind in ("costly", "constrained"):
