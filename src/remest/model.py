@@ -267,7 +267,11 @@ class SmoothPdf:
         w = np.asarray(w, dtype=float)
         if self.kind == "gaussian":
             s = self.sigma
-            return np.exp(-(w * w) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
+            z = np.asarray(w * w)  # four passes over one array
+            z /= -2.0 * s * s  # the quotient -w^2 / (2 s^2), its inf or NaN at s^2 = 0 too
+            np.exp(z, out=z)
+            z /= s * math.sqrt(2.0 * math.pi)
+            return z
         out = np.where(
             np.abs(w) <= self.support_halfwidth,
             np.clip(self.fn(w), 0.0, None),

@@ -73,7 +73,8 @@ from .model import (
     m_matrix_certificate,
 )
 
-#: Corners with distortion increments below this are skipped as duplicates.
+#: Corners whose increment D(k+1) - D(k) is at most this times D(k+1) are skipped as
+#: duplicates: relative, as the scale of d is arbitrary, and local, whatever the table's K.
 _FLAT_D_TOL = 1e-12
 
 #: Cap on the multiply-adds of the never-transmit convolution, horizon x
@@ -296,11 +297,14 @@ def table_corners(table: ThresholdTable) -> list[tuple[int, float]]:
     k_n < K, the price at which optimality passes from k_n to the next usable
     threshold (k_n + 1 for the last one).
 
-    Thresholds whose distortion increment does not exceed ``_FLAT_D_TOL`` are
-    skipped.
+    Thresholds whose distortion increment does not exceed ``_FLAT_D_TOL``
+    times D(k+1) are skipped; a table with none left raises ``NumericsError``.
     """
     D, N, dD = table.D, table.N, table.dD
-    usable = [int(k) for k in np.flatnonzero(dD > _FLAT_D_TOL)]
+    usable = [int(k) for k in np.flatnonzero(dD > _FLAT_D_TOL * D[1:])]
+    if not usable:
+        raise NumericsError(f"no threshold up to {len(dD)} raises the distortion by more "
+                            f"than {_FLAT_D_TOL} relative")
     out: list[tuple[int, float]] = []
     for kn, kn_next in zip(usable, usable[1:] + [None]):
         nxt = kn_next if kn_next is not None else kn + 1
@@ -346,7 +350,7 @@ def optimal_costly(spec: ModelSpecA, lam: float) -> CostlyResult:
             raise CapacityError(
                 f"price {lam} lies above the last resolvable corner price {lam_last!r} "
                 f"(threshold {kn}): no threshold up to {k_max} raises the distortion "
-                f"by more than {_FLAT_D_TOL}"
+                f"by more than {_FLAT_D_TOL} relative"
             )
         corners = wider
     # corner prices increase, so the first corner covering lam owns its interval

@@ -5,12 +5,12 @@ the time M until the next transmission and its discount U) solve
 second-kind integral equations on (-k, k) with kernel density(n - a e).
 All are even in e, so they are posed on (0, k) with the folded kernel
 density(n - a e) + density(-n - a e) and solved together by the Nystrom
-method on one Gauss-Legendre panel of order 33, 65, ...  Each order
+method on one Gauss-Legendre panel of order 17, 33, 65, ...  Each order
 evaluates the kernel once and factors I - beta K W once with
 ``np.linalg.solve`` (no scipy, which keeps ``import remest`` light); the
 ladder stops on the error bound sup M ||r|| of ``fredholm_solve``, which for
-the Gaussian holds at order 33.  A solve keeps v at the nodes and its Nystrom
-extension at 0 and k, the only points a caller reads.
+the Gaussian holds at order 17 while k is within a few sigma.  A solve keeps v
+at the nodes and its Nystrom extension at 0 and k, the only points a caller reads.
 
 Differentiating the folded equations in k gives dL/dk = L(k) phi and
 dM/dk = M(k) phi with the same phi, so lambda(k) = M(0) L(k) / M(k) - L(0)
@@ -35,6 +35,7 @@ from .errors import (
     BracketError,
     ConvergenceError,
     NumericsError,
+    SingularSystemError,
     UsageError,
 )
 from .model import (
@@ -49,7 +50,10 @@ from .model import (
 )
 
 _DEFAULT_TOL = 1e-10
-_START_ORDER = 33
+_START_ORDER = 17
+# largest gap of a rung's n-node and fine-rule row masses that counts as resolved: over
+# Gaussian k <= 64 sigma, singular rungs agreed to 5.5e-13, under-resolved ones missed by 2.5e-4+
+_RESOLVED_GAP = 1e-8
 _MAX_ORDER = 2049  # its (3n + 3) x (3n + 1) kernel block takes 302 MB
 _KERNEL_BLOCK = 2**20  # entries per kernel call: one call per rung below order 341
 _MAX_BRACKET_EXPANSIONS = 60
@@ -61,7 +65,7 @@ def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only.
 
     Filled on first use.  The solver asks only for its ladder orders
-    33, 65, ..., _MAX_ORDER = 2049 and the fine grids' 2n + 1: 14 orders,
+    17, 33, ..., _MAX_ORDER = 2049 and the fine grids' 2n + 1: 16 orders,
     about 0.2 MB in all, so the 32-entry bound is never reached by the
     solver itself.
     """
@@ -135,10 +139,12 @@ def fredholm_solve(
     M-matrix.  With ||(I - beta K)^-1||_inf = sup M, the residual r of the
     Nystrom extension at the fine nodes, 0 and k, against the fine rule,
     bounds each column's error by its max h ||r||_inf plus a few rounding
-    units of |v(0)| (Atkinson, 1997, ch. 4).  The order doubles from 33
+    units of |v(0)| (Atkinson, 1997, ch. 4).  The order doubles from 17
     until every bound is within ``tolerance`` (relative above |v(0)| = 1); a
     bound that does not fall, or a miss at _MAX_ORDER, raises
-    ``ConvergenceError``.
+    ``ConvergenceError``.  A rung that fails the certificate climbs instead
+    of raising while its n-node row masses miss the fine rule's by more than
+    _RESOLVED_GAP: that rung is too coarse for its kernel, not singular.
     """
     if not 0.0 < k < math.inf:
         raise UsageError(f"interval width k must be positive and finite, got {k}")
@@ -167,16 +173,25 @@ def fredholm_solve(
                 f"Nystrom system at k={k}, order {order} has non-finite entries; "
                 "the kernel or a right-hand side overflowed or returned NaN"
             )
-        A = np.eye(order) - KW[:order, :order]
+        A = np.negative(KW[:order, :order])
+        A.flat[::order + 1] += 1.0
         anorm = float(np.linalg.norm(A, np.inf))
         try:
             X = np.linalg.solve(A, np.column_stack((R[:order], np.ones(order))))
         except np.linalg.LinAlgError:
             X = np.zeros((order, R.shape[1] + 1))  # an exact zero pivot: fails the check below
         count(factorizations=1, largest_system=order)
-        rcond, column_bound = m_matrix_certificate(
-            anorm, X[:, -1],
-            "discretized silent-set system is singular (rcond={rcond:.2e}); escape mass vanishes")
+        try:
+            rcond, column_bound = m_matrix_certificate(
+                anorm, X[:, -1],
+                "discretized silent-set system is singular (rcond={rcond:.2e}); "
+                "escape mass vanishes")
+        except SingularSystemError:
+            gap = np.abs(KW[:order, :order].sum(1) - KW[:order, order:].sum(1)).max()
+            if not (gap > _RESOLVED_GAP and 2 * order - 1 <= _MAX_ORDER):
+                raise
+            order = 2 * order - 1
+            continue
         values = X[:, :-1]
         # the Nystrom extension at the fine nodes, 0 and k, and its residual
         # there: the n-node quadrature less the fine one
@@ -202,9 +217,8 @@ def fredholm_solve(
 
 def _spec_kernel(spec: ModelSpecB) -> Kernel:
     """Folded kernel on (0, k): the mass sent to -n joins the mass sent to n."""
-    a = spec.a
-    pdf = spec.pdf
-    return lambda e, n: pdf.density(n - a * e) + pdf.density(-n - a * e)
+    a, pdf = spec.a, spec.pdf
+    return lambda e, n: pdf.density(n - (ae := a * e)) + pdf.density(-n - ae)
 
 
 class Renewal(NamedTuple):
@@ -231,7 +245,7 @@ def renewal(spec: ModelSpecB, k: float, tolerance: float = _DEFAULT_TOL) -> Rene
     from -D'/N' = M(0) L(k) / M(k) - L(0).
     """
     a, pdf, beta = spec.a, spec.pdf, spec.beta
-    escape = lambda e: beta * (pdf.tail(k - a * e) + pdf.tail(k + a * e))  # noqa: E731
+    escape = lambda e: beta * pdf.tail(np.stack((k - a * e, k + a * e))).sum(axis=0)  # noqa: E731
     sol = fredholm_solve(_spec_kernel(spec), [spec.distortion, 1.0, escape], k, beta, tolerance)
     (L0, M0, U0), (Lk, Mk, _) = sol.ends.tolist()
     N = U0 / M0

@@ -195,16 +195,16 @@ class TestDiagnostics:
 
     def test_model_b_solve_counts_search_steps_and_rungs(self, capsys):
         # 7 thresholds searched, bracket included; each solve stops at the
-        # first rung, order 33, on its error bound
+        # first rung, order 17, on its error bound
         diag = self._diagnostics(["solve", "--model", "B", "--problem", "costly",
                                   "--sigma", "1", "--lambda", "1"], capsys)
-        assert diag == _record(factorizations=7, largest_system=33, error_bound=BOUNDED,
+        assert diag == _record(factorizations=7, largest_system=17, error_bound=BOUNDED,
                                search_steps=7)
 
     def test_model_b_curve_adds_both_searches(self, capsys):
         diag = self._diagnostics(["curve", "--model", "B", "--kind", "constrained",
                                   "--alphas", "0.25,0.45"], capsys)
-        assert diag == _record(factorizations=14, largest_system=33, error_bound=BOUNDED,
+        assert diag == _record(factorizations=14, largest_system=17, error_bound=BOUNDED,
                                search_steps=14)
 
     def test_simulate_one_step_loop(self, capsys):
@@ -215,15 +215,15 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("suite, want", [
         ("tableI", _record(factorizations=3, largest_system=11, error_bound=BOUNDED)),
-        ("closed_forms", _record(factorizations=33, largest_system=33, error_bound=BOUNDED)),
-        ("scaling", _record(factorizations=148, largest_system=33, error_bound=BOUNDED,
+        ("closed_forms", _record(factorizations=33, largest_system=17, error_bound=BOUNDED)),
+        ("scaling", _record(factorizations=148, largest_system=17, error_bound=BOUNDED,
                             search_steps=108)),
         # two blocks of 20 replications x 2000 steps; one birth-death table
         # and one Nystrom rung per Gaussian threshold
-        ("renewal", _record(factorizations=3, largest_system=33, error_bound=BOUNDED,
+        ("renewal", _record(factorizations=3, largest_system=17, error_bound=BOUNDED,
                             step_loops=2, simulated_policies=5, draws=2 * 20 * 2_000)),
         ("dp", _record(factorizations=6, largest_system=9, error_bound=BOUNDED)),
-        ("baselines", _record(factorizations=14, largest_system=33, error_bound=BOUNDED,
+        ("baselines", _record(factorizations=14, largest_system=17, error_bound=BOUNDED,
                               search_steps=14, step_loops=1, simulated_policies=8,
                               draws=20 * 2_000)),
     ])
@@ -561,7 +561,7 @@ class TestValidateCommand:
         code, out, _ = run_cli(["validate", "--suite", "renewal", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["metadata"]["diagnostics"] == _record(
-            factorizations=3, largest_system=33, error_bound=BOUNDED, step_loops=2,
+            factorizations=3, largest_system=17, error_bound=BOUNDED, step_loops=2,
             simulated_policies=5, draws=10**7)
 
     def test_failed_check_exits_three(self, capsys, monkeypatch):

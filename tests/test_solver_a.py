@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -361,14 +362,15 @@ class TestRateWithoutCancellation:
         assert table.N[k] * table.M[k] == pytest.approx(0.95 * 0.2 * Q[0, k - 1], rel=1e-12)
 
     def test_corner_price_from_exact_increment(self):
-        # the k = 52 corner of bd_spec(0.3, 0.9) has a distortion increment just
-        # above _FLAT_D_TOL; differencing two D values leaves about three digits
+        # the k = 51 corner of bd_spec(0.3, 0.9) has a distortion increment just
+        # above _FLAT_D_TOL D(52), 1.45e-12 of it; differencing two D values
+        # leaves about three digits
         p, beta = Fraction(3, 10), Fraction(9, 10)
-        (l52, m52, u52), (l53, m53, u53) = (_bd_lmu_exact(p, beta, k) for k in (52, 53))
-        exact = (l53 / m53 - l52 / m52) / (u52 / m52 - u53 / m53)
-        corners = dict(solver_a.corner_lambdas(solver_a.bd_spec(0.3, 0.9), 52))
-        assert corners[52] == pytest.approx(float(exact), rel=1e-9)
-        assert corners[52] == pytest.approx(492.104428199715, rel=1e-9)
+        (l51, m51, u51), (l52, m52, u52) = (_bd_lmu_exact(p, beta, k) for k in (51, 52))
+        exact = (l52 / m52 - l51 / m51) / (u51 / m51 - u52 / m52)
+        corners = dict(solver_a.corner_lambdas(solver_a.bd_spec(0.3, 0.9), 51))
+        assert corners[51] == pytest.approx(float(exact), rel=1e-9)
+        assert corners[51] == pytest.approx(482.104428199716, rel=1e-9)
 
 
 class TestCornerLambdas:
@@ -390,6 +392,38 @@ class TestCornerLambdas:
     def test_strictly_increasing(self, bd_09):
         lams = [lam for _, lam in solver_a.corner_lambdas(bd_09, 10)]
         assert all(b > a for a, b in zip(lams, lams[1:]))
+
+    @given(st.floats(0.05, 0.32), st.sampled_from([0.5, 0.9, 0.95, 1.0]),
+           st.sampled_from([-1, 1, 2]), st.floats(1e-100, 1e100))
+    @settings(max_examples=25, deadline=None)
+    def test_scaled_distortion_scales_the_corners(self, p, beta, a, s):
+        # d -> s d is the same problem in other units: the thresholds stay and
+        # D and the corner prices scale by s, in the flat tail of beta < 1 too
+        base = solver_a.bd_spec(p, beta, a=a)
+        scaled = ModelSpecA(a=a, pmf=base.pmf, beta=beta,
+                            distortion=DistortionFn.custom(lambda e: s * np.abs(e)))
+        want, got = (solver_a.corner_lambdas(spec, 60) for spec in (base, scaled))
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert [lam for _, lam in got] == pytest.approx([s * lam for _, lam in want], rel=1e-9)
+        D, D_s = (solver_a.threshold_table(spec, 61).D for spec in (base, scaled))
+        assert D_s == pytest.approx(s * D, rel=1e-12)
+        # a price between two corners, where no rounding of s can tip a tie
+        (_, lo), (kn, hi) = want[len(want) // 2 - 1:len(want) // 2 + 1]
+        assert solver_a.optimal_costly(scaled, s * (lo + hi) / 2.0)[0] == kn
+
+    def test_tiny_distortion_keeps_its_corners(self):
+        # an absolute flat tolerance of 1e-12 dropped every corner at s = 1e-13,
+        # and optimal_costly indexed the empty list
+        scaled = ModelSpecA(a=1, pmf=IntegerPmf.birth_death(0.3), beta=1.0,
+                            distortion=DistortionFn.custom(lambda e: 1e-13 * np.abs(e)))
+        assert len(solver_a.corner_lambdas(scaled, 10)) == 10
+        assert solver_a.optimal_costly(scaled, 5e-13)[0] == 3
+
+    def test_no_corner_is_a_numerics_error(self, bd_avg):
+        table = solver_a.threshold_table(bd_avg, 6)
+        flat = dataclasses.replace(table, dD=np.zeros_like(table.dD))
+        with pytest.raises(NumericsError, match="no threshold up to 6 raises the distortion"):
+            solver_a.table_corners(flat)
 
 
 class TestOptimalCostly:
@@ -480,11 +514,11 @@ class TestTradeoffCurve:
         assert curve.points[0].ordinate == 0.0
 
     def test_constrained_stops_where_the_corners_stop(self, bd_09):
-        # from k = 54 the distortion increments are below the flat tolerance:
-        # the last corner is k = 52, which passes to 53
+        # from k = 53 the distortion increments are below the flat tolerance,
+        # 1e-12 relative: the last corner is k = 51, which passes to 52
         curve = solver_a.tradeoff_curve(bd_09, "constrained", 100)
-        assert [p.threshold for p in curve.points] == list(range(53, 0, -1))
-        assert solver_a.corner_lambdas(bd_09, 100)[-1][0] == 52
+        assert [p.threshold for p in curve.points] == list(range(52, 0, -1))
+        assert solver_a.corner_lambdas(bd_09, 100)[-1][0] == 51
 
     def test_constrained_stops_at_zero_rate(self):
         # at a = 0 a threshold past the pmf radius never transmits: N = 0 from k = 2

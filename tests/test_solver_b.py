@@ -175,17 +175,20 @@ class TestFredholmSolve:
         spec = solver_b.gauss_markov_spec(1.0, a=a, beta=beta)
         kern = solver_b._spec_kernel(spec)
         sol = solver_b.fredholm_solve(kern, [1.0], k, beta, tolerance=1e-6)
-        assert sol.grid.order == 33
+        assert sol.grid.order == 17
         nodes, weights = sol.grid.nodes, sol.grid.weights
-        A = np.eye(33) - beta * kern(nodes[:, None], nodes[None, :]) * weights[None, :]
+        A = np.eye(17) - beta * kern(nodes[:, None], nodes[None, :]) * weights[None, :]
         want = 1.0 / (np.linalg.norm(A, np.inf) * np.linalg.norm(np.linalg.inv(A), np.inf))
         assert sol.rcond == pytest.approx(want, rel=1e-12)
 
     def test_no_escape_mass_is_singular(self):
         # every row of beta K W sums to 1, so A 1 = 0
         flat = lambda e, n: np.full(np.broadcast(e, n).shape, 0.5)
-        with pytest.raises(SingularSystemError, match="rcond="):
-            solver_b.fredholm_solve(flat, [1.0], 2.0, 1.0)
+        # both rules give every row mass 1, so the first rung raises
+        with collect() as record:
+            with pytest.raises(SingularSystemError, match="rcond="):
+                solver_b.fredholm_solve(flat, [1.0], 2.0, 1.0)
+        assert record.factorizations == 1
 
     def test_convergence_error_reports_conditioning(self, monkeypatch):
         # at a = 0 the kernel is smooth but rank one, and I - K is nearly
@@ -243,7 +246,7 @@ class TestErrorBound:
         with collect() as record:
             solver_b.renewal(gm_unit, 1.0)
             solver_b.renewal(gm_unit, 3.0)
-        assert record.factorizations == 2 and record.largest_system == 33
+        assert record.factorizations == 2 and record.largest_system == 17
         assert 0.0 < record.error_bound <= solver_b._DEFAULT_TOL
 
     def test_stalled_bound_fails_fast(self):
@@ -253,6 +256,73 @@ class TestErrorBound:
             with pytest.raises(ConvergenceError, match=r"error bound .* by order 65 .*rcond="):
                 solver_b.renewal(solver_b.gauss_markov_spec(1.0, a=0.5, beta=1.0), 8.0)
         assert record.largest_system == 65
+
+
+class TestLadder:
+    def test_bound_climbs_past_the_first_rung(self):
+        # at a = 2 order 17 is an M-matrix but misses the bound; order 33 meets it
+        with collect() as record:
+            solver_b.renewal(solver_b.gauss_markov_spec(1.0, a=2.0, beta=1.0), 4.0)
+        assert record.factorizations == 2 and record.largest_system == 33
+
+    def test_under_resolved_rung_climbs(self):
+        # at k = 32 sigma the order-17 row masses exceed beta = 0.9 and miss the
+        # 35-node rule's by 0.165: that rung is not an M-matrix, and it climbs
+        spec = solver_b.gauss_markov_spec(1.0, a=1.0, beta=0.9)
+        kern = solver_b._spec_kernel(spec)
+        grid, fine = (QuadratureGrid.gauss_legendre(32.0, n) for n in (17, 35))
+        masses = [0.9 * (kern(grid.nodes[:, None], g.nodes[None, :]) * g.weights).sum(1)
+                  for g in (grid, fine)]
+        assert masses[0].max() > 0.9
+        assert np.abs(masses[0] - masses[1]).max() == pytest.approx(0.165, abs=1e-3)
+        with collect() as record:
+            at = solver_b.renewal(spec, 32.0)
+        assert record.largest_system == 65
+        assert at.N == pytest.approx(6.231602566132347e-08, rel=1e-12)
+
+    def test_unresolved_kernel_is_a_convergence_error(self):
+        # a = 1, k = 64 sigma: no rung below 129 is an M-matrix, and rounding
+        # (M(0) = 2.9e6) stops the bound at order 257; no escape mass vanishes
+        with collect() as record:
+            with pytest.raises(ConvergenceError, match=r"bound 2\.83e-09 .* by order 257 "):
+                solver_b.renewal(solver_b.gauss_markov_spec(1.0, a=1.0, beta=1.0), 64.0)
+        assert record.largest_system == 257
+
+    @given(st.floats(-2.0, 2.0), st.floats(0.5, 1.0), st.floats(0.1, 6.0),
+           st.sampled_from(["quadratic", "absolute"]))
+    @settings(max_examples=30, deadline=None)
+    def test_first_rung_agrees_with_order_65(self, a, beta, k, distortion):
+        spec = ModelSpecB(a=a, pdf=SmoothPdf.gaussian(1.0),
+                          distortion=getattr(DistortionFn, distortion)(), beta=beta)
+        try:
+            got = _renewal_and_error(spec, k)
+        except ConvergenceError:
+            return  # the rounding floor of beta = 1 and k near 6 sigma
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_b, "_START_ORDER", 65)
+            want = _renewal_and_error(spec, k, tolerance=math.inf)
+        for (x, dx), (y, dy) in zip(got, want):
+            assert abs(x - y) <= dx + dy + 1e-14 * abs(y)
+
+
+def _renewal_and_error(spec, k, tolerance=solver_b._DEFAULT_TOL):
+    """(D, error bound), (N, ...) and (lambda(k), ...) of ``renewal``: the
+    bounds on L, M and U of the rung it read, carried through D = L(0)/M(0),
+    N = U(0)/M(0) and lambda = M(0) L(k)/M(k) - L(0) to first order."""
+    solved, solve = [], solver_b.fredholm_solve
+
+    def spy(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_b, "fredholm_solve", spy)
+        at = solver_b.renewal(spec, k, tolerance)
+    (L0, M0, _), (Lk, Mk, _) = solved[0].ends
+    bL, bM, bU = solved[0].bound
+    slope = Lk / Mk
+    return ((at.D, (bL + at.D * bM) / M0), (at.N, (bU + at.N * bM) / M0),
+            (at.price, bL + slope * bM + M0 / Mk * (bL + slope * bM)))
 
 
 class TestPerformanceB:
@@ -326,7 +396,7 @@ class TestPerformanceB:
     def test_non_finite_density_is_numerics_error(self):
         nan_pdf = SmoothPdf.tabulated(lambda w: np.full(np.shape(w), np.nan), 1.0)
         spec = ModelSpecB(a=1.0, pdf=nan_pdf, distortion=DistortionFn.quadratic(), beta=1.0)
-        with pytest.raises(NumericsError, match=r"k=0\.5, order 33"):
+        with pytest.raises(NumericsError, match=r"k=0\.5, order 17"):
             solver_b.performance_b(spec, 0.5)
 
     def test_tabulated_density_end_to_end(self):
