@@ -42,6 +42,9 @@ from .simulate import PolicySpec, SimConfig, simulate as run_simulation
 
 SCHEMA_VERSION = "1"
 
+# the C encoder, with the item separator ``indent=2`` writes two levels deep
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
 # the simulator's policy kind of each --policy choice
 POLICY_KINDS = {"threshold": "threshold", "randomized": "randomized_threshold",
                 "periodic": "periodic", "iid": "iid_random", "steering": "steering",
@@ -73,16 +76,25 @@ class OutputRecord:
         return buf.getvalue()
 
     def to_json_text(self) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "metadata": self.metadata,
-            "rows": [
-                {c: ("—" if row.get(c) is None else row.get(c)) for c in self.columns}
-                for row in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        """``json.dumps(payload, sort_keys=True, indent=2)`` of the record,
+        byte for byte.  ``indent`` forces the pure-Python encoder, so the
+        rows, flat objects of scalar cells, are encoded in one call of the C
+        encoder, whose item separator is the one indentation puts between a
+        row's items; a row's closing brace then meets that separator only
+        where the next row starts, which takes the indentation of the list.
+        The rows are spliced into the indented text of the other keys, which
+        sort around them: command, metadata, rows, schema_version."""
+        cells = [{c: ("—" if row.get(c) is None else row.get(c)) for c in self.columns}
+                 for row in self.rows]
+        payload = {"command": self.command, "metadata": self.metadata}
+        if not (self.rows and self.columns):
+            return json.dumps({**payload, "rows": cells, "schema_version": SCHEMA_VERSION},
+                              sort_keys=True, indent=2) + "\n"
+        head = json.dumps(payload, sort_keys=True, indent=2)
+        rows = _ROWS_ENCODER.encode(cells)
+        return (head[:-2] + ',\n  "rows": [\n    {\n      '
+                + rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+                + '\n    }\n  ],\n  "schema_version": ' + json.dumps(SCHEMA_VERSION) + "\n}\n")
 
     def render(self, fmt: str) -> str:
         return self.to_csv_text() if fmt == "csv" else self.to_json_text()

@@ -20,7 +20,7 @@ import json
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Mapping
 
 import numpy as np
@@ -85,7 +85,7 @@ def m_matrix_certificate(anorm: float, m: np.ndarray, singular: str):
     ``BOUND_ROUNDING`` |v0_j| from the residual columns r and the values v0 at
     0; it is a separate call, so no arithmetic touches an uncertified solution."""
     # a NaN fails m > 0, and an infinite max gives rcond 0
-    inverse_norm = float(m.max()) if np.all(m > 0.0) else math.inf
+    inverse_norm = float(m.max()) if (m > 0.0).all() else math.inf
     rcond = 1.0 / (anorm * inverse_norm)
     if not rcond >= RCOND_FLOOR:
         raise SingularSystemError(singular.format(rcond=rcond))
@@ -116,9 +116,12 @@ class IntegerPmf:
     infinite support must be truncated to that accuracy by the caller.  It
     raises ``UsageError`` on a non-integer offset, a negative or non-finite
     mass, asymmetry, p_n < p_n+1 for some n >= 0 and a point mass at 0.
+    ``offsets`` and ``values`` are ``items`` as read-only arrays, built once.
     """
 
     items: tuple[tuple[int, float], ...]
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, probs: Mapping[int, float]):
         cleaned = {integer_at_least(n, -math.inf, "pmf offset"): float(p)
@@ -146,6 +149,10 @@ class IntegerPmf:
         # a zero-mass offset would widen the radius, and with it every solve
         items = tuple(sorted((n, p) for n, p in probs.items() if p > 0.0))
         object.__setattr__(self, "items", items)
+        for name, column in (("offsets", np.array([n for n, _ in items], dtype=np.int64)),
+                             ("values", np.array([p for _, p in items], dtype=float))):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         cdf = np.cumsum(self.values)
         # rounding can leave the total a few ulps below 1; every uniform in [0, 1)
         # must still land on an offset
@@ -193,14 +200,6 @@ class IntegerPmf:
                 index[hard] = np.searchsorted(cdf, block[hard], side="right")
             np.take(self._points, index, out=block, mode="clip")
         return u
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.array([n for n, _ in self.items], dtype=np.int64)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([p for _, p in self.items], dtype=float)
 
     @property
     def radius(self) -> int:

@@ -38,15 +38,19 @@ problems are lookups along the enumerated corner points, and the
 birth-death instance additionally admits closed forms used here as an
 independent cross-check route.
 
-``scipy.linalg`` is imported by ``threshold_table``, the one factorization,
-and not when the module is: it is about half of the command line's start-up
-time, and continuous-model commands never need it.
+``threshold_table`` makes one pass over the landings, the (state,
+|a state + w|, p(w)) triples of the folded chain: one ``bincount`` of them
+gives T and the escaping mass, hence the right-hand sides [d, 1, R], and the
+residual check sums T x over the same triples.  It calls LAPACK's ``dgetrf``,
+``dgetrs`` and ``dtrtrs`` directly, not through ``scipy.linalg.lu_factor``,
+and imports ``scipy.linalg`` itself, not when the module is imported: that
+import is about half of the command line's start-up time, and
+continuous-model commands never need it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,97 +116,102 @@ class ThresholdTable:
 
 
 def _landings(spec: ModelSpecA, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(state, |a state + w|, p(w)) for every folded state below ``dim`` and
-    every offset w of the pmf, flattened."""
+    """(state, cell, p(w)) for every folded state below ``dim`` and every
+    offset w of the pmf, flattened state by state: the cell is the folded
+    state |a state + w| the error lands on, or ``dim`` when it escapes."""
     if dim > MAX_SILENT_DIM:
         raise CapacityError(f"silent system dimension {dim} exceeds cap {MAX_SILENT_DIM}")
+    pmf = spec.pmf
     states = np.arange(dim)
-    land = np.abs(spec.a * states[:, None] + spec.pmf.offsets)
-    mass = np.broadcast_to(spec.pmf.values, land.shape)
-    return np.repeat(states, land.shape[1]), land.ravel(), mass.ravel()
+    cells = spec.a * states[:, None] + pmf.offsets
+    np.abs(cells, out=cells)
+    np.minimum(cells, dim, out=cells)
+    return (states.repeat(pmf.offsets.size), cells.ravel(),
+            pmf.values[None, :].repeat(dim, axis=0).ravel())
+
+
+def _landing_masses(rows: np.ndarray, cells: np.ndarray, mass: np.ndarray,
+                    dim: int) -> np.ndarray:
+    """G[i, j] = the mass from state i that lands in cell j: ``G[:, :dim]`` is
+    the folded transition T and ``G[:, dim]`` the escaping mass.  ``bincount``
+    adds in input order, so each entry is the same sum as ``np.add.at``'s."""
+    return np.bincount(rows * (dim + 1) + cells, mass,
+                       minlength=dim * (dim + 1)).reshape(dim, dim + 1)
 
 
 def folded_transition(spec: ModelSpecA, dim: int) -> np.ndarray:
     """Folded silent-set transition ``T[i, j] = p(j - a i) + [j > 0] p(-j - a i)``
     over the states 0..dim-1; row i is missing the mass that escapes."""
     dim = integer_at_least(dim, 1, "silent system dimension")
-    rows, land, mass = _landings(spec, dim)
-    inside = land < dim
-    T = np.zeros((dim, dim))
-    np.add.at(T, (rows[inside], land[inside]), mass[inside])
-    return T
+    return _landing_masses(*_landings(spec, dim), dim)[:, :dim].copy()
 
 
 def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     """(L, M, D, N, dD) and the edge masses of every threshold k <= K from
     one factorization.
 
-    (A W)^T, with W a tie-breaking column scaling, is factored once by LAPACK
-    with partial pivoting, and the K system is solved from the same factors.
-    Its M column, m = A^-1 1, goes to ``model.m_matrix_certificate``, which
-    raises ``SingularSystemError`` unless A is a nonsingular M-matrix; then
-    a row swap, or a residual above 1e-10 (1 + ||x||), raises
-    ``NumericsError``.  K not an integer >= 1 raises ``UsageError``, and K
-    past ``MAX_SILENT_DIM`` ``CapacityError`` before anything is allocated.
-    The K system's relative error bound, the certificate's column bound over
-    max(1, |x_j(0)|), the largest over its columns (L, M, U), goes to
-    ``error_bound`` in the diagnostics record.
+    One pass over the landings assembles T, the right-hand sides [d, 1, R]
+    and the residual's T x.  (A W)^T, with W a tie-breaking column scaling,
+    is factored once by LAPACK's ``dgetrf``, called directly, and the K
+    system is solved from the same factors.  Its M column, m = A^-1 1, goes
+    to ``model.m_matrix_certificate``, which raises ``SingularSystemError``
+    unless A is a nonsingular M-matrix (an exact zero pivot leaves m
+    infinite or NaN); then a row swap, or a residual above 1e-10 (1 +
+    ||x||), raises ``NumericsError``.  K not an integer >= 1 raises
+    ``UsageError``, and K past ``MAX_SILENT_DIM`` ``CapacityError`` before
+    anything is allocated.  The K system's relative error bound, the
+    certificate's column bound over max(1, |x_j(0)|), the largest over its
+    columns (L, M, U), goes to ``error_bound`` in the diagnostics record.
     """
     beta = spec.beta
     K = integer_at_least(K, 1, "silent system dimension")
-    rows, land, mass = _landings(spec, K)
+    rows, cells, mass = _landings(spec, K)
+    G = _landing_masses(rows, cells, mass, K)
+    T = G[:, :K]
+    ks = np.arange(K)
+    d = spec.distortion(ks)
     # right-hand sides [d, 1, R]: column 2 + c holds the mass that lands
     # beyond c, summed from the tail (rows below c are never read)
-    B = np.zeros((K, K + 2), order="F")
-    B[:, 0] = spec.distortion(np.arange(K))
+    B = np.empty((K, K + 2), order="F")
+    B[:, 0] = d
     B[:, 1] = 1.0
-    out = land >= 1
-    np.add.at(B, (rows[out], 1 + np.minimum(land[out], K)), mass[out])
+    B[:, 2:] = G[:, 1:]
     R = B[:, :1:-1]
     np.add.accumulate(R, axis=1, out=R)
-    b = B[:, [0, 1, K + 1]] * [1.0, 1.0, beta]
+    b = np.column_stack((d, np.ones(K), beta * G[:, K]))
 
-    inside = land < K
-    rows, land, mass = rows[inside], land[inside], mass[inside]
     # A W with W = diag(w): at beta = 1 the dominance is tight, and a rounding
     # tie would let partial pivoting swap rows; w decreasing breaks every tie
     # towards the diagonal, and w_0 = 1 leaves z unchanged
-    w = _TIE_BREAK ** np.arange(K)
-    A = folded_transition(spec, K)
+    w = _TIE_BREAK ** ks
     # ||A||_inf, A unscaled: its off-diagonal entries are <= 0
-    anorm = float(np.max(1.0 + beta * (A.sum(axis=1) - 2.0 * A.diagonal())))
-    A *= -beta
+    anorm = float((1.0 + beta * (T.sum(axis=1) - 2.0 * T.diagonal())).max())
+    A = T * -beta
     A *= w
     A.flat[:: K + 1] += w
     # imported here, not at module top: scipy.linalg is half of the CLI's start-up
-    import scipy.linalg
     from scipy.linalg import lapack
 
-    with warnings.catch_warnings():
-        # the certificate below turns exact singularity into a typed error
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A.T, overwrite_a=True)
+    # an exact zero pivot (info > 0) leaves m infinite or NaN, which the
+    # certificate below turns into a typed error
+    lu, piv, _ = lapack.dgetrf(A.T, overwrite_a=1)
     del A
 
-    cells = (3 * rows[:, None] + np.arange(3)).ravel()
-
-    def residual(x):
-        # b - A x, with A x = x - beta T x and T applied through the landings
-        Tx = np.bincount(cells, (mass[:, None] * x[land]).ravel(), minlength=3 * K)
-        return b - x + beta * Tx.reshape(K, 3)
-
-    def solve(rhs):
-        return w[:, None] * lapack.dgetrs(lu, piv, rhs, trans=1)[0]
-
-    x = solve(b)
+    x = w[:, None] * lapack.dgetrs(lu, piv, b, trans=1)[0]
     _, column_bound = m_matrix_certificate(
         anorm, x[:, 1], f"silent system singular at beta={float(beta)} (rcond={{rcond:.2e}}); "
         "the chain cannot escape the silent set")
-    if np.any(piv != np.arange(K)):
+    if (piv != ks).any():
         raise NumericsError(f"elimination on the silent system swapped rows (K={K})")
-    r = residual(x)
-    resid = np.linalg.norm(r, axis=0)
-    if np.any(resid > 1e-10 * (1.0 + np.linalg.norm(x, axis=0))):
+    # b - A x, with A x = x - beta T x and T x summed over the landings; an
+    # escaping landing reads the zero row K of x
+    xk = np.zeros((K + 1, 3))
+    xk[:K] = x
+    Tx = np.bincount((3 * rows[:, None] + np.arange(3)).ravel(),
+                     (mass[:, None] * xk[cells]).ravel(), minlength=3 * K)
+    r = b - x + beta * Tx.reshape(K, 3)
+    resid = np.sqrt(np.add.reduce(r * r, axis=0))
+    if (resid > 1e-10 * (1.0 + np.sqrt(np.add.reduce(x * x, axis=0)))).any():
         raise NumericsError(f"linear solve residual {resid.max():.2e} too large")
     bound = column_bound(r, x[0]) / np.maximum(1.0, np.abs(x[0]))
 
@@ -216,14 +225,19 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     visit_edge = z / lu.diagonal()
     del lu
     zg, zh = z * B[:, 0], z * B[:, 1]
-    L = np.concatenate(([0.0], np.cumsum(zg)))
-    M = np.concatenate(([0.0], np.cumsum(zh)))
+    L, M, D, N = np.zeros((4, K + 1))
+    np.add.accumulate(zg, out=L[1:])
+    np.add.accumulate(zh, out=M[1:])
     Y = B[:, 2:]
     Y *= z[:, None]
     np.add.accumulate(Y, axis=0, out=Y)
-    D = np.concatenate(([0.0], L[1:] / M[1:]))
-    N = np.concatenate(([1.0], beta * Y.diagonal() / M[1:]))
-    dD = np.concatenate((D[1:2], (zg[1:] * M[1:K] - zh[1:] * L[1:K]) / (M[1:K] * M[2:])))
+    np.divide(L[1:], M[1:], out=D[1:])
+    N[0] = 1.0
+    np.multiply(Y.diagonal(), beta, out=N[1:])
+    N[1:] /= M[1:]
+    dD = np.empty(K)
+    dD[0] = D[1]
+    dD[1:] = (zg[1:] * M[1:K] - zh[1:] * L[1:K]) / (M[1:K] * M[2:])
     count(factorizations=1, largest_system=K, error_bound=float(bound.max()))
     # x_k^T = Up_k^-1 z[:k].  Row k of W A^T left of the diagonal is
     # -beta w_k T[:k, k]^T = Lo[k, :k] Up_k, and (Lo z)_k = 0, so
@@ -330,8 +344,12 @@ def optimal_costly(spec: ModelSpecA, lam: float) -> CostlyResult:
     """Optimal threshold and cost when each transmission costs ``lam``.
 
     The table doubles, one factorization each, until its corners cover
-    ``lam``.  A doubling that adds no corner means the distortion has
-    stopped increasing (beta < 1), so no larger price can be resolved.
+    ``lam``.  The threshold the last corner passes to owns every price
+    above it if its rate is exactly 0 (at a = 0 the error cannot leave a
+    silent set wider than the innovation): it never transmits, so C = D
+    whatever the price, and no later threshold costs less.  Otherwise a
+    doubling that adds no corner means the distortion has stopped
+    increasing (beta < 1), so no larger price can be resolved.
     """
     if not 0.0 <= lam < math.inf:
         raise UsageError(f"transmission price must be nonnegative and finite, got {lam}")
@@ -339,6 +357,10 @@ def optimal_costly(spec: ModelSpecA, lam: float) -> CostlyResult:
     table = threshold_table(spec, k_max + 1)
     corners = table_corners(table)
     while lam > corners[-1][1]:
+        k_next = corners[-1][0] + 1
+        if table.N[k_next] == 0.0:
+            D = float(table.D[k_next])
+            return CostlyResult(k_next, D, PerfPoint(distortion=D, transmission_rate=0.0))
         if k_max + 1 >= MAX_SILENT_DIM:
             raise CapacityError(f"price {lam} needs thresholds beyond the dimension cap")
         k_max = min(2 * k_max, MAX_SILENT_DIM - 1)

@@ -3,6 +3,7 @@ import functools
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -16,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import remest
 from remest import (DistortionFn, IntegerPmf, ModelSpecA, NumericsError, solver_a, solver_b,
                     validation)
-from remest.cli import build_parser, main
+from remest.cli import OutputRecord, build_parser, main
 from remest.model import spec_digest
 from remest.simulate import PolicySpec, SimConfig, simulate
 
@@ -258,6 +261,16 @@ class TestSolve:
         assert row["k"] == "2"
         assert float(row["theta"]) == pytest.approx(0.6899, abs=5e-4)
         assert float(row["D"]) == pytest.approx(0.5543, abs=5e-4)
+
+    def test_costly_zero_rate_threshold(self, capsys):
+        # a = 0: threshold 2 never transmits and owns every price above the
+        # last corner price 1.0
+        code, out, _ = run_cli(["solve", "--model", "A", "--problem", "costly", "--p", "0.3",
+                                "--beta", "0.9", "--a", "0", "--lambda", "5"], capsys)
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["k"] == "2" and float(row["N"]) == 0.0
+        assert float(row["C"]) == pytest.approx(0.54, rel=1e-14)
 
     def test_model_b_loose_budget(self, capsys):
         code, out, _ = run_cli(["solve", "--model", "B", "--problem", "constrained",
@@ -539,6 +552,40 @@ class TestOutputContracts:
               "--out", str(out_path)])
         raw = out_path.read_bytes()
         assert b"\r" not in raw
+
+
+_TRICKY_TEXT = ['"', "\\", "\n", "é", "—", "}", "},\n      {", '": ', ""]
+_CELLS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-10 ** 30, 10 ** 30), st.sampled_from([2 ** 63, -2 ** 64]),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -5e-324]),
+    st.text(), st.sampled_from(_TRICKY_TEXT))
+_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(_TRICKY_TEXT))
+_METADATA = st.dictionaries(_KEYS, st.recursive(
+    _CELLS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8), max_size=4)
+
+
+@st.composite
+def _records(draw):
+    columns = draw(st.lists(_KEYS, max_size=5))
+    row_keys = st.sampled_from(columns) | _KEYS if columns else _KEYS
+    rows = draw(st.lists(st.dictionaries(row_keys, _CELLS, max_size=6), max_size=5))
+    return OutputRecord(command=draw(st.text(max_size=8)), columns=columns, rows=rows,
+                        metadata=draw(_METADATA))
+
+
+@given(_records())
+@settings(max_examples=150, deadline=None)
+def test_json_text_matches_indented_dumps(record):
+    payload = {
+        "schema_version": "1",
+        "command": record.command,
+        "metadata": record.metadata,
+        "rows": [{c: ("—" if row.get(c) is None else row.get(c)) for c in record.columns}
+                 for row in record.rows],
+    }
+    assert record.to_json_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestValidateCommand:

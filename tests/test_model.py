@@ -90,6 +90,23 @@ class TestIntegerPmf:
     def test_hashable(self):
         assert hash(IntegerPmf({0: 0.5, 1: 0.25, -1: 0.25}))
 
+    def test_arrays_built_once_and_read_only(self):
+        # every solver shares these arrays, so none may change the law
+        probs = {-2: 0.1, -1: 0.2, 0: 0.4, 1: 0.2, 2: 0.1}
+        pmf = IntegerPmf(probs)
+        assert pmf.offsets is pmf.offsets and pmf.values is pmf.values
+        assert pmf.offsets.tolist() == [n for n, _ in pmf.items]
+        assert pmf.values.tolist() == [p for _, p in pmf.items]
+        assert pmf.offsets.dtype == np.int64 and pmf.values.dtype == float
+        for array in (pmf.offsets, pmf.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+        # equality and hashing still read the items alone
+        twin = IntegerPmf(probs)
+        assert pmf == twin and hash(pmf) == hash(twin) and twin.values is not pmf.values
+
     def test_zero_mass_offsets_dropped(self):
         # kept, the +-200 entries made the radius 200, and the never-transmit
         # distortion below raised CapacityError (1.1e10 multiply-adds)

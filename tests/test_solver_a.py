@@ -7,9 +7,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from remest import (
     CapacityError,
@@ -76,7 +76,8 @@ class TestFoldedTransition:
            st.integers(1, 9))
     @settings(max_examples=20, deadline=None)
     def test_matches_folded_loop(self, seed, a, k):
-        # reference: the full-line transition entry by entry, folded column by column
+        # reference: the full-line transition entry by entry, folded column by column;
+        # a folded entry sums at most two masses, and a + b = b + a exactly
         pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), 4))
         spec = ModelSpecA(a=a, pmf=pmf, distortion=DistortionFn.absolute(), beta=0.9)
         probs = dict(pmf.items)
@@ -84,8 +85,7 @@ class TestFoldedTransition:
                          for e in range(k)])
         folded = full[:, k - 1:].copy()
         folded[:, 1:] += full[:, :k - 1][:, ::-1]
-        assert np.allclose(solver_a.folded_transition(spec, k), folded,
-                           rtol=0.0, atol=1e-15)
+        assert np.array_equal(solver_a.folded_transition(spec, k), folded)
 
     def test_substochastic_rows(self, bd_avg):
         T = solver_a.folded_transition(bd_avg, 5)
@@ -170,15 +170,20 @@ class TestRenewalFunctionals:
         for name in ("L", "M", "D", "N", "dD", "land_edge", "visit_edge"):
             assert getattr(inside, name).tobytes() == getattr(outside, name).tobytes(), name
 
+    def test_one_landing_pass_per_table(self, bd_09):
+        with mock.patch.object(solver_a, "_landings", wraps=solver_a._landings) as landings:
+            solver_a.threshold_table(bd_09, 12)
+        assert landings.call_count == 1
+
     def test_row_swap_raises(self, bd_09, monkeypatch):
-        real = scipy.linalg.lu_factor
+        real = lapack.dgetrf
 
         def swapped(a, **kwargs):
-            lu, piv = real(a, **kwargs)
+            lu, piv, info = real(a, **kwargs)
             piv[[0, 1]] = 1
-            return lu, piv
+            return lu, piv, info
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", swapped)
+        monkeypatch.setattr(lapack, "dgetrf", swapped)
         with pytest.raises(NumericsError, match="swapped rows"):
             solver_a.threshold_table(bd_09, 4)
 
@@ -216,14 +221,14 @@ class TestTableMatchesPerThresholdSolves:
         # at a = 0, beta = 1 only thresholds up to the radius can escape
         K = radius if a == 0 and beta == 1.0 else 40
         pivots = []
-        real = scipy.linalg.lu_factor
+        real = lapack.dgetrf
 
         def recorded(a, **kwargs):
-            lu, piv = real(a, **kwargs)
+            lu, piv, info = real(a, **kwargs)
             pivots.append(piv.copy())
-            return lu, piv
+            return lu, piv, info
 
-        with mock.patch.object(scipy.linalg, "lu_factor", recorded):
+        with mock.patch.object(lapack, "dgetrf", recorded):
             table = solver_a.threshold_table(spec, K)
         assert len(pivots) == 1 and np.array_equal(pivots[0], np.arange(K))
         for k in range(1, K + 1):
@@ -458,6 +463,20 @@ class TestOptimalCostly:
         with pytest.raises(CapacityError, match="last resolvable corner"):
             solver_a.optimal_costly(solver_a.bd_spec(0.3, 0.9), 500.0)
         assert time.perf_counter() - start < 5.0
+
+    def test_zero_rate_threshold_owns_every_higher_price(self):
+        # a = 0: threshold 2 exceeds the radius, so its rate is exactly 0 and
+        # it costs C = D = beta E|W| = 0.54 at any price past the last corner
+        # (price 1, threshold 1), where a doubling adds no corner
+        spec = solver_a.bd_spec(0.3, 0.9, a=0)
+        table = solver_a.threshold_table(spec, 9)
+        assert table.N[2] == 0.0 and solver_a.corner_lambdas(spec, 8) == [(1, 1.0)]
+        k, cost = solver_a.optimal_costly(spec, 5.0)
+        assert k == 2 and cost == table.D[2] == pytest.approx(0.54, rel=1e-14)
+        # every threshold k >= 2 ties; the oracle keeps the one it reached
+        result = dp.value_iterate(spec, 5.0)
+        assert result.threshold == 5
+        assert _oracle_close(cost, result.values[len(result.values) // 2])
 
     def test_nan_price_rejected(self):
         with pytest.raises(UsageError):

@@ -2,7 +2,7 @@ import dataclasses
 from unittest import mock
 
 import pytest
-import scipy.linalg
+from scipy.linalg import lapack
 
 from remest import dp, solver_a, solver_b, validation
 from remest.simulate import SimConfig
@@ -96,18 +96,18 @@ def test_price_map_check_detects_nudged_price(monkeypatch):
 
 def test_table_suite_factors_once_per_beta():
     tables, factorizations = [], []
-    real_table, real_lu = solver_a.threshold_table, scipy.linalg.lu_factor
+    real_table, real_lu = solver_a.threshold_table, lapack.dgetrf
 
     def table(*args, **kwargs):
         tables.append(args)
         return real_table(*args, **kwargs)
 
-    def lu_factor(*args, **kwargs):
+    def dgetrf(*args, **kwargs):
         factorizations.append(args[0].shape)
         return real_lu(*args, **kwargs)
 
     with mock.patch.object(solver_a, "threshold_table", table), \
-            mock.patch.object(scipy.linalg, "lu_factor", lu_factor):
+            mock.patch.object(lapack, "dgetrf", dgetrf):
         checks = validation.suite_table()
     assert all(c.passed for c in checks)
     assert len(tables) == 3 and len(factorizations) == 3
