@@ -38,14 +38,23 @@ problems are lookups along the enumerated corner points, and the
 birth-death instance additionally admits closed forms used here as an
 independent cross-check route.
 
-``threshold_table`` makes one pass over the landings, the (state,
-|a state + w|, p(w)) triples of the folded chain: one ``bincount`` of them
-gives T and the escaping mass, hence the right-hand sides [d, 1, R], and the
-residual check sums T x over the same triples.  It calls LAPACK's ``dgetrf``,
-``dgetrs`` and ``dtrtrs`` directly, not through ``scipy.linalg.lu_factor``,
-and imports ``scipy.linalg`` itself, not when the module is imported: that
-import is about half of the command line's start-up time, and
-continuous-model commands never need it.
+One threshold needs none of the table: row 0 of the solution x of its
+own system, with right-hand sides [d, 1, beta r] (r the escaping mass), is
+(L(0), M(0), U(0)), and x is the very solution that the M-matrix
+certificate, the residual check and the reported error bound cover.  So
+``performance`` reads D and N off that certified solve, and
+``threshold_table`` runs the same solve for threshold K, then extends its
+factorization to every k < K with the two triangular solves above.
+
+The solve makes one pass over the landings, the (state, |a state + w|,
+p(w)) triples of the folded chain: one ``bincount`` of them gives T and the
+escaping mass, hence the right-hand sides, and the residual check sums T x
+over the same triples.  It calls LAPACK's ``dgetrf`` and ``dgetrs``
+directly, and the table's extension ``dtrtrs``, not through
+``scipy.linalg.lu_factor``; the first factorization imports
+``scipy.linalg`` itself, not when the module is imported: that import is
+about half of the command line's start-up time, and continuous-model
+commands never need it.
 """
 
 from __future__ import annotations
@@ -146,22 +155,33 @@ def folded_transition(spec: ModelSpecA, dim: int) -> np.ndarray:
     return _landing_masses(*_landings(spec, dim), dim)[:, :dim].copy()
 
 
-def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
-    """(L, M, D, N, dD) and the edge masses of every threshold k <= K from
-    one factorization.
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use, not at module top:
+    scipy.linalg is about half of the command line's start-up time."""
+    from scipy.linalg import lapack
 
-    One pass over the landings assembles T, the right-hand sides [d, 1, R]
-    and the residual's T x.  (A W)^T, with W a tie-breaking column scaling,
-    is factored once by LAPACK's ``dgetrf``, called directly, and the K
-    system is solved from the same factors.  Its M column, m = A^-1 1, goes
-    to ``model.m_matrix_certificate``, which raises ``SingularSystemError``
+    return lapack
+
+
+def _solve_k_system(spec: ModelSpecA, K: int) -> tuple[int, np.ndarray, ...]:
+    """The certified solve of threshold K's own system, x = A^-1 [d, 1, beta r]
+    with r the escaping mass: row 0 of x is (L(0), M(0), U(0)) of threshold K.
+
+    One pass over the landings assembles T, the right-hand sides and the
+    residual's T x.  (A W)^T, with W a tie-breaking column scaling, is
+    factored once by LAPACK's ``dgetrf``, called directly, and solved from
+    the same factors by ``dgetrs``.  The M column, m = A^-1 1, goes to
+    ``model.m_matrix_certificate``, which raises ``SingularSystemError``
     unless A is a nonsingular M-matrix (an exact zero pivot leaves m
     infinite or NaN); then a row swap, or a residual above 1e-10 (1 +
     ||x||), raises ``NumericsError``.  K not an integer >= 1 raises
     ``UsageError``, and K past ``MAX_SILENT_DIM`` ``CapacityError`` before
-    anything is allocated.  The K system's relative error bound, the
-    certificate's column bound over max(1, |x_j(0)|), the largest over its
-    columns (L, M, U), goes to ``error_bound`` in the diagnostics record.
+    anything is allocated.  The relative error bound, the certificate's
+    column bound over max(1, |x_j(0)|), the largest over the columns
+    (L, M, U), goes to ``error_bound`` in the diagnostics record.
+
+    Returns the checked K, x, the right-hand sides b, the landing masses G
+    (T and the escaping mass), the factors of W A^T and the weights w of W.
     """
     beta = spec.beta
     K = integer_at_least(K, 1, "silent system dimension")
@@ -169,16 +189,7 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     G = _landing_masses(rows, cells, mass, K)
     T = G[:, :K]
     ks = np.arange(K)
-    d = spec.distortion(ks)
-    # right-hand sides [d, 1, R]: column 2 + c holds the mass that lands
-    # beyond c, summed from the tail (rows below c are never read)
-    B = np.empty((K, K + 2), order="F")
-    B[:, 0] = d
-    B[:, 1] = 1.0
-    B[:, 2:] = G[:, 1:]
-    R = B[:, :1:-1]
-    np.add.accumulate(R, axis=1, out=R)
-    b = np.column_stack((d, np.ones(K), beta * G[:, K]))
+    b = np.column_stack((spec.distortion(ks), np.ones(K), beta * G[:, K]))
 
     # A W with W = diag(w): at beta = 1 the dominance is tight, and a rounding
     # tie would let partial pivoting swap rows; w decreasing breaks every tie
@@ -189,9 +200,7 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     A = T * -beta
     A *= w
     A.flat[:: K + 1] += w
-    # imported here, not at module top: scipy.linalg is half of the CLI's start-up
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     # an exact zero pivot (info > 0) leaves m infinite or NaN, which the
     # certificate below turns into a typed error
     lu, piv, _ = lapack.dgetrf(A.T, overwrite_a=1)
@@ -214,9 +223,34 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     if (resid > 1e-10 * (1.0 + np.sqrt(np.add.reduce(x * x, axis=0)))).any():
         raise NumericsError(f"linear solve residual {resid.max():.2e} too large")
     bound = column_bound(r, x[0]) / np.maximum(1.0, np.abs(x[0]))
+    count(factorizations=1, largest_system=K, error_bound=float(bound.max()))
+    return K, x, b, G, lu, w
+
+
+def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
+    """(L, M, D, N, dD) and the edge masses of every threshold k <= K from
+    one factorization.
+
+    ``_solve_k_system`` factors and certifies threshold K's system, with
+    every check and error it documents; the table extends that one
+    factorization to every k < K with two triangular solves, of e_0 and of
+    the right-hand sides [d, 1, R].  The diagnostics record is the K
+    system's: one factorization, its size and its error bound.
+    """
+    beta = spec.beta
+    K, _, b, G, lu, w = _solve_k_system(spec, K)
+    # right-hand sides [d, 1, R]: column 2 + c holds the mass that lands
+    # beyond c, summed from the tail (rows below c are never read)
+    B = np.empty((K, K + 2), order="F")
+    B[:, 0] = b[:, 0]
+    B[:, 1] = 1.0
+    B[:, 2:] = G[:, 1:]
+    R = B[:, :1:-1]
+    np.add.accumulate(R, axis=1, out=R)
 
     # A = Up^T Lo^T W^-1 for W A^T = Lo Up: z = Lo^-1 W e_0 = Lo^-1 e_0, and
     # B becomes Up^-T B
+    lapack = _lapack()
     e0 = np.zeros(K)
     e0[0] = 1.0
     z = lapack.dtrtrs(lu, e0, lower=1, unitdiag=1)[0]
@@ -228,17 +262,17 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
     L, M, D, N = np.zeros((4, K + 1))
     np.add.accumulate(zg, out=L[1:])
     np.add.accumulate(zh, out=M[1:])
-    Y = B[:, 2:]
-    Y *= z[:, None]
-    np.add.accumulate(Y, axis=0, out=Y)
+    # U_k(0) = beta sum_{i<k} Y[i, k-1], a column sum over Y's upper triangle;
+    # over a C-ordered Y the reduce adds one row at a time, in row order
+    Y = np.multiply(B[:, 2:], z[:, None], order="C")
+    np.add.reduce(Y, axis=0, where=~np.tri(K, k=-1, dtype=bool), initial=0.0, out=N[1:])
     np.divide(L[1:], M[1:], out=D[1:])
     N[0] = 1.0
-    np.multiply(Y.diagonal(), beta, out=N[1:])
+    N[1:] *= beta
     N[1:] /= M[1:]
     dD = np.empty(K)
     dD[0] = D[1]
     dD[1:] = (zg[1:] * M[1:K] - zh[1:] * L[1:K]) / (M[1:K] * M[2:])
-    count(factorizations=1, largest_system=K, error_bound=float(bound.max()))
     # x_k^T = Up_k^-1 z[:k].  Row k of W A^T left of the diagonal is
     # -beta w_k T[:k, k]^T = Lo[k, :k] Up_k, and (Lo z)_k = 0, so
     # beta x_k T[:k, k] = -Lo[k, :k] z[:k] / w_k = z_k / w_k
@@ -292,6 +326,9 @@ def _never_transmit_distortion(spec: ModelSpecA) -> float:
 def performance(spec: ModelSpecA, k: float) -> PerfPoint:
     """Exact (D, N) of the threshold-k policy.
 
+    For 1 <= k < inf, D = L(0)/M(0) and N = U(0)/M(0) come straight from the
+    certified solve of threshold k's own system (``_solve_k_system``, with
+    its checks, errors and diagnostics record); no table is built.
     ``k = 0`` always transmits, ``k = math.inf`` never does; any other k
     that is not a nonnegative integer raises ``UsageError``.
     """
@@ -301,8 +338,8 @@ def performance(spec: ModelSpecA, k: float) -> PerfPoint:
     elif integer_at_least(k) == 0:
         D, N = 0.0, 1.0
     else:
-        table = threshold_table(spec, k)
-        D, N = float(table.D[-1]), float(table.N[-1])
+        x = _solve_k_system(spec, k)[1]
+        D, N = float(x[0, 0] / x[0, 1]), float(x[0, 2] / x[0, 1])
     return PerfPoint(distortion=D, transmission_rate=N)
 
 

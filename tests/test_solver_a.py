@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -18,11 +18,12 @@ from remest import (
     IntegerPmf,
     ModelSpecA,
     NumericsError,
+    RemestError,
     SingularSystemError,
     UsageError,
 )
 from remest import dp, solver_a
-from remest.model import Diagnostics, collect
+from remest.model import MAX_SILENT_DIM, Diagnostics, collect
 from conftest import random_valid_pmf
 
 
@@ -112,14 +113,15 @@ class TestFoldedTransition:
     def test_cap_raises_before_allocating(self, bd_avg, monkeypatch):
         # a 10^7 x 10^7 table would need 1.6 PB; the refusal allocates nothing
         monkeypatch.setattr(solver_a, "MAX_SILENT_DIM", 12)
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError):
-                solver_a.threshold_table(bd_avg, 10 ** 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+        for route in (solver_a.threshold_table, solver_a.performance):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    route(bd_avg, 10 ** 7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000, route.__name__
 
 
 class TestRenewalFunctionals:
@@ -321,6 +323,49 @@ class TestPerformance:
     def test_non_integer_threshold_rejected(self, bd_avg):
         with pytest.raises(UsageError):
             solver_a.performance(bd_avg, 1.5)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.sampled_from([0, 1, -1, 2, -2, 3, -3]),
+           st.sampled_from([0.9, 0.95, 0.99, 1.0]), st.booleans(), st.integers(1, 150))
+    # a = 0 at beta = 1 cannot escape past the radius; past the cap nothing is built
+    @example(seed=0, radius=2, a=0, beta=1.0, quadratic=True, k=3)
+    @example(seed=0, radius=1, a=1, beta=0.9, quadratic=False, k=MAX_SILENT_DIM + 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_table(self, seed, radius, a, beta, quadratic, k):
+        # performance reads threshold k off its own solve, the table off the
+        # extension of the same factorization: equal up to rounding, with
+        # the same diagnostics record and the same errors
+        pmf = IntegerPmf(random_valid_pmf(np.random.default_rng(seed), radius))
+        d = DistortionFn.quadratic() if quadratic else DistortionFn.absolute()
+        spec = ModelSpecA(a, pmf, d, beta)
+        if abs(a) >= 2 and k <= 150:
+            k = 1 + k % 60
+
+        def outcome(route):
+            try:
+                with collect() as record:
+                    return route(), record
+            except RemestError as err:
+                return type(err), str(err)
+
+        perf = outcome(lambda: solver_a.performance(spec, k))
+        table = outcome(lambda: solver_a.threshold_table(spec, k))
+        if isinstance(table[0], type):
+            assert perf == table
+            return
+        (p, p_record), (t, t_record) = perf, table
+        assert p_record == t_record
+        assert abs(p.distortion - t.D[k]) <= 1e-13 * t.D[k]
+        assert abs(p.transmission_rate - t.N[k]) <= 1e-13 * t.N[k]
+
+    def test_one_solve_and_no_table(self, bd_09):
+        calls = {}
+        patches = [mock.patch.object(lapack, name, wraps=getattr(lapack, name))
+                   for name in ("dgetrf", "dgetrs", "dtrtrs")]
+        for route in (solver_a.performance, solver_a.threshold_table):
+            with patches[0] as getrf, patches[1] as getrs, patches[2] as trtrs:
+                route(bd_09, 33)
+            calls[route.__name__] = (getrf.call_count, getrs.call_count, trtrs.call_count)
+        assert calls == {"performance": (1, 1, 0), "threshold_table": (1, 1, 2)}
 
 
 def _bd_lmu_exact(p: Fraction, beta: Fraction, k: int) -> tuple[Fraction, Fraction, Fraction]:
