@@ -28,9 +28,10 @@ import numpy as np
 from .errors import SingularSystemError, UsageError
 
 #: Largest K of the integer model's threshold table (one dense K x K system over
-#: the folded states 0..K-1, for every threshold k <= K).  Its two K x K arrays
-#: take 16 K^2 bytes: at K = 5760 the table builds in 4.5 s at a 593 MB peak RSS
-#: on a 2-core Xeon; 5790 reaches 600 MB.
+#: the folded states 0..K-1, for every threshold k <= K).  The table holds three
+#: K x K float arrays at once, 24 K^2 bytes (the landing masses, the factors and
+#: the right-hand sides): at K = 5760 it builds in 7.2-7.5 s at an 866-868 MB
+#: peak RSS on a 2-core Xeon.
 MAX_SILENT_DIM = 5760
 
 #: Stored pmf mass below this deficit is renormalized away silently.
@@ -449,8 +450,8 @@ class PerfPoint:
     transmission_rate: float
 
     def __post_init__(self):
-        if self.distortion < 0.0 and not math.isinf(self.distortion):
-            raise UsageError("distortion must be nonnegative")
+        if not 0.0 <= self.distortion < math.inf:
+            raise UsageError(f"distortion must be nonnegative and finite, got {self.distortion}")
         if not -1e-12 <= self.transmission_rate <= 1.0 + 1e-12:
             raise UsageError("transmission rate must lie in [0, 1]")
 

@@ -64,12 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DivergenceError,
-    NumericsError,
-    UsageError,
-)
+from .errors import CapacityError, NumericsError, UsageError
 from .model import (
     MAX_SILENT_DIM,
     CostlyResult,
@@ -89,12 +84,6 @@ from .model import (
 #: Corners whose increment D(k+1) - D(k) is at most this times D(k+1) are skipped as
 #: duplicates: relative, as the scale of d is arbitrary, and local, whatever the table's K.
 _FLAT_D_TOL = 1e-12
-
-#: Cap on the multiply-adds of the never-transmit convolution, horizon x
-#: support x (kernel + 1): birth-death at beta = 0.999 (6.1e9) takes 1.4-2.2 s
-#: and radius 5 at beta = 0.996 (5.7e9) 1.8 s on a 2-core Xeon; the work grows
-#: as the squared horizon, so beta = 0.9995 would take 4x as long.
-NEVER_TRANSMIT_MAX_WORK = 6.5e9
 
 #: Ratio of successive column weights of the factored matrix; 1 - 1e-6 is far
 #: above the rounding (about K eps) that could tip a tied pivot choice.
@@ -280,67 +269,22 @@ def threshold_table(spec: ModelSpecA, K: int) -> ThresholdTable:
                           land_edge=z / w, visit_edge=visit_edge)
 
 
-def _never_transmit_distortion(spec: ModelSpecA) -> float:
-    """Long-run distortion of the never-transmit policy."""
-    beta = spec.beta
-    pmf = spec.pmf
-    d = spec.distortion
-    mean_d_w = float(np.dot(pmf.values, d(pmf.offsets)))
-    if spec.a == 0:
-        return beta * mean_d_w  # exact at beta = 1
-    if beta.is_average:
-        raise DivergenceError("never-transmit average distortion diverges for |a| >= 1")
-    if abs(spec.a) >= 2:
-        # error support doubles per step; the convolution below cannot be carried
-        # to the discount horizon within the dimension cap
-        raise CapacityError(
-            "never-transmit distortion with |a| >= 2 needs unbounded state support"
-        )
-    horizon = int(math.ceil(math.log(1e-12) / math.log(beta)))
-    r = pmf.radius
-    half = horizon * r + 1
-    work = horizon * (2 * half + 1) * (2 * r + 2)
-    if work > NEVER_TRANSMIT_MAX_WORK:
-        raise CapacityError(
-            f"never-transmit distortion at beta={float(beta)} needs {work:.1e} "
-            f"multiply-adds over {horizon} steps, above the cap {NEVER_TRANSMIT_MAX_WORK:.1e}"
-        )
-    support = np.arange(-half, half + 1)
-    dist = np.zeros(len(support))
-    dist[half] = 1.0  # error starts at 0
-    # a = -1 evolves identically in law: the error law stays symmetric, so
-    # negating the state before adding a symmetric step changes nothing
-    kernel = np.zeros(2 * r + 1)
-    for n, p in pmf.items:
-        kernel[n + r] = p
-    dvals = np.asarray(d(support), dtype=float)
-    total = 0.0
-    w = 1.0 - beta
-    for _ in range(horizon):
-        w *= beta
-        dist = np.convolve(dist, kernel, mode="same")
-        total += w * float(np.dot(dist, dvals))
-    return total
-
-
-def performance(spec: ModelSpecA, k: float) -> PerfPoint:
+def performance(spec: ModelSpecA, k: int) -> PerfPoint:
     """Exact (D, N) of the threshold-k policy.
 
-    For 1 <= k < inf, D = L(0)/M(0) and N = U(0)/M(0) come straight from the
+    For k >= 1, D = L(0)/M(0) and N = U(0)/M(0) come straight from the
     certified solve of threshold k's own system (``_solve_k_system``, with
     its checks, errors and diagnostics record); no table is built.
-    ``k = 0`` always transmits, ``k = math.inf`` never does; any other k
-    that is not a nonnegative integer raises ``UsageError``.
+    ``k = 0`` always transmits; any other k that is not a nonnegative
+    integer, ``math.inf`` included, raises ``UsageError``.  Never
+    transmitting is the k -> inf limit, which at beta < 1 the flat tail of
+    ``threshold_table`` gives.
     """
-    if k == math.inf:
-        N = 0.0
-        D = _never_transmit_distortion(spec)
-    elif integer_at_least(k) == 0:
-        D, N = 0.0, 1.0
-    else:
-        x = _solve_k_system(spec, k)[1]
-        D, N = float(x[0, 0] / x[0, 1]), float(x[0, 2] / x[0, 1])
-    return PerfPoint(distortion=D, transmission_rate=N)
+    if integer_at_least(k) == 0:
+        return PerfPoint(distortion=0.0, transmission_rate=1.0)
+    x = _solve_k_system(spec, k)[1]
+    return PerfPoint(distortion=float(x[0, 0] / x[0, 1]),
+                     transmission_rate=float(x[0, 2] / x[0, 1]))
 
 
 def table_corners(table: ThresholdTable) -> list[tuple[int, float]]:

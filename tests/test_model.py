@@ -13,6 +13,7 @@ from remest import (
     IntegerPmf,
     ModelSpecA,
     ModelSpecB,
+    PerfPoint,
     RandomizedThresholdPolicy,
     SmoothPdf,
     TradeoffCurve,
@@ -108,13 +109,13 @@ class TestIntegerPmf:
         assert pmf == twin and hash(pmf) == hash(twin) and twin.values is not pmf.values
 
     def test_zero_mass_offsets_dropped(self):
-        # kept, the +-200 entries made the radius 200, and the never-transmit
-        # distortion below raised CapacityError (1.1e10 multiply-adds)
+        # kept, the +-200 entries would make the radius 200 and widen every
+        # silent system's landings
         core = {-1: 0.3, 0: 0.4, 1: 0.3}
         padded = IntegerPmf({**core, 200: 0.0, -200: 0.0})
         plain = IntegerPmf(core)
         assert padded.radius == 1 and padded.items == plain.items
-        for k in (math.inf, 3):
+        for k in (3, 60):
             got, want = (solver_a.performance(ModelSpecA(1, pmf, DistortionFn.quadratic(), 0.9), k)
                          for pmf in (padded, plain))
             assert got == want
@@ -283,6 +284,12 @@ class TestPolicies:
             RandomizedThresholdPolicy(2, 1.5)
 
 
+@pytest.mark.parametrize("distortion", [-math.inf, math.nan, math.inf, -1.0])
+def test_perf_point_refuses_a_distortion_outside_zero_to_infinity(distortion):
+    with pytest.raises(UsageError):
+        PerfPoint(distortion=distortion, transmission_rate=0.5)
+
+
 class TestDiagnostics:
     def test_count_outside_a_block_leaves_no_trace(self):
         with collect() as closed:
@@ -386,8 +393,10 @@ def test_integer_entry_points_accept_integral_values(entry):
     assert repr(call(3.0)) == repr(call(np.int64(3))) == repr(call(3))
 
 
-def test_only_plus_infinity_never_transmits():
-    assert solver_a.performance(_DISCOUNTED, math.inf).transmission_rate == 0.0
+def test_performance_refuses_an_infinite_threshold():
+    # never transmitting is the limit of the threshold table's flat tail
+    with pytest.raises(UsageError):
+        solver_a.performance(_DISCOUNTED, math.inf)
 
 
 class TestMMatrixCertificate:

@@ -221,6 +221,15 @@ class TestThresholdPolicies:
         res = simulate(solver_a.bd_spec(0.3, 1.0, a=0), PolicySpec.threshold(math.inf), cfg)
         assert res.n_hat == 0.0 and res.d_hat > 0.0
 
+    def test_never_transmit_discounted_vs_simulation(self, bd_09):
+        # never transmitting is the limit of the threshold table's flat tail
+        # (N(60) = 4.8e-17)
+        p = solver_a.performance(bd_09, 60)
+        res = simulate(bd_09, PolicySpec.threshold(math.inf),
+                       SimConfig(replications=3000, seed=5))
+        assert res.n_hat == 0.0
+        assert abs(res.d_hat - p.distortion) <= 3.0 * res.d_se
+
     def test_memory_cap(self, bd_avg, monkeypatch):
         # iid coins double the per-step draws
         monkeypatch.setattr(simulate_module, "MAX_SIM_CELLS", 1000)

@@ -14,7 +14,6 @@ from scipy.linalg import lapack
 from remest import (
     CapacityError,
     DistortionFn,
-    DivergenceError,
     IntegerPmf,
     ModelSpecA,
     NumericsError,
@@ -281,44 +280,6 @@ class TestPerformance:
         p = solver_a.performance(bd_09, 5)
         assert p.distortion == pytest.approx(1.1844, abs=5e-4)
         assert p.transmission_rate == pytest.approx(0.0111, abs=5e-4)
-
-    def test_never_transmit_average_diverges(self, bd_avg):
-        with pytest.raises(DivergenceError):
-            solver_a.performance(bd_avg, math.inf)
-
-    def test_never_transmit_a0_average(self):
-        spec = solver_a.bd_spec(0.3, 1.0, a=0)
-        p = solver_a.performance(spec, math.inf)
-        assert p.transmission_rate == 0.0
-        assert p.distortion == pytest.approx(0.6)  # E|W| = 2p
-
-    def test_never_transmit_a0_discounted(self):
-        # the error is a fresh innovation at every step after the first
-        p = solver_a.performance(solver_a.bd_spec(0.3, 0.9, a=0), math.inf)
-        assert p.transmission_rate == 0.0
-        assert p.distortion == pytest.approx(0.9 * 0.6)  # beta E|W|
-
-    def test_never_transmit_discounted_vs_simulation(self, bd_09):
-        from remest.simulate import PolicySpec, SimConfig, simulate
-
-        p = solver_a.performance(bd_09, math.inf)
-        assert p.transmission_rate == 0.0
-        res = simulate(bd_09, PolicySpec.threshold(math.inf),
-                       SimConfig(replications=3000, seed=5))
-        assert abs(res.d_hat - p.distortion) <= 3.0 * res.d_se
-
-    def test_never_transmit_cap_raises_before_work(self):
-        # the convolution would run 2.8e6 steps on a support of 5.5e6 points
-        spec = solver_a.bd_spec(0.3, 0.99999)
-        start = time.perf_counter()
-        with pytest.raises(CapacityError):
-            solver_a.performance(spec, math.inf)
-        assert time.perf_counter() - start < 1.0
-
-    def test_never_transmit_a2_discounted_rejected(self):
-        spec = solver_a.bd_spec(0.3, 0.9, a=2)
-        with pytest.raises(CapacityError):
-            solver_a.performance(spec, math.inf)
 
     def test_non_integer_threshold_rejected(self, bd_avg):
         with pytest.raises(UsageError):
