@@ -56,8 +56,10 @@ DISTORTION_PROBE_HALFWIDTH = 8.0
 # Gauss-Legendre nodes of a tabulated density's tail integral
 _TAIL_ORDER = 64
 
-# uniforms a pmf draw locates at a time, in 272 KB of buffers whatever the draw
-_SEARCH_BLOCK = 2**14
+# uniforms a pmf draw locates at a time, in 1.1 MB of buffers whatever the draw:
+# a chunk of draws takes a few blocks, and each of their NumPy calls takes the
+# interpreter lock back from a step loop running beside the draw
+_SEARCH_BLOCK = 2**16
 
 
 def integer_at_least(value, least: float = 0, name: str = "threshold") -> int:

@@ -10,20 +10,37 @@ and share one simulated block per spec: ``suite_renewal`` runs its
 birth-death and its Gaussian thresholds as two blocks, ``suite_baselines``
 its eight Gaussian policies as one, so each spec's innovations are drawn
 once (common random numbers across the policies compared).
+
+Each Monte-Carlo suite is split at its simulations (``_Simulated``): its
+analytic side is computed first, in the calling process, and its blocks
+then run side by side, one step loop per usable core, the caller's own and
+one in each forked child (``_side_by_side``); ``run_suite("all")`` runs the
+renewal and baselines blocks together.  A child runs only step loops and
+draws, never LAPACK or BLAS, whose thread pools a fork does not copy, and a
+process with a second Python thread runs every block inline.  A block draws
+from its own seed, so the checks and the ``collect()`` counters are the same
+whatever the core count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import os
+import pickle
+import threading
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import dp, solver_a, solver_b
-from .model import DistortionFn, ModelSpecB, PerfPoint, SmoothPdf
+from .errors import UsageError
+from .model import (Diagnostics, DistortionFn, ModelSpecA, ModelSpecB, PerfPoint, SmoothPdf,
+                    collect, count)
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
-from .simulate import PolicySpec, SimConfig, simulate_policies, state_blind_distortion
+from .simulate import (PolicySpec, SimConfig, SimResult, simulate_policies,
+                       state_blind_distortion)
 
 TABLE_TOL = 5e-4  # the published table's four-decimal rounding
 CLOSED_FORM_TOL = 1e-9
@@ -227,27 +244,164 @@ def suite_scaling() -> list[CheckResult]:
     return out
 
 
-def suite_renewal(config: SimConfig = RENEWAL_CONFIG) -> list[CheckResult]:
-    """Simulated threshold performance vs the analytic route: one block of
-    thresholds per spec."""
-    out: list[CheckResult] = []
+# --- Monte-Carlo blocks side by side ------------------------------------------
+
+# set in a lane's child process, which runs every block it is handed inline
+_IN_LANE = False
+
+
+@dataclass(frozen=True)
+class _Simulated:
+    """A Monte-Carlo suite split at its simulations, its analytic side
+    already computed: ``blocks`` holds the arguments ``(spec, policies,
+    config)`` of its ``simulate_policies`` calls, and ``judge`` turns their
+    results, in block order, into the suite's checks."""
+
+    blocks: list[tuple[ModelSpecA | ModelSpecB, list[PolicySpec], SimConfig]]
+    judge: Callable[[list[list[SimResult]]], list[CheckResult]]
+
+
+def _lane_count(blocks: list) -> int:
+    """Step loops to run at once: one per usable core, at most one per block;
+    one (every block inline) where fork is unavailable, another Python thread
+    is alive (a fork copies only the calling thread) or this process is
+    itself a lane's child."""
+    if (len(blocks) < 2 or _IN_LANE or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+        return 1
+    return min(len(blocks), len(os.sched_getaffinity(0)))
+
+
+def _cells(block: tuple) -> int:
+    """A block's size, policies x replications x horizon, by which the
+    blocks are dealt to lanes."""
+    _, policies, config = block
+    return len(policies) * config.replications * config.horizon
+
+
+def _fork_lane(blocks: list) -> tuple[int, int]:
+    """Fork a child that runs ``blocks`` in order and sends back through a
+    pipe, pickled, ``(results, None, record)`` or ``(None, exception,
+    record)``, ``record`` being its ``collect()`` counters; returns the
+    child's pid and the pipe's read end.  The child leaves by ``os._exit``,
+    so it never returns into the caller's code nor flushes its buffers."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    global _IN_LANE
+    _IN_LANE = True
+    status = 1
+    try:
+        os.close(read)
+        with collect() as record:
+            try:
+                outcome = [simulate_policies(*block) for block in blocks], None
+            except Exception as exc:
+                outcome = None, exc
+        data = pickle.dumps((*outcome, record))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_lane(pid: int, read: int) -> tuple:
+    """The outcome a ``_fork_lane`` child sent, once the child is reaped; a
+    ``ChildProcessError`` as its exception when it sent none."""
+    with open(read, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if not data:
+        return None, ChildProcessError(
+            f"simulation lane {pid} exited with status {status} and sent no results"
+        ), Diagnostics()
+    return pickle.loads(data)
+
+
+def _side_by_side(blocks: list) -> list[list[SimResult]]:
+    """``simulate_policies`` of each ``(spec, policies, config)`` block, in
+    block order, with up to ``_lane_count`` step loops at once.
+
+    The blocks, largest first (``_cells``), go each to the least loaded
+    lane.  The caller runs lane 0, which starts the
+    largest block, while a forked child runs each other lane.  Each child's
+    ``collect()`` counters are added to the caller's open record and its
+    exception is raised again here with its type and message; every child
+    is reaped before this returns or raises.  A block's results do not
+    depend on where it ran, as it draws from its own seed.
+    """
+    lanes = [[] for _ in range(_lane_count(blocks))]
+    if len(lanes) == 1:
+        return [simulate_policies(*block) for block in blocks]
+    loads = [0] * len(lanes)
+    for i in sorted(range(len(blocks)), key=lambda j: -_cells(blocks[j])):
+        lane = loads.index(min(loads))
+        lanes[lane].append(i)
+        loads[lane] += _cells(blocks[i])
+    results: list = [None] * len(blocks)
+    children = []
+    try:
+        for lane in lanes[1:]:
+            children.append((lane, *_fork_lane([blocks[i] for i in lane])))
+        for i in lanes[0]:
+            results[i] = simulate_policies(*blocks[i])
+    finally:
+        outcomes = [(lane, *_join_lane(pid, read)) for lane, pid, read in children]
+    for lane, lane_results, error, record in outcomes:
+        count(**asdict(record))
+        if error is not None:
+            raise error
+        for i, result in zip(lane, lane_results):
+            results[i] = result
+    return results
+
+
+def _settle(parts: list) -> list[CheckResult]:
+    """The checks of ``parts``, each a suite's checks or its ``_Simulated``
+    split, in order; the blocks of every split run in one ``_side_by_side``."""
+    splits = [part for part in parts if isinstance(part, _Simulated)]
+    results = iter(_side_by_side([block for split in splits for block in split.blocks]))
+    return [check for part in parts
+            for check in (part.judge([next(results) for _ in part.blocks])
+                          if isinstance(part, _Simulated) else part)]
+
+
+def _renewal(config: SimConfig = RENEWAL_CONFIG) -> _Simulated:
+    """The renewal suite split at its simulations: the analytic (D, N) of each
+    threshold, then one block of thresholds per spec."""
     bd = solver_a.bd_spec(0.3, 1.0)
     gm = solver_b.gauss_markov_spec(1.0)
     table = solver_a.threshold_table(bd, 5)  # k = 2, 3, 5 from one factorization
-    blocks = [("birth-death", bd, {k: PerfPoint(float(table.D[k]), float(table.N[k]))
-                                   for k in (2, 3, 5)}),
-              ("gaussian", gm, {k: solver_b.performance_b(gm, k) for k in (1.0, 2.0)})]
-    for label, spec, analytic in blocks:
-        results = simulate_policies(spec, [PolicySpec.threshold(k) for k in analytic], config)
-        for (k, ana), res in zip(analytic.items(), results):
-            out.append(_check(
-                "renewal", f"{label} k={k}",
-                _sim_close(res.d_hat, res.d_se, ana.distortion)
-                and _sim_close(res.n_hat, res.n_se, ana.transmission_rate),
-                f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {ana.distortion:.5f}; "
-                f"n={res.n_hat:.5f}±{res.n_se:.5f} vs {ana.transmission_rate:.5f}",
-            ))
-    return out
+    analytic = [("birth-death", bd, {k: PerfPoint(float(table.D[k]), float(table.N[k]))
+                                     for k in (2, 3, 5)}),
+                ("gaussian", gm, {k: solver_b.performance_b(gm, k) for k in (1.0, 2.0)})]
+
+    def judge(results: list[list[SimResult]]) -> list[CheckResult]:
+        return [_check(
+            "renewal", f"{label} k={k}",
+            _sim_close(res.d_hat, res.d_se, ana.distortion)
+            and _sim_close(res.n_hat, res.n_se, ana.transmission_rate),
+            f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {ana.distortion:.5f}; "
+            f"n={res.n_hat:.5f}±{res.n_se:.5f} vs {ana.transmission_rate:.5f}",
+        ) for (label, _, points), block in zip(analytic, results)
+            for (k, ana), res in zip(points.items(), block)]
+
+    return _Simulated([(spec, [PolicySpec.threshold(k) for k in points], config)
+                       for _, spec, points in analytic], judge)
+
+
+def suite_renewal(config: SimConfig = RENEWAL_CONFIG) -> list[CheckResult]:
+    """Simulated threshold performance vs the analytic route: one block of
+    thresholds per spec, the two blocks side by side."""
+    return _settle([_renewal(config)])
 
 
 def suite_dp() -> list[CheckResult]:
@@ -284,9 +438,9 @@ def suite_dp() -> list[CheckResult]:
     return out
 
 
-def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
-    """State-blind baseline formulas and the policy ordering, by simulation:
-    all eight policies in one block."""
+def _baselines(config: SimConfig = BASELINES_CONFIG) -> _Simulated:
+    """The baselines suite split at its simulation: the optimal thresholds,
+    then all eight policies in one block."""
     gm = solver_b.gauss_markov_spec(1.0)
     baselines = []
     for alpha in (0.25, 0.5):
@@ -299,39 +453,49 @@ def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
     order_alphas = (0.2, 0.5)
     optimal = [PolicySpec.threshold(solver_b.algorithm2_constrained(gm, alpha, 1e-6)[0])
                for alpha in order_alphas]
-    results = simulate_policies(gm, [policy for _, policy in baselines] + optimal, config)
 
-    out: list[CheckResult] = []
-    for (name, policy), res in zip(baselines, results):
-        want = state_blind_distortion(policy, 1.0)
-        out.append(_check(
-            "baselines", name, _sim_close(res.d_hat, res.d_se, want),
-            f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {want:.5f}",
-        ))
-    for alpha, res_th in zip(order_alphas, results[len(baselines):]):
-        d_per = state_blind_distortion(PolicySpec.periodic_one_in(round(1.0 / alpha)), 1.0)
-        d_rand = state_blind_distortion(PolicySpec.iid_random(alpha), 1.0)
-        out.append(_check(
-            "baselines", f"ordering threshold < periodic < random at alpha={alpha}",
-            res_th.d_hat + MC_SIGMAS * res_th.d_se < d_per < d_rand,
-            f"{res_th.d_hat:.4f} < {d_per:.4f} < {d_rand:.4f}",
-        ))
-    return out
+    def judge(blocks: list[list[SimResult]]) -> list[CheckResult]:
+        [results] = blocks
+        out: list[CheckResult] = []
+        for (name, policy), res in zip(baselines, results):
+            want = state_blind_distortion(policy, 1.0)
+            out.append(_check(
+                "baselines", name, _sim_close(res.d_hat, res.d_se, want),
+                f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {want:.5f}",
+            ))
+        for alpha, res_th in zip(order_alphas, results[len(baselines):]):
+            d_per = state_blind_distortion(PolicySpec.periodic_one_in(round(1.0 / alpha)), 1.0)
+            d_rand = state_blind_distortion(PolicySpec.iid_random(alpha), 1.0)
+            out.append(_check(
+                "baselines", f"ordering threshold < periodic < random at alpha={alpha}",
+                res_th.d_hat + MC_SIGMAS * res_th.d_se < d_per < d_rand,
+                f"{res_th.d_hat:.4f} < {d_per:.4f} < {d_rand:.4f}",
+            ))
+        return out
+
+    return _Simulated([(gm, [policy for _, policy in baselines] + optimal, config)], judge)
 
 
+def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
+    """State-blind baseline formulas and the policy ordering, by simulation:
+    all eight policies in one block."""
+    return _settle([_baselines(config)])
+
+# a Monte-Carlo suite's entry returns its ``_Simulated`` split, every other
+# suite's its checks; ``run_suite`` settles both
 SUITES = {
     "tableI": suite_table,
     "closed_forms": suite_closed_forms,
     "scaling": suite_scaling,
-    "renewal": suite_renewal,
+    "renewal": _renewal,
     "dp": suite_dp,
-    "baselines": suite_baselines,
+    "baselines": _baselines,
 }
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Checks of one suite, or of every suite for ``"all"``."""
+    """Checks of one suite, or of every suite for ``"all"``, whose
+    Monte-Carlo blocks then run side by side."""
     if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [check for suite in (SUITES if name == "all" else (name,))
-            for check in SUITES[suite]()]
+        raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return _settle([SUITES[suite]() for suite in (SUITES if name == "all" else (name,))])

@@ -677,13 +677,15 @@ class TestParserReuse:
         assert fresh.returncode == 0
 
 
-def _heavy_scipy_modules_loaded_after(script: str) -> list[str]:
-    """Heavy scipy modules in ``sys.modules`` after ``script`` runs in a fresh
-    interpreter: each would add to every command's start-up.  After
-    remest.cli, scipy.linalg costs about 300 ms, scipy.sparse 16 ms,
-    scipy.special 68 ms and scipy.optimize 276 ms."""
+# after remest.cli, scipy.linalg costs about 300 ms, scipy.sparse 16 ms,
+# scipy.special 68 ms and scipy.optimize 276 ms of start-up
+_HEAVY_SCIPY = ("scipy.linalg", "scipy.sparse", "scipy.special", "scipy.optimize")
+
+
+def _modules_loaded_after(script: str, heavy: tuple[str, ...] = _HEAVY_SCIPY) -> list[str]:
+    """Modules of ``heavy`` in ``sys.modules`` after ``script`` runs in a fresh
+    interpreter: each would add to every command's start-up."""
     env = {**os.environ, "PYTHONPATH": str(Path(remest.__file__).parents[1])}
-    heavy = ("scipy.linalg", "scipy.sparse", "scipy.special", "scipy.optimize")
     run = subprocess.run(
         [sys.executable, "-c", f"{script}\nimport sys\n"
          f"print(*[m for m in {heavy!r} if m in sys.modules])"],
@@ -700,7 +702,14 @@ def test_public_names_resolve_once():
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     for script in ("import remest", "import remest.cli"):
-        assert _heavy_scipy_modules_loaded_after(script) == [], script
+        assert _modules_loaded_after(script) == [], script
+
+
+def test_cli_import_leaves_process_pool_modules_unloaded():
+    # the validation suites fork their side-by-side step loops with os.fork
+    # and a pipe: no process-pool module joins every command's start-up
+    pools = ("multiprocessing", "concurrent.futures.process")
+    assert _modules_loaded_after("import remest.cli", pools) == []
 
 
 def test_model_b_commands_leave_scipy_linalg_unloaded():
@@ -714,7 +723,7 @@ def test_model_b_commands_leave_scipy_linalg_unloaded():
         "    assert remest.cli.main(['simulate', '--model', 'B', '--sigma', '1',\n"
         "                            '--policy', 'threshold', '--k', '1', '--reps', '20']) == 0"
     )
-    assert _heavy_scipy_modules_loaded_after(script) == []
+    assert _modules_loaded_after(script) == []
 
 
 def test_readme_command_lines_parse():

@@ -23,7 +23,7 @@ from remest import (
     UsageError,
 )
 from remest import cli, solver_a, solver_b
-from remest.model import Diagnostics, SmoothPdf, collect
+from remest.model import _SEARCH_BLOCK, Diagnostics, SmoothPdf, collect
 from remest.simulate import (
     PolicySpec,
     SimConfig,
@@ -974,8 +974,8 @@ class TestPmfSampler:
         assert (cells is not None) == crowded
         if crowded:
             assert cells[(u * G).astype(np.intp)].any()
-        # an odd shape: blocks of 2^14 and a partial last one
-        u = np.resize(u, (3, 7001))
+        # an odd shape: one full block of _SEARCH_BLOCK and a partial last one
+        u = np.resize(u, (3, _SEARCH_BLOCK // 2 + 1))
         assert np.array_equal(pmf.sampler(FixedUniforms(u), u.shape), self.located(pmf, u))
 
     def test_draw_allocates_three_blocks_at_most(self):
@@ -989,7 +989,7 @@ class TestPmfSampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before <= 3 * 2**14 * 8
+        assert peak - before <= 3 * _SEARCH_BLOCK * 8
 
     @staticmethod
     def assert_frequencies(draws, offsets, values):

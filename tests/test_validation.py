@@ -1,13 +1,35 @@
 import dataclasses
+import functools
+import os
+import threading
 from unittest import mock
 
 import pytest
 from scipy.linalg import lapack
 
 from remest import dp, solver_a, solver_b, validation
+from remest.errors import NumericsError, UsageError
+from remest.model import collect
 from remest.simulate import SimConfig
 
 SMALL = SimConfig(horizon=2_000, replications=20, seed=5, burn_in=100)
+
+
+def _short_suites(mp):
+    """Run the Monte-Carlo suites of ``run_suite`` on ``SMALL``."""
+    for name in ("renewal", "baselines"):
+        mp.setitem(validation.SUITES, name, functools.partial(validation.SUITES[name], SMALL))
+
+
+def _usable_cores(mp, cores):
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+
+
+def _counted_forks(mp):
+    """The calls to ``os.fork``, made through a wrapper that counts them."""
+    forks, real = [], os.fork
+    mp.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
 
 
 def _nudged(fn, field, amount):
@@ -76,14 +98,95 @@ _BREAKERS = {
 @pytest.mark.parametrize("suite", list(validation.SUITES))
 def test_suite_detects_shifted_route(suite, monkeypatch):
     _BREAKERS[suite](monkeypatch)
-    run = validation.SUITES[suite]
-    checks = run(SMALL) if suite in ("renewal", "baselines") else run()
+    _short_suites(monkeypatch)
+    checks = validation.run_suite(suite)
     assert any(not c.passed for c in checks), [c.detail for c in checks]
 
 
+def test_shifted_simulations_fail_both_suites_when_forked(monkeypatch):
+    # the forked children run the patched simulator they were copied with
+    _break_simulation(monkeypatch)
+    _short_suites(monkeypatch)
+    for name in ("tableI", "closed_forms", "scaling", "dp"):
+        monkeypatch.delitem(validation.SUITES, name)
+    _usable_cores(monkeypatch, {0, 1})
+    forks = _counted_forks(monkeypatch)
+    checks = validation.run_suite("all")
+    assert forks == [1]
+    for suite in ("renewal", "baselines"):
+        assert any(not c.passed for c in checks if c.suite == suite), suite
+
+
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         validation.run_suite("nope")
+
+
+class TestSideBySide:
+    """The Monte-Carlo blocks run side by side in forked children, with the
+    results, checks and counters of an inline run."""
+
+    @pytest.mark.parametrize("name", ["renewal", "all"])
+    def test_one_core_and_two_agree(self, name, monkeypatch):
+        _short_suites(monkeypatch)
+        forks = _counted_forks(monkeypatch)
+        runs = []
+        for cores in ({0}, {0, 1}):
+            _usable_cores(monkeypatch, cores)
+            with collect() as record:
+                checks = validation.run_suite(name)
+            runs.append((checks, record))
+        # one child: on two cores the caller runs the largest block's lane
+        assert forks == [1]
+        assert runs[0] == runs[1]
+        assert runs[0][1].step_loops == (2 if name == "renewal" else 3)
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_failure_raised_and_every_child_reaped(self, where, monkeypatch):
+        _short_suites(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1})
+        forks = _counted_forks(monkeypatch)
+        caller, real = os.getpid(), validation.simulate_policies
+
+        def failing(*args):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise NumericsError(f"injected failure in the {where}")
+            return real(*args)
+
+        monkeypatch.setattr(validation, "simulate_policies", failing)
+        with pytest.raises(NumericsError, match=f"injected failure in the {where}"):
+            validation.run_suite("renewal")
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left, running or zombie
+
+    def test_a_child_would_run_its_blocks_inline(self, monkeypatch):
+        _short_suites(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1})
+        caller, real = os.getpid(), validation.simulate_policies
+
+        def checked(*block):
+            if os.getpid() != caller and validation._lane_count([block, block]) != 1:
+                raise NumericsError("a child would fork again")
+            return real(*block)
+
+        monkeypatch.setattr(validation, "simulate_policies", checked)
+        assert all(c.passed for c in validation.run_suite("renewal"))
+
+    def test_no_fork_while_another_thread_lives(self, monkeypatch):
+        _short_suites(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a live thread"))
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            checks = validation.run_suite("renewal")
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert len(checks) == 5 and all(c.passed for c in checks)
 
 
 def test_price_map_check_detects_nudged_price(monkeypatch):
