@@ -153,7 +153,6 @@ def build_parser() -> _Parser:
     p_table.add_argument("--p", type=float, required=True)
     p_table.add_argument("--betas", type=str, default="0.9,0.95,1.0")
     p_table.add_argument("--k-max", type=int, default=10)
-    p_table.set_defaults(model="A", a=1, distortion=None)
     _add_output_flags(p_table)
 
     p_curve = sub.add_parser("curve", help="optimal trade-off curve")
@@ -204,7 +203,7 @@ def build_parser() -> _Parser:
 
 def cmd_table(args) -> OutputRecord:
     betas = _parse_floats(args.betas)
-    specs = [_spec_from_args(argparse.Namespace(**vars(args), beta=beta)) for beta in betas]
+    specs = [solver_a.bd_spec(args.p, beta) for beta in betas]
     if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
     rows = []

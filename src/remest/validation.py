@@ -1,25 +1,26 @@
 """Cross-check suites: every solver against an independent route.
 
 Each suite returns a list of named pass/fail checks.  The suites are the
-only implementation of these cross-checks: ``remest validate`` runs them
-and exits nonzero on any failure, and the acceptance tests call the same
-functions and assert that every check passed.  Tolerances are module
-constants, one value per check.  The Monte-Carlo suites take a
-``SimConfig`` so a caller can ask for a larger sample than the CLI default,
-and share one simulated block per spec: ``suite_renewal`` runs its
-birth-death and its Gaussian thresholds as two blocks, ``suite_baselines``
-its eight Gaussian policies as one, so each spec's innovations are drawn
-once (common random numbers across the policies compared).
+only implementation of these cross-checks and ``run_suite`` the one way
+to run them: ``remest validate`` calls it and exits nonzero on any
+failure, the acceptance tests call it and assert that every check passed.
+Tolerances are module constants, one value per check.  The Monte-Carlo
+suites share one simulated block per spec: renewal runs its birth-death
+and its Gaussian thresholds as two blocks, baselines its eight Gaussian
+policies as one, so each spec's innovations are drawn once (common random
+numbers across the policies compared).  A block runs on ``RENEWAL_CONFIG``
+or ``BASELINES_CONFIG``, read when its suite is called, unless the caller
+of ``run_suite`` hands in a ``config`` for a larger sample.
 
 Each Monte-Carlo suite is split at its simulations (``_Simulated``): its
-analytic side is computed first, in the calling process, and its blocks
-then run side by side, one step loop per usable core, the caller's own and
-one in each forked child (``_side_by_side``); ``run_suite("all")`` runs the
-renewal and baselines blocks together.  A child runs only step loops and
-draws, never LAPACK or BLAS, whose thread pools a fork does not copy, and a
-process with a second Python thread runs every block inline.  A block draws
-from its own seed, so the checks and the ``collect()`` counters are the same
-whatever the core count.
+analytic side is computed first, in the calling process, and the blocks of
+every suite ``run_suite`` was asked for then run side by side, one step
+loop per usable core, the caller's own and one in each forked child
+(``_side_by_side``).  A child runs only step loops and draws, never LAPACK
+or BLAS, whose thread pools a fork does not copy, and a process with a
+second Python thread runs every block inline.  A block draws from its own
+seed, so the checks and the ``collect()`` counters are the same whatever
+the core count.
 """
 
 from __future__ import annotations
@@ -246,10 +247,6 @@ def suite_scaling() -> list[CheckResult]:
 
 # --- Monte-Carlo blocks side by side ------------------------------------------
 
-# set in a lane's child process, which runs every block it is handed inline
-_IN_LANE = False
-
-
 @dataclass(frozen=True)
 class _Simulated:
     """A Monte-Carlo suite split at its simulations, its analytic side
@@ -263,10 +260,9 @@ class _Simulated:
 
 def _lane_count(blocks: list) -> int:
     """Step loops to run at once: one per usable core, at most one per block;
-    one (every block inline) where fork is unavailable, another Python thread
-    is alive (a fork copies only the calling thread) or this process is
-    itself a lane's child."""
-    if (len(blocks) < 2 or _IN_LANE or not hasattr(os, "fork")
+    one (every block inline) where fork is unavailable or another Python
+    thread is alive (a fork copies only the calling thread)."""
+    if (len(blocks) < 2 or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
         return 1
     return min(len(blocks), len(os.sched_getaffinity(0)))
@@ -295,8 +291,6 @@ def _fork_lane(blocks: list) -> tuple[int, int]:
     if pid:
         os.close(write)
         return pid, read
-    global _IN_LANE
-    _IN_LANE = True
     status = 1
     try:
         os.close(read)
@@ -364,19 +358,21 @@ def _side_by_side(blocks: list) -> list[list[SimResult]]:
     return results
 
 
-def _settle(parts: list) -> list[CheckResult]:
+def _settle(parts: list, config: SimConfig | None = None) -> list[CheckResult]:
     """The checks of ``parts``, each a suite's checks or its ``_Simulated``
-    split, in order; the blocks of every split run in one ``_side_by_side``."""
-    splits = [part for part in parts if isinstance(part, _Simulated)]
-    results = iter(_side_by_side([block for split in splits for block in split.blocks]))
+    split, in order; the blocks of every split run in one ``_side_by_side``,
+    each on ``config`` when one is given, else on its own."""
+    blocks = [(spec, policies, config or own) for part in parts
+              if isinstance(part, _Simulated) for spec, policies, own in part.blocks]
+    results = iter(_side_by_side(blocks))
     return [check for part in parts
             for check in (part.judge([next(results) for _ in part.blocks])
                           if isinstance(part, _Simulated) else part)]
 
 
-def _renewal(config: SimConfig = RENEWAL_CONFIG) -> _Simulated:
-    """The renewal suite split at its simulations: the analytic (D, N) of each
-    threshold, then one block of thresholds per spec."""
+def _renewal() -> _Simulated:
+    """Simulated threshold performance vs the analytic route, split at the
+    simulations: the analytic (D, N) of each threshold, then a block per spec."""
     bd = solver_a.bd_spec(0.3, 1.0)
     gm = solver_b.gauss_markov_spec(1.0)
     table = solver_a.threshold_table(bd, 5)  # k = 2, 3, 5 from one factorization
@@ -394,14 +390,8 @@ def _renewal(config: SimConfig = RENEWAL_CONFIG) -> _Simulated:
         ) for (label, _, points), block in zip(analytic, results)
             for (k, ana), res in zip(points.items(), block)]
 
-    return _Simulated([(spec, [PolicySpec.threshold(k) for k in points], config)
+    return _Simulated([(spec, [PolicySpec.threshold(k) for k in points], RENEWAL_CONFIG)
                        for _, spec, points in analytic], judge)
-
-
-def suite_renewal(config: SimConfig = RENEWAL_CONFIG) -> list[CheckResult]:
-    """Simulated threshold performance vs the analytic route: one block of
-    thresholds per spec, the two blocks side by side."""
-    return _settle([_renewal(config)])
 
 
 def suite_dp() -> list[CheckResult]:
@@ -438,9 +428,9 @@ def suite_dp() -> list[CheckResult]:
     return out
 
 
-def _baselines(config: SimConfig = BASELINES_CONFIG) -> _Simulated:
-    """The baselines suite split at its simulation: the optimal thresholds,
-    then all eight policies in one block."""
+def _baselines() -> _Simulated:
+    """State-blind baseline formulas and the policy ordering by simulation,
+    split at it: the optimal thresholds, then all eight policies in one block."""
     gm = solver_b.gauss_markov_spec(1.0)
     baselines = []
     for alpha in (0.25, 0.5):
@@ -473,13 +463,8 @@ def _baselines(config: SimConfig = BASELINES_CONFIG) -> _Simulated:
             ))
         return out
 
-    return _Simulated([(gm, [policy for _, policy in baselines] + optimal, config)], judge)
+    return _Simulated([(gm, [p for _, p in baselines] + optimal, BASELINES_CONFIG)], judge)
 
-
-def suite_baselines(config: SimConfig = BASELINES_CONFIG) -> list[CheckResult]:
-    """State-blind baseline formulas and the policy ordering, by simulation:
-    all eight policies in one block."""
-    return _settle([_baselines(config)])
 
 # a Monte-Carlo suite's entry returns its ``_Simulated`` split, every other
 # suite's its checks; ``run_suite`` settles both
@@ -493,9 +478,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> list[CheckResult]:
-    """Checks of one suite, or of every suite for ``"all"``, whose
-    Monte-Carlo blocks then run side by side."""
-    if name != "all" and name not in SUITES:
-        raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return _settle([SUITES[suite]() for suite in (SUITES if name == "all" else (name,))])
+def run_suite(*names: str, config: SimConfig | None = None) -> list[CheckResult]:
+    """Checks of the named suites in order, or of every suite for ``"all"``
+    alone; their Monte-Carlo blocks run side by side, each on ``config``
+    when one is given, else on its suite's own."""
+    if names == ("all",):
+        names = tuple(SUITES)
+    if not names or not set(names) <= SUITES.keys():
+        raise UsageError(f"bad suites {names!r}; name one or more of {sorted(SUITES)}, "
+                         "or 'all' alone")
+    return _settle([SUITES[name]() for name in names], config)

@@ -126,7 +126,9 @@ def test_criterion_06_gaussian_properties(gm_unit):
 def test_criterion_07_monte_carlo_validation():
     started = time.perf_counter()
     cfg = SimConfig(horizon=100_000, replications=200, seed=70707)
-    _assert_all_passed(validation.suite_renewal(cfg) + validation.suite_baselines(cfg))
+    checks = validation.run_suite("renewal", "baselines", config=cfg)
+    assert len(checks) == 13
+    _assert_all_passed(checks)
     _report(7, "Monte-Carlo validation", started, 120.0)
 
 

@@ -1,5 +1,4 @@
 import csv
-import functools
 import importlib
 import io
 import json
@@ -153,9 +152,8 @@ def suite_records(tmp_path_factory):
     out = tmp_path_factory.mktemp("validate") / "record.json"
     records = {}
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("renewal", "baselines"):
-            mp.setitem(validation.SUITES, name,
-                       functools.partial(validation.SUITES[name], _SHORT_MC))
+        mp.setattr(validation, "RENEWAL_CONFIG", _SHORT_MC)
+        mp.setattr(validation, "BASELINES_CONFIG", _SHORT_MC)
         for suite in (*validation.SUITES, "all"):
             assert main(["validate", "--suite", suite, "--format", "json",
                          "--out", str(out)]) == 0

@@ -76,6 +76,7 @@ class TestIntegerPmf:
         {1.9: 0.25, -1.9: 0.25, 0: 0.5},  # int() made this a +-1 law
         {-1: math.nan, 0: 0.5, 1: math.nan},
         {-1: math.inf, 0: 0.5, 1: math.inf},
+        {},
     ])
     def test_fractional_offset_and_nonfinite_mass_rejected(self, probs):
         with pytest.raises(UsageError):
@@ -290,6 +291,12 @@ def test_perf_point_refuses_a_distortion_outside_zero_to_infinity(distortion):
         PerfPoint(distortion=distortion, transmission_rate=0.5)
 
 
+@pytest.mark.parametrize("rate", [-1e-9, 1.0 + 1e-9, math.nan])
+def test_perf_point_refuses_a_rate_outside_zero_to_one(rate):
+    with pytest.raises(UsageError, match="transmission rate"):
+        PerfPoint(distortion=0.5, transmission_rate=rate)
+
+
 class TestDiagnostics:
     def test_count_outside_a_block_leaves_no_trace(self):
         with collect() as closed:
@@ -338,6 +345,16 @@ class TestTradeoffCurve:
                     CurvePoint(0.5, 0.1, 1)),
         )
         assert decreasing_convex.check() == []
+
+    @pytest.mark.parametrize("kind, ys, verdict", [
+        ("costly", (1.0, 0.5, 0.25), "costly curve must be nondecreasing"),
+        ("constrained", (0.25, 0.5, 1.0), "constrained curve must be nonincreasing"),
+        ("constrained", (1.0, 0.9, 0.0), "constrained curve must be convex"),
+    ])
+    def test_each_verdict_named(self, kind, ys, verdict):
+        curve = TradeoffCurve(kind=kind, points=tuple(
+            CurvePoint(x, y, k) for k, (x, y) in enumerate(zip((0.1, 0.2, 0.3), ys))))
+        assert verdict in curve.check()
 
     def test_unordered_abscissas(self):
         bad = TradeoffCurve(

@@ -129,10 +129,14 @@ class TestPolicySpec:
         lambda: PolicySpec.periodic(["1", "0"]), lambda: PolicySpec.periodic([1, None]),
         lambda: PolicySpec.periodic(1), lambda: PolicySpec.threshold("x"),
         lambda: PolicySpec.iid_random([0.5]),
+        lambda: PolicySpec.steering(2, 1.5), lambda: PolicySpec.randomized_threshold(2, -0.1),
+        lambda: PolicySpec.iid_random(0.0), lambda: PolicySpec.iid_random(1.5),
     ], ids=["schedule-single", "schedule-triple", "schedule-int", "schedule-str",
-            "pattern-str", "pattern-none", "pattern-int", "k-str", "alpha-list"])
+            "pattern-str", "pattern-none", "pattern-int", "k-str", "alpha-list",
+            "theta-above-one", "theta-negative", "alpha-zero", "alpha-above-one"])
     def test_malformed_policy_fields_rejected(self, build):
-        # schedule entries must be pairs of numbers, patterns sequences of numbers
+        # schedule entries must be pairs of numbers, patterns sequences of
+        # numbers; theta lies in [0, 1] and alpha in (0, 1]
         with pytest.raises(UsageError):
             build()
 
@@ -502,6 +506,9 @@ class TestStationaryDistribution:
             steering_visit_probability(bd_avg, -3, 0.0)
         with pytest.raises(UsageError):
             steering_visit_probability(bd_avg, 2.5, 1.0)
+        for theta in (-0.1, 1.5):
+            with pytest.raises(UsageError, match="theta_star"):
+                steering_visit_probability(bd_avg, 2, theta)
 
 
 class TestTimeSharing:
@@ -516,6 +523,11 @@ class TestTimeSharing:
             time_sharing_schedule(0.1, 0.05, 0.15, 0.5)
         with pytest.raises(UsageError):
             time_sharing_schedule(0.0, 0.5, 0.2, 0.4)
+        with pytest.raises(UsageError, match="theta"):
+            time_sharing_schedule(0.1, 0.15, 0.05, 1.5)
+        # theta * n_k / alpha = 0.15 / 0.05 = 3: no cycle fraction reaches it
+        with pytest.raises(UsageError, match="cycle fraction"):
+            time_sharing_schedule(0.05, 0.15, 0.0667, 1.0)
 
     def test_long_run_rate(self, bd_avg):
         # aggregate 1e6 steps; the emitted schedule must hold the rate at 0.1

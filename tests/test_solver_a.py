@@ -509,6 +509,11 @@ class TestOptimalConstrained:
         assert policy.k_star == 0
         assert d == 0.0
 
+    def test_rejects_a_budget_outside_zero_to_one(self, bd_09):
+        for alpha in (0.0, 1.0, 1.5, math.nan):
+            with pytest.raises(UsageError, match="rate budget"):
+                solver_a.optimal_constrained(bd_09, alpha)
+
     def test_mixed_rate_matches_budget(self, bd_09):
         for alpha in (0.05, 0.1, 0.3):
             policy, _ = solver_a.optimal_constrained(bd_09, alpha)
@@ -550,6 +555,10 @@ class TestTradeoffCurve:
         spec = solver_a.bd_spec(0.3, 0.9, a=0)
         points = solver_a.tradeoff_curve(spec, "constrained", 3).points
         assert [(p.threshold, p.abscissa) for p in points] == [(2, 0.0), (1, pytest.approx(0.54))]
+
+    def test_unknown_kind_rejected(self, bd_09):
+        with pytest.raises(UsageError, match="unknown curve kind"):
+            solver_a.tradeoff_curve(bd_09, "average", 5)
 
     def test_shape_invariants(self, bd_avg, bd_09):
         for spec in (bd_avg, bd_09):
@@ -617,6 +626,11 @@ class TestBdQEntry:
         # row-0 entries reduce to (k - |j|)/(2p)
         assert solver_a.bd_q_entry(0.3, 1.0, 2, 0, 0) == pytest.approx(2.0 / 0.6, abs=1e-12)
         assert solver_a.bd_q_entry(0.3, 1.0, 3, 0, 2) == pytest.approx(1.0 / 0.6, abs=1e-12)
+
+    def test_indices_outside_the_silent_set_rejected(self):
+        for i, j in [(3, 0), (0, -3), (-4, 1)]:
+            with pytest.raises(UsageError, match="silent set"):
+                solver_a.bd_q_entry(0.3, 1.0, 3, i, j)
 
     def test_symmetry(self):
         for (i, j) in [(0, 1), (-2, 1), (2, -1)]:

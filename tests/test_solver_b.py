@@ -78,6 +78,10 @@ class TestFredholmSolve:
         got = _extension(sol, kern, rhs, 1e-12, probes)[:, 0]
         assert np.max(np.abs(got - probes ** 2)) <= 1e-10
 
+    def test_needs_a_right_hand_side(self, gm_unit):
+        with pytest.raises(UsageError, match="right-hand side"):
+            solver_b.fredholm_solve(lambda e, n: gm_unit.pdf.density(n - e), [], 1.0, 1.0)
+
     def test_residual_small_off_nodes(self, gm_unit):
         kern = lambda e, n: gm_unit.pdf.density(n - e)
         sol = solver_b.fredholm_solve(kern, [1.0], 2.0, 1.0)
@@ -474,6 +478,26 @@ class TestAlgorithm1:
 
 
 class TestAlgorithm2:
+    def test_rejects_bad_args(self, gm_unit):
+        for alpha in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(UsageError):
+                solver_b.algorithm2_constrained(gm_unit, alpha, 1e-4)
+
+    def test_searches_on_a_tabulated_density(self):
+        # the brackets start from the tabulated law's scale, a third of its
+        # support half-width, and the searches still meet their targets
+        unit = SmoothPdf.tabulated(lambda w: np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi),
+                                   8.0)
+        spec = ModelSpecB(a=1.0, pdf=unit, distortion=DistortionFn.quadratic(), beta=1.0)
+        assert spec.pdf.scale == pytest.approx(8.0 / 3.0)
+        eps = 1e-6
+        k, _ = solver_b.algorithm2_constrained(spec, 0.3, eps)
+        assert abs(solver_b.performance_b(spec, k).transmission_rate - 0.3) <= eps
+        k_gauss, _ = solver_b.algorithm2_constrained(solver_b.gauss_markov_spec(1.0), 0.3, eps)
+        assert k == pytest.approx(k_gauss, abs=1e-5)
+        k, _ = solver_b.algorithm1_costly(spec, 1.0, eps)
+        assert abs(solver_b.lambda_of_k(spec, k) - 1.0) <= eps
+
     def test_loose_budget(self, gm_unit):
         k, d = solver_b.algorithm2_constrained(gm_unit, 0.999, epsilon=1e-4)
         assert k < 0.01

@@ -1,6 +1,6 @@
 import dataclasses
-import functools
 import os
+import pickle
 import threading
 from unittest import mock
 
@@ -13,12 +13,6 @@ from remest.model import collect
 from remest.simulate import SimConfig
 
 SMALL = SimConfig(horizon=2_000, replications=20, seed=5, burn_in=100)
-
-
-def _short_suites(mp):
-    """Run the Monte-Carlo suites of ``run_suite`` on ``SMALL``."""
-    for name in ("renewal", "baselines"):
-        mp.setitem(validation.SUITES, name, functools.partial(validation.SUITES[name], SMALL))
 
 
 def _usable_cores(mp, cores):
@@ -98,28 +92,26 @@ _BREAKERS = {
 @pytest.mark.parametrize("suite", list(validation.SUITES))
 def test_suite_detects_shifted_route(suite, monkeypatch):
     _BREAKERS[suite](monkeypatch)
-    _short_suites(monkeypatch)
-    checks = validation.run_suite(suite)
+    checks = validation.run_suite(suite, config=SMALL)
     assert any(not c.passed for c in checks), [c.detail for c in checks]
 
 
 def test_shifted_simulations_fail_both_suites_when_forked(monkeypatch):
     # the forked children run the patched simulator they were copied with
     _break_simulation(monkeypatch)
-    _short_suites(monkeypatch)
-    for name in ("tableI", "closed_forms", "scaling", "dp"):
-        monkeypatch.delitem(validation.SUITES, name)
     _usable_cores(monkeypatch, {0, 1})
     forks = _counted_forks(monkeypatch)
-    checks = validation.run_suite("all")
+    checks = validation.run_suite("renewal", "baselines", config=SMALL)
     assert forks == [1]
     for suite in ("renewal", "baselines"):
         assert any(not c.passed for c in checks if c.suite == suite), suite
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(UsageError):
-        validation.run_suite("nope")
+    # no name, an unknown one, or "all" beside another
+    for names in [("nope",), (), ("all", "dp"), ("dp", "all")]:
+        with pytest.raises(UsageError):
+            validation.run_suite(*names)
 
 
 class TestSideBySide:
@@ -128,22 +120,22 @@ class TestSideBySide:
 
     @pytest.mark.parametrize("name", ["renewal", "all"])
     def test_one_core_and_two_agree(self, name, monkeypatch):
-        _short_suites(monkeypatch)
         forks = _counted_forks(monkeypatch)
         runs = []
         for cores in ({0}, {0, 1}):
             _usable_cores(monkeypatch, cores)
             with collect() as record:
-                checks = validation.run_suite(name)
+                checks = validation.run_suite(name, config=SMALL)
             runs.append((checks, record))
         # one child: on two cores the caller runs the largest block's lane
         assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # the child was reaped before the call returned
         assert runs[0] == runs[1]
         assert runs[0][1].step_loops == (2 if name == "renewal" else 3)
 
     @pytest.mark.parametrize("where", ["child", "caller"])
     def test_failure_raised_and_every_child_reaped(self, where, monkeypatch):
-        _short_suites(monkeypatch)
         _usable_cores(monkeypatch, {0, 1})
         forks = _counted_forks(monkeypatch)
         caller, real = os.getpid(), validation.simulate_policies
@@ -155,33 +147,35 @@ class TestSideBySide:
 
         monkeypatch.setattr(validation, "simulate_policies", failing)
         with pytest.raises(NumericsError, match=f"injected failure in the {where}"):
-            validation.run_suite("renewal")
+            validation.run_suite("renewal", config=SMALL)
         assert forks == [1]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # no child left, running or zombie
 
-    def test_a_child_would_run_its_blocks_inline(self, monkeypatch):
-        _short_suites(monkeypatch)
+    def test_child_that_sends_nothing_raised_and_reaped(self, monkeypatch):
+        # the child fails before it writes, so the caller reads an empty pipe
         _usable_cores(monkeypatch, {0, 1})
-        caller, real = os.getpid(), validation.simulate_policies
+        caller, real = os.getpid(), pickle.dumps
 
-        def checked(*block):
-            if os.getpid() != caller and validation._lane_count([block, block]) != 1:
-                raise NumericsError("a child would fork again")
-            return real(*block)
+        def dumps(*args, **kwargs):
+            if os.getpid() != caller:
+                raise MemoryError("injected failure before the child writes")
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(validation, "simulate_policies", checked)
-        assert all(c.passed for c in validation.run_suite("renewal"))
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        with pytest.raises(ChildProcessError, match="sent no results"):
+            validation.run_suite("renewal", config=SMALL)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left, running or zombie
 
     def test_no_fork_while_another_thread_lives(self, monkeypatch):
-        _short_suites(monkeypatch)
         _usable_cores(monkeypatch, {0, 1})
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a live thread"))
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            checks = validation.run_suite("renewal")
+            checks = validation.run_suite("renewal", config=SMALL)
         finally:
             stop.set()
             other.join(timeout=10)
