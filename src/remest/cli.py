@@ -45,6 +45,14 @@ SCHEMA_VERSION = "1"
 # the C encoder, with the item separator ``indent=2`` writes two levels deep
 _ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
+# the flags, by dest, that a --model, --problem or --kind value leaves unread and
+# refuses; --k-max and --epsilon stay unset unless given, and unset read as these
+_UNREAD = {"A": {"epsilon": "--epsilon", "alphas": "--alphas", "lambdas": "--lambdas"},
+           "B": {"k_max": "--k-max"},
+           "costly": {"alpha": "--alpha", "alphas": "--alphas"},
+           "constrained": {"lam": "--lambda", "lambdas": "--lambdas"}}
+K_MAX, EPSILON = 10, 1e-6
+
 # the simulator's policy kind of each --policy choice
 POLICY_KINDS = {"threshold": "threshold", "randomized": "randomized_threshold",
                 "periodic": "periodic", "iid": "iid_random", "steering": "steering",
@@ -122,8 +130,14 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> object:
-    """The spec of the --model flags: its law, then --distortion or the
-    model's default (abs for A, quad for B)."""
+    """The spec of the --model flags, --distortion defaulting to abs for A and
+    quad for B, once no flag that ``_UNREAD`` refuses was given."""
+    for choice in ("model", "problem", "kind"):
+        value = getattr(args, choice, None)
+        given = [flag for dest, flag in _UNREAD.get(value, {}).items()
+                 if getattr(args, dest, None) is not None]
+        if given:
+            raise UsageError(f"--{choice} {value} does not read {', '.join(given)}")
     if args.model == "A":
         if args.p is None:
             raise UsageError("--p is required for model A")
@@ -158,12 +172,12 @@ def build_parser() -> _Parser:
     p_curve = sub.add_parser("curve", help="optimal trade-off curve")
     _add_spec_flags(p_curve)
     p_curve.add_argument("--kind", choices=("costly", "constrained"), required=True)
-    p_curve.add_argument("--k-max", type=int, default=10)
+    p_curve.add_argument("--k-max", type=int, default=argparse.SUPPRESS)
     p_curve.add_argument("--alphas", type=str, default=None,
                          help="model B constrained abscissas, comma separated")
     p_curve.add_argument("--lambdas", type=str, default=None,
                          help="model B costly abscissas, comma separated")
-    p_curve.add_argument("--epsilon", type=float, default=1e-6)
+    p_curve.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
     _add_output_flags(p_curve)
 
     p_solve = sub.add_parser("solve", help="optimal policy for one price or budget")
@@ -171,7 +185,7 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--problem", choices=("costly", "constrained"), required=True)
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solve.add_argument("--alpha", type=float, default=None)
-    p_solve.add_argument("--epsilon", type=float, default=1e-6)
+    p_solve.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
     _add_output_flags(p_solve)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo policy evaluation")
@@ -226,18 +240,18 @@ def cmd_curve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "kind": args.kind}
     if args.model == "A":
+        meta["k_max"] = getattr(args, "k_max", K_MAX)
         points = [(p.abscissa, p.threshold, p.ordinate)
-                  for p in solver_a.tradeoff_curve(spec, args.kind, args.k_max).points]
-        meta["k_max"] = args.k_max
+                  for p in solver_a.tradeoff_curve(spec, args.kind, meta["k_max"]).points]
     else:
         grid_text = args.alphas if args.kind == "constrained" else args.lambdas
         if grid_text is None:
             raise UsageError("model B curves need --alphas or --lambdas")
         search = (solver_b.algorithm2_constrained if args.kind == "constrained"
                   else solver_b.algorithm1_costly)
-        points = [(x, *search(spec, x, args.epsilon))
+        meta["epsilon"] = getattr(args, "epsilon", EPSILON)
+        points = [(x, *search(spec, x, meta["epsilon"]))
                   for x in sorted(_parse_floats(grid_text))]
-        meta["epsilon"] = args.epsilon
     abscissa = "lambda" if args.kind == "costly" else "alpha"
     ordinate = "C" if args.kind == "costly" else "D"
     rows = [{abscissa: x, ordinate: y, "k": k} for x, k, y in points]
@@ -248,13 +262,14 @@ def cmd_curve(args) -> OutputRecord:
 def cmd_solve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "problem": args.problem}
+    epsilon = getattr(args, "epsilon", EPSILON)
     if args.problem == "costly":
         if args.lam is None:
             raise UsageError("--lambda is required for the costly problem")
         if args.model == "A":
             result = solver_a.optimal_costly(spec, args.lam)
         else:
-            result = solver_b.algorithm1_costly(spec, args.lam, args.epsilon)
+            result = solver_b.algorithm1_costly(spec, args.lam, epsilon)
         k, cost = result
         perf = result.perf
         row = {"k": k, "theta": None, "D": perf.distortion,
@@ -266,11 +281,11 @@ def cmd_solve(args) -> OutputRecord:
             policy, d_star = solver_a.optimal_constrained(spec, args.alpha)
             k, theta = policy.k_star, policy.theta_star
         else:
-            k, d_star = solver_b.algorithm2_constrained(spec, args.alpha, args.epsilon)
+            k, d_star = solver_b.algorithm2_constrained(spec, args.alpha, epsilon)
             theta = None
         row = {"k": k, "theta": theta, "D": d_star, "N": args.alpha, "C": None, "lambda": None}
     if args.model == "B":
-        meta["epsilon"] = args.epsilon
+        meta["epsilon"] = epsilon
     return OutputRecord(command="solve",
                         columns=["k", "theta", "D", "N", "C", "lambda"],
                         rows=[row], metadata=meta)

@@ -15,10 +15,10 @@ of ``run_suite`` hands in a ``config`` for a larger sample.
 Each Monte-Carlo suite is split at its simulations (``_Simulated``): its
 analytic side is computed first, in the calling process, and the blocks of
 every suite ``run_suite`` was asked for then run side by side, one step
-loop per usable core, the caller's own and one in each forked child
-(``_side_by_side``).  A child runs only step loops and draws, never LAPACK
-or BLAS, whose thread pools a fork does not copy, and a process with a
-second Python thread runs every block inline.  A block draws from its own
+loop per usable core, each in a worker of a process pool forked for the
+call (``_side_by_side``).  A worker runs only step loops and draws, never
+LAPACK or BLAS, whose thread pools a fork does not copy, and a process with
+a second Python thread runs every block inline.  A block draws from its own
 seed, so the checks and the ``collect()`` counters are the same whatever
 the core count.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import pickle
 import threading
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -37,8 +36,8 @@ import numpy as np
 
 from . import dp, solver_a, solver_b
 from .errors import UsageError
-from .model import (Diagnostics, DistortionFn, ModelSpecA, ModelSpecB, PerfPoint, SmoothPdf,
-                    collect, count)
+from .model import (DistortionFn, ModelSpecA, ModelSpecB, PerfPoint, SmoothPdf, collect,
+                    count)
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
 from .simulate import (PolicySpec, SimConfig, SimResult, simulate_policies,
                        state_blind_distortion)
@@ -268,94 +267,34 @@ def _lane_count(blocks: list) -> int:
     return min(len(blocks), len(os.sched_getaffinity(0)))
 
 
-def _cells(block: tuple) -> int:
-    """A block's size, policies x replications x horizon, by which the
-    blocks are dealt to lanes."""
-    _, policies, config = block
-    return len(policies) * config.replications * config.horizon
-
-
-def _fork_lane(blocks: list) -> tuple[int, int]:
-    """Fork a child that runs ``blocks`` in order and sends back through a
-    pipe, pickled, ``(results, None, record)`` or ``(None, exception,
-    record)``, ``record`` being its ``collect()`` counters; returns the
-    child's pid and the pipe's read end.  The child leaves by ``os._exit``,
-    so it never returns into the caller's code nor flushes its buffers."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)
-        with collect() as record:
-            try:
-                outcome = [simulate_policies(*block) for block in blocks], None
-            except Exception as exc:
-                outcome = None, exc
-        data = pickle.dumps((*outcome, record))
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _join_lane(pid: int, read: int) -> tuple:
-    """The outcome a ``_fork_lane`` child sent, once the child is reaped; a
-    ``ChildProcessError`` as its exception when it sent none."""
-    with open(read, "rb") as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if not data:
-        return None, ChildProcessError(
-            f"simulation lane {pid} exited with status {status} and sent no results"
-        ), Diagnostics()
-    return pickle.loads(data)
+def _run_block(block: tuple) -> tuple[list[SimResult], dict]:
+    """A pool worker's task: a block's results and the counters it made."""
+    with collect() as record:
+        results = simulate_policies(*block)
+    return results, asdict(record)
 
 
 def _side_by_side(blocks: list) -> list[list[SimResult]]:
     """``simulate_policies`` of each ``(spec, policies, config)`` block, in
-    block order, with up to ``_lane_count`` step loops at once.
-
-    The blocks, largest first (``_cells``), go each to the least loaded
-    lane.  The caller runs lane 0, which starts the
-    largest block, while a forked child runs each other lane.  Each child's
-    ``collect()`` counters are added to the caller's open record and its
-    exception is raised again here with its type and message; every child
-    is reaped before this returns or raises.  A block's results do not
-    depend on where it ran, as it draws from its own seed.
-    """
-    lanes = [[] for _ in range(_lane_count(blocks))]
-    if len(lanes) == 1:
+    block order, with up to ``_lane_count`` step loops at once: the blocks
+    go, largest (policies x replications x horizon) first, to a pool of
+    forked workers, one per lane.  The workers' ``collect()`` counters are
+    added to the caller's open record, a worker's exception is raised again
+    here, and the pool joins every worker before this returns or raises."""
+    lanes = _lane_count(blocks)
+    if lanes == 1:
         return [simulate_policies(*block) for block in blocks]
-    loads = [0] * len(lanes)
-    for i in sorted(range(len(blocks)), key=lambda j: -_cells(blocks[j])):
-        lane = loads.index(min(loads))
-        lanes[lane].append(i)
-        loads[lane] += _cells(blocks[i])
-    results: list = [None] * len(blocks)
-    children = []
-    try:
-        for lane in lanes[1:]:
-            children.append((lane, *_fork_lane([blocks[i] for i in lane])))
-        for i in lanes[0]:
-            results[i] = simulate_policies(*blocks[i])
-    finally:
-        outcomes = [(lane, *_join_lane(pid, read)) for lane, pid, read in children]
-    for lane, lane_results, error, record in outcomes:
-        count(**asdict(record))
-        if error is not None:
-            raise error
-        for i, result in zip(lane, lane_results):
-            results[i] = result
-    return results
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    cells = [len(policies) * config.replications * config.horizon
+             for _, policies, config in blocks]
+    with ProcessPoolExecutor(lanes, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(_run_block, blocks[i])
+                   for i in sorted(range(len(blocks)), key=lambda i: -cells[i])}
+        outcomes = [futures[i].result() for i in range(len(blocks))]
+    for _, record in outcomes:
+        count(**record)
+    return [results for results, _ in outcomes]
 
 
 def _settle(parts: list, config: SimConfig | None = None) -> list[CheckResult]:

@@ -366,13 +366,25 @@ class TestSolve:
         "curve --model B --kind costly",
         "simulate --model A --p 0.3 --policy iid --reps 2 --horizon 100 --burn-in 10",
         "table --p 0.3 --k-max 2 --out /nonexistent/dir/x.csv",
+        "solve --model A --p 0.3 --problem costly --lambda 2 --epsilon 5",
+        "solve --model A --p 0.3 --problem costly --lambda 2 --alpha 0.4",
+        "solve --model B --problem constrained --alpha 0.3 --lambda 2",
+        "curve --model A --kind costly --p 0.3 --lambdas 1,2",
+        "curve --model A --kind constrained --p 0.3 --alphas 0.2",
+        "curve --model A --kind costly --p 0.3 --epsilon 1e-6",
+        "curve --model B --kind constrained --alphas 0.3 --k-max 99",
+        "curve --model B --kind constrained --alphas 0.3 --lambdas 1",
+        "curve --model B --kind costly --lambdas 1 --alphas 0.3",
     ], ids=["A-lambda-nan", "A-a-inf", "A-a-nan", "B-sigma-nan", "B-sigma-inf",
             "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan", "B-epsilon-nan",
             "B-epsilon-inf", "B-curve-epsilon-inf", "steering-k-nan", "steering-k-negative",
             "timesharing-k-nan", "timesharing-k-negative", "seed-negative",
             "table-betas-empty", "table-betas-repeated", "B-curve-lambdas-repeated",
             "B-curve-alphas-empty", "B-curve-alphas-repeated", "A-no-p", "table-betas-bad",
-            "table-k-max-zero", "B-curve-no-grid", "iid-no-alpha", "out-unwritable"])
+            "table-k-max-zero", "B-curve-no-grid", "iid-no-alpha", "out-unwritable",
+            "A-solve-epsilon", "costly-alpha", "constrained-lambda", "A-curve-lambdas",
+            "A-curve-alphas", "A-curve-epsilon", "B-curve-k-max", "B-constrained-curve-lambdas",
+            "B-costly-curve-alphas"])
     def test_non_finite_input_exits_one(self, capsys, argv):
         code, _, err = run_cli(argv.split(), capsys)
         assert code == 1
@@ -704,10 +716,18 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 
 def test_cli_import_leaves_process_pool_modules_unloaded():
-    # the validation suites fork their side-by-side step loops with os.fork
-    # and a pipe: no process-pool module joins every command's start-up
+    # the validation suites import their process pool when a call first has
+    # blocks to run side by side: neither the import, nor a simulate command,
+    # nor a suite with no Monte-Carlo block loads it
     pools = ("multiprocessing", "concurrent.futures.process")
-    assert _modules_loaded_after("import remest.cli", pools) == []
+    run = ("import contextlib, io, remest.cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert remest.cli.main({argv!r}) == 0")
+    for script in ("import remest.cli",
+                   run.format(argv=["simulate", "--model", "B", "--policy", "threshold",
+                                    "--k", "1", "--reps", "20", "--horizon", "2000"]),
+                   run.format(argv=["validate", "--suite", "tableI"])):
+        assert _modules_loaded_after(script, pools) == [], script
 
 
 def test_model_b_commands_leave_scipy_linalg_unloaded():

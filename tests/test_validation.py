@@ -1,7 +1,7 @@
 import dataclasses
 import os
-import pickle
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import pytest
@@ -24,6 +24,13 @@ def _counted_forks(mp):
     forks, real = [], os.fork
     mp.setattr(os, "fork", lambda: forks.append(1) or real())
     return forks
+
+
+def _assert_nothing_left():
+    """No child process, running or zombie, and no thread beside this one."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == 1
 
 
 def _nudged(fn, field, amount):
@@ -97,12 +104,13 @@ def test_suite_detects_shifted_route(suite, monkeypatch):
 
 
 def test_shifted_simulations_fail_both_suites_when_forked(monkeypatch):
-    # the forked children run the patched simulator they were copied with
+    # the forked workers run the patched simulator they were copied with
     _break_simulation(monkeypatch)
     _usable_cores(monkeypatch, {0, 1})
     forks = _counted_forks(monkeypatch)
     checks = validation.run_suite("renewal", "baselines", config=SMALL)
-    assert forks == [1]
+    assert forks == [1, 1]
+    _assert_nothing_left()
     for suite in ("renewal", "baselines"):
         assert any(not c.passed for c in checks if c.suite == suite), suite
 
@@ -115,8 +123,8 @@ def test_unknown_suite_rejected():
 
 
 class TestSideBySide:
-    """The Monte-Carlo blocks run side by side in forked children, with the
-    results, checks and counters of an inline run."""
+    """The Monte-Carlo blocks run side by side in a pool of forked workers,
+    with the results, checks and counters of an inline run."""
 
     @pytest.mark.parametrize("name", ["renewal", "all"])
     def test_one_core_and_two_agree(self, name, monkeypatch):
@@ -127,46 +135,42 @@ class TestSideBySide:
             with collect() as record:
                 checks = validation.run_suite(name, config=SMALL)
             runs.append((checks, record))
-        # one child: on two cores the caller runs the largest block's lane
-        assert forks == [1]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # the child was reaped before the call returned
+        # one worker per lane, and two lanes on two cores
+        assert forks == [1, 1]
+        _assert_nothing_left()
         assert runs[0] == runs[1]
         assert runs[0][1].step_loops == (2 if name == "renewal" else 3)
 
-    @pytest.mark.parametrize("where", ["child", "caller"])
-    def test_failure_raised_and_every_child_reaped(self, where, monkeypatch):
+    def test_failure_raised_and_every_child_reaped(self, monkeypatch):
         _usable_cores(monkeypatch, {0, 1})
         forks = _counted_forks(monkeypatch)
         caller, real = os.getpid(), validation.simulate_policies
 
         def failing(*args):
-            if (os.getpid() == caller) == (where == "caller"):
-                raise NumericsError(f"injected failure in the {where}")
+            if os.getpid() != caller:
+                raise NumericsError("injected failure in a worker")
             return real(*args)
 
         monkeypatch.setattr(validation, "simulate_policies", failing)
-        with pytest.raises(NumericsError, match=f"injected failure in the {where}"):
+        with pytest.raises(NumericsError, match="injected failure in a worker"):
             validation.run_suite("renewal", config=SMALL)
-        assert forks == [1]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # no child left, running or zombie
+        assert forks == [1, 1]
+        _assert_nothing_left()
 
     def test_child_that_sends_nothing_raised_and_reaped(self, monkeypatch):
-        # the child fails before it writes, so the caller reads an empty pipe
+        # the worker leaves mid-block, so it sends no result
         _usable_cores(monkeypatch, {0, 1})
-        caller, real = os.getpid(), pickle.dumps
+        caller, real = os.getpid(), validation.simulate_policies
 
-        def dumps(*args, **kwargs):
+        def dying(*args):
             if os.getpid() != caller:
-                raise MemoryError("injected failure before the child writes")
-            return real(*args, **kwargs)
+                os._exit(3)
+            return real(*args)
 
-        monkeypatch.setattr(pickle, "dumps", dumps)
-        with pytest.raises(ChildProcessError, match="sent no results"):
+        monkeypatch.setattr(validation, "simulate_policies", dying)
+        with pytest.raises(BrokenProcessPool):
             validation.run_suite("renewal", config=SMALL)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # no child left, running or zombie
+        _assert_nothing_left()
 
     def test_no_fork_while_another_thread_lives(self, monkeypatch):
         _usable_cores(monkeypatch, {0, 1})
