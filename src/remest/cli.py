@@ -46,12 +46,13 @@ SCHEMA_VERSION = "1"
 _ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
 # the flags, by dest, that a --model, --problem or --kind value leaves unread and
-# refuses; --k-max and --epsilon stay unset unless given, and unset read as these
-_UNREAD = {"A": {"epsilon": "--epsilon", "alphas": "--alphas", "lambdas": "--lambdas"},
-           "B": {"k_max": "--k-max"},
+# refuses; --k-max, --epsilon and --sigma stay unset unless given, and unset read as these
+_UNREAD = {"A": {"epsilon": "--epsilon", "alphas": "--alphas", "lambdas": "--lambdas",
+                 "sigma": "--sigma"},
+           "B": {"k_max": "--k-max", "p": "--p"},
            "costly": {"alpha": "--alpha", "alphas": "--alphas"},
            "constrained": {"lam": "--lambda", "lambdas": "--lambdas"}}
-K_MAX, EPSILON = 10, 1e-6
+K_MAX, EPSILON, SIGMA = 10, 1e-6, 1.0
 
 # the simulator's policy kind of each --policy choice
 POLICY_KINDS = {"threshold": "threshold", "randomized": "randomized_threshold",
@@ -125,7 +126,8 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--p", type=float, default=None, help="birth-death step probability")
-    p.add_argument("--sigma", type=float, default=1.0, help="gaussian innovation scale")
+    p.add_argument("--sigma", type=float, default=argparse.SUPPRESS,
+                   help="gaussian innovation scale (default 1)")
     p.add_argument("--distortion", choices=("abs", "quad"), default=None)
 
 
@@ -143,7 +145,7 @@ def _spec_from_args(args) -> object:
             raise UsageError("--p is required for model A")
         Spec, law, default = ModelSpecA, IntegerPmf.birth_death(args.p), "abs"
     else:
-        Spec, law, default = ModelSpecB, SmoothPdf.gaussian(args.sigma), "quad"
+        Spec, law, default = ModelSpecB, SmoothPdf.gaussian(getattr(args, "sigma", SIGMA)), "quad"
     distortion = {"abs": DistortionFn.absolute, "quad": DistortionFn.quadratic}
     return Spec(args.a, law, distortion[args.distortion or default](), args.beta)
 
@@ -298,16 +300,16 @@ def _policy_from_args(args) -> PolicySpec:
         except ValueError as exc:
             raise UsageError(f"bad {flag} entry {text!r}") from exc
 
-    kind = POLICY_KINDS[args.policy]
-    fields = {name: getattr(args, name) for name in PolicySpec.FIELDS[kind]}
-    # PolicySpec converts --k ("inf" parses as infinity) and refuses a missing
-    # field; the list flags' entries are parsed here
+    # every policy flag goes to PolicySpec, which converts --k ("inf" parses as
+    # infinity) and refuses a missing field or one the kind does not take; the
+    # list flags' entries are parsed here
+    fields = {name: getattr(args, name) for name in ("k", "theta", "pattern", "alpha", "schedule")}
     if fields.get("pattern") is not None:
         fields["pattern"] = [number(u, "--pattern", int) for u in fields["pattern"].split(",")]
     if fields.get("schedule") is not None:
         fields["schedule"] = [[number(n, "--schedule", int) for n in pair.split(":")]
                               for pair in fields["schedule"].split(",")]
-    return PolicySpec(kind=kind, **fields)
+    return PolicySpec(kind=POLICY_KINDS[args.policy], **fields)
 
 
 def cmd_simulate(args) -> OutputRecord:

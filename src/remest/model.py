@@ -301,7 +301,7 @@ class SmoothPdf:
 
     @property
     def scale(self) -> float:
-        """Characteristic width used to seed search brackets."""
+        """Characteristic width used to seed the threshold searches."""
         if self.kind == "gaussian":
             return self.sigma
         return self.support_halfwidth / 3.0

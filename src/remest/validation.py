@@ -45,8 +45,9 @@ from .simulate import (PolicySpec, SimConfig, SimResult, simulate_policies,
 TABLE_TOL = 5e-4  # the published table's four-decimal rounding
 CLOSED_FORM_TOL = 1e-9
 SCALE_TOL = 2e-10  # relative to max(1, |expected|)
-SCALE_EPS = 1e-6  # bracket width handed to Algorithms 1 and 2
+SCALE_EPS = 1e-6  # tolerance on the key Algorithms 1 and 2 search, lambda(k) or N(k)
 PRICE_FD_TOL = 1e-6  # price map vs Richardson finite differences, relative
+RATE_FD_TOL = 1e-6  # rate slope N'(k) vs Richardson finite differences, relative
 DP_TOL = 1e-6
 MC_SIGMAS = 3.0  # Monte-Carlo agreement, in standard errors
 
@@ -180,10 +181,11 @@ def suite_closed_forms() -> list[CheckResult]:
     return out
 
 
-def price_fd_error(spec: ModelSpecB, k: float) -> tuple[float, float]:
-    """``solver_b.lambda_of_k`` at k, and its relative gap to its independent
-    route: -dD/dk / dN/dk from central differences of performance_b with one
-    Richardson level (error O(h^4))."""
+def price_fd_error(spec: ModelSpecB, k: float) -> tuple[float, float, float]:
+    """``solver_b.renewal``'s price at k, and the relative gaps of its price
+    and its rate slope N'(k) to their independent route: -dD/dk / dN/dk and
+    dN/dk from central differences of performance_b with one Richardson
+    level (error O(h^4))."""
     h = min(max(1e-3, 1e-2 * k), 0.5 * k)
 
     def dn(kk: float) -> np.ndarray:
@@ -193,13 +195,13 @@ def price_fd_error(spec: ModelSpecB, k: float) -> tuple[float, float]:
     dD, dN = (4.0 * (dn(k + h / 2.0) - dn(k - h / 2.0)) / h
               - (dn(k + h) - dn(k - h)) / (2.0 * h)) / 3.0
     want = -dD / dN
-    price = solver_b.lambda_of_k(spec, k)
-    return price, float(abs(price - want) / abs(want))
+    at = solver_b.renewal(spec, k)
+    return at.price, float(abs(at.price - want) / abs(want)), float(abs(at.dN - dN) / abs(dN))
 
 
 def suite_scaling() -> list[CheckResult]:
     """Gaussian-instance scale identities, plus the price map's monotonicity and
-    its agreement with finite differences on a probe grid."""
+    its and the rate slope's agreement with finite differences on a probe grid."""
     out: list[CheckResult] = []
     base = solver_b.gauss_markov_spec(1.0)
     # the base spec's constrained searches do not depend on sigma
@@ -226,21 +228,24 @@ def suite_scaling() -> list[CheckResult]:
     probes = (0.5, 1.0, 2.0, 4.0)
     abs_discounted = ModelSpecB(a=-0.7, pdf=SmoothPdf.gaussian(1.0),
                                 distortion=DistortionFn.absolute(), beta=0.95)
-    # (price, relative gap) per probe; the base prices also serve the monotonicity check
+    # (price, price gap, rate slope gap) per probe; the base prices also serve the
+    # monotonicity check
     fd = {name: [price_fd_error(spec, k) for k in probes]
           for name, spec in (("unit gaussian", base), ("a=-0.7 beta=0.95 abs", abs_discounted))}
-    lams = [price for price, _ in fd["unit gaussian"]]
+    lams = [price for price, _, _ in fd["unit gaussian"]]
     out.append(_check(
         "scaling", "price map increasing on probe grid",
         all(b > a for a, b in zip(lams, lams[1:])),
         " < ".join(f"{x:.4f}" for x in lams),
     ))
     for name, points in fd.items():
-        worst = max(gap for _, gap in points)
-        out.append(_check(
-            "scaling", f"{name} price map vs finite differences on probe grid",
-            worst <= PRICE_FD_TOL, f"worst relative |err| = {worst:.2e}",
-        ))
+        for column, what, tol in ((1, "price map", PRICE_FD_TOL),
+                                  (2, "rate derivative", RATE_FD_TOL)):
+            worst = max(point[column] for point in points)
+            out.append(_check(
+                "scaling", f"{name} {what} vs finite differences on probe grid",
+                worst <= tol, f"worst relative |err| = {worst:.2e}",
+            ))
     return out
 
 

@@ -111,11 +111,11 @@ class TestCurve:
             assert row == {"lambda": lam, "C": cost, "k": k}
 
     def test_model_b_constrained_solve_count(self, capsys, solve_log):
-        # the two searches make 14 solves; bisecting them takes 35
+        # the two searches make 8 solves; bisecting them takes 35
         code, _, _ = run_cli(["curve", "--model", "B", "--kind", "constrained",
                               "--alphas", "0.25,0.45"], capsys)
         assert code == 0
-        assert len(solve_log) <= 16
+        assert len(solve_log) <= 10
 
 
 class _Bounded:
@@ -195,18 +195,18 @@ class TestDiagnostics:
                                search_steps=2)
 
     def test_model_b_solve_counts_search_steps_and_rungs(self, capsys):
-        # 7 thresholds searched, bracket included; each solve stops at the
+        # 5 thresholds searched, seed included; each solve stops at the
         # first rung, order 17, on its error bound
         diag = self._diagnostics(["solve", "--model", "B", "--problem", "costly",
                                   "--sigma", "1", "--lambda", "1"], capsys)
-        assert diag == _record(factorizations=7, largest_system=17, error_bound=BOUNDED,
-                               search_steps=7)
+        assert diag == _record(factorizations=5, largest_system=17, error_bound=BOUNDED,
+                               search_steps=5)
 
     def test_model_b_curve_adds_both_searches(self, capsys):
         diag = self._diagnostics(["curve", "--model", "B", "--kind", "constrained",
                                   "--alphas", "0.25,0.45"], capsys)
-        assert diag == _record(factorizations=14, largest_system=17, error_bound=BOUNDED,
-                               search_steps=14)
+        assert diag == _record(factorizations=8, largest_system=17, error_bound=BOUNDED,
+                               search_steps=8)
 
     def test_simulate_one_step_loop(self, capsys):
         diag = self._diagnostics(["simulate", "--model", "A", "--p", "0.3", "--policy",
@@ -217,15 +217,15 @@ class TestDiagnostics:
     @pytest.mark.parametrize("suite, want", [
         ("tableI", _record(factorizations=3, largest_system=11, error_bound=BOUNDED)),
         ("closed_forms", _record(factorizations=33, largest_system=17, error_bound=BOUNDED)),
-        ("scaling", _record(factorizations=148, largest_system=17, error_bound=BOUNDED,
-                            search_steps=108)),
+        ("scaling", _record(factorizations=106, largest_system=17, error_bound=BOUNDED,
+                            search_steps=66)),
         # two blocks of 20 replications x 2000 steps; one birth-death table
         # and one Nystrom rung per Gaussian threshold
         ("renewal", _record(factorizations=3, largest_system=17, error_bound=BOUNDED,
                             step_loops=2, simulated_policies=5, draws=2 * 20 * 2_000)),
         ("dp", _record(factorizations=6, largest_system=9, error_bound=BOUNDED)),
-        ("baselines", _record(factorizations=14, largest_system=17, error_bound=BOUNDED,
-                              search_steps=14, step_loops=1, simulated_policies=8,
+        ("baselines", _record(factorizations=8, largest_system=17, error_bound=BOUNDED,
+                              search_steps=8, step_loops=1, simulated_policies=8,
                               draws=20 * 2_000)),
     ])
     def test_validate_suite(self, suite_records, suite, want):
@@ -287,9 +287,10 @@ class TestSolve:
         assert 0.0 < float(parse_csv(out)[0]["D"]) < 1.0
 
     def test_negative_rate_exits_two(self, capsys, monkeypatch):
-        # U(0)/M(0) = -1e-9; rows are e = 0 and e = k, columns L, M and U
+        # U(0)/M(0) = -1e-9; rows are e = 0 and e = k, columns L, M, U and phi
         M0 = 10.0
-        fixed = types.SimpleNamespace(ends=np.array([[0.5, M0, -1e-9 * M0], [1.0, M0, 0.0]]))
+        fixed = types.SimpleNamespace(ends=np.array([[0.5, M0, -1e-9 * M0, 0.1],
+                                                     [1.0, M0, 0.0, 0.1]]))
         monkeypatch.setattr(solver_b, "fredholm_solve", lambda *args: fixed)
         code, _, err = run_cli(["solve", "--model", "B", "--problem", "constrained",
                                 "--sigma", "1", "--beta", "0.9", "--alpha", "0.3"], capsys)
@@ -309,7 +310,7 @@ class TestSolve:
 
     def test_model_b_costly_solves_once_per_search_step(self, capsys, solve_log,
                                                        monkeypatch):
-        # one solve per search step, 7 in all; bisecting takes 21
+        # one solve per search step, 5 in all; bisecting takes 21
         steps = []
         real = solver_b.renewal
         monkeypatch.setattr(solver_b, "renewal",
@@ -318,15 +319,16 @@ class TestSolve:
                                 "--lambda", "1"], capsys)
         assert code == 0
         assert solve_log == steps
-        assert len(solve_log) <= 9
+        assert len(solve_log) <= 6
         row = {key: float(v) for key, v in parse_csv(out)[0].items() if v != "—"}
         assert solve_log[-1] == row["k"]
         assert abs(row["C"] - (row["D"] + row["N"])) <= 1e-12
 
     def test_negative_price_exits_two(self, capsys, monkeypatch):
         # L(0) = 2 above M(0) L(k) / M(k) = 1 makes the price -1; rows are
-        # e = 0 and e = k, columns L, M and U
-        fixed = types.SimpleNamespace(ends=np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.5]]))
+        # e = 0 and e = k, columns L, M, U and phi
+        fixed = types.SimpleNamespace(ends=np.array([[2.0, 1.0, 0.5, 0.1],
+                                                     [1.0, 1.0, 0.5, 0.1]]))
         monkeypatch.setattr(solver_b, "fredholm_solve", lambda *args: fixed)
         code, _, err = run_cli(["solve", "--model", "B", "--problem", "costly",
                                 "--sigma", "1", "--lambda", "1"], capsys)
@@ -375,6 +377,18 @@ class TestSolve:
         "curve --model B --kind constrained --alphas 0.3 --k-max 99",
         "curve --model B --kind constrained --alphas 0.3 --lambdas 1",
         "curve --model B --kind costly --lambdas 1 --alphas 0.3",
+        "solve --model B --p 0.3 --problem costly --lambda 1",
+        "curve --model B --kind constrained --p 0.3 --alphas 0.3",
+        "simulate --model A --p 0.3 --sigma 5 --policy threshold --k 2 --reps 2 --horizon 100"
+        " --burn-in 10",
+        "solve --model A --p 0.3 --sigma 1 --problem costly --lambda 2",
+        "simulate --model A --p 0.3 --policy threshold --k 2 --theta 0.5 --reps 2 --horizon 100"
+        " --burn-in 10",
+        "simulate --model A --p 0.3 --policy periodic --pattern 1,0 --k 2 --reps 2 --horizon 100"
+        " --burn-in 10",
+        "simulate --model A --p 0.3 --policy steering --k 2 --theta 0.5 --pattern 1,0 --reps 2",
+        "simulate --model A --p 0.3 --policy randomized --k 2 --theta 0.5 --alpha 0.3 --reps 2",
+        "simulate --model A --p 0.3 --policy iid --alpha 0.3 --schedule 1:1 --reps 2",
     ], ids=["A-lambda-nan", "A-a-inf", "A-a-nan", "B-sigma-nan", "B-sigma-inf",
             "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan", "B-epsilon-nan",
             "B-epsilon-inf", "B-curve-epsilon-inf", "steering-k-nan", "steering-k-negative",
@@ -384,7 +398,9 @@ class TestSolve:
             "table-k-max-zero", "B-curve-no-grid", "iid-no-alpha", "out-unwritable",
             "A-solve-epsilon", "costly-alpha", "constrained-lambda", "A-curve-lambdas",
             "A-curve-alphas", "A-curve-epsilon", "B-curve-k-max", "B-constrained-curve-lambdas",
-            "B-costly-curve-alphas"])
+            "B-costly-curve-alphas", "B-solve-p", "B-curve-p", "A-simulate-sigma",
+            "A-solve-sigma", "threshold-theta", "periodic-k", "steering-pattern",
+            "randomized-alpha", "iid-schedule"])
     def test_non_finite_input_exits_one(self, capsys, argv):
         code, _, err = run_cli(argv.split(), capsys)
         assert code == 1

@@ -11,7 +11,7 @@ from remest import (BracketError, ConvergenceError, NumericsError, SingularSyste
 from remest import solver_b
 from remest.model import DistortionFn, ModelSpecB, SmoothPdf, collect
 from remest.solver_b import QuadratureGrid
-from remest.validation import MC_SIGMAS, PRICE_FD_TOL, price_fd_error
+from remest.validation import MC_SIGMAS, PRICE_FD_TOL, RATE_FD_TOL, price_fd_error
 
 
 def _abs_spec():
@@ -19,12 +19,20 @@ def _abs_spec():
                       beta=1.0)
 
 
+def _rhs_columns(sol, kernel, rhs, beta, e):
+    """The right-hand sides at ``e``, one column each, the derivative
+    column's beta kernel(e, k) last."""
+    return np.column_stack([f(e) if callable(f) else np.full(np.shape(e), float(f)) for f in rhs]
+                           + [beta * kernel(e, sol.grid.k)])
+
+
 def _extension(sol, kernel, rhs, beta, e):
     """The Nystrom extension rhs(e) + beta sum_j w_j kernel(e, x_j) v(x_j) of a
-    solution, one row per point of ``e`` and one column per right-hand side."""
+    solution, one row per point of ``e`` and one column per right-hand side,
+    the derivative column last."""
     e = np.atleast_1d(np.asarray(e, dtype=float))
     quad = (kernel(e[:, None], sol.grid.nodes[None, :]) * sol.grid.weights) @ sol.values
-    return np.column_stack([solver_b._as_rhs(f)(e) for f in rhs]) + beta * quad
+    return _rhs_columns(sol, kernel, rhs, beta, e) + beta * quad
 
 
 def _residual(sol, kernel, rhs, beta, e):
@@ -34,25 +42,29 @@ def _residual(sol, kernel, rhs, beta, e):
     v_fine = _extension(sol, kernel, rhs, beta, fine.nodes)
     quad = (kernel(e[:, None], fine.nodes[None, :]) * fine.weights) @ v_fine
     return (_extension(sol, kernel, rhs, beta, e)
-            - np.column_stack([solver_b._as_rhs(f)(e) for f in rhs]) - beta * quad)
+            - _rhs_columns(sol, kernel, rhs, beta, e) - beta * quad)
 
 
 class TestQuadratureGrid:
     def test_invariants(self):
-        # each grid is built twice, so the second one comes from cached unit nodes
         for k, order in [(1.0, 33), (1.0, 65), (3.5, 129), (0.01, 65)]:
-            for _ in range(2):
-                grid = QuadratureGrid.gauss_legendre(k, order)
-                assert abs(np.sum(grid.weights) - k) <= 1e-12 * max(1.0, k)
-                assert np.all(np.diff(grid.nodes) > 0.0)
-                assert np.all(grid.weights > 0.0)
-                assert grid.order == order
-                assert 0.0 < grid.nodes[0] and grid.nodes[-1] < k
+            grid = QuadratureGrid.gauss_legendre(k, order)
+            assert abs(np.sum(grid.weights) - k) <= 1e-12 * max(1.0, k)
+            assert np.all(np.diff(grid.nodes) > 0.0)
+            assert np.all(grid.weights > 0.0)
+            assert grid.order == order
+            assert 0.0 < grid.nodes[0] and grid.nodes[-1] < k
 
     def test_cached_unit_nodes_are_read_only(self):
-        x, w = solver_b._unit_nodes(65)
-        assert solver_b._unit_nodes(65)[0] is x
-        for arr in (x, w):
+        # a rung's points on (0, 1): rows, columns (the derivative column's 1
+        # last) and weights (0 for that column)
+        points = solver_b._rung_points(65)
+        assert solver_b._rung_points(65)[0] is points[0]
+        rows, cols, weights = points
+        assert rows.shape == (65 + 131 + 2,) and cols.shape == weights.shape == (65 + 131 + 1,)
+        assert (rows[-2:] == (0.0, 1.0)).all() and cols[-1] == 1.0 and weights[-1] == 0.0
+        assert abs(weights[:65].sum() - 1.0) <= 1e-14 and abs(weights.sum() - 2.0) <= 1e-14
+        for arr in points:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -122,13 +134,15 @@ class TestFredholmSolve:
         L1 = solver_b.fredholm_solve(kern, [distortion], k, spec.beta)
         M1 = solver_b.fredholm_solve(kern, [1.0], k, spec.beta)
         tol = solver_b._DEFAULT_TOL
-        assert both.values.shape == (both.grid.order, 2)
+        # L, M and the derivative column phi, which every solve carries last
+        assert both.values.shape == (both.grid.order, 3)
         # the origin, then off-node points on both sides of it
         e = np.concatenate([[0.0], np.linspace(-k, k, 27)[1:-1] + 0.013])
         got = _extension(both, kern, [distortion, 1.0], spec.beta, e)
-        assert got.shape == (len(e), 2)
-        for col, (single, rhs) in enumerate(((L1, distortion), (M1, 1.0))):
-            want = _extension(single, kern, [rhs], spec.beta, e)[:, 0]
+        assert got.shape == (len(e), 3)
+        for col, single, rhs, single_col in ((0, L1, distortion, 0), (1, M1, 1.0, 0),
+                                             (2, L1, distortion, 1), (2, M1, 1.0, 1)):
+            want = _extension(single, kern, [rhs], spec.beta, e)[:, single_col]
             assert np.all(np.abs(got[:, col] - want) <= tol * np.maximum(1.0, np.abs(want)))
 
     def test_stopping_order_is_max_over_columns(self, gm_unit):
@@ -208,12 +222,15 @@ class TestFredholmSolve:
 
 
 def _nystrom_at_zero(spec, k, order):
-    """L(0) and M(0) from the plain Nystrom solve at a fixed order."""
+    """L(0), M(0) and phi(0) from the plain Nystrom solve at a fixed order."""
     kern = solver_b._spec_kernel(spec)
     grid = QuadratureGrid.gauss_legendre(k, order)
     A = np.eye(order) - spec.beta * kern(grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
-    v = np.linalg.solve(A, np.column_stack([spec.distortion(grid.nodes), np.ones(order)]))
-    return np.array([0.0, 1.0]) + spec.beta * (grid.weights * kern(0.0, grid.nodes)) @ v
+    phi_rhs = lambda e: spec.beta * kern(e, k)
+    v = np.linalg.solve(A, np.column_stack([spec.distortion(grid.nodes), np.ones(order),
+                                            phi_rhs(grid.nodes)]))
+    return (np.array([0.0, 1.0, phi_rhs(0.0)])
+            + spec.beta * (grid.weights * kern(0.0, grid.nodes)) @ v)
 
 
 class TestErrorBound:
@@ -310,9 +327,10 @@ class TestLadder:
 
 
 def _renewal_and_error(spec, k, tolerance=solver_b._DEFAULT_TOL):
-    """(D, error bound), (N, ...) and (lambda(k), ...) of ``renewal``: the
-    bounds on L, M and U of the rung it read, carried through D = L(0)/M(0),
-    N = U(0)/M(0) and lambda = M(0) L(k)/M(k) - L(0) to first order."""
+    """(D, error bound), (N, ...), (lambda(k), ...) and (N'(k), ...) of
+    ``renewal``: the bounds on L, M, U and phi of the rung it read, carried
+    through D = L(0)/M(0), N = U(0)/M(0), lambda = M(0) L(k)/M(k) - L(0) and
+    N' = -M(k) phi(0)/M(0)^2 to first order."""
     solved, solve = [], solver_b.fredholm_solve
 
     def spy(*args):
@@ -322,11 +340,12 @@ def _renewal_and_error(spec, k, tolerance=solver_b._DEFAULT_TOL):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_b, "fredholm_solve", spy)
         at = solver_b.renewal(spec, k, tolerance)
-    (L0, M0, _), (Lk, Mk, _) = solved[0].ends
-    bL, bM, bU = solved[0].bound
+    (L0, M0, _, phi0), (Lk, Mk, _, _) = solved[0].ends
+    bL, bM, bU, bphi = solved[0].bound
     slope = Lk / Mk
     return ((at.D, (bL + at.D * bM) / M0), (at.N, (bU + at.N * bM) / M0),
-            (at.price, bL + slope * bM + M0 / Mk * (bL + slope * bM)))
+            (at.price, bL + slope * bM + M0 / Mk * (bL + slope * bM)),
+            (at.dN, (phi0 * bM + Mk * bphi + 2.0 * abs(at.dN) * M0 * bM) / (M0 * M0)))
 
 
 class TestPerformanceB:
@@ -437,7 +456,9 @@ class TestDerivatives:
     def test_price_map_matches_finite_differences(self, a, beta, distortion, k):
         spec = ModelSpecB(a=a, pdf=SmoothPdf.gaussian(1.0),
                           distortion=getattr(DistortionFn, distortion)(), beta=beta)
-        assert price_fd_error(spec, k)[1] <= PRICE_FD_TOL
+        # the same differences check the rate slope N'(k) of the derivative column
+        _, price_gap, rate_gap = price_fd_error(spec, k)
+        assert price_gap <= PRICE_FD_TOL and rate_gap <= RATE_FD_TOL
 
 
 class TestLambdaOfK:
@@ -484,8 +505,8 @@ class TestAlgorithm2:
                 solver_b.algorithm2_constrained(gm_unit, alpha, 1e-4)
 
     def test_searches_on_a_tabulated_density(self):
-        # the brackets start from the tabulated law's scale, a third of its
-        # support half-width, and the searches still meet their targets
+        # the searches start from the tabulated law's scale, a third of its
+        # support half-width, and they still meet their targets
         unit = SmoothPdf.tabulated(lambda w: np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi),
                                    8.0)
         spec = ModelSpecB(a=1.0, pdf=unit, distortion=DistortionFn.quadratic(), beta=1.0)
@@ -497,6 +518,16 @@ class TestAlgorithm2:
         assert k == pytest.approx(k_gauss, abs=1e-5)
         k, _ = solver_b.algorithm1_costly(spec, 1.0, eps)
         assert abs(solver_b.lambda_of_k(spec, k) - 1.0) <= eps
+
+    @pytest.mark.parametrize("a, k_star", [(0.5, 4.4877), (0.9, 8.6013)])
+    def test_tight_budget_stays_out_of_the_rounding_floor(self, a, k_star):
+        # at alpha = 1e-4 doubling from k = 1 reached k = 8 (a = 0.5) and 16
+        # (a = 0.9), where the ladder stalls on rounding; the Newton steps land
+        # next to k* instead
+        spec = solver_b.gauss_markov_spec(1.0, a=a)
+        k, _ = solver_b.algorithm2_constrained(spec, 1e-4, 1e-6)
+        assert k == pytest.approx(k_star, abs=1e-4)
+        assert abs(solver_b.renewal(spec, k).N - 1e-4) <= 1e-6
 
     def test_loose_budget(self, gm_unit):
         k, d = solver_b.algorithm2_constrained(gm_unit, 0.999, epsilon=1e-4)
@@ -524,14 +555,14 @@ class TestAlgorithm2:
 
 
 class TestSearch:
-    # 7 solves each; bisecting takes 20 and 21
+    # 4 and 5 solves; bisecting takes 20 and 21
     @pytest.mark.parametrize("algorithm, x", [
         (solver_b.algorithm2_constrained, 0.3),
         (solver_b.algorithm1_costly, 1.0),
     ], ids=["rate", "price"])
     def test_solves_per_search(self, gm_unit, solve_log, algorithm, x):
         k, _ = algorithm(gm_unit, x, 1e-6)
-        assert len(solve_log) <= 9
+        assert len(solve_log) <= 6
         assert solve_log[-1] == k  # nothing is solved after the search
 
     def test_costly_result_carries_the_last_solve(self, gm_unit):
@@ -543,15 +574,38 @@ class TestSearch:
                                                               rel=1e-14)
         assert cost == result.perf.distortion + lam * result.perf.transmission_rate
 
+    @given(st.floats(-1.3, 1.3), st.floats(0.9, 1.0), st.floats(0.05, 0.5),
+           st.floats(0.3, 10.0))
+    @settings(max_examples=25, deadline=None)
+    def test_searches_meet_epsilon_in_few_solves(self, a, beta, alpha, lam):
+        # on the 189-case grid of a, beta, budgets and prices the worst search took 10 solves
+        spec = solver_b.gauss_markov_spec(1.0, a=a, beta=beta)
+        eps = 1e-6
+        for algorithm, x, key in ((solver_b.algorithm2_constrained, alpha, "N"),
+                                  (solver_b.algorithm1_costly, lam, "price")):
+            solved = []
+            real = solver_b.fredholm_solve
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver_b, "fredholm_solve",
+                           lambda kernel, rhs, k, *args: solved.append(k) or real(kernel, rhs, k,
+                                                                                    *args))
+                k, _ = algorithm(spec, x, eps)
+            assert len(solved) <= 12
+            assert solved[-1] == k  # nothing is solved after the accepted step
+            assert abs(getattr(solver_b.renewal(spec, k), key) - x) <= eps
+
     # the maps below stand in for renewal, with key=float reading them
     def test_steep_map_reaches_epsilon(self, gm_unit, monkeypatch):
         # logistic of slope 250 at its centre, target in the lower tail: plain
-        # false position keeps the upper end and needs about 1200 steps
+        # false position keeps the upper end and needs about 1200 steps, and
+        # the secant in log k, where the tail's log is near linear, takes 11
         steep = lambda k: 0.5 * (1.0 + math.tanh(500.0 * (k - 1.7)))
-        monkeypatch.setattr(solver_b, "renewal", lambda spec, k: steep(k))
-        k, at = solver_b._bracket_and_search(float, 1e-3, 1e-6, gm_unit, "steep")
+        calls = []
+        monkeypatch.setattr(solver_b, "renewal", lambda spec, k: calls.append(k) or steep(k))
+        k, at = solver_b._search(float, 1e-3, 1e-6, gm_unit, "steep")
         assert at == steep(k)
         assert abs(steep(k) - 1e-3) <= 1e-6
+        assert len(calls) <= 15
 
     def test_jump_across_target_exhausts_the_cap(self, gm_unit, monkeypatch):
         calls = []
@@ -562,11 +616,17 @@ class TestSearch:
 
         monkeypatch.setattr(solver_b, "renewal", step)
         with pytest.raises(ConvergenceError, match="exhausted"):
-            solver_b._bracket_and_search(float, 0.5, 1e-6, gm_unit, "step")
-        assert len(calls) == 2 + solver_b._MAX_SEARCH_STEPS
+            solver_b._search(float, 0.5, 1e-6, gm_unit, "step")
+        # one cap for the whole search, and the bisection closes on the jump
+        assert len(calls) == solver_b._MAX_SEARCH_STEPS
+        assert calls[-1] == pytest.approx(1.7, rel=1e-12)
 
-    @pytest.mark.parametrize("target", [2.0, -1.0], ids=["above", "below"])
+    @pytest.mark.parametrize("target", [2.5, 0.5], ids=["above", "below"])
     def test_unbracketable_target(self, gm_unit, monkeypatch, target):
-        monkeypatch.setattr(solver_b, "renewal", lambda spec, k: math.tanh(k))
+        # 1 + tanh(k) stays inside (1, 2) for every k > 0
+        calls = []
+        monkeypatch.setattr(solver_b, "renewal",
+                            lambda spec, k: calls.append(k) or 1.0 + math.tanh(k))
         with pytest.raises(BracketError):
-            solver_b._bracket_and_search(float, target, 1e-6, gm_unit, "tanh")
+            solver_b._search(float, target, 1e-6, gm_unit, "tanh")
+        assert len(calls) == solver_b._MAX_SEARCH_STEPS

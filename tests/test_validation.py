@@ -187,12 +187,26 @@ class TestSideBySide:
         assert len(checks) == 5 and all(c.passed for c in checks)
 
 
+def _fd_checks_with_nudged_renewal(monkeypatch, field, tol, what):
+    """The scaling suite's ``what`` checks with ``renewal``'s ``field`` moved by
+    a relative 10 tolerances; ``performance_b``, which the finite differences
+    read, keeps the real D and N."""
+    real = solver_b.renewal
+    monkeypatch.setattr(solver_b, "renewal", lambda spec, k, *args: (
+        (at := real(spec, k, *args))._replace(**{field: getattr(at, field) * (1.0 + 10.0 * tol)})))
+    return [c for c in validation.suite_scaling() if f"{what} vs finite differences" in c.name]
+
+
 def test_price_map_check_detects_nudged_price(monkeypatch):
-    real = solver_b.lambda_of_k
-    monkeypatch.setattr(solver_b, "lambda_of_k", lambda spec, k, **kw: (
-        real(spec, k, **kw) * (1.0 + 10.0 * validation.PRICE_FD_TOL)))
-    checks = [c for c in validation.suite_scaling() if "finite differences" in c.name]
+    checks = _fd_checks_with_nudged_renewal(monkeypatch, "price", validation.PRICE_FD_TOL,
+                                            "price map")
     assert checks and not any(c.passed for c in checks), [c.detail for c in checks]
+
+
+def test_rate_derivative_check_detects_nudged_slope(monkeypatch):
+    checks = _fd_checks_with_nudged_renewal(monkeypatch, "dN", validation.RATE_FD_TOL,
+                                            "rate derivative")
+    assert len(checks) == 2 and not any(c.passed for c in checks), [c.detail for c in checks]
 
 
 def test_table_suite_factors_once_per_beta():
