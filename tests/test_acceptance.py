@@ -125,7 +125,7 @@ def test_criterion_06_gaussian_properties(gm_unit):
 
 def test_criterion_07_monte_carlo_validation():
     started = time.perf_counter()
-    cfg = SimConfig(horizon=100_000, replications=200, seed=70707)
+    cfg = SimConfig(horizon=10_000, replications=2_000, seed=70707, burn_in=100)
     checks = validation.run_suite("renewal", "baselines", config=cfg)
     assert len(checks) == 13
     _assert_all_passed(checks)

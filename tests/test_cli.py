@@ -628,7 +628,7 @@ class TestValidateCommand:
 
     def test_renewal_suite_simulates_one_block_per_spec(self, capsys):
         # birth-death k = 2, 3, 5 and Gaussian k = 1, 2: two step loops, each
-        # drawing 100 replications x 50 000 innovations once; the analytic side
+        # drawing 1000 replications x 5000 innovations once; the analytic side
         # factors one table for all three birth-death thresholds and one
         # Nystrom rung per Gaussian one
         code, out, _ = run_cli(["validate", "--suite", "renewal", "--format", "json"], capsys)

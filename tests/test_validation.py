@@ -4,6 +4,7 @@ import threading
 from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
+import numpy as np
 import pytest
 from scipy.linalg import lapack
 
@@ -120,6 +121,49 @@ def test_unknown_suite_rejected():
     for names in [("nope",), (), ("all", "dp"), ("dp", "all")]:
         with pytest.raises(UsageError):
             validation.run_suite(*names)
+
+
+def _window_means(k: int, config: SimConfig) -> tuple[float, float]:
+    """The exact expected (D, N) a threshold-k run of the birth-death error chain
+    (p = 0.3, a = beta = 1) averages over steps [burn_in, horizon): its law over
+    the states -k..k, propagated from e = 0; silent, e moves by the innovation,
+    and a transmission at |e| = k resets it to the innovation."""
+    p, states = 0.3, np.arange(-k, k + 1)
+    step = np.zeros((2 * k + 1, 2 * k + 1))
+    for i, e in enumerate(states):
+        base = k if abs(e) == k else i
+        for w, mass in ((-1, p), (0, 1.0 - 2.0 * p), (1, p)):
+            step[i, base + w] += mass
+    law, visits = (states == 0).astype(float), np.zeros(2 * k + 1)
+    for t in range(config.horizon):
+        if t >= config.burn_in:
+            visits += law
+        law = law @ step
+    visits /= config.horizon - config.burn_in
+    sent = np.abs(states) == k
+    return float(visits @ np.where(sent, 0.0, np.abs(states))), float(visits[sent].sum())
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_short_horizon_carries_no_transient_bias(k):
+    # every run starts at e = 0, a renewal point, so after the burn-in the
+    # window average is the stationary one to rounding (1e-13); from step 0
+    # it would be off by 1e-3 at k = 5
+    table = solver_a.threshold_table(solver_a.bd_spec(0.3, 1.0), 5)
+    D, N = _window_means(k, validation.RENEWAL_CONFIG)
+    assert abs(D - table.D[k]) <= 1e-9 and abs(N - table.N[k]) <= 1e-9, (D, N)
+
+
+def test_suite_layouts_keep_the_sample():
+    # each policy keeps the 100 x 49 000 post-burn-in cells of the long layout,
+    # and the window holds whole periods of every periodic baseline
+    periods = {len(policy.pattern) for _, policies, _ in validation._baselines().blocks
+               for policy in policies if policy.kind == "periodic"}
+    assert periods == {2, 4}
+    for config in (validation.RENEWAL_CONFIG, validation.BASELINES_CONFIG):
+        window = config.horizon - config.burn_in
+        assert config.replications * window >= 100 * 49_000
+        assert all(window % period == 0 for period in periods)
 
 
 class TestSideBySide:
