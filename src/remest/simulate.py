@@ -9,14 +9,14 @@ for |a| > 1 between transmissions.
 state of c policies x n replications, advanced by one step loop over one
 draw of the innovations, which every policy row shares (common random
 numbers).  ``simulate`` is the block of one policy.  The rows keep the
-order of the policies.  The fixed-threshold kinds (``threshold``,
-``randomized_threshold``) are rows of one per-replication threshold array,
-compared in one call per step; every other kind has a rule
-``rule(t, |e|) -> U``, called once per step, that writes its own row.
-Steering and time-sharing are per-replication thresholds too, one counted
-rule: a replication's v-th event (boundary visit, transmission) moves it to
-the v-th entry of one shared sequence (the visit's decision, the cycle's
-threshold), and only a step with an event reads that sequence's table.
+order of the policies.  A step decides only what reads the state: one
+masked compare of the rows of one per-replication threshold array, those
+of ``threshold``, ``randomized_threshold`` and the one counted rule of
+steering and time-sharing, in which a replication's v-th event (boundary
+visit, transmission) moves it to the v-th entry of one shared sequence (the
+visit's decision, the cycle's threshold): only a step with an event reads
+that sequence's table into the rule's row.  The state-blind kinds
+(``periodic``, ``iid_random``) fill their rows of flags once per chunk.
 
 A run draws from two streams spawned from ``SeedSequence([seed,
 _STREAM_LAYOUT])``: the innovations, and the policy randomness (the
@@ -26,15 +26,16 @@ policy stream, so it draws what a run of its own draws.  Both are drawn
 time-major, a chunk of ``(rows, n)`` at a time with ``rows * c * n`` about
 ``CHUNK_CELLS``; each stream is consumed in order, so the values drawn do
 not depend on the chunk size and a fixed seed gives bit-identical results.
-One producer thread draws the innovations one chunk ahead, while the
-calling thread steps the chunk before; it alone reads the innovation
-stream, in chunk order, and the policy stream stays on the calling thread,
-so the results are those of a serial run.  Resident memory is that of one
-chunk of the whole block, as for one run of c x n replications, plus one
-chunk of innovations drawn ahead; ``MAX_SIM_CELLS`` bounds the draws of
-each policy and ``MAX_SIM_STEPS`` its steps.  The innovations come from the
-law's ``sampler``: a pmf's guide table or a density's inverse-CDF table,
-built with the law, so a run builds none.
+One producer thread draws each chunk of innovations in slices of 1/16,
+1/16, 1/8, 1/4 and 1/2 of its steps, and the calling thread steps each
+slice once it is drawn, while the producer draws on into the next chunk;
+it alone reads the innovation stream, in step order, and the policy stream
+stays on the calling thread, so the results are those of a serial run.
+Resident memory is that of one chunk of the whole block, as for one run of
+c x n replications, plus one chunk of innovations drawn ahead;
+``MAX_SIM_CELLS`` bounds the draws of each policy and ``MAX_SIM_STEPS`` its
+steps.  The innovations come from the law's ``sampler``: a pmf's guide
+table or a density's inverse-CDF table, built with the law.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``; the simulator solves no linear system.
 """
@@ -181,7 +182,8 @@ class SimConfig:
     run; each is drawn in time-major chunks of about ``CHUNK_CELLS`` draws,
     so the results do not depend on the chunk size.  A block of policies
     run on one config shares its innovations.  A field that is not an
-    integer raises ``UsageError``; an integral float is stored as an int.
+    integer raises ``UsageError``; an integral float is stored as an int,
+    and at least 2 replications are needed for a standard error.
     """
 
     horizon: int = 100_000
@@ -192,6 +194,9 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("horizon", 1), ("replications", 1), ("seed", 0), ("burn_in", 0)):
             object.__setattr__(self, name, integer_at_least(getattr(self, name), least, name))
+        if self.replications < 2:
+            raise UsageError(f"replications must be at least 2, got {self.replications}: "
+                             "the standard errors are the spread between replications")
         if self.burn_in >= self.horizon:
             raise UsageError("burn-in must satisfy 0 <= burn_in < horizon")
 
@@ -215,11 +220,15 @@ def _chunk_rows(n: int, T: int) -> int:
     return max(1, min(T, CHUNK_CELLS // n))
 
 
-def _counted_rule(decide, advances, n: int, T: int):
-    """Rule ``rule(t, abs_e) -> U`` over ``n`` replications run for ``T``
+def _counted_rule(decide, thr: np.ndarray, at: float | None, n: int, T: int):
+    """Step ``step(abs_e, U)`` of a rule over ``n`` replications run for ``T``
     steps, in which a replication's v-th event moves it to the v-th
     threshold of one sequence: ``decide(m)`` returns the sequence's next m
-    thresholds and ``advances(abs_e, U)`` flags the events of a step.
+    thresholds, and an event is a step at ``|e| == at`` or, with ``at`` None,
+    a transmission.  The rule keeps each replication's threshold in ``thr``,
+    its row of the block's thresholds, which the shared compare reads; called
+    after that compare, ``step`` tests the step's events in place and only a
+    step with an event advances the counts and rereads ``thr``.
 
     The table grows lazily, to a chunk of events past the furthest
     replication, then drops the events all have passed (the counts are kept
@@ -229,12 +238,13 @@ def _counted_rule(decide, advances, n: int, T: int):
     table = decide(1)
     counts = np.zeros(n, dtype=np.int64)  # events, from the table's first
     room = 0  # event steps left before a count can pass the table
-    thr = np.full(n, table[0])
+    thr[...] = table[0]
+    if at is not None:
+        at, hit = np.full(n, at), np.empty(n, dtype=bool)
 
-    def rule(t, abs_e):
+    def step(abs_e, U):
         nonlocal table, room
-        U = abs_e >= thr
-        event = advances(abs_e, U)
+        event = U if at is None else np.equal(abs_e, at, hit)
         # a continuous state almost never reaches a steering boundary
         if np.count_nonzero(event):
             np.add(counts, event, counts)
@@ -245,43 +255,35 @@ def _counted_rule(decide, advances, n: int, T: int):
                 table = table[lo:]
                 table = np.append(table, decide(int(counts.max()) + grow + 1 - len(table)))
                 room = grow
-            table.take(counts, None, thr)
-        return U
+            # the counts lie within the table, so clipping moves none of them
+            table.take(counts, None, thr, "clip")
 
-    return rule
+    return step
 
 
-def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator | None):
-    """Transmit decisions ``rule(t, abs_e) -> U`` of a policy with no fixed
-    threshold, over ``n`` replications run for ``T`` steps, called once per
-    step in time order.
+def _transmit_rule(policy: PolicySpec, thr: np.ndarray, n: int, T: int,
+                   rng: np.random.Generator | None):
+    """Transmit decisions of a policy with no fixed threshold, over ``n``
+    replications run for ``T`` steps.
 
-    ``rng`` is the policy stream: ``iid_random`` draws its per-step coins
-    from it in chunks of the run's time-major layout; other kinds do not use
-    it.  Steering and time-sharing are one ``_counted_rule``: a replication's
-    v-th boundary visit or transmission moves it to the v-th visit decision
-    or cycle threshold of one shared sequence.  The counts, the tables and
-    the coin buffer live in the closures, so a rule serves one run.
+    A state-blind kind returns ``fill(t0, U)``, which writes the flags of
+    the steps from ``t0`` into the ``(m, n)`` array ``U``, called once per
+    chunk in time order; ``rng`` is the policy stream, from which
+    ``iid_random`` draws its coins in the run's time-major layout.
+    Steering and time-sharing are one ``_counted_rule`` that keeps its
+    thresholds in ``thr``: a replication's v-th boundary visit or
+    transmission moves it to the v-th visit decision or cycle threshold of
+    one shared sequence.  The counts and tables live in the closures, so a
+    rule serves one run.
     """
     kind = policy.kind
     k = policy.k
     if kind == "periodic":
-        pattern = policy.pattern
-        return lambda t, abs_e: pattern[t % len(pattern)]
+        pattern = np.array(policy.pattern, dtype=bool)
+        return lambda t0, U: np.copyto(
+            U, pattern[np.arange(t0, t0 + len(U)) % len(pattern), None])
     if kind == "iid_random":
-        alpha = policy.alpha
-        rows = _chunk_rows(n, T)
-        coins = np.empty((0, n), dtype=bool)
-        start = 0
-
-        def coin(t, abs_e):
-            nonlocal coins, start
-            if t - start >= len(coins):
-                start = t
-                coins = rng.random((min(rows, T - t), n)) < alpha
-            return coins[t - start]
-
-        return coin
+        return lambda t0, U: np.less(rng.random(U.shape), policy.alpha, U)
     if kind == "steering":
         # a replication's counters (silent, sent) change only at its own
         # boundary visits; its v-th visit's threshold is k when it sends, the
@@ -304,7 +306,7 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
                 silent, sent = (silent, sent1) if sends[-1] else (silent1, sent)
             return np.where(sends, k, silent_thr)
 
-        return _counted_rule(steer, lambda abs_e, U: abs_e == k, n, T)
+        return _counted_rule(steer, thr, k, n, T)
     # time_sharing: one threshold per transmission-delimited cycle, k for a_m
     # cycles then k + 1 for b_m cycles; each transmission ends a cycle.  At
     # most T cycles fit in T steps, so longer phases are cut there, as Python ints
@@ -317,7 +319,7 @@ def _transmit_rule(policy: PolicySpec, n: int, T: int, rng: np.random.Generator 
         made += m
         return np.where(phase % 2, k + 1.0, k)
 
-    return _counted_rule(share, lambda abs_e, U: U, n, T)
+    return _counted_rule(share, thr, None, n, T)
 
 
 def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, burn: int,
@@ -337,12 +339,11 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     inn_rng = np.random.default_rng(inn_seq)
     draw = (spec.pmf if isinstance(spec, ModelSpecA) else spec.pdf).sampler
 
-    # a fixed-threshold policy is a row of per-replication thresholds, all
-    # rows compared in one call per step; every other policy has a rule that
-    # then writes its own row.  Each policy reads its own copy of the policy
-    # stream, as a run of its own would
+    # the compare writes the rows that read the state; each policy reads its
+    # own copy of the policy stream, as a run of its own would
     thresholds = np.full((c, n), np.inf)
-    rules = []
+    reads = np.ones((c, 1), dtype=bool)  # the rows the compare writes
+    blind, counted = [], []
     for row, policy in enumerate(policies):
         pol_rng = np.random.default_rng(pol_seq)
         if policy.kind == "threshold":
@@ -351,8 +352,14 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
             thresholds[row] = np.where(pol_rng.random(n) < policy.theta,
                                        policy.k, policy.k + 1.0)
         else:
-            rules.append((row, _transmit_rule(policy, n, T, pol_rng)))
-    compare = len(rules) < c  # a block of rules alone has nothing to compare
+            rule = _transmit_rule(policy, thresholds[row], n, T, pol_rng)
+            if policy.kind in ("periodic", "iid_random"):
+                reads[row] = False
+                blind.append((row, rule))
+            else:
+                counted.append((row, rule))
+    compare = bool(reads.any())
+    mask = True if reads.all() else reads
 
     rows = _chunk_rows(c * n, T)
     abs_err = np.empty((rows, c, n))  # |e| before each step; d is even, so d(|e|) = d(e)
@@ -364,38 +371,46 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     absolute, greater_equal, multiply, add, putmask = (
         np.absolute, np.greater_equal, np.multiply, np.add, np.putmask)
     scale = a != 1
-    # the producer thread draws chunk i + 1 while this thread steps chunk i;
-    # it alone reads inn_rng, one chunk at a time in chunk order, so the
-    # draws are those of a serial run.  It fills buffers allocated here:
+    # the producer draws each chunk into one buffer, slice by slice, while
+    # this thread steps the slices drawn.  It fills buffers allocated here:
     # freed memory goes back to the allocator arena of the thread that
     # allocated it, so a stepped chunk's buffer can then serve this thread's
     # sums (+4 MB of peak RSS when the producer allocated).  A state that
     # overflows below a finite threshold leaves an infinite distortion sum,
     # which the per-chunk check below reports
     with ThreadPoolExecutor(max_workers=1) as producer, np.errstate(over="ignore"):
-        ahead = producer.submit(draw, inn_rng, out=np.empty((rows, 1, n)))
+
+        def ahead(c0):
+            # (first step, future) of each slice of the chunk from step c0
+            m = min(rows, T - c0)
+            W = np.empty((m, 1, n))  # one draw, broadcast over the policy rows
+            cuts = sorted({m * j // 16 for j in (0, 1, 2, 4, 8, 16)})
+            return [(lo, producer.submit(draw, inn_rng, out=W[lo:hi]))
+                    for lo, hi in zip(cuts, cuts[1:])]
+
+        pending = ahead(0)
         for c0 in range(0, T, rows):
             m = min(rows, T - c0)
-            W = ahead.result()  # one draw, broadcast over the policy rows
-            if c0 + m < T:
-                ahead = producer.submit(draw, inn_rng,
-                                        out=np.empty((min(rows, T - c0 - m), 1, n)))
-            for t, e_abs, U, innov in zip(range(c0, c0 + m), abs_err[:m], sent[:m], W):
-                absolute(E, e_abs)
-                if compare:
-                    greater_equal(e_abs, thresholds, U)
-                for row, rule in rules:
-                    U[row] = rule(t, e_abs[row])
-                if scale:
-                    multiply(E, a, E)
-                add(E, innov, E)
-                # a transmission resets the state to the innovation; putmask
-                # repeats innov over the c rows of E, as broadcasting would,
-                # and runs up to 3x faster than np.copyto(..., where=U)
-                putmask(E, U, innov)
+            slices, pending = pending, ahead(c0 + m) if c0 + m < T else []
+            for row, fill in blind:
+                fill(c0, sent[:m, row])
+            for lo, drawn in slices:
+                for e_abs, U, innov in zip(abs_err[lo:], sent[lo:], drawn.result()):
+                    absolute(E, e_abs)
+                    if compare:
+                        greater_equal(e_abs, thresholds, U, where=mask)
+                    for row, step in counted:
+                        step(e_abs[row], U[row])
+                    if scale:
+                        multiply(E, a, E)
+                    add(E, innov, E)
+                    # a transmission resets the state to the innovation; putmask
+                    # repeats innov over the c rows of E, as broadcasting would,
+                    # and runs up to 3x faster than np.copyto(..., where=U)
+                    putmask(E, U, innov)
             # with the next chunk in flight, two chunks of draws are held
             # while stepping, one while summing
-            del W, innov
+            del slices, drawn, innov
             d = distortion(abs_err[:m])
             # zero the transmit steps; an infinite |e| there leaves inf * 0 =
             # NaN, which the check below reports as it does an infinite sum
@@ -438,11 +453,8 @@ def _estimate(d_rep: np.ndarray, n_rep: np.ndarray, config: SimConfig, T: int) -
     with np.errstate(over="ignore"):
         d_hat = float(np.mean(d_rep))
         n_hat = float(np.mean(n_rep))
-        if R > 1:
-            d_se = float(np.std(d_rep, ddof=1) / math.sqrt(R))
-            n_se = float(np.std(n_rep, ddof=1) / math.sqrt(R))
-        else:
-            d_se = n_se = 0.0
+        d_se = float(np.std(d_rep, ddof=1) / math.sqrt(R))
+        n_se = float(np.std(n_rep, ddof=1) / math.sqrt(R))
     if not all(math.isfinite(x) for x in (d_hat, d_se, n_hat, n_se)):
         raise NumericsError(
             f"simulated estimates are not finite (d_hat={d_hat:.3g}, d_se={d_se:.3g}, "

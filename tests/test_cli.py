@@ -467,9 +467,9 @@ class TestSimulateCommand:
         for beta in (0.9, 0.99, 0.9999):
             spec = solver_b.gauss_markov_spec(1.0, a=1.5, beta=beta)
             with pytest.raises(NumericsError, match="grows geometrically"):
-                simulate(spec, policy, SimConfig(replications=1))
+                simulate(spec, policy, SimConfig(replications=2))
             code, _, err = run_cli(["simulate", "--model", "B", "--a", "1.5", "--beta", str(beta),
-                                    "--distortion", "abs", "--reps", "1", "--policy", *flags],
+                                    "--distortion", "abs", "--reps", "2", "--policy", *flags],
                                    capsys)
             assert code == 2
             assert "grows geometrically" in err
@@ -500,11 +500,11 @@ class TestSimulateCommand:
         assert "cap" in err
 
     def test_step_cap_exits_one(self, capsys):
-        # one replication is within the draw cap but above the step cap
+        # two replications are within the draw cap but above the step cap
         start = time.perf_counter()
         code, _, err = run_cli(["simulate", "--model", "A", "--p", "0.3",
                                 "--policy", "threshold", "--k", "2",
-                                "--reps", "1", "--horizon", "20000000"], capsys)
+                                "--reps", "2", "--horizon", "20000000"], capsys)
         assert code == 1
         assert "cap" in err
         assert time.perf_counter() - start < 1.0

@@ -245,11 +245,18 @@ class TestThresholdPolicies:
             simulate(bd_avg, PolicySpec.threshold(2),
                      SimConfig(horizon=101, replications=10, burn_in=10))
 
-    def test_one_replication_has_no_standard_error(self, bd_avg):
-        res = simulate(bd_avg, PolicySpec.threshold(2),
-                       SimConfig(horizon=2000, replications=1, burn_in=10, seed=3))
-        assert res.d_se == res.n_se == 0.0
-        assert res.replications_used == 1 and res.d_hat > 0.0 and res.n_hat > 0.0
+    def test_one_replication_refused(self, capsys):
+        # one replication used to report d_se = n_se = 0, a standard error it
+        # cannot have; two give the spread of two estimates
+        with pytest.raises(UsageError, match="at least 2, got 1: the standard errors"):
+            SimConfig(horizon=2000, replications=1, burn_in=10, seed=3)
+        argv = ["simulate", "--model", "B", "--policy", "threshold", "--k", "1",
+                "--horizon", "50", "--burn-in", "5"]
+        assert cli.main(argv + ["--reps", "1"]) == 1
+        assert "replications must be at least 2" in capsys.readouterr().err
+        res = simulate(solver_b.gauss_markov_spec(1.0), PolicySpec.threshold(1.0),
+                       SimConfig(horizon=50, replications=2, burn_in=5))
+        assert res.replications_used == 2 and res.d_se > 0.0 and res.n_se > 0.0
 
 
 class TestRandomizedMixture:
@@ -343,6 +350,22 @@ def time_sharing_step(cursor, e, k, phases):
     return u, (j, used + u)
 
 
+def counted_rule(policy, n, T):
+    """A steering or time-sharing rule as the block's step loop runs it,
+    ``decide(abs_e) -> U``: the shared compare against the rule's row of
+    thresholds, then the rule's in-place update of that row; and the
+    rule's own step, whose closure holds its table."""
+    thr = np.empty(n)
+    step = simulate_module._transmit_rule(policy, thr, n, T, None)
+
+    def decide(abs_e):
+        U = abs_e >= thr
+        step(abs_e, U)
+        return U
+
+    return decide, step
+
+
 class TestSteering:
     def test_scalar_step_theta_one_always_transmits(self):
         counters = (0.0, 0.0)
@@ -361,10 +384,10 @@ class TestSteering:
         # |e| in {0, ..., 4} hits the boundary |e| = k on a fifth of the steps
         k, theta, n, T = 2.0, 0.37, 5, 400
         abs_e = np.random.default_rng(9).integers(0, 5, size=(T, n)).astype(float)
-        rule = simulate_module._transmit_rule(PolicySpec.steering(k, theta), n, T, None)
+        rule, _ = counted_rule(PolicySpec.steering(k, theta), n, T)
         counters = [(0.0, 0.0)] * n
         for t in range(T):
-            U = rule(t, abs_e[t])
+            U = rule(abs_e[t])
             for i in range(n):
                 u, counters[i] = steering_policy_step(counters[i], abs_e[t, i], k, theta)
                 assert bool(U[i]) == bool(u), (t, i)
@@ -377,8 +400,8 @@ class TestSteering:
         monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 997)
         k, T = 3.0, 100_000
         abs_e = np.full(1, k)
-        rule = simulate_module._transmit_rule(PolicySpec.steering(k, theta), 1, T, None)
-        got = np.array([rule(t, abs_e)[0] for t in range(T)])
+        rule, _ = counted_rule(PolicySpec.steering(k, theta), 1, T)
+        got = np.array([rule(abs_e)[0] for t in range(T)])
         counters, want = (0.0, 0.0), np.empty(T, dtype=bool)
         for t in range(T):
             want[t], counters = steering_policy_step(counters, k, k, theta)
@@ -392,14 +415,14 @@ class TestSteering:
         k, theta, n, T = 2.0, 0.37, 5, 3000
         rng = np.random.default_rng(4)
         rates = np.array([0.3, 0.35, 0.4, 0.45, 0.5])
-        rule = simulate_module._transmit_rule(PolicySpec.steering(k, theta), n, T, None)
-        cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+        rule, step = counted_rule(PolicySpec.steering(k, theta), n, T)
+        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
         counters = [(0.0, 0.0)] * n
         visits = np.zeros(n, dtype=np.int64)
         span = 0
         for t in range(T):
             abs_e = np.where(rng.random(n) < rates, k, rng.choice([0.0, 1.0, 3.0], n))
-            U = rule(t, abs_e)
+            U = rule(abs_e)
             for i in range(n):
                 u, counters[i] = steering_policy_step(counters[i], abs_e[i], k, theta)
                 assert bool(U[i]) == bool(u), (t, i)
@@ -574,13 +597,13 @@ class TestTimeSharing:
         k, n, T = 2.0, 5, 3000
         abs_e = np.random.default_rng(11).integers(0, 5, size=(T, n)).astype(float)
         policy = PolicySpec.time_sharing(k, schedule)
-        rule = simulate_module._transmit_rule(policy, n, T, None)
-        cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+        rule, step = counted_rule(policy, n, T)
+        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
         phases = [cycles for entry in schedule for cycles in entry]
         cursors = [(0, 0)] * n
         sent = np.zeros(n, dtype=np.int64)
         for t in range(T):
-            U = rule(t, abs_e[t])
+            U = rule(abs_e[t])
             for i in range(n):
                 u, cursors[i] = time_sharing_step(cursors[i], abs_e[t, i], k, phases)
                 assert bool(U[i]) == bool(u), (t, i)
@@ -591,7 +614,7 @@ class TestTimeSharing:
         # 40 entries of 1e5 + 1e5 cycles: a table of every cycle of the
         # schedule cut at the horizon would hold 8e6 floats (64 MB)
         policy = PolicySpec.time_sharing(2, [(10**5, 10**5)] * 40)
-        cfg = SimConfig(horizon=10**5, replications=1, seed=3)
+        cfg = SimConfig(horizon=10**5, replications=2, seed=3)
         tracemalloc.start()
         try:
             simulate(bd_avg, policy, cfg)
@@ -709,22 +732,70 @@ def test_golden_wide_discounted(case, monkeypatch):
     assert sums == [digest]
 
 
+# Recorded from the simulator that stepped whole chunks (stream layout 2) by
+# running each case below once: (d_hat, n_hat, d_se, n_se) and the digest of
+# the per-replication sums at 5 reps x 600 steps, burn-in 50, seed 13, in
+# chunks of 23 steps (CHUNK_CELLS = 23 x the run's width), so a run crosses 26
+# (Model A) or 19 (Model B, 449 steps) chunk boundaries and the burn-in ends
+# inside the third chunk.  A block of the six kinds sums each row as its own
+# run does, so it gives the same bits.
+GOLDEN_CHUNKED = {
+    ("A", "threshold"): ((0.5061818181818182, 0.14945454545454545, 0.005680181582477572, 0.005645154435003647), "6d026898bbf7bd34"),
+    ("A", "randomized_threshold"): ((0.8272727272727274, 0.08909090909090908, 0.07911076030916536, 0.01801743875176363), "c8be1b30d1cc1a8b"),
+    ("A", "periodic"): ((0.4836363636363636, 0.3327272727272727, 0.005947428085016772, 0.0), "d54cf22b2d28d867"),
+    ("A", "iid_random"): ((0.6978181818181819, 0.29818181818181816, 0.02595864479647237, 0.014142135623730949), "2b7fe27078e4bde4"),
+    ("A", "steering"): ((0.7327272727272727, 0.10836363636363636, 0.009824913517168223, 0.004865122967367146), "14ac0f76d66f0252"),
+    ("A", "time_sharing"): ((0.7141818181818183, 0.10327272727272727, 0.019313849781657462, 0.007259078100973499), "a937a27066cac068"),
+    ("B", "threshold"): ((0.28637631587959944, 0.22003093696381812, 0.020319116014592735, 0.007747304690917493), "52ad988d6263850c"),
+    ("B", "randomized_threshold"): ((0.26110221465784644, 0.2885548130547476, 0.06575034370750431, 0.05009646571560421), "4b1902b1187a08af"),
+    ("B", "periodic"): ((0.2913132984508147, 0.6494303242105762, 0.06495849275421395, 0.0), "486b781f33093e4b"),
+    ("B", "iid_random"): ((0.7512080363867174, 0.40310397542645926, 0.13857016355229151, 0.02463304512853476), "46c41294d1311e43"),
+    ("B", "steering"): ((0.20961828373424565, 0.3077194002414857, 0.022026930088808874, 0.03459034545165911), "1f07b8ff57380205"),
+    ("B", "time_sharing"): ((0.638416174112538, 0.14264071600468844, 0.03460038188043161, 0.004581919307039012), "63ac1db6d914d104"),
+}
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("together", [False, True], ids=["alone", "block"])
+def test_golden_chunked(model, together, monkeypatch):
+    cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+    kinds = list(GOLDEN_POLICIES[model])
+    sums = []
+    estimate = simulate_module._estimate
+    monkeypatch.setattr(simulate_module, "_estimate", lambda d, u, *args: (
+        sums.append(hashlib.sha256(d.tobytes() + u.tobytes()).hexdigest()[:16])
+        or estimate(d, u, *args)))
+    blocks = [kinds] if together else [[kind] for kind in kinds]
+    results = []
+    for block in blocks:
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 23 * len(block) * cfg.replications)
+        results += simulate_policies(golden_spec(model),
+                                     [GOLDEN_POLICIES[model][kind] for kind in block], cfg)
+    for kind, res, digest in zip(kinds, results, sums, strict=True):
+        assert ((res.d_hat, res.n_hat, res.d_se, res.n_se), digest) == \
+            GOLDEN_CHUNKED[(model, kind)], kind
+
+
 class DrawFailed(Exception):
     """Raised by a test density's draw of its second chunk."""
 
 
 class SecondChunkFails(SmoothPdf):
-    """Tabulated density whose draw of each run's second chunk raises; a run
-    draws two chunks and then stops, so every second draw fails.  ``raised``
-    keeps the last failure."""
+    """Tabulated density whose draws into the second chunk of ``CHUNK``
+    cells it is asked for raise, however many calls a chunk is drawn in;
+    the draws before and after it succeed.  ``raised`` keeps the failures,
+    the first first.  One density serves one run."""
 
-    draws = 0
+    CHUNK = 37 * 5
+    drawn = 0
+    raised = ()
 
     def sampler(self, rng, size=None, out=None):
-        self.draws += 1
-        if self.draws % 2 == 0:
-            self.raised = [DrawFailed("second chunk")]
-            raise self.raised[0]
+        start = self.drawn
+        self.drawn += out.size
+        if self.CHUNK <= start < 2 * self.CHUNK:
+            self.raised += (DrawFailed("second chunk"),)
+            raise self.raised[-1]
         return super().sampler(rng, size, out)
 
 
@@ -776,7 +847,7 @@ class TestDrawAhead:
         assert together == alone
 
     def test_draw_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 37 * 5)
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", SecondChunkFails.CHUNK)
         pdf = triangle_pdf(SecondChunkFails)
         spec = ModelSpecB(1.0, pdf, DistortionFn.quadratic(), 1.0)
         threads = threading.active_count()
@@ -785,6 +856,8 @@ class TestDrawAhead:
                      SimConfig(horizon=600, replications=5, burn_in=50))
         assert caught.value is pdf.raised[0]
         assert threading.active_count() == threads
+        pdf = triangle_pdf(SecondChunkFails)
+        spec = ModelSpecB(1.0, pdf, DistortionFn.quadratic(), 1.0)
         monkeypatch.setattr(cli, "_spec_from_args", lambda args: spec)
         with pytest.raises(DrawFailed) as caught:
             cli.main(["simulate", "--model", "B", "--policy", "threshold", "--k", "0.8",
@@ -857,6 +930,44 @@ class TestBlock:
                     assert getattr(res, field) == pytest.approx(getattr(one, field),
                                                                 rel=1e-12), (rows, field)
 
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_blocks_match_separate_runs(self, data):
+        # random kinds in random row order, so state-blind rows fall anywhere
+        # among the rows the compare writes; chunks from one step to one chunk
+        model = data.draw(st.sampled_from(["A", "B"]))
+        beta = data.draw(st.sampled_from([1.0, 0.9]))
+        spec = (solver_a.bd_spec(0.3, beta) if model == "A"
+                else solver_b.gauss_markov_spec(1.0, beta=beta))
+        # Model A takes integer thresholds; k = 2 puts |e| = k on many steps
+        k = st.integers(0, 4) if model == "A" else st.floats(0.2, 2.5)
+        unit = st.floats(0.0, 1.0)
+        policies = data.draw(st.lists(st.one_of(
+            st.builds(PolicySpec.threshold, k),
+            st.builds(PolicySpec.randomized_threshold, k, unit),
+            st.builds(PolicySpec.periodic, st.lists(st.integers(0, 1), min_size=1,
+                                                    max_size=5).filter(any)),
+            st.builds(PolicySpec.iid_random, st.floats(0.05, 1.0)),
+            st.builds(PolicySpec.steering, k, unit),
+            st.builds(PolicySpec.time_sharing, k, st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+                min_size=1, max_size=3)),
+        ), min_size=1, max_size=6))
+        cfg = SimConfig(horizon=300, replications=data.draw(st.integers(2, 5)), burn_in=20,
+                        seed=data.draw(st.integers(0, 2**32 - 1)))
+        rows = data.draw(st.integers(1, 300))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate_module, "CHUNK_CELLS",
+                          rows * len(policies) * cfg.replications)
+            block = simulate_policies(spec, policies, cfg)
+            for res, policy in zip(block, policies, strict=True):
+                one = simulate(spec, policy, cfg)
+                assert res.stream_id == one.stream_id
+                assert res.steps_per_replication == one.steps_per_replication
+                for field in ("d_hat", "n_hat", "d_se", "n_se"):
+                    assert getattr(res, field) == pytest.approx(getattr(one, field),
+                                                                rel=1e-12), (policy, field)
+
     def test_memory_bounded_by_chunk(self, bd_avg):
         # in one chunk, five policies of 50 replications hold the innovations,
         # |e| and transmit flags of all 5000 steps at once: 18.9 MB at peak; the
@@ -885,7 +996,7 @@ class TestBlock:
             simulate_policies(bd_avg, policies + [PolicySpec.iid_random(0.5)], cfg)
         with pytest.raises(UsageError, match="cap"):
             simulate_policies(bd_avg, [PolicySpec.threshold(2)],
-                              SimConfig(horizon=101, replications=1, burn_in=10))
+                              SimConfig(horizon=101, replications=2, burn_in=10))
 
     def test_overflow_names_the_policy(self):
         # the state outgrows float64 below k = 1e200 but not below k = 1
