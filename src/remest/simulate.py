@@ -14,8 +14,9 @@ masked compare of the rows of one per-replication threshold array, those
 of ``threshold``, ``randomized_threshold`` and the one counted rule of
 steering and time-sharing, in which a replication's v-th event (boundary
 visit, transmission) moves it to the v-th entry of one shared sequence (the
-visit's decision, the cycle's threshold): only a step with an event reads
-that sequence's table into the rule's row.  The state-blind kinds
+visit's decision, the cycle's threshold): a step adds its events into the
+block's counts in one call and takes each counted row's table, extended
+once per chunk, into that row.  The state-blind kinds
 (``periodic``, ``iid_random``) fill their rows of flags once per chunk.
 
 A run draws from two streams spawned from ``SeedSequence([seed,
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
@@ -220,61 +222,34 @@ def _chunk_rows(n: int, T: int) -> int:
     return max(1, min(T, CHUNK_CELLS // n))
 
 
-def _counted_rule(decide, thr: np.ndarray, at: float | None, n: int, T: int):
-    """Step ``step(abs_e, U)`` of a rule over ``n`` replications run for ``T``
-    steps, in which a replication's v-th event moves it to the v-th
-    threshold of one sequence: ``decide(m)`` returns the sequence's next m
-    thresholds, and an event is a step at ``|e| == at`` or, with ``at`` None,
-    a transmission.  The rule keeps each replication's threshold in ``thr``,
-    its row of the block's thresholds, which the shared compare reads; called
-    after that compare, ``step`` tests the step's events in place and only a
-    step with an event advances the counts and rereads ``thr``.
-
-    The table grows lazily, to a chunk of events past the furthest
-    replication, then drops the events all have passed (the counts are kept
-    relative to its first event): it spans the counts plus a chunk.
-    """
-    grow = _chunk_rows(n, T)
-    table = decide(1)
-    counts = np.zeros(n, dtype=np.int64)  # events, from the table's first
-    room = 0  # event steps left before a count can pass the table
-    thr[...] = table[0]
-    if at is not None:
-        at, hit = np.full(n, at), np.empty(n, dtype=bool)
-
-    def step(abs_e, U):
-        nonlocal table, room
-        event = U if at is None else np.equal(abs_e, at, hit)
-        # a continuous state almost never reaches a steering boundary
-        if np.count_nonzero(event):
-            np.add(counts, event, counts)
-            room -= 1
-            if room < 0:
-                lo = counts.min()
-                np.subtract(counts, lo, counts)
-                table = table[lo:]
-                table = np.append(table, decide(int(counts.max()) + grow + 1 - len(table)))
-                room = grow
-            # the counts lie within the table, so clipping moves none of them
-            table.take(counts, None, thr, "clip")
-
-    return step
+def _extend_table(decide, table: np.ndarray, counts: np.ndarray, thr: np.ndarray,
+                  m: int) -> np.ndarray:
+    """A counted rule's table rebased and extended for a chunk of ``m`` steps:
+    it drops the events every replication has passed (``counts`` stays
+    relative to its first entry) and grows by ``decide`` to cover each count
+    the chunk can reach, one event a step at most, so it spans the counts
+    plus a chunk.  Writes each replication's threshold into ``thr``."""
+    lo = counts.min()
+    np.subtract(counts, lo, counts)
+    table = np.append(table[lo:], decide(max(0, int(counts.max()) + m + 1 + lo - len(table))))
+    table.take(counts, None, thr, "clip")
+    return table
 
 
-def _transmit_rule(policy: PolicySpec, thr: np.ndarray, n: int, T: int,
-                   rng: np.random.Generator | None):
-    """Transmit decisions of a policy with no fixed threshold, over ``n``
-    replications run for ``T`` steps.
+def _transmit_rule(policy: PolicySpec, T: int, rng: np.random.Generator | None):
+    """Transmit decisions of a policy with no fixed threshold, in a run of
+    ``T`` steps.
 
     A state-blind kind returns ``fill(t0, U)``, which writes the flags of
     the steps from ``t0`` into the ``(m, n)`` array ``U``, called once per
     chunk in time order; ``rng`` is the policy stream, from which
     ``iid_random`` draws its coins in the run's time-major layout.
-    Steering and time-sharing are one ``_counted_rule`` that keeps its
-    thresholds in ``thr``: a replication's v-th boundary visit or
-    transmission moves it to the v-th visit decision or cycle threshold of
-    one shared sequence.  The counts and tables live in the closures, so a
-    rule serves one run.
+    Steering and time-sharing are one counted rule: a replication's v-th
+    event (boundary visit, transmission) moves it to the v-th threshold of
+    one shared sequence (visit decision, cycle threshold), and they return
+    ``decide(m)``, the sequence's next m thresholds, which ``_extend_table``
+    reads once per chunk; the block keeps the event counts.  A rule serves
+    one run.
     """
     kind = policy.kind
     k = policy.k
@@ -298,15 +273,17 @@ def _transmit_rule(policy: PolicySpec, thr: np.ndarray, n: int, T: int,
             # exact, and each float operation is the one a per-replication
             # update would make
             nonlocal silent, sent
-            sends = []
-            for _ in range(m):
+            sends = [False] * m
+            for i in range(m):
                 silent1, sent1 = silent + 1.0, sent + 1.0
-                tot = silent1 + sent1 - 1.0
-                sends.append(theta - sent1 / tot >= rest - silent1 / tot)
-                silent, sent = (silent, sent1) if sends[-1] else (silent1, sent)
+                tot = silent1 + sent
+                if theta - sent1 / tot >= rest - silent1 / tot:
+                    sends[i], sent = True, sent1
+                else:
+                    silent = silent1
             return np.where(sends, k, silent_thr)
 
-        return _counted_rule(steer, thr, k, n, T)
+        return steer
     # time_sharing: one threshold per transmission-delimited cycle, k for a_m
     # cycles then k + 1 for b_m cycles; each transmission ends a cycle.  At
     # most T cycles fit in T steps, so longer phases are cut there, as Python ints
@@ -319,7 +296,7 @@ def _transmit_rule(policy: PolicySpec, thr: np.ndarray, n: int, T: int,
         made += m
         return np.where(phase % 2, k + 1.0, k)
 
-    return _counted_rule(share, thr, None, n, T)
+    return share
 
 
 def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, burn: int,
@@ -343,6 +320,13 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     # own copy of the policy stream, as a run of its own would
     thresholds = np.full((c, n), np.inf)
     reads = np.ones((c, 1), dtype=bool)  # the rows the compare writes
+    # the counted rules' events, none in a block without one: boundary visits
+    # |e| == at in the steering rows (at is NaN in every other row) and
+    # transmissions in the time-sharing rows, counted from each table's start
+    w = n if any(p.kind in ("steering", "time_sharing") for p in policies) else 0
+    counts = np.zeros((c, w), dtype=np.intp)
+    at = np.full((c, w), np.nan)
+    sharing = np.zeros((c, 1), dtype=bool)
     blind, counted = [], []
     for row, policy in enumerate(policies):
         pol_rng = np.random.default_rng(pol_seq)
@@ -352,14 +336,23 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
             thresholds[row] = np.where(pol_rng.random(n) < policy.theta,
                                        policy.k, policy.k + 1.0)
         else:
-            rule = _transmit_rule(policy, thresholds[row], n, T, pol_rng)
+            rule = _transmit_rule(policy, T, pol_rng)
             if policy.kind in ("periodic", "iid_random"):
                 reads[row] = False
                 blind.append((row, rule))
             else:
-                counted.append((row, rule))
+                # (decide, table, row views of the counts and thresholds)
+                counted.append([rule, np.empty(0), counts[row], thresholds[row]])
+                at[row], sharing[row] = ((policy.k, False) if policy.kind == "steering"
+                                         else (np.nan, True))
     compare = bool(reads.any())
     mask = True if reads.all() else reads
+    steer, share = not np.isnan(at).all(), bool(sharing.any())
+    # a step's event flags, copied into intp before the add: at 32 cells the
+    # copy and an intp add take 0.3 us less than one bool-into-intp add
+    hit, event = np.zeros((c, w), dtype=bool), np.zeros((c, w), dtype=np.intp)
+    # a continuous state almost never hits a steering boundary: test first
+    rare = steer and not share and isinstance(spec, ModelSpecB)
 
     rows = _chunk_rows(c * n, T)
     abs_err = np.empty((rows, c, n))  # |e| before each step; d is even, so d(|e|) = d(e)
@@ -368,8 +361,8 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     d_acc = np.zeros((c, n))
     u_acc = np.zeros((c, n))
     # the step loop's ufuncs, bound once; each writes its output in place
-    absolute, greater_equal, multiply, add, putmask = (
-        np.absolute, np.greater_equal, np.multiply, np.add, np.putmask)
+    absolute, greater_equal, multiply, add, putmask, equal, copyto = (
+        np.absolute, np.greater_equal, np.multiply, np.add, np.putmask, np.equal, np.copyto)
     scale = a != 1
     # the producer draws each chunk into one buffer, slice by slice, while
     # this thread steps the slices drawn.  It fills buffers allocated here:
@@ -377,8 +370,11 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     # allocated it, so a stepped chunk's buffer can then serve this thread's
     # sums (+4 MB of peak RSS when the producer allocated).  A state that
     # overflows below a finite threshold leaves an infinite distortion sum,
-    # which the per-chunk check below reports
-    with ThreadPoolExecutor(max_workers=1) as producer, np.errstate(over="ignore"):
+    # which the per-chunk check below reports.  When a step or a draw fails,
+    # the slices still queued are cancelled, so only the one being drawn ends
+    with ExitStack() as stack, np.errstate(over="ignore"):
+        producer = ThreadPoolExecutor(max_workers=1)
+        stack.callback(producer.shutdown, cancel_futures=True)
 
         def ahead(c0):
             # (first step, future) of each slice of the chunk from step c0
@@ -394,13 +390,13 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
             slices, pending = pending, ahead(c0 + m) if c0 + m < T else []
             for row, fill in blind:
                 fill(c0, sent[:m, row])
+            for rule in counted:
+                rule[1] = _extend_table(*rule, m)
             for lo, drawn in slices:
                 for e_abs, U, innov in zip(abs_err[lo:], sent[lo:], drawn.result()):
                     absolute(E, e_abs)
                     if compare:
                         greater_equal(e_abs, thresholds, U, where=mask)
-                    for row, step in counted:
-                        step(e_abs[row], U[row])
                     if scale:
                         multiply(E, a, E)
                     add(E, innov, E)
@@ -408,6 +404,20 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
                     # repeats innov over the c rows of E, as broadcasting would,
                     # and runs up to 3x faster than np.copyto(..., where=U)
                     putmask(E, U, innov)
+                    if counted:
+                        # the rows of other kinds count flags no table reads
+                        flags = U
+                        if steer:
+                            flags = equal(e_abs, at, hit)
+                            if share:
+                                copyto(hit, U, where=sharing)
+                        if not rare or np.count_nonzero(flags):
+                            copyto(event, flags)
+                            add(counts, event, counts)
+                            # the table covers every count of the chunk, so
+                            # clipping moves none of them
+                            for _, table, cnt, thr in counted:
+                                table.take(cnt, None, thr, "clip")
             # with the next chunk in flight, two chunks of draws are held
             # while stepping, one while summing
             del slices, drawn, innov

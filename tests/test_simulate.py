@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -351,19 +352,28 @@ def time_sharing_step(cursor, e, k, phases):
 
 
 def counted_rule(policy, n, T):
-    """A steering or time-sharing rule as the block's step loop runs it,
-    ``decide(abs_e) -> U``: the shared compare against the rule's row of
-    thresholds, then the rule's in-place update of that row; and the
-    rule's own step, whose closure holds its table."""
-    thr = np.empty(n)
-    step = simulate_module._transmit_rule(policy, thr, n, T, None)
+    """A steering or time-sharing rule over ``n`` replications run for ``T``
+    steps as the block's step loop runs it, ``decide(abs_e) -> U``: the
+    rule's table extended before each chunk of ``_chunk_rows(n, T)`` steps,
+    the compare against the rule's thresholds, then the step's events added
+    into the counts and the table taken into the thresholds, with no
+    clipping, so a table that misses a count raises.  ``state["table"]`` is
+    the table."""
+    rule = simulate_module._transmit_rule(policy, T, None)
+    m = simulate_module._chunk_rows(n, T)
+    counts, thr = np.zeros(n, dtype=np.intp), np.empty(n)
+    state = {"table": np.empty(0), "t": 0}
 
     def decide(abs_e):
+        if state["t"] % m == 0:
+            state["table"] = simulate_module._extend_table(rule, state["table"], counts, thr, m)
+        state["t"] += 1
         U = abs_e >= thr
-        step(abs_e, U)
+        np.add(counts, abs_e == policy.k if policy.kind == "steering" else U, counts)
+        state["table"].take(counts, None, thr)
         return U
 
-    return decide, step
+    return decide, state
 
 
 class TestSteering:
@@ -396,7 +406,7 @@ class TestSteering:
     @pytest.mark.parametrize("theta", [0.0, 0.25, 0.35, 0.5, 0.6899, 1.0])
     def test_rule_matches_scalar_step_over_many_visits(self, theta, monkeypatch):
         # one replication at |e| = k on every step: 1e5 boundary visits,
-        # read off a decision table regrown every 997 visits
+        # read off a decision table extended every 997 visits
         monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 997)
         k, T = 3.0, 100_000
         abs_e = np.full(1, k)
@@ -415,8 +425,7 @@ class TestSteering:
         k, theta, n, T = 2.0, 0.37, 5, 3000
         rng = np.random.default_rng(4)
         rates = np.array([0.3, 0.35, 0.4, 0.45, 0.5])
-        rule, step = counted_rule(PolicySpec.steering(k, theta), n, T)
-        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
+        rule, state = counted_rule(PolicySpec.steering(k, theta), n, T)
         counters = [(0.0, 0.0)] * n
         visits = np.zeros(n, dtype=np.int64)
         span = 0
@@ -428,8 +437,8 @@ class TestSteering:
                 assert bool(U[i]) == bool(u), (t, i)
             visits += abs_e == k
             span = max(span, int(visits.max() - visits.min()))
-            assert len(cells["table"].cell_contents) <= span + 8 + 1, t
-        assert len(cells["table"].cell_contents) < visits.min()
+            assert len(state["table"]) <= span + 8 + 1, t
+        assert len(state["table"]) < visits.min()
 
     def test_long_run_boundary_frequency(self):
         for theta in (0.31, 0.6899):
@@ -592,13 +601,12 @@ class TestTimeSharing:
     def test_vector_rule_matches_scalar_walk(self, schedule, monkeypatch):
         # |e| in {0, ..., 4} transmits at k = 2 on 3/5 of the steps and at
         # k + 1 on 2/5, so the replications' cycle counts drift apart; the
-        # cycle table is regrown and rebased every 8 transmitting steps
+        # cycle table is rebased and extended every 8 steps
         monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 5 * 8)
         k, n, T = 2.0, 5, 3000
         abs_e = np.random.default_rng(11).integers(0, 5, size=(T, n)).astype(float)
         policy = PolicySpec.time_sharing(k, schedule)
-        rule, step = counted_rule(policy, n, T)
-        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
+        rule, state = counted_rule(policy, n, T)
         phases = [cycles for entry in schedule for cycles in entry]
         cursors = [(0, 0)] * n
         sent = np.zeros(n, dtype=np.int64)
@@ -608,7 +616,7 @@ class TestTimeSharing:
                 u, cursors[i] = time_sharing_step(cursors[i], abs_e[t, i], k, phases)
                 assert bool(U[i]) == bool(u), (t, i)
             sent += U
-        assert len(cells["table"].cell_contents) < sent.min()
+        assert len(state["table"]) < sent.min()
 
     def test_memory_does_not_grow_with_schedule(self, bd_avg):
         # 40 entries of 1e5 + 1e5 cycles: a table of every cycle of the
@@ -799,6 +807,18 @@ class SecondChunkFails(SmoothPdf):
         return super().sampler(rng, size, out)
 
 
+class SlowSecondChunkFails(SecondChunkFails):
+    """``SecondChunkFails`` whose every draw takes 20 ms; ``calls`` keeps the
+    first cell of each draw it is asked for, in order."""
+
+    calls = ()
+
+    def sampler(self, rng, size=None, out=None):
+        self.calls += (self.drawn,)
+        time.sleep(0.02)
+        return super().sampler(rng, size, out)
+
+
 class TestDrawAhead:
     """The innovations are drawn one chunk ahead on a second thread: a
     failure on either thread reaches the caller unchanged and leaves no
@@ -845,6 +865,21 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(interval)
         assert together == alone
+
+    def test_failed_run_stops_drawing(self, monkeypatch):
+        # the next chunk's slices are queued before the failing one is read;
+        # the caller's exception cancels them, so after the first failed draw
+        # at most the draw already under way runs, not a chunk and a half
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", SecondChunkFails.CHUNK)
+        pdf = triangle_pdf(SlowSecondChunkFails)
+        threads = threading.active_count()
+        with pytest.raises(DrawFailed) as caught:
+            simulate(ModelSpecB(1.0, pdf, DistortionFn.quadratic(), 1.0), PolicySpec.threshold(0.8),
+                     SimConfig(horizon=600, replications=5, burn_in=50))
+        assert caught.value is pdf.raised[0]
+        first = next(i for i, cell in enumerate(pdf.calls) if cell >= SecondChunkFails.CHUNK)
+        assert len(pdf.calls) - first - 1 <= 1, pdf.calls
+        assert threading.active_count() == threads
 
     def test_draw_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(simulate_module, "CHUNK_CELLS", SecondChunkFails.CHUNK)
