@@ -25,13 +25,12 @@ beta = 1 has no DP route yet.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, NumericsError, UsageError
-from .model import ModelSpecA, integer_at_least
+from .model import ModelSpecA, integer_at_least, real_in
 
 # the oracle's values are within half of this of the exact fixed point
 _TOL = 1e-10
@@ -113,8 +112,7 @@ def value_iterate(spec: ModelSpecA, lam: float) -> TruncatedDP:
     beta = spec.beta
     if beta.is_average:
         raise UsageError("policy iteration requires beta < 1")
-    if not 0.0 <= lam < math.inf:
-        raise UsageError(f"transmission price must be nonnegative and finite, got {lam}")
+    lam = real_in(lam, "[0, inf)", "transmission price")
     cap = MAX_FIXED_POINT_STATES // 2
     W = cap + spec.pmf.radius
     states = np.arange(-W, W + 1)
@@ -166,8 +164,7 @@ def policy_evaluate_fixed_point(spec: ModelSpecA, k: int,
     if spec.beta.is_average:
         raise UsageError("fixed-point evaluation requires beta < 1")
     k = integer_at_least(k)
-    if not 0.0 < tol < math.inf:
-        raise UsageError(f"tolerance must be positive and finite, got {tol}")
+    tol = real_in(tol, "(0, inf)", "tolerance")
     if k == 0:
         return 0.0, 1.0
     if 2 * k > MAX_FIXED_POINT_STATES:

@@ -10,14 +10,17 @@ All types are immutable after construction (an innovation law builds the
 table its ``sampler`` reads then; a law or distortion that breaks the model's
 assumptions raises ``UsageError`` then) and operations here are pure, except the
 ``Diagnostics`` work counters, which the solvers and the simulator add to
-inside a ``collect()`` block and never read.
+inside a ``collect()`` block and never read.  ``integer_at_least`` and
+``real_in`` decide every integer and real argument of every module.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -64,17 +67,40 @@ _SEARCH_BLOCK = 2**16
 
 def integer_at_least(value, least: float = 0, name: str = "threshold") -> int:
     """``value`` as an int; raises ``UsageError`` unless it is an integer
-    >= ``least``.  Integral floats and numpy integers pass; a string or
-    None does not."""
-    try:
-        valid = value >= least and float(value).is_integer()
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
+    >= ``least``.  Integral floats and numpy integers pass; a string, None
+    or an array does not."""
+    if not (isinstance(value, (int, float, numbers.Real)) and value >= least
+            and float(value).is_integer()):
         need = {0: "a nonnegative integer", -math.inf: "an integer"}.get(
             least, f"an integer >= {least}")
         raise UsageError(f"{name} must be {need}, got {value}")
     return int(value)
+
+
+@functools.cache
+def _interval(text: str) -> tuple[float, float, bool, bool]:  # lo, hi, lo closed, hi closed
+    lo, hi = (float(top) / float(bottom or 1) for top, _, bottom in
+              (end.partition("/") for end in text[1:-1].split(", ")))
+    return lo, hi, text[0] == "[", text[-1] == "]"
+
+
+def real_in(value, interval: str, name: str) -> float:
+    """``value`` as a float; raises ``UsageError`` unless it is a real number in
+    ``interval``, such as "(0, 1]", "[0, inf)" or "(0, 1/3)" (a bracket closes its
+    end).  Numpy scalars pass with their bits; a string, None, an array or NaN does not."""
+    lo, hi, lo_in, hi_in = _interval(interval)
+    x = float(value) if isinstance(value, (int, float, numbers.Real)) else math.nan
+    if not ((lo < x or lo_in and x == lo) and (x < hi or hi_in and x == hi)):
+        need = {"(0, inf)": "be positive and finite", "[0, inf)": "be nonnegative and finite",
+                "[0, inf]": "be nonnegative", "(-inf, inf)": "be finite"}.get(
+            interval, f"lie in {interval}")
+        raise UsageError(f"{name} must {need}, got {value if math.isnan(x) else x}")
+    return x
+
+
+def birth_death_parameter(p) -> float:
+    """``p`` as a float; ``UsageError`` unless 0 < p < 1/3 (a unimodal birth-death law)."""
+    return real_in(p, "(0, 1/3)", "birth-death parameter")
 
 
 def m_matrix_certificate(anorm: float, m: np.ndarray, singular: str):
@@ -99,10 +125,7 @@ class DiscountFactor(float):
     """Discount factor in (0, 1]; the value 1 selects the average-cost regime."""
 
     def __new__(cls, value: float) -> "DiscountFactor":
-        value = float(value)
-        if not 0.0 < value <= 1.0:
-            raise UsageError(f"discount factor must lie in (0, 1], got {value}")
-        return super().__new__(cls, value)
+        return super().__new__(cls, real_in(value, "(0, 1]", "discount factor"))
 
     @property
     def is_average(self) -> bool:
@@ -127,12 +150,10 @@ class IntegerPmf:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, probs: Mapping[int, float]):
-        cleaned = {integer_at_least(n, -math.inf, "pmf offset"): float(p)
-                   for n, p in probs.items()}
+        cleaned = {integer_at_least(n, -math.inf, "pmf offset"):
+                   real_in(p, "[0, inf)", "pmf probability") for n, p in probs.items()}
         if not cleaned:
             raise UsageError("pmf must have at least one offset")
-        if not all(0.0 <= p < math.inf for p in cleaned.values()):
-            raise UsageError("pmf probabilities must be nonnegative and finite")
         total = sum(cleaned.values())
         if total < 1.0 - PMF_MASS_DEFICIT:
             raise UsageError(
@@ -174,8 +195,7 @@ class IntegerPmf:
     def birth_death(cls, p: float) -> "IntegerPmf":
         """Nearest-neighbour step law: +-1 with probability p each, else hold;
         p < 1/3 keeps it unimodal (p_0 = 1 - 2p > p)."""
-        if not 0.0 < p < 1.0 / 3.0:
-            raise UsageError(f"birth-death parameter must lie in (0, 1/3), got {p}")
+        p = birth_death_parameter(p)
         return cls({-1: p, 0: 1.0 - 2.0 * p, 1: p})
 
     def sampler(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None,
@@ -227,15 +247,14 @@ class SmoothPdf:
     support_halfwidth: float | None = None
 
     def __post_init__(self):
-        name, scale = (("sigma", self.sigma) if self.kind == "gaussian"
-                       else ("support half-width", self.support_halfwidth))
-        if scale is None or not 0.0 < scale < math.inf:
-            raise UsageError(f"{name} must be positive and finite, got {scale}")
+        attr, name = (("sigma", "sigma") if self.kind == "gaussian"
+                      else ("support_halfwidth", "support half-width"))
+        object.__setattr__(self, attr, real_in(getattr(self, attr), "(0, inf)", name))
         if self.kind == "gaussian":
             return
         # inverse-CDF on a dense grid; adequate for smooth declared-support laws.
         # Node 2048 is w = 0, and the grid is mirrored about it up to rounding.
-        grid = np.linspace(-scale, scale, 4097)
+        grid = np.linspace(-self.support_halfwidth, self.support_halfwidth, 4097)
         dens = self.density(grid)
         right = dens[2048:]
         if np.max(np.abs(dens[2048::-1] - right)) > 1e-9 * max(1.0, right[0]):
@@ -255,7 +274,7 @@ class SmoothPdf:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "SmoothPdf":
-        return cls(kind="gaussian", sigma=float(sigma))
+        return cls(kind="gaussian", sigma=sigma)
 
     @classmethod
     def tabulated(
@@ -263,7 +282,7 @@ class SmoothPdf:
         density: Callable[[np.ndarray], np.ndarray],
         support_halfwidth: float,
     ) -> "SmoothPdf":
-        return cls(kind="tabulated", fn=density, support_halfwidth=float(support_halfwidth))
+        return cls(kind="tabulated", fn=density, support_halfwidth=support_halfwidth)
 
     def density(self, w):
         w = np.asarray(w, dtype=float)
@@ -399,9 +418,7 @@ class ModelSpecB:
     beta: DiscountFactor
 
     def __init__(self, a: float, pdf: SmoothPdf, distortion: DistortionFn, beta: float):
-        if not math.isfinite(a):
-            raise UsageError(f"dynamics coefficient must be finite, got {a}")
-        object.__setattr__(self, "a", float(a))
+        object.__setattr__(self, "a", real_in(a, "(-inf, inf)", "dynamics coefficient"))
         object.__setattr__(self, "pdf", pdf)
         object.__setattr__(self, "distortion", distortion)
         object.__setattr__(self, "beta", DiscountFactor(beta))
@@ -439,8 +456,7 @@ class RandomizedThresholdPolicy:
     theta_star: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_star <= 1.0:
-            raise UsageError(f"theta_star must lie in [0, 1], got {self.theta_star}")
+        object.__setattr__(self, "theta_star", real_in(self.theta_star, "[0, 1]", "theta_star"))
         integer_at_least(self.k_star, 0, "k_star")
 
 

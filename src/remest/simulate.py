@@ -33,10 +33,10 @@ slice once it is drawn, while the producer draws on into the next chunk;
 it alone reads the innovation stream, in step order, and the policy stream
 stays on the calling thread, so the results are those of a serial run.
 Resident memory is that of one chunk of the whole block, as for one run of
-c x n replications, plus one chunk of innovations drawn ahead;
-``MAX_SIM_CELLS`` bounds the draws of each policy and ``MAX_SIM_STEPS`` its
-steps.  The innovations come from the law's ``sampler``: a pmf's guide
-table or a density's inverse-CDF table, built with the law.
+c x n replications, plus one chunk of innovations drawn ahead; ``MAX_SIM_WIDTH``
+caps those c x n cells, ``MAX_SIM_CELLS`` the draws of each policy and
+``MAX_SIM_STEPS`` its steps.  The innovations come from the law's ``sampler``:
+a pmf's guide table or a density's inverse-CDF table, built with the law.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``; the simulator solves no linear system.
 """
@@ -54,15 +54,15 @@ import numpy as np
 
 from . import solver_a
 from .errors import DivergenceError, NumericsError, UsageError
-from .model import ModelSpecA, ModelSpecB, count, integer_at_least
+from .model import ModelSpecA, ModelSpecB, count, integer_at_least, real_in
 
-# cap on the per-step draws (innovations, iid coins) of one policy's run: it
-# bounds the run's length, not its memory, since only the chunk being stepped
-# and the one drawn ahead are held; a block of policies is held to it policy
-# by policy
+# cap on the per-step draws (innovations, iid coins) of each policy of a block: a run
+# holds one chunk of them at a time, so this bounds its length and MAX_SIM_WIDTH its memory
 MAX_SIM_CELLS = 10**8
 # a step costs about 6 us of dispatch even at one replication: 1e7 steps take a minute
 MAX_SIM_STEPS = 10**7
+# cap on a block's policies x replications: a run at the cap peaks at 297-398 MB RSS (2-core Xeon)
+MAX_SIM_WIDTH = 2**22
 # float64 cells per time-major chunk of draws: a few such buffers (2 MB each)
 # are all the memory a run holds beyond its per-replication state
 CHUNK_CELLS = 2**18
@@ -96,6 +96,8 @@ class PolicySpec:
     FIELDS = {"threshold": ("k",), "randomized_threshold": ("k", "theta"),
               "periodic": ("pattern",), "iid_random": ("alpha",),
               "steering": ("k", "theta"), "time_sharing": ("k", "schedule")}
+    _REALS = {"k": ("[0, inf]", "threshold"), "theta": ("[0, 1]", "theta"),
+              "alpha": ("(0, 1]", "alpha")}  # interval and name of each real field
 
     kind: str
     k: float | None = None
@@ -120,17 +122,12 @@ class PolicySpec:
                 elif name == "schedule":
                     value = tuple(tuple(integer_at_least(n, -math.inf, "schedule entry")
                                         for n in pair) for pair in value)
-                else:
-                    value = float(value)
+                else:  # the CLI passes its text, such as "inf" or "2"
+                    value = real_in(float(value) if isinstance(value, str) else value,
+                                    *self._REALS[name])
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"malformed {name} {value!r}: {exc}") from exc
             object.__setattr__(self, name, value)
-        if self.k is not None and not self.k >= 0.0:
-            raise UsageError(f"threshold must be nonnegative, got {self.k}")
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise UsageError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise UsageError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.pattern is not None and (not self.pattern
                                          or any(u not in (0, 1) for u in self.pattern)):
             raise UsageError("pattern must be a nonempty sequence of 0/1 flags")
@@ -497,8 +494,8 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
     geometrically.  Estimates that come out non-finite, as when the state of
     an unstable source overflows below a huge threshold, raise
     ``NumericsError`` for the whole block.
-    ``MAX_SIM_STEPS`` and ``MAX_SIM_CELLS`` apply to each policy, so a block
-    runs whenever its policies would run one by one.
+    ``MAX_SIM_STEPS`` and ``MAX_SIM_CELLS`` apply to each policy, and
+    ``MAX_SIM_WIDTH`` to the policies x replications of the whole block.
     """
     if not policies:
         raise UsageError("at least one policy is required")
@@ -520,9 +517,12 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
         T = max(1, math.ceil(math.log(DISCOUNT_TRUNCATION_TOL) / math.log(beta)))
         burn = 0
     if T > MAX_SIM_STEPS:
-        raise UsageError(f"{T} steps are above the cap of {MAX_SIM_STEPS:.0e}; "
-                         "lower the horizon or the discount factor")
+        raise UsageError(f"{T} steps are above the cap of {MAX_SIM_STEPS:.0e}; lower the "
+                         f"{'horizon or the ' if beta.is_average else ''}discount factor")
     R = config.replications
+    if len(policies) * R > MAX_SIM_WIDTH:
+        raise UsageError(f"{len(policies)} x {R} policy replications are above the width "
+                         f"cap of {MAX_SIM_WIDTH} cells; lower the replications")
     for policy in policies:
         cells = R * T * (2 if policy.kind == "iid_random" else 1)
         if cells > MAX_SIM_CELLS:
@@ -555,8 +555,7 @@ def state_blind_distortion(policy: PolicySpec, sigma: float) -> float:
     ``iid_random``  tau is geometric: E[tau] = 1/alpha, E[tau^2] = (2 - alpha)/alpha^2
     ``periodic``    tau runs over the gaps between the sends of one period
     """
-    if not 0.0 < sigma < math.inf:
-        raise UsageError(f"sigma must be positive and finite, got {sigma}")
+    sigma = real_in(sigma, "(0, inf)", "sigma")
     if policy.kind == "iid_random":
         alpha = policy.alpha
         tau_mean, tau_m2 = 1.0 / alpha, (2.0 - alpha) / alpha ** 2
@@ -578,12 +577,10 @@ def time_sharing_schedule(
 ) -> list[tuple[int, int]]:
     """Constant cycle-count schedule (a, b) whose cycle fraction a/(a+b) best
     approximates theta * n_k / alpha with denominator <= _SCHEDULE_MAX_CYCLES."""
-    if not 0.0 < alpha <= 1.0:
-        raise UsageError(f"rate budget must lie in (0, 1], got {alpha}")
+    alpha = real_in(alpha, "(0, 1]", "rate budget")
     if n_k <= n_k1:
         raise UsageError("n_k must exceed n_k1")
-    if not 0.0 <= theta <= 1.0:
-        raise UsageError(f"theta must lie in [0, 1], got {theta}")
+    theta = real_in(theta, "[0, 1]", "theta")
     ratio = theta * n_k / alpha
     if not 0.0 <= ratio <= 1.0 + 1e-12:
         raise UsageError(f"cycle fraction {ratio} falls outside [0, 1]")
@@ -605,8 +602,7 @@ def steering_visit_probability(
     k_star = 0 the error at each decision is a fresh innovation under either
     threshold, so both masses are P(|W| = k_star).
     """
-    if not 0.0 <= theta_star <= 1.0:
-        raise UsageError(f"theta_star must lie in [0, 1], got {theta_star}")
+    theta_star = real_in(theta_star, "[0, 1]", "theta_star")
     if not spec.beta.is_average:
         raise UsageError("steering visit probabilities require beta = 1")
     k = integer_at_least(k_star)

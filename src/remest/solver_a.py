@@ -76,9 +76,11 @@ from .model import (
     PerfPoint,
     RandomizedThresholdPolicy,
     TradeoffCurve,
+    birth_death_parameter,
     count,
     integer_at_least,
     m_matrix_certificate,
+    real_in,
 )
 
 #: Corners whose increment D(k+1) - D(k) is at most this times D(k+1) are skipped as
@@ -332,8 +334,7 @@ def optimal_costly(spec: ModelSpecA, lam: float) -> CostlyResult:
     doubling that adds no corner means the distortion has stopped
     increasing (beta < 1), so no larger price can be resolved.
     """
-    if not 0.0 <= lam < math.inf:
-        raise UsageError(f"transmission price must be nonnegative and finite, got {lam}")
+    lam = real_in(lam, "[0, inf)", "transmission price")
     k_max = 8
     table = threshold_table(spec, k_max + 1)
     corners = table_corners(table)
@@ -369,8 +370,7 @@ def optimal_constrained(spec: ModelSpecA, alpha: float) -> tuple[RandomizedThres
     the budget.  The largest threshold whose rate still meets the budget is
     mixed with the next one so the mixed rate equals ``alpha`` exactly.
     """
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"rate budget must lie in (0, 1), got {alpha}")
+    alpha = real_in(alpha, "(0, 1)", "rate budget")
     K = min(8, MAX_SILENT_DIM)
     table = threshold_table(spec, K)
     while not table.N[K] < alpha:
@@ -429,15 +429,9 @@ def _m_param(p: float, beta: float) -> float:
     return math.acosh(1.0 + (1.0 - beta) / (2.0 * beta * p))
 
 
-def _check_bd_args(p: float, k: int) -> int:
-    if not 0.0 < p < 1.0 / 3.0:
-        raise UsageError(f"birth-death closed forms need p in (0, 1/3), got {p}")
-    return integer_at_least(k, 1)
-
-
 def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
     """Closed-form (D, N) of the threshold-k policy on the birth-death instance."""
-    k = _check_bd_args(p, k)
+    p, k = birth_death_parameter(p), integer_at_least(k, 1)
     beta = DiscountFactor(beta)
     if beta.is_average:
         D = (k * k - 1.0) / (3.0 * k)
@@ -459,14 +453,14 @@ def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
 
 def bd_corner_lambda_avg(p: float, k: int) -> float:
     """Average-cost corner price of the birth-death instance, in closed form."""
-    k = _check_bd_args(p, k)
+    p, k = birth_death_parameter(p), integer_at_least(k, 1)
     return k * (k + 1.0) * (k * k + k + 1.0) / (6.0 * p * (2.0 * k + 1.0))
 
 
 def bd_q_entry(p: float, beta: float, k: int, i: int, j: int) -> float:
     """Entry (i, j) of the inverse silent-system matrix for the birth-death
     instance, via the closed-form inverse of the symmetric tridiagonal matrix."""
-    k = _check_bd_args(p, k)
+    p, k = birth_death_parameter(p), integer_at_least(k, 1)
     if not (-(k - 1) <= i <= k - 1 and -(k - 1) <= j <= k - 1):
         raise UsageError(f"indices must lie in the silent set of k={k}")
     beta = DiscountFactor(beta)

@@ -51,6 +51,7 @@ from .model import (
     SmoothPdf,
     count,
     m_matrix_certificate,
+    real_in,
 )
 
 _DEFAULT_TOL = 1e-10
@@ -147,8 +148,7 @@ def fredholm_solve(
     of raising while its n-node row masses miss the fine rule's by more than
     _RESOLVED_GAP: that rung is too coarse for its kernel, not singular.
     """
-    if not 0.0 < k < math.inf:
-        raise UsageError(f"interval width k must be positive and finite, got {k}")
+    k = real_in(k, "(0, inf)", "interval width k")
     if len(rhs) == 0:
         raise UsageError("at least one right-hand side is required")
     beta = DiscountFactor(beta)
@@ -157,7 +157,7 @@ def fredholm_solve(
     while True:
         rows, cols, weights = _rung_points(order)
         rows, cols, weights = k * rows, k * cols, k * weights
-        grid = QuadratureGrid(k=float(k), nodes=rows[:order], weights=weights[:order])
+        grid = QuadratureGrid(k=k, nodes=rows[:order], weights=weights[:order])
         KW = np.empty((len(rows), len(cols)))
         step = _KERNEL_BLOCK // len(cols)  # rows per kernel call
         # An extreme scale overflows the kernel or a right-hand side; the
@@ -300,8 +300,7 @@ def _search(
     bisects it in log k instead.  The cap of _MAX_SEARCH_STEPS solves raises
     ``BracketError`` if g never changed sign and ``ConvergenceError`` if it did.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = real_in(epsilon, "(0, inf)", "epsilon")
     lo, hi = -math.inf, math.inf  # log k where g < 0 and where g >= 0
     seed = spec.pdf.scale * max(1.0, abs(spec.a))
     x = math.log(seed)
@@ -335,16 +334,14 @@ def _search(
 
 def algorithm1_costly(spec: ModelSpecB, lam: float, epsilon: float) -> CostlyResult:
     """Search the price map until |lambda(k) - lam| <= epsilon; return (k, cost)."""
-    if not 0.0 < lam < math.inf:
-        raise UsageError(f"price must be positive and finite, got {lam}")
+    lam = real_in(lam, "(0, inf)", "price")
     k, at = _search(lambda r: r.price, lam, epsilon, spec, "price")
     return CostlyResult(k, at.D + lam * at.N, PerfPoint(distortion=at.D, transmission_rate=at.N))
 
 
 def algorithm2_constrained(spec: ModelSpecB, alpha: float, epsilon: float) -> tuple[float, float]:
     """Search the rate map until |N(k) - alpha| <= epsilon; return (k, distortion)."""
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"rate budget must lie in (0, 1), got {alpha}")
+    alpha = real_in(alpha, "(0, 1)", "rate budget")
     # N decreases in k; its slope comes with it
     k, at = _search(lambda r: r.N, alpha, epsilon, spec, "rate", sign=-1,
                     slope=lambda r: r.dN)

@@ -499,6 +499,13 @@ class TestSimulateCommand:
         assert code == 1
         assert "cap" in err
 
+    def test_width_cap_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("remest.simulate"), "MAX_SIM_WIDTH", 10)
+        code, _, err = run_cli(["simulate", "--model", "B", "--policy", "threshold", "--k", "1",
+                                "--reps", "11", "--horizon", "2", "--burn-in", "1"], capsys)
+        assert code == 1
+        assert err.startswith("usage error:") and "cap" in err
+
     def test_step_cap_exits_one(self, capsys):
         # two replications are within the draw cap but above the step cap
         start = time.perf_counter()

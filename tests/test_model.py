@@ -19,9 +19,10 @@ from remest import (
     TradeoffCurve,
     UsageError,
 )
-from remest import SingularSystemError, dp, model, solver_a
+from remest import SingularSystemError, dp, model, solver_a, solver_b
 from remest.model import Diagnostics, collect, count, spec_digest
-from remest.simulate import PolicySpec, SimConfig, simulate, steering_visit_probability
+from remest.simulate import (PolicySpec, SimConfig, simulate, state_blind_distortion,
+                             steering_visit_probability, time_sharing_schedule)
 from conftest import random_valid_pmf
 
 
@@ -408,6 +409,63 @@ def test_integer_entry_points_reject_non_integers(entry, bad):
 def test_integer_entry_points_accept_integral_values(entry):
     call = _INTEGER_ENTRY_POINTS[entry]
     assert repr(call(3.0)) == repr(call(np.int64(3))) == repr(call(3))
+
+
+# every entry point that takes a real argument, with one valid and one
+# out-of-range value of it; each reads it through model.real_in
+_GAUSS = solver_b.gauss_markov_spec(1.0)
+_OUT_OF_RANGE = object()  # stands for an entry's own out-of-range value
+_TRIANGLE = lambda w: np.clip(1.0 - np.abs(w), 0.0, None)  # noqa: E731
+_REAL_ENTRY_POINTS = {
+    "DiscountFactor": (DiscountFactor, 0.9, 1.5),
+    "IntegerPmf": (lambda p: IntegerPmf({-1: 0.2, 0: p, 1: 0.2}), 0.6, math.inf),
+    "IntegerPmf.birth_death": (IntegerPmf.birth_death, 0.3, 0.4),
+    "SmoothPdf.gaussian": (SmoothPdf.gaussian, 1.5, 0.0),
+    "SmoothPdf.tabulated": (lambda h: SmoothPdf.tabulated(_TRIANGLE, h), 1.0, -1.0),
+    "gauss_markov_spec": (solver_b.gauss_markov_spec, 1.0, 0.0),
+    "ModelSpecB": (lambda a: ModelSpecB(a, _GAUSS.pdf, _GAUSS.distortion, 0.9), 0.5, math.inf),
+    "RandomizedThresholdPolicy": (lambda t: RandomizedThresholdPolicy(2, t), 0.5, 1.5),
+    # PolicySpec reads the CLI's text ("inf", "2") first, so "x" fails as malformed text
+    "PolicySpec.k": (PolicySpec.threshold, 2.0, -1.0),
+    "PolicySpec.theta": (lambda t: PolicySpec.randomized_threshold(2, t), 0.5, 1.5),
+    "PolicySpec.alpha": (PolicySpec.iid_random, 0.5, 0.0),
+    "state_blind_distortion": (
+        lambda s: state_blind_distortion(PolicySpec.iid_random(0.5), s), 1.0, 0.0),
+    "time_sharing_schedule.alpha": (lambda a: time_sharing_schedule(a, 0.2, 0.1, 0.5), 0.2, 1.5),
+    "time_sharing_schedule.theta": (lambda t: time_sharing_schedule(0.2, 0.2, 0.1, t), 0.5, 1.5),
+    "steering_visit_probability": (
+        lambda t: steering_visit_probability(_AVERAGE, 2, t), 0.5, 1.5),
+    "optimal_costly": (lambda lam: solver_a.optimal_costly(_DISCOUNTED, lam), 2.0, -1.0),
+    "optimal_constrained": (lambda a: solver_a.optimal_constrained(_DISCOUNTED, a), 0.1, 1.0),
+    "bd_closed_form": (lambda p: solver_a.bd_closed_form(p, 0.9, 2), 0.3, 0.4),
+    "fredholm_solve": (lambda k: solver_b.fredholm_solve(
+        lambda e, s: np.exp(-(e - s) ** 2), [1.0], k, 0.9), 1.0, 0.0),
+    "renewal": (lambda k: solver_b.renewal(_GAUSS, k), 1.0, 0.0),
+    "algorithm1_costly": (lambda lam: solver_b.algorithm1_costly(_GAUSS, lam, 1e-6), 1.0, 0.0),
+    "algorithm2_constrained.alpha": (
+        lambda a: solver_b.algorithm2_constrained(_GAUSS, a, 1e-6), 0.3, 1.0),
+    "algorithm2_constrained.epsilon": (
+        lambda eps: solver_b.algorithm2_constrained(_GAUSS, 0.3, eps), 1e-6, 0.0),
+    "value_iterate": (lambda lam: dp.value_iterate(_DISCOUNTED, lam), 2.0, -1.0),
+    "policy_evaluate_fixed_point": (
+        lambda tol: dp.policy_evaluate_fixed_point(_DISCOUNTED, 2, tol=tol), 1e-10, 0.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REAL_ENTRY_POINTS))
+# a non-number used to raise a raw TypeError or ValueError, and an array could pass
+@pytest.mark.parametrize("bad", [None, "x", [0.5], np.array([0.5]), math.nan, _OUT_OF_RANGE],
+                         ids=["None", "str", "list", "array", "nan", "out-of-range"])
+def test_real_entry_points_reject_non_reals(entry, bad):
+    call, _, out_of_range = _REAL_ENTRY_POINTS[entry]
+    with pytest.raises(UsageError):
+        call(out_of_range if bad is _OUT_OF_RANGE else bad)
+
+
+@pytest.mark.parametrize("entry", sorted(_REAL_ENTRY_POINTS))
+def test_real_entry_points_keep_numpy_scalars(entry):
+    call, good, _ = _REAL_ENTRY_POINTS[entry]
+    assert repr(call(good)) == repr(call(np.float64(good)))
 
 
 def test_performance_refuses_an_infinite_threshold():

@@ -1032,6 +1032,21 @@ class TestBlock:
         with pytest.raises(UsageError, match="cap"):
             simulate_policies(bd_avg, [PolicySpec.threshold(2)],
                               SimConfig(horizon=101, replications=2, burn_in=10))
+        # a discounted run's steps come from beta alone, not from the horizon
+        with pytest.raises(UsageError, match=r"^219 steps are above the cap of 1e\+02; "
+                                             "lower the discount factor$"):
+            simulate_policies(solver_a.bd_spec(0.3, 0.9), [PolicySpec.threshold(2)], cfg)
+
+    def test_width_cap_applies_to_the_block(self, bd_avg, monkeypatch):
+        # the cap counts policies x replications of the whole block, and a block
+        # above it is refused before its state is allocated
+        monkeypatch.setattr(simulate_module, "MAX_SIM_WIDTH", 20)
+        cfg = SimConfig(horizon=100, replications=10, burn_in=10)
+        assert len(simulate_policies(bd_avg, [PolicySpec.threshold(2)] * 2, cfg)) == 2
+        monkeypatch.setattr(simulate_module, "_run_block", None)
+        with pytest.raises(UsageError, match="3 x 10 policy replications are above the "
+                                             "width cap of 20 cells"):
+            simulate_policies(bd_avg, [PolicySpec.threshold(2)] * 3, cfg)
 
     def test_overflow_names_the_policy(self):
         # the state outgrows float64 below k = 1e200 but not below k = 1
