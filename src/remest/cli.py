@@ -45,14 +45,16 @@ SCHEMA_VERSION = "1"
 # the C encoder, with the item separator ``indent=2`` writes two levels deep
 _ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
-# the flags, by dest, that a --model, --problem or --kind value leaves unread and
-# refuses; --k-max, --epsilon and --sigma stay unset unless given, and unset read as these
+# the flags, by dest, that a --model, --problem or --kind value, or a --beta below 1 (a
+# discounted run's length comes from its truncation), leaves unread and refuses; --k-max,
+# --epsilon, --sigma, --horizon and --burn-in stay unset unless given, and unset read as these
 _UNREAD = {"A": {"epsilon": "--epsilon", "alphas": "--alphas", "lambdas": "--lambdas",
                  "sigma": "--sigma"},
            "B": {"k_max": "--k-max", "p": "--p"},
            "costly": {"alpha": "--alpha", "alphas": "--alphas"},
-           "constrained": {"lam": "--lambda", "lambdas": "--lambdas"}}
-K_MAX, EPSILON, SIGMA = 10, 1e-6, 1.0
+           "constrained": {"lam": "--lambda", "lambdas": "--lambdas"},
+           "discounted": {"horizon": "--horizon", "burn_in": "--burn-in"}}
+K_MAX, EPSILON, SIGMA, HORIZON, BURN_IN = 10, 1e-6, 1.0, 100_000, 1000
 
 # the simulator's policy kind of each --policy choice
 POLICY_KINDS = {"threshold": "threshold", "randomized": "randomized_threshold",
@@ -134,10 +136,10 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 def _spec_from_args(args) -> object:
     """The spec of the --model flags, --distortion defaulting to abs for A and
     quad for B, once no flag that ``_UNREAD`` refuses was given."""
-    for choice in ("model", "problem", "kind"):
+    for choice in ("model", "problem", "kind", "beta"):
         value = getattr(args, choice, None)
-        given = [flag for dest, flag in _UNREAD.get(value, {}).items()
-                 if getattr(args, dest, None) is not None]
+        unread = _UNREAD.get("discounted" if choice == "beta" and value < 1.0 else value, {})
+        given = [flag for dest, flag in unread.items() if getattr(args, dest, None) is not None]
         if given:
             raise UsageError(f"--{choice} {value} does not read {', '.join(given)}")
     if args.model == "A":
@@ -202,8 +204,8 @@ def build_parser() -> _Parser:
                        help="time-sharing cycle counts, e.g. 3:2")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--reps", type=int, default=200)
-    p_sim.add_argument("--horizon", type=int, default=100_000)
-    p_sim.add_argument("--burn-in", type=int, default=1000)
+    p_sim.add_argument("--horizon", type=int, default=argparse.SUPPRESS, help="(default 100000)")
+    p_sim.add_argument("--burn-in", type=int, default=argparse.SUPPRESS, help="(default 1000)")
     p_sim.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility, must be >= 1; a run "
                             "draws its innovations on one draw-ahead thread "
@@ -317,8 +319,8 @@ def cmd_simulate(args) -> OutputRecord:
     policy = _policy_from_args(args)
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    config = SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed,
-                       burn_in=args.burn_in)
+    config = SimConfig(horizon=getattr(args, "horizon", HORIZON), replications=args.reps,
+                       seed=args.seed, burn_in=getattr(args, "burn_in", BURN_IN))
     result = run_simulation(spec, policy, config)
     meta = {
         "spec": spec_digest(spec),

@@ -64,7 +64,7 @@ def step_operator(spec: ModelSpecA, bound: int) -> np.ndarray:
     weighted by ``spec.pmf.values[j]``.  Successors beyond +-bound go to the
     transmit state.
     """
-    origin = np.append(spec.a * np.arange(-bound, bound + 1), 0)
+    origin = np.append(spec.clipped_a(bound + 1) * np.arange(-bound, bound + 1), 0)
     nxt = origin[:, None] + spec.pmf.offsets
     return np.where(np.abs(nxt) <= bound, nxt + bound, 2 * bound + 1)
 
@@ -116,7 +116,7 @@ def value_iterate(spec: ModelSpecA, lam: float) -> TruncatedDP:
     cap = MAX_FIXED_POINT_STATES // 2
     W = cap + spec.pmf.radius
     states = np.arange(-W, W + 1)
-    silent_succ = spec.a * states[:, None] + spec.pmf.offsets
+    silent_succ = spec.clipped_a(W + 1) * states[:, None] + spec.pmf.offsets
     d_cost = (1.0 - beta) * spec.distortion(states)
     w = spec.pmf.values
     k, tried = 1, []

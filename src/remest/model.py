@@ -65,12 +65,20 @@ _TAIL_ORDER = 64
 _SEARCH_BLOCK = 2**16
 
 
+def _real(value) -> float:
+    """``value`` as a float; NaN unless it is a real number within the float range."""
+    try:
+        return float(value) if isinstance(value, (int, float, numbers.Real)) else math.nan
+    except OverflowError:  # an int beyond the float range
+        return math.nan
+
+
 def integer_at_least(value, least: float = 0, name: str = "threshold") -> int:
     """``value`` as an int; raises ``UsageError`` unless it is an integer
-    >= ``least``.  Integral floats and numpy integers pass; a string, None
-    or an array does not."""
-    if not (isinstance(value, (int, float, numbers.Real)) and value >= least
-            and float(value).is_integer()):
+    >= ``least`` within the float range.  Integral floats and numpy integers
+    pass; a string, None or an array does not."""
+    x = _real(value)
+    if not (x >= least and x.is_integer()):
         need = {0: "a nonnegative integer", -math.inf: "an integer"}.get(
             least, f"an integer >= {least}")
         raise UsageError(f"{name} must be {need}, got {value}")
@@ -87,9 +95,10 @@ def _interval(text: str) -> tuple[float, float, bool, bool]:  # lo, hi, lo close
 def real_in(value, interval: str, name: str) -> float:
     """``value`` as a float; raises ``UsageError`` unless it is a real number in
     ``interval``, such as "(0, 1]", "[0, inf)" or "(0, 1/3)" (a bracket closes its
-    end).  Numpy scalars pass with their bits; a string, None, an array or NaN does not."""
+    end).  Numpy scalars pass with their bits; a string, None, an array, NaN or an
+    int beyond the float range does not."""
     lo, hi, lo_in, hi_in = _interval(interval)
-    x = float(value) if isinstance(value, (int, float, numbers.Real)) else math.nan
+    x = _real(value)
     if not ((lo < x or lo_in and x == lo) and (x < hi or hi_in and x == hi)):
         need = {"(0, inf)": "be positive and finite", "[0, inf)": "be nonnegative and finite",
                 "[0, inf]": "be nonnegative", "(-inf, inf)": "be finite"}.get(
@@ -407,6 +416,13 @@ class ModelSpecA:
             "beta": float(self.beta),
         }
 
+    def clipped_a(self, reach: int) -> int:
+        """``a`` clipped to +-(reach + radius).  Where the clip changes a, every error
+        e != 0 lands at |a e + w| >= ``reach`` under either value, so no landing below
+        ``reach`` moves, and a e fits int64 however large a is."""
+        cap = reach + self.pmf.radius
+        return max(-cap, min(self.a, cap))
+
 
 @dataclass(frozen=True)
 class ModelSpecB:
@@ -424,11 +440,8 @@ class ModelSpecB:
         object.__setattr__(self, "beta", DiscountFactor(beta))
 
     def describe(self) -> dict:
-        pdf = {"kind": self.pdf.kind}
-        if self.pdf.kind == "gaussian":
-            pdf["sigma"] = self.pdf.sigma
-        else:
-            pdf["support_halfwidth"] = self.pdf.support_halfwidth
+        scale = "sigma" if self.pdf.kind == "gaussian" else "support_halfwidth"
+        pdf = {"kind": self.pdf.kind, scale: getattr(self.pdf, scale)}
         return {
             "model": "B",
             "a": self.a,
@@ -506,27 +519,19 @@ class TradeoffCurve:
 
     def check(self) -> list[str]:
         """Return violated curve invariants, judged on the stored points."""
-        out: list[str] = []
         xs = np.array([p.abscissa for p in self.points])
         ys = np.array([p.ordinate for p in self.points])
-        if len(xs) >= 2 and np.any(np.diff(xs) <= 0.0):
-            out.append("abscissas must be strictly increasing")
-            return out
-        scale = max(1.0, float(np.max(np.abs(ys))) if len(ys) else 1.0)
-        tol = 1e-9 * scale
-        if len(xs) >= 2:
-            slopes = np.diff(ys) / np.diff(xs)
-            if self.kind == "costly":
-                if np.any(np.diff(ys) < -tol):
-                    out.append("costly curve must be nondecreasing")
-                if np.any(np.diff(slopes) > tol):
-                    out.append("costly curve must be concave")
-            else:
-                if np.any(np.diff(ys) > tol):
-                    out.append("constrained curve must be nonincreasing")
-                if np.any(np.diff(slopes) < -tol):
-                    out.append("constrained curve must be convex")
-        return out
+        if len(xs) < 2:
+            return []
+        if np.any(np.diff(xs) <= 0.0):
+            return ["abscissas must be strictly increasing"]
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
+        # with the constrained curve mirrored, both must rise and be concave
+        sign, rises, bends = ((1.0, "nondecreasing", "concave") if self.kind == "costly"
+                              else (-1.0, "nonincreasing", "convex"))
+        dy = sign * np.diff(ys)
+        return [f"{self.kind} curve must be {shape}" for shape, bad in (
+            (rises, np.any(dy < -tol)), (bends, np.any(np.diff(dy / np.diff(xs)) > tol))) if bad]
 
 
 @dataclass

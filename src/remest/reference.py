@@ -1,16 +1,27 @@
-"""Published reference values for the birth-death instance with p = 0.3.
+"""Independent reference routes, each defined once and called by no solver:
+the published table of the birth-death instance with p = 0.3, the
+birth-death closed forms, the Gaussian a = 0 form and the state-blind
+baselines' renewal-reward distortion.
 
-Rows are (k, D, N, corner price) rounded to four decimals, for k = 0..10 and
-each discount factor; the k = 0 corner price is undefined (dash).
-
-One cell is corrected: the average-cost distortion at k = 10 as printed is
-3.0000, but the instance's own closed form (k^2 - 1) / (3 k) gives 3.3000,
-and the printed corner prices at k = 9 and 10 are consistent only with
-3.3000 (e.g. (3.3000 - 2.9630) / (0.0074 - 0.0060) = 239.47...).  The
-printed 3.0000 is a transcription slip, so 3.3000 is stored here.
+Table rows are (k, D, N, corner price) rounded to four decimals, for k = 0..10
+and each discount factor; the k = 0 corner price is undefined (dash).  One
+cell is corrected: the average-cost distortion at k = 10 as printed is 3.0000,
+but the instance's own closed form (k^2 - 1) / (3 k) gives 3.3000, and the
+printed corner prices at k = 9 and 10 are consistent only with 3.3000 (e.g.
+(3.3000 - 2.9630) / (0.0074 - 0.0060) = 239.47...).  The printed 3.0000 is a
+transcription slip, so 3.3000 is stored here.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import UsageError
+from .model import (DiscountFactor, ModelSpecB, PerfPoint, birth_death_parameter,
+                    integer_at_least, real_in)
+from .simulate import PolicySpec
 
 BD_REFERENCE_P = 0.3
 
@@ -70,3 +81,94 @@ WORKED_CONSTRAINED_ALPHA = 0.1
 WORKED_CONSTRAINED_K = 2
 WORKED_CONSTRAINED_THETA = 0.6899
 WORKED_CONSTRAINED_D = 0.5543
+
+
+# the birth-death silent system is tridiagonal, with a closed-form inverse:
+# hyperbolic in k at beta < 1, polynomial at beta = 1
+def _m_param(p: float, beta: float) -> float:
+    return math.acosh(1.0 + (1.0 - beta) / (2.0 * beta * p))
+
+
+def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
+    """Closed-form (D, N) of the threshold-k policy on the birth-death instance."""
+    p, k = birth_death_parameter(p), integer_at_least(k, 1)
+    beta = DiscountFactor(beta)
+    if beta.is_average:
+        D = (k * k - 1.0) / (3.0 * k)
+        N = 2.0 * p / (k * k)
+    else:
+        # with q = exp(-k m):  N = (1 - beta) / (cosh km - 1) = 2 (1 - beta) q / (1 - q)^2,
+        # D = (sinh km - k sinh m) / ((cosh km - 1) sinh m)
+        #   = (1 - q^2 - k (q e^m - q e^-m)) / ((1 - q)^2 sinh m),
+        # each 1 - e^-x taken as -expm1(-x): nothing overflows, N has no
+        # cancelling difference, and D(1) = 0 exactly
+        m = _m_param(p, beta)
+        one_q = -math.expm1(-k * m)
+        num = -math.expm1(-2.0 * k * m) + k * (
+            math.expm1(-(k + 1) * m) - math.expm1(-(k - 1) * m))
+        D = num / (one_q * one_q * math.sinh(m))
+        N = 2.0 * (1.0 - beta) * math.exp(-k * m) / (one_q * one_q)
+    return PerfPoint(distortion=D, transmission_rate=N)
+
+
+def bd_corner_lambda_avg(p: float, k: int) -> float:
+    """Average-cost corner price of the birth-death instance, in closed form."""
+    p, k = birth_death_parameter(p), integer_at_least(k, 1)
+    return k * (k + 1.0) * (k * k + k + 1.0) / (6.0 * p * (2.0 * k + 1.0))
+
+
+def bd_q_entry(p: float, beta: float, k: int, i: int, j: int) -> float:
+    """Entry (i, j) of the inverse silent-system matrix for the birth-death
+    instance, via the closed-form inverse of the symmetric tridiagonal matrix."""
+    p, k = birth_death_parameter(p), integer_at_least(k, 1)
+    i, j = (integer_at_least(x, -math.inf, "index") for x in (i, j))
+    if not (abs(i) < k and abs(j) < k):
+        raise UsageError(f"indices must lie in the silent set of k={k}")
+    beta = DiscountFactor(beta)
+    if beta.is_average:
+        return (k - max(i, j)) * (k + min(i, j)) / (2.0 * p * k)
+    m = _m_param(p, beta)
+    num = math.cosh((2.0 * k - abs(i - j)) * m) - math.cosh((i + j) * m)
+    return num / (2.0 * beta * p * math.sinh(m) * math.sinh(2.0 * k * m))
+
+
+def gauss_reset_lm(spec: ModelSpecB, k: float) -> tuple[float, float]:
+    """L(0) and M(0) of threshold k at a = 0 for Gaussian innovations and
+    quadratic or absolute distortion d.  The error resets to W every step, so
+    M(0) = 1 / (1 - beta + beta P(|W| >= k)) and L(0) = beta E[d(W); |W| < k] M(0),
+    with P(|W| >= k) = 2 P(W > k) from the law's own ``tail``: nothing cancels."""
+    kind, sigma, beta = spec.distortion.kind, spec.pdf.sigma, spec.beta
+    if spec.a != 0.0 or spec.pdf.kind != "gaussian" or kind == "custom":
+        raise UsageError("the a = 0 form needs a = 0, Gaussian innovations and a quadratic "
+                         "or absolute distortion")
+    k = real_in(k, "(0, inf)", "threshold")
+    escape = 2.0 * float(spec.pdf.tail(k))
+    if kind == "quadratic":  # E[W^2; |W| < k] = sigma^2 P(|W| < k) - 2 sigma^2 k f(k)
+        moment = sigma * sigma * (1.0 - escape - 2.0 * k * float(spec.pdf.density(k)))
+    else:  # E[|W|; |W| < k] = 2 sigma^2 (f(0) - f(k))
+        moment = -2.0 * sigma * math.expm1(-0.5 * (k / sigma) ** 2) / math.sqrt(2.0 * math.pi)
+    M0 = 1.0 / (1.0 - beta + beta * escape)
+    return beta * moment * M0, M0
+
+
+def state_blind_distortion(policy: PolicySpec, sigma: float) -> float:
+    """Average distortion sigma^2 E[tau (tau - 1)] / (2 E[tau]) of a
+    state-blind policy whose inter-transmission time is tau (renewal reward;
+    random-walk source a = 1, innovations of standard deviation sigma,
+    quadratic distortion).
+
+    ``iid_random``  tau is geometric: E[tau] = 1/alpha, E[tau^2] = (2 - alpha)/alpha^2
+    ``periodic``    tau runs over the gaps between the sends of one period
+    """
+    sigma = real_in(sigma, "(0, inf)", "sigma")
+    if policy.kind == "iid_random":
+        alpha = policy.alpha
+        tau_mean, tau_m2 = 1.0 / alpha, (2.0 - alpha) / alpha ** 2
+    elif policy.kind == "periodic" and any(policy.pattern):
+        sends = np.flatnonzero(policy.pattern)
+        gaps = np.diff(sends, append=sends[0] + len(policy.pattern))
+        tau_mean, tau_m2 = float(gaps.mean()), float(np.mean(gaps * gaps))
+    else:
+        raise UsageError("a state-blind distortion needs an iid_random policy or a "
+                         f"periodic pattern that transmits, got {policy.kind}")
+    return sigma * sigma / 2.0 * (tau_m2 / tau_mean - 1.0)

@@ -39,6 +39,8 @@ caps those c x n cells, ``MAX_SIM_CELLS`` the draws of each policy and
 a pmf's guide table or a density's inverse-CDF table, built with the law.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``; the simulator solves no linear system.
+The state-blind baselines' renewal-reward distortion, the route their
+simulations are checked against, is ``reference.state_blind_distortion``.
 """
 
 from __future__ import annotations
@@ -543,32 +545,6 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
     return simulate_policies(spec, [policy], config)[0]
 
 
-# --- state-blind baselines ----------------------------------------------------
-
-
-def state_blind_distortion(policy: PolicySpec, sigma: float) -> float:
-    """Average distortion sigma^2 E[tau (tau - 1)] / (2 E[tau]) of a
-    state-blind policy whose inter-transmission time is tau (renewal reward;
-    random-walk source a = 1, innovations of standard deviation sigma,
-    quadratic distortion).
-
-    ``iid_random``  tau is geometric: E[tau] = 1/alpha, E[tau^2] = (2 - alpha)/alpha^2
-    ``periodic``    tau runs over the gaps between the sends of one period
-    """
-    sigma = real_in(sigma, "(0, inf)", "sigma")
-    if policy.kind == "iid_random":
-        alpha = policy.alpha
-        tau_mean, tau_m2 = 1.0 / alpha, (2.0 - alpha) / alpha ** 2
-    elif policy.kind == "periodic" and any(policy.pattern):
-        sends = np.flatnonzero(policy.pattern)
-        gaps = np.diff(sends, append=sends[0] + len(policy.pattern))
-        tau_mean, tau_m2 = float(gaps.mean()), float(np.mean(gaps * gaps))
-    else:
-        raise UsageError("a state-blind distortion needs an iid_random policy or a "
-                         f"periodic pattern that transmits, got {policy.kind}")
-    return sigma * sigma / 2.0 * (tau_m2 / tau_mean - 1.0)
-
-
 # --- deterministic implementations of the randomized optimum -------------------
 
 
@@ -578,6 +554,7 @@ def time_sharing_schedule(
     """Constant cycle-count schedule (a, b) whose cycle fraction a/(a+b) best
     approximates theta * n_k / alpha with denominator <= _SCHEDULE_MAX_CYCLES."""
     alpha = real_in(alpha, "(0, 1]", "rate budget")
+    n_k, n_k1 = real_in(n_k, "[0, 1]", "n_k"), real_in(n_k1, "[0, 1]", "n_k1")
     if n_k <= n_k1:
         raise UsageError("n_k must exceed n_k1")
     theta = real_in(theta, "[0, 1]", "theta")

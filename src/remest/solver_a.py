@@ -34,9 +34,7 @@ distortion increment comes from one term of each sum,
 rather than from subtracting two nearly equal D values.
 
 The optimal-policy maps for both the costly and the rate-constrained
-problems are lookups along the enumerated corner points, and the
-birth-death instance additionally admits closed forms used here as an
-independent cross-check route.
+problems are lookups along the enumerated corner points.
 
 One threshold needs none of the table: row 0 of the solution x of its
 own system, with right-hand sides [d, 1, beta r] (r the escaping mass), is
@@ -69,14 +67,12 @@ from .model import (
     MAX_SILENT_DIM,
     CostlyResult,
     CurvePoint,
-    DiscountFactor,
     DistortionFn,
     IntegerPmf,
     ModelSpecA,
     PerfPoint,
     RandomizedThresholdPolicy,
     TradeoffCurve,
-    birth_death_parameter,
     count,
     integer_at_least,
     m_matrix_certificate,
@@ -123,7 +119,7 @@ def _landings(spec: ModelSpecA, dim: int) -> tuple[np.ndarray, np.ndarray, np.nd
         raise CapacityError(f"silent system dimension {dim} exceeds cap {MAX_SILENT_DIM}")
     pmf = spec.pmf
     states = np.arange(dim)
-    cells = spec.a * states[:, None] + pmf.offsets
+    cells = spec.clipped_a(dim) * states[:, None] + pmf.offsets
     np.abs(cells, out=cells)
     np.minimum(cells, dim, out=cells)
     return (states.repeat(pmf.offsets.size), cells.ravel(),
@@ -415,60 +411,6 @@ def tradeoff_curve(spec: ModelSpecA, kind: str, k_max: int) -> TradeoffCurve:
     if bad:
         raise NumericsError("; ".join(bad))
     return curve
-
-
-# --- birth-death closed forms -------------------------------------------------
-#
-# For the nearest-neighbour step law with parameter p and absolute distortion,
-# the silent system is tridiagonal and its inverse is known in closed form,
-# giving hyperbolic expressions for the discounted case and polynomials in k
-# for the average case.
-
-
-def _m_param(p: float, beta: float) -> float:
-    return math.acosh(1.0 + (1.0 - beta) / (2.0 * beta * p))
-
-
-def bd_closed_form(p: float, beta: float, k: int) -> PerfPoint:
-    """Closed-form (D, N) of the threshold-k policy on the birth-death instance."""
-    p, k = birth_death_parameter(p), integer_at_least(k, 1)
-    beta = DiscountFactor(beta)
-    if beta.is_average:
-        D = (k * k - 1.0) / (3.0 * k)
-        N = 2.0 * p / (k * k)
-    else:
-        # with q = exp(-k m):  N = (1 - beta) / (cosh km - 1) = 2 (1 - beta) q / (1 - q)^2,
-        # D = (sinh km - k sinh m) / ((cosh km - 1) sinh m)
-        #   = (1 - q^2 - k (q e^m - q e^-m)) / ((1 - q)^2 sinh m),
-        # each 1 - e^-x taken as -expm1(-x): nothing overflows, N has no
-        # cancelling difference, and D(1) = 0 exactly
-        m = _m_param(p, beta)
-        one_q = -math.expm1(-k * m)
-        num = -math.expm1(-2.0 * k * m) + k * (
-            math.expm1(-(k + 1) * m) - math.expm1(-(k - 1) * m))
-        D = num / (one_q * one_q * math.sinh(m))
-        N = 2.0 * (1.0 - beta) * math.exp(-k * m) / (one_q * one_q)
-    return PerfPoint(distortion=D, transmission_rate=N)
-
-
-def bd_corner_lambda_avg(p: float, k: int) -> float:
-    """Average-cost corner price of the birth-death instance, in closed form."""
-    p, k = birth_death_parameter(p), integer_at_least(k, 1)
-    return k * (k + 1.0) * (k * k + k + 1.0) / (6.0 * p * (2.0 * k + 1.0))
-
-
-def bd_q_entry(p: float, beta: float, k: int, i: int, j: int) -> float:
-    """Entry (i, j) of the inverse silent-system matrix for the birth-death
-    instance, via the closed-form inverse of the symmetric tridiagonal matrix."""
-    p, k = birth_death_parameter(p), integer_at_least(k, 1)
-    if not (-(k - 1) <= i <= k - 1 and -(k - 1) <= j <= k - 1):
-        raise UsageError(f"indices must lie in the silent set of k={k}")
-    beta = DiscountFactor(beta)
-    if beta.is_average:
-        return (k - max(i, j)) * (k + min(i, j)) / (2.0 * p * k)
-    m = _m_param(p, beta)
-    num = math.cosh((2.0 * k - abs(i - j)) * m) - math.cosh((i + j) * m)
-    return num / (2.0 * beta * p * math.sinh(m) * math.sinh(2.0 * k * m))
 
 
 def bd_spec(p: float, beta: float, a: int = 1) -> ModelSpecA:

@@ -149,6 +149,7 @@ def fredholm_solve(
     _RESOLVED_GAP: that rung is too coarse for its kernel, not singular.
     """
     k = real_in(k, "(0, inf)", "interval width k")
+    tolerance = real_in(tolerance, "(0, inf]", "tolerance")
     if len(rhs) == 0:
         raise UsageError("at least one right-hand side is required")
     beta = DiscountFactor(beta)

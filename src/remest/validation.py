@@ -1,9 +1,11 @@
 """Cross-check suites: every solver against an independent route.
 
-Each suite returns a list of named pass/fail checks.  The suites are the
-only implementation of these cross-checks and ``run_suite`` the one way
-to run them: ``remest validate`` calls it and exits nonzero on any
-failure, the acceptance tests call it and assert that every check passed.
+Each suite returns a list of named pass/fail checks; the independent
+routes they check against live in ``reference``, and this module holds
+only the suites.  They are the only implementation of these cross-checks
+and ``run_suite`` the one way to run them: ``remest validate`` calls it and
+exits nonzero on any failure, the acceptance tests call it and assert that
+every check passed.
 Tolerances are module constants, one value per check.  The Monte-Carlo
 suites share one simulated block per spec: renewal runs its birth-death
 and its Gaussian thresholds as two blocks, baselines its eight Gaussian
@@ -36,7 +38,6 @@ the core count.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -44,13 +45,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import dp, solver_a, solver_b
+from . import dp, reference, solver_a, solver_b
 from .errors import UsageError
 from .model import (DistortionFn, ModelSpecA, ModelSpecB, PerfPoint, SmoothPdf, collect,
                     count)
 from .reference import BD_COSTLY_THRESHOLDS, BD_REFERENCE, BD_REFERENCE_P
-from .simulate import (PolicySpec, SimConfig, SimResult, simulate_policies,
-                       state_blind_distortion)
+from .simulate import PolicySpec, SimConfig, SimResult, simulate_policies
 
 TABLE_TOL = 5e-4  # the published table's four-decimal rounding
 CLOSED_FORM_TOL = 1e-9
@@ -94,45 +94,18 @@ def suite_table() -> list[CheckResult]:
         table = solver_a.threshold_table(solver_a.bd_spec(BD_REFERENCE_P, beta), 11)
         corners = dict(solver_a.table_corners(table))
         for k, d_ref, n_ref, lam_ref in rows:
-            D, N = float(table.D[k]), float(table.N[k])
+            for name, got, want in (("D", table.D[k], d_ref), ("N", table.N[k], n_ref)):
+                out.append(_check("tableI", f"beta={beta} k={k} {name}",
+                                  abs(got - want) <= TABLE_TOL, f"{got:.6f} vs {want}"))
+            lam = corners.get(k)  # the k = 0 row has none: the distortion does not increase
             out.append(_check(
-                "tableI", f"beta={beta} k={k} D",
-                abs(D - d_ref) <= TABLE_TOL,
-                f"{D:.6f} vs {d_ref}",
+                "tableI", f"beta={beta} k={k} corner",
+                k not in corners if lam_ref is None
+                else lam is not None and abs(lam - lam_ref) <= TABLE_TOL,
+                "no corner price at k=0 (distortion does not increase)" if lam_ref is None
+                else f"{lam} vs {lam_ref}",
             ))
-            out.append(_check(
-                "tableI", f"beta={beta} k={k} N",
-                abs(N - n_ref) <= TABLE_TOL,
-                f"{N:.6f} vs {n_ref}",
-            ))
-            if lam_ref is None:
-                out.append(_check(
-                    "tableI", f"beta={beta} k={k} corner",
-                    k not in corners,
-                    "no corner price at k=0 (distortion does not increase)",
-                ))
-            else:
-                lam = corners.get(k)
-                out.append(_check(
-                    "tableI", f"beta={beta} k={k} corner",
-                    lam is not None and abs(lam - lam_ref) <= TABLE_TOL,
-                    f"{lam} vs {lam_ref}",
-                ))
     return out
-
-
-def _gauss_reset_lm(sigma: float, beta: float, z: float, kind: str) -> tuple[float, float]:
-    """L(0) and M(0) at a = 0 for N(0, sigma^2) innovations and k = z sigma: the error
-    resets to W every step, so M(0) = 1 / (1 - beta P) and L(0) = beta E[d(W); |W| < k] M(0)
-    with P = P(|W| < k)."""
-    P = math.erf(z / math.sqrt(2.0))
-    phi = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)  # noqa: E731
-    if kind == "quadratic":
-        moment = sigma * sigma * (P - 2.0 * z * phi(z))
-    else:
-        moment = 2.0 * sigma * (phi(0.0) - phi(z))
-    M0 = 1.0 / (1.0 - beta * P)
-    return beta * moment * M0, M0
 
 
 def suite_closed_forms() -> list[CheckResult]:
@@ -144,7 +117,7 @@ def suite_closed_forms() -> list[CheckResult]:
             table = solver_a.threshold_table(spec, 10)
             worst = 0.0
             for k in range(1, 11):
-                c = solver_a.bd_closed_form(p, beta, k)
+                c = reference.bd_closed_form(p, beta, k)
                 worst = max(worst, abs(table.D[k] - c.distortion),
                             abs(table.N[k] - c.transmission_rate))
             out.append(_check(
@@ -154,18 +127,15 @@ def suite_closed_forms() -> list[CheckResult]:
             k = 5
             # the folded state j collects the visits to j and to -j
             Q = np.linalg.inv(np.eye(k) - beta * solver_a.folded_transition(spec, k))
-            worst_q = max(
-                abs(Q[i, j] - solver_a.bd_q_entry(p, beta, k, i, j)
-                    - (j > 0) * solver_a.bd_q_entry(p, beta, k, i, -j))
-                for i in range(k)
-                for j in range(k)
-            )
+            worst_q = max(abs(Q[i, j] - reference.bd_q_entry(p, beta, k, i, j)
+                              - (j > 0) * reference.bd_q_entry(p, beta, k, i, -j))
+                          for i in range(k) for j in range(k))
             out.append(_check(
                 "closed_forms", f"p={p} beta={beta} inverse entries",
                 worst_q <= CLOSED_FORM_TOL, f"worst |err| = {worst_q:.2e}",
             ))
             if beta == 1.0:
-                worst_c = max(abs(lam / solver_a.bd_corner_lambda_avg(p, kn) - 1.0)
+                worst_c = max(abs(lam / reference.bd_corner_lambda_avg(p, kn) - 1.0)
                               for kn, lam in solver_a.table_corners(table))
                 out.append(_check(
                     "closed_forms", f"p={p} beta={beta} corner prices k=1..9",
@@ -178,7 +148,7 @@ def suite_closed_forms() -> list[CheckResult]:
         worst = worst_price = 0.0
         for z in (0.6, 2.0):
             at = solver_b.renewal(spec, z * sigma)
-            L0, M0 = _gauss_reset_lm(sigma, beta, z, kind)
+            L0, M0 = reference.gauss_reset_lm(spec, z * sigma)
             worst = max(worst, abs(at.L0 - L0), abs(at.M0 - M0))
             # the kernel ignores e, so L = d + const and M = const: lambda(k) = d(k)
             worst_price = max(worst_price, abs(at.price - float(spec.distortion(z * sigma))))
@@ -404,14 +374,14 @@ def _baselines() -> _Simulated:
         [results] = blocks
         out: list[CheckResult] = []
         for (name, policy), res in zip(baselines, results):
-            want = state_blind_distortion(policy, 1.0)
+            want = reference.state_blind_distortion(policy, 1.0)
             out.append(_check(
                 "baselines", name, _sim_close(res.d_hat, res.d_se, want),
                 f"d={res.d_hat:.5f}±{res.d_se:.5f} vs {want:.5f}",
             ))
         for alpha, res_th in zip(order_alphas, results[len(baselines):]):
-            d_per = state_blind_distortion(PolicySpec.periodic_one_in(round(1.0 / alpha)), 1.0)
-            d_rand = state_blind_distortion(PolicySpec.iid_random(alpha), 1.0)
+            d_per, d_rand = (reference.state_blind_distortion(policy, 1.0) for policy in (
+                PolicySpec.periodic_one_in(round(1.0 / alpha)), PolicySpec.iid_random(alpha)))
             out.append(_check(
                 "baselines", f"ordering threshold < periodic < random at alpha={alpha}",
                 res_th.d_hat + MC_SIGMAS * res_th.d_se < d_per < d_rand,

@@ -270,6 +270,18 @@ class TestSolve:
         assert row["k"] == "2" and float(row["N"]) == 0.0
         assert float(row["C"]) == pytest.approx(0.54, rel=1e-14)
 
+    def test_huge_dynamics_coefficient_solves(self, capsys):
+        # every state but 0 escapes once |a| > K + r, so a = 1e21 solves as a = 1e4;
+        # a * state used to overflow int64 in the table's landings
+        rows = {}
+        for a in ("1e21", "1e4"):
+            code, out, err = run_cli(["solve", "--model", "A", "--p", "0.3", "--a", a,
+                                      "--beta", "0.9", "--problem", "costly", "--lambda", "1"],
+                                     capsys)
+            assert code == 0, err
+            rows[a] = parse_csv(out)
+        assert rows["1e21"] == rows["1e4"] and rows["1e21"][0]["k"] == "1"
+
     def test_model_b_loose_budget(self, capsys):
         code, out, _ = run_cli(["solve", "--model", "B", "--problem", "constrained",
                                 "--sigma", "1", "--alpha", "0.999",
@@ -389,6 +401,10 @@ class TestSolve:
         "simulate --model A --p 0.3 --policy steering --k 2 --theta 0.5 --pattern 1,0 --reps 2",
         "simulate --model A --p 0.3 --policy randomized --k 2 --theta 0.5 --alpha 0.3 --reps 2",
         "simulate --model A --p 0.3 --policy iid --alpha 0.3 --schedule 1:1 --reps 2",
+        # a discounted run's length comes from its truncation
+        "simulate --model A --p 0.3 --beta 0.9 --policy threshold --k 2 --horizon 10"
+        " --burn-in 5 --reps 4",
+        "simulate --model B --beta 0.9 --policy iid --alpha 0.3 --burn-in 5 --reps 4",
     ], ids=["A-lambda-nan", "A-a-inf", "A-a-nan", "B-sigma-nan", "B-sigma-inf",
             "B-a-inf", "B-lambda-nan", "B-curve-lambdas-nan", "B-epsilon-nan",
             "B-epsilon-inf", "B-curve-epsilon-inf", "steering-k-nan", "steering-k-negative",
@@ -400,7 +416,7 @@ class TestSolve:
             "A-curve-alphas", "A-curve-epsilon", "B-curve-k-max", "B-constrained-curve-lambdas",
             "B-costly-curve-alphas", "B-solve-p", "B-curve-p", "A-simulate-sigma",
             "A-solve-sigma", "threshold-theta", "periodic-k", "steering-pattern",
-            "randomized-alpha", "iid-schedule"])
+            "randomized-alpha", "iid-schedule", "discounted-horizon", "discounted-burn-in"])
     def test_non_finite_input_exits_one(self, capsys, argv):
         code, _, err = run_cli(argv.split(), capsys)
         assert code == 1

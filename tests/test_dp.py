@@ -168,6 +168,15 @@ class TestValueIterate:
         counts = {lam: dp.value_iterate(bd_09, lam).iterations for lam in (4.0, 10.0, 20.0)}
         assert counts == {4.0: 2, 10.0: 4, 20.0: 4}
 
+    def test_huge_dynamics_coefficient(self):
+        # past the window every state but 0 escapes, so a = 10**21 runs as a = 10**6;
+        # a * state used to overflow int64
+        huge, far = (solver_a.bd_spec(0.3, 0.9, a) for a in (10**21, 10**6))
+        for lam in (1.0, 20.0):
+            got, want = dp.value_iterate(huge, lam), dp.value_iterate(far, lam)
+            assert got.threshold == want.threshold and np.array_equal(got.values, want.values)
+        assert dp.policy_evaluate_fixed_point(huge, 3) == dp.policy_evaluate_fixed_point(far, 3)
+
     def test_deep_discount_within_reach(self):
         # lambda / (1 - beta) = 10^5, yet the threshold chain has 14 states
         spec = solver_a.bd_spec(0.3, 0.999)

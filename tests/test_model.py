@@ -19,10 +19,10 @@ from remest import (
     TradeoffCurve,
     UsageError,
 )
-from remest import SingularSystemError, dp, model, solver_a, solver_b
+from remest import SingularSystemError, dp, model, reference, solver_a, solver_b
 from remest.model import Diagnostics, collect, count, spec_digest
-from remest.simulate import (PolicySpec, SimConfig, simulate, state_blind_distortion,
-                             steering_visit_probability, time_sharing_schedule)
+from remest.simulate import (PolicySpec, SimConfig, simulate, steering_visit_probability,
+                             time_sharing_schedule)
 from conftest import random_valid_pmf
 
 
@@ -389,7 +389,8 @@ _INTEGER_ENTRY_POINTS = {
     "performance": lambda k: solver_a.performance(_DISCOUNTED, k),
     "corner_lambdas": lambda k: solver_a.corner_lambdas(_DISCOUNTED, k),
     "tradeoff_curve": lambda k: solver_a.tradeoff_curve(_DISCOUNTED, "constrained", k),
-    "bd_closed_form": lambda k: solver_a.bd_closed_form(0.3, 0.9, k),
+    "bd_closed_form": lambda k: reference.bd_closed_form(0.3, 0.9, k),
+    "bd_q_entry": lambda k: reference.bd_q_entry(0.3, 0.9, k, 0, 0),
     "policy_evaluate_fixed_point": lambda k: dp.policy_evaluate_fixed_point(_DISCOUNTED, k),
     "steering_visit_probability": lambda k: steering_visit_probability(_AVERAGE, k, 0.5),
     "simulate_policies": lambda k: simulate(
@@ -398,8 +399,10 @@ _INTEGER_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
-# a non-number used to raise a raw TypeError from the comparison
-@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1, 2.5, None, "x", [3]])
+# a non-number used to raise a raw TypeError from the comparison, and an int beyond
+# the float range a raw OverflowError
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1, 2.5, None, "x", [3],
+                                 pytest.param(10**400, id="huge")])
 def test_integer_entry_points_reject_non_integers(entry, bad):
     with pytest.raises(UsageError):
         _INTEGER_ENTRY_POINTS[entry](bad)
@@ -430,16 +433,24 @@ _REAL_ENTRY_POINTS = {
     "PolicySpec.theta": (lambda t: PolicySpec.randomized_threshold(2, t), 0.5, 1.5),
     "PolicySpec.alpha": (PolicySpec.iid_random, 0.5, 0.0),
     "state_blind_distortion": (
-        lambda s: state_blind_distortion(PolicySpec.iid_random(0.5), s), 1.0, 0.0),
+        lambda s: reference.state_blind_distortion(PolicySpec.iid_random(0.5), s), 1.0, 0.0),
     "time_sharing_schedule.alpha": (lambda a: time_sharing_schedule(a, 0.2, 0.1, 0.5), 0.2, 1.5),
+    "time_sharing_schedule.n_k": (lambda n: time_sharing_schedule(0.2, n, 0.1, 0.5), 0.2, 1.5),
+    "time_sharing_schedule.n_k1": (lambda n: time_sharing_schedule(0.2, 0.2, n, 0.5), 0.1, -0.1),
     "time_sharing_schedule.theta": (lambda t: time_sharing_schedule(0.2, 0.2, 0.1, t), 0.5, 1.5),
     "steering_visit_probability": (
         lambda t: steering_visit_probability(_AVERAGE, 2, t), 0.5, 1.5),
     "optimal_costly": (lambda lam: solver_a.optimal_costly(_DISCOUNTED, lam), 2.0, -1.0),
     "optimal_constrained": (lambda a: solver_a.optimal_constrained(_DISCOUNTED, a), 0.1, 1.0),
-    "bd_closed_form": (lambda p: solver_a.bd_closed_form(p, 0.9, 2), 0.3, 0.4),
+    "bd_closed_form": (lambda p: reference.bd_closed_form(p, 0.9, 2), 0.3, 0.4),
+    # an index is an integer, and -1 lies in the silent set, so it shares this table
+    "bd_q_entry.i": (lambda i: reference.bd_q_entry(0.3, 0.9, 3, i, 0), 2.0, 3),
+    "bd_q_entry.j": (lambda j: reference.bd_q_entry(0.3, 0.9, 3, 0, j), -2.0, -3),
     "fredholm_solve": (lambda k: solver_b.fredholm_solve(
         lambda e, s: np.exp(-(e - s) ** 2), [1.0], k, 0.9), 1.0, 0.0),
+    # math.inf is legal: it reads the first rung
+    "fredholm_solve.tolerance": (lambda tol: solver_b.fredholm_solve(
+        lambda e, s: np.exp(-(e - s) ** 2), [1.0], 1.0, 0.9, tol), 1e-10, 0.0),
     "renewal": (lambda k: solver_b.renewal(_GAUSS, k), 1.0, 0.0),
     "algorithm1_costly": (lambda lam: solver_b.algorithm1_costly(_GAUSS, lam, 1e-6), 1.0, 0.0),
     "algorithm2_constrained.alpha": (
@@ -454,8 +465,9 @@ _REAL_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(_REAL_ENTRY_POINTS))
 # a non-number used to raise a raw TypeError or ValueError, and an array could pass
-@pytest.mark.parametrize("bad", [None, "x", [0.5], np.array([0.5]), math.nan, _OUT_OF_RANGE],
-                         ids=["None", "str", "list", "array", "nan", "out-of-range"])
+@pytest.mark.parametrize("bad", [None, "x", [0.5], np.array([0.5]), math.nan, _OUT_OF_RANGE,
+                                 10**400],
+                         ids=["None", "str", "list", "array", "nan", "out-of-range", "huge"])
 def test_real_entry_points_reject_non_reals(entry, bad):
     call, _, out_of_range = _REAL_ENTRY_POINTS[entry]
     with pytest.raises(UsageError):

@@ -31,10 +31,10 @@ from remest.simulate import (
     SimResult,
     simulate,
     simulate_policies,
-    state_blind_distortion,
     steering_visit_probability,
     time_sharing_schedule,
 )
+from remest.reference import state_blind_distortion
 from conftest import random_valid_pmf
 
 # the package re-exports the function under the module's name
@@ -78,14 +78,16 @@ class TestPolicySpec:
         with pytest.raises(UsageError):
             build(2.5)
 
-    @pytest.mark.parametrize("pattern", [[1.7, 0.2], [1, 0.5], [1, math.nan], [math.inf, 0]])
+    @pytest.mark.parametrize("pattern", [[1.7, 0.2], [1, 0.5], [1, math.nan], [math.inf, 0],
+                                         [1, 10**400]])
     def test_fractional_pattern_rejected(self, pattern):
-        # [1.7, 0.2] used to be truncated to (1, 0)
+        # [1.7, 0.2] used to be truncated to (1, 0), and an int beyond the float range
+        # raised a raw OverflowError
         with pytest.raises(UsageError, match="pattern entry must be an integer"):
             PolicySpec.periodic(pattern)
 
     @pytest.mark.parametrize("schedule", [[(2.5, 1.9)], [(2, 3), (1, 0.5)], [(math.nan, 1)],
-                                          [(1, math.inf)]])
+                                          [(1, math.inf)], [(10**400, 1)]])
     def test_fractional_schedule_rejected(self, schedule):
         # [(2.5, 1.9)] used to be truncated to ((2, 1),)
         with pytest.raises(UsageError, match="schedule entry must be an integer"):

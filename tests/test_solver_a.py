@@ -21,7 +21,7 @@ from remest import (
     SingularSystemError,
     UsageError,
 )
-from remest import dp, solver_a
+from remest import dp, reference, solver_a
 from remest.model import MAX_SILENT_DIM, Diagnostics, collect
 from conftest import random_valid_pmf
 
@@ -200,7 +200,7 @@ class TestErrorBound:
     def test_bounds_the_closed_form_gap(self, p, beta, K):
         with collect() as record:
             table = solver_a.threshold_table(solver_a.bd_spec(p, beta), K)
-        m0 = 1.0 / (solver_a.bd_closed_form(p, beta, K).transmission_rate + 1.0 - beta)
+        m0 = 1.0 / (reference.bd_closed_form(p, beta, K).transmission_rate + 1.0 - beta)
         # the closed form rounds too: up to 2.7 ulps past the bound at K <= 2
         slack = 8.0 * np.finfo(float).eps
         assert abs(table.M[K] - m0) / max(1.0, m0) <= record.error_bound + slack
@@ -389,7 +389,7 @@ class TestCornerLambdas:
         corners = dict(solver_a.corner_lambdas(bd_avg, 5))
         assert corners[1] == pytest.approx(1.1111, abs=5e-4)
         assert corners[3] == pytest.approx(12.3810, abs=5e-4)
-        assert corners[3] == pytest.approx(solver_a.bd_corner_lambda_avg(0.3, 3), abs=1e-10)
+        assert corners[3] == pytest.approx(reference.bd_corner_lambda_avg(0.3, 3), abs=1e-10)
 
     def test_discounted_value(self, bd_09):
         corners = dict(solver_a.corner_lambdas(bd_09, 4))
@@ -577,20 +577,20 @@ class TestTradeoffCurve:
 
 class TestBirthDeathClosedForms:
     def test_table_spot_values(self):
-        cf = solver_a.bd_closed_form(0.3, 1.0, 4)
+        cf = reference.bd_closed_form(0.3, 1.0, 4)
         assert cf.distortion == pytest.approx(1.25, abs=1e-12)
         assert cf.transmission_rate == pytest.approx(0.0375, abs=1e-12)
-        cf = solver_a.bd_closed_form(0.3, 0.95, 2)
+        cf = reference.bd_closed_form(0.3, 0.95, 2)
         assert cf.distortion == pytest.approx(0.4790, abs=5e-4)
         assert cf.transmission_rate == pytest.approx(0.1365, abs=5e-4)
 
     def test_k1_zero_distortion(self):
         for beta in (0.5, 0.9, 1.0):
-            assert solver_a.bd_closed_form(0.3, beta, 1).distortion == pytest.approx(0.0, abs=1e-12)
+            assert reference.bd_closed_form(0.3, beta, 1).distortion == pytest.approx(0.0, abs=1e-12)
 
     def test_domain_guard(self):
         with pytest.raises(UsageError):
-            solver_a.bd_closed_form(0.4, 1.0, 2)
+            reference.bd_closed_form(0.4, 1.0, 2)
 
     def test_spec_domain_guard(self):
         # p >= 1/3 leaves p_0 = 1 - 2p below p: the law is not unimodal
@@ -600,23 +600,23 @@ class TestBirthDeathClosedForms:
     def test_scaled_form_deep_thresholds(self):
         # the cosh/sinh form overflowed from k ~ 5000 and read N(1000) as
         # 1.39e-17 rounding noise
-        assert solver_a.bd_closed_form(0.3, 0.9, 1000).transmission_rate == pytest.approx(
+        assert reference.bd_closed_form(0.3, 0.9, 1000).transmission_rate == pytest.approx(
             8.2308414035e-262, rel=1e-10)
-        deep = solver_a.bd_closed_form(0.3, 0.9, 10_000)
-        assert deep.distortion == pytest.approx(solver_a.bd_closed_form(0.3, 0.9, 1000).distortion,
+        deep = reference.bd_closed_form(0.3, 0.9, 10_000)
+        assert deep.distortion == pytest.approx(reference.bd_closed_form(0.3, 0.9, 1000).distortion,
                                                 rel=1e-15)
 
     def test_rate_matches_exact(self):
         # N(30) is 3.09e-9; the cancelling form kept only about 9 digits
         exact = _bd_rate_exact(Fraction(3, 10), Fraction(9, 10), 30)
-        n = solver_a.bd_closed_form(0.3, 0.9, 30).transmission_rate
+        n = reference.bd_closed_form(0.3, 0.9, 30).transmission_rate
         assert n == pytest.approx(float(exact), rel=1e-13)
 
     @pytest.mark.parametrize("beta", [0.9, 0.95, 1.0])
     def test_table_agrees_to_k1000(self, beta):
         table = solver_a.threshold_table(solver_a.bd_spec(0.3, beta), 1000)
         for k in range(1, 1001):
-            cf = solver_a.bd_closed_form(0.3, beta, k)
+            cf = reference.bd_closed_form(0.3, beta, k)
             assert table.D[k] == pytest.approx(cf.distortion, rel=1e-12, abs=1e-300)
             assert table.N[k] == pytest.approx(cf.transmission_rate, rel=1e-12, abs=1e-300)
 
@@ -624,18 +624,18 @@ class TestBirthDeathClosedForms:
 class TestBdQEntry:
     def test_average_row_form(self):
         # row-0 entries reduce to (k - |j|)/(2p)
-        assert solver_a.bd_q_entry(0.3, 1.0, 2, 0, 0) == pytest.approx(2.0 / 0.6, abs=1e-12)
-        assert solver_a.bd_q_entry(0.3, 1.0, 3, 0, 2) == pytest.approx(1.0 / 0.6, abs=1e-12)
+        assert reference.bd_q_entry(0.3, 1.0, 2, 0, 0) == pytest.approx(2.0 / 0.6, abs=1e-12)
+        assert reference.bd_q_entry(0.3, 1.0, 3, 0, 2) == pytest.approx(1.0 / 0.6, abs=1e-12)
 
     def test_indices_outside_the_silent_set_rejected(self):
         for i, j in [(3, 0), (0, -3), (-4, 1)]:
             with pytest.raises(UsageError, match="silent set"):
-                solver_a.bd_q_entry(0.3, 1.0, 3, i, j)
+                reference.bd_q_entry(0.3, 1.0, 3, i, j)
 
     def test_symmetry(self):
         for (i, j) in [(0, 1), (-2, 1), (2, -1)]:
-            assert solver_a.bd_q_entry(0.25, 0.9, 3, i, j) == pytest.approx(
-                solver_a.bd_q_entry(0.25, 0.9, 3, j, i), abs=1e-12)
+            assert reference.bd_q_entry(0.25, 0.9, 3, i, j) == pytest.approx(
+                reference.bd_q_entry(0.25, 0.9, 3, j, i), abs=1e-12)
 
     def test_matches_direct_inverse(self):
         # the folded state j collects the visits to j and to -j
@@ -644,9 +644,9 @@ class TestBdQEntry:
             Q = np.linalg.inv(np.eye(k) - beta * solver_a.folded_transition(spec, k))
             for i in range(k):
                 for j in range(k):
-                    want = solver_a.bd_q_entry(p, beta, k, i, j)
+                    want = reference.bd_q_entry(p, beta, k, i, j)
                     if j > 0:
-                        want += solver_a.bd_q_entry(p, beta, k, i, -j)
+                        want += reference.bd_q_entry(p, beta, k, i, -j)
                     assert abs(Q[i, j] - want) <= 1e-9
 
 
@@ -663,7 +663,7 @@ class TestStructuralProperties:
         near = solver_a.bd_spec(0.3, 0.9999)
         for k in (1, 2, 3, 5):
             pn = solver_a.performance(near, k)
-            pa = solver_a.bd_closed_form(0.3, 1.0, k)
+            pa = reference.bd_closed_form(0.3, 1.0, k)
             assert abs(pn.distortion - pa.distortion) <= 5e-3
             assert abs(pn.transmission_rate - pa.transmission_rate) <= 5e-3
             # the DP oracle reaches the near-average regime too

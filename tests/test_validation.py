@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from remest import dp, solver_a, solver_b, validation
+from remest import dp, reference, solver_a, solver_b, validation
 from remest.errors import NumericsError, UsageError
 from remest.model import collect
 from remest.simulate import SimConfig
@@ -47,9 +47,26 @@ def _break_table(mp):
         solver_a.threshold_table, "D", lambda r: 2.0 * validation.TABLE_TOL))
 
 
+# each reference route of the closed_forms suite: its result moved by 10 tolerances
+# (relative for the corner prices), and a word of the checks that compare with it
+_SHIFTED_ROUTES = {
+    "bd_closed_form": (lambda r: dataclasses.replace(
+        r, distortion=r.distortion + 10.0 * validation.CLOSED_FORM_TOL), "D,N"),
+    "bd_q_entry": (lambda q: q + 10.0 * validation.CLOSED_FORM_TOL, "inverse entries"),
+    "bd_corner_lambda_avg": (lambda lam: lam * (1.0 + 10.0 * validation.CLOSED_FORM_TOL),
+                             "corner prices"),
+    "gauss_reset_lm": (lambda lm: (lm[0] + 10.0 * validation.CLOSED_FORM_TOL, lm[1]),
+                       "L(0),M(0)"),
+}
+
+
+def _shift_route(mp, route):
+    shift, real = _SHIFTED_ROUTES[route][0], getattr(reference, route)
+    mp.setattr(reference, route, lambda *args: shift(real(*args)))
+
+
 def _break_closed_forms(mp):
-    mp.setattr(solver_a, "bd_closed_form", _nudged(
-        solver_a.bd_closed_form, "distortion", lambda r: 10.0 * validation.CLOSED_FORM_TOL))
+    _shift_route(mp, "bd_closed_form")
 
 
 def _break_scaling(mp):
@@ -102,6 +119,15 @@ def test_suite_detects_shifted_route(suite, monkeypatch):
     _BREAKERS[suite](monkeypatch)
     checks = validation.run_suite(suite, config=SMALL)
     assert any(not c.passed for c in checks), [c.detail for c in checks]
+
+
+@pytest.mark.parametrize("route", sorted(_SHIFTED_ROUTES))
+def test_closed_forms_detect_each_shifted_route(route, monkeypatch):
+    _shift_route(monkeypatch, route)
+    word = _SHIFTED_ROUTES[route][1]
+    checks = validation.run_suite("closed_forms")
+    assert any(not c.passed for c in checks if word in c.name), [
+        (c.name, c.detail) for c in checks if word in c.name]
 
 
 def test_shifted_simulations_fail_both_suites_when_forked(monkeypatch):
