@@ -11,7 +11,10 @@ metadata.  Numeric cells are written with 17 significant digits.  Every JSON
 record carries the command's ``Diagnostics`` work counters under
 ``metadata.diagnostics``.  Flags can be kept in a file and pulled in with
 ``@file``.  The parser is built on the first ``main`` call and reused after
-that, so the ``--suite`` choices are read from ``validation.SUITES`` once.
+that.  ``--suite`` takes any name, and ``validation.run_suite`` refuses an
+unknown one with the list of suites (exit 1).  Each command imports the
+solver or the suites it runs when it runs, so importing this module loads
+neither solver and no suite.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 validation
 failure.
@@ -27,7 +30,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 
-from . import solver_a, solver_b, validation
 from .errors import NumericsError, UsageError
 from .model import (
     DistortionFn,
@@ -38,7 +40,6 @@ from .model import (
     collect,
     spec_digest,
 )
-from .simulate import PolicySpec, SimConfig, simulate as run_simulation
 
 SCHEMA_VERSION = "1"
 
@@ -213,13 +214,16 @@ def build_parser() -> _Parser:
     _add_output_flags(p_sim)
 
     p_val = sub.add_parser("validate", help="run a cross-check suite")
-    p_val.add_argument("--suite", default="all", choices=(*validation.SUITES, "all"))
+    p_val.add_argument("--suite", default="all",
+                       help="a suite of remest.validation, or all (default)")
     _add_output_flags(p_val)
 
     return parser
 
 
 def cmd_table(args) -> OutputRecord:
+    from . import solver_a
+
     betas = _parse_floats(args.betas)
     specs = [solver_a.bd_spec(args.p, beta) for beta in betas]
     if args.k_max < 1:
@@ -244,10 +248,14 @@ def cmd_curve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "kind": args.kind}
     if args.model == "A":
+        from . import solver_a
+
         meta["k_max"] = getattr(args, "k_max", K_MAX)
         points = [(p.abscissa, p.threshold, p.ordinate)
                   for p in solver_a.tradeoff_curve(spec, args.kind, meta["k_max"]).points]
     else:
+        from . import solver_b
+
         grid_text = args.alphas if args.kind == "constrained" else args.lambdas
         if grid_text is None:
             raise UsageError("model B curves need --alphas or --lambdas")
@@ -267,6 +275,10 @@ def cmd_solve(args) -> OutputRecord:
     spec = _spec_from_args(args)
     meta = {"spec": spec_digest(spec), "problem": args.problem}
     epsilon = getattr(args, "epsilon", EPSILON)
+    if args.model == "A":
+        from . import solver_a
+    else:
+        from . import solver_b
     if args.problem == "costly":
         if args.lam is None:
             raise UsageError("--lambda is required for the costly problem")
@@ -296,6 +308,8 @@ def cmd_solve(args) -> OutputRecord:
 
 
 def _policy_from_args(args) -> PolicySpec:
+    from .simulate import PolicySpec
+
     def number(text, flag, kind):
         try:
             return kind(text)
@@ -315,13 +329,15 @@ def _policy_from_args(args) -> PolicySpec:
 
 
 def cmd_simulate(args) -> OutputRecord:
+    from .simulate import SimConfig, simulate
+
     spec = _spec_from_args(args)
     policy = _policy_from_args(args)
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     config = SimConfig(horizon=getattr(args, "horizon", HORIZON), replications=args.reps,
                        seed=args.seed, burn_in=getattr(args, "burn_in", BURN_IN))
-    result = run_simulation(spec, policy, config)
+    result = simulate(spec, policy, config)
     meta = {
         "spec": spec_digest(spec),
         "policy": args.policy,
@@ -340,6 +356,8 @@ def cmd_simulate(args) -> OutputRecord:
 
 
 def cmd_validate(args) -> OutputRecord:
+    from . import validation
+
     checks = validation.run_suite(args.suite)
     rows = [{
         "suite": c.suite, "check": c.name,

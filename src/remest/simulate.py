@@ -16,8 +16,11 @@ steering and time-sharing, in which a replication's v-th event (boundary
 visit, transmission) moves it to the v-th entry of one shared sequence (the
 visit's decision, the cycle's threshold): a step adds its events into the
 block's counts in one call and takes each counted row's table, extended
-once per chunk, into that row.  The state-blind kinds
-(``periodic``, ``iid_random``) fill their rows of flags once per chunk.
+once per chunk, into that row.  A Model-B block of steering rows only,
+whose continuous state almost never meets its boundary, extends its tables
+only as far as the counts reach, on a step whose events reach a table's
+end.  The state-blind kinds (``periodic``, ``iid_random``) fill their rows
+of flags once per chunk.
 
 A run draws from two streams spawned from ``SeedSequence([seed,
 _STREAM_LAYOUT])``: the innovations, and the policy randomness (the
@@ -38,7 +41,10 @@ caps those c x n cells, ``MAX_SIM_CELLS`` the draws of each policy and
 ``MAX_SIM_STEPS`` its steps.  The innovations come from the law's ``sampler``:
 a pmf's guide table or a density's inverse-CDF table, built with the law.
 ``steering_visit_probability`` reads the steering rule's boundary masses
-off one ``solver_a.threshold_table``; the simulator solves no linear system.
+off one ``solver_a.threshold_table``, and imports ``solver_a`` only then;
+the simulator solves no linear system.  The draw-ahead thread pool and
+``fractions`` are likewise imported by the calls that use them, so importing
+this module loads neither.
 The state-blind baselines' renewal-reward distortion, the route their
 simulations are checked against, is ``reference.state_blind_distortion``.
 """
@@ -46,15 +52,12 @@ simulations are checked against, is ``reference.state_blind_distortion``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from . import solver_a
 from .errors import DivergenceError, NumericsError, UsageError
 from .model import ModelSpecA, ModelSpecB, count, integer_at_least, real_in
 
@@ -227,7 +230,8 @@ def _extend_table(decide, table: np.ndarray, counts: np.ndarray, thr: np.ndarray
     it drops the events every replication has passed (``counts`` stays
     relative to its first entry) and grows by ``decide`` to cover each count
     the chunk can reach, one event a step at most, so it spans the counts
-    plus a chunk.  Writes each replication's threshold into ``thr``."""
+    plus a chunk (at ``m`` = 0, the counts alone).  Writes each
+    replication's threshold into ``thr``."""
     lo = counts.min()
     np.subtract(counts, lo, counts)
     table = np.append(table[lo:], decide(max(0, int(counts.max()) + m + 1 + lo - len(table))))
@@ -307,6 +311,8 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     Raises ``NumericsError``, naming the policies at fault, as soon as a
     chunk leaves a non-finite distortion sum.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     n = config.replications
     c = len(policies)
     a = spec.a
@@ -350,7 +356,9 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     # a step's event flags, copied into intp before the add: at 32 cells the
     # copy and an intp add take 0.3 us less than one bool-into-intp add
     hit, event = np.zeros((c, w), dtype=bool), np.zeros((c, w), dtype=np.intp)
-    # a continuous state almost never hits a steering boundary: test first
+    # a continuous state almost never hits a steering boundary: test first,
+    # and extend the tables only as far as the counts reach (m = 0), on the
+    # step whose events reach a table's end
     rare = steer and not share and isinstance(spec, ModelSpecB)
 
     rows = _chunk_rows(c * n, T)
@@ -390,7 +398,7 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
             for row, fill in blind:
                 fill(c0, sent[:m, row])
             for rule in counted:
-                rule[1] = _extend_table(*rule, m)
+                rule[1] = _extend_table(*rule, 0 if rare else m)
             for lo, drawn in slices:
                 for e_abs, U, innov in zip(abs_err[lo:], sent[lo:], drawn.result()):
                     absolute(E, e_abs)
@@ -413,8 +421,12 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
                         if not rare or np.count_nonzero(flags):
                             copyto(event, flags)
                             add(counts, event, counts)
-                            # the table covers every count of the chunk, so
-                            # clipping moves none of them
+                            if rare:
+                                for rule in counted:
+                                    if rule[2].max() >= len(rule[1]):
+                                        rule[1] = _extend_table(*rule, 0)
+                            # the table covers every count, so clipping moves
+                            # none of them
                             for _, table, cnt, thr in counted:
                                 table.take(cnt, None, thr, "clip")
             # with the next chunk in flight, two chunks of draws are held
@@ -561,6 +573,8 @@ def time_sharing_schedule(
     ratio = theta * n_k / alpha
     if not 0.0 <= ratio <= 1.0 + 1e-12:
         raise UsageError(f"cycle fraction {ratio} falls outside [0, 1]")
+    from fractions import Fraction
+
     frac = Fraction(min(ratio, 1.0)).limit_denominator(_SCHEDULE_MAX_CYCLES)
     return [(frac.numerator, frac.denominator - frac.numerator)]
 
@@ -588,6 +602,8 @@ def steering_visit_probability(
     if spec.a == 0 or k == 0:
         w_lo = w_hi = spec.pmf.values[np.abs(spec.pmf.offsets) == k].sum()
     else:
+        from . import solver_a
+
         table = solver_a.threshold_table(spec, k + 1)
         w_lo = table.land_edge[k] / table.M[k]
         w_hi = table.visit_edge[k] / table.M[k + 1]

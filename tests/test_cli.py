@@ -660,6 +660,12 @@ class TestValidateCommand:
             factorizations=3, largest_system=17, error_bound=BOUNDED, step_loops=2,
             simulated_policies=5, draws=10**7)
 
+    def test_unknown_suite_exits_one_naming_the_suites(self, capsys):
+        # the parser takes any name; run_suite is the one check of it
+        code, out, err = run_cli(["validate", "--suite", "nope"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: bad suites ('nope',)") and "tableI" in err
+
     def test_failed_check_exits_three(self, capsys, monkeypatch):
         from remest import validation
 
@@ -731,13 +737,21 @@ class TestParserReuse:
 _HEAVY_SCIPY = ("scipy.linalg", "scipy.sparse", "scipy.special", "scipy.optimize")
 
 
+# a script that runs one command line in process, its output discarded
+_RUN_MAIN = ("import contextlib, io, remest.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert remest.cli.main({argv!r}) == 0")
+
+
 def _modules_loaded_after(script: str, heavy: tuple[str, ...] = _HEAVY_SCIPY) -> list[str]:
-    """Modules of ``heavy`` in ``sys.modules`` after ``script`` runs in a fresh
-    interpreter: each would add to every command's start-up."""
+    """The modules in ``sys.modules`` after ``script`` runs in a fresh
+    interpreter that are one of ``heavy`` or a submodule of one, sorted: each
+    would add to every command's start-up."""
     env = {**os.environ, "PYTHONPATH": str(Path(remest.__file__).parents[1])}
     run = subprocess.run(
         [sys.executable, "-c", f"{script}\nimport sys\n"
-         f"print(*[m for m in {heavy!r} if m in sys.modules])"],
+         f"print(*sorted(m for m in sys.modules\n"
+         f"              if any(m == h or m.startswith(h + '.') for h in {heavy!r})))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     return run.stdout.split()
@@ -759,27 +773,49 @@ def test_cli_import_leaves_process_pool_modules_unloaded():
     # blocks to run side by side: neither the import, nor a simulate command,
     # nor a suite with no Monte-Carlo block loads it
     pools = ("multiprocessing", "concurrent.futures.process")
-    run = ("import contextlib, io, remest.cli\n"
-           "with contextlib.redirect_stdout(io.StringIO()):\n"
-           "    assert remest.cli.main({argv!r}) == 0")
     for script in ("import remest.cli",
-                   run.format(argv=["simulate", "--model", "B", "--policy", "threshold",
-                                    "--k", "1", "--reps", "20", "--horizon", "2000"]),
-                   run.format(argv=["validate", "--suite", "tableI"])):
+                   _RUN_MAIN.format(argv=["simulate", "--model", "B", "--policy", "threshold",
+                                          "--k", "1", "--reps", "20", "--horizon", "2000"]),
+                   _RUN_MAIN.format(argv=["validate", "--suite", "tableI"])):
         assert _modules_loaded_after(script, pools) == [], script
+
+
+def test_cli_import_loads_no_solver_suite_or_thread_pool():
+    # each command imports the solver, the suites or the simulator's thread
+    # pool when it runs, so the import itself loads none of them
+    loaded = _modules_loaded_after(
+        "import remest.cli", ("remest", "concurrent.futures", "logging", "fractions", "scipy"))
+    assert loaded == ["remest", "remest.cli", "remest.errors", "remest.model", "remest.simulate"]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["solve", "--model", "B", "--problem", "costly", "--sigma", "1", "--lambda", "1"],
+     "remest.solver_a"),
+    (["simulate", "--model", "A", "--p", "0.3", "--policy", "threshold", "--k", "2",
+      "--reps", "20", "--horizon", "2000"], "remest.solver_b"),
+])
+def test_command_loads_only_what_it_runs(argv, unread):
+    assert _modules_loaded_after(_RUN_MAIN.format(argv=argv), (
+        unread, "remest.validation", "remest.dp", "remest.reference")) == []
+
+
+def test_package_simulate_stays_the_function():
+    # the package re-exports the function under its module's name; the CLI's
+    # imports of the module must not rebind it
+    check = "\nimport types\nassert not isinstance(remest.simulate, types.ModuleType)"
+    argv = ["simulate", "--model", "B", "--sigma", "1", "--policy", "threshold", "--k", "1",
+            "--reps", "20", "--horizon", "2000"]
+    for script in ("import remest.cli", _RUN_MAIN.format(argv=argv)):
+        assert _modules_loaded_after(script + "\nimport remest" + check, ()) == [], script
 
 
 def test_model_b_commands_leave_scipy_linalg_unloaded():
     # Model B never factors an integer system, so its commands never pay for
     # scipy.linalg: the import is removed for them, not deferred
-    script = (
-        "import contextlib, io, remest.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert remest.cli.main(['solve', '--model', 'B', '--problem', 'costly',\n"
-        "                            '--sigma', '1', '--lambda', '1']) == 0\n"
-        "    assert remest.cli.main(['simulate', '--model', 'B', '--sigma', '1',\n"
-        "                            '--policy', 'threshold', '--k', '1', '--reps', '20']) == 0"
-    )
+    script = "\n".join(_RUN_MAIN.format(argv=argv) for argv in (
+        ["solve", "--model", "B", "--problem", "costly", "--sigma", "1", "--lambda", "1"],
+        ["simulate", "--model", "B", "--sigma", "1", "--policy", "threshold", "--k", "1",
+         "--reps", "20"]))
     assert _modules_loaded_after(script) == []
 
 

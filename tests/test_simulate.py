@@ -442,6 +442,35 @@ class TestSteering:
             assert len(state["table"]) <= span + 8 + 1, t
         assert len(state["table"]) < visits.min()
 
+    def test_model_b_run_decides_only_the_visits_made(self, monkeypatch):
+        # a continuous state almost never meets |e| = k, so the tables grow
+        # with the visits made, not by a chunk of decisions (8193 here)
+        asked = []
+
+        def rule(policy, T, rng):
+            decide = transmit_rule(policy, T, rng)
+            return lambda m: asked.append(m) or decide(m)
+
+        transmit_rule = simulate_module._transmit_rule
+        monkeypatch.setattr(simulate_module, "_transmit_rule", rule)
+        simulate(solver_b.gauss_markov_spec(1.0), PolicySpec.steering(2.0, 0.4),
+                 SimConfig(horizon=15_000, replications=32, burn_in=1000))
+        assert 0 < sum(asked) < 100, asked
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 2.0])
+    def test_model_b_tables_grown_on_demand_match_chunk_tables(self, k, monkeypatch):
+        # innovations rounded to whole numbers meet |e| = k on many steps; the tables
+        # grown on the step a count reaches their end give the bits of tables
+        # extended a chunk ahead, as a block that is not Model B extends them
+        monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 6 * 37)
+        spec = ModelSpecB(1.0, triangle_pdf(WholePdf), DistortionFn.quadratic(), 1.0)
+        policies = [PolicySpec.steering(k, 0.37), PolicySpec.steering(k + 1.0, 0.8)]
+        config = SimConfig(horizon=400, replications=3, burn_in=20, seed=5)
+        grown = simulate_policies(spec, policies, config)
+        monkeypatch.setattr(simulate_module, "ModelSpecB", type("NotModelB", (), {}))
+        assert simulate_policies(spec, policies, config) == grown
+        assert all(0.0 < r.n_hat < 1.0 for r in grown)
+
     def test_long_run_boundary_frequency(self):
         for theta in (0.31, 0.6899):
             counters = (0.0, 0.0)
@@ -784,6 +813,15 @@ def test_golden_chunked(model, together, monkeypatch):
     for kind, res, digest in zip(kinds, results, sums, strict=True):
         assert ((res.d_hat, res.n_hat, res.d_se, res.n_se), digest) == \
             GOLDEN_CHUNKED[(model, kind)], kind
+
+
+class WholePdf(SmoothPdf):
+    """A density whose draws, scaled by 3, are rounded to whole numbers, so
+    that a state built from them meets a whole threshold exactly."""
+
+    def sampler(self, rng, size=None, out=None):
+        w = super().sampler(rng, size, out)
+        return np.rint(np.multiply(w, 3.0, out=w), out=w)
 
 
 class DrawFailed(Exception):
