@@ -17,7 +17,6 @@ inside a ``collect()`` block and never read.  ``integer_at_least`` and
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import numbers
@@ -64,6 +63,9 @@ _TAIL_ORDER = 64
 # interpreter lock back from a step loop running beside the draw
 _SEARCH_BLOCK = 2**16
 
+# characters of a refused value that a UsageError echoes, such as a 400-digit int
+_ECHO_CHARS = 40
+
 
 def _real(value) -> float:
     """``value`` as a float; NaN unless it is a real number within the float range."""
@@ -71,6 +73,12 @@ def _real(value) -> float:
         return float(value) if isinstance(value, (int, float, numbers.Real)) else math.nan
     except OverflowError:  # an int beyond the float range
         return math.nan
+
+
+def _echo(value) -> str:
+    """``value`` as an error message echoes it: its text, cut to ``_ECHO_CHARS``."""
+    text = str(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
 
 
 def integer_at_least(value, least: float = 0, name: str = "threshold") -> int:
@@ -81,7 +89,7 @@ def integer_at_least(value, least: float = 0, name: str = "threshold") -> int:
     if not (x >= least and x.is_integer()):
         need = {0: "a nonnegative integer", -math.inf: "an integer"}.get(
             least, f"an integer >= {least}")
-        raise UsageError(f"{name} must be {need}, got {value}")
+        raise UsageError(f"{name} must be {need}, got {_echo(value)}")
     return int(value)
 
 
@@ -103,7 +111,7 @@ def real_in(value, interval: str, name: str) -> float:
         need = {"(0, inf)": "be positive and finite", "[0, inf)": "be nonnegative and finite",
                 "[0, inf]": "be nonnegative", "(-inf, inf)": "be finite"}.get(
             interval, f"lie in {interval}")
-        raise UsageError(f"{name} must {need}, got {value if math.isnan(x) else x}")
+        raise UsageError(f"{name} must {need}, got {_echo(value) if math.isnan(x) else x}")
     return x
 
 
@@ -383,12 +391,14 @@ class DistortionFn:
     def custom(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "DistortionFn":
         return cls(kind="custom", fn=fn)
 
-    def __call__(self, e):
+    def __call__(self, e, out: np.ndarray | None = None):
+        """d(e).  The built-in kinds write it into ``out`` when one is given,
+        which may be ``e`` itself; a custom ``fn`` always returns a new array."""
         e = np.asarray(e, dtype=float)
         if self.kind == "absolute":
-            return np.abs(e)
+            return np.absolute(e, out=out)
         if self.kind == "quadratic":
-            return e * e
+            return np.multiply(e, e, out=out)
         return np.array(self.fn(e), dtype=float)  # a new array, which callers may modify
 
 
@@ -453,6 +463,8 @@ class ModelSpecB:
 
 def spec_digest(spec: ModelSpecA | ModelSpecB) -> str:
     """Stable hash of a problem instance, for output metadata."""
+    import hashlib  # read by this function alone; it adds 3-5 ms to every import
+
     payload = json.dumps(spec.describe(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

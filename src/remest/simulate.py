@@ -10,7 +10,8 @@ state of c policies x n replications, advanced by one step loop over one
 draw of the innovations, which every policy row shares (common random
 numbers).  ``simulate`` is the block of one policy.  The rows keep the
 order of the policies.  A step decides only what reads the state: one
-masked compare of the rows of one per-replication threshold array, those
+masked compare of the rows of one per-replication threshold array (a run
+of one policy whose replications share a threshold holds it alone), those
 of ``threshold``, ``randomized_threshold`` and the one counted rule of
 steering and time-sharing, in which a replication's v-th event (boundary
 visit, transmission) moves it to the v-th entry of one shared sequence (the
@@ -31,15 +32,18 @@ time-major, a chunk of ``(rows, n)`` at a time with ``rows * c * n`` about
 ``CHUNK_CELLS``; each stream is consumed in order, so the values drawn do
 not depend on the chunk size and a fixed seed gives bit-identical results.
 One producer thread draws each chunk of innovations in slices of 1/16,
-1/16, 1/8, 1/4 and 1/2 of its steps, and the calling thread steps each
-slice once it is drawn, while the producer draws on into the next chunk;
-it alone reads the innovation stream, in step order, and the policy stream
-stays on the calling thread, so the results are those of a serial run.
-Resident memory is that of one chunk of the whole block, as for one run of
-c x n replications, plus one chunk of innovations drawn ahead; ``MAX_SIM_WIDTH``
-caps those c x n cells, ``MAX_SIM_CELLS`` the draws of each policy and
-``MAX_SIM_STEPS`` its steps.  The innovations come from the law's ``sampler``:
-a pmf's guide table or a density's inverse-CDF table, built with the law.
+1/16, 1/8, 1/4 and 1/2 of its steps into one buffer kept for the run, and
+the calling thread steps each slice once it is drawn; each slice of the
+next chunk is drawn into rows already stepped, as soon as they are.  The
+producer alone reads the innovation stream, in step order, and the policy
+stream stays on the calling thread, so the results are those of a serial
+run.  Resident memory is one chunk of |e| and of transmit flags of the
+whole block, as for one run of c x n replications, into which the
+built-in distortions are evaluated in place, plus one chunk of innovations
+and the ``(c, n)`` state; ``MAX_SIM_WIDTH`` caps those c x n cells,
+``MAX_SIM_CELLS`` the draws of each policy and ``MAX_SIM_STEPS`` its steps.
+The innovations come from the law's ``sampler``: a pmf's guide table or
+a density's inverse-CDF table, built with the law.
 ``steering_visit_probability`` reads the steering rule's boundary masses
 off one ``solver_a.threshold_table``, and imports ``solver_a`` only then;
 the simulator solves no linear system.  The draw-ahead thread pool and
@@ -66,10 +70,11 @@ from .model import ModelSpecA, ModelSpecB, count, integer_at_least, real_in
 MAX_SIM_CELLS = 10**8
 # a step costs about 6 us of dispatch even at one replication: 1e7 steps take a minute
 MAX_SIM_STEPS = 10**7
-# cap on a block's policies x replications: a run at the cap peaks at 297-398 MB RSS (2-core Xeon)
+# cap on a block's policies x replications: a run at the cap, one step a chunk, peaks
+# at 236-369 MB RSS (2-core Xeon, numpy 2.4), the most for time-sharing's event counts
 MAX_SIM_WIDTH = 2**22
-# float64 cells per time-major chunk of draws: a few such buffers (2 MB each)
-# are all the memory a run holds beyond its per-replication state
+# float64 cells per time-major chunk of draws: one chunk of |e| (2 MB), of
+# flags and of innovations is all a run holds beyond its per-replication state
 CHUNK_CELLS = 2**18
 # mixed into the seed; names the stream layout that ``stream_id`` reports
 _STREAM_LAYOUT = 2
@@ -322,8 +327,14 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     draw = (spec.pmf if isinstance(spec, ModelSpecA) else spec.pdf).sampler
 
     # the compare writes the rows that read the state; each policy reads its
-    # own copy of the policy stream, as a run of its own would
-    thresholds = np.full((c, n), np.inf)
+    # own copy of the policy stream, as a run of its own would.  A run of one
+    # policy whose replications share a threshold holds that one threshold,
+    # which the compare reads as a scalar through a 0-d view; a block of
+    # several holds one per replication, since a broadcast (c, 1) column
+    # makes a compare of 1000 to 6000 cells 2-3x slower
+    lone = c == 1 and policies[0].kind not in ("randomized_threshold", "steering",
+                                               "time_sharing")
+    thresholds = np.full((c, 1 if lone else n), np.inf)
     reads = np.ones((c, 1), dtype=bool)  # the rows the compare writes
     # the counted rules' events, none in a block without one: boundary visits
     # |e| == at in the steering rows (at is NaN in every other row) and
@@ -350,6 +361,7 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
                 counted.append([rule, np.empty(0), counts[row], thresholds[row]])
                 at[row], sharing[row] = ((policy.k, False) if policy.kind == "steering"
                                          else (np.nan, True))
+    limits = thresholds.reshape(()) if lone else thresholds
     compare = bool(reads.any())
     mask = True if reads.all() else reads
     steer, share = not np.isnan(at).all(), bool(sharing.any())
@@ -364,6 +376,8 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     rows = _chunk_rows(c * n, T)
     abs_err = np.empty((rows, c, n))  # |e| before each step; d is even, so d(|e|) = d(e)
     sent = np.empty((rows, c, n), dtype=bool)
+    keep = np.empty((rows, c, n), dtype=bool)  # the silent steps, whose distortion counts
+    W = np.empty((rows, 1, n))  # one chunk of innovations, broadcast over the policy rows
     E = np.zeros((c, n))
     d_acc = np.zeros((c, n))
     u_acc = np.zeros((c, n))
@@ -371,11 +385,10 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     absolute, greater_equal, multiply, add, putmask, equal, copyto = (
         np.absolute, np.greater_equal, np.multiply, np.add, np.putmask, np.equal, np.copyto)
     scale = a != 1
-    # the producer draws each chunk into one buffer, slice by slice, while
-    # this thread steps the slices drawn.  It fills buffers allocated here:
-    # freed memory goes back to the allocator arena of the thread that
-    # allocated it, so a stepped chunk's buffer can then serve this thread's
-    # sums (+4 MB of peak RSS when the producer allocated).  A state that
+    # the producer draws each chunk into W, slice by slice, while this thread
+    # steps the slices drawn; a slice of the next chunk is queued as soon as
+    # this chunk's steps have freed its rows, behind the draws before it, so
+    # W holds one chunk and the stream is read in step order.  A state that
     # overflows below a finite threshold leaves an infinite distortion sum,
     # which the per-chunk check below reports.  When a step or a draw fails,
     # the slices still queued are cancelled, so only the one being drawn ends
@@ -383,27 +396,28 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
         producer = ThreadPoolExecutor(max_workers=1)
         stack.callback(producer.shutdown, cancel_futures=True)
 
-        def ahead(c0):
-            # (first step, future) of each slice of the chunk from step c0
+        def slices(c0):
+            # (first row, end row) of each slice of the chunk from step c0
             m = min(rows, T - c0)
-            W = np.empty((m, 1, n))  # one draw, broadcast over the policy rows
             cuts = sorted({m * j // 16 for j in (0, 1, 2, 4, 8, 16)})
-            return [(lo, producer.submit(draw, inn_rng, out=W[lo:hi]))
-                    for lo, hi in zip(cuts, cuts[1:])]
+            return list(zip(cuts, cuts[1:]))
 
-        pending = ahead(0)
+        def submit(lo, hi):
+            return lo, hi, producer.submit(draw, inn_rng, out=W[lo:hi])
+
+        drawing = [submit(*cut) for cut in slices(0)]
         for c0 in range(0, T, rows):
             m = min(rows, T - c0)
-            slices, pending = pending, ahead(c0 + m) if c0 + m < T else []
+            current, drawing, following = drawing, [], slices(c0 + m)
             for row, fill in blind:
                 fill(c0, sent[:m, row])
             for rule in counted:
                 rule[1] = _extend_table(*rule, 0 if rare else m)
-            for lo, drawn in slices:
+            for lo, hi, drawn in current:
                 for e_abs, U, innov in zip(abs_err[lo:], sent[lo:], drawn.result()):
                     absolute(E, e_abs)
                     if compare:
-                        greater_equal(e_abs, thresholds, U, where=mask)
+                        greater_equal(e_abs, limits, U, where=mask)
                     if scale:
                         multiply(E, a, E)
                     add(E, innov, E)
@@ -429,14 +443,17 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
                             # none of them
                             for _, table, cnt, thr in counted:
                                 table.take(cnt, None, thr, "clip")
-            # with the next chunk in flight, two chunks of draws are held
-            # while stepping, one while summing
-            del slices, drawn, innov
-            d = distortion(abs_err[:m])
+                # queue each slice of the next chunk whose rows are now
+                # stepped; that chunk is no longer than this one, so all of
+                # its slices are queued by the end of this one
+                while following and following[0][1] <= hi:
+                    drawing.append(submit(*following.pop(0)))
+            d = distortion(abs_err[:m], out=abs_err[:m])
             # zero the transmit steps; an infinite |e| there leaves inf * 0 =
             # NaN, which the check below reports as it does an infinite sum
+            np.logical_not(sent[:m], out=keep[:m])
             with np.errstate(invalid="ignore"):
-                np.multiply(d, ~sent[:m], out=d)
+                np.multiply(d, keep[:m], out=d)
             # sums over time run row by row in step order, never through BLAS,
             # so the bits do not depend on the machine's BLAS kernels
             if weights is not None:

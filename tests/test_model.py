@@ -480,6 +480,21 @@ def test_real_entry_points_keep_numpy_scalars(entry):
     assert repr(call(good)) == repr(call(np.float64(good)))
 
 
+# each refusal echoed the whole value: 441, 345 and 1026 characters
+@pytest.mark.parametrize("call, name", [
+    (lambda: DiscountFactor(10**400), "discount factor"),
+    (lambda: model.integer_at_least("x" * 300), "threshold"),
+    (lambda: model.real_in([1.0] * 200, "(0, 1]", "p"), "p"),
+], ids=["huge-int", "long-str", "long-list"])
+def test_refusal_cuts_the_value_it_echoes(call, name):
+    with pytest.raises(UsageError) as refused:
+        call()
+    message = str(refused.value)
+    assert message.startswith(f"{name} must ")
+    assert message.endswith("…")
+    assert len(message) <= len(name) + 90, message
+
+
 def test_performance_refuses_an_infinite_threshold():
     # never transmitting is the limit of the threshold table's flat tail
     with pytest.raises(UsageError):

@@ -963,13 +963,45 @@ class TestChunks:
         # in one chunk, the 50 x 3e4 run holds the innovations, |e| and transmit
         # flags of every step at once: 37.6 MB at peak
         cfg = SimConfig(horizon=30_000, replications=50, burn_in=1000, seed=5)
+        peak = self.traced_peak(bd_avg, PolicySpec.threshold(2), cfg)
+        assert peak < 8 * simulate_module.CHUNK_CELLS * 8
+
+    @staticmethod
+    def one_chunk(c, n, sampler=0):
+        # one chunk of |e| (8 B a cell) and of transmit and kept flags (1 B
+        # each), one chunk of innovations (8 B a replication and step, shared
+        # by the c policy rows), the sampler's own buffers and the (c, n)
+        # state: E, the two sums and one sum's temporary; 64 KiB covers the
+        # rest (discount weights, thresholds, generators)
+        cells = simulate_module.CHUNK_CELLS
+        return 10 * cells + 8 * cells // c + sampler + 4 * 8 * c * n + 2**16
+
+    @staticmethod
+    def traced_peak(spec, policy, cfg):
         tracemalloc.start()
         try:
-            simulate(bd_avg, PolicySpec.threshold(2), cfg)
+            simulate(spec, policy, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * simulate_module.CHUNK_CELLS * 8
+        return peak
+
+    def test_wide_run_holds_one_chunk(self):
+        # 5e4 replications x 219 steps in chunks of 5: 9.42 MB at peak when
+        # each chunk drew its innovations into a new buffer, one chunk ahead,
+        # and the distortion and the negated flags were new arrays
+        spec = solver_b.gauss_markov_spec(1.0, beta=0.9)
+        peak = self.traced_peak(spec, PolicySpec.threshold(1.2),
+                                SimConfig(replications=50_000, seed=3))
+        assert peak < self.one_chunk(1, 50_000)
+
+    def test_long_model_a_run_holds_one_chunk(self, bd_avg):
+        # 32 replications x 15 000 steps in chunks of 8192: 7.13 MB at peak
+        # when each chunk drew its innovations into a new buffer; the pmf
+        # sampler locates its uniforms in three blocks of _SEARCH_BLOCK
+        peak = self.traced_peak(bd_avg, PolicySpec.threshold(2),
+                                SimConfig(horizon=15_000, replications=32, seed=3))
+        assert peak < self.one_chunk(1, 32, sampler=3 * _SEARCH_BLOCK * 8)
 
 
 class TestBlock:
