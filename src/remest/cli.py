@@ -28,7 +28,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import NumericsError, UsageError
 from .model import (
@@ -38,6 +38,7 @@ from .model import (
     ModelSpecB,
     SmoothPdf,
     collect,
+    integer_at_least,
     spec_digest,
 )
 
@@ -46,16 +47,14 @@ SCHEMA_VERSION = "1"
 # the C encoder, with the item separator ``indent=2`` writes two levels deep
 _ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
-# the flags, by dest, that a --model, --problem or --kind value, or a --beta below 1 (a
-# discounted run's length comes from its truncation), leaves unread and refuses; --k-max,
-# --epsilon, --sigma, --horizon and --burn-in stay unset unless given, and unset read as these
+# the flags, by dest, that a --model, --problem or --kind value leaves unread and refuses;
+# --k-max, --epsilon and --sigma stay unset unless given, and unset read as these
 _UNREAD = {"A": {"epsilon": "--epsilon", "alphas": "--alphas", "lambdas": "--lambdas",
                  "sigma": "--sigma"},
            "B": {"k_max": "--k-max", "p": "--p"},
            "costly": {"alpha": "--alpha", "alphas": "--alphas"},
-           "constrained": {"lam": "--lambda", "lambdas": "--lambdas"},
-           "discounted": {"horizon": "--horizon", "burn_in": "--burn-in"}}
-K_MAX, EPSILON, SIGMA, HORIZON, BURN_IN = 10, 1e-6, 1.0, 100_000, 1000
+           "constrained": {"lam": "--lambda", "lambdas": "--lambdas"}}
+K_MAX, EPSILON, SIGMA = 10, 1e-6, 1.0
 
 # the simulator's policy kind of each --policy choice
 POLICY_KINDS = {"threshold": "threshold", "randomized": "randomized_threshold",
@@ -137,10 +136,10 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 def _spec_from_args(args) -> object:
     """The spec of the --model flags, --distortion defaulting to abs for A and
     quad for B, once no flag that ``_UNREAD`` refuses was given."""
-    for choice in ("model", "problem", "kind", "beta"):
+    for choice in ("model", "problem", "kind"):
         value = getattr(args, choice, None)
-        unread = _UNREAD.get("discounted" if choice == "beta" and value < 1.0 else value, {})
-        given = [flag for dest, flag in unread.items() if getattr(args, dest, None) is not None]
+        given = [flag for dest, flag in _UNREAD.get(value, {}).items()
+                 if getattr(args, dest, None) is not None]
         if given:
             raise UsageError(f"--{choice} {value} does not read {', '.join(given)}")
     if args.model == "A":
@@ -151,6 +150,14 @@ def _spec_from_args(args) -> object:
         Spec, law, default = ModelSpecB, SmoothPdf.gaussian(getattr(args, "sigma", SIGMA)), "quad"
     distortion = {"abs": DistortionFn.absolute, "quad": DistortionFn.quadratic}
     return Spec(args.a, law, distortion[args.distortion or default](), args.beta)
+
+
+def pattern(text: str) -> list[int]:
+    return [int(u) for u in text.split(",")]
+
+
+def schedule(text: str) -> list[list[int]]:
+    return [[int(n) for n in pair.split(":")] for pair in text.split(",")]
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -196,17 +203,17 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo policy evaluation")
     _add_spec_flags(p_sim)
     p_sim.add_argument("--policy", required=True, choices=POLICY_KINDS)
-    p_sim.add_argument("--k", type=str, default=None, help="threshold (inf allowed)")
-    p_sim.add_argument("--theta", type=float, default=None)
-    p_sim.add_argument("--pattern", type=str, default=None,
-                       help="periodic 0/1 pattern, e.g. 1,0,0,0")
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--schedule", type=str, default=None,
-                       help="time-sharing cycle counts, e.g. 3:2")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--reps", type=int, default=200)
-    p_sim.add_argument("--horizon", type=int, default=argparse.SUPPRESS, help="(default 100000)")
-    p_sim.add_argument("--burn-in", type=int, default=argparse.SUPPRESS, help="(default 1000)")
+    # typed policy flags go to PolicySpec and the run settings given to SimConfig,
+    # which refuse what a kind or a run does not read and hold the defaults
+    p_sim.add_argument("--k", type=float, help="threshold (inf allowed)")
+    p_sim.add_argument("--theta", type=float)
+    p_sim.add_argument("--pattern", type=pattern, help="periodic 0/1 pattern, e.g. 1,0,0,0")
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--schedule", type=schedule, help="time-sharing cycle counts, e.g. 3:2")
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--reps", dest="replications", type=int)
+    p_sim.add_argument("--horizon", type=int, help="average-cost runs only")
+    p_sim.add_argument("--burn-in", type=int, help="average-cost runs only")
     p_sim.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility, must be >= 1; a run "
                             "draws its innovations on one draw-ahead thread "
@@ -226,8 +233,7 @@ def cmd_table(args) -> OutputRecord:
 
     betas = _parse_floats(args.betas)
     specs = [solver_a.bd_spec(args.p, beta) for beta in betas]
-    if args.k_max < 1:
-        raise UsageError("--k-max must be >= 1")
+    integer_at_least(args.k_max, 1, "--k-max")
     rows = []
     for beta, spec in zip(betas, specs):
         table = solver_a.threshold_table(spec, args.k_max + 1)
@@ -307,41 +313,20 @@ def cmd_solve(args) -> OutputRecord:
                         rows=[row], metadata=meta)
 
 
-def _policy_from_args(args) -> PolicySpec:
-    from .simulate import PolicySpec
-
-    def number(text, flag, kind):
-        try:
-            return kind(text)
-        except ValueError as exc:
-            raise UsageError(f"bad {flag} entry {text!r}") from exc
-
-    # every policy flag goes to PolicySpec, which converts --k ("inf" parses as
-    # infinity) and refuses a missing field or one the kind does not take; the
-    # list flags' entries are parsed here
-    fields = {name: getattr(args, name) for name in ("k", "theta", "pattern", "alpha", "schedule")}
-    if fields.get("pattern") is not None:
-        fields["pattern"] = [number(u, "--pattern", int) for u in fields["pattern"].split(",")]
-    if fields.get("schedule") is not None:
-        fields["schedule"] = [[number(n, "--schedule", int) for n in pair.split(":")]
-                              for pair in fields["schedule"].split(",")]
-    return PolicySpec(kind=POLICY_KINDS[args.policy], **fields)
-
-
 def cmd_simulate(args) -> OutputRecord:
-    from .simulate import SimConfig, simulate
+    from .simulate import PolicySpec, SimConfig, simulate
 
     spec = _spec_from_args(args)
-    policy = _policy_from_args(args)
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
-    config = SimConfig(horizon=getattr(args, "horizon", HORIZON), replications=args.reps,
-                       seed=args.seed, burn_in=getattr(args, "burn_in", BURN_IN))
+    policy = PolicySpec(kind=POLICY_KINDS[args.policy], **{
+        f.name: getattr(args, f.name) for f in fields(PolicySpec) if f.name != "kind"})
+    integer_at_least(args.workers, 1, "--workers")
+    config = SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)
+                          if getattr(args, f.name) is not None})
     result = simulate(spec, policy, config)
     meta = {
         "spec": spec_digest(spec),
         "policy": args.policy,
-        "seed": args.seed,
+        "seed": config.seed,
         "stream_id": result.stream_id,
         "steps_per_replication": result.steps_per_replication,
     }

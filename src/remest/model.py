@@ -58,9 +58,9 @@ DISTORTION_PROBE_HALFWIDTH = 8.0
 # Gauss-Legendre nodes of a tabulated density's tail integral
 _TAIL_ORDER = 64
 
-# uniforms a pmf draw locates at a time, in 1.1 MB of buffers whatever the draw:
-# a chunk of draws takes a few blocks, and each of their NumPy calls takes the
-# interpreter lock back from a step loop running beside the draw
+# uniforms a pmf draw locates (in 1.1 MB of buffers) or a density draw maps at a time,
+# whatever the draw: a chunk of draws takes a few blocks, and each of their NumPy calls
+# takes the interpreter lock back from a step loop running beside the draw
 _SEARCH_BLOCK = 2**16
 
 # characters of a refused value that a UsageError echoes, such as a 400-digit int
@@ -344,14 +344,15 @@ class SmoothPdf:
 
     def sampler(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """``size`` draws from the density, or as many as fill the float64
-        array ``out``, which is written in place and returned."""
+        """``size`` draws from the density, or as many as fill the C-contiguous
+        float64 array ``out``, written in place and returned, one block at a time."""
         if self.kind == "gaussian":
             w = rng.standard_normal(size, out=out)
             w *= self.sigma
             return w
         u = np.asarray(rng.random(size, out=out))
-        u[...] = np.interp(u, *self._inverse_cdf)
+        for block in np.split(u.reshape(-1), range(_SEARCH_BLOCK, u.size, _SEARCH_BLOCK)):
+            block[...] = np.interp(block, *self._inverse_cdf)
         return u
 
 

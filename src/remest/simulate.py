@@ -51,6 +51,7 @@ the simulator solves no linear system.  The draw-ahead thread pool and
 this module loads neither.
 The state-blind baselines' renewal-reward distortion, the route their
 simulations are checked against, is ``reference.state_blind_distortion``.
+A discounted run reads no horizon or burn-in, and refuses either one.
 """
 
 from __future__ import annotations
@@ -63,15 +64,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, NumericsError, UsageError
-from .model import ModelSpecA, ModelSpecB, count, integer_at_least, real_in
+from .model import ModelSpecA, ModelSpecB, _echo, count, integer_at_least, real_in
 
 # cap on the per-step draws (innovations, iid coins) of each policy of a block: a run
 # holds one chunk of them at a time, so this bounds its length and MAX_SIM_WIDTH its memory
 MAX_SIM_CELLS = 10**8
 # a step costs about 6 us of dispatch even at one replication: 1e7 steps take a minute
 MAX_SIM_STEPS = 10**7
-# cap on a block's policies x replications: a run at the cap, one step a chunk, peaks
-# at 236-369 MB RSS (2-core Xeon, numpy 2.4), the most for time-sharing's event counts
+# cap on a block's policies x replications: a run at the cap, one step a chunk, peaks at
+# 237-369 MB RSS (2-core Xeon, numpy 2.4): 333 for time-sharing, 369 for steering's visits
 MAX_SIM_WIDTH = 2**22
 # float64 cells per time-major chunk of draws: one chunk of |e| (2 MB), of
 # flags and of innovations is all a run holds beyond its per-replication state
@@ -80,6 +81,8 @@ CHUNK_CELLS = 2**18
 _STREAM_LAYOUT = 2
 # a discounted run stops once the discount weight beta^t falls below this
 DISCOUNT_TRUNCATION_TOL = 1e-10
+# the horizon and burn-in an average-cost run reads when its SimConfig leaves them unset
+AVERAGE_RUN = {"horizon": 100_000, "burn_in": 1000}
 # cycles in one period of a time-sharing schedule at most
 _SCHEDULE_MAX_CYCLES = 10**3
 
@@ -100,7 +103,8 @@ class PolicySpec:
 
     ``FIELDS`` holds the fields each kind takes, all required and no other,
     else ``UsageError``.  ``k``, ``theta`` and ``alpha`` are stored as
-    floats, pattern and schedule entries as ints.
+    floats (a string is refused as a non-number), pattern and schedule
+    entries as ints.
     """
 
     FIELDS = {"threshold": ("k",), "randomized_threshold": ("k", "theta"),
@@ -127,16 +131,15 @@ class PolicySpec:
         for name in taken:
             value = getattr(self, name)
             try:
-                if name == "pattern":
+                if name in self._REALS:
+                    value = real_in(value, *self._REALS[name])
+                elif name == "pattern":
                     value = tuple(integer_at_least(u, -math.inf, "pattern entry") for u in value)
-                elif name == "schedule":
+                else:
                     value = tuple(tuple(integer_at_least(n, -math.inf, "schedule entry")
                                         for n in pair) for pair in value)
-                else:  # the CLI passes its text, such as "inf" or "2"
-                    value = real_in(float(value) if isinstance(value, str) else value,
-                                    *self._REALS[name])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"malformed {name} {value!r}: {exc}") from exc
+            except TypeError as exc:  # a pattern, schedule or pair that is not a sequence
+                raise UsageError(f"malformed {name} {_echo(value)}: {exc}") from exc
             object.__setattr__(self, name, value)
         if self.pattern is not None and (not self.pattern
                                          or any(u not in (0, 1) for u in self.pattern)):
@@ -185,29 +188,30 @@ class PolicySpec:
 class SimConfig:
     """Replication count, seed and stopping rules.
 
-    ``horizon`` and ``burn_in`` govern average-cost runs; discounted runs
-    stop once the discount weight falls below ``DISCOUNT_TRUNCATION_TOL``.
-    ``seed`` seeds one innovation stream and one policy stream for the whole
-    run; each is drawn in time-major chunks of about ``CHUNK_CELLS`` draws,
-    so the results do not depend on the chunk size.  A block of policies
-    run on one config shares its innovations.  A field that is not an
-    integer raises ``UsageError``; an integral float is stored as an int,
-    and at least 2 replications are needed for a standard error.
+    ``horizon`` and ``burn_in`` govern average-cost runs, ``AVERAGE_RUN``
+    when unset, and the burn-in must end before the horizon; discounted runs
+    stop once the discount weight falls below ``DISCOUNT_TRUNCATION_TOL`` and
+    refuse either one.  ``simulate_policies`` applies both rules.  ``seed``
+    seeds one innovation stream and one policy stream for the whole run;
+    each is drawn in time-major chunks of about ``CHUNK_CELLS`` draws, so the
+    results do not depend on the chunk size.  A block of policies run on one
+    config shares its innovations.  A field that is not an integer raises
+    ``UsageError``; an integral float is stored as an int, and at least 2
+    replications are needed for a standard error.
     """
 
-    horizon: int = 100_000
+    horizon: int | None = None
     replications: int = 200
     seed: int = 0
-    burn_in: int = 1000
+    burn_in: int | None = None
 
     def __post_init__(self):
         for name, least in (("horizon", 1), ("replications", 1), ("seed", 0), ("burn_in", 0)):
-            object.__setattr__(self, name, integer_at_least(getattr(self, name), least, name))
+            if getattr(self, name) is not None or name not in AVERAGE_RUN:
+                object.__setattr__(self, name, integer_at_least(getattr(self, name), least, name))
         if self.replications < 2:
             raise UsageError(f"replications must be at least 2, got {self.replications}: "
                              "the standard errors are the spread between replications")
-        if self.burn_in >= self.horizon:
-            raise UsageError("burn-in must satisfy 0 <= burn_in < horizon")
 
 
 @dataclass(frozen=True)
@@ -337,11 +341,13 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     thresholds = np.full((c, 1 if lone else n), np.inf)
     reads = np.ones((c, 1), dtype=bool)  # the rows the compare writes
     # the counted rules' events, none in a block without one: boundary visits
-    # |e| == at in the steering rows (at is NaN in every other row) and
-    # transmissions in the time-sharing rows, counted from each table's start
-    w = n if any(p.kind in ("steering", "time_sharing") for p in policies) else 0
+    # |e| == at in the steering rows (at is NaN in every other row, and empty
+    # without them) and transmissions in the time-sharing rows, counted from
+    # each table's start
+    steer, share = (any(p.kind == kind for p in policies) for kind in ("steering", "time_sharing"))
+    w = n if steer or share else 0
     counts = np.zeros((c, w), dtype=np.intp)
-    at = np.full((c, w), np.nan)
+    at = np.full((c, n if steer else 0), np.nan)
     sharing = np.zeros((c, 1), dtype=bool)
     blind, counted = [], []
     for row, policy in enumerate(policies):
@@ -364,10 +370,9 @@ def _run_block(spec, policies: Sequence[PolicySpec], config: SimConfig, T: int, 
     limits = thresholds.reshape(()) if lone else thresholds
     compare = bool(reads.any())
     mask = True if reads.all() else reads
-    steer, share = not np.isnan(at).all(), bool(sharing.any())
     # a step's event flags, copied into intp before the add: at 32 cells the
     # copy and an intp add take 0.3 us less than one bool-into-intp add
-    hit, event = np.zeros((c, w), dtype=bool), np.zeros((c, w), dtype=np.intp)
+    hit, event = np.zeros(at.shape, dtype=bool), np.zeros((c, w), dtype=np.intp)
     # a continuous state almost never hits a steering boundary: test first,
     # and extend the tables only as far as the counts reach (m = 0), on the
     # step whose events reach a table's end
@@ -530,6 +535,19 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
     """
     if not policies:
         raise UsageError("at least one policy is required")
+    beta = spec.beta
+    given = {name: getattr(config, name) for name in AVERAGE_RUN
+             if getattr(config, name) is not None}
+    if beta.is_average:
+        T, burn = (given.get(name, default) for name, default in AVERAGE_RUN.items())
+        if burn >= T:
+            raise UsageError(f"burn-in must satisfy 0 <= burn_in < horizon, got {burn} and {T}")
+    elif given:
+        raise UsageError(f"a discounted run (beta = {beta}) reads no {' or '.join(given)}: "
+                         f"it stops where beta^t falls below {DISCOUNT_TRUNCATION_TOL:g}")
+    else:
+        T = max(1, math.ceil(math.log(DISCOUNT_TRUNCATION_TOL) / math.log(beta)))
+        burn = 0
     for policy in policies:
         never = ((policy.k is not None and math.isinf(policy.k))
                  or (policy.pattern is not None and not any(policy.pattern)))
@@ -541,12 +559,6 @@ def simulate_policies(spec: ModelSpecA | ModelSpecB, policies: Sequence[PolicySp
         if isinstance(spec, ModelSpecA) and policy.k not in (None, math.inf):
             integer_at_least(policy.k)
 
-    beta = spec.beta
-    if beta.is_average:
-        T, burn = config.horizon, config.burn_in
-    else:
-        T = max(1, math.ceil(math.log(DISCOUNT_TRUNCATION_TOL) / math.log(beta)))
-        burn = 0
     if T > MAX_SIM_STEPS:
         raise UsageError(f"{T} steps are above the cap of {MAX_SIM_STEPS:.0e}; lower the "
                          f"{'horizon or the ' if beta.is_average else ''}discount factor")
@@ -577,22 +589,19 @@ def simulate(spec: ModelSpecA | ModelSpecB, policy: PolicySpec,
 # --- deterministic implementations of the randomized optimum -------------------
 
 
-def time_sharing_schedule(
-    alpha: float, n_k: float, n_k1: float, theta: float
-) -> list[tuple[int, int]]:
+def time_sharing_schedule(n_k: float, n_k1: float, theta: float) -> list[tuple[int, int]]:
     """Constant cycle-count schedule (a, b) whose cycle fraction a/(a+b) best
-    approximates theta * n_k / alpha with denominator <= _SCHEDULE_MAX_CYCLES."""
-    alpha = real_in(alpha, "(0, 1]", "rate budget")
+    approximates theta * n_k / alpha with denominator <= _SCHEDULE_MAX_CYCLES,
+    where alpha = theta * n_k + (1 - theta) * n_k1 is the mixture's rate."""
     n_k, n_k1 = real_in(n_k, "[0, 1]", "n_k"), real_in(n_k1, "[0, 1]", "n_k1")
     if n_k <= n_k1:
         raise UsageError("n_k must exceed n_k1")
     theta = real_in(theta, "[0, 1]", "theta")
-    ratio = theta * n_k / alpha
-    if not 0.0 <= ratio <= 1.0 + 1e-12:
-        raise UsageError(f"cycle fraction {ratio} falls outside [0, 1]")
+    # n_k > 0, so alpha > 0 unless theta = 0, where no cycle runs k
+    ratio = theta * n_k / (theta * n_k + (1.0 - theta) * n_k1) if theta else 0.0
     from fractions import Fraction
 
-    frac = Fraction(min(ratio, 1.0)).limit_denominator(_SCHEDULE_MAX_CYCLES)
+    frac = Fraction(ratio).limit_denominator(_SCHEDULE_MAX_CYCLES)
     return [(frac.numerator, frac.denominator - frac.numerator)]
 
 

@@ -154,7 +154,8 @@ def test_criterion_09_deterministic_implementations(bd_avg):
 
     n_lo = solver_a.performance(bd_avg, policy.k_star).transmission_rate
     n_hi = solver_a.performance(bd_avg, policy.k_star + 1).transmission_rate
-    sched = time_sharing_schedule(alpha, n_lo, n_hi, policy.theta_star)
+    sched = time_sharing_schedule(n_lo, n_hi, policy.theta_star)
+    assert sched == [(3, 2)]
     res = simulate(bd_avg, PolicySpec.time_sharing(policy.k_star, sched), cfg)
     assert abs(res.n_hat - alpha) <= 3.0 * res.n_se, "time-sharing rate"
     assert abs(res.d_hat - d_star) <= 3.0 * res.d_se, "time-sharing distortion"

@@ -428,16 +428,14 @@ _REAL_ENTRY_POINTS = {
     "gauss_markov_spec": (solver_b.gauss_markov_spec, 1.0, 0.0),
     "ModelSpecB": (lambda a: ModelSpecB(a, _GAUSS.pdf, _GAUSS.distortion, 0.9), 0.5, math.inf),
     "RandomizedThresholdPolicy": (lambda t: RandomizedThresholdPolicy(2, t), 0.5, 1.5),
-    # PolicySpec reads the CLI's text ("inf", "2") first, so "x" fails as malformed text
     "PolicySpec.k": (PolicySpec.threshold, 2.0, -1.0),
     "PolicySpec.theta": (lambda t: PolicySpec.randomized_threshold(2, t), 0.5, 1.5),
     "PolicySpec.alpha": (PolicySpec.iid_random, 0.5, 0.0),
     "state_blind_distortion": (
         lambda s: reference.state_blind_distortion(PolicySpec.iid_random(0.5), s), 1.0, 0.0),
-    "time_sharing_schedule.alpha": (lambda a: time_sharing_schedule(a, 0.2, 0.1, 0.5), 0.2, 1.5),
-    "time_sharing_schedule.n_k": (lambda n: time_sharing_schedule(0.2, n, 0.1, 0.5), 0.2, 1.5),
-    "time_sharing_schedule.n_k1": (lambda n: time_sharing_schedule(0.2, 0.2, n, 0.5), 0.1, -0.1),
-    "time_sharing_schedule.theta": (lambda t: time_sharing_schedule(0.2, 0.2, 0.1, t), 0.5, 1.5),
+    "time_sharing_schedule.n_k": (lambda n: time_sharing_schedule(n, 0.1, 0.5), 0.2, 1.5),
+    "time_sharing_schedule.n_k1": (lambda n: time_sharing_schedule(0.2, n, 0.5), 0.1, -0.1),
+    "time_sharing_schedule.theta": (lambda t: time_sharing_schedule(0.2, 0.1, t), 0.5, 1.5),
     "steering_visit_probability": (
         lambda t: steering_visit_probability(_AVERAGE, 2, t), 0.5, 1.5),
     "optimal_costly": (lambda lam: solver_a.optimal_costly(_DISCOUNTED, lam), 2.0, -1.0),

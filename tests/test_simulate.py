@@ -53,13 +53,48 @@ class TestPolicySpec:
             PolicySpec.time_sharing(2, [(0, 0)])
         assert PolicySpec.time_sharing(2, [(1, 0)]).schedule == ((1, 0),)
 
-    def test_config_validation(self):
-        with pytest.raises(UsageError):
-            SimConfig(horizon=100, burn_in=100)
+    def test_config_validation(self, bd_avg, monkeypatch):
+        # the burn-in must end before the horizon, each given or its default;
+        # an average-cost run refuses one that does not before drawing anything
+        monkeypatch.setattr(simulate_module, "_run_block", None)
+        for settings in ({"horizon": 100, "burn_in": 100}, {"horizon": 1000},
+                         {"burn_in": 100_000}):
+            with pytest.raises(UsageError, match="burn-in"):
+                simulate(bd_avg, PolicySpec.threshold(2), SimConfig(**settings))
+
+    def test_discounted_run_refuses_horizon_and_burn_in(self, bd_09, monkeypatch):
+        # a discounted run stops where beta^t falls below DISCOUNT_TRUNCATION_TOL,
+        # so it reads neither setting; it used to run 219 steps without a word
+        run = simulate_module._run_block
+        monkeypatch.setattr(simulate_module, "_run_block", None)  # nothing is drawn
+        for settings in ({"horizon": 10, "burn_in": 5}, {"horizon": 10}, {"burn_in": 0}):
+            with pytest.raises(UsageError, match="reads no"):
+                simulate(bd_09, PolicySpec.threshold(2), SimConfig(replications=4, **settings))
+        monkeypatch.setattr(simulate_module, "_run_block", run)
+        res = simulate(bd_09, PolicySpec.threshold(2), SimConfig(replications=4))
+        assert res.steps_per_replication == 219
+
+    def test_average_run_reads_the_defaults(self, bd_avg):
+        config = SimConfig(replications=2)
+        assert (config.horizon, config.burn_in) == (None, None)
+        res = simulate(bd_avg, PolicySpec.threshold(2), config)
+        assert res.steps_per_replication == 100_000
+        assert res == simulate(bd_avg, PolicySpec.threshold(2),
+                               SimConfig(horizon=100_000, replications=2, burn_in=1000))
+
+    @pytest.mark.parametrize("build", [
+        lambda: PolicySpec.threshold("x" * 300), lambda: PolicySpec.periodic(10**400),
+        lambda: PolicySpec.time_sharing(2, 10**400),
+    ], ids=["k-str", "pattern-int", "schedule-int"])
+    def test_refusal_cuts_the_value_it_echoes(self, build):
+        # each echoed the whole value: 653, 449 and 450 characters
+        with pytest.raises(UsageError) as refused:
+            build()
+        assert len(str(refused.value)) < 100, refused.value
 
     @pytest.mark.parametrize("field", [{"seed": 1.5}, {"replications": 2.5},
                                        {"horizon": 2000.5}, {"burn_in": 10.5},
-                                       {"seed": "3"}, {"horizon": None}, {"replications": [2]}])
+                                       {"seed": "3"}, {"seed": None}, {"replications": [2]}])
     def test_fractional_config_rejected(self, field):
         # each used to raise a raw TypeError, inside the run or on construction
         with pytest.raises(UsageError):
@@ -192,7 +227,7 @@ class TestThresholdPolicies:
                      SimConfig(horizon=100, replications=2, burn_in=10))
         with pytest.raises(NumericsError):
             simulate(solver_a.bd_spec(0.3, 0.9, a=2), PolicySpec.threshold(math.inf),
-                     SimConfig(horizon=100, replications=2, burn_in=10))
+                     SimConfig(replications=2))
 
     def test_overflow_below_finite_threshold_raises(self):
         # the state outgrows float64 long before |e| reaches k
@@ -222,10 +257,10 @@ class TestThresholdPolicies:
                 simulate(spec, policy, SimConfig(horizon=100, replications=2, burn_in=10))
 
     def test_never_transmit_finite_cases_still_simulate(self, bd_09):
-        cfg = SimConfig(horizon=100, replications=2, burn_in=10)
-        res = simulate(bd_09, PolicySpec.threshold(math.inf), cfg)
+        res = simulate(bd_09, PolicySpec.threshold(math.inf), SimConfig(replications=2))
         assert res.n_hat == 0.0 and res.d_hat > 0.0
-        res = simulate(solver_a.bd_spec(0.3, 1.0, a=0), PolicySpec.threshold(math.inf), cfg)
+        res = simulate(solver_a.bd_spec(0.3, 1.0, a=0), PolicySpec.threshold(math.inf),
+                       SimConfig(horizon=100, replications=2, burn_in=10))
         assert res.n_hat == 0.0 and res.d_hat > 0.0
 
     def test_never_transmit_discounted_vs_simulation(self, bd_09):
@@ -576,25 +611,21 @@ class TestStationaryDistribution:
 
 class TestTimeSharing:
     def test_schedule_arithmetic(self):
-        assert time_sharing_schedule(0.15, 0.15, 0.0667, 1.0) == [(1, 0)]
-        assert time_sharing_schedule(0.1, 0.15, 0.6 / 9.0, 0.4) == [(3, 2)]
-        # theta * n_k / alpha = 0.69 * 0.15 / 0.1035 = 1 exactly
-        assert time_sharing_schedule(0.1035, 0.15, 0.0667, 0.69) == [(1, 0)]
+        assert time_sharing_schedule(0.15, 0.0667, 1.0) == [(1, 0)]
+        # alpha = 0.4 * 0.15 + 0.6 * 0.6 / 9 = 0.1, so theta * n_k / alpha = 3/5
+        assert time_sharing_schedule(0.15, 0.6 / 9.0, 0.4) == [(3, 2)]
+        # theta = 0 runs no cycle at k, even where the mixture's rate alpha is 0
+        assert time_sharing_schedule(0.15, 0.0, 0.0) == [(0, 1)]
 
     def test_schedule_guards(self):
         with pytest.raises(UsageError):
-            time_sharing_schedule(0.1, 0.05, 0.15, 0.5)
-        with pytest.raises(UsageError):
-            time_sharing_schedule(0.0, 0.5, 0.2, 0.4)
+            time_sharing_schedule(0.05, 0.15, 0.5)
         with pytest.raises(UsageError, match="theta"):
-            time_sharing_schedule(0.1, 0.15, 0.05, 1.5)
-        # theta * n_k / alpha = 0.15 / 0.05 = 3: no cycle fraction reaches it
-        with pytest.raises(UsageError, match="cycle fraction"):
-            time_sharing_schedule(0.05, 0.15, 0.0667, 1.0)
+            time_sharing_schedule(0.15, 0.05, 1.5)
 
     def test_long_run_rate(self, bd_avg):
         # aggregate 1e6 steps; the emitted schedule must hold the rate at 0.1
-        sched = time_sharing_schedule(0.1, 0.15, 0.6 / 9.0, 0.4)
+        sched = time_sharing_schedule(0.15, 0.6 / 9.0, 0.4)
         res = simulate(bd_avg, PolicySpec.time_sharing(2, sched),
                        SimConfig(horizon=100_000, replications=10, seed=47))
         assert abs(res.n_hat - 0.1) <= 0.005
@@ -603,7 +634,7 @@ class TestTimeSharing:
         policy, d_star = solver_a.optimal_constrained(bd_avg, 0.1)
         n_lo = solver_a.performance(bd_avg, policy.k_star).transmission_rate
         n_hi = solver_a.performance(bd_avg, policy.k_star + 1).transmission_rate
-        sched = time_sharing_schedule(0.1, n_lo, n_hi, policy.theta_star)
+        sched = time_sharing_schedule(n_lo, n_hi, policy.theta_star)
         res = simulate(bd_avg, PolicySpec.time_sharing(policy.k_star, sched),
                        SimConfig(horizon=50_000, replications=50, seed=53))
         assert abs(res.n_hat - 0.1) <= 3.0 * res.n_se
@@ -680,8 +711,12 @@ class TestDeterminism:
 
 # Recorded from the two-stream, time-major simulator (stream layout 2, chunks
 # of CHUNK_CELLS = 2**18 draws) by running each case below once:
-# (d_hat, n_hat, d_se, n_se, steps_per_replication) at 7 reps x 3000 steps,
-# burn-in 200, seed 11.  The Model-A schedule has a zero-length phase.
+# (d_hat, n_hat, d_se, n_se, steps_per_replication) at 7 reps and seed 11:
+# 3000 steps and a burn-in of 200 at average cost (Model A), and the 449 steps
+# of a run discounted by 0.95 (Model B), which reads no horizon or burn-in.
+# The Model-A schedule has a zero-length phase.
+GOLDEN_CONFIG = {"A": SimConfig(horizon=3000, replications=7, burn_in=200, seed=11),
+                 "B": SimConfig(replications=7, seed=11)}
 GOLDEN_POLICIES = {
     "A": {
         "threshold": PolicySpec.threshold(2),
@@ -723,8 +758,7 @@ def golden_spec(model):
 
 @pytest.mark.parametrize("model, kind", sorted(GOLDEN))
 def test_golden_results(model, kind):
-    res = simulate(golden_spec(model), GOLDEN_POLICIES[model][kind],
-                   SimConfig(horizon=3000, replications=7, burn_in=200, seed=11))
+    res = simulate(golden_spec(model), GOLDEN_POLICIES[model][kind], GOLDEN_CONFIG[model])
     d_hat, n_hat, d_se, n_se, steps = GOLDEN[(model, kind)]
     assert res == SimResult(d_hat=d_hat, n_hat=n_hat, d_se=d_se, n_se=n_se,
                             replications_used=7, stream_id="pcg64[11,2]:innov|policy,time-major",
@@ -773,11 +807,14 @@ def test_golden_wide_discounted(case, monkeypatch):
 
 # Recorded from the simulator that stepped whole chunks (stream layout 2) by
 # running each case below once: (d_hat, n_hat, d_se, n_se) and the digest of
-# the per-replication sums at 5 reps x 600 steps, burn-in 50, seed 13, in
-# chunks of 23 steps (CHUNK_CELLS = 23 x the run's width), so a run crosses 26
-# (Model A) or 19 (Model B, 449 steps) chunk boundaries and the burn-in ends
-# inside the third chunk.  A block of the six kinds sums each row as its own
-# run does, so it gives the same bits.
+# the per-replication sums at 5 reps and seed 13 (600 steps and a burn-in of
+# 50 for Model A, 449 discounted steps for Model B), in chunks of 23 steps
+# (CHUNK_CELLS = 23 x the run's width), so a run crosses 26 (Model A) or 19
+# (Model B) chunk boundaries and the burn-in ends inside the third chunk.  A
+# block of the six kinds sums each row as its own run does, so it gives the
+# same bits.
+CHUNKED_CONFIG = {"A": SimConfig(horizon=600, replications=5, burn_in=50, seed=13),
+                  "B": SimConfig(replications=5, seed=13)}
 GOLDEN_CHUNKED = {
     ("A", "threshold"): ((0.5061818181818182, 0.14945454545454545, 0.005680181582477572, 0.005645154435003647), "6d026898bbf7bd34"),
     ("A", "randomized_threshold"): ((0.8272727272727274, 0.08909090909090908, 0.07911076030916536, 0.01801743875176363), "c8be1b30d1cc1a8b"),
@@ -797,7 +834,7 @@ GOLDEN_CHUNKED = {
 @pytest.mark.parametrize("model", ["A", "B"])
 @pytest.mark.parametrize("together", [False, True], ids=["alone", "block"])
 def test_golden_chunked(model, together, monkeypatch):
-    cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+    cfg = CHUNKED_CONFIG[model]
     kinds = list(GOLDEN_POLICIES[model])
     sums = []
     estimate = simulate_module._estimate
@@ -893,15 +930,15 @@ class TestDrawAhead:
         # switching threads every microsecond: each run still gives exactly
         # what it gives alone, over 82 chunk handoffs
         monkeypatch.setattr(simulate_module, "CHUNK_CELLS", 37 * 7)
-        cfg = SimConfig(horizon=3000, replications=7, burn_in=200, seed=11)
-        cases = [(golden_spec(model), GOLDEN_POLICIES[model][kind]) for model, kind in
+        cases = [(golden_spec(model), GOLDEN_POLICIES[model][kind], GOLDEN_CONFIG[model])
+                 for model, kind in
                  (("A", "iid_random"), ("B", "randomized_threshold"), ("B", "steering"))]
-        alone = [simulate(spec, policy, cfg) for spec, policy in cases]
+        alone = [simulate(*case) for case in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=len(cases)) as pool:
-                together = list(pool.map(lambda case: simulate(*case, cfg), cases, timeout=60))
+                together = list(pool.map(lambda case: simulate(*case), cases, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert together == alone
@@ -946,7 +983,7 @@ class TestChunks:
     def test_chunk_size_invariance(self, model, kind, monkeypatch):
         # 1-row chunks, 37-row chunks that straddle the burn-in, one chunk:
         # each stream is drawn in order, so only the summation order moves
-        cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+        cfg = CHUNKED_CONFIG[model]
         runs = []
         for cells in (1, 37 * cfg.replications, 10**9):
             monkeypatch.setattr(simulate_module, "CHUNK_CELLS", cells)
@@ -995,6 +1032,25 @@ class TestChunks:
                                 SimConfig(replications=50_000, seed=3))
         assert peak < self.one_chunk(1, 50_000)
 
+    def test_wide_tabulated_run_holds_one_chunk(self):
+        # the inverse CDF maps one block of _SEARCH_BLOCK uniforms at a time:
+        # 6.64 MiB at peak when it mapped each slice of the chunk at once
+        spec = ModelSpecB(1.0, triangle_pdf(), DistortionFn.quadratic(), 0.9)
+        peak = self.traced_peak(spec, PolicySpec.threshold(0.5),
+                                SimConfig(replications=50_000, seed=3))
+        assert peak < self.one_chunk(1, 50_000, sampler=_SEARCH_BLOCK * 8)
+
+    def test_time_sharing_run_holds_no_visit_arrays(self, bd_avg):
+        # 4e5 replications x 2 steps in one-row chunks: beyond a threshold run's
+        # 20.2 MiB, a time-sharing run holds per-replication thresholds, counts
+        # and events; it peaked at 32.7 MiB when it also held the steering
+        # rule's boundary values and visit flags, which it never reads
+        n = 400_000
+        cfg = SimConfig(horizon=2, replications=n, burn_in=1)
+        threshold = self.traced_peak(bd_avg, PolicySpec.threshold(2), cfg)
+        sharing = self.traced_peak(bd_avg, PolicySpec.time_sharing(2, [(1, 1)]), cfg)
+        assert sharing < threshold + 3 * 8 * n + 2**16
+
     def test_long_model_a_run_holds_one_chunk(self, bd_avg):
         # 32 replications x 15 000 steps in chunks of 8192: 7.13 MB at peak
         # when each chunk drew its innovations into a new buffer; the pmf
@@ -1013,7 +1069,7 @@ class TestBlock:
         kinds = sorted(GOLDEN_POLICIES[model])
         results = simulate_policies(golden_spec(model),
                                     [GOLDEN_POLICIES[model][kind] for kind in kinds],
-                                    SimConfig(horizon=3000, replications=7, burn_in=200, seed=11))
+                                    GOLDEN_CONFIG[model])
         for kind, res in zip(kinds, results):
             assert (res.d_hat, res.n_hat, res.d_se, res.n_se,
                     res.steps_per_replication) == GOLDEN[(model, kind)], kind
@@ -1021,7 +1077,7 @@ class TestBlock:
 
     @pytest.mark.parametrize("model", ["A", "B"])
     def test_matches_separate_runs_across_chunks(self, model, monkeypatch):
-        cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+        cfg = CHUNKED_CONFIG[model]
         policies = list(GOLDEN_POLICIES[model].values())
         # stateful and threshold kinds interleaved among the block's rows
         policies = policies[::2] + policies[1::2]
@@ -1060,7 +1116,9 @@ class TestBlock:
                 st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
                 min_size=1, max_size=3)),
         ), min_size=1, max_size=6))
-        cfg = SimConfig(horizon=300, replications=data.draw(st.integers(2, 5)), burn_in=20,
+        # a discounted run reads no horizon or burn-in
+        cfg = SimConfig(**({"horizon": 300, "burn_in": 20} if beta == 1.0 else {}),
+                        replications=data.draw(st.integers(2, 5)),
                         seed=data.draw(st.integers(0, 2**32 - 1)))
         rows = data.draw(st.integers(1, 300))
         with pytest.MonkeyPatch.context() as patch:
@@ -1107,7 +1165,8 @@ class TestBlock:
         # a discounted run's steps come from beta alone, not from the horizon
         with pytest.raises(UsageError, match=r"^219 steps are above the cap of 1e\+02; "
                                              "lower the discount factor$"):
-            simulate_policies(solver_a.bd_spec(0.3, 0.9), [PolicySpec.threshold(2)], cfg)
+            simulate_policies(solver_a.bd_spec(0.3, 0.9), [PolicySpec.threshold(2)],
+                              SimConfig(replications=10))
 
     def test_width_cap_applies_to_the_block(self, bd_avg, monkeypatch):
         # the cap counts policies x replications of the whole block, and a block
@@ -1142,7 +1201,7 @@ class TestBlock:
 
     @pytest.mark.parametrize("model", ["A", "B"])
     def test_counting_leaves_results_unchanged(self, model):
-        cfg = SimConfig(horizon=600, replications=5, burn_in=50, seed=13)
+        cfg = CHUNKED_CONFIG[model]
         policies = list(GOLDEN_POLICIES[model].values())
         outside = simulate_policies(golden_spec(model), policies, cfg)
         with collect():
